@@ -26,6 +26,7 @@ from .gate import (
     DEFAULT_SIGMA_PX,
     GateReport,
     classify_spherical,
+    classify_view,
     default_ellipse_cov,
     exact_iop_cov,
     tau,
@@ -73,6 +74,7 @@ from .reconstruct import (
     estimate_radius_ls,
     metric_scale,
     reconstruct_sphere,
+    reconstruct_tracks,
     triangulate_center,
     triangulate_midpoint,
 )
@@ -98,9 +100,10 @@ __all__ = [
     "project_point", "project_sphere", "project_sphere_into_view",
     "projected_sphere_center", "center_from_single_view", "radius_from_depth",
     "fold_axis_angle", "triangulate_center", "triangulate_midpoint",
-    "reconstruct_sphere", "estimate_radius_ls", "metric_scale", "apply_scale",
-    "tau", "tau_jacobian", "tau_variance", "classify_spherical",
-    "default_ellipse_cov", "exact_iop_cov", "convergence_angle",
+    "reconstruct_sphere", "reconstruct_tracks", "estimate_radius_ls",
+    "metric_scale", "apply_scale", "tau", "tau_jacobian", "tau_variance",
+    "classify_spherical", "classify_view", "default_ellipse_cov",
+    "exact_iop_cov", "convergence_angle",
     "network_overlap", "best_pair", "anchor_network", "fundamental_from_views",
     "epipolar_distance", "epipolar_candidates", "reprojection_distance",
     "match_ellipses", "generate_scene", "perturb_observations", "p_rmse",

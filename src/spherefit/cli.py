@@ -27,7 +27,7 @@ from .errors import (
     NoSharedPoints,
     UnknownAnchor,
 )
-from .gate import classify_spherical, default_ellipse_cov
+from .gate import classify_view, default_ellipse_cov
 from .match import match_ellipses
 from .netselect import (
     DEFAULT_MIN_ANGLE,
@@ -39,6 +39,9 @@ from .netselect import (
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .projection import projected_sphere_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
+
+# Not called here: bench/spans.py wraps this name in this module.
+from .gate import classify_spherical  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -57,22 +60,26 @@ def _warn(message: str) -> None:
 
 
 def _gate_ellipses(network: ImageNetwork, ellipses, k_sigma, default_sigma):
-    """Gate every ellipse against its view; returns (accepted, reports)."""
+    """Gate every ellipse against its view, one view at a time; returns
+    (accepted, reports), both in file order."""
     view_map = {v.image_id: v for v in network.views}
-    accepted = []
-    reports = []
-    for e in ellipses:
+    by_view: dict = {}
+    for index, e in enumerate(ellipses):
         if e.image_id not in view_map:
             raise fileio.FileFormatError(
                 f"ellipse {e.ellipse_id!r} references unknown image {e.image_id!r}")
-        view = view_map[e.image_id]
-        cov = e.cov if e.cov is not None else default_ellipse_cov(default_sigma)
-        report = classify_spherical(e, view.f, view.px, view.py,
-                                    ellipse_cov=cov, iop_cov=view.iop_cov,
-                                    k=k_sigma)
-        reports.append((e, report))
-        if report.accepted:
-            accepted.append(e)
+        by_view.setdefault(e.image_id, []).append(index)
+    fallback = default_ellipse_cov(default_sigma)
+    reports = [None] * len(ellipses)
+    for image_id, indices in by_view.items():
+        view = view_map[image_id]
+        members = [ellipses[i] for i in indices]
+        covs = [e.cov if e.cov is not None else fallback for e in members]
+        for index, report in zip(indices, classify_view(
+                members, view.f, view.px, view.py, ellipse_covs=covs,
+                iop_cov=view.iop_cov, k=k_sigma)):
+            reports[index] = (ellipses[index], report)
+    accepted = [e for e, report in reports if report.accepted]
     return accepted, reports
 
 

@@ -13,18 +13,22 @@ The gate statistic is the normalized defect
 which is exactly zero for noise-free sphere silhouettes.  With measurement
 noise, first-order variance propagation through the closed-form Jacobian
 turns the identity into the acceptance test |tau| <= k * sigma_tau.
+
+The gate works on a whole view at once: ``classify_view`` takes the view's
+ellipses as one (n, 4) parameter array, computes tau, its gradient and its
+variance as array expressions, and checks every covariance with one stacked
+PSD test.  ``classify_spherical`` is its one-ellipse call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidCovariance
-from .projection import EllipseObservation, is_psd
+from .projection import EllipseObservation, is_psd, psd_mask
 
 #: Conservative per-parameter detector noise assumed when an ellipse carries
 #: no covariance (pixels, applied to a_e, b_e, x_ce and y_ce alike).
@@ -54,12 +58,33 @@ def exact_iop_cov() -> np.ndarray:
     return np.zeros((3, 3))
 
 
+def _tau(a, b, x, y, f, px, py):
+    dx = x - px
+    dy = y - py
+    return 1.0 - (b / a) * np.sqrt((dx * dx + dy * dy) / (f * f + b * b) + 1.0)
+
+
 def tau(e: EllipseObservation, f: float, px: float, py: float) -> float:
     """Spherical-ellipse defect; zero exactly for true sphere silhouettes."""
-    dx = e.x_ce - px
-    dy = e.y_ce - py
-    return 1.0 - (e.b_e / e.a_e) * math.sqrt(
-        (dx * dx + dy * dy) / (f * f + e.b_e * e.b_e) + 1.0)
+    return float(_tau(e.a_e, e.b_e, e.x_ce, e.y_ce, f, px, py))
+
+
+def _tau_and_gradient(a, b, x, y, f, px, py):
+    """tau and its gradient wrt (a_e, b_e, x_ce, y_ce, px, py, f),
+    elementwise over arrays of parameters; the gradient's 7 components form
+    its last axis."""
+    t = _tau(a, b, x, y, f, px, py)
+    dx = x - px
+    dy = y - py
+    v = f * f + b * b
+    m = 1.0 - t  # = (b/a) * sqrt(u/v + 1) > 0
+    common = 1.0 / (a * a * m * v)
+    d_a = m / a
+    d_b = -m * f * f / (b * v) - b ** 3 * common
+    d_x = -b * b * dx * common
+    d_y = -b * b * dy * common
+    d_f = f * (a * a * m * m - b * b) * common
+    return t, np.stack([d_a, d_b, d_x, d_y, -d_x, -d_y, d_f], axis=-1)
 
 
 def tau_jacobian(e: EllipseObservation, f: float, px: float, py: float) -> np.ndarray:
@@ -69,19 +94,31 @@ def tau_jacobian(e: EllipseObservation, f: float, px: float, py: float) -> np.nd
     derivation uses m = 1 - tau = (b_e/a_e) * sqrt(u/v + 1) with
     u = (x_ce-px)^2 + (y_ce-py)^2 and v = f^2 + b_e^2.
     """
-    a = e.a_e
-    b = e.b_e
-    dx = e.x_ce - px
-    dy = e.y_ce - py
-    v = f * f + b * b
-    m = 1.0 - tau(e, f, px, py)  # = (b/a) * sqrt(u/v + 1) > 0
-    common = 1.0 / (a * a * m * v)
-    d_a = m / a
-    d_b = -m * f * f / (b * v) - b ** 3 * common
-    d_x = -b * b * dx * common
-    d_y = -b * b * dy * common
-    d_f = f * (a * a * m * m - b * b) * common
-    return np.array([d_a, d_b, d_x, d_y, -d_x, -d_y, d_f])
+    return _tau_and_gradient(e.a_e, e.b_e, e.x_ce, e.y_ce, f, px, py)[1]
+
+
+def _variances(jacobians: np.ndarray, ellipse_covs, iop_cov) -> np.ndarray:
+    """First-order variance of tau for n ellipses: J Sigma J^T per row, with
+    a block-diagonal Sigma of one 4x4 ellipse covariance per row and one
+    shared 3x3 interior-orientation covariance, None when the interior
+    orientation is exact.  Checks every covariance."""
+    ellipse_covs = np.asarray(ellipse_covs, dtype=float)
+    if ellipse_covs.shape[1:] != (4, 4):
+        raise InvalidCovariance(
+            f"ellipse covariance must be 4x4, got {ellipse_covs.shape[1:]}")
+    if not psd_mask(ellipse_covs).all():
+        raise InvalidCovariance("ellipse covariance is not symmetric PSD")
+    j_e = jacobians[:, :4]
+    var = np.einsum("ni,nij,nj->n", j_e, ellipse_covs, j_e)
+    if iop_cov is None:
+        return var
+    iop_cov = np.asarray(iop_cov, dtype=float)
+    if iop_cov.shape != (3, 3):
+        raise InvalidCovariance(f"IOP covariance must be 3x3, got {iop_cov.shape}")
+    if not is_psd(iop_cov):
+        raise InvalidCovariance("IOP covariance is not symmetric PSD")
+    j_i = jacobians[:, 4:]
+    return var + np.einsum("ni,ij,nj->n", j_i, iop_cov, j_i)
 
 
 def tau_variance(jacobian: np.ndarray, ellipse_cov: np.ndarray,
@@ -92,40 +129,50 @@ def tau_variance(jacobian: np.ndarray, ellipse_cov: np.ndarray,
     interior-orientation blocks are uncorrelated because they come from
     independent estimation processes.
     """
-    jacobian = np.asarray(jacobian, dtype=float).reshape(7)
+    jacobian = np.asarray(jacobian, dtype=float).reshape(1, 7)
     ellipse_cov = np.asarray(ellipse_cov, dtype=float)
-    iop_cov = np.asarray(iop_cov, dtype=float)
-    if ellipse_cov.shape != (4, 4):
-        raise InvalidCovariance(f"ellipse covariance must be 4x4, got {ellipse_cov.shape}")
-    if iop_cov.shape != (3, 3):
-        raise InvalidCovariance(f"IOP covariance must be 3x3, got {iop_cov.shape}")
-    for name, cov in (("ellipse", ellipse_cov), ("IOP", iop_cov)):
-        if not is_psd(cov):
-            raise InvalidCovariance(f"{name} covariance is not symmetric PSD")
-    sigma = np.zeros((7, 7))
-    sigma[:4, :4] = ellipse_cov
-    sigma[4:, 4:] = iop_cov
-    return max(float(jacobian @ sigma @ jacobian), 0.0)
+    return max(float(_variances(jacobian, ellipse_cov[None], iop_cov)[0]), 0.0)
+
+
+def classify_view(ellipses: Sequence[EllipseObservation], f: float, px: float, py: float,
+                  ellipse_covs=None, iop_cov: Optional[np.ndarray] = None,
+                  k: float = DEFAULT_K) -> list[GateReport]:
+    """Gate all ellipses of one view at |tau| <= k*sigma in one array pass.
+
+    Returns one report per ellipse, in input order.  ``ellipse_covs`` is an
+    optional stack of one 4x4 covariance per ellipse; without it each
+    ellipse uses its own covariance, else the conservative pixel-level
+    default.  Missing ``iop_cov`` means exactly known interior orientation.
+    Raises InvalidCovariance unless every covariance is symmetric PSD.
+    """
+    if not k > 0.0:
+        raise ValueError(f"threshold multiplier must be positive, got {k}")
+    if not ellipses:
+        return []
+    if ellipse_covs is None:
+        fallback = default_ellipse_cov()
+        ellipse_covs = [e.cov if e.cov is not None else fallback for e in ellipses]
+    if len(ellipse_covs) != len(ellipses):
+        raise ValueError(f"{len(ellipses)} ellipses but {len(ellipse_covs)} covariances")
+    a, b, x, y = np.array([(e.a_e, e.b_e, e.x_ce, e.y_ce) for e in ellipses]).T
+    t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py)
+    var = _variances(jacobians, ellipse_covs, iop_cov)
+    sigma_tau = np.sqrt(np.maximum(var, 0.0))
+    accepted = np.abs(t) <= k * sigma_tau
+    return [GateReport(tau=ti, sigma_tau=si, k=float(k), accepted=ai)
+            for ti, si, ai in zip(t.tolist(), sigma_tau.tolist(), accepted.tolist())]
 
 
 def classify_spherical(e: EllipseObservation, f: float, px: float, py: float,
                        ellipse_cov: Optional[np.ndarray] = None,
                        iop_cov: Optional[np.ndarray] = None,
                        k: float = DEFAULT_K) -> GateReport:
-    """Accept or reject an ellipse as a sphere silhouette at |tau| <= k*sigma.
+    """Accept or reject one ellipse as a sphere silhouette at |tau| <= k*sigma.
 
     Covariance fallbacks: an explicit ``ellipse_cov`` wins, else the
     observation's own covariance, else the conservative pixel-level default;
     missing ``iop_cov`` means exactly known interior orientation.
     """
-    if not k > 0.0:
-        raise ValueError(f"threshold multiplier must be positive, got {k}")
-    if ellipse_cov is None:
-        ellipse_cov = e.cov if e.cov is not None else default_ellipse_cov()
-    if iop_cov is None:
-        iop_cov = exact_iop_cov()
-    t = tau(e, f, px, py)
-    var = tau_variance(tau_jacobian(e, f, px, py), ellipse_cov, iop_cov)
-    sigma_tau = math.sqrt(var)
-    return GateReport(tau=t, sigma_tau=sigma_tau, k=float(k),
-                      accepted=abs(t) <= k * sigma_tau)
+    return classify_view([e], f, px, py,
+                         ellipse_covs=None if ellipse_cov is None else [ellipse_cov],
+                         iop_cov=iop_cov, k=k)[0]

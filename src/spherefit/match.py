@@ -7,6 +7,12 @@ verified by hypothesis: reconstruct a sphere from the candidate pair,
 reproject it into both images, and measure the parameter distance between
 observed and reprojected ellipses.  Matching is one-to-one, greedy by
 ascending total reprojection distance.
+
+The work is array maths over both views: the symmetric epipolar distances
+and their limits form one (n_l, n_k) matrix, every admissible pair goes
+through the batched two-view reconstruction of ``reconstruct`` in one call,
+and all hypotheses are reprojected with the silhouette closed form at once.
+Only the greedy one-to-one step loops, over the admissible pairs.
 """
 
 from __future__ import annotations
@@ -17,14 +23,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DegenerateProjection
+from .errors import DegenerateGeometry
 from .projection import (
+    DEPTH_MARGIN,
     CameraView,
     EllipseObservation,
-    project_sphere_into_view,
+    corrected_center,
     projected_sphere_center,
+    silhouette,
 )
-from .reconstruct import SphereModel, reconstruct_sphere
+from .reconstruct import OK, SphereModel, _model, _recover
+
+# Not called here: bench/spans.py wraps these names in this module.
+from .projection import project_sphere_into_view  # noqa: F401
+from .reconstruct import reconstruct_sphere  # noqa: F401
 
 #: Epipolar gate floor in pixels; widened per candidate by center uncertainty.
 DEFAULT_EPIPOLAR_TOL = 3.0
@@ -137,6 +149,25 @@ def reprojection_distance(observed: EllipseObservation,
                      + (observed.b_e - predicted.b_e) ** 2)
 
 
+def _view_arrays(view: CameraView, ellipses: Sequence[EllipseObservation]):
+    """Ellipses sorted by id, their (n, 4) parameters (x_ce, y_ce, a_e, b_e),
+    corrected centers (n, 2) and center sigmas (n,)."""
+    ordered = sorted(ellipses, key=lambda e: e.ellipse_id)
+    params = np.array([(e.x_ce, e.y_ce, e.a_e, e.b_e) for e in ordered]).reshape(-1, 4)
+    centers = np.stack(corrected_center(params[:, 0], params[:, 1], params[:, 3],
+                                        view.f, view.px, view.py), axis=-1)
+    sigmas = np.array([center_sigma(e) for e in ordered])
+    return ordered, params, centers, sigmas
+
+
+def _line_distances(lines: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(n_lines, n_points) pixel distances of points from homogeneous lines."""
+    norm = np.hypot(lines[:, 0], lines[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.abs(lines @ np.vstack([points.T, np.ones(len(points))])) / norm[:, None]
+    return np.where(norm[:, None] > 0.0, dist, math.inf)
+
+
 def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
                    view_k: CameraView, ellipses_k: Sequence[EllipseObservation],
                    tol: Optional[float] = None) -> MatchResult:
@@ -149,41 +180,48 @@ def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
     is called l.
     """
     f_lk = fundamental_from_views(view_l, view_k)
-    corr_l = {e.ellipse_id: projected_sphere_center(e, view_l.f, view_l.px, view_l.py)
-              for e in ellipses_l}
-    corr_k = {e.ellipse_id: projected_sphere_center(e, view_k.f, view_k.px, view_k.py)
-              for e in ellipses_k}
-    candidates = []
-    for e_l in sorted(ellipses_l, key=lambda e: e.ellipse_id):
-        for e_k in sorted(ellipses_k, key=lambda e: e.ellipse_id):
-            d_fwd = epipolar_distance(f_lk, corr_l[e_l.ellipse_id], corr_k[e_k.ellipse_id])
-            d_bwd = epipolar_distance(f_lk.T, corr_k[e_k.ellipse_id], corr_l[e_l.ellipse_id])
-            epi = max(d_fwd, d_bwd)
-            limit = tol if tol is not None else default_epipolar_tol(e_l, e_k)
-            if epi > limit:
-                continue
-            try:
-                hypothesis = reconstruct_sphere([(view_l, e_l), (view_k, e_k)])
-                pred_l = project_sphere_into_view(hypothesis.sphere, view_l)
-                pred_k = project_sphere_into_view(hypothesis.sphere, view_k)
-            except (DegenerateGeometry, DegenerateProjection):
-                continue
-            total = (reprojection_distance(e_l, pred_l)
-                     + reprojection_distance(e_k, pred_k))
-            candidates.append(MatchCandidate(
-                ellipse_l=e_l.ellipse_id, ellipse_k=e_k.ellipse_id,
-                epipolar_distance=epi, reprojection_distance=total,
-                sphere=hypothesis))
-    candidates.sort(key=lambda c: (c.reprojection_distance, c.ellipse_l, c.ellipse_k))
-    used_l: set = set()
-    used_k: set = set()
+    ordered_l, par_l, cen_l, sig_l = _view_arrays(view_l, ellipses_l)
+    ordered_k, par_k, cen_k, sig_k = _view_arrays(view_k, ellipses_k)
+    hom_l = np.hstack([cen_l, np.ones((len(cen_l), 1))])
+    hom_k = np.hstack([cen_k, np.ones((len(cen_k), 1))])
+    epi = np.maximum(_line_distances(hom_l @ f_lk.T, cen_k),
+                     _line_distances(hom_k @ f_lk, cen_l).T)
+    if tol is None:
+        limit = np.maximum(DEFAULT_EPIPOLAR_TOL, 2.0 * np.maximum.outer(sig_l, sig_k))
+    else:
+        limit = tol
+    il, ik = np.nonzero(epi <= limit)
+
+    obs = np.stack([par_l[il], par_k[ik]], axis=1)  # (m, 2, 4)
+    views = (view_l, view_k)
+    iop = np.array([(v.f, v.px, v.py) for v in views])
+    rec = _recover(iop[:, 0], iop[:, 1], iop[:, 2],
+                   np.array([v.rot for v in views]), np.array([v.t for v in views]),
+                   obs[..., 0], obs[..., 1], obs[..., 3])
+    cam = rec.cam
+    radius = rec.radius[:, None]
+    clears = (rec.reason == OK)[:, None] & (cam[..., 2] > radius * (1.0 + DEPTH_MARGIN))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pred = np.stack(silhouette(cam[..., 0], cam[..., 1], cam[..., 2], radius,
+                                   iop[:, 0], iop[:, 1], iop[:, 2]), axis=-1)
+    total = np.sqrt(((obs - pred) ** 2).sum(axis=-1)).sum(axis=1)
+    keep = np.flatnonzero(clears.all(axis=1))
+
+    # Ellipses are sorted by id, so ordering by index breaks ties by id.
+    order = keep[np.lexsort((ik[keep], il[keep], total[keep]))]
+    used_l = np.zeros(len(ordered_l), dtype=bool)
+    used_k = np.zeros(len(ordered_k), dtype=bool)
     matches = []
-    for cand in candidates:
-        if cand.ellipse_l in used_l or cand.ellipse_k in used_k:
+    ids = [view_l.image_id, view_k.image_id]
+    for row in order.tolist():
+        i, j = il[row], ik[row]
+        if used_l[i] or used_k[j]:
             continue
-        matches.append(cand)
-        used_l.add(cand.ellipse_l)
-        used_k.add(cand.ellipse_k)
-    unmatched_l = sorted(e.ellipse_id for e in ellipses_l if e.ellipse_id not in used_l)
-    unmatched_k = sorted(e.ellipse_id for e in ellipses_k if e.ellipse_id not in used_k)
+        used_l[i] = used_k[j] = True
+        matches.append(MatchCandidate(
+            ellipse_l=ordered_l[i].ellipse_id, ellipse_k=ordered_k[j].ellipse_id,
+            epipolar_distance=float(epi[i, j]), reprojection_distance=float(total[row]),
+            sphere=_model(rec, row, ids)))
+    unmatched_l = sorted(e.ellipse_id for e, used in zip(ordered_l, used_l) if not used)
+    unmatched_k = sorted(e.ellipse_id for e, used in zip(ordered_k, used_k) if not used)
     return MatchResult(matches=matches, unmatched_l=unmatched_l, unmatched_k=unmatched_k)

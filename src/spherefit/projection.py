@@ -52,18 +52,33 @@ def _as_matrix(value, shape, name: str) -> np.ndarray:
     return arr
 
 
-def min_symmetric_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of ``m``."""
-    sym = 0.5 * (m + m.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+def psd_mask(stack: np.ndarray) -> np.ndarray:
+    """``is_psd`` for each matrix of a (..., d, d) stack in one pass.
+
+    Matrices that fail the symmetry test, non-finite ones included, are
+    reported False without entering the eigensolver, so one bad matrix
+    cannot make the whole stack fail to converge.
+    """
+    stack = np.asarray(stack, dtype=float)
+    flipped = np.swapaxes(stack, -1, -2)
+    scale = 1.0 + np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    symmetric = np.abs(stack - flipped).max(axis=(-2, -1), initial=0.0) <= 1e-9 * scale
+    sym = 0.5 * (stack + flipped)
+    sym[~symmetric] = 0.0
+    lowest = np.linalg.eigvalsh(sym)[..., 0]
+    return symmetric & (lowest >= -1e-9 * np.einsum("...ii->...", stack))
 
 
 def is_psd(m: np.ndarray) -> bool:
     """Symmetric PSD test: symmetric to round-off and no eigenvalue of the
     symmetric part below -1e-9 * trace."""
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * (1.0 + float(np.abs(m).max(initial=0.0)))):
-        return False
-    return min_symmetric_eigenvalue(m) >= -1e-9 * float(np.trace(m))
+    return bool(psd_mask(m))
+
+
+def _require_finite(owner: str, **values) -> None:
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{owner} {name} must be finite")
 
 
 @dataclass
@@ -90,6 +105,7 @@ class CameraView:
         self.py = float(self.py)
         self.rot = _as_matrix(self.rot, (3, 3), "rot")
         self.t = np.asarray(self.t, dtype=float).reshape(3)
+        _require_finite("camera", f=self.f, px=self.px, py=self.py, rot=self.rot, t=self.t)
         if not self.f > 0.0:
             raise ValueError(f"focal length must be positive, got {self.f}")
         err = float(np.linalg.norm(self.rot.T @ self.rot - np.eye(3)))
@@ -137,12 +153,15 @@ class EllipseObservation:
         self.y_ce = float(self.y_ce)
         self.a_e = float(self.a_e)
         self.b_e = float(self.b_e)
+        self.theta = float(self.theta)
+        _require_finite("ellipse", x_ce=self.x_ce, y_ce=self.y_ce, a_e=self.a_e,
+                        b_e=self.b_e, theta=self.theta)
         if not self.b_e > 0.0:
             raise ValueError(f"semi-minor length must be positive, got {self.b_e}")
         if self.a_e < self.b_e:
             raise ValueError(
                 f"semi-major length {self.a_e} is smaller than semi-minor {self.b_e}")
-        self.theta = fold_axis_angle(float(self.theta))
+        self.theta = fold_axis_angle(self.theta)
         if self.cov is not None:
             self.cov = _as_matrix(self.cov, (4, 4), "cov")
             if not is_psd(self.cov):
@@ -189,6 +208,21 @@ def project_point(point_world, view: CameraView) -> np.ndarray:
                      view.py + view.f * cam[1] / cam[2]])
 
 
+def silhouette(x, y, z, r, f, px, py):
+    """(x_ce, y_ce, a_e, b_e) of the silhouette of a camera-frame sphere.
+
+    Elementwise over numpy arrays as well as scalars; the caller checks
+    that the depth clears the radius.
+    """
+    d2 = z * z - r * r
+    u = x * x + y * y
+    b_e = f * r / np.sqrt(d2)
+    # a_e written as b_e * sqrt(u/d2 + 1) so a_e >= b_e holds exactly in
+    # floating point; algebraically identical to f*R*sqrt(u + d2)/d2.
+    a_e = b_e * np.sqrt(u / d2 + 1.0)
+    return px + f * z * x / d2, py + f * z * y / d2, a_e, b_e
+
+
 def project_sphere(sphere: Sphere, f: float, px: float, py: float,
                    image_id: str = "", ellipse_id: str = "") -> EllipseObservation:
     """Silhouette ellipse of a camera-frame sphere (noise-free, no covariance).
@@ -202,14 +236,8 @@ def project_sphere(sphere: Sphere, f: float, px: float, py: float,
     if z <= r * (1.0 + DEPTH_MARGIN):
         raise DegenerateProjection(
             f"sphere depth {z:.6g} does not clear radius {r:.6g}")
-    d2 = z * z - r * r
+    x_ce, y_ce, a_e, b_e = silhouette(x, y, z, r, f, px, py)
     u = x * x + y * y
-    b_e = f * r / math.sqrt(d2)
-    # a_e written as b_e * sqrt(u/d2 + 1) so a_e >= b_e holds exactly in
-    # floating point; algebraically identical to f*R*sqrt(u + d2)/d2.
-    a_e = b_e * math.sqrt(u / d2 + 1.0)
-    x_ce = px + f * z * x / d2
-    y_ce = py + f * z * y / d2
     theta = fold_axis_angle(math.atan2(y, x)) if u > 0.0 else 0.0
     return EllipseObservation(image_id=image_id, ellipse_id=ellipse_id,
                               x_ce=x_ce, y_ce=y_ce, a_e=a_e, b_e=b_e, theta=theta)
@@ -232,11 +260,16 @@ def projected_sphere_center(e: EllipseObservation, f: float, px: float,
     displaced outward from the image of its center, and the displacement is a
     closed-form function of the semi-minor length and the focal length.
     """
-    b2 = e.b_e * e.b_e
+    return np.array(corrected_center(e.x_ce, e.y_ce, e.b_e, f, px, py))
+
+
+def corrected_center(x_ce, y_ce, b_e, f, px, py):
+    """``projected_sphere_center`` elementwise over arrays of ellipse
+    parameters: returns the corrected (x, y) pixel coordinates."""
+    b2 = b_e * b_e
     f2 = f * f
     w = f2 + b2
-    return np.array([(f2 * e.x_ce + b2 * px) / w,
-                     (f2 * e.y_ce + b2 * py) / w])
+    return (f2 * x_ce + b2 * px) / w, (f2 * y_ce + b2 * py) / w
 
 
 def center_from_single_view(e: EllipseObservation, f: float, px: float,

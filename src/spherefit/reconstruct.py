@@ -7,6 +7,14 @@ center, transform that center into each camera frame, read off one radius
 estimate per view from the depth and semi-minor length, and average.  With
 known real-world radii of one or more spheres the global scale of the
 reconstruction follows from a least-squares radius ratio.
+
+The recovery runs in array form: one private kernel takes m spheres seen in
+n views each as (m, n, ...) arrays and does the correction, a stacked SVD
+triangulation, the depth check, the per-view radii, the spread and the
+residual in one pass.  Rows whose geometry degenerates are flagged with a
+reason instead of raising, so a batch of two-view hypotheses in matching or
+of tracks in the sweep is never stopped by one bad row.  ``reconstruct_sphere``
+is the one-row call and raises for its row.
 """
 
 from __future__ import annotations
@@ -19,15 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometry, DegenerateProjection, EmptyInput, InvalidAnchor
-from .projection import (
-    CameraView,
-    EllipseObservation,
-    Sphere,
-    project_point,
-    projected_sphere_center,
-    radius_from_depth,
-    world_to_camera,
-)
+from .projection import CameraView, EllipseObservation, Sphere, corrected_center
 
 _RANK_TOL = 1e-9
 _INFINITY_TOL = 1e-12
@@ -58,37 +58,117 @@ class ScaleResult:
     residual_rmse: float
 
 
+#: Per-row outcome of the batched kernel.
+OK, RANK_DEFICIENT, AT_INFINITY, BEHIND_CAMERA = range(4)
+
+
+def _triangulate(f, px, py, rot, t, u, v):
+    """Linear homogeneous least-squares triangulation of m points, each seen
+    at pixel (u, v) in n views; u and v are (m, n), the camera arrays
+    broadcast against them.  Returns the (m, 3) points and a reason per row.
+
+    Pixels are reduced to normalized image coordinates before stacking the
+    projection constraints, which keeps each design matrix well conditioned.
+    """
+    m, n = u.shape
+    xn = (u - px) / f
+    yn = (v - py) / f
+    pose = np.concatenate([rot, t[..., None]], axis=-1)
+    rows = np.stack([xn[..., None] * pose[..., 2, :] - pose[..., 0, :],
+                     yn[..., None] * pose[..., 2, :] - pose[..., 1, :]], axis=-2)
+    a = rows.reshape(m, 2 * n, 4)
+    a = a / np.linalg.norm(a, axis=-1)[..., None]
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    x = vt[:, -1]
+    rank_deficient = s[:, 2] <= _RANK_TOL * s[:, 0]
+    at_infinity = np.abs(x[:, 3]) <= _INFINITY_TOL * np.linalg.norm(x[:, :3], axis=1)
+    reason = np.where(rank_deficient, RANK_DEFICIENT, np.where(at_infinity, AT_INFINITY, OK))
+    return x[:, :3] / x[:, 3:], reason
+
+
+@dataclass
+class _Recovery:
+    """Kernel output for m spheres in n views; rows with reason != OK are
+    not usable."""
+
+    center: np.ndarray    # (m, 3) world centers
+    cam: np.ndarray       # (m, n, 3) the centers in each camera frame
+    radii: np.ndarray     # (m, n) per-view radius estimates
+    radius: np.ndarray    # (m,) mean radius
+    spread: np.ndarray    # (m,) max |R_i - R|
+    residual: np.ndarray  # (m,) RMS pixel residual of the corrected centers
+    reason: np.ndarray    # (m,) OK or the degeneracy found first
+
+
+def _recover(f, px, py, rot, t, x_ce, y_ce, b_e) -> _Recovery:
+    """Recover m spheres from their ellipses in n views each.
+
+    ``x_ce``, ``y_ce`` and ``b_e`` are (m, n); the camera arrays ``f``,
+    ``px``, ``py`` (n or (m, n)), ``rot`` (..., n, 3, 3) and ``t``
+    (..., n, 3) broadcast against them.
+    """
+    u, v = corrected_center(x_ce, y_ce, b_e, f, px, py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center, reason = _triangulate(f, px, py, rot, t, u, v)
+        cam = (rot @ center[:, None, :, None])[..., 0] + t
+        depth = cam[..., 2]
+        reason = np.where((reason == OK) & (depth <= 0.0).any(axis=1), BEHIND_CAMERA, reason)
+        radii = depth * b_e / np.hypot(b_e, f)
+        radius = radii.mean(axis=1)
+        spread = np.abs(radii - radius[:, None]).max(axis=1)
+        du = px + f * cam[..., 0] / depth - u
+        dv = py + f * cam[..., 1] / depth - v
+        residual = np.sqrt(np.mean(du * du + dv * dv, axis=1))
+    return _Recovery(center=center, cam=cam, radii=radii, radius=radius,
+                     spread=spread, residual=residual, reason=reason)
+
+
+def _stack(rows: Sequence[Sequence[tuple[CameraView, EllipseObservation]]]):
+    """Kernel arguments for m rows of n (view, ellipse) pairs each."""
+    m, n = len(rows), len(rows[0])
+    pairs = [pair for row in rows for pair in row]
+    iop = np.array([(v.f, v.px, v.py) for v, _ in pairs]).reshape(m, n, 3)
+    ell = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in pairs]).reshape(m, n, 3)
+    rot = np.array([v.rot for v, _ in pairs]).reshape(m, n, 3, 3)
+    t = np.array([v.t for v, _ in pairs]).reshape(m, n, 3)
+    return iop[..., 0], iop[..., 1], iop[..., 2], rot, t, ell[..., 0], ell[..., 1], ell[..., 2]
+
+
+def _model(rec: _Recovery, row: int, image_ids: Sequence[str]) -> SphereModel:
+    return SphereModel(sphere=Sphere(rec.center[row].copy(), float(rec.radius[row])),
+                       per_view_radii=[(i, float(r)) for i, r in zip(image_ids, rec.radii[row])],
+                       radius_spread=float(rec.spread[row]),
+                       triangulation_residual=float(rec.residual[row]))
+
+
+def _raise_if_degenerate(reason: int) -> None:
+    if reason == RANK_DEFICIENT:
+        raise DegenerateGeometry(
+            "triangulation design matrix is rank-deficient (coincident rays?)")
+    if reason == AT_INFINITY:
+        raise DegenerateGeometry("triangulated point lies at infinity")
+
+
 def triangulate_center(observations: Sequence[tuple[CameraView, np.ndarray]]) -> np.ndarray:
     """Linear homogeneous least-squares triangulation of one world point.
 
     ``observations`` pairs each view with a pixel measurement of the point.
-    Pixels are reduced to normalized image coordinates before stacking the
-    projection constraints, which keeps the design matrix well conditioned.
-
     Raises DegenerateGeometry when the stacked constraints are rank-deficient
     (coincident rays, identical camera centers) or the solution lies at
     infinity.
     """
     if len(observations) < 2:
         raise ValueError("triangulation needs at least two views")
-    rows = []
-    for view, pixel in observations:
-        pixel = np.asarray(pixel, dtype=float).reshape(2)
-        xn = (pixel[0] - view.px) / view.f
-        yn = (pixel[1] - view.py) / view.f
-        pose = np.hstack([view.rot, view.t[:, None]])
-        rows.append(xn * pose[2] - pose[0])
-        rows.append(yn * pose[2] - pose[1])
-    a = np.vstack(rows)
-    a = a / np.linalg.norm(a, axis=1)[:, None]
-    _, s, vt = np.linalg.svd(a)
-    if s[2] <= _RANK_TOL * s[0]:
-        raise DegenerateGeometry(
-            "triangulation design matrix is rank-deficient (coincident rays?)")
-    x = vt[-1]
-    if abs(x[3]) <= _INFINITY_TOL * np.linalg.norm(x[:3]):
-        raise DegenerateGeometry("triangulated point lies at infinity")
-    return x[:3] / x[3]
+    views = [v for v, _ in observations]
+    iop = np.array([(v.f, v.px, v.py) for v in views])
+    pixels = np.array([np.asarray(p, dtype=float).reshape(2) for _, p in observations])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center, reason = _triangulate(iop[:, 0], iop[:, 1], iop[:, 2],
+                                      np.array([v.rot for v in views]),
+                                      np.array([v.t for v in views]),
+                                      pixels[None, :, 0], pixels[None, :, 1])
+    _raise_if_degenerate(int(reason[0]))
+    return center[0]
 
 
 def triangulate_midpoint(observations: Sequence[tuple[CameraView, np.ndarray]]) -> np.ndarray:
@@ -151,24 +231,38 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]],
     """
     if len(matched) < 2:
         raise ValueError("sphere reconstruction needs at least two views")
-    corrected = [projected_sphere_center(e, v.f, v.px, v.py) for v, e in matched]
-    center_w = triangulate_center([(v, c) for (v, _), c in zip(matched, corrected)])
-    per_view = []
-    for view, e in matched:
-        cam = world_to_camera(center_w, view)
-        if cam[2] <= 0.0:
-            raise DegenerateProjection(
-                f"triangulated center has nonpositive depth in view {view.image_id!r}")
-        per_view.append((view.image_id, radius_from_depth(cam[2], e.b_e, view.f)))
-    radius = estimate_radius_ls([r for _, r in per_view], weights)
-    spread = max(abs(r - radius) for _, r in per_view)
-    residual = math.sqrt(np.mean([
-        float(np.sum((project_point(center_w, v) - c) ** 2))
-        for (v, _), c in zip(matched, corrected)]))
-    return SphereModel(sphere=Sphere(center_w, radius, frame="world"),
-                       per_view_radii=per_view,
-                       radius_spread=spread,
-                       triangulation_residual=residual)
+    rec = _recover(*_stack([matched]))
+    reason = int(rec.reason[0])
+    _raise_if_degenerate(reason)
+    if reason == BEHIND_CAMERA:
+        view = matched[int(np.argmax(rec.cam[0, :, 2] <= 0.0))][0]
+        raise DegenerateProjection(
+            f"triangulated center has nonpositive depth in view {view.image_id!r}")
+    model = _model(rec, 0, [v.image_id for v, _ in matched])
+    if weights is not None:
+        radius = estimate_radius_ls([r for _, r in model.per_view_radii], weights)
+        model.sphere = Sphere(model.sphere.center, radius, frame="world")
+        model.radius_spread = max(abs(r - radius) for _, r in model.per_view_radii)
+    return model
+
+
+def reconstruct_tracks(tracks: Sequence[Sequence[tuple[CameraView, EllipseObservation]]],
+                       ) -> list[Optional[SphereModel]]:
+    """``reconstruct_sphere`` for many tracks at once, one kernel pass per
+    track length.  Returns one model per track, None where the track's
+    geometry degenerates."""
+    models: list[Optional[SphereModel]] = [None] * len(tracks)
+    by_length: dict = {}
+    for index, track in enumerate(tracks):
+        if len(track) < 2:
+            raise ValueError("sphere reconstruction needs at least two views")
+        by_length.setdefault(len(track), []).append(index)
+    for indices in by_length.values():
+        rec = _recover(*_stack([tracks[i] for i in indices]))
+        for row, index in enumerate(indices):
+            if rec.reason[row] == OK:
+                models[index] = _model(rec, row, [v.image_id for v, _ in tracks[index]])
+    return models
 
 
 def metric_scale(anchors: Sequence[tuple[float, float]]) -> ScaleResult:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInfeasible, DegenerateGeometry, DegenerateProjection
-from .gate import classify_spherical
+from .gate import classify_view
 from .match import MatchCandidate, match_ellipses
 from .netselect import ImageNetwork, TiePoint, best_pair
 from .projection import (
@@ -38,7 +38,11 @@ from .projection import (
     project_sphere_into_view,
     world_to_camera,
 )
-from .reconstruct import SphereModel, reconstruct_sphere
+from .reconstruct import SphereModel, reconstruct_tracks
+
+# Not called here: bench/spans.py wraps these names in this module.
+from .gate import classify_spherical  # noqa: F401
+from .reconstruct import reconstruct_sphere  # noqa: F401
 
 _DEFAULT_SPHERES = [
     ("ball-0", (-0.35, -0.35, 0.100), 0.100),
@@ -281,9 +285,11 @@ def perturb_observations(scene: SyntheticScene, sigma, seed: int) -> SyntheticSc
     cov = np.diag(sig ** 2)
     noisy: dict = {}
     for image_id in sorted(scene.observations):
+        observed = scene.observations[image_id]
+        # One draw per image; row i equals the i-th per-ellipse draw.
+        noise = rng.normal(0.0, sig, size=(len(observed), 4))
         out = []
-        for e in scene.observations[image_id]:
-            da, db, dx, dy = rng.normal(0.0, sig)
+        for e, (da, db, dx, dy) in zip(observed, noise):
             a = e.a_e + da
             b = e.b_e + db
             if b > a:
@@ -391,27 +397,22 @@ def reconstruct_subset(views: Sequence[CameraView], observations: dict,
     gated = {}
     for vid in sorted(view_map):
         view = view_map[vid]
-        gated[vid] = [e for e in observations.get(vid, [])
-                      if classify_spherical(e, view.f, view.px, view.py, k=k_sigma).accepted]
+        observed = observations.get(vid, [])
+        reports = classify_view(observed, view.f, view.px, view.py, k=k_sigma)
+        gated[vid] = [e for e, report in zip(observed, reports) if report.accepted]
     pair_matches = []
     for vid_l, vid_k in itertools.combinations(sorted(view_map), 2):
         result = match_ellipses(view_map[vid_l], gated[vid_l],
                                 view_map[vid_k], gated[vid_k], tol=tol)
         for cand in result.matches:
             pair_matches.append((vid_l, vid_k, cand))
-    models = []
     ellipse_map = {(vid, e.ellipse_id): e
                    for vid in view_map for e in gated[vid]}
-    for track in _merge_tracks(pair_matches):
-        if len(track) < 2:
-            continue
-        matched = [(view_map[vid], ellipse_map[(vid, eid)])
-                   for vid, eid in sorted(track.items())]
-        try:
-            models.append((track, reconstruct_sphere(matched)))
-        except (DegenerateGeometry, DegenerateProjection):
-            continue
-    return models
+    tracks = [track for track in _merge_tracks(pair_matches) if len(track) >= 2]
+    models = reconstruct_tracks([[(view_map[vid], ellipse_map[(vid, eid)])
+                                  for vid, eid in sorted(track.items())]
+                                 for track in tracks])
+    return [(track, model) for track, model in zip(tracks, models) if model is not None]
 
 
 def _associate(models: list[tuple[dict, SphereModel]],

@@ -5,6 +5,10 @@ package implementation: the silhouette oracle samples the tangency circle
 and fits a conic algebraically, the triangulation oracle averages pairwise
 closest-approach midpoints from explicit 2x2 normal equations, and the
 gradient oracle uses central finite differences.
+
+The ``reference_*`` functions are scalar, one-item-at-a-time versions of
+the package's array kernels (two-view matching, sphere recovery and the
+per-view gate), kept as the references those kernels are checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +17,21 @@ import math
 
 import numpy as np
 
-from spherefit import CameraView
+from spherefit import (
+    CameraView,
+    DegenerateGeometry,
+    DegenerateProjection,
+    MatchCandidate,
+    MatchResult,
+    Sphere,
+    SphereModel,
+    epipolar_distance,
+    fundamental_from_views,
+    project_sphere_into_view,
+    projected_sphere_center,
+    reprojection_distance,
+)
+from spherefit.match import default_epipolar_tol
 
 
 def look_at_view(image_id, camera_center, target, f=1000.0, px=500.0, py=500.0,
@@ -158,3 +176,102 @@ def golden_section_minimize(func, lo, hi, tol=1e-12):
         c = b - phi * (b - a)
         d = a + phi * (b - a)
     return 0.5 * (a + b)
+
+
+def reference_triangulate(observations):
+    """Scalar homogeneous DLT triangulation of one point from (view, pixel)
+    pairs, with the same row normalization and rank tests as the package."""
+    rows = []
+    for view, pixel in observations:
+        xn = (pixel[0] - view.px) / view.f
+        yn = (pixel[1] - view.py) / view.f
+        pose = np.hstack([view.rot, view.t[:, None]])
+        rows.append(xn * pose[2] - pose[0])
+        rows.append(yn * pose[2] - pose[1])
+    a = np.vstack(rows)
+    a = a / np.linalg.norm(a, axis=1)[:, None]
+    _, s, vt = np.linalg.svd(a)
+    if s[2] <= 1e-9 * s[0]:
+        raise DegenerateGeometry("rank-deficient")
+    x = vt[-1]
+    if abs(x[3]) <= 1e-12 * np.linalg.norm(x[:3]):
+        raise DegenerateGeometry("at infinity")
+    return x[:3] / x[3]
+
+
+def reference_reconstruct_sphere(matched):
+    """Scalar sphere recovery from (view, ellipse) pairs, one view at a time."""
+    corrected = [projected_sphere_center(e, v.f, v.px, v.py) for v, e in matched]
+    center = reference_triangulate([(v, c) for (v, _), c in zip(matched, corrected)])
+    per_view = []
+    squared = []
+    for (view, e), c in zip(matched, corrected):
+        cam = view.rot @ center + view.t
+        if cam[2] <= 0.0:
+            raise DegenerateProjection(f"behind {view.image_id!r}")
+        per_view.append((view.image_id, cam[2] * e.b_e / math.hypot(e.b_e, view.f)))
+        pixel = pinhole_pixel(cam, view.f, view.px, view.py)
+        squared.append(float(np.sum((pixel - c) ** 2)))
+    radius = float(np.mean([r for _, r in per_view]))
+    return SphereModel(sphere=Sphere(center, radius),
+                       per_view_radii=per_view,
+                       radius_spread=max(abs(r - radius) for _, r in per_view),
+                       triangulation_residual=math.sqrt(np.mean(squared)))
+
+
+def reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k, tol=None):
+    """The per-candidate matching loop: symmetric epipolar test, then one
+    two-view hypothesis and two reprojections per admissible pair, then the
+    greedy one-to-one pick by (reprojection distance, ids)."""
+    f_lk = fundamental_from_views(view_l, view_k)
+    candidates = []
+    for e_l in sorted(ellipses_l, key=lambda e: e.ellipse_id):
+        c_l = projected_sphere_center(e_l, view_l.f, view_l.px, view_l.py)
+        for e_k in sorted(ellipses_k, key=lambda e: e.ellipse_id):
+            c_k = projected_sphere_center(e_k, view_k.f, view_k.px, view_k.py)
+            epi = max(epipolar_distance(f_lk, c_l, c_k), epipolar_distance(f_lk.T, c_k, c_l))
+            if epi > (tol if tol is not None else default_epipolar_tol(e_l, e_k)):
+                continue
+            try:
+                model = reference_reconstruct_sphere([(view_l, e_l), (view_k, e_k)])
+                pred_l = project_sphere_into_view(model.sphere, view_l)
+                pred_k = project_sphere_into_view(model.sphere, view_k)
+            except (DegenerateGeometry, DegenerateProjection):
+                continue
+            candidates.append(MatchCandidate(
+                ellipse_l=e_l.ellipse_id, ellipse_k=e_k.ellipse_id, epipolar_distance=epi,
+                reprojection_distance=(reprojection_distance(e_l, pred_l)
+                                       + reprojection_distance(e_k, pred_k)),
+                sphere=model))
+    candidates.sort(key=lambda c: (c.reprojection_distance, c.ellipse_l, c.ellipse_k))
+    used_l, used_k, matches = set(), set(), []
+    for cand in candidates:
+        if cand.ellipse_l in used_l or cand.ellipse_k in used_k:
+            continue
+        matches.append(cand)
+        used_l.add(cand.ellipse_l)
+        used_k.add(cand.ellipse_k)
+    return MatchResult(
+        matches=matches,
+        unmatched_l=sorted(e.ellipse_id for e in ellipses_l if e.ellipse_id not in used_l),
+        unmatched_k=sorted(e.ellipse_id for e in ellipses_k if e.ellipse_id not in used_k))
+
+
+def reference_gate(e, f, px, py, ellipse_cov, iop_cov, k):
+    """Scalar gate of one ellipse: (tau, sigma_tau, accepted) from the
+    closed-form gradient and a full 7x7 block-diagonal covariance."""
+    a, b = e.a_e, e.b_e
+    dx, dy = e.x_ce - px, e.y_ce - py
+    v = f * f + b * b
+    m = (b / a) * math.sqrt((dx * dx + dy * dy) / v + 1.0)
+    common = 1.0 / (a * a * m * v)
+    d_x = -b * b * dx * common
+    d_y = -b * b * dy * common
+    jac = np.array([m / a, -m * f * f / (b * v) - b ** 3 * common, d_x, d_y,
+                    -d_x, -d_y, f * (a * a * m * m - b * b) * common])
+    sigma = np.zeros((7, 7))
+    sigma[:4, :4] = ellipse_cov
+    sigma[4:, 4:] = iop_cov
+    sigma_tau = math.sqrt(max(float(jac @ sigma @ jac), 0.0))
+    tau = 1.0 - m
+    return tau, sigma_tau, abs(tau) <= k * sigma_tau

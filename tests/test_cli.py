@@ -97,6 +97,33 @@ class TestFilter:
         assert result.returncode == 2
         assert "img-99" in result.stderr
 
+    def test_non_finite_ellipse_row_exit_code(self, exported, tmp_path):
+        root, _, _ = exported
+        lines = open(root / "ellipses.csv").read().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        row[header.index("a_e")] = "nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        result = run_cli("filter", "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(bad), "--out", str(tmp_path / "o.csv"))
+        assert result.returncode == 2
+        assert "nan.csv:2" in result.stderr and "finite" in result.stderr
+
+    @pytest.mark.parametrize("field", ["px", "rot"])
+    def test_non_finite_camera_exit_code(self, exported, tmp_path, field):
+        root, _, _ = exported
+        data = json.load(open(root / "cameras.json"))
+        entry = data["views"][0]
+        entry[field] = [math.nan] * 9 if field == "rot" else math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))
+        result = run_cli("filter", "--cameras", str(bad),
+                         "--ellipses", str(root / "ellipses.csv"),
+                         "--out", str(tmp_path / "o.csv"))
+        assert result.returncode == 2
+        assert "finite" in result.stderr
+
     def test_parse_failure_exit_code(self, tmp_path):
         bad = str(tmp_path / "bad.json")
         open(bad, "w").write("{")

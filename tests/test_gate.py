@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference
+from oracles import central_difference, reference_gate
 from spherefit import (
     EllipseObservation,
     InvalidCovariance,
+    SceneConfig,
     Sphere,
     classify_spherical,
+    classify_view,
     default_ellipse_cov,
     exact_iop_cov,
+    generate_scene,
+    perturb_observations,
     project_sphere,
     tau,
     tau_jacobian,
@@ -193,6 +197,46 @@ class TestClassify:
         via_arg = classify_spherical(e, F, PX, PY,
                                      ellipse_cov=default_ellipse_cov(0.1))
         assert via_field.sigma_tau == via_arg.sigma_tau
+
+    def test_view_gate_equals_per_ellipse_reference(self):
+        config = SceneConfig(n_cameras=6, placement="ring", clutter_per_image=10,
+                             clutter_inflation=1.02, seed=2)
+        noisy = perturb_observations(generate_scene(config), 0.5, 2)
+        iop_cov = np.diag([0.5, 0.5, 2.0])
+        fallback = default_ellipse_cov(0.7)
+        accepted = 0
+        for view in noisy.views:
+            observed = noisy.observations[view.image_id]
+            # Half the rows keep their own covariance, half take the fallback.
+            covs = [e.cov if i % 2 else fallback for i, e in enumerate(observed)]
+            for iop in (exact_iop_cov(), iop_cov):
+                reports = classify_view(observed, view.f, view.px, view.py,
+                                        ellipse_covs=covs, iop_cov=iop, k=2.0)
+                for e, cov, report in zip(observed, covs, reports):
+                    t, sigma_tau, ok = reference_gate(e, view.f, view.px, view.py, cov, iop, 2.0)
+                    assert report.accepted == ok
+                    assert math.isclose(report.tau, t, rel_tol=1e-12, abs_tol=1e-300)
+                    assert math.isclose(report.sigma_tau, sigma_tau, rel_tol=1e-12)
+                    accepted += ok
+        assert 0 < accepted < 2 * 6 * 19
+
+    def test_view_gate_defaults_and_order(self):
+        e = project_sphere(Sphere([1, 1, 12], 0.6, frame="camera"), F, PX, PY)
+        own = EllipseObservation("", "own", e.x_ce, e.y_ce, e.a_e * 1.001, e.b_e,
+                                 e.theta, cov=default_ellipse_cov(0.1))
+        bare = ellipse(120.0, 100.0, 700.0, 400.0)
+        reports = classify_view([own, bare], F, PX, PY)
+        assert reports == [classify_spherical(own, F, PX, PY),
+                           classify_spherical(bare, F, PX, PY)]
+        assert classify_view([], F, PX, PY) == []
+
+    def test_view_gate_checks_every_covariance(self):
+        good = ellipse(120.0, 100.0, 700.0, 400.0)
+        with pytest.raises(InvalidCovariance):
+            classify_view([good, good], F, PX, PY,
+                          ellipse_covs=[np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
+        with pytest.raises(InvalidCovariance):
+            classify_view([good], F, PX, PY, iop_cov=-np.eye(3))
 
     def test_rejects_nonpositive_threshold(self):
         e = ellipse(120.0, 100.0, 700.0, 400.0)

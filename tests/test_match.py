@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import look_at_view
+from oracles import look_at_view, reference_match_ellipses
 from spherefit import (
     CameraView,
     DegenerateGeometry,
     EllipseObservation,
+    SceneConfig,
     Sphere,
     best_pair,
+    generate_scene,
+    perturb_observations,
     epipolar_candidates,
     epipolar_distance,
     fundamental_from_views,
@@ -222,3 +225,57 @@ class TestMatchEllipses:
                 correct += (m.ellipse_l == m.ellipse_k)
         assert total > 0
         assert correct / total >= 0.95
+
+
+def assert_same_matching(view_l, ellipses_l, view_k, ellipses_k):
+    """The array matcher against the per-candidate reference loop."""
+    got = match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
+    want = reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
+    assert [(m.ellipse_l, m.ellipse_k) for m in got.matches] == \
+        [(m.ellipse_l, m.ellipse_k) for m in want.matches]
+    assert got.unmatched_l == want.unmatched_l
+    assert got.unmatched_k == want.unmatched_k
+    for g, w in zip(got.matches, want.matches):
+        scale = np.abs(w.sphere.sphere.center).max()
+        assert np.abs(g.sphere.sphere.center - w.sphere.sphere.center).max() <= 1e-9 * scale
+        assert math.isclose(g.sphere.sphere.radius, w.sphere.sphere.radius, rel_tol=1e-9)
+        assert [i for i, _ in g.sphere.per_view_radii] == [i for i, _ in w.sphere.per_view_radii]
+        assert abs(g.epipolar_distance - w.epipolar_distance) <= 1e-6
+        assert abs(g.reprojection_distance - w.reprojection_distance) <= 1e-6
+        assert abs(g.sphere.radius_spread - w.sphere.radius_spread) <= 1e-6
+        assert abs(g.sphere.triangulation_residual - w.sphere.triangulation_residual) <= 1e-6
+    return len(got.matches)
+
+
+class TestArrayMatchingEqualsReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_scene(self, seed):
+        noisy = perturb_observations(generate_scene(SceneConfig(seed=seed)), 0.5, seed)
+        pair = best_pair(noisy.network)
+        pairs = [(pair.i, pair.j)] + [(f"img-{i:02d}", f"img-{j:02d}")
+                                      for i, j in ((0, 1), (0, 29), (3, 17), (12, 14), (28, 5))]
+        kept = 0
+        for i, j in pairs:
+            kept += assert_same_matching(noisy.view(i), noisy.observations[i],
+                                         noisy.view(j), noisy.observations[j])
+        assert kept > 0
+
+    def test_cluttered_ring(self):
+        # Clutter inflated by only 2% sits inside the epipolar band often
+        # enough to compete with the true silhouettes for partners.
+        config = SceneConfig(n_cameras=12, placement="ring", clutter_per_image=10,
+                             clutter_inflation=1.02, seed=4)
+        noisy = perturb_observations(generate_scene(config), 0.5, 4)
+        kept = 0
+        for a in range(12):
+            for b in range(a + 1, 12):
+                view_l, view_k = noisy.views[a], noisy.views[b]
+                kept += assert_same_matching(view_l, noisy.observations[view_l.image_id],
+                                             view_k, noisy.observations[view_k.image_id])
+        assert kept > 0
+
+    def test_empty_view(self):
+        views, _, obs = nine_sphere_rig()
+        result = match_ellipses(views[0], [], views[1], obs["k"])
+        assert result.matches == [] and result.unmatched_l == []
+        assert result.unmatched_k == sorted(e.ellipse_id for e in obs["k"])

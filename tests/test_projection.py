@@ -237,6 +237,23 @@ class TestValidation:
         assert fold_axis_angle(math.pi) == 0.0
         assert fold_axis_angle(-math.pi / 2.0) == -math.pi / 2.0
 
+    @pytest.mark.parametrize("field", ["x_ce", "y_ce", "a_e", "b_e", "theta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_ellipse_parameters(self, field, value):
+        params = dict(x_ce=0.0, y_ce=0.0, a_e=2.0, b_e=1.0, theta=0.0)
+        params[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            EllipseObservation("", "e", **params)
+
+    @pytest.mark.parametrize("field, value", [
+        ("f", math.inf), ("px", math.nan), ("py", math.nan),
+        ("rot", np.full((3, 3), math.nan)), ("t", [0.0, math.nan, 0.0])])
+    def test_rejects_non_finite_camera(self, field, value):
+        params = dict(f=1000.0, px=0.0, py=0.0, rot=np.eye(3), t=np.zeros(3))
+        params[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            CameraView("cam", **params)
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
             Sphere([0, 0, 5], 0.0)

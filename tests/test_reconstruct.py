@@ -18,6 +18,7 @@ from spherefit import (
     project_point,
     project_sphere_into_view,
     reconstruct_sphere,
+    reconstruct_tracks,
     triangulate_center,
 )
 
@@ -148,6 +149,38 @@ class TestReconstructSphere:
         matched = [(v, project_sphere_into_view(sphere, v)) for v in views]
         model = reconstruct_sphere(matched, weights=[3.0, 1.0])
         assert math.isclose(model.sphere.radius, 1.0, rel_tol=1e-9)
+
+
+class TestBatchedTracks:
+    def test_degenerate_rows_are_dropped_and_good_rows_unchanged(self):
+        views = arc_rig(3, arc_deg=60.0)
+        spheres = [Sphere([0.2, -0.1, 0.3], 0.6), Sphere([-0.4, 0.2, 0.0], 0.4),
+                   Sphere([0.0, 0.3, -0.2], 0.3)]
+        good = [[(v, project_sphere_into_view(s, v)) for v in views] for s in spheres]
+        # Behind a camera: the third view looks away from the center.
+        away = look_at_view("away", [0.0, 0.0, -10.0], [0.0, 0.0, -20.0])
+        behind = good[0][:2] + [(away, good[0][2][1])]
+        # Rank-deficient: both cameras see the point on their shared axis.
+        a = CameraView("a", 1000.0, 500.0, 500.0, np.eye(3), np.zeros(3))
+        b = CameraView("b", 1000.0, 500.0, 500.0, np.eye(3), np.array([0.0, 0.0, 5.0]))
+        on_axis = project_sphere_into_view(Sphere([0.0, 0.0, 5.0], 0.5), a)
+        coaxial = [(a, on_axis), (b, on_axis)]
+        batch = [good[0], behind, good[1], coaxial, good[2], good[1][:2]]
+        models = reconstruct_tracks(batch)
+        assert models[1] is None and models[3] is None
+        for track, model in zip(batch, models):
+            if model is None:
+                continue
+            single = reconstruct_sphere(track)
+            assert np.array_equal(model.sphere.center, single.sphere.center)
+            assert model.sphere.radius == single.sphere.radius
+            assert model.per_view_radii == single.per_view_radii
+            assert model.radius_spread == single.radius_spread
+            assert model.triangulation_residual == single.triangulation_residual
+        with pytest.raises(DegenerateProjection, match="'away'"):
+            reconstruct_sphere(behind)
+        with pytest.raises(DegenerateGeometry, match="rank-deficient"):
+            reconstruct_sphere(coaxial)
 
 
 class TestRadiusLeastSquares:

@@ -104,6 +104,25 @@ class TestPerturb:
             draws[s] = noisy.observations["img-00"][0].x_ce
         assert abs(draws.mean() - truth) < 4.0 * sigma / math.sqrt(n)
 
+    @pytest.mark.parametrize("sigma", [0.5, [0.1, 0.2, 0.3, 0.4]])
+    def test_seeded_output_equals_per_row_draws(self, sigma):
+        scene = generate_scene(SceneConfig(n_cameras=4, clutter_per_image=2,
+                                           n_tie_points=8))
+        seed = 11
+        noisy = perturb_observations(scene, sigma, seed)
+        # The stream perturb_observations draws from: child 1 of the seed,
+        # one normal 4-vector per ellipse in sorted-image order.
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+        sig = np.asarray(sigma, dtype=float) * np.ones(4)
+        for image_id in sorted(scene.observations):
+            for e, got in zip(scene.observations[image_id], noisy.observations[image_id]):
+                da, db, dx, dy = rng.normal(0.0, sig)
+                a, b = e.a_e + da, e.b_e + db
+                if b > a:
+                    a, b = b, a
+                assert (got.x_ce, got.y_ce, got.a_e, got.b_e) == \
+                    (e.x_ce + dx, e.y_ce + dy, max(a, max(b, 1e-6)), max(b, 1e-6))
+
     def test_stored_covariance_is_truthful(self, noisy_lab_scene):
         for obs in noisy_lab_scene.observations.values():
             for e in obs:
