@@ -197,7 +197,7 @@ def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
     iop = np.array([(v.f, v.px, v.py) for v in views])
     rec = _recover(iop[:, 0], iop[:, 1], iop[:, 2],
                    np.array([v.rot for v in views]), np.array([v.t for v in views]),
-                   obs[..., 0], obs[..., 1], obs[..., 3])
+                   obs[..., 0], obs[..., 1], obs[..., 3])  # x_ce, y_ce, b_e
     cam = rec.cam
     radius = rec.radius[:, None]
     clears = (rec.reason == OK)[:, None] & (cam[..., 2] > radius * (1.0 + DEPTH_MARGIN))

@@ -77,7 +77,7 @@ def is_psd(m: np.ndarray) -> bool:
 
 def _require_finite(owner: str, **values) -> None:
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
             raise ValueError(f"{owner} {name} must be finite")
 
 
