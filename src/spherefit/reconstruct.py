@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,8 +74,8 @@ def _triangulate(f, px, py, rot, t, u, v):
     xn = (u - px) / f
     yn = (v - py) / f
     pose = np.concatenate([rot, t[..., None]], axis=-1)
-    rows = np.stack([xn[..., None] * pose[..., 2, :] - pose[..., 0, :],
-                     yn[..., None] * pose[..., 2, :] - pose[..., 1, :]], axis=-2)
+    # Rows x_n * P_3 - P_1 and y_n * P_3 - P_2 of each view, in view order.
+    rows = np.stack([xn, yn], axis=-1)[..., None] * pose[..., 2:, :] - pose[..., :2, :]
     a = rows.reshape(m, 2 * n, 4)
     a = a / np.linalg.norm(a, axis=-1)[..., None]
     _, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -86,8 +86,7 @@ def _triangulate(f, px, py, rot, t, u, v):
     return x[:, :3] / x[:, 3:], reason
 
 
-@dataclass
-class _Recovery:
+class _Recovery(NamedTuple):
     """Kernel output for m spheres in n views; rows with reason != OK are
     not usable."""
 
@@ -136,7 +135,7 @@ def _stack(rows: Sequence[Sequence[tuple[CameraView, EllipseObservation]]]):
 
 def _model(rec: _Recovery, row: int, image_ids: Sequence[str]) -> SphereModel:
     return SphereModel(sphere=Sphere(rec.center[row].copy(), float(rec.radius[row])),
-                       per_view_radii=[(i, float(r)) for i, r in zip(image_ids, rec.radii[row])],
+                       per_view_radii=list(zip(image_ids, rec.radii[row].tolist())),
                        radius_spread=float(rec.spread[row]),
                        triangulation_residual=float(rec.residual[row]))
 
