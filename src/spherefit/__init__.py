@@ -28,7 +28,6 @@ from .gate import (
     classify_spherical,
     classify_view,
     default_ellipse_cov,
-    exact_iop_cov,
     tau,
     tau_jacobian,
     tau_variance,
@@ -36,7 +35,6 @@ from .gate import (
 from .match import (
     MatchCandidate,
     MatchResult,
-    epipolar_candidates,
     epipolar_distance,
     fundamental_from_views,
     match_ellipses,
@@ -52,6 +50,7 @@ from .netselect import (
     convergence_angle,
     network_overlap,
 )
+from .pipeline import gate_views, reconstruct_gated, reconstruct_subset
 from .projection import (
     CameraView,
     EllipseObservation,
@@ -71,12 +70,10 @@ from .reconstruct import (
     ScaleResult,
     SphereModel,
     apply_scale,
-    estimate_radius_ls,
     metric_scale,
     reconstruct_sphere,
     reconstruct_tracks,
     triangulate_center,
-    triangulate_midpoint,
 )
 from .synth import (
     SceneConfig,
@@ -87,7 +84,6 @@ from .synth import (
     p_rmse,
     p_rmse_combined,
     perturb_observations,
-    reconstruct_subset,
 )
 
 __version__ = "0.1.0"
@@ -99,15 +95,16 @@ __all__ = [
     "build_projective_matrix", "world_to_camera", "camera_to_world",
     "project_point", "project_sphere", "project_sphere_into_view",
     "projected_sphere_center", "center_from_single_view", "radius_from_depth",
-    "fold_axis_angle", "triangulate_center", "triangulate_midpoint",
-    "reconstruct_sphere", "reconstruct_tracks", "estimate_radius_ls",
+    "fold_axis_angle", "triangulate_center",
+    "reconstruct_sphere", "reconstruct_tracks",
     "metric_scale", "apply_scale", "tau", "tau_jacobian", "tau_variance",
     "classify_spherical", "classify_view", "default_ellipse_cov",
-    "exact_iop_cov", "convergence_angle",
+    "convergence_angle",
     "network_overlap", "best_pair", "anchor_network", "fundamental_from_views",
-    "epipolar_distance", "epipolar_candidates", "reprojection_distance",
-    "match_ellipses", "generate_scene", "perturb_observations", "p_rmse",
-    "p_rmse_combined", "monte_carlo_views", "reconstruct_subset",
+    "epipolar_distance", "reprojection_distance",
+    "match_ellipses", "gate_views", "reconstruct_gated", "reconstruct_subset",
+    "generate_scene", "perturb_observations", "p_rmse",
+    "p_rmse_combined", "monte_carlo_views",
     "SphereFitError", "DegenerateProjection", "DegenerateGeometry",
     "EmptyInput", "InvalidAnchor", "UnknownAnchor", "InvalidCovariance",
     "NoSharedPoints", "NoAdmissiblePair", "ConfigInfeasible",

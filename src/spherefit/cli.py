@@ -27,7 +27,6 @@ from .errors import (
     NoSharedPoints,
     UnknownAnchor,
 )
-from .gate import classify_view, default_ellipse_cov
 from .match import match_ellipses
 from .netselect import (
     DEFAULT_MIN_ANGLE,
@@ -36,8 +35,9 @@ from .netselect import (
     best_pair,
     convergence_angle,
 )
-from .reconstruct import apply_scale, metric_scale, triangulate_center
+from .pipeline import gate_views, reconstruct_gated
 from .projection import projected_sphere_center
+from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
 # Not called here: bench/spans.py wraps this name in this module.
@@ -59,28 +59,31 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _gate_ellipses(network: ImageNetwork, ellipses, k_sigma, default_sigma):
-    """Gate every ellipse against its view, one view at a time; returns
-    (accepted, reports), both in file order."""
-    view_map = {v.image_id: v for v in network.views}
+def _by_view(network: ImageNetwork, ellipses) -> dict:
+    """The file's ellipses grouped by image id, in file order."""
+    known = {v.image_id for v in network.views}
     by_view: dict = {}
-    for index, e in enumerate(ellipses):
-        if e.image_id not in view_map:
+    for e in ellipses:
+        if e.image_id not in known:
             raise fileio.FileFormatError(
                 f"ellipse {e.ellipse_id!r} references unknown image {e.image_id!r}")
-        by_view.setdefault(e.image_id, []).append(index)
-    fallback = default_ellipse_cov(default_sigma)
-    reports = [None] * len(ellipses)
-    for image_id, indices in by_view.items():
-        view = view_map[image_id]
-        members = [ellipses[i] for i in indices]
-        covs = [e.cov if e.cov is not None else fallback for e in members]
-        for index, report in zip(indices, classify_view(
-                members, view.f, view.px, view.py, ellipse_covs=covs,
-                iop_cov=view.iop_cov, k=k_sigma)):
-            reports[index] = (ellipses[index], report)
-    accepted = [e for e, report in reports if report.accepted]
-    return accepted, reports
+        by_view.setdefault(e.image_id, []).append(e)
+    return by_view
+
+
+def _gate_file(args, network: ImageNetwork, ellipses) -> list:
+    """(ellipse, report) for every ellipse of the file, in file order."""
+    gated = gate_views(network.views, _by_view(network, ellipses),
+                       args.k_sigma, args.default_sigma_px)
+    per_view = {image_id: iter(pairs) for image_id, pairs in gated.items()}
+    return [next(per_view[e.image_id]) for e in ellipses]
+
+
+def _gate_pair(args, network: ImageNetwork, ellipses, pair):
+    """The pair's two views, in the given order, and their gate output."""
+    views = [network.view(pair[0]), network.view(pair[1])]
+    return views, gate_views(views, _by_view(network, ellipses),
+                             args.k_sigma, args.default_sigma_px)
 
 
 def _report_payload(reports) -> dict:
@@ -94,8 +97,8 @@ def _report_payload(reports) -> dict:
 def cmd_filter(args) -> int:
     network = fileio.load_network(args.cameras)
     ellipses = fileio.load_ellipses(args.ellipses)
-    accepted, reports = _gate_ellipses(network, ellipses, args.k_sigma,
-                                       args.default_sigma_px)
+    reports = _gate_file(args, network, ellipses)
+    accepted = [e for e, report in reports if report.accepted]
     fileio.save_ellipses(accepted, args.out)
     payload = _report_payload(reports)
     if args.report:
@@ -108,10 +111,10 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _select_pair(network: ImageNetwork, min_angle: float,
-                 ellipses=None, default_sigma: float = 0.5, k_sigma: float = 2.0):
+def _select_pair(args, network: ImageNetwork, ellipses=None):
     """Best pair via tie points; without tie points fall back to the angle
     subtended at one anchor triangulated from the gated ellipse centers."""
+    min_angle = math.radians(args.min_angle_deg)
     if network.tie_points:
         return best_pair(network, min_angle=min_angle)
     if ellipses is None:
@@ -121,12 +124,12 @@ def _select_pair(network: ImageNetwork, min_angle: float,
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")
-    accepted, _ = _gate_ellipses(network, ellipses, k_sigma, default_sigma)
     view_map = {v.image_id: v for v in network.views}
-    rays = [(view_map[e.image_id],
-             projected_sphere_center(e, view_map[e.image_id].f,
-                                     view_map[e.image_id].px, view_map[e.image_id].py))
-            for e in accepted]
+    rays = []
+    for e, report in _gate_file(args, network, ellipses):
+        if report.accepted:
+            view = view_map[e.image_id]
+            rays.append((view, projected_sphere_center(e, view.f, view.px, view.py)))
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
     anchor = triangulate_center(rays)
@@ -142,7 +145,7 @@ def _pair_payload(score) -> dict:
 
 def cmd_select_pair(args) -> int:
     network = fileio.load_network(args.cameras)
-    score = _select_pair(network, math.radians(args.min_angle_deg))
+    score = _select_pair(args, network)
     payload = _pair_payload(score)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -157,6 +160,8 @@ def _resolve_pair(args, network: ImageNetwork, ellipses):
         if len(ids) != 2 or not all(ids):
             raise fileio.FileFormatError(
                 f"--pair must be 'auto' or 'image_i,image_j', got {args.pair!r}")
+        if ids[0] == ids[1]:
+            raise fileio.FileFormatError(f"--pair names image {ids[0]!r} twice")
         view_ids = {v.image_id for v in network.views}
         for image_id in ids:
             if image_id not in view_ids:
@@ -172,30 +177,18 @@ def _resolve_pair(args, network: ImageNetwork, ellipses):
             except NoSharedPoints:
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) shares no tie points")
         return ids[0], ids[1]
-    score = _select_pair(network, math.radians(args.min_angle_deg),
-                         ellipses=ellipses, default_sigma=args.default_sigma_px,
-                         k_sigma=args.k_sigma)
+    score = _select_pair(args, network, ellipses)
     return score.i, score.j
-
-
-def _match_pair(args, network: ImageNetwork, ellipses, pair):
-    view_l = network.view(pair[0])
-    view_k = network.view(pair[1])
-    accepted, reports = _gate_ellipses(network, ellipses, args.k_sigma,
-                                       args.default_sigma_px)
-    report_map = {(e.image_id, e.ellipse_id): r for e, r in reports}
-    ellipses_l = [e for e in accepted if e.image_id == view_l.image_id]
-    ellipses_k = [e for e in accepted if e.image_id == view_k.image_id]
-    result = match_ellipses(view_l, ellipses_l, view_k, ellipses_k,
-                            tol=args.tol_px)
-    return view_l, view_k, result, report_map
 
 
 def cmd_match(args) -> int:
     network = fileio.load_network(args.cameras)
     ellipses = fileio.load_ellipses(args.ellipses)
     pair = _resolve_pair(args, network, ellipses)
-    view_l, view_k, result, _ = _match_pair(args, network, ellipses, pair)
+    (view_l, view_k), gated = _gate_pair(args, network, ellipses, pair)
+    accepted_l, accepted_k = ([e for e, report in gated[view.image_id] if report.accepted]
+                              for view in (view_l, view_k))
+    result = match_ellipses(view_l, accepted_l, view_k, accepted_k, tol=args.tol_px)
     payload = {
         "pair": {"i": view_l.image_id, "j": view_k.image_id},
         "matches": [
@@ -236,22 +229,25 @@ def cmd_reconstruct(args) -> int:
     with _Stage("select-pair"):
         pair = _resolve_pair(args, network, ellipses)
     with _Stage("gate+match"):
-        view_l, view_k, result, report_map = _match_pair(args, network, ellipses, pair)
+        views, gated = _gate_pair(args, network, ellipses, pair)
+        models = reconstruct_gated(views, gated, tol=args.tol_px)
+    report_map = {(image_id, e.ellipse_id): report
+                  for image_id, pairs in gated.items() for e, report in pairs}
     entries = []
-    ordered = sorted(result.matches, key=lambda m: (m.ellipse_l, m.ellipse_k))
-    for index, m in enumerate(ordered):
-        contributing = [(view_l.image_id, m.ellipse_l), (view_k.image_id, m.ellipse_k)]
+    ordered = sorted(models, key=lambda tm: [tm[0][image_id] for image_id in pair])
+    for index, (track, model) in enumerate(ordered):
+        contributing = [(image_id, track[image_id]) for image_id in pair]
         entries.append(fileio.SphereEntry(
             sphere_id=f"s{index:03d}",
-            model=m.sphere,
+            model=model,
             ellipses=contributing,
             gate_records=[fileio.GateRecord(image_id=i, ellipse_id=e,
                                             report=report_map[(i, e)])
                           for i, e in contributing]))
     fileio.save_spheres(entries, args.out)
-    print(f"pair ({view_l.image_id},{view_k.image_id}): "
-          f"{len(entries)} spheres, "
-          f"{len(result.unmatched_l) + len(result.unmatched_k)} unmatched ellipses "
+    accepted = sum(report.accepted for pairs in gated.values() for _, report in pairs)
+    print(f"pair ({pair[0]},{pair[1]}): {len(entries)} spheres, "
+          f"{accepted - 2 * len(entries)} unmatched ellipses "
           f"-> {args.out}", file=sys.stderr)
     return EXIT_OK
 

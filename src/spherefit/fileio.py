@@ -259,6 +259,11 @@ def load_spheres(path: str) -> list[SphereEntry]:
 
 # ---------------------------------------------------------------- PLY
 
+#: PLY scalar types that hold only integers.
+_PLY_INTEGER_TYPES = frozenset({"char", "uchar", "short", "ushort", "int", "uint",
+                               "int8", "uint8", "int16", "uint16", "int32", "uint32"})
+
+
 @dataclass
 class PlyCloud:
     """An ASCII PLY vertex cloud; non-coordinate properties pass through."""
@@ -342,13 +347,19 @@ def save_ply(cloud: PlyCloud, path: str) -> None:
 
 
 def scale_ply(cloud: PlyCloud, s_r: float) -> PlyCloud:
-    """Scaled copy: x/y/z multiplied by ``s_r``, other columns untouched."""
-    ix, iy, iz = cloud.xyz_indices
+    """Scaled copy: x/y/z multiplied by ``s_r``, other columns untouched.
+
+    Integer-typed coordinates cannot hold the scaled values, so their
+    header type becomes ``double``.
+    """
+    xyz = cloud.xyz_indices
     rows = []
     for row in cloud.rows:
         row = list(row)
-        for i in (ix, iy, iz):
+        for i in xyz:
             row[i] = repr(float(row[i]) * s_r)
         rows.append(row)
-    return PlyCloud(properties=list(cloud.properties), rows=rows,
-                    comments=list(cloud.comments))
+    properties = [("double", name) if i in xyz and ptype in _PLY_INTEGER_TYPES
+                  else (ptype, name)
+                  for i, (ptype, name) in enumerate(cloud.properties)]
+    return PlyCloud(properties=properties, rows=rows, comments=list(cloud.comments))

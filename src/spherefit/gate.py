@@ -53,11 +53,6 @@ def default_ellipse_cov(sigma_px: float = DEFAULT_SIGMA_PX) -> np.ndarray:
     return np.eye(4) * float(sigma_px) ** 2
 
 
-def exact_iop_cov() -> np.ndarray:
-    """3x3 covariance of (px, py, f) for exactly known interior orientation."""
-    return np.zeros((3, 3))
-
-
 def _tau(a, b, x, y, f, px, py):
     dx = x - px
     dy = y - py

@@ -29,7 +29,6 @@ from .projection import (
     CameraView,
     EllipseObservation,
     corrected_center,
-    projected_sphere_center,
     silhouette,
 )
 from .reconstruct import OK, SphereModel, _model, _recover
@@ -108,27 +107,6 @@ def default_epipolar_tol(e_l: EllipseObservation, e_k: EllipseObservation) -> fl
     """max(3 px, 2 * center sigma) over the two candidate ellipses."""
     return max(DEFAULT_EPIPOLAR_TOL,
                2.0 * max(center_sigma(e_l), center_sigma(e_k)))
-
-
-def epipolar_candidates(e_l: EllipseObservation, view_l: CameraView,
-                        candidates_k: Sequence[EllipseObservation],
-                        view_k: CameraView,
-                        tol: Optional[float] = None,
-                        fundamental: Optional[np.ndarray] = None,
-                        ) -> list[tuple[EllipseObservation, float]]:
-    """Candidates in view k whose corrected center lies near the epipolar line
-    of e_l's corrected center; returns (candidate, distance) pairs."""
-    if fundamental is None:
-        fundamental = fundamental_from_views(view_l, view_k)
-    center_l = projected_sphere_center(e_l, view_l.f, view_l.px, view_l.py)
-    kept = []
-    for e_k in candidates_k:
-        center_k = projected_sphere_center(e_k, view_k.f, view_k.px, view_k.py)
-        d = epipolar_distance(fundamental, center_l, center_k)
-        limit = tol if tol is not None else default_epipolar_tol(e_l, e_k)
-        if d <= limit:
-            kept.append((e_k, d))
-    return kept
 
 
 def reprojection_distance(observed: EllipseObservation,

@@ -76,8 +76,11 @@ def is_psd(m: np.ndarray) -> bool:
 
 
 def _require_finite(owner: str, **values) -> None:
+    """Raise ValueError unless every float or array value is finite."""
     for name, value in values.items():
-        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        # On these small arrays a Python loop is cheaper than a numpy call.
+        if not (math.isfinite(value) if isinstance(value, float)
+                else all(map(math.isfinite, value.ravel().tolist()))):
             raise ValueError(f"{owner} {name} must be finite")
 
 
@@ -179,6 +182,7 @@ class Sphere:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float).reshape(3)
         self.radius = float(self.radius)
+        _require_finite("sphere", center=self.center, radius=self.radius)
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 

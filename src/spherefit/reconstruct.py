@@ -19,7 +19,6 @@ is the one-row call and raises for its row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -38,7 +37,7 @@ class SphereModel:
     """A reconstructed sphere plus per-view diagnostics.
 
     ``per_view_radii`` holds one (image_id, radius) entry per contributing
-    view; the model radius is their (weighted) mean.  ``radius_spread`` is
+    view; the model radius is their mean.  ``radius_spread`` is
     max |R_i - R| and ``triangulation_residual`` the RMS pixel distance
     between the corrected ellipse centers and the reprojected world center.
     """
@@ -170,61 +169,13 @@ def triangulate_center(observations: Sequence[tuple[CameraView, np.ndarray]]) ->
     return center[0]
 
 
-def triangulate_midpoint(observations: Sequence[tuple[CameraView, np.ndarray]]) -> np.ndarray:
-    """Diagnostic triangulation: average of pairwise closest-approach midpoints.
-
-    Slower-converging than the linear solution but independent of it, which
-    makes it useful as a cross-check on suspicious geometry.
-    """
-    if len(observations) < 2:
-        raise ValueError("triangulation needs at least two views")
-    rays = []
-    for view, pixel in observations:
-        pixel = np.asarray(pixel, dtype=float).reshape(2)
-        direction = view.rot.T @ np.array(
-            [(pixel[0] - view.px) / view.f, (pixel[1] - view.py) / view.f, 1.0])
-        rays.append((view.center, direction / np.linalg.norm(direction)))
-    midpoints = []
-    for (c1, d1), (c2, d2) in itertools.combinations(rays, 2):
-        cross = np.cross(d1, d2)
-        denom = float(cross @ cross)
-        if denom <= 1e-24:
-            continue  # parallel rays contribute no midpoint
-        delta = c2 - c1
-        s1 = float(np.cross(delta, d2) @ cross) / denom
-        s2 = float(np.cross(delta, d1) @ cross) / denom
-        midpoints.append(0.5 * ((c1 + s1 * d1) + (c2 + s2 * d2)))
-    if not midpoints:
-        raise DegenerateGeometry("all ray pairs are parallel")
-    return np.mean(midpoints, axis=0)
-
-
-def estimate_radius_ls(radii: Sequence[float], weights: Optional[Sequence[float]] = None) -> float:
-    """Least-squares radius from per-view estimates: the (weighted) mean."""
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise EmptyInput("no radii to average")
-    if weights is None:
-        return float(np.mean(radii))
-    weights = [float(w) for w in weights]
-    if len(weights) != len(radii):
-        raise ValueError(f"{len(radii)} radii but {len(weights)} weights")
-    if any(w < 0.0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    total = sum(weights)
-    if not total > 0.0:
-        raise ValueError("weights must have positive sum")
-    return float(sum(w * r for w, r in zip(weights, radii)) / total)
-
-
-def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]],
-                       weights: Optional[Sequence[float]] = None) -> SphereModel:
+def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]]) -> SphereModel:
     """Recover one world-frame sphere from matched ellipses in n >= 2 views.
 
     Steps: eccentricity-correct each ellipse center, triangulate the
     corrected centers, transform the world center into each camera frame,
     estimate one radius per view from depth and semi-minor length, and take
-    the (weighted) mean.  Deterministic; raises DegenerateGeometry from the
+    their mean.  Deterministic; raises DegenerateGeometry from the
     triangulation and DegenerateProjection when the triangulated center falls
     at or behind any contributing camera.
     """
@@ -237,12 +188,7 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]],
         view = matched[int(np.argmax(rec.cam[0, :, 2] <= 0.0))][0]
         raise DegenerateProjection(
             f"triangulated center has nonpositive depth in view {view.image_id!r}")
-    model = _model(rec, 0, [v.image_id for v, _ in matched])
-    if weights is not None:
-        radius = estimate_radius_ls([r for _, r in model.per_view_radii], weights)
-        model.sphere = Sphere(model.sphere.center, radius, frame="world")
-        model.radius_spread = max(abs(r - radius) for _, r in model.per_view_radii)
-    return model
+    return _model(rec, 0, [v.image_id for v, _ in matched])
 
 
 def reconstruct_tracks(tracks: Sequence[Sequence[tuple[CameraView, EllipseObservation]]],

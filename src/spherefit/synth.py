@@ -8,9 +8,9 @@ parameter noise; clutter ellipses deliberately violate the sphere-silhouette
 identity by an axis inflation factor.
 
 The view sweep draws p = min(50, C(n, k)) unique k-view subsets per requested
-k, runs gate -> pairwise matching (all view pairs in the subset, merged into
-one-ellipse-per-view tracks) -> multi-view reconstruction on each subset, and
-aggregates percentage parameter errors and per-trial wall time.  The
+k, runs the pipeline of ``pipeline.reconstruct_subset`` (gate -> pairwise
+matching of all view pairs in the subset, merged into one-ellipse-per-view
+tracks -> multi-view reconstruction) on each subset, and aggregates percentage parameter errors and per-trial wall time.  The
 highest-scoring pair of the full network is evaluated as a distinguished
 extra data point.
 """
@@ -27,9 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInfeasible, DegenerateGeometry, DegenerateProjection
-from .gate import classify_view
-from .match import MatchCandidate, match_ellipses
 from .netselect import ImageNetwork, TiePoint, best_pair
+from .pipeline import reconstruct_subset
 from .projection import (
     CameraView,
     EllipseObservation,
@@ -38,10 +37,11 @@ from .projection import (
     project_sphere_into_view,
     world_to_camera,
 )
-from .reconstruct import SphereModel, reconstruct_tracks
+from .reconstruct import SphereModel
 
 # Not called here: bench/spans.py wraps these names in this module.
 from .gate import classify_spherical  # noqa: F401
+from .match import match_ellipses  # noqa: F401
 from .reconstruct import reconstruct_sphere  # noqa: F401
 
 _DEFAULT_SPHERES = [
@@ -90,25 +90,6 @@ class SceneConfig:
     clutter_inflation: float = 1.2
     sigma_px: float = 0.5
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cameras": self.n_cameras,
-            "placement": self.placement,
-            "camera_distance": self.camera_distance,
-            "camera_height": self.camera_height,
-            "arc_span_deg": self.arc_span_deg,
-            "look_at": list(self.look_at),
-            "f": self.f, "px": self.px, "py": self.py,
-            "width": self.width, "height": self.height,
-            "spheres": [[sid, list(center), radius] for sid, center, radius in self.spheres],
-            "n_tie_points": self.n_tie_points,
-            "tie_point_extent": self.tie_point_extent,
-            "clutter_per_image": self.clutter_per_image,
-            "clutter_inflation": self.clutter_inflation,
-            "sigma_px": self.sigma_px,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SceneConfig":
@@ -347,72 +328,6 @@ class TrialStats:
     mean_ms: float
     failures: int
     selection: str = "random"
-
-
-def _merge_tracks(pair_matches: list[tuple[str, str, MatchCandidate]]) -> list[dict]:
-    """Greedy union of pairwise matches into one-ellipse-per-view tracks.
-
-    Matches are processed in ascending reprojection distance; a union is
-    skipped when it would put two different ellipses of the same view into
-    one track.  Returns dicts mapping image_id -> ellipse_id.
-    """
-    ordered = sorted(pair_matches,
-                     key=lambda m: (m[2].reprojection_distance, m[0], m[1],
-                                    m[2].ellipse_l, m[2].ellipse_k))
-    parent: dict = {}
-
-    def find(node):
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    members: dict = {}
-    for vid_l, vid_k, cand in ordered:
-        node_l = (vid_l, cand.ellipse_l)
-        node_k = (vid_k, cand.ellipse_k)
-        for node in (node_l, node_k):
-            if node not in parent:
-                parent[node] = node
-                members[node] = {node[0]: node[1]}
-        root_l, root_k = find(node_l), find(node_k)
-        if root_l == root_k:
-            continue
-        views_l, views_k = members[root_l], members[root_k]
-        overlap = set(views_l) & set(views_k)
-        if any(views_l[v] != views_k[v] for v in overlap):
-            continue  # conflicting assignment; keep tracks separate
-        parent[root_k] = root_l
-        views_l.update(views_k)
-        del members[root_k]
-    return [members[find(node)] for node in sorted(members)]
-
-
-def reconstruct_subset(views: Sequence[CameraView], observations: dict,
-                       k_sigma: float = 2.0, tol: Optional[float] = None,
-                       ) -> list[tuple[dict, SphereModel]]:
-    """Full pipeline on one view subset: gate, all-pairs matching, tracks,
-    multi-view reconstruction.  Returns (track, model) pairs."""
-    view_map = {v.image_id: v for v in views}
-    gated = {}
-    for vid in sorted(view_map):
-        view = view_map[vid]
-        observed = observations.get(vid, [])
-        reports = classify_view(observed, view.f, view.px, view.py, k=k_sigma)
-        gated[vid] = [e for e, report in zip(observed, reports) if report.accepted]
-    pair_matches = []
-    for vid_l, vid_k in itertools.combinations(sorted(view_map), 2):
-        result = match_ellipses(view_map[vid_l], gated[vid_l],
-                                view_map[vid_k], gated[vid_k], tol=tol)
-        for cand in result.matches:
-            pair_matches.append((vid_l, vid_k, cand))
-    ellipse_map = {(vid, e.ellipse_id): e
-                   for vid in view_map for e in gated[vid]}
-    tracks = [track for track in _merge_tracks(pair_matches) if len(track) >= 2]
-    models = reconstruct_tracks([[(view_map[vid], ellipse_map[(vid, eid)])
-                                  for vid, eid in sorted(track.items())]
-                                 for track in tracks])
-    return [(track, model) for track, model in zip(tracks, models) if model is not None]
 
 
 def _associate(models: list[tuple[dict, SphereModel]],

@@ -159,6 +159,16 @@ class TestSelectPair:
         assert result.returncode == 4
         assert "deg" in result.stderr  # diagnostic includes the largest angle
 
+    def test_non_finite_tie_point_exit_code(self, exported, tmp_path):
+        root, _, _ = exported
+        data = json.load(open(root / "cameras.json"))
+        data["tie_points"][0]["xyz"][0] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))
+        result = run_cli("select-pair", "--cameras", str(bad))
+        assert result.returncode == 2
+        assert "finite" in result.stderr
+
     def test_missing_tie_points_is_a_validation_error(self, tmp_path):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=0))
         save_network(scene.network, str(tmp_path / "cameras.json"))
@@ -218,6 +228,15 @@ class TestReconstruct:
                          "--pair", "img-00,img-77",
                          "--out", str(tmp_path / "s.json"))
         assert result.returncode == 2
+
+    def test_repeated_pair_member(self, exported, tmp_path):
+        root, _, _ = exported
+        result = run_cli("reconstruct", "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(root / "ellipses.csv"),
+                         "--pair", "img-03,img-03",
+                         "--out", str(tmp_path / "s.json"))
+        assert result.returncode == 2
+        assert "img-03" in result.stderr
 
     def test_stage_equivalence_with_library(self, exported, tmp_path):
         root, scene, noisy = exported
@@ -295,6 +314,18 @@ class TestScale:
                          "--out", str(tmp_path / "o.json"))
         assert result.returncode == 2
         assert "nope" in result.stderr
+
+    def test_non_finite_sphere_center_exit_code(self, exported, tmp_path):
+        spheres = self.reconstruct(exported, tmp_path)
+        data = json.load(open(spheres))
+        data["spheres"][0]["center"][1] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))
+        result = run_cli("scale", "--spheres", str(bad),
+                         "--anchors", f"{data['spheres'][0]['sphere_id']}:1.0",
+                         "--out", str(tmp_path / "o.json"))
+        assert result.returncode == 2
+        assert "finite" in result.stderr
 
     def test_bad_ply_exit_code(self, exported, tmp_path):
         spheres = self.reconstruct(exported, tmp_path)

@@ -244,6 +244,19 @@ class TestPly:
         with pytest.raises(FileFormatError, match="vertices"):
             load_ply(path)
 
+    def test_integer_coordinates_promoted_to_double(self, tmp_path):
+        path = str(tmp_path / "int.ply")
+        open(path, "w").write("ply\nformat ascii 1.0\nelement vertex 2\n"
+                              "property int x\nproperty short y\nproperty float z\n"
+                              "property int label\nproperty uchar red\nend_header\n"
+                              "1 2 3.5 7 255\n-4 0 1 8 0\n")
+        out = str(tmp_path / "out.ply")
+        save_ply(scale_ply(load_ply(path), 1.5), out)
+        back = load_ply(out)
+        assert back.properties == [("double", "x"), ("double", "y"), ("float", "z"),
+                                   ("int", "label"), ("uchar", "red")]
+        assert back.rows[0] == ["1.5", "3.0", "5.25", "7", "255"]
+
     def test_missing_xyz(self):
         cloud = PlyCloud(properties=[("float", "x"), ("float", "y")],
                          rows=[["1", "2"]], comments=[])

@@ -13,7 +13,6 @@ from spherefit import (
     best_pair,
     generate_scene,
     perturb_observations,
-    epipolar_candidates,
     epipolar_distance,
     fundamental_from_views,
     match_ellipses,
@@ -86,31 +85,29 @@ def nine_sphere_rig(f=3000.0):
 
 
 class TestEpipolarCandidates:
+    """The epipolar prefilter of ``match_ellipses`` at a fixed tolerance."""
+
     def test_true_match_is_retained_exactly(self):
         views, spheres, obs = nine_sphere_rig()
-        f = fundamental_from_views(views[0], views[1])
         for e_l in obs["l"]:
             true_match = [e for e in obs["k"] if e.ellipse_id == e_l.ellipse_id]
-            kept = epipolar_candidates(e_l, views[0], true_match, views[1],
-                                       tol=3.0, fundamental=f)
-            assert len(kept) == 1
-            assert kept[0][1] < 1e-9
+            result = match_ellipses(views[0], [e_l], views[1], true_match, tol=3.0)
+            assert len(result.matches) == 1
+            assert result.matches[0].epipolar_distance < 1e-9
 
     def test_displaced_candidate_is_removed(self):
         views, spheres, obs = nine_sphere_rig()
-        f = fundamental_from_views(views[0], views[1])
         e_l = obs["l"][0]
         e_k = obs["k"][0]
         shifted = EllipseObservation(e_k.image_id, e_k.ellipse_id,
                                      e_k.x_ce, e_k.y_ce + 50.0,
                                      e_k.a_e, e_k.b_e, e_k.theta)
-        kept = epipolar_candidates(e_l, views[0], [shifted], views[1],
-                                   tol=3.0, fundamental=f)
-        assert kept == []
+        result = match_ellipses(views[0], [e_l], views[1], [shifted], tol=3.0)
+        assert result.matches == []
+        assert result.unmatched_k == [shifted.ellipse_id]
 
     def test_noisy_retention_rate(self):
         views, spheres, obs = nine_sphere_rig()
-        f = fundamental_from_views(views[0], views[1])
         rng = np.random.default_rng(3)
         retained = 0
         trials = 1000
@@ -126,9 +123,9 @@ class TestEpipolarCandidates:
                 return EllipseObservation(e.image_id, e.ellipse_id,
                                           e.x_ce + dx, e.y_ce + dy, a, b, e.theta)
 
-            kept = epipolar_candidates(jitter(e_l), views[0], [jitter(e_k)],
-                                       views[1], tol=3.0, fundamental=f)
-            retained += bool(kept)
+            result = match_ellipses(views[0], [jitter(e_l)], views[1], [jitter(e_k)],
+                                    tol=3.0)
+            retained += bool(result.matches)
         assert retained / trials >= 0.99
 
 

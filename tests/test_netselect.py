@@ -57,6 +57,13 @@ class TestConvergenceAngle:
             convergence_angle(a, b, [tie([0.0, 0.0, 1.0], "a", "c")])
 
 
+class TestTiePoint:
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_rejects_non_finite_xyz(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            tie([0.0, 0.0, value], "a", "b")
+
+
 class TestNetworkOverlap:
     def test_uniform_visibility(self):
         views = [look_at_view(i, [float(k), 0.0, -3.0], [0, 0, 0])

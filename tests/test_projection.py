@@ -254,6 +254,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             CameraView("cam", **params)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_sphere_center(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Sphere([0.0, value, 5.0], 1.0)
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
             Sphere([0, 0, 5], 0.0)

@@ -8,12 +8,12 @@ from spherefit import (
     CameraView,
     DegenerateGeometry,
     DegenerateProjection,
+    EllipseObservation,
     EmptyInput,
     InvalidAnchor,
     Sphere,
     SphereModel,
     apply_scale,
-    estimate_radius_ls,
     metric_scale,
     project_point,
     project_sphere_into_view,
@@ -106,6 +106,8 @@ class TestReconstructSphere:
             scale = max(np.linalg.norm(sphere.center), sphere.radius)
             assert err_c < 1e-9 * scale
             assert abs(model.sphere.radius - sphere.radius) < 1e-9 * sphere.radius
+            radii = [r for _, r in model.per_view_radii]
+            assert math.isclose(model.sphere.radius, float(np.mean(radii)), rel_tol=1e-12)
 
     def test_permutation_invariance(self):
         views = arc_rig(6, arc_deg=70.0)
@@ -143,14 +145,6 @@ class TestReconstructSphere:
         with pytest.raises(DegenerateProjection):
             reconstruct_sphere(matched + [(away, fake)])
 
-    def test_weighted_radius(self):
-        views = two_view_rig()
-        sphere = Sphere([0.0, 0.0, 0.0], 1.0)
-        matched = [(v, project_sphere_into_view(sphere, v)) for v in views]
-        model = reconstruct_sphere(matched, weights=[3.0, 1.0])
-        assert math.isclose(model.sphere.radius, 1.0, rel_tol=1e-9)
-
-
 class TestBatchedTracks:
     def test_degenerate_rows_are_dropped_and_good_rows_unchanged(self):
         views = arc_rig(3, arc_deg=60.0)
@@ -184,31 +178,21 @@ class TestBatchedTracks:
 
 
 class TestRadiusLeastSquares:
-    def test_identical_values(self):
-        assert estimate_radius_ls([1.0, 1.0, 1.0]) == 1.0
-
-    def test_symmetric_pair(self):
-        assert estimate_radius_ls([0.9, 1.1]) == 1.0
-
-    def test_weighted_average(self):
-        assert estimate_radius_ls([1.0, 2.0], weights=[3.0, 1.0]) == 1.25
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            estimate_radius_ls([])
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            estimate_radius_ls([1.0, 2.0], weights=[1.0])
-        with pytest.raises(ValueError):
-            estimate_radius_ls([1.0, 2.0], weights=[-1.0, 2.0])
-        with pytest.raises(ValueError):
-            estimate_radius_ls([1.0, 2.0], weights=[0.0, 0.0])
-
     def test_mean_minimizes_sum_of_squares(self):
+        # Noisy semi-axes make the per-view radii differ; the model radius is
+        # their least-squares fit.
         rng = np.random.default_rng(17)
         for _ in range(20):
-            radii = rng.uniform(0.5, 2.0, rng.integers(2, 9))
+            views = arc_rig(int(rng.integers(2, 9)), arc_deg=60.0)
+            sphere = Sphere(rng.uniform(-0.5, 0.5, 3), rng.uniform(0.2, 1.5))
+            matched = []
+            for v in views:
+                e = project_sphere_into_view(sphere, v)
+                grow = 1.0 + rng.normal(0.0, 0.01)
+                matched.append((v, EllipseObservation(v.image_id, "s", e.x_ce, e.y_ce,
+                                                      grow * e.a_e, grow * e.b_e, e.theta)))
+            model = reconstruct_sphere(matched)
+            radii = np.array([r for _, r in model.per_view_radii])
             wide = radii.astype(np.longdouble)
 
             def cost(r):
@@ -217,7 +201,7 @@ class TestRadiusLeastSquares:
                 return np.sum((np.longdouble(r) - wide) ** 2)
 
             best = golden_section_minimize(cost, radii.min(), radii.max())
-            assert math.isclose(estimate_radius_ls(radii), float(best), abs_tol=1e-9)
+            assert math.isclose(model.sphere.radius, float(best), abs_tol=1e-9)
 
 
 class TestMetricScale:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -78,8 +80,10 @@ class TestGenerateScene:
 
     def test_config_round_trip(self):
         config = SceneConfig(n_cameras=12, clutter_per_image=2, seed=9)
-        back = SceneConfig.from_dict(config.to_dict())
-        assert back.to_dict() == config.to_dict()
+        text = json.dumps(dataclasses.asdict(config), sort_keys=True)
+        back = SceneConfig.from_dict(json.loads(text))
+        # from_dict turns lists into tuples, so compare the JSON text.
+        assert json.dumps(dataclasses.asdict(back), sort_keys=True) == text
         with pytest.raises(ValueError, match="unknown scene config key"):
             SceneConfig.from_dict({"n_camera": 5})
 
