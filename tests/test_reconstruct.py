@@ -177,7 +177,38 @@ class TestBatchedTracks:
             reconstruct_sphere(coaxial)
 
 
+def on_axis_track(radii, distance=10.0, f=1000.0):
+    """One view per radius, each seeing a circle at its principal point whose
+    size makes that view's radius estimate the given value.
+
+    The views all look at the origin from ``distance``, so the corrected
+    centers triangulate to the origin at that depth in every view.
+    """
+    views = arc_rig(len(radii), arc_deg=60.0, distance=distance, f=f)
+    track = []
+    for v, r in zip(views, radii):
+        b = r * f / math.sqrt(distance * distance - r * r)
+        track.append((v, EllipseObservation(v.image_id, "s", v.px, v.py, b, b, 0.0)))
+    return track
+
+
 class TestRadiusLeastSquares:
+    def test_identical_values(self):
+        model = reconstruct_sphere(on_axis_track([1.0, 1.0, 1.0]))
+        radii = [r for _, r in model.per_view_radii]
+        assert radii[0] == radii[1] == radii[2]
+        assert math.isclose(radii[0], 1.0, rel_tol=1e-12)
+        assert math.isclose(model.sphere.radius, radii[0], rel_tol=1e-15)
+        assert model.radius_spread < 1e-15
+
+    def test_symmetric_pair(self):
+        model = reconstruct_sphere(on_axis_track([0.9, 1.1]))
+        radii = [r for _, r in model.per_view_radii]
+        assert math.isclose(radii[0], 0.9, rel_tol=1e-12)
+        assert math.isclose(radii[1], 1.1, rel_tol=1e-12)
+        assert math.isclose(model.sphere.radius, 1.0, rel_tol=1e-12)
+        assert math.isclose(model.radius_spread, 0.1, rel_tol=1e-10)
+
     def test_mean_minimizes_sum_of_squares(self):
         # Noisy semi-axes make the per-view radii differ; the model radius is
         # their least-squares fit.
