@@ -55,6 +55,20 @@ _DEGENERATE_ERRORS = (DegenerateGeometry, DegenerateProjection, ConfigInfeasible
 _NO_RESULT_ERRORS = (NoAdmissiblePair, NoSharedPoints)
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -345,48 +359,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reconstruct sphere centers/radii from calibrated images "
                     "and define metric scale from known-radius spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by the subcommands that gate (and then match) ellipses.
+    gated = argparse.ArgumentParser(add_help=False)
+    gated.add_argument("--cameras", required=True)
+    gated.add_argument("--ellipses", required=True)
+    gated.add_argument("--k-sigma", type=_positive, default=2.0)
+    gated.add_argument("--default-sigma-px", type=_nonnegative, default=0.5)
+    paired = argparse.ArgumentParser(add_help=False, parents=[gated])
+    paired.add_argument("--pair", default="auto",
+                        help="'auto' (scored selection) or 'image_i,image_j'")
+    paired.add_argument("--tol-px", type=_positive, default=None,
+                        help="epipolar gate in px (default: max(3, 2*center sigma))")
+    paired.add_argument("--min-angle-deg", type=_nonnegative,
+                        default=math.degrees(DEFAULT_MIN_ANGLE))
 
-    p = sub.add_parser("filter", help="keep only ellipses that pass the sphere gate")
-    p.add_argument("--cameras", required=True)
-    p.add_argument("--ellipses", required=True)
-    p.add_argument("--k-sigma", type=float, default=2.0)
-    p.add_argument("--default-sigma-px", type=float, default=0.5)
+    p = sub.add_parser("filter", parents=[gated],
+                       help="keep only ellipses that pass the sphere gate")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write per-ellipse gate report JSON here")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("select-pair", help="pick the best image pair")
     p.add_argument("--cameras", required=True)
-    p.add_argument("--min-angle-deg", type=float,
+    p.add_argument("--min-angle-deg", type=_nonnegative,
                    default=math.degrees(DEFAULT_MIN_ANGLE))
     p.add_argument("--out")
     p.set_defaults(func=cmd_select_pair)
 
-    p = sub.add_parser("match", help="match gated ellipses between two views")
-    p.add_argument("--cameras", required=True)
-    p.add_argument("--ellipses", required=True)
-    p.add_argument("--pair", default="auto",
-                   help="'auto' (scored selection) or 'image_i,image_j'")
-    p.add_argument("--tol-px", type=float, default=None,
-                   help="epipolar gate in px (default: max(3, 2*center sigma))")
-    p.add_argument("--k-sigma", type=float, default=2.0)
-    p.add_argument("--default-sigma-px", type=float, default=0.5)
-    p.add_argument("--min-angle-deg", type=float,
-                   default=math.degrees(DEFAULT_MIN_ANGLE))
+    p = sub.add_parser("match", parents=[paired], help="match gated ellipses between two views")
     p.add_argument("--out")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("reconstruct", help="full pipeline: gate, match, reconstruct")
-    p.add_argument("--cameras", required=True)
-    p.add_argument("--ellipses", required=True)
-    p.add_argument("--pair", default="auto",
-                   help="'auto' (scored selection) or 'image_i,image_j'")
-    p.add_argument("--tol-px", type=float, default=None,
-                   help="epipolar gate in px (default: max(3, 2*center sigma))")
-    p.add_argument("--k-sigma", type=float, default=2.0)
-    p.add_argument("--default-sigma-px", type=float, default=0.5)
-    p.add_argument("--min-angle-deg", type=float,
-                   default=math.degrees(DEFAULT_MIN_ANGLE))
+    p = sub.add_parser("reconstruct", parents=[paired],
+                       help="full pipeline: gate, match, reconstruct")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -22,6 +22,7 @@ PSD test.  ``classify_spherical`` is its one-ellipse call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,6 +51,8 @@ class GateReport:
 
 def default_ellipse_cov(sigma_px: float = DEFAULT_SIGMA_PX) -> np.ndarray:
     """Diagonal 4x4 covariance of (a_e, b_e, x_ce, y_ce) at a common sigma."""
+    if not 0.0 <= sigma_px < math.inf:
+        raise ValueError(f"pixel sigma must be finite and >= 0, got {sigma_px}")
     return np.eye(4) * float(sigma_px) ** 2
 
 
@@ -140,8 +143,8 @@ def classify_view(ellipses: Sequence[EllipseObservation], f: float, px: float, p
     default.  Missing ``iop_cov`` means exactly known interior orientation.
     Raises InvalidCovariance unless every covariance is symmetric PSD.
     """
-    if not k > 0.0:
-        raise ValueError(f"threshold multiplier must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"threshold multiplier must be positive and finite, got {k}")
     if not ellipses:
         return []
     if ellipse_covs is None:

@@ -31,7 +31,7 @@ from .projection import (
     corrected_center,
     silhouette,
 )
-from .reconstruct import OK, SphereModel, _model, _recover
+from .reconstruct import OK, _recover
 
 # Not called here: bench/spans.py wraps these names in this module.
 from .projection import project_sphere_into_view  # noqa: F401
@@ -43,13 +43,12 @@ DEFAULT_EPIPOLAR_TOL = 3.0
 
 @dataclass
 class MatchCandidate:
-    """One evaluated ellipse pairing and its sphere hypothesis."""
+    """One accepted ellipse pairing and the distances that ranked it."""
 
     ellipse_l: str
     ellipse_k: str
     epipolar_distance: float
     reprojection_distance: float
-    sphere: SphereModel
 
 
 @dataclass
@@ -155,8 +154,11 @@ def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
     hypothesized sphere and reprojecting it into both images; pairings whose
     geometry degenerates are discarded.  The epipolar test is applied
     symmetrically (both images) so the result does not depend on which view
-    is called l.
+    is called l.  An explicit ``tol`` in pixels replaces the per-pair
+    max(3 px, 2 * center sigma) limit; it must be positive and finite.
     """
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"epipolar tolerance must be positive and finite, got {tol} px")
     f_lk = fundamental_from_views(view_l, view_k)
     ordered_l, par_l, cen_l, sig_l = _view_arrays(view_l, ellipses_l)
     ordered_k, par_k, cen_k, sig_k = _view_arrays(view_k, ellipses_k)
@@ -190,7 +192,6 @@ def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
     used_l = np.zeros(len(ordered_l), dtype=bool)
     used_k = np.zeros(len(ordered_k), dtype=bool)
     matches = []
-    ids = [view_l.image_id, view_k.image_id]
     for row in order.tolist():
         i, j = il[row], ik[row]
         if used_l[i] or used_k[j]:
@@ -198,8 +199,7 @@ def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
         used_l[i] = used_k[j] = True
         matches.append(MatchCandidate(
             ellipse_l=ordered_l[i].ellipse_id, ellipse_k=ordered_k[j].ellipse_id,
-            epipolar_distance=float(epi[i, j]), reprojection_distance=float(total[row]),
-            sphere=_model(rec, row, ids)))
+            epipolar_distance=float(epi[i, j]), reprojection_distance=float(total[row])))
     unmatched_l = sorted(e.ellipse_id for e, used in zip(ordered_l, used_l) if not used)
     unmatched_k = sorted(e.ellipse_id for e, used in zip(ordered_k, used_k) if not used)
     return MatchResult(matches=matches, unmatched_l=unmatched_l, unmatched_k=unmatched_k)

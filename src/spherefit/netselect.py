@@ -48,22 +48,18 @@ class ImageNetwork:
     tie_points: list[TiePoint] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [v.image_id for v in self.views]
-        if len(set(ids)) != len(ids):
+        self._by_id = {v.image_id: v for v in self.views}
+        if len(self._by_id) != len(self.views):
             raise ValueError("duplicate image ids in network")
-        known = set(ids)
         for tp in self.tie_points:
-            missing = tp.visible_in - known
+            missing = tp.visible_in.difference(self._by_id)
             if missing:
                 raise ValueError(f"tie point references unknown images {sorted(missing)}")
             if len(tp.visible_in) < 2:
                 raise ValueError("each tie point must be visible in at least two views")
 
     def view(self, image_id: str) -> CameraView:
-        for v in self.views:
-            if v.image_id == image_id:
-                return v
-        raise KeyError(image_id)
+        return self._by_id[image_id]
 
 
 @dataclass
@@ -121,6 +117,8 @@ def best_pair(network: ImageNetwork,
     (ov_max); admissibility requires alpha_ij strictly above ``min_angle``.
     Ties are broken toward the lexicographically smallest (i, j).
     """
+    if not 0.0 <= min_angle < math.inf:
+        raise ValueError(f"minimum convergence angle must be finite and >= 0, got {min_angle}")
     if len(network.views) < 2:
         raise ValueError("need at least two views")
     ov = network_overlap(network)

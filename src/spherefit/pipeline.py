@@ -21,7 +21,7 @@ import itertools
 from typing import Optional, Sequence
 
 from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, GateReport, classify_view, default_ellipse_cov
-from .match import MatchCandidate, match_ellipses
+from .match import match_ellipses
 from .projection import CameraView, EllipseObservation
 from .reconstruct import SphereModel, reconstruct_tracks
 
@@ -47,16 +47,15 @@ def gate_views(views: Sequence[CameraView], observations: dict,
     return gated
 
 
-def _merge_tracks(pair_matches: list[tuple[str, str, MatchCandidate]]) -> list[dict]:
+def _merge_tracks(pair_matches: list[tuple[float, str, str, str, str]]) -> list[dict]:
     """Greedy union of pairwise matches into one-ellipse-per-view tracks.
 
-    Matches are processed in ascending reprojection distance; a union is
-    skipped when it would put two different ellipses of the same view into
-    one track.  Returns dicts mapping image_id -> ellipse_id.
+    Each match is (reprojection distance, image_l, image_k, ellipse_l,
+    ellipse_k); matches are processed in that tuple order, so by ascending
+    distance with ties broken by ids.  A union is skipped when it would put
+    two different ellipses of the same view into one track.  Returns dicts
+    mapping image_id -> ellipse_id.
     """
-    ordered = sorted(pair_matches,
-                     key=lambda m: (m[2].reprojection_distance, m[0], m[1],
-                                    m[2].ellipse_l, m[2].ellipse_k))
     parent: dict = {}
 
     def find(node):
@@ -66,9 +65,9 @@ def _merge_tracks(pair_matches: list[tuple[str, str, MatchCandidate]]) -> list[d
         return node
 
     members: dict = {}
-    for vid_l, vid_k, cand in ordered:
-        node_l = (vid_l, cand.ellipse_l)
-        node_k = (vid_k, cand.ellipse_k)
+    for _, vid_l, vid_k, eid_l, eid_k in sorted(pair_matches):
+        node_l = (vid_l, eid_l)
+        node_k = (vid_k, eid_k)
         for node in (node_l, node_k):
             if node not in parent:
                 parent[node] = node
@@ -101,8 +100,8 @@ def reconstruct_gated(views: Sequence[CameraView], gated: dict,
     for view_l, view_k in itertools.combinations(views, 2):
         result = match_ellipses(view_l, accepted[view_l.image_id],
                                 view_k, accepted[view_k.image_id], tol=tol)
-        for cand in result.matches:
-            pair_matches.append((view_l.image_id, view_k.image_id, cand))
+        pair_matches.extend((m.reprojection_distance, view_l.image_id, view_k.image_id,
+                             m.ellipse_l, m.ellipse_k) for m in result.matches)
     ellipse_map = {(vid, e.ellipse_id): e for vid, kept in accepted.items() for e in kept}
     tracks = [track for track in _merge_tracks(pair_matches) if len(track) >= 2]
     models = reconstruct_tracks([[(view, ellipse_map[(view.image_id, track[view.image_id])])
@@ -111,9 +110,9 @@ def reconstruct_gated(views: Sequence[CameraView], gated: dict,
     return [(track, model) for track, model in zip(tracks, models) if model is not None]
 
 
-def reconstruct_subset(views: Sequence[CameraView], observations: dict,
-                       k_sigma: float = DEFAULT_K, tol: Optional[float] = None,
-                       ) -> list[tuple[dict, SphereModel]]:
-    """Full pipeline on one view subset: gate, all-pairs matching, tracks,
-    multi-view reconstruction.  Returns (track, model) pairs."""
-    return reconstruct_gated(views, gate_views(views, observations, k_sigma), tol)
+def reconstruct_subset(views: Sequence[CameraView],
+                       observations: dict) -> list[tuple[dict, SphereModel]]:
+    """Full pipeline on one view subset at the default gate and epipolar
+    tolerance: gate, all-pairs matching, tracks, multi-view reconstruction.
+    Returns (track, model) pairs."""
+    return reconstruct_gated(views, gate_views(views, observations))

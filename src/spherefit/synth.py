@@ -22,7 +22,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,15 +115,15 @@ class SyntheticScene:
     tie_points: list[TiePoint]
     clutter_ids: set = field(default_factory=set)
 
+    def __post_init__(self):
+        self._by_id = {v.image_id: v for v in self.views}
+
     @property
     def network(self) -> ImageNetwork:
         return ImageNetwork(views=list(self.views), tie_points=list(self.tie_points))
 
     def view(self, image_id: str) -> CameraView:
-        for v in self.views:
-            if v.image_id == image_id:
-                return v
-        raise KeyError(image_id)
+        return self._by_id[image_id]
 
 
 def _look_at_rotation(camera_center: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -176,15 +176,14 @@ def _in_frame(pixel: np.ndarray, config: SceneConfig) -> bool:
     return 0.0 <= pixel[0] <= config.width and 0.0 <= pixel[1] <= config.height
 
 
-def generate_scene(config: SceneConfig, seed: Optional[int] = None) -> SyntheticScene:
+def generate_scene(config: SceneConfig) -> SyntheticScene:
     """Build the exact scene: poses, tie points, silhouettes, clutter.
 
-    Deterministic in (config, seed); ``seed`` defaults to ``config.seed``.
+    Deterministic in ``config``, whose ``seed`` drives every random draw.
     Raises ConfigInfeasible when any sphere fails the depth-clears-radius
     requirement in any camera.
     """
-    master = config.seed if seed is None else seed
-    rng = _rng(master, 0)
+    rng = _rng(config.seed, 0)
     target = np.asarray(config.look_at, dtype=float)
 
     views = []
@@ -365,7 +364,7 @@ def _draw_subsets(ids: Sequence[str], k: int, p: int,
 
 
 def _run_trials(scene: SyntheticScene, subsets, k: int, p: int, selection: str,
-                k_sigma: float, tol: Optional[float], timing: bool) -> TrialStats:
+                timing: bool) -> TrialStats:
     truth = dict(scene.spheres)
     centers, radii, times = [], [], []
     failures = 0
@@ -373,8 +372,7 @@ def _run_trials(scene: SyntheticScene, subsets, k: int, p: int, selection: str,
         views = [scene.view(vid) for vid in subset]
         start = time.perf_counter() if timing else 0.0
         try:
-            models = reconstruct_subset(views, scene.observations,
-                                        k_sigma=k_sigma, tol=tol)
+            models = reconstruct_subset(views, scene.observations)
         except (DegenerateGeometry, DegenerateProjection):
             failures += 1
             continue
@@ -404,16 +402,14 @@ def _run_trials(scene: SyntheticScene, subsets, k: int, p: int, selection: str,
 
 
 def monte_carlo_views(scene: SyntheticScene, k_values: Sequence[int], seed: int,
-                      k_sigma: float = 2.0, tol: Optional[float] = None,
-                      timing: bool = True,
-                      include_best_pair: bool = True) -> list[TrialStats]:
+                      timing: bool = True) -> list[TrialStats]:
     """Accuracy/runtime sweep over random k-view subsets.
 
     For each k, p = min(50, C(n, k)) unique subsets are drawn with a stream
     derived from (seed, k); failed trials (degeneracy, or fewer tracks than
-    ground-truth spheres) are counted and excluded from the statistics.  When
-    ``include_best_pair`` is set, the highest-scoring pair of the full
-    network is appended as a distinguished single-trial entry.
+    ground-truth spheres) are counted and excluded from the statistics.  The
+    highest-scoring pair of the full network is appended as a distinguished
+    single-trial entry.
     """
     ids = [v.image_id for v in scene.views]
     n = len(ids)
@@ -423,10 +419,7 @@ def monte_carlo_views(scene: SyntheticScene, k_values: Sequence[int], seed: int,
             raise ValueError(f"subset size {k} outside [2, {n}]")
         p = min(50, math.comb(n, k))
         subsets = _draw_subsets(ids, k, p, _rng(seed, 2, k))
-        results.append(_run_trials(scene, subsets, k, p, "random",
-                                   k_sigma, tol, timing))
-    if include_best_pair:
-        pair = best_pair(scene.network)
-        results.append(_run_trials(scene, [(pair.i, pair.j)], 2, 1, "best_pair",
-                                   k_sigma, tol, timing))
+        results.append(_run_trials(scene, subsets, k, p, "random", timing))
+    pair = best_pair(scene.network)
+    results.append(_run_trials(scene, [(pair.i, pair.j)], 2, 1, "best_pair", timing))
     return results

@@ -241,8 +241,7 @@ def reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k, tol=None):
             candidates.append(MatchCandidate(
                 ellipse_l=e_l.ellipse_id, ellipse_k=e_k.ellipse_id, epipolar_distance=epi,
                 reprojection_distance=(reprojection_distance(e_l, pred_l)
-                                       + reprojection_distance(e_k, pred_k)),
-                sphere=model))
+                                       + reprojection_distance(e_k, pred_k))))
     candidates.sort(key=lambda c: (c.reprojection_distance, c.ellipse_l, c.ellipse_k))
     used_l, used_k, matches = set(), set(), []
     for cand in candidates:

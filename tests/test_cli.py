@@ -15,6 +15,7 @@ from spherefit import (
     generate_scene,
     match_ellipses,
     perturb_observations,
+    reconstruct_sphere,
 )
 from spherefit.fileio import (
     load_ellipses,
@@ -132,6 +133,22 @@ class TestFilter:
         assert result.returncode == 2
 
 
+    @pytest.mark.parametrize("flag, value", [("--default-sigma-px", "-0.5"),
+                                             ("--default-sigma-px", "nan"),
+                                             ("--k-sigma", "inf"), ("--k-sigma", "-1")])
+    def test_invalid_gate_flag_exit_code(self, exported, tmp_path, flag, value):
+        # A negative sigma used to gate exactly like its absolute value, and
+        # an infinite k to accept every ellipse, clutter included.
+        root, _, _ = exported
+        out = tmp_path / "o.csv"
+        result = run_cli("filter", "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(root / "ellipses.csv"),
+                         flag, value, "--out", str(out))
+        assert result.returncode == 2
+        assert flag in result.stderr
+        assert not out.exists()
+
+
 class TestSelectPair:
     def test_two_view_network(self, tmp_path):
         scene = generate_scene(SceneConfig(n_cameras=2, arc_span_deg=40.0,
@@ -168,6 +185,15 @@ class TestSelectPair:
         result = run_cli("select-pair", "--cameras", str(bad))
         assert result.returncode == 2
         assert "finite" in result.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "-5"])
+    def test_invalid_min_angle_exit_code(self, exported, value):
+        # NaN used to switch the convergence floor off.
+        root, _, _ = exported
+        result = run_cli("select-pair", "--cameras", str(root / "cameras.json"),
+                         "--min-angle-deg", value)
+        assert result.returncode == 2
+        assert "--min-angle-deg" in result.stderr
 
     def test_missing_tie_points_is_a_validation_error(self, tmp_path):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=0))
@@ -238,6 +264,19 @@ class TestReconstruct:
         assert result.returncode == 2
         assert "img-03" in result.stderr
 
+    @pytest.mark.parametrize("command", ["match", "reconstruct"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_invalid_tol_px_exit_code(self, exported, tmp_path, command, value):
+        # These values used to match nothing and exit 0 with zero spheres.
+        root, _, _ = exported
+        out = tmp_path / "out.json"
+        result = run_cli(command, "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(root / "ellipses.csv"),
+                         "--tol-px", value, "--out", str(out))
+        assert result.returncode == 2
+        assert "--tol-px" in result.stderr
+        assert not out.exists()
+
     def test_stage_equivalence_with_library(self, exported, tmp_path):
         root, scene, noisy = exported
         out = str(tmp_path / "spheres.json")
@@ -260,9 +299,12 @@ class TestReconstruct:
                                   iop_cov=view.iop_cov, k=2.0).accepted:
                 gated[e.image_id].append(e)
         matches = match_ellipses(view_l, gated[score.i], view_k, gated[score.j])
-        expected = {(m.ellipse_l, m.ellipse_k):
-                    (m.sphere.sphere.center, m.sphere.sphere.radius)
-                    for m in matches.matches}
+        by_id = {(e.image_id, e.ellipse_id): e for e in ellipses}
+        expected = {}
+        for m in matches.matches:
+            model = reconstruct_sphere([(view_l, by_id[(score.i, m.ellipse_l)]),
+                                        (view_k, by_id[(score.j, m.ellipse_k)])])
+            expected[(m.ellipse_l, m.ellipse_k)] = (model.sphere.center, model.sphere.radius)
         assert len(entries) == len(expected)
         for entry in entries:
             key = (entry.ellipses[0][1], entry.ellipses[1][1])

@@ -148,6 +148,11 @@ class TestClassify:
             assert report.accepted
             assert abs(report.tau) < 1e-12
 
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
+    def test_default_cov_rejects_invalid_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            default_ellipse_cov(sigma)
+
     def test_zero_tolerance_rejects_nonzero_tau(self):
         e = ellipse(200.0, 100.0, PX, PY)  # tau = 0.5, exact covariances
         report = classify_spherical(e, F, PX, PY, ellipse_cov=np.zeros((4, 4)),
@@ -241,3 +246,5 @@ class TestClassify:
         e = ellipse(120.0, 100.0, 700.0, 400.0)
         with pytest.raises(ValueError, match="multiplier"):
             classify_spherical(e, F, PX, PY, k=0.0)
+        with pytest.raises(ValueError, match="multiplier"):  # would accept everything
+            classify_spherical(e, F, PX, PY, k=math.inf)

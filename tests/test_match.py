@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import look_at_view, reference_match_ellipses
+from oracles import look_at_view, reference_match_ellipses, reference_reconstruct_sphere
 from spherefit import (
     CameraView,
     DegenerateGeometry,
@@ -18,6 +18,7 @@ from spherefit import (
     match_ellipses,
     project_point,
     project_sphere_into_view,
+    reconstruct_sphere,
     reprojection_distance,
     tau,
 )
@@ -158,6 +159,12 @@ class TestMatchEllipses:
             assert m.ellipse_l == m.ellipse_k
             assert m.reprojection_distance < 1e-6
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_invalid_tolerance(self, tol):
+        views, _, obs = nine_sphere_rig()
+        with pytest.raises(ValueError, match="tolerance"):
+            match_ellipses(views[0], obs["l"], views[1], obs["k"], tol=tol)
+
     def test_true_pairs_beat_false_pairs(self):
         views, spheres, obs = nine_sphere_rig()
         true_dist = {}
@@ -193,9 +200,12 @@ class TestMatchEllipses:
     def test_winning_hypothesis_reprojects_as_silhouette(self):
         views, spheres, obs = nine_sphere_rig()
         result = match_ellipses(views[0], obs["l"], views[1], obs["k"])
+        by_id = {side: {e.ellipse_id: e for e in obs[side]} for side in obs}
         for m in result.matches:
+            model = reconstruct_sphere([(views[0], by_id["l"][m.ellipse_l]),
+                                        (views[1], by_id["k"][m.ellipse_k])])
             for v in views:
-                pred = project_sphere_into_view(m.sphere.sphere, v)
+                pred = project_sphere_into_view(model.sphere, v)
                 assert abs(tau(pred, v.f, v.px, v.py)) < 1e-9
 
     def test_noisy_match_rate(self, lab_scene):
@@ -225,22 +235,27 @@ class TestMatchEllipses:
 
 
 def assert_same_matching(view_l, ellipses_l, view_k, ellipses_k):
-    """The array matcher against the per-candidate reference loop."""
+    """The array matcher against the per-candidate reference loop; each
+    matched pair's two-view sphere against the scalar reconstruction."""
     got = match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
     want = reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
     assert [(m.ellipse_l, m.ellipse_k) for m in got.matches] == \
         [(m.ellipse_l, m.ellipse_k) for m in want.matches]
     assert got.unmatched_l == want.unmatched_l
     assert got.unmatched_k == want.unmatched_k
+    by_id_l = {e.ellipse_id: e for e in ellipses_l}
+    by_id_k = {e.ellipse_id: e for e in ellipses_k}
     for g, w in zip(got.matches, want.matches):
-        scale = np.abs(w.sphere.sphere.center).max()
-        assert np.abs(g.sphere.sphere.center - w.sphere.sphere.center).max() <= 1e-9 * scale
-        assert math.isclose(g.sphere.sphere.radius, w.sphere.sphere.radius, rel_tol=1e-9)
-        assert [i for i, _ in g.sphere.per_view_radii] == [i for i, _ in w.sphere.per_view_radii]
         assert abs(g.epipolar_distance - w.epipolar_distance) <= 1e-6
         assert abs(g.reprojection_distance - w.reprojection_distance) <= 1e-6
-        assert abs(g.sphere.radius_spread - w.sphere.radius_spread) <= 1e-6
-        assert abs(g.sphere.triangulation_residual - w.sphere.triangulation_residual) <= 1e-6
+        matched = [(view_l, by_id_l[g.ellipse_l]), (view_k, by_id_k[g.ellipse_k])]
+        model, ref = reconstruct_sphere(matched), reference_reconstruct_sphere(matched)
+        scale = np.abs(ref.sphere.center).max()
+        assert np.abs(model.sphere.center - ref.sphere.center).max() <= 1e-9 * scale
+        assert math.isclose(model.sphere.radius, ref.sphere.radius, rel_tol=1e-9)
+        assert [i for i, _ in model.per_view_radii] == [i for i, _ in ref.per_view_radii]
+        assert abs(model.radius_spread - ref.radius_spread) <= 1e-6
+        assert abs(model.triangulation_residual - ref.triangulation_residual) <= 1e-6
     return len(got.matches)
 
 

@@ -119,6 +119,11 @@ class TestBestPair:
         with pytest.raises(NoAdmissiblePair, match="10.00 deg"):
             best_pair(network)
 
+    @pytest.mark.parametrize("min_angle", [math.nan, -0.1, math.inf])
+    def test_rejects_invalid_floor(self, min_angle):
+        with pytest.raises(ValueError, match="angle"):
+            best_pair(self.rig([-20.0, 20.0]), min_angle=min_angle)
+
     def test_matches_exhaustive_enumeration(self):
         angles = [-50.0, -20.0, 0.0, 25.0, 55.0]
         network = self.rig(angles)
@@ -197,3 +202,7 @@ class TestBestPair:
             ImageNetwork(views, [tie([0, 0, 0], "v0")])
         with pytest.raises(ValueError, match="duplicate"):
             ImageNetwork(views + [views[0]], [])
+        network = ImageNetwork(views, [])
+        assert all(network.view(v.image_id) is v for v in views)
+        with pytest.raises(KeyError):
+            network.view("nope")

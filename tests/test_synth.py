@@ -33,6 +33,12 @@ class TestGenerateScene:
             assert math.isclose(e.x_ce, view.px, abs_tol=1e-9)
             assert math.isclose(e.y_ce, view.py, abs_tol=1e-9)
 
+    def test_view_lookup_by_id(self):
+        scene = generate_scene(SceneConfig(n_cameras=4, n_tie_points=8))
+        assert all(scene.view(v.image_id) is v for v in scene.views)
+        with pytest.raises(KeyError):
+            scene.view("img-04")
+
     def test_determinism(self):
         a = generate_scene(SceneConfig(clutter_per_image=3))
         b = generate_scene(SceneConfig(clutter_per_image=3))
@@ -193,14 +199,12 @@ def small_scene():
 
 class TestMonteCarlo:
     def test_subset_counts(self, small_scene):
-        stats = monte_carlo_views(small_scene, [2, 8], seed=0, timing=False,
-                                  include_best_pair=False)
+        stats = monte_carlo_views(small_scene, [2, 8], seed=0, timing=False)
         assert stats[0].k == 2 and stats[0].p == min(50, math.comb(8, 2))
         assert stats[1].k == 8 and stats[1].p == 1
 
     def test_lab_subset_count_is_capped(self, noisy_lab_scene):
-        stats = monte_carlo_views(noisy_lab_scene, [2], seed=1, timing=False,
-                                  include_best_pair=False)
+        stats = monte_carlo_views(noisy_lab_scene, [2], seed=1, timing=False)
         assert stats[0].p == 50  # min(50, C(30, 2) = 435)
 
     def test_zero_noise_is_exact_for_every_k(self, small_scene):
