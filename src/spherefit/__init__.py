@@ -30,7 +30,6 @@ from .gate import (
     default_ellipse_cov,
     tau,
     tau_jacobian,
-    tau_variance,
 )
 from .match import (
     MatchCandidate,
@@ -97,7 +96,7 @@ __all__ = [
     "projected_sphere_center", "center_from_single_view", "radius_from_depth",
     "fold_axis_angle", "triangulate_center",
     "reconstruct_sphere", "reconstruct_tracks",
-    "metric_scale", "apply_scale", "tau", "tau_jacobian", "tau_variance",
+    "metric_scale", "apply_scale", "tau", "tau_jacobian",
     "classify_spherical", "classify_view", "default_ellipse_cov",
     "convergence_angle",
     "network_overlap", "best_pair", "anchor_network", "fundamental_from_views",

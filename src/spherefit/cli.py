@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthetic accuracy/runtime sweep")
     p.add_argument("--config", help="scene config JSON (defaults: tabletop scene)")
     p.add_argument("--k", default="2,4,8,16,30")
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=_nonnegative, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--timing", action="store_true",
                    help="measure wall time (makes the output non-reproducible)")

@@ -58,6 +58,13 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _object_list(path: str, key: str, value) -> list:
+    """``value`` if it is a list of JSON objects, else FileFormatError."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise FileFormatError(f"{path}: {key!r} must be a list of objects")
+    return value
+
+
 # ---------------------------------------------------------------- cameras
 
 def load_network(path: str) -> ImageNetwork:
@@ -76,7 +83,7 @@ def load_network(path: str) -> ImageNetwork:
             f"{path}: missing or wrong 'convention' header; expected "
             f"{CONVENTION!r} (got {data.get('convention')!r})")
     views = []
-    for entry in data["views"]:
+    for entry in _object_list(path, "views", data["views"]):
         try:
             iop_cov = entry.get("iop_cov")
             views.append(CameraView(
@@ -89,7 +96,7 @@ def load_network(path: str) -> ImageNetwork:
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
     tie_points = []
-    for entry in data.get("tie_points", []):
+    for entry in _object_list(path, "tie_points", data.get("tie_points", [])):
         try:
             tie_points.append(TiePoint(
                 xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
@@ -230,7 +237,7 @@ def load_spheres(path: str) -> list[SphereEntry]:
     if not isinstance(data, dict) or "spheres" not in data:
         raise FileFormatError(f"{path}: expected an object with a 'spheres' list")
     entries = []
-    for item in data["spheres"]:
+    for item in _object_list(path, "spheres", data["spheres"]):
         try:
             model = SphereModel(
                 sphere=Sphere(np.asarray(item["center"], dtype=float),
@@ -304,15 +311,18 @@ def load_ply(path: str) -> PlyCloud:
         elif tokens[0] == "comment":
             comments.append(" ".join(tokens[1:]))
         elif tokens[0] == "element":
-            if tokens[1] == "vertex":
-                n_vertices = int(tokens[2])
-                in_vertex_element = True
-            else:
+            if len(tokens) < 3 or not tokens[2].isdigit():
+                raise FileFormatError(f"{path}: bad element line {lines[idx - 1]!r}")
+            if tokens[1] != "vertex":
                 raise FileFormatError(
                     f"{path}: unsupported element {tokens[1]!r} (vertex clouds only)")
+            n_vertices = int(tokens[2])
+            in_vertex_element = True
         elif tokens[0] == "property":
             if not in_vertex_element:
                 raise FileFormatError(f"{path}: property outside vertex element")
+            if len(tokens) < 3:
+                raise FileFormatError(f"{path}: bad property line {lines[idx - 1]!r}")
             if tokens[1] == "list":
                 raise FileFormatError(f"{path}: list properties are not supported")
             properties.append((tokens[1], tokens[2]))

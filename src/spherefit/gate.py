@@ -15,9 +15,10 @@ noise, first-order variance propagation through the closed-form Jacobian
 turns the identity into the acceptance test |tau| <= k * sigma_tau.
 
 The gate works on a whole view at once: ``classify_view`` takes the view's
-ellipses as one (n, 4) parameter array, computes tau, its gradient and its
-variance as array expressions, and checks every covariance with one stacked
-PSD test.  ``classify_spherical`` is its one-ellipse call.
+ellipses as one (n, 4) parameter array and computes tau, its gradient and its
+variance as array expressions.  ``classify_spherical`` is its one-ellipse
+call.  Ellipse covariances are checked once, when an ``EllipseObservation``
+is built; only the raw interior-orientation covariance is checked here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidCovariance
-from .projection import EllipseObservation, is_psd, psd_mask
+from .projection import EllipseObservation, is_psd
 
 #: Conservative per-parameter detector noise assumed when an ellipse carries
 #: no covariance (pixels, applied to a_e, b_e, x_ce and y_ce alike).
@@ -99,13 +100,9 @@ def _variances(jacobians: np.ndarray, ellipse_covs, iop_cov) -> np.ndarray:
     """First-order variance of tau for n ellipses: J Sigma J^T per row, with
     a block-diagonal Sigma of one 4x4 ellipse covariance per row and one
     shared 3x3 interior-orientation covariance, None when the interior
-    orientation is exact.  Checks every covariance."""
+    orientation is exact.  The ellipse covariances were checked when they
+    were built; the interior-orientation one is checked here."""
     ellipse_covs = np.asarray(ellipse_covs, dtype=float)
-    if ellipse_covs.shape[1:] != (4, 4):
-        raise InvalidCovariance(
-            f"ellipse covariance must be 4x4, got {ellipse_covs.shape[1:]}")
-    if not psd_mask(ellipse_covs).all():
-        raise InvalidCovariance("ellipse covariance is not symmetric PSD")
     j_e = jacobians[:, :4]
     var = np.einsum("ni,nij,nj->n", j_e, ellipse_covs, j_e)
     if iop_cov is None:
@@ -119,39 +116,24 @@ def _variances(jacobians: np.ndarray, ellipse_covs, iop_cov) -> np.ndarray:
     return var + np.einsum("ni,ij,nj->n", j_i, iop_cov, j_i)
 
 
-def tau_variance(jacobian: np.ndarray, ellipse_cov: np.ndarray,
-                 iop_cov: np.ndarray) -> float:
-    """First-order variance of tau: J Sigma J^T with a block-diagonal Sigma.
-
-    Variable order is (a_e, b_e, x_ce, y_ce | px, py, f); the ellipse and
-    interior-orientation blocks are uncorrelated because they come from
-    independent estimation processes.
-    """
-    jacobian = np.asarray(jacobian, dtype=float).reshape(1, 7)
-    ellipse_cov = np.asarray(ellipse_cov, dtype=float)
-    return max(float(_variances(jacobian, ellipse_cov[None], iop_cov)[0]), 0.0)
-
-
 def classify_view(ellipses: Sequence[EllipseObservation], f: float, px: float, py: float,
-                  ellipse_covs=None, iop_cov: Optional[np.ndarray] = None,
-                  k: float = DEFAULT_K) -> list[GateReport]:
+                  iop_cov: Optional[np.ndarray] = None, k: float = DEFAULT_K,
+                  default_sigma: float = DEFAULT_SIGMA_PX) -> list[GateReport]:
     """Gate all ellipses of one view at |tau| <= k*sigma in one array pass.
 
-    Returns one report per ellipse, in input order.  ``ellipse_covs`` is an
-    optional stack of one 4x4 covariance per ellipse; without it each
-    ellipse uses its own covariance, else the conservative pixel-level
-    default.  Missing ``iop_cov`` means exactly known interior orientation.
-    Raises InvalidCovariance unless every covariance is symmetric PSD.
+    Returns one report per ellipse, in input order.  Each ellipse uses its
+    own covariance, else ``default_sigma`` pixels on every parameter.  The
+    variable order is (a_e, b_e, x_ce, y_ce | px, py, f), and the ellipse
+    and interior-orientation blocks are uncorrelated.  Missing ``iop_cov``
+    means exactly known interior orientation; raises InvalidCovariance
+    unless it is a symmetric PSD 3x3 matrix.
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"threshold multiplier must be positive and finite, got {k}")
+    fallback = default_ellipse_cov(default_sigma)
     if not ellipses:
         return []
-    if ellipse_covs is None:
-        fallback = default_ellipse_cov()
-        ellipse_covs = [e.cov if e.cov is not None else fallback for e in ellipses]
-    if len(ellipse_covs) != len(ellipses):
-        raise ValueError(f"{len(ellipses)} ellipses but {len(ellipse_covs)} covariances")
+    ellipse_covs = [e.cov if e.cov is not None else fallback for e in ellipses]
     a, b, x, y = np.array([(e.a_e, e.b_e, e.x_ce, e.y_ce) for e in ellipses]).T
     t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py)
     var = _variances(jacobians, ellipse_covs, iop_cov)
@@ -162,15 +144,11 @@ def classify_view(ellipses: Sequence[EllipseObservation], f: float, px: float, p
 
 
 def classify_spherical(e: EllipseObservation, f: float, px: float, py: float,
-                       ellipse_cov: Optional[np.ndarray] = None,
                        iop_cov: Optional[np.ndarray] = None,
                        k: float = DEFAULT_K) -> GateReport:
     """Accept or reject one ellipse as a sphere silhouette at |tau| <= k*sigma.
 
-    Covariance fallbacks: an explicit ``ellipse_cov`` wins, else the
-    observation's own covariance, else the conservative pixel-level default;
-    missing ``iop_cov`` means exactly known interior orientation.
+    The ellipse uses its own covariance, else the conservative pixel-level
+    default; missing ``iop_cov`` means exactly known interior orientation.
     """
-    return classify_view([e], f, px, py,
-                         ellipse_covs=None if ellipse_cov is None else [ellipse_cov],
-                         iop_cov=iop_cov, k=k)[0]
+    return classify_view([e], f, px, py, iop_cov=iop_cov, k=k)[0]

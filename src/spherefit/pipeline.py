@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, GateReport, classify_view, default_ellipse_cov
+from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, GateReport, classify_view
 from .match import match_ellipses
 from .projection import CameraView, EllipseObservation
 from .reconstruct import SphereModel, reconstruct_tracks
@@ -36,13 +36,11 @@ def gate_views(views: Sequence[CameraView], observations: dict,
     Ellipses without a covariance use ``default_sigma`` pixels on every
     parameter; each view's ``iop_cov`` enters the variance of tau.
     """
-    fallback = default_ellipse_cov(default_sigma)
     gated = {}
     for view in views:
         observed = observations.get(view.image_id, [])
-        covs = [e.cov if e.cov is not None else fallback for e in observed]
-        reports = classify_view(observed, view.f, view.px, view.py, ellipse_covs=covs,
-                                iop_cov=view.iop_cov, k=k_sigma)
+        reports = classify_view(observed, view.f, view.px, view.py, iop_cov=view.iop_cov,
+                                k=k_sigma, default_sigma=default_sigma)
         gated[view.image_id] = list(zip(observed, reports))
     return gated
 

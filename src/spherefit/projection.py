@@ -52,27 +52,18 @@ def _as_matrix(value, shape, name: str) -> np.ndarray:
     return arr
 
 
-def psd_mask(stack: np.ndarray) -> np.ndarray:
-    """``is_psd`` for each matrix of a (..., d, d) stack in one pass.
-
-    Matrices that fail the symmetry test, non-finite ones included, are
-    reported False without entering the eigensolver, so one bad matrix
-    cannot make the whole stack fail to converge.
-    """
-    stack = np.asarray(stack, dtype=float)
-    flipped = np.swapaxes(stack, -1, -2)
-    scale = 1.0 + np.abs(stack).max(axis=(-2, -1), initial=0.0)
-    symmetric = np.abs(stack - flipped).max(axis=(-2, -1), initial=0.0) <= 1e-9 * scale
-    sym = 0.5 * (stack + flipped)
-    sym[~symmetric] = 0.0
-    lowest = np.linalg.eigvalsh(sym)[..., 0]
-    return symmetric & (lowest >= -1e-9 * np.einsum("...ii->...", stack))
-
-
 def is_psd(m: np.ndarray) -> bool:
     """Symmetric PSD test: symmetric to round-off and no eigenvalue of the
-    symmetric part below -1e-9 * trace."""
-    return bool(psd_mask(m))
+    symmetric part below -1e-9 * trace.
+
+    A matrix that fails the symmetry test, a non-finite one included, is
+    reported False without entering the eigensolver.
+    """
+    m = np.asarray(m, dtype=float)
+    scale = 1.0 + np.abs(m).max()
+    if not np.abs(m - m.T).max() <= 1e-9 * scale:
+        return False
+    return bool(np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= -1e-9 * np.trace(m))
 
 
 def _require_finite(owner: str, **values) -> None:

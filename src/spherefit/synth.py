@@ -254,11 +254,12 @@ def perturb_observations(scene: SyntheticScene, sigma, seed: int) -> SyntheticSc
     ``sigma`` is a scalar or per-parameter 4-sequence in pixels.  Each noisy
     observation carries the true diagonal covariance; the axis angle is left
     untouched, and axes are swapped back if noise inverts their ordering.
-    With all-zero sigma the scene is returned unchanged.
+    With all-zero sigma the scene is returned unchanged; raises ValueError
+    unless every sigma is finite and >= 0.
     """
     sig = np.asarray(sigma, dtype=float) * np.ones(4)
-    if np.any(sig < 0.0):
-        raise ValueError("noise sigma must be nonnegative")
+    if not np.all((sig >= 0.0) & (sig < np.inf)):
+        raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
     if not np.any(sig > 0.0):
         return scene
     rng = _rng(seed, 1)

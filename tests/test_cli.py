@@ -11,7 +11,6 @@ from spherefit import (
     SceneConfig,
     best_pair,
     classify_spherical,
-    default_ellipse_cov,
     generate_scene,
     match_ellipses,
     perturb_observations,
@@ -125,6 +124,21 @@ class TestFilter:
         assert result.returncode == 2
         assert "finite" in result.stderr
 
+    def test_negative_covariance_row_exit_code(self, exported, tmp_path):
+        root, _, _ = exported
+        lines = open(root / "ellipses.csv").read().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        row[header.index("cov_yy")] = "-1"
+        bad = tmp_path / "neg.csv"
+        bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        out = tmp_path / "o.csv"
+        result = run_cli("filter", "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(bad), "--out", str(out))
+        assert result.returncode == 2
+        assert "neg.csv:2" in result.stderr and "cov" in result.stderr
+        assert not out.exists()
+
     def test_parse_failure_exit_code(self, tmp_path):
         bad = str(tmp_path / "bad.json")
         open(bad, "w").write("{")
@@ -194,6 +208,17 @@ class TestSelectPair:
                          "--min-angle-deg", value)
         assert result.returncode == 2
         assert "--min-angle-deg" in result.stderr
+
+    @pytest.mark.parametrize("key", ["views", "tie_points"])
+    def test_null_container_exit_code(self, exported, tmp_path, key):
+        root, _, _ = exported
+        data = json.load(open(root / "cameras.json"))
+        data[key] = None
+        bad = tmp_path / "null.json"
+        bad.write_text(json.dumps(data))
+        result = run_cli("select-pair", "--cameras", str(bad))
+        assert result.returncode == 2
+        assert key in result.stderr and "Traceback" not in result.stderr
 
     def test_missing_tie_points_is_a_validation_error(self, tmp_path):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=0))
@@ -294,8 +319,7 @@ class TestReconstruct:
             if e.image_id not in gated:
                 continue
             view = network.view(e.image_id)
-            cov = e.cov if e.cov is not None else default_ellipse_cov()
-            if classify_spherical(e, view.f, view.px, view.py, ellipse_cov=cov,
+            if classify_spherical(e, view.f, view.px, view.py,
                                   iop_cov=view.iop_cov, k=2.0).accepted:
                 gated[e.image_id].append(e)
         matches = match_ellipses(view_l, gated[score.i], view_k, gated[score.j])
@@ -369,6 +393,30 @@ class TestScale:
         assert result.returncode == 2
         assert "finite" in result.stderr
 
+    def test_null_spheres_exit_code(self, tmp_path):
+        bad = tmp_path / "null.json"
+        bad.write_text(json.dumps({"spheres": None}))
+        result = run_cli("scale", "--spheres", str(bad), "--anchors", "s000:1.0",
+                         "--out", str(tmp_path / "o.json"))
+        assert result.returncode == 2
+        assert "spheres" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("line", ["element vertex", "property float"])
+    def test_malformed_ply_header_exit_code(self, exported, tmp_path, line):
+        spheres = self.reconstruct(exported, tmp_path)
+        entries = load_spheres(spheres)
+        header = ["ply", "format ascii 1.0", "element vertex 1", "property float x",
+                  "property float y", "property float z", "end_header", "1 2 3"]
+        header[2 if line.startswith("element") else 5] = line
+        bad = tmp_path / "bad.ply"
+        bad.write_text("\n".join(header) + "\n")
+        result = run_cli("scale", "--spheres", spheres,
+                         "--anchors", f"{entries[0].sphere_id}:1.0",
+                         "--points", str(bad), "--out-points", str(tmp_path / "o.ply"),
+                         "--out", str(tmp_path / "o.json"))
+        assert result.returncode == 2
+        assert "bad.ply" in result.stderr and "Traceback" not in result.stderr
+
     def test_bad_ply_exit_code(self, exported, tmp_path):
         spheres = self.reconstruct(exported, tmp_path)
         entries = load_spheres(spheres)
@@ -412,3 +460,23 @@ class TestSimulate:
         assert len(network.views) == 30
         truth = json.load(open(str(tmp_path / "scene" / "truth.json")))
         assert len(truth["spheres"]) == 9
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_sigma_exit_code(self, tmp_path, value):
+        # --sigma nan used to exit 0 with the sweep of --sigma 0.
+        out = tmp_path / "s.csv"
+        result = run_cli("simulate", "--k", "2", "--sigma", value, "--out", str(out))
+        assert result.returncode == 2
+        assert "--sigma" in result.stderr
+        assert not out.exists()
+
+    def test_non_finite_config_sigma_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_cameras": 4, "n_tie_points": 12,
+                                        "sigma_px": math.nan}))
+        out = tmp_path / "s.csv"
+        result = run_cli("simulate", "--config", str(cfg_path), "--k", "2",
+                         "--out", str(out))
+        assert result.returncode == 2
+        assert "sigma" in result.stderr
+        assert not out.exists()

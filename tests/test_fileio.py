@@ -80,6 +80,18 @@ class TestNetworkFile:
         with pytest.raises(FileFormatError):
             load_network(path)
 
+    @pytest.mark.parametrize("key", ["views", "tie_points"])
+    @pytest.mark.parametrize("value", [None, 5, [None]])
+    def test_non_list_containers_rejected(self, network, tmp_path, key, value):
+        # These used to escape as TypeError/AttributeError tracebacks.
+        path = str(tmp_path / "net.json")
+        save_network(network, path)
+        data = json.load(open(path))
+        data[key] = value
+        open(path, "w").write(json.dumps(data))
+        with pytest.raises(FileFormatError, match=key):
+            load_network(path)
+
     def test_bad_json(self, tmp_path):
         path = str(tmp_path / "net.json")
         open(path, "w").write("{not json")
@@ -188,6 +200,13 @@ class TestSphereFile:
         with pytest.raises(FileFormatError, match="sphere entry"):
             load_spheres(path)
 
+    @pytest.mark.parametrize("value", [None, 5, [None]])
+    def test_non_list_spheres_rejected(self, tmp_path, value):
+        path = str(tmp_path / "s.json")
+        open(path, "w").write(json.dumps({"spheres": value}))
+        with pytest.raises(FileFormatError, match="spheres"):
+            load_spheres(path)
+
 
 PLY_TEXT = """ply
 format ascii 1.0
@@ -242,6 +261,18 @@ class TestPly:
                               "property float x\nproperty float y\nproperty float z\n"
                               "end_header\n1 2 3\n")
         with pytest.raises(FileFormatError, match="vertices"):
+            load_ply(path)
+
+    @pytest.mark.parametrize("line", ["element vertex", "element vertex many", "element",
+                                      "property float", "property"])
+    def test_rejects_malformed_header_line(self, tmp_path, line):
+        # Short lines used to raise IndexError, a non-integer count ValueError.
+        lines = PLY_TEXT.splitlines()
+        bad_index = 3 if line.startswith("element") else 4
+        lines[bad_index] = line
+        path = str(tmp_path / "bad.ply")
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="bad.ply"):
             load_ply(path)
 
     def test_integer_coordinates_promoted_to_double(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from spherefit import (
     project_sphere,
     tau,
     tau_jacobian,
-    tau_variance,
 )
 
 F, PX, PY = 1000.0, 500.0, 500.0
@@ -92,21 +92,31 @@ class TestTauJacobian:
             assert np.all(np.abs(jac - fd) / scale < 1e-6)
 
 
+def tau_variance(e, cov, iop_cov):
+    """The gate's first-order variance of tau, with ``cov`` on the ellipse."""
+    return classify_spherical(dataclasses.replace(e, cov=cov), F, PX, PY,
+                              iop_cov=iop_cov).sigma_tau ** 2
+
+
 class TestTauVariance:
     def test_zero_jacobian_gives_zero_variance(self):
-        assert tau_variance(np.zeros(7), np.eye(4), np.eye(3)) == 0.0
+        # At the principal point tau does not depend on the ellipse center
+        # or on (px, py); a covariance on those alone gives zero variance.
+        e = ellipse(120.0, 100.0, PX, PY)
+        assert tau_variance(e, np.diag([0.0, 0.0, 1.0, 1.0]),
+                            np.diag([1.0, 1.0, 0.0])) == 0.0
 
     def test_identity_covariance_gives_squared_norm(self):
-        jac = np.arange(1.0, 8.0)
-        assert math.isclose(tau_variance(jac, np.eye(4), np.eye(3)),
+        e = ellipse(120.0, 100.0, 700.0, 400.0)
+        jac = tau_jacobian(e, F, PX, PY)
+        assert math.isclose(tau_variance(e, np.eye(4), np.eye(3)),
                             float(jac @ jac), rel_tol=1e-12)
 
     def test_matches_monte_carlo_variance(self):
         sig = np.array([0.2, 0.2, 0.1, 0.1])
         params = np.array([120.0, 100.0, 700.0, 400.0])
         e = ellipse(*params)
-        var_lin = tau_variance(tau_jacobian(e, F, PX, PY), np.diag(sig ** 2),
-                               np.zeros((3, 3)))
+        var_lin = tau_variance(e, np.diag(sig ** 2), np.zeros((3, 3)))
         rng = np.random.default_rng(8)
         draws = rng.normal(0.0, 1.0, (1_000_000, 4)) * sig
         a = params[0] + draws[:, 0]
@@ -118,10 +128,11 @@ class TestTauVariance:
         assert abs(var_lin - taus.var()) <= 0.05 * taus.var()
 
     def test_rejects_indefinite_covariance(self):
+        e = ellipse(120.0, 100.0, 700.0, 400.0)
+        with pytest.raises(ValueError, match="cov"):  # checked where it is built
+            tau_variance(e, np.diag([1.0, 1.0, 1.0, -1.0]), np.zeros((3, 3)))
         with pytest.raises(InvalidCovariance):
-            tau_variance(np.ones(7), np.diag([1.0, 1.0, 1.0, -1.0]), np.zeros((3, 3)))
-        with pytest.raises(InvalidCovariance):
-            tau_variance(np.ones(7), np.eye(4), -np.eye(3))
+            tau_variance(e, np.eye(4), -np.eye(3))
 
     def test_symmetric_under_axis_exchange(self):
         rng = np.random.default_rng(11)
@@ -134,8 +145,8 @@ class TestTauVariance:
             swapped_cov[[2, 3]] = swapped_cov[[3, 2]]
             swapped_cov[:, [2, 3]] = swapped_cov[:, [3, 2]]
             e2 = ellipse(a, b, PX + dy, PY + dx)
-            v1 = tau_variance(tau_jacobian(e1, F, PX, PY), cov, np.zeros((3, 3)))
-            v2 = tau_variance(tau_jacobian(e2, F, PX, PY), swapped_cov, np.zeros((3, 3)))
+            v1 = tau_variance(e1, cov, np.zeros((3, 3)))
+            v2 = tau_variance(e2, swapped_cov, np.zeros((3, 3)))
             assert math.isclose(v1, v2, rel_tol=1e-12)
 
 
@@ -143,8 +154,8 @@ class TestClassify:
     def test_exact_silhouette_always_accepted(self):
         e = project_sphere(Sphere([2, 1, 15], 0.8, frame="camera"), F, PX, PY)
         for sigma in (0.01, 0.5, 5.0):
-            report = classify_spherical(e, F, PX, PY,
-                                        ellipse_cov=default_ellipse_cov(sigma))
+            report = classify_spherical(dataclasses.replace(e, cov=default_ellipse_cov(sigma)),
+                                        F, PX, PY)
             assert report.accepted
             assert abs(report.tau) < 1e-12
 
@@ -154,9 +165,8 @@ class TestClassify:
             default_ellipse_cov(sigma)
 
     def test_zero_tolerance_rejects_nonzero_tau(self):
-        e = ellipse(200.0, 100.0, PX, PY)  # tau = 0.5, exact covariances
-        report = classify_spherical(e, F, PX, PY, ellipse_cov=np.zeros((4, 4)),
-                                    iop_cov=np.zeros((3, 3)))
+        e = ellipse(200.0, 100.0, PX, PY, cov=np.zeros((4, 4)))  # tau = 0.5, exact
+        report = classify_spherical(e, F, PX, PY, iop_cov=np.zeros((3, 3)))
         assert report.sigma_tau == 0.0
         assert not report.accepted
 
@@ -198,9 +208,10 @@ class TestClassify:
                                      e.a_e, e.b_e, e.theta,
                                      cov=default_ellipse_cov(0.1))
         via_field = classify_spherical(wrapped, F, PX, PY)
-        via_arg = classify_spherical(e, F, PX, PY,
-                                     ellipse_cov=default_ellipse_cov(0.1))
-        assert via_field.sigma_tau == via_arg.sigma_tau
+        via_default = classify_view([e], F, PX, PY, default_sigma=0.1)[0]
+        assert via_field.sigma_tau == via_default.sigma_tau
+        # The observation's covariance wins over the default sigma.
+        assert classify_view([wrapped], F, PX, PY, default_sigma=5.0) == [via_field]
 
     def test_view_gate_equals_per_ellipse_reference(self):
         config = SceneConfig(n_cameras=6, placement="ring", clutter_per_image=10,
@@ -210,12 +221,13 @@ class TestClassify:
         fallback = default_ellipse_cov(0.7)
         accepted = 0
         for view in noisy.views:
-            observed = noisy.observations[view.image_id]
             # Half the rows keep their own covariance, half take the fallback.
+            observed = [e if i % 2 else dataclasses.replace(e, cov=None)
+                        for i, e in enumerate(noisy.observations[view.image_id])]
             covs = [e.cov if i % 2 else fallback for i, e in enumerate(observed)]
             for iop in (np.zeros((3, 3)), iop_cov):
                 reports = classify_view(observed, view.f, view.px, view.py,
-                                        ellipse_covs=covs, iop_cov=iop, k=2.0)
+                                        iop_cov=iop, k=2.0, default_sigma=0.7)
                 for e, cov, report in zip(observed, covs, reports):
                     t, sigma_tau, ok = reference_gate(e, view.f, view.px, view.py, cov, iop, 2.0)
                     assert report.accepted == ok
@@ -235,12 +247,16 @@ class TestClassify:
         assert classify_view([], F, PX, PY) == []
 
     def test_view_gate_checks_every_covariance(self):
+        # Ellipse covariances are checked when the observation is built
+        # (test_projection); the gate checks the raw IOP covariance and the
+        # default sigma, the latter even with no ellipses.
         good = ellipse(120.0, 100.0, 700.0, 400.0)
         with pytest.raises(InvalidCovariance):
-            classify_view([good, good], F, PX, PY,
-                          ellipse_covs=[np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
-        with pytest.raises(InvalidCovariance):
             classify_view([good], F, PX, PY, iop_cov=-np.eye(3))
+        with pytest.raises(InvalidCovariance):
+            classify_view([good], F, PX, PY, iop_cov=np.eye(2))
+        with pytest.raises(ValueError, match="sigma"):
+            classify_view([], F, PX, PY, default_sigma=math.nan)
 
     def test_rejects_nonpositive_threshold(self):
         e = ellipse(120.0, 100.0, 700.0, 400.0)

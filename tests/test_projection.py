@@ -227,6 +227,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="iop_cov"):
             CameraView("cam", 1000.0, 0.0, 0.0, np.eye(3), np.zeros(3), iop_cov=bad)
 
+    @pytest.mark.parametrize("cov", [
+        np.triu(np.ones((4, 4))),              # not symmetric
+        np.diag([1.0, 1.0, 1.0, -1.0]),        # indefinite
+        np.full((4, 4), math.nan)])            # non-finite
+    def test_rejects_invalid_ellipse_cov(self, cov):
+        # The only check an ellipse covariance gets: the gate trusts it.
+        with pytest.raises(ValueError, match="cov"):
+            EllipseObservation("", "e", 0.0, 0.0, 2.0, 1.0, 0.0, cov=cov)
+
     def test_rejects_swapped_axes(self):
         with pytest.raises(ValueError, match="semi-major"):
             EllipseObservation("", "e", 0.0, 0.0, 1.0, 2.0, 0.0)

@@ -156,6 +156,12 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb_observations(lab_scene, -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, [0.5, 0.5, math.nan, 0.5]])
+    def test_rejects_non_finite_sigma(self, lab_scene, sigma):
+        # NaN used to return the scene unchanged, as if sigma were 0.
+        with pytest.raises(ValueError, match="sigma"):
+            perturb_observations(lab_scene, sigma, 0)
+
 
 class TestPRmse:
     def test_exact_estimate(self):
