@@ -17,7 +17,6 @@ from .errors import (
     InvalidAnchor,
     InvalidCovariance,
     NoAdmissiblePair,
-    NoSharedPoints,
     SphereFitError,
     UnknownAnchor,
 )
@@ -46,8 +45,6 @@ from .netselect import (
     TiePoint,
     anchor_network,
     best_pair,
-    convergence_angle,
-    network_overlap,
 )
 from .pipeline import gate_views, reconstruct_gated, reconstruct_subset
 from .projection import (
@@ -98,14 +95,13 @@ __all__ = [
     "reconstruct_sphere", "reconstruct_tracks",
     "metric_scale", "apply_scale", "tau", "tau_jacobian",
     "classify_spherical", "classify_view", "default_ellipse_cov",
-    "convergence_angle",
-    "network_overlap", "best_pair", "anchor_network", "fundamental_from_views",
+    "best_pair", "anchor_network", "fundamental_from_views",
     "epipolar_distance", "reprojection_distance",
     "match_ellipses", "gate_views", "reconstruct_gated", "reconstruct_subset",
     "generate_scene", "perturb_observations", "p_rmse",
     "p_rmse_combined", "monte_carlo_views",
     "SphereFitError", "DegenerateProjection", "DegenerateGeometry",
     "EmptyInput", "InvalidAnchor", "UnknownAnchor", "InvalidCovariance",
-    "NoSharedPoints", "NoAdmissiblePair", "ConfigInfeasible",
+    "NoAdmissiblePair", "ConfigInfeasible",
     "DEFAULT_K", "DEFAULT_SIGMA_PX", "DEFAULT_MIN_ANGLE",
 ]

@@ -9,6 +9,7 @@ simulate report) is disabled unless --timing is passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -24,7 +25,6 @@ from .errors import (
     InvalidAnchor,
     InvalidCovariance,
     NoAdmissiblePair,
-    NoSharedPoints,
     UnknownAnchor,
 )
 from .match import match_ellipses
@@ -33,7 +33,7 @@ from .netselect import (
     ImageNetwork,
     anchor_network,
     best_pair,
-    convergence_angle,
+    pair_angles,
 )
 from .pipeline import gate_views, reconstruct_gated
 from .projection import projected_sphere_center
@@ -52,7 +52,7 @@ _PARSE_ERRORS = (fileio.FileFormatError, InvalidAnchor, UnknownAnchor,
                  InvalidCovariance, EmptyInput, ValueError, OSError,
                  json.JSONDecodeError)
 _DEGENERATE_ERRORS = (DegenerateGeometry, DegenerateProjection, ConfigInfeasible)
-_NO_RESULT_ERRORS = (NoAdmissiblePair, NoSharedPoints)
+_NO_RESULT_ERRORS = (NoAdmissiblePair,)
 
 
 def _positive(text: str) -> float:
@@ -100,21 +100,15 @@ def _gate_pair(args, network: ImageNetwork, ellipses, pair):
                              args.k_sigma, args.default_sigma_px)
 
 
-def _report_payload(reports) -> dict:
-    return {"ellipses": [
-        {"image_id": e.image_id, "ellipse_id": e.ellipse_id,
-         "tau": r.tau, "sigma_tau": r.sigma_tau, "k": r.k,
-         "accepted": r.accepted}
-        for e, r in reports]}
-
-
 def cmd_filter(args) -> int:
     network = fileio.load_network(args.cameras)
     ellipses = fileio.load_ellipses(args.ellipses)
     reports = _gate_file(args, network, ellipses)
     accepted = [e for e, report in reports if report.accepted]
     fileio.save_ellipses(accepted, args.out)
-    payload = _report_payload(reports)
+    payload = {"ellipses": [{"image_id": e.image_id, "ellipse_id": e.ellipse_id,
+                             "tau": r.tau, "sigma_tau": r.sigma_tau, "k": r.k,
+                             "accepted": r.accepted} for e, r in reports]}
     if args.report:
         fileio.atomic_write_text(args.report,
                                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -138,11 +132,10 @@ def _select_pair(args, network: ImageNetwork, ellipses=None):
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")
-    view_map = {v.image_id: v for v in network.views}
     rays = []
     for e, report in _gate_file(args, network, ellipses):
         if report.accepted:
-            view = view_map[e.image_id]
+            view = network.view(e.image_id)
             rays.append((view, projected_sphere_center(e, view.f, view.px, view.py)))
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
@@ -150,17 +143,11 @@ def _select_pair(args, network: ImageNetwork, ellipses=None):
     return best_pair(anchor_network(network.views, anchor), min_angle=min_angle)
 
 
-def _pair_payload(score) -> dict:
-    return {"i": score.i, "j": score.j,
-            "alpha_deg": math.degrees(score.alpha_ij),
-            "ov_i": score.ov_i, "ov_j": score.ov_j,
-            "score": score.theta_ij}
-
-
 def cmd_select_pair(args) -> int:
     network = fileio.load_network(args.cameras)
     score = _select_pair(args, network)
-    payload = _pair_payload(score)
+    payload = {"i": score.i, "j": score.j, "alpha_deg": math.degrees(score.alpha_ij),
+               "ov_i": score.ov_i, "ov_j": score.ov_j, "score": score.theta_ij}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         fileio.atomic_write_text(args.out, text + "\n")
@@ -181,15 +168,13 @@ def _resolve_pair(args, network: ImageNetwork, ellipses):
             if image_id not in view_ids:
                 raise fileio.FileFormatError(f"--pair references unknown image {image_id!r}")
         if network.tie_points:
-            try:
-                alpha = convergence_angle(network.view(ids[0]), network.view(ids[1]),
-                                          network.tie_points)
-                if alpha <= math.radians(args.min_angle_deg):
-                    _warn(f"explicit pair ({ids[0]},{ids[1]}) converges at only "
-                          f"{math.degrees(alpha):.1f} deg, below the "
-                          f"{args.min_angle_deg:.1f} deg floor; proceeding")
-            except NoSharedPoints:
+            alpha, shared, _ = pair_angles(network, ids)
+            if not shared[0, 1]:
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) shares no tie points")
+            elif alpha[0, 1] <= math.radians(args.min_angle_deg):
+                _warn(f"explicit pair ({ids[0]},{ids[1]}) converges at only "
+                      f"{math.degrees(alpha[0, 1]):.1f} deg, below the "
+                      f"{args.min_angle_deg:.1f} deg floor; proceeding")
         return ids[0], ids[1]
     score = _select_pair(args, network, ellipses)
     return score.i, score.j
@@ -220,29 +205,24 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
-class _Stage:
+@contextlib.contextmanager
+def _stage(name):
     """Prefixes any error escaping a pipeline stage with the stage name."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if (exc is not None and isinstance(exc, Exception)
-                and len(exc.args) == 1 and isinstance(exc.args[0], str)):
-            exc.args = (f"[{self.name}] {exc.args[0]}",)
-        return False
+    try:
+        yield
+    except Exception as exc:
+        if len(exc.args) == 1 and isinstance(exc.args[0], str):
+            exc.args = (f"[{name}] {exc.args[0]}",)
+        raise
 
 
 def cmd_reconstruct(args) -> int:
-    with _Stage("parse"):
+    with _stage("parse"):
         network = fileio.load_network(args.cameras)
         ellipses = fileio.load_ellipses(args.ellipses)
-    with _Stage("select-pair"):
+    with _stage("select-pair"):
         pair = _resolve_pair(args, network, ellipses)
-    with _Stage("gate+match"):
+    with _stage("gate+match"):
         views, gated = _gate_pair(args, network, ellipses, pair)
         models = reconstruct_gated(views, gated, tol=args.tol_px)
     report_map = {(image_id, e.ellipse_id): report

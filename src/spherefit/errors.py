@@ -31,10 +31,6 @@ class InvalidCovariance(SphereFitError):
     """A covariance matrix is not symmetric positive semi-definite."""
 
 
-class NoSharedPoints(SphereFitError):
-    """Two views share no tie points, so no convergence angle exists."""
-
-
 class NoAdmissiblePair(SphereFitError):
     """No image pair clears the minimum convergence-angle floor."""
 

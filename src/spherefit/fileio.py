@@ -58,6 +58,18 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _load_object(path: str, key: str) -> dict:
+    """The JSON object in ``path``, which must have a ``key`` entry."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict) or key not in data:
+        raise FileFormatError(f"{path}: expected an object with a {key!r} list")
+    return data
+
+
 def _object_list(path: str, key: str, value) -> list:
     """``value`` if it is a list of JSON objects, else FileFormatError."""
     if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
@@ -71,13 +83,7 @@ def load_network(path: str) -> ImageNetwork:
     """Parse a camera network file; validates the convention header and all
     view invariants (orthonormal rotation, positive focal length, PSD
     covariance)."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "views" not in data:
-        raise FileFormatError(f"{path}: expected an object with a 'views' list")
+    data = _load_object(path, "views")
     if data.get("convention") != CONVENTION:
         raise FileFormatError(
             f"{path}: missing or wrong 'convention' header; expected "
@@ -155,7 +161,7 @@ def _cov_from_columns(row: dict) -> Optional[np.ndarray]:
 
 def load_ellipses(path: str) -> list[EllipseObservation]:
     """Parse an ellipse CSV (mandatory header, optional covariance columns)."""
-    out = []
+    out = {}  # (image_id, ellipse_id) -> ellipse, in file order
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -164,16 +170,20 @@ def load_ellipses(path: str) -> list[EllipseObservation]:
         if missing:
             raise FileFormatError(f"{path}: missing columns {missing}")
         for line, row in enumerate(reader, start=2):
+            key = (row["image_id"], row["ellipse_id"])
+            if key in out:
+                raise FileFormatError(
+                    f"{path}:{line}: ellipse id {key[1]!r} repeats in image {key[0]!r}")
             try:
-                out.append(EllipseObservation(
+                out[key] = EllipseObservation(
                     image_id=row["image_id"], ellipse_id=row["ellipse_id"],
                     x_ce=float(row["x_ce"]), y_ce=float(row["y_ce"]),
                     a_e=float(row["a_e"]), b_e=float(row["b_e"]),
                     theta=float(row["theta_rad"]),
-                    cov=_cov_from_columns(row)))
+                    cov=_cov_from_columns(row))
             except (KeyError, TypeError, ValueError) as exc:
                 raise FileFormatError(f"{path}:{line}: {exc}") from exc
-    return out
+    return list(out.values())
 
 
 def save_ellipses(ellipses: Sequence[EllipseObservation], path: str) -> None:
@@ -229,13 +239,7 @@ def save_spheres(entries: Sequence[SphereEntry], path: str) -> None:
 
 
 def load_spheres(path: str) -> list[SphereEntry]:
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "spheres" not in data:
-        raise FileFormatError(f"{path}: expected an object with a 'spheres' list")
+    data = _load_object(path, "spheres")
     entries = []
     for item in _object_list(path, "spheres", data["spheres"]):
         try:

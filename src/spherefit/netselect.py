@@ -14,14 +14,13 @@ the best-covered image.  Pairs must clear a minimum convergence angle
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NoAdmissiblePair, NoSharedPoints
+from .errors import NoAdmissiblePair
 from .projection import CameraView, _require_finite
 
 DEFAULT_MIN_ANGLE = math.radians(20.0)
@@ -74,39 +73,37 @@ class PairScore:
     theta_ij: float
 
 
-def convergence_angle(view_i: CameraView, view_j: CameraView,
-                      tie_points: Iterable[TiePoint]) -> float:
-    """Mean angle (radians) subtended at shared tie points by the two centers."""
-    ci = view_i.center
-    cj = view_j.center
-    angles = []
-    for tp in tie_points:
-        if view_i.image_id not in tp.visible_in or view_j.image_id not in tp.visible_in:
-            continue
-        ri = ci - tp.xyz
-        rj = cj - tp.xyz
-        ni = np.linalg.norm(ri)
-        nj = np.linalg.norm(rj)
-        if ni <= 0.0 or nj <= 0.0:
-            continue  # tie point coincides with a camera center
-        cosang = float(np.clip(ri @ rj / (ni * nj), -1.0, 1.0))
-        angles.append(math.acos(cosang))
-    if not angles:
-        raise NoSharedPoints(
-            f"views {view_i.image_id!r} and {view_j.image_id!r} share no tie points")
-    return float(np.mean(angles))
+# Elements of one (tie points x views x views) block of ``pair_angles``:
+# 8 MB per float64 temporary up to 1,024 views, one tie point per block above.
+_BLOCK_ELEMENTS = 1 << 20
 
 
-def network_overlap(network: ImageNetwork) -> dict:
-    """Tie-point count per image, normalized so the best-covered image is 1."""
-    counts = {v.image_id: 0 for v in network.views}
-    for tp in network.tie_points:
-        for image_id in tp.visible_in:
-            counts[image_id] += 1
-    top = max(counts.values(), default=0)
-    if top <= 0:
-        raise ValueError("network has no tie points; overlap is undefined")
-    return {image_id: c / top for image_id, c in counts.items()}
+def pair_angles(network: ImageNetwork, ids: Sequence[str]):
+    """``(alpha, shared, seen)`` over the views ``ids``, in one array pass.
+
+    ``alpha[a, b]`` is the mean angle (radians) subtended by the centers of
+    ``ids[a]`` and ``ids[b]`` at the ``shared[a, b]`` tie points both see
+    (NaN if none); a tie point at a camera center gives that view no ray.
+    ``seen[a]`` counts the tie points ``ids[a]`` sees.
+    """
+    centers = np.array([network.view(image_id).center for image_id in ids])
+    points = np.array([tp.xyz for tp in network.tie_points]).reshape(-1, 3)
+    visible = np.array([[i in tp.visible_in for i in ids] for tp in network.tie_points],
+                       dtype=bool).reshape(len(points), len(ids))
+    total = np.zeros((len(ids), len(ids)))
+    shared = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // len(ids) ** 2)
+    for block in (slice(t, t + step) for t in range(0, len(points), step)):
+        rays = centers - points[block, None, :]
+        norms = np.sqrt(np.einsum("tvk,tvk->tv", rays, rays))
+        ok = visible[block] & (norms > 0.0)
+        both = ok[:, :, None] & ok[:, None, :]
+        cos = rays @ rays.transpose(0, 2, 1)
+        cos /= np.where(both, norms[:, :, None] * norms[:, None, :], 1.0)
+        total += np.where(both, np.arccos(np.clip(cos, -1.0, 1.0)), 0.0).sum(axis=0)
+        shared += both.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        return total / shared, shared, visible.sum(axis=0)
 
 
 def best_pair(network: ImageNetwork,
@@ -115,40 +112,36 @@ def best_pair(network: ImageNetwork,
 
     The normalizers are taken over all pairs (alpha_max) and all images
     (ov_max); admissibility requires alpha_ij strictly above ``min_angle``.
-    Ties are broken toward the lexicographically smallest (i, j).
+    Pairs that share no tie point are not scored.  Ties are broken toward
+    the lexicographically smallest (i, j).
     """
     if not 0.0 <= min_angle < math.inf:
         raise ValueError(f"minimum convergence angle must be finite and >= 0, got {min_angle}")
     if len(network.views) < 2:
         raise ValueError("need at least two views")
-    ov = network_overlap(network)
     ids = sorted(v.image_id for v in network.views)
-    alphas = {}
-    for i, j in itertools.combinations(ids, 2):
-        try:
-            alphas[(i, j)] = convergence_angle(
-                network.view(i), network.view(j), network.tie_points)
-        except NoSharedPoints:
-            continue
-    if not alphas:
+    alpha, shared, seen = pair_angles(network, ids)
+    if seen.max() <= 0:
+        raise ValueError("network has no tie points; overlap is undefined")
+    ov = seen / seen.max()
+    # Row-major over sorted ids: the pairs in lexicographic (i, j) order.
+    rows, cols = np.nonzero(np.triu(shared, 1))
+    if rows.size == 0:
         raise NoAdmissiblePair("no image pair shares tie points")
-    alpha_max = max(alphas.values())
+    alphas = alpha[rows, cols]
+    alpha_max = alphas.max()
     if alpha_max <= 0.0:
         raise NoAdmissiblePair("all pairwise convergence angles are zero")
-    ov_max = max(ov.values())
-    best = None
-    for (i, j), alpha in sorted(alphas.items()):
-        if alpha <= min_angle:
-            continue
-        score = alpha / alpha_max + (ov[i] + ov[j]) / (2.0 * ov_max)
-        if best is None or score > best.theta_ij:
-            best = PairScore(i=i, j=j, alpha_ij=alpha, ov_i=ov[i], ov_j=ov[j],
-                             theta_ij=score)
-    if best is None:
+    scores = alphas / alpha_max + (ov[rows] + ov[cols]) / (2.0 * ov.max())
+    admissible = np.flatnonzero(alphas > min_angle)
+    if admissible.size == 0:
         raise NoAdmissiblePair(
             f"no image pair exceeds the {math.degrees(min_angle):.1f} deg floor "
             f"(largest convergence angle found: {math.degrees(alpha_max):.2f} deg)")
-    return best
+    best = admissible[np.argmax(scores[admissible])]  # first maximum wins ties
+    a, b = rows[best], cols[best]
+    return PairScore(i=ids[a], j=ids[b], alpha_ij=float(alphas[best]),
+                     ov_i=float(ov[a]), ov_j=float(ov[b]), theta_ij=float(scores[best]))
 
 
 def anchor_network(views: Sequence[CameraView], anchor_xyz) -> ImageNetwork:

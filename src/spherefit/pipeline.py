@@ -34,11 +34,16 @@ def gate_views(views: Sequence[CameraView], observations: dict,
     ``observations`` maps image ids to ellipse lists.  Returns, for every
     view in ``views`` order, its (ellipse, report) pairs in input order.
     Ellipses without a covariance use ``default_sigma`` pixels on every
-    parameter; each view's ``iop_cov`` enters the variance of tau.
+    parameter; each view's ``iop_cov`` enters the variance of tau.  An
+    ellipse id may appear only once per view (``ValueError``).
     """
     gated = {}
     for view in views:
         observed = observations.get(view.image_id, [])
+        ids = [e.ellipse_id for e in observed]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"image {view.image_id!r} repeats ellipse id "
+                             f"{max(ids, key=ids.count)!r}")
         reports = classify_view(observed, view.f, view.px, view.py, iop_cov=view.iop_cov,
                                 k=k_sigma, default_sigma=default_sigma)
         gated[view.image_id] = list(zip(observed, reports))

@@ -93,15 +93,40 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SceneConfig":
+        """Config from parsed JSON; ``ValueError`` names the first key whose
+        value lacks the JSON type of its default (an integer may stand for
+        a float)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"scene config must be a JSON object, got {type(data).__name__}")
         cfg = cls()
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown scene config key {key!r}")
+            if not _same_kind(value, getattr(cfg, key)):
+                raise ValueError(f"scene config key {key!r} has the wrong type: {value!r}")
             setattr(cfg, key, value)
+        if not _is_xyz(cfg.look_at):
+            raise ValueError(f"scene config key 'look_at' must be 3 numbers, got {cfg.look_at!r}")
+        for entry in cfg.spheres:
+            if not (_same_kind(entry, []) and len(entry) == 3 and _same_kind(entry[0], "")
+                    and _is_xyz(entry[1]) and _same_kind(entry[2], 0.0)):
+                raise ValueError(f"scene config key 'spheres' needs [id, [x, y, z], radius] "
+                                 f"entries, got {entry!r}")
         cfg.spheres = [(sid, tuple(center), float(radius))
                        for sid, center, radius in cfg.spheres]
         cfg.look_at = tuple(cfg.look_at)
         return cfg
+
+
+def _same_kind(value, default) -> bool:
+    """Whether ``value`` has the JSON type of ``default``; no config value
+    is boolean."""
+    kinds = {int: int, float: (int, float), str: str}.get(type(default), (list, tuple))
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_xyz(value) -> bool:
+    return _same_kind(value, []) and len(value) == 3 and all(_same_kind(x, 0.0) for x in value)
 
 
 @dataclass

@@ -7,12 +7,14 @@ closest-approach midpoints from explicit 2x2 normal equations, and the
 gradient oracle uses central finite differences.
 
 The ``reference_*`` functions are scalar, one-item-at-a-time versions of
-the package's array kernels (two-view matching, sphere recovery and the
-per-view gate), kept as the references those kernels are checked against.
+the package's array kernels (two-view matching, sphere recovery, the
+per-view gate and pair scoring), kept as the references those kernels are
+checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +25,8 @@ from spherefit import (
     DegenerateProjection,
     MatchCandidate,
     MatchResult,
+    NoAdmissiblePair,
+    PairScore,
     Sphere,
     SphereModel,
     epipolar_distance,
@@ -274,3 +278,80 @@ def reference_gate(e, f, px, py, ellipse_cov, iop_cov, k):
     sigma_tau = math.sqrt(max(float(jac @ sigma @ jac), 0.0))
     tau = 1.0 - m
     return tau, sigma_tau, abs(tau) <= k * sigma_tau
+
+
+class NoSharedPoints(Exception):
+    """Two views share no usable tie point, so no convergence angle exists."""
+
+
+def reference_convergence_angle(view_i, view_j, tie_points) -> float:
+    """Mean angle (radians) subtended at shared tie points by the two
+    centers, one tie point at a time; a tie point at either center is
+    skipped."""
+    ci = view_i.center
+    cj = view_j.center
+    angles = []
+    for tp in tie_points:
+        if view_i.image_id not in tp.visible_in or view_j.image_id not in tp.visible_in:
+            continue
+        ri = ci - tp.xyz
+        rj = cj - tp.xyz
+        ni = np.linalg.norm(ri)
+        nj = np.linalg.norm(rj)
+        if ni <= 0.0 or nj <= 0.0:
+            continue
+        cosang = float(np.clip(ri @ rj / (ni * nj), -1.0, 1.0))
+        angles.append(math.acos(cosang))
+    if not angles:
+        raise NoSharedPoints(
+            f"views {view_i.image_id!r} and {view_j.image_id!r} share no tie points")
+    return float(np.mean(angles))
+
+
+def reference_network_overlap(network) -> dict:
+    """Tie-point count per image, normalized so the best-covered image is 1."""
+    counts = {v.image_id: 0 for v in network.views}
+    for tp in network.tie_points:
+        for image_id in tp.visible_in:
+            counts[image_id] += 1
+    top = max(counts.values(), default=0)
+    if top <= 0:
+        raise ValueError("network has no tie points; overlap is undefined")
+    return {image_id: c / top for image_id, c in counts.items()}
+
+
+def reference_best_pair(network, min_angle=math.radians(20.0)) -> PairScore:
+    """The per-pair scoring scan: one ``reference_convergence_angle`` per
+    image pair, then the first highest score in sorted (i, j) order."""
+    if not 0.0 <= min_angle < math.inf:
+        raise ValueError(f"minimum convergence angle must be finite and >= 0, got {min_angle}")
+    if len(network.views) < 2:
+        raise ValueError("need at least two views")
+    ov = reference_network_overlap(network)
+    ids = sorted(v.image_id for v in network.views)
+    alphas = {}
+    for i, j in itertools.combinations(ids, 2):
+        try:
+            alphas[(i, j)] = reference_convergence_angle(
+                network.view(i), network.view(j), network.tie_points)
+        except NoSharedPoints:
+            continue
+    if not alphas:
+        raise NoAdmissiblePair("no image pair shares tie points")
+    alpha_max = max(alphas.values())
+    if alpha_max <= 0.0:
+        raise NoAdmissiblePair("all pairwise convergence angles are zero")
+    ov_max = max(ov.values())
+    best = None
+    for (i, j), alpha in sorted(alphas.items()):
+        if alpha <= min_angle:
+            continue
+        score = alpha / alpha_max + (ov[i] + ov[j]) / (2.0 * ov_max)
+        if best is None or score > best.theta_ij:
+            best = PairScore(i=i, j=j, alpha_ij=alpha, ov_i=ov[i], ov_j=ov[j],
+                             theta_ij=score)
+    if best is None:
+        raise NoAdmissiblePair(
+            f"no image pair exceeds the {math.degrees(min_angle):.1f} deg floor "
+            f"(largest convergence angle found: {math.degrees(alpha_max):.2f} deg)")
+    return best

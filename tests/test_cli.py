@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -272,6 +273,24 @@ class TestReconstruct:
         assert result.returncode == 0
         assert "below" in result.stderr and "proceeding" in result.stderr
 
+    @pytest.mark.parametrize("command", ["filter", "reconstruct"])
+    def test_repeated_ellipse_id_exit_code(self, exported, tmp_path, command):
+        # Renaming ball-1 to ball-0 in two images used to reconstruct ball-1
+        # under ball-0's id and drop ball-0, with exit code 0.
+        root, _, noisy = exported
+        rows = [dataclasses.replace(e, ellipse_id="ball-0")
+                if e.image_id in ("img-02", "img-05") and e.ellipse_id == "ball-1" else e
+                for vid in sorted(noisy.observations) for e in noisy.observations[vid]]
+        renamed = tmp_path / "ellipses.csv"
+        save_ellipses(rows, str(renamed))
+        args = {"filter": ["--out", str(tmp_path / "kept.csv")],
+                "reconstruct": ["--pair", "img-05,img-02", "--out", str(tmp_path / "s.json")]}
+        result = run_cli(command, "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(renamed), *args[command])
+        assert result.returncode == 2
+        assert "ellipses.csv" in result.stderr and "ball-0" in result.stderr
+        assert not (tmp_path / "s.json").exists() and not (tmp_path / "kept.csv").exists()
+
     def test_unknown_pair_member(self, exported, tmp_path):
         root, _, _ = exported
         result = run_cli("reconstruct", "--cameras", str(root / "cameras.json"),
@@ -468,6 +487,20 @@ class TestSimulate:
         result = run_cli("simulate", "--k", "2", "--sigma", value, "--out", str(out))
         assert result.returncode == 2
         assert "--sigma" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, key", [({"spheres": None}, "spheres"),
+                                             ([], "object"),
+                                             ({"n_cameras": None}, "n_cameras")])
+    def test_mistyped_config_exit_code(self, tmp_path, config, key):
+        # Each of these used to end in a traceback and exit code 1.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        result = run_cli("simulate", "--config", str(cfg_path), "--k", "2",
+                         "--out", str(out))
+        assert result.returncode == 2
+        assert key in result.stderr and "Traceback" not in result.stderr
         assert not out.exists()
 
     def test_non_finite_config_sigma_exit_code(self, tmp_path):

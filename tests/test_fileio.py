@@ -123,6 +123,19 @@ class TestEllipseFile:
         assert np.array_equal(loaded[0].cov, cov)
         assert loaded[1].cov is None
 
+    def test_repeated_ids_rejected(self, tmp_path):
+        ellipses = [
+            EllipseObservation("img-0", "e0", 700.0, 400.0, 120.0, 100.0, 0.3),
+            EllipseObservation("img-1", "e0", 20.0, 30.0, 5.0, 4.0, -1.2),
+            EllipseObservation("img-0", "e0", 20.0, 30.0, 5.0, 4.0, -1.2),
+        ]
+        path = str(tmp_path / "e.csv")
+        save_ellipses(ellipses, path)
+        with pytest.raises(FileFormatError, match=r"e\.csv:4: .*'e0'.*'img-0'"):
+            load_ellipses(path)
+        save_ellipses(ellipses[:2], path)  # the same id in two images is fine
+        assert len(load_ellipses(path)) == 2
+
     def test_header_is_mandatory(self, tmp_path):
         path = str(tmp_path / "e.csv")
         open(path, "w").write("")

@@ -4,36 +4,82 @@ import math
 import numpy as np
 import pytest
 
-from oracles import look_at_view
+from oracles import (
+    NoSharedPoints,
+    look_at_view,
+    reference_best_pair,
+    reference_convergence_angle,
+    reference_network_overlap,
+)
 from spherefit import (
     CameraView,
     ImageNetwork,
     NoAdmissiblePair,
-    NoSharedPoints,
+    SceneConfig,
     TiePoint,
     anchor_network,
     best_pair,
-    convergence_angle,
-    network_overlap,
+    generate_scene,
 )
+from spherefit import netselect
+from spherefit.netselect import pair_angles
 
 
 def tie(xyz, *ids):
     return TiePoint(xyz=np.asarray(xyz, dtype=float), visible_in=frozenset(ids))
 
 
+def convergence_angle(a, b, ties, *others):
+    """alpha of the pair (a, b) from the array pass over a network of the
+    two views (and ``others``); NaN when they share no tie point."""
+    network = ImageNetwork([a, b, *others], ties)
+    alpha, _, _ = pair_angles(network, [a.image_id, b.image_id])
+    return alpha[0, 1]
+
+
+def network_overlap(network):
+    """Per-image overlap as best_pair normalizes it."""
+    ids = sorted(v.image_id for v in network.views)
+    _, _, seen = pair_angles(network, ids)
+    return dict(zip(ids, (seen / seen.max()).tolist()))
+
+
+def assert_matches_reference(network, rel=1e-12):
+    """Every pair's alpha within ``rel`` of the scalar reference, the same
+    shared-point verdicts, and the same chosen pair and score."""
+    ids = sorted(v.image_id for v in network.views)
+    alpha, shared, _ = pair_angles(network, ids)
+    for a, b in itertools.combinations(range(len(ids)), 2):
+        view_a, view_b = network.view(ids[a]), network.view(ids[b])
+        try:
+            expected = reference_convergence_angle(view_a, view_b, network.tie_points)
+        except NoSharedPoints:
+            assert shared[a, b] == 0 and math.isnan(alpha[a, b])
+            continue
+        assert shared[a, b] > 0
+        assert alpha[a, b] == alpha[b, a]
+        assert math.isclose(alpha[a, b], expected, rel_tol=rel), (ids[a], ids[b])
+    got, want = best_pair(network), reference_best_pair(network)
+    assert (got.i, got.j, got.ov_i, got.ov_j) == (want.i, want.j, want.ov_i, want.ov_j)
+    assert math.isclose(got.alpha_ij, want.alpha_ij, rel_tol=rel)
+    assert math.isclose(got.theta_ij, want.theta_ij, rel_tol=rel)
+
+
 class TestConvergenceAngle:
     def test_isoceles_geometry(self):
         a = look_at_view("a", [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         b = look_at_view("b", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        angle = convergence_angle(a, b, [tie([0.0, 0.0, 1.0], "a", "b")])
-        assert math.isclose(angle, 2.0 * math.atan(1.0), rel_tol=1e-12)
+        ties = [tie([0.0, 0.0, 1.0], "a", "b")]
+        for angle in (convergence_angle(a, b, ties), reference_convergence_angle(a, b, ties)):
+            assert math.isclose(angle, 2.0 * math.atan(1.0), rel_tol=1e-12)
 
     def test_coincident_centers_give_zero(self):
         rot_b = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         a = CameraView("a", 1000.0, 0.0, 0.0, np.eye(3), np.zeros(3))
         b = CameraView("b", 1000.0, 0.0, 0.0, rot_b, np.zeros(3))
-        assert convergence_angle(a, b, [tie([0.0, 0.0, 5.0], "a", "b")]) == 0.0
+        ties = [tie([0.0, 0.0, 5.0], "a", "b")]
+        assert convergence_angle(a, b, ties) == 0.0
+        assert reference_convergence_angle(a, b, ties) == 0.0
 
     def test_mean_over_shared_points_matches_enumeration(self):
         a = look_at_view("a", [-2.0, 0.0, 1.0], [0.0, 0.0, 0.0])
@@ -47,14 +93,41 @@ class TestConvergenceAngle:
             rb = b.center - p
             expected.append(math.acos(
                 float(ra @ rb) / (np.linalg.norm(ra) * np.linalg.norm(rb))))
-        assert math.isclose(convergence_angle(a, b, ties),
-                            float(np.mean(expected)), rel_tol=1e-12)
+        for angle in (convergence_angle(a, b, ties), reference_convergence_angle(a, b, ties)):
+            assert math.isclose(angle, float(np.mean(expected)), rel_tol=1e-12)
 
     def test_no_shared_points(self):
         a = look_at_view("a", [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         b = look_at_view("b", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        c = look_at_view("c", [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        ties = [tie([0.0, 0.0, 1.0], "a", "c")]
+        assert math.isnan(convergence_angle(a, b, ties, c))
         with pytest.raises(NoSharedPoints):
-            convergence_angle(a, b, [tie([0.0, 0.0, 1.0], "a", "c")])
+            reference_convergence_angle(a, b, ties)
+
+    def test_tie_point_at_a_camera_center_is_skipped(self):
+        a = look_at_view("a", [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        b = look_at_view("b", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        c = look_at_view("c", [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        ties = [tie(a.center, "a", "b", "c"), tie([0.0, 0.0, 1.0], "a", "b", "c")]
+        network = ImageNetwork([a, b, c], ties)
+        alpha, shared, seen = pair_angles(network, ["a", "b", "c"])
+        # The first point gives view a no ray: pairs with a keep one point.
+        assert shared[0, 1] == shared[0, 2] == 1 and shared[1, 2] == 2
+        assert seen.tolist() == [2, 2, 2]  # visibility still counts it
+        assert math.isclose(alpha[0, 1], 2.0 * math.atan(1.0), rel_tol=1e-12)
+        assert math.isclose(alpha[0, 1], reference_convergence_angle(a, b, ties),
+                            rel_tol=1e-12)
+        assert_matches_reference(network)
+
+    def test_only_point_at_a_camera_center_leaves_no_pair(self):
+        a = look_at_view("a", [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        b = look_at_view("b", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        network = ImageNetwork([a, b], [tie(b.center, "a", "b")])
+        assert math.isnan(convergence_angle(a, b, network.tie_points))
+        for select in (best_pair, reference_best_pair):
+            with pytest.raises(NoAdmissiblePair, match="no image pair shares tie points"):
+                select(network)
 
 
 class TestTiePoint:
@@ -69,14 +142,17 @@ class TestNetworkOverlap:
         views = [look_at_view(i, [float(k), 0.0, -3.0], [0, 0, 0])
                  for k, i in enumerate("abc")]
         ties = [tie([0.1 * j, 0.0, 0.0], "a", "b", "c") for j in range(4)]
-        ov = network_overlap(ImageNetwork(views, ties))
-        assert ov == {"a": 1.0, "b": 1.0, "c": 1.0}
+        network = ImageNetwork(views, ties)
+        assert network_overlap(network) == reference_network_overlap(network)
+        assert network_overlap(network) == {"a": 1.0, "b": 1.0, "c": 1.0}
 
     def test_image_with_no_points_scores_zero(self):
         views = [look_at_view(i, [float(k), 0.0, -3.0], [0, 0, 0])
                  for k, i in enumerate("abc")]
         ties = [tie([0.0, 0.0, 0.0], "a", "b")]
-        ov = network_overlap(ImageNetwork(views, ties))
+        network = ImageNetwork(views, ties)
+        ov = network_overlap(network)
+        assert ov == reference_network_overlap(network)
         assert ov["c"] == 0.0 and ov["a"] == 1.0
 
     def test_count_ratios(self):
@@ -87,14 +163,16 @@ class TestNetworkOverlap:
         ties += [tie([j * 0.01, 0.1, 0.0], "a", "c") for j in range(2)]
         ties += [tie([j * 0.01, 0.2, 0.0], "a", "b", "c") for j in range(3)]
         # counts: a=10, b=8, c=5
-        ov = network_overlap(ImageNetwork(views, ties))
-        assert ov == {"a": 1.0, "b": 0.8, "c": 0.5}
+        network = ImageNetwork(views, ties)
+        assert network_overlap(network) == reference_network_overlap(network)
+        assert network_overlap(network) == {"a": 1.0, "b": 0.8, "c": 0.5}
 
     def test_no_tie_points_is_an_error(self):
         views = [look_at_view(i, [float(k), 0.0, -3.0], [0, 0, 0])
                  for k, i in enumerate("ab")]
-        with pytest.raises(ValueError, match="tie points"):
-            network_overlap(ImageNetwork(views, []))
+        for select in (best_pair, reference_best_pair):
+            with pytest.raises(ValueError, match="tie points"):
+                select(ImageNetwork(views, []))
 
 
 class TestBestPair:
@@ -128,12 +206,12 @@ class TestBestPair:
         angles = [-50.0, -20.0, 0.0, 25.0, 55.0]
         network = self.rig(angles)
         got = best_pair(network)
-        ov = network_overlap(network)
+        ov = reference_network_overlap(network)
         scores = {}
         alphas = {}
         for i, j in itertools.combinations(sorted(v.image_id for v in network.views), 2):
-            alphas[(i, j)] = convergence_angle(network.view(i), network.view(j),
-                                               network.tie_points)
+            alphas[(i, j)] = reference_convergence_angle(network.view(i), network.view(j),
+                                                         network.tie_points)
         amax = max(alphas.values())
         for pair, alpha in alphas.items():
             if alpha > math.radians(20.0):
@@ -161,6 +239,8 @@ class TestBestPair:
     def test_angle_symmetry(self):
         network = self.rig([-30.0, 30.0])
         ties = network.tie_points
+        alpha, _, _ = pair_angles(network, ["v0", "v1"])
+        assert alpha[0, 1] == alpha[1, 0]
         ab = convergence_angle(network.view("v0"), network.view("v1"), ties)
         ba = convergence_angle(network.view("v1"), network.view("v0"), ties)
         assert abs(ab - ba) < 1e-12
@@ -172,12 +252,12 @@ class TestBestPair:
     def test_thirty_view_network_matches_enumeration(self, lab_scene):
         network = lab_scene.network
         got = best_pair(network)
-        ov = network_overlap(network)
+        ov = reference_network_overlap(network)
         alphas = {}
         for i, j in itertools.combinations(sorted(v.image_id for v in network.views), 2):
             try:
-                alphas[(i, j)] = convergence_angle(network.view(i), network.view(j),
-                                                   network.tie_points)
+                alphas[(i, j)] = reference_convergence_angle(network.view(i), network.view(j),
+                                                             network.tie_points)
             except NoSharedPoints:
                 continue
         amax = max(alphas.values())
@@ -206,3 +286,60 @@ class TestBestPair:
         assert all(network.view(v.image_id) is v for v in views)
         with pytest.raises(KeyError):
             network.view("nope")
+
+
+class TestArrayPass:
+    """best_pair's one array pass against the per-pair scalar reference."""
+
+    def test_lab_scene_matches_reference(self, lab_scene):
+        assert_matches_reference(lab_scene.network)
+
+    @pytest.mark.parametrize("placement", ["arc", "ring"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_scenes_match_reference(self, placement, seed):
+        scene = generate_scene(SceneConfig(placement=placement, seed=seed))
+        assert_matches_reference(scene.network)
+
+    def test_pair_without_shared_points_is_left_out(self):
+        views = [look_at_view(i, c, [0.0, 0.0, 0.0]) for i, c in
+                 [("a", [-3.0, 0.0, 1.0]), ("b", [3.0, 0.0, 1.0]),
+                  ("c", [0.0, -3.0, 1.0]), ("d", [0.0, 3.0, 1.0])]]
+        # a-b converge widely but share nothing with c or d.
+        ties = [tie([0.1 * k, 0.0, 0.0], "a", "b") for k in range(3)]
+        ties += [tie([0.0, 0.1 * k, 0.0], "c", "d") for k in range(2)]
+        network = ImageNetwork(views, ties)
+        _, shared, _ = pair_angles(network, ["a", "b", "c", "d"])
+        assert shared[0, 2] == shared[0, 3] == shared[1, 2] == shared[1, 3] == 0
+        got = best_pair(network)
+        assert (got.i, got.j) == ("a", "b")
+        assert_matches_reference(network)
+
+    def test_exact_score_tie_goes_to_smallest_pair(self):
+        # Two opposite pairs through one tie point: both converge at pi and
+        # score exactly 2.0; view order puts the larger pair first.
+        views = [look_at_view(i, c, [0.0, 0.0, 0.0]) for i, c in
+                 [("d", [1.0, 0.0, 0.0]), ("b", [-1.0, 0.0, 0.0]),
+                  ("c", [0.0, -1.0, 0.0]), ("a", [0.0, 1.0, 0.0])]]
+        ties = [tie([0.0, 0.0, 0.0], "a", "b", "c", "d")]
+        network = ImageNetwork(views, ties)
+        alpha, _, _ = pair_angles(network, ["a", "b", "c", "d"])
+        assert alpha[0, 2] == alpha[1, 3]  # (a, c) and (b, d) tie exactly
+        for select in (best_pair, reference_best_pair):
+            got = select(network)
+            assert (got.i, got.j) == ("a", "c") and got.theta_ij == 2.0
+
+    def test_blocks_give_the_one_block_result(self, monkeypatch):
+        scene = generate_scene(SceneConfig(n_cameras=12, n_tie_points=40, seed=3))
+        network = scene.network
+        ids = sorted(v.image_id for v in network.views)
+        whole = pair_angles(network, ids)
+        one = best_pair(network)
+        # 12 x 12 x 3: blocks of three tie points, the last one short.
+        monkeypatch.setattr(netselect, "_BLOCK_ELEMENTS", 3 * 12 * 12)
+        blocked = pair_angles(network, ids)
+        np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12)
+        np.testing.assert_array_equal(blocked[1], whole[1])
+        np.testing.assert_array_equal(blocked[2], whole[2])
+        many = best_pair(network)
+        assert (many.i, many.j, many.ov_i, many.ov_j) == (one.i, one.j, one.ov_i, one.ov_j)
+        assert math.isclose(many.theta_ij, one.theta_ij, rel_tol=1e-12)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spherefit import (
     CameraView,
@@ -27,6 +28,15 @@ class TestGateViews:
         for view in views:
             assert [e for e, _ in gated[view.image_id]] == observations[view.image_id]
             assert all(report.accepted for _, report in gated[view.image_id])
+
+    def test_repeated_ellipse_id_rejected(self):
+        scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
+        view = scene.views[1]
+        first, second = scene.observations[view.image_id][:2]
+        twin = EllipseObservation(view.image_id, first.ellipse_id, second.x_ce, second.y_ce,
+                                  second.a_e, second.b_e, second.theta)
+        with pytest.raises(ValueError, match=f"{view.image_id}.*{first.ellipse_id}"):
+            gate_views(scene.views, {view.image_id: [first, twin]})
 
     def test_default_sigma_covers_ellipses_without_covariance(self):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))

@@ -93,6 +93,26 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="unknown scene config key"):
             SceneConfig.from_dict({"n_camera": 5})
 
+    @pytest.mark.parametrize("data, match", [
+        ({"spheres": None}, "'spheres'"),
+        ({"spheres": [["ball", [0.0, 0.0], 0.1]]}, "'spheres'"),
+        ({"spheres": [[1, [0.0, 0.0, 0.0], 0.1]]}, "'spheres'"),
+        ([], "object"),
+        ({"n_cameras": None}, "'n_cameras'"),
+        ({"n_cameras": 4.0}, "'n_cameras'"),
+        ({"seed": True}, "'seed'"),
+        ({"f": "3000"}, "'f'"),
+        ({"placement": 3}, "'placement'"),
+        ({"look_at": [0.0, 0.0]}, "'look_at'"),
+    ])
+    def test_from_dict_rejects_mistyped_values(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            SceneConfig.from_dict(data)
+
+    def test_from_dict_accepts_integer_floats(self):
+        config = SceneConfig.from_dict({"camera_distance": 3, "look_at": [0, 0, 1]})
+        assert config.camera_distance == 3 and config.look_at == (0, 0, 1)
+
 
 class TestPerturb:
     def test_zero_sigma_is_identity(self, lab_scene):
