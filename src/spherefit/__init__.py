@@ -33,10 +33,10 @@ from .gate import (
 from .match import (
     MatchCandidate,
     MatchResult,
-    epipolar_distance,
+    ViewRecord,
     fundamental_from_views,
     match_ellipses,
-    reprojection_distance,
+    view_record,
 )
 from .netselect import (
     DEFAULT_MIN_ANGLE,
@@ -96,8 +96,8 @@ __all__ = [
     "metric_scale", "apply_scale", "tau", "tau_jacobian",
     "classify_spherical", "classify_view", "default_ellipse_cov",
     "best_pair", "anchor_network", "fundamental_from_views",
-    "epipolar_distance", "reprojection_distance",
-    "match_ellipses", "gate_views", "reconstruct_gated", "reconstruct_subset",
+    "ViewRecord", "view_record", "match_ellipses",
+    "gate_views", "reconstruct_gated", "reconstruct_subset",
     "generate_scene", "perturb_observations", "p_rmse",
     "p_rmse_combined", "monte_carlo_views",
     "SphereFitError", "DegenerateProjection", "DegenerateGeometry",

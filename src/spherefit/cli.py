@@ -27,7 +27,7 @@ from .errors import (
     NoAdmissiblePair,
     UnknownAnchor,
 )
-from .match import match_ellipses
+from .match import match_ellipses, view_record
 from .netselect import (
     DEFAULT_MIN_ANGLE,
     ImageNetwork,
@@ -184,12 +184,12 @@ def cmd_match(args) -> int:
     network = fileio.load_network(args.cameras)
     ellipses = fileio.load_ellipses(args.ellipses)
     pair = _resolve_pair(args, network, ellipses)
-    (view_l, view_k), gated = _gate_pair(args, network, ellipses, pair)
-    accepted_l, accepted_k = ([e for e, report in gated[view.image_id] if report.accepted]
-                              for view in (view_l, view_k))
-    result = match_ellipses(view_l, accepted_l, view_k, accepted_k, tol=args.tol_px)
+    views, gated = _gate_pair(args, network, ellipses, pair)
+    left, right = (view_record(view, [e for e, report in gated[view.image_id] if report.accepted])
+                   for view in views)
+    result = match_ellipses(left, right, tol=args.tol_px)
     payload = {
-        "pair": {"i": view_l.image_id, "j": view_k.image_id},
+        "pair": {"i": left.view.image_id, "j": right.view.image_id},
         "matches": [
             {"ellipse_l": m.ellipse_l, "ellipse_k": m.ellipse_k,
              "epipolar_distance_px": m.epipolar_distance,

@@ -12,14 +12,15 @@ The work is array maths over both views: the symmetric epipolar distances
 and their limits form one (n_l, n_k) matrix, every admissible pair goes
 through the batched two-view reconstruction of ``reconstruct`` in one call,
 and all hypotheses are reprojected with the silhouette closed form at once.
-Only the greedy one-to-one step loops, over the admissible pairs.
+Only the greedy one-to-one step loops, over the admissible pairs.  Each
+view enters as the ``ViewRecord`` that ``view_record`` builds once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .projection import (
     corrected_center,
     silhouette,
 )
-from .reconstruct import OK, _recover
+from .reconstruct import OK, _cameras, _recover
 
 # Not called here: bench/spans.py wraps these names in this module.
 from .projection import project_sphere_into_view  # noqa: F401
@@ -84,57 +85,39 @@ def fundamental_from_views(view_l: CameraView, view_k: CameraView) -> np.ndarray
     return f_mat / np.linalg.norm(f_mat)
 
 
-def epipolar_distance(fundamental: np.ndarray, point_l, point_k) -> float:
-    """Pixel distance of ``point_k`` from the epipolar line of ``point_l``."""
-    xl = np.append(np.asarray(point_l, dtype=float).reshape(2), 1.0)
-    xk = np.append(np.asarray(point_k, dtype=float).reshape(2), 1.0)
-    line = fundamental @ xl
-    norm = math.hypot(line[0], line[1])
-    if norm <= 0.0:
-        return math.inf
-    return abs(float(line @ xk)) / norm
+class ViewRecord(NamedTuple):
+    """One view's ellipses sorted by id, their (n, 4) parameters (x_ce, y_ce,
+    a_e, b_e), corrected centers (n, 2) and center sigmas (n,)."""
+
+    view: CameraView
+    ellipses: list[EllipseObservation]
+    params: np.ndarray
+    centers: np.ndarray
+    sigmas: np.ndarray
 
 
-def center_sigma(e: EllipseObservation) -> float:
-    """RMS center standard deviation from the ellipse covariance (0 if none)."""
-    if e.cov is None:
-        return 0.0
-    return math.sqrt(max(0.5 * float(e.cov[2, 2] + e.cov[3, 3]), 0.0))
+def _require_unique_ids(view: CameraView, ellipses: Sequence[EllipseObservation]) -> None:
+    ids = [e.ellipse_id for e in ellipses]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"image {view.image_id!r} repeats ellipse id "
+                         f"{max(ids, key=ids.count)!r}")
 
 
-def default_epipolar_tol(e_l: EllipseObservation, e_k: EllipseObservation) -> float:
-    """max(3 px, 2 * center sigma) over the two candidate ellipses."""
-    return max(DEFAULT_EPIPOLAR_TOL,
-               2.0 * max(center_sigma(e_l), center_sigma(e_k)))
-
-
-def reprojection_distance(observed: EllipseObservation,
-                          predicted: EllipseObservation) -> float:
-    """Euclidean distance over (x_ce, y_ce, a_e, b_e) in pixels.
-
-    The axis angle is excluded: it is numerically meaningless for the
-    near-circular silhouettes of on-axis spheres, and the four retained
-    parameters share pixel units.
-    """
-    if observed.image_id and predicted.image_id and observed.image_id != predicted.image_id:
-        raise ValueError(
-            f"cannot compare ellipses across images {observed.image_id!r} "
-            f"and {predicted.image_id!r}")
-    return math.sqrt((observed.x_ce - predicted.x_ce) ** 2
-                     + (observed.y_ce - predicted.y_ce) ** 2
-                     + (observed.a_e - predicted.a_e) ** 2
-                     + (observed.b_e - predicted.b_e) ** 2)
-
-
-def _view_arrays(view: CameraView, ellipses: Sequence[EllipseObservation]):
-    """Ellipses sorted by id, their (n, 4) parameters (x_ce, y_ce, a_e, b_e),
-    corrected centers (n, 2) and center sigmas (n,)."""
+def view_record(view: CameraView, ellipses: Sequence[EllipseObservation]) -> ViewRecord:
+    """The ``ViewRecord`` of ``ellipses`` in ``view``, built once per view.
+    Raises ValueError for a repeated ellipse id, or for an ellipse tagged
+    with another image; the center sigma is 0 for an ellipse without cov."""
+    _require_unique_ids(view, ellipses)
+    for e in ellipses:
+        if e.image_id not in ("", view.image_id):
+            raise ValueError(f"ellipse {e.ellipse_id!r} of image {e.image_id!r} "
+                             f"given for image {view.image_id!r}")
     ordered = sorted(ellipses, key=lambda e: e.ellipse_id)
     params = np.array([(e.x_ce, e.y_ce, e.a_e, e.b_e) for e in ordered]).reshape(-1, 4)
     centers = np.stack(corrected_center(params[:, 0], params[:, 1], params[:, 3],
                                         view.f, view.px, view.py), axis=-1)
-    sigmas = np.array([center_sigma(e) for e in ordered])
-    return ordered, params, centers, sigmas
+    var = np.array([0.0 if e.cov is None else e.cov[2, 2] + e.cov[3, 3] for e in ordered])
+    return ViewRecord(view, ordered, params, centers, np.sqrt(np.maximum(0.5 * var, 0.0)))
 
 
 def _line_distances(lines: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -145,8 +128,7 @@ def _line_distances(lines: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.where(norm[:, None] > 0.0, dist, math.inf)
 
 
-def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
-                   view_k: CameraView, ellipses_k: Sequence[EllipseObservation],
+def match_ellipses(left: ViewRecord, right: ViewRecord,
                    tol: Optional[float] = None) -> MatchResult:
     """One-to-one matching of gate-filtered ellipses between two views.
 
@@ -159,38 +141,33 @@ def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
     """
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"epipolar tolerance must be positive and finite, got {tol} px")
-    f_lk = fundamental_from_views(view_l, view_k)
-    ordered_l, par_l, cen_l, sig_l = _view_arrays(view_l, ellipses_l)
-    ordered_k, par_k, cen_k, sig_k = _view_arrays(view_k, ellipses_k)
-    hom_l = np.hstack([cen_l, np.ones((len(cen_l), 1))])
-    hom_k = np.hstack([cen_k, np.ones((len(cen_k), 1))])
-    epi = np.maximum(_line_distances(hom_l @ f_lk.T, cen_k),
-                     _line_distances(hom_k @ f_lk, cen_l).T)
+    f_lk = fundamental_from_views(left.view, right.view)
+    hom_l = np.hstack([left.centers, np.ones((len(left.centers), 1))])
+    hom_k = np.hstack([right.centers, np.ones((len(right.centers), 1))])
+    epi = np.maximum(_line_distances(hom_l @ f_lk.T, right.centers),
+                     _line_distances(hom_k @ f_lk, left.centers).T)
     if tol is None:
-        limit = np.maximum(DEFAULT_EPIPOLAR_TOL, 2.0 * np.maximum.outer(sig_l, sig_k))
+        limit = np.maximum(DEFAULT_EPIPOLAR_TOL, 2.0 * np.maximum.outer(left.sigmas, right.sigmas))
     else:
         limit = tol
     il, ik = np.nonzero(epi <= limit)
 
-    obs = np.stack([par_l[il], par_k[ik]], axis=1)  # (m, 2, 4)
-    views = (view_l, view_k)
-    iop = np.array([(v.f, v.px, v.py) for v in views])
-    rec = _recover(iop[:, 0], iop[:, 1], iop[:, 2],
-                   np.array([v.rot for v in views]), np.array([v.t for v in views]),
-                   obs[..., 0], obs[..., 1], obs[..., 3])  # x_ce, y_ce, b_e
+    obs = np.stack([left.params[il], right.params[ik]], axis=1)  # (m, 2, 4)
+    f, px, py, rot, t = _cameras((left.view, right.view))
+    rec = _recover(f, px, py, rot, t, obs[..., 0], obs[..., 1], obs[..., 3])  # x_ce, y_ce, b_e
     cam = rec.cam
     radius = rec.radius[:, None]
     clears = (rec.reason == OK)[:, None] & (cam[..., 2] > radius * (1.0 + DEPTH_MARGIN))
     with np.errstate(divide="ignore", invalid="ignore"):
         pred = np.stack(silhouette(cam[..., 0], cam[..., 1], cam[..., 2], radius,
-                                   iop[:, 0], iop[:, 1], iop[:, 2]), axis=-1)
+                                   f, px, py), axis=-1)
     total = np.sqrt(((obs - pred) ** 2).sum(axis=-1)).sum(axis=1)
     keep = np.flatnonzero(clears.all(axis=1))
 
     # Ellipses are sorted by id, so ordering by index breaks ties by id.
     order = keep[np.lexsort((ik[keep], il[keep], total[keep]))]
-    used_l = np.zeros(len(ordered_l), dtype=bool)
-    used_k = np.zeros(len(ordered_k), dtype=bool)
+    used_l = np.zeros(len(left.ellipses), dtype=bool)
+    used_k = np.zeros(len(right.ellipses), dtype=bool)
     matches = []
     for row in order.tolist():
         i, j = il[row], ik[row]
@@ -198,8 +175,8 @@ def match_ellipses(view_l: CameraView, ellipses_l: Sequence[EllipseObservation],
             continue
         used_l[i] = used_k[j] = True
         matches.append(MatchCandidate(
-            ellipse_l=ordered_l[i].ellipse_id, ellipse_k=ordered_k[j].ellipse_id,
+            ellipse_l=left.ellipses[i].ellipse_id, ellipse_k=right.ellipses[j].ellipse_id,
             epipolar_distance=float(epi[i, j]), reprojection_distance=float(total[row])))
-    unmatched_l = sorted(e.ellipse_id for e, used in zip(ordered_l, used_l) if not used)
-    unmatched_k = sorted(e.ellipse_id for e, used in zip(ordered_k, used_k) if not used)
+    unmatched_l = [e.ellipse_id for e, used in zip(left.ellipses, used_l) if not used]
+    unmatched_k = [e.ellipse_id for e, used in zip(right.ellipses, used_k) if not used]
     return MatchResult(matches=matches, unmatched_l=unmatched_l, unmatched_k=unmatched_k)

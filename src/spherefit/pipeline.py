@@ -21,7 +21,7 @@ import itertools
 from typing import Optional, Sequence
 
 from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, GateReport, classify_view
-from .match import match_ellipses
+from .match import _require_unique_ids, match_ellipses, view_record
 from .projection import CameraView, EllipseObservation
 from .reconstruct import SphereModel, reconstruct_tracks
 
@@ -40,10 +40,7 @@ def gate_views(views: Sequence[CameraView], observations: dict,
     gated = {}
     for view in views:
         observed = observations.get(view.image_id, [])
-        ids = [e.ellipse_id for e in observed]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"image {view.image_id!r} repeats ellipse id "
-                             f"{max(ids, key=ids.count)!r}")
+        _require_unique_ids(view, observed)
         reports = classify_view(observed, view.f, view.px, view.py, iop_cov=view.iop_cov,
                                 k=k_sigma, default_sigma=default_sigma)
         gated[view.image_id] = list(zip(observed, reports))
@@ -93,23 +90,20 @@ def reconstruct_gated(views: Sequence[CameraView], gated: dict,
     """Match the accepted ellipses of every view pair, merge the matches
     into tracks and recover one sphere per track.
 
-    ``gated`` is the output of ``gate_views`` for ``views``.  Returns
+    ``gated`` is the output of ``gate_views`` for ``views``; each view's
+    accepted ellipses become one ``ViewRecord`` for both steps.  Returns
     (track, model) pairs, where a track maps image ids to ellipse ids;
     tracks whose geometry degenerates are dropped.
     """
-    accepted = {view.image_id: [e for e, report in gated[view.image_id] if report.accepted]
-                for view in views}
+    records = [view_record(view, [e for e, report in gated[view.image_id] if report.accepted])
+               for view in views]
     pair_matches = []
-    for view_l, view_k in itertools.combinations(views, 2):
-        result = match_ellipses(view_l, accepted[view_l.image_id],
-                                view_k, accepted[view_k.image_id], tol=tol)
-        pair_matches.extend((m.reprojection_distance, view_l.image_id, view_k.image_id,
-                             m.ellipse_l, m.ellipse_k) for m in result.matches)
-    ellipse_map = {(vid, e.ellipse_id): e for vid, kept in accepted.items() for e in kept}
+    for left, right in itertools.combinations(records, 2):
+        pair_matches.extend((m.reprojection_distance, left.view.image_id, right.view.image_id,
+                             m.ellipse_l, m.ellipse_k)
+                            for m in match_ellipses(left, right, tol=tol).matches)
     tracks = [track for track in _merge_tracks(pair_matches) if len(track) >= 2]
-    models = reconstruct_tracks([[(view, ellipse_map[(view.image_id, track[view.image_id])])
-                                  for view in views if view.image_id in track]
-                                 for track in tracks])
+    models = reconstruct_tracks(records, tracks)
     return [(track, model) for track, model in zip(tracks, models) if model is not None]
 
 

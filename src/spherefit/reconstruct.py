@@ -121,15 +121,11 @@ def _recover(f, px, py, rot, t, x_ce, y_ce, b_e) -> _Recovery:
                      spread=spread, residual=residual, reason=reason)
 
 
-def _stack(rows: Sequence[Sequence[tuple[CameraView, EllipseObservation]]]):
-    """Kernel arguments for m rows of n (view, ellipse) pairs each."""
-    m, n = len(rows), len(rows[0])
-    pairs = [pair for row in rows for pair in row]
-    iop = np.array([(v.f, v.px, v.py) for v, _ in pairs]).reshape(m, n, 3)
-    ell = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in pairs]).reshape(m, n, 3)
-    rot = np.array([v.rot for v, _ in pairs]).reshape(m, n, 3, 3)
-    t = np.array([v.t for v, _ in pairs]).reshape(m, n, 3)
-    return iop[..., 0], iop[..., 1], iop[..., 2], rot, t, ell[..., 0], ell[..., 1], ell[..., 2]
+def _cameras(views: Sequence[CameraView]):
+    """Kernel camera arguments of n views: f, px, py, rot and t."""
+    iop = np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3)
+    return (iop[:, 0], iop[:, 1], iop[:, 2], np.array([v.rot for v in views]).reshape(-1, 3, 3),
+            np.array([v.t for v in views]).reshape(-1, 3))
 
 
 def _model(rec: _Recovery, row: int, image_ids: Sequence[str]) -> SphereModel:
@@ -157,13 +153,9 @@ def triangulate_center(observations: Sequence[tuple[CameraView, np.ndarray]]) ->
     """
     if len(observations) < 2:
         raise ValueError("triangulation needs at least two views")
-    views = [v for v, _ in observations]
-    iop = np.array([(v.f, v.px, v.py) for v in views])
     pixels = np.array([np.asarray(p, dtype=float).reshape(2) for _, p in observations])
     with np.errstate(divide="ignore", invalid="ignore"):
-        center, reason = _triangulate(iop[:, 0], iop[:, 1], iop[:, 2],
-                                      np.array([v.rot for v in views]),
-                                      np.array([v.t for v in views]),
+        center, reason = _triangulate(*_cameras([v for v, _ in observations]),
                                       pixels[None, :, 0], pixels[None, :, 1])
     _raise_if_degenerate(int(reason[0]))
     return center[0]
@@ -181,7 +173,8 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]])
     """
     if len(matched) < 2:
         raise ValueError("sphere reconstruction needs at least two views")
-    rec = _recover(*_stack([matched]))
+    ell = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in matched]).T[:, None]  # 3 x (1, n)
+    rec = _recover(*_cameras([v for v, _ in matched]), *ell)
     reason = int(rec.reason[0])
     _raise_if_degenerate(reason)
     if reason == BEHIND_CAMERA:
@@ -191,22 +184,32 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]])
     return _model(rec, 0, [v.image_id for v, _ in matched])
 
 
-def reconstruct_tracks(tracks: Sequence[Sequence[tuple[CameraView, EllipseObservation]]],
+def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
                        ) -> list[Optional[SphereModel]]:
     """``reconstruct_sphere`` for many tracks at once, one kernel pass per
-    track length.  Returns one model per track, None where the track's
-    geometry degenerates."""
+    track length.  A track maps image ids to ellipse ids, picked by row out of
+    the views' ``match.ViewRecord``s in ``records`` order.  Returns one model
+    per track, None where the track's geometry degenerates."""
+    image_ids = [r.view.image_id for r in records]
+    f, px, py, rot, t = _cameras([r.view for r in records])
+    params = np.concatenate([np.empty((0, 4))] + [r.params for r in records])
+    keys = [(v, e.ellipse_id) for v, r in enumerate(records) for e in r.ellipses]
+    rows = {key: row for row, key in enumerate(keys)}  # key -> row of params
+    picks = [[(v, rows[v, track[i]]) for v, i in enumerate(image_ids) if i in track]
+             for track in tracks]
     models: list[Optional[SphereModel]] = [None] * len(tracks)
     by_length: dict = {}
-    for index, track in enumerate(tracks):
-        if len(track) < 2:
+    for index, pick in enumerate(picks):
+        if len(pick) < 2:
             raise ValueError("sphere reconstruction needs at least two views")
-        by_length.setdefault(len(track), []).append(index)
+        by_length.setdefault(len(pick), []).append(index)
     for indices in by_length.values():
-        rec = _recover(*_stack([tracks[i] for i in indices]))
+        pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in params
+        v, ell = pick[..., 0], params[pick[..., 1]]
+        rec = _recover(f[v], px[v], py[v], rot[v], t[v], ell[..., 0], ell[..., 1], ell[..., 3])
         for row, index in enumerate(indices):
             if rec.reason[row] == OK:
-                models[index] = _model(rec, row, [v.image_id for v, _ in tracks[index]])
+                models[index] = _model(rec, row, [image_ids[j] for j, _ in picks[index]])
     return models
 
 

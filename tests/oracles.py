@@ -9,7 +9,9 @@ gradient oracle uses central finite differences.
 The ``reference_*`` functions are scalar, one-item-at-a-time versions of
 the package's array kernels (two-view matching, sphere recovery, the
 per-view gate and pair scoring), kept as the references those kernels are
-checked against.
+checked against.  The scalar matching distances (``epipolar_distance``,
+``reprojection_distance``, ``center_sigma`` and ``default_epipolar_tol``)
+live here for the same reason: the package computes them as arrays.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ from spherefit import (
     PairScore,
     Sphere,
     SphereModel,
-    epipolar_distance,
     fundamental_from_views,
     project_sphere_into_view,
     projected_sphere_center,
-    reprojection_distance,
 )
-from spherefit.match import default_epipolar_tol
+from spherefit.match import DEFAULT_EPIPOLAR_TOL
 
 
 def look_at_view(image_id, camera_center, target, f=1000.0, px=500.0, py=500.0,
@@ -221,6 +221,46 @@ def reference_reconstruct_sphere(matched):
                        per_view_radii=per_view,
                        radius_spread=max(abs(r - radius) for _, r in per_view),
                        triangulation_residual=math.sqrt(np.mean(squared)))
+
+
+def epipolar_distance(fundamental, point_l, point_k) -> float:
+    """Pixel distance of ``point_k`` from the epipolar line of ``point_l``."""
+    xl = np.append(np.asarray(point_l, dtype=float).reshape(2), 1.0)
+    xk = np.append(np.asarray(point_k, dtype=float).reshape(2), 1.0)
+    line = fundamental @ xl
+    norm = math.hypot(line[0], line[1])
+    if norm <= 0.0:
+        return math.inf
+    return abs(float(line @ xk)) / norm
+
+
+def center_sigma(e) -> float:
+    """RMS center standard deviation from the ellipse covariance (0 if none)."""
+    if e.cov is None:
+        return 0.0
+    return math.sqrt(max(0.5 * float(e.cov[2, 2] + e.cov[3, 3]), 0.0))
+
+
+def default_epipolar_tol(e_l, e_k) -> float:
+    """max(3 px, 2 * center sigma) over the two candidate ellipses."""
+    return max(DEFAULT_EPIPOLAR_TOL, 2.0 * max(center_sigma(e_l), center_sigma(e_k)))
+
+
+def reprojection_distance(observed, predicted) -> float:
+    """Euclidean distance over (x_ce, y_ce, a_e, b_e) in pixels.
+
+    The axis angle is excluded: it is numerically meaningless for the
+    near-circular silhouettes of on-axis spheres, and the four retained
+    parameters share pixel units.
+    """
+    if observed.image_id and predicted.image_id and observed.image_id != predicted.image_id:
+        raise ValueError(
+            f"cannot compare ellipses across images {observed.image_id!r} "
+            f"and {predicted.image_id!r}")
+    return math.sqrt((observed.x_ce - predicted.x_ce) ** 2
+                     + (observed.y_ce - predicted.y_ce) ** 2
+                     + (observed.a_e - predicted.a_e) ** 2
+                     + (observed.b_e - predicted.b_e) ** 2)
 
 
 def reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k, tol=None):

@@ -16,6 +16,7 @@ from spherefit import (
     match_ellipses,
     perturb_observations,
     reconstruct_sphere,
+    view_record,
 )
 from spherefit.fileio import (
     load_ellipses,
@@ -341,7 +342,8 @@ class TestReconstruct:
             if classify_spherical(e, view.f, view.px, view.py,
                                   iop_cov=view.iop_cov, k=2.0).accepted:
                 gated[e.image_id].append(e)
-        matches = match_ellipses(view_l, gated[score.i], view_k, gated[score.j])
+        matches = match_ellipses(view_record(view_l, gated[score.i]),
+                                 view_record(view_k, gated[score.j]))
         by_id = {(e.image_id, e.ellipse_id): e for e in ellipses}
         expected = {}
         for m in matches.matches:

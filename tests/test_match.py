@@ -1,9 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oracles import look_at_view, reference_match_ellipses, reference_reconstruct_sphere
+from oracles import (
+    center_sigma,
+    epipolar_distance,
+    look_at_view,
+    reference_match_ellipses,
+    reference_reconstruct_sphere,
+    reprojection_distance,
+)
 from spherefit import (
     CameraView,
     DegenerateGeometry,
@@ -13,14 +21,15 @@ from spherefit import (
     best_pair,
     generate_scene,
     perturb_observations,
-    epipolar_distance,
     fundamental_from_views,
+    gate_views,
     match_ellipses,
     project_point,
     project_sphere_into_view,
+    projected_sphere_center,
     reconstruct_sphere,
-    reprojection_distance,
     tau,
+    view_record,
 )
 
 
@@ -92,7 +101,8 @@ class TestEpipolarCandidates:
         views, spheres, obs = nine_sphere_rig()
         for e_l in obs["l"]:
             true_match = [e for e in obs["k"] if e.ellipse_id == e_l.ellipse_id]
-            result = match_ellipses(views[0], [e_l], views[1], true_match, tol=3.0)
+            result = match_ellipses(view_record(views[0], [e_l]),
+                                    view_record(views[1], true_match), tol=3.0)
             assert len(result.matches) == 1
             assert result.matches[0].epipolar_distance < 1e-9
 
@@ -103,7 +113,8 @@ class TestEpipolarCandidates:
         shifted = EllipseObservation(e_k.image_id, e_k.ellipse_id,
                                      e_k.x_ce, e_k.y_ce + 50.0,
                                      e_k.a_e, e_k.b_e, e_k.theta)
-        result = match_ellipses(views[0], [e_l], views[1], [shifted], tol=3.0)
+        result = match_ellipses(view_record(views[0], [e_l]),
+                                view_record(views[1], [shifted]), tol=3.0)
         assert result.matches == []
         assert result.unmatched_k == [shifted.ellipse_id]
 
@@ -124,8 +135,8 @@ class TestEpipolarCandidates:
                 return EllipseObservation(e.image_id, e.ellipse_id,
                                           e.x_ce + dx, e.y_ce + dy, a, b, e.theta)
 
-            result = match_ellipses(views[0], [jitter(e_l)], views[1], [jitter(e_k)],
-                                    tol=3.0)
+            result = match_ellipses(view_record(views[0], [jitter(e_l)]),
+                                    view_record(views[1], [jitter(e_k)]), tol=3.0)
             retained += bool(result.matches)
         assert retained / trials >= 0.99
 
@@ -149,10 +160,44 @@ class TestReprojectionDistance:
             reprojection_distance(self.e(0, 0, 30, 20), other)
 
 
+class TestViewRecord:
+    def test_arrays_follow_sorted_ids(self, lab_scene):
+        view = lab_scene.views[0]
+        ellipses = perturb_observations(lab_scene, 0.5, 7).observations[view.image_id][::-1]
+        record = view_record(view, ellipses)
+        ordered = sorted(ellipses, key=lambda e: e.ellipse_id)
+        assert record.ellipses == ordered
+        for e, params, center, sigma in zip(ordered, record.params, record.centers,
+                                            record.sigmas):
+            assert params.tolist() == [e.x_ce, e.y_ce, e.a_e, e.b_e]
+            assert np.allclose(center, projected_sphere_center(e, view.f, view.px, view.py),
+                               rtol=0.0, atol=1e-9)
+            assert sigma == center_sigma(e) > 0.0
+
+    def test_repeated_ellipse_id_rejected(self):
+        scene = generate_scene(SceneConfig(seed=1))
+        view = scene.view("img-00")
+        ellipses = scene.observations["img-00"]
+        twice = ellipses + [next(e for e in ellipses if e.ellipse_id == "ball-0")]
+        with pytest.raises(ValueError) as raised:
+            view_record(view, twice)
+        assert str(raised.value) == "image 'img-00' repeats ellipse id 'ball-0'"
+        with pytest.raises(ValueError) as gated:
+            gate_views([view], {"img-00": twice})
+        assert str(gated.value) == str(raised.value)
+
+    def test_ellipses_of_another_image_rejected(self):
+        scene = generate_scene(SceneConfig(seed=1))
+        with pytest.raises(ValueError, match="'img-05'.*'img-00'"):
+            view_record(scene.view("img-00"), scene.observations["img-05"])
+        untagged = [dataclasses.replace(e, image_id="") for e in scene.observations["img-05"]]
+        assert len(view_record(scene.view("img-05"), untagged).ellipses) == len(untagged)
+
+
 class TestMatchEllipses:
     def test_zero_noise_matches_all_nine(self):
         views, spheres, obs = nine_sphere_rig()
-        result = match_ellipses(views[0], obs["l"], views[1], obs["k"])
+        result = match_ellipses(view_record(views[0], obs["l"]), view_record(views[1], obs["k"]))
         assert len(result.matches) == 9
         assert result.unmatched_l == result.unmatched_k == []
         for m in result.matches:
@@ -163,7 +208,8 @@ class TestMatchEllipses:
     def test_rejects_invalid_tolerance(self, tol):
         views, _, obs = nine_sphere_rig()
         with pytest.raises(ValueError, match="tolerance"):
-            match_ellipses(views[0], obs["l"], views[1], obs["k"], tol=tol)
+            match_ellipses(view_record(views[0], obs["l"]), view_record(views[1], obs["k"]),
+                           tol=tol)
 
     def test_true_pairs_beat_false_pairs(self):
         views, spheres, obs = nine_sphere_rig()
@@ -171,7 +217,8 @@ class TestMatchEllipses:
         false_best = math.inf
         for e_l in obs["l"]:
             for e_k in obs["k"]:
-                single = match_ellipses(views[0], [e_l], views[1], [e_k], tol=1e9)
+                single = match_ellipses(view_record(views[0], [e_l]),
+                                        view_record(views[1], [e_k]), tol=1e9)
                 if not single.matches:
                     continue
                 d = single.matches[0].reprojection_distance
@@ -184,22 +231,24 @@ class TestMatchEllipses:
 
     def test_single_candidate_pair(self):
         views, spheres, obs = nine_sphere_rig()
-        result = match_ellipses(views[0], obs["l"][:1], views[1], obs["k"][:1])
+        left = view_record(views[0], obs["l"][:1])
+        result = match_ellipses(left, view_record(views[1], obs["k"][:1]))
         assert len(result.matches) == 1
-        off = match_ellipses(views[0], obs["l"][:1], views[1], obs["k"][3:4])
+        off = match_ellipses(left, view_record(views[1], obs["k"][3:4]))
         assert off.matches == [] or off.matches[0].reprojection_distance > 1.0
 
     def test_swap_symmetry(self):
         views, spheres, obs = nine_sphere_rig()
-        forward = match_ellipses(views[0], obs["l"], views[1], obs["k"])
-        backward = match_ellipses(views[1], obs["k"], views[0], obs["l"])
+        left, right = view_record(views[0], obs["l"]), view_record(views[1], obs["k"])
+        forward = match_ellipses(left, right)
+        backward = match_ellipses(right, left)
         fwd = {frozenset((m.ellipse_l, m.ellipse_k)) for m in forward.matches}
         bwd = {frozenset((m.ellipse_l, m.ellipse_k)) for m in backward.matches}
         assert fwd == bwd
 
     def test_winning_hypothesis_reprojects_as_silhouette(self):
         views, spheres, obs = nine_sphere_rig()
-        result = match_ellipses(views[0], obs["l"], views[1], obs["k"])
+        result = match_ellipses(view_record(views[0], obs["l"]), view_record(views[1], obs["k"]))
         by_id = {side: {e.ellipse_id: e for e in obs[side]} for side in obs}
         for m in result.matches:
             model = reconstruct_sphere([(views[0], by_id["l"][m.ellipse_l]),
@@ -225,8 +274,8 @@ class TestMatchEllipses:
         correct = total = 0
         for _ in range(1000):
             result = match_ellipses(
-                view_l, [jitter(e) for e in lab_scene.observations[pair.i]],
-                view_k, [jitter(e) for e in lab_scene.observations[pair.j]])
+                view_record(view_l, [jitter(e) for e in lab_scene.observations[pair.i]]),
+                view_record(view_k, [jitter(e) for e in lab_scene.observations[pair.j]]))
             for m in result.matches:
                 total += 1
                 correct += (m.ellipse_l == m.ellipse_k)
@@ -237,7 +286,7 @@ class TestMatchEllipses:
 def assert_same_matching(view_l, ellipses_l, view_k, ellipses_k):
     """The array matcher against the per-candidate reference loop; each
     matched pair's two-view sphere against the scalar reconstruction."""
-    got = match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
+    got = match_ellipses(view_record(view_l, ellipses_l), view_record(view_k, ellipses_k))
     want = reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
     assert [(m.ellipse_l, m.ellipse_k) for m in got.matches] == \
         [(m.ellipse_l, m.ellipse_k) for m in want.matches]
@@ -288,6 +337,6 @@ class TestArrayMatchingEqualsReference:
 
     def test_empty_view(self):
         views, _, obs = nine_sphere_rig()
-        result = match_ellipses(views[0], [], views[1], obs["k"])
+        result = match_ellipses(view_record(views[0], []), view_record(views[1], obs["k"]))
         assert result.matches == [] and result.unmatched_l == []
         assert result.unmatched_k == sorted(e.ellipse_id for e in obs["k"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from spherefit import (
     reconstruct_sphere,
     reconstruct_tracks,
     triangulate_center,
+    view_record,
 )
 
 
@@ -150,31 +152,41 @@ class TestBatchedTracks:
         views = arc_rig(3, arc_deg=60.0)
         spheres = [Sphere([0.2, -0.1, 0.3], 0.6), Sphere([-0.4, 0.2, 0.0], 0.4),
                    Sphere([0.0, 0.3, -0.2], 0.3)]
-        good = [[(v, project_sphere_into_view(s, v)) for v in views] for s in spheres]
+        seen = {v.image_id: [project_sphere_into_view(s, v, ellipse_id=f"s{i}")
+                             for i, s in enumerate(spheres)] for v in views}
         # Behind a camera: the third view looks away from the center.
         away = look_at_view("away", [0.0, 0.0, -10.0], [0.0, 0.0, -20.0])
-        behind = good[0][:2] + [(away, good[0][2][1])]
+        seen["away"] = [dataclasses.replace(seen["cam2"][0], image_id="away")]
         # Rank-deficient: both cameras see the point on their shared axis.
         a = CameraView("a", 1000.0, 500.0, 500.0, np.eye(3), np.zeros(3))
         b = CameraView("b", 1000.0, 500.0, 500.0, np.eye(3), np.array([0.0, 0.0, 5.0]))
-        on_axis = project_sphere_into_view(Sphere([0.0, 0.0, 5.0], 0.5), a)
-        coaxial = [(a, on_axis), (b, on_axis)]
-        batch = [good[0], behind, good[1], coaxial, good[2], good[1][:2]]
-        models = reconstruct_tracks(batch)
+        on_axis = project_sphere_into_view(Sphere([0.0, 0.0, 5.0], 0.5), a, ellipse_id="p")
+        seen["a"], seen["b"] = [on_axis], [dataclasses.replace(on_axis, image_id="b")]
+        records = [view_record(v, seen[v.image_id]) for v in views + [away, a, b]]
+        pairs = {(r.view.image_id, e.ellipse_id): (r.view, e) for r in records for e in r.ellipses}
+
+        def track(ellipse_id, *image_ids):
+            return {image_id: ellipse_id for image_id in image_ids}
+
+        behind, coaxial = track("s0", "cam0", "cam1", "away"), track("p", "a", "b")
+        tracks = [track("s0", "cam0", "cam1", "cam2"), behind,
+                  track("s1", "cam0", "cam1", "cam2"), coaxial,
+                  track("s2", "cam0", "cam1", "cam2"), track("s1", "cam0", "cam1")]
+        models = reconstruct_tracks(records, tracks)
         assert models[1] is None and models[3] is None
-        for track, model in zip(batch, models):
+        for t, model in zip(tracks, models):
             if model is None:
                 continue
-            single = reconstruct_sphere(track)
+            single = reconstruct_sphere([pairs[key] for key in t.items()])
             assert np.array_equal(model.sphere.center, single.sphere.center)
             assert model.sphere.radius == single.sphere.radius
             assert model.per_view_radii == single.per_view_radii
             assert model.radius_spread == single.radius_spread
             assert model.triangulation_residual == single.triangulation_residual
         with pytest.raises(DegenerateProjection, match="'away'"):
-            reconstruct_sphere(behind)
+            reconstruct_sphere([pairs[key] for key in behind.items()])
         with pytest.raises(DegenerateGeometry, match="rank-deficient"):
-            reconstruct_sphere(coaxial)
+            reconstruct_sphere([pairs[key] for key in coaxial.items()])
 
 
 def on_axis_track(radii, distance=10.0, f=1000.0):
