@@ -51,11 +51,7 @@ from .projection import (
     CameraView,
     EllipseObservation,
     Sphere,
-    build_projective_matrix,
-    camera_to_world,
-    center_from_single_view,
     fold_axis_angle,
-    project_point,
     project_sphere,
     project_sphere_into_view,
     projected_sphere_center,
@@ -78,7 +74,6 @@ from .synth import (
     generate_scene,
     monte_carlo_views,
     p_rmse,
-    p_rmse_combined,
     perturb_observations,
 )
 
@@ -88,9 +83,8 @@ __all__ = [
     "CameraView", "EllipseObservation", "Sphere", "SphereModel", "ScaleResult",
     "GateReport", "ImageNetwork", "TiePoint", "PairScore", "MatchCandidate",
     "MatchResult", "SceneConfig", "SyntheticScene", "TrialStats",
-    "build_projective_matrix", "world_to_camera", "camera_to_world",
-    "project_point", "project_sphere", "project_sphere_into_view",
-    "projected_sphere_center", "center_from_single_view", "radius_from_depth",
+    "world_to_camera", "project_sphere", "project_sphere_into_view",
+    "projected_sphere_center", "radius_from_depth",
     "fold_axis_angle", "triangulate_center",
     "reconstruct_sphere", "reconstruct_tracks",
     "metric_scale", "apply_scale", "tau", "tau_jacobian",
@@ -98,8 +92,7 @@ __all__ = [
     "best_pair", "anchor_network", "fundamental_from_views",
     "ViewRecord", "view_record", "match_ellipses",
     "gate_views", "reconstruct_gated", "reconstruct_subset",
-    "generate_scene", "perturb_observations", "p_rmse",
-    "p_rmse_combined", "monte_carlo_views",
+    "generate_scene", "perturb_observations", "p_rmse", "monte_carlo_views",
     "SphereFitError", "DegenerateProjection", "DegenerateGeometry",
     "EmptyInput", "InvalidAnchor", "UnknownAnchor", "InvalidCovariance",
     "NoAdmissiblePair", "ConfigInfeasible",

@@ -256,6 +256,8 @@ def _parse_anchors(spec: str) -> dict:
             raise fileio.FileFormatError(
                 f"anchor {part!r} is not of the form sphere_id:radius")
         sphere_id, radius = part.rsplit(":", 1)
+        if sphere_id in anchors:
+            raise fileio.FileFormatError(f"anchor {sphere_id!r} is repeated")
         try:
             anchors[sphere_id] = float(radius)
         except ValueError as exc:

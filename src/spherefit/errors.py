@@ -20,7 +20,7 @@ class EmptyInput(SphereFitError):
 
 
 class InvalidAnchor(SphereFitError):
-    """A metric-scale anchor has a nonpositive radius."""
+    """A metric-scale anchor has a nonpositive or non-finite radius."""
 
 
 class UnknownAnchor(SphereFitError):

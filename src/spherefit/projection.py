@@ -11,8 +11,15 @@ with camera-frame center (X, Y, Z) and radius R the silhouette ellipse is
 Because the ellipse center is displaced outward from the true image of the
 sphere center (the eccentricity effect), the inverse map comes in two parts:
 ``projected_sphere_center`` recovers the true image of the center from the
-ellipse parameters alone, and ``center_from_single_view`` recovers the
-camera-frame 3D center up to an unknown radius.
+ellipse parameters alone, and once triangulation has fixed the center's
+depth Z, ``radius_from_depth`` gives R = Z * b_e / sqrt(b_e^2 + f^2).
+
+Each closed form is written once, as a function that is elementwise over
+numpy arrays so that the batched kernels call it directly: ``silhouette``
+(sphere -> ellipse), ``corrected_center`` (ellipse -> image of the center),
+``pinhole`` (camera-frame point -> pixel) and ``radius_from_depth``.  These
+leave the depth check to the caller; ``project_sphere`` and
+``projected_sphere_center`` are their checked one-object forms.
 
 Conventions used throughout the package:
 
@@ -178,29 +185,18 @@ class Sphere:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
 
-def build_projective_matrix(view: CameraView) -> np.ndarray:
-    """3x4 projective matrix K @ [rot | t]."""
-    return view.calibration_matrix @ np.hstack([view.rot, view.t[:, None]])
-
-
 def world_to_camera(point, view: CameraView) -> np.ndarray:
     """Rigid transform of a world point into the camera frame."""
     return view.rot @ np.asarray(point, dtype=float).reshape(3) + view.t
 
 
-def camera_to_world(point, view: CameraView) -> np.ndarray:
-    """Inverse rigid transform of ``world_to_camera``."""
-    return view.rot.T @ (np.asarray(point, dtype=float).reshape(3) - view.t)
+def pinhole(cam, f, px, py):
+    """Pixel (u, v) of camera-frame points ``cam`` (..., 3).
 
-
-def project_point(point_world, view: CameraView) -> np.ndarray:
-    """Pinhole projection of a world point; raises if it is not in front."""
-    cam = world_to_camera(point_world, view)
-    if cam[2] <= 0.0:
-        raise DegenerateProjection(
-            f"point has nonpositive depth {cam[2]:.3e} in view {view.image_id!r}")
-    return np.array([view.px + view.f * cam[0] / cam[2],
-                     view.py + view.f * cam[1] / cam[2]])
+    Elementwise over numpy arrays; the caller checks that the depth is
+    positive.
+    """
+    return px + f * cam[..., 0] / cam[..., 2], py + f * cam[..., 1] / cam[..., 2]
 
 
 def silhouette(x, y, z, r, f, px, py):
@@ -267,30 +263,10 @@ def corrected_center(x_ce, y_ce, b_e, f, px, py):
     return (f2 * x_ce + b2 * px) / w, (f2 * y_ce + b2 * py) / w
 
 
-def center_from_single_view(e: EllipseObservation, f: float, px: float,
-                            py: float, radius: float) -> Sphere:
-    """Camera-frame sphere center from one ellipse, given the radius.
+def radius_from_depth(z_c, b_e, f):
+    """Sphere radius from its camera-frame depth and the semi-minor length.
 
-    The recovered center scales linearly with the supplied radius, so a
-    single view fixes the center only up to that scale factor.
+    Elementwise over numpy arrays as well as scalars; the caller checks
+    that the depth is positive.
     """
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    s = math.hypot(f, e.b_e)  # sqrt(f^2 + b^2)
-    z = radius * s / e.b_e
-    scale = f * radius / (e.b_e * s)
-    x = scale * (e.x_ce - px)
-    y = scale * (e.y_ce - py)
-    frame = f"camera:{e.image_id}" if e.image_id else "camera"
-    return Sphere(np.array([x, y, z]), radius, frame=frame)
-
-
-def radius_from_depth(z_c: float, b_e: float, f: float) -> float:
-    """Sphere radius from its camera-frame depth and the semi-minor length."""
-    if not z_c > 0.0:
-        raise ValueError(f"depth must be positive, got {z_c}")
-    if not b_e > 0.0:
-        raise ValueError(f"semi-minor length must be positive, got {b_e}")
-    if not f > 0.0:
-        raise ValueError(f"focal length must be positive, got {f}")
-    return z_c * b_e / math.hypot(b_e, f)
+    return z_c * b_e / np.hypot(b_e, f)

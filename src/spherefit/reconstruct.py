@@ -26,7 +26,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometry, DegenerateProjection, EmptyInput, InvalidAnchor
-from .projection import CameraView, EllipseObservation, Sphere, corrected_center
+from .projection import (CameraView, EllipseObservation, Sphere, corrected_center, pinhole,
+                         radius_from_depth)
 
 _RANK_TOL = 1e-9
 _INFINITY_TOL = 1e-12
@@ -111,12 +112,11 @@ def _recover(f, px, py, rot, t, x_ce, y_ce, b_e) -> _Recovery:
         cam = (rot @ center[:, None, :, None])[..., 0] + t
         depth = cam[..., 2]
         reason = np.where((reason == OK) & (depth <= 0.0).any(axis=1), BEHIND_CAMERA, reason)
-        radii = depth * b_e / np.hypot(b_e, f)
+        radii = radius_from_depth(depth, b_e, f)
         radius = radii.mean(axis=1)
         spread = np.abs(radii - radius[:, None]).max(axis=1)
-        du = px + f * cam[..., 0] / depth - u
-        dv = py + f * cam[..., 1] / depth - v
-        residual = np.sqrt(np.mean(du * du + dv * dv, axis=1))
+        x, y = pinhole(cam, f, px, py)
+        residual = np.sqrt(np.mean((x - u) ** 2 + (y - v) ** 2, axis=1))
     return _Recovery(center=center, cam=cam, radii=radii, radius=radius,
                      spread=spread, residual=residual, reason=reason)
 
@@ -224,8 +224,8 @@ def metric_scale(anchors: Sequence[tuple[float, float]]) -> ScaleResult:
     if not anchors:
         raise EmptyInput("no anchors supplied")
     for rr, rw in anchors:
-        if rr <= 0.0 or rw <= 0.0:
-            raise InvalidAnchor(f"anchor radii must be positive, got ({rr}, {rw})")
+        if not (0.0 < rr < math.inf and 0.0 < rw < math.inf):
+            raise InvalidAnchor(f"anchor radii must be positive and finite, got ({rr}, {rw})")
     if len(anchors) == 1:
         s = anchors[0][0] / anchors[0][1]
     else:

@@ -34,6 +34,7 @@ from .projection import (
     EllipseObservation,
     Sphere,
     fold_axis_angle,
+    pinhole,
     project_sphere_into_view,
     world_to_camera,
 )
@@ -197,7 +198,7 @@ def _camera_centers(config: SceneConfig) -> list[np.ndarray]:
     return centers
 
 
-def _in_frame(pixel: np.ndarray, config: SceneConfig) -> bool:
+def _in_frame(pixel: tuple, config: SceneConfig) -> bool:
     return 0.0 <= pixel[0] <= config.width and 0.0 <= pixel[1] <= config.height
 
 
@@ -224,13 +225,12 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     observations: dict = {v.image_id: [] for v in views}
     for view in views:
         for sid, sphere in spheres:
-            cam = world_to_camera(sphere.center, view)
-            if cam[2] <= sphere.radius * (1.0 + 1e-9):
+            try:
+                ellipse = project_sphere_into_view(sphere, view, ellipse_id=sid)
+            except DegenerateProjection as exc:
                 raise ConfigInfeasible(
-                    f"sphere {sid!r} does not clear camera {view.image_id!r} "
-                    f"(depth {cam[2]:.4g}, radius {sphere.radius:.4g})")
-            observations[view.image_id].append(
-                project_sphere_into_view(sphere, view, ellipse_id=sid))
+                    f"sphere {sid!r} does not clear camera {view.image_id!r} ({exc})") from exc
+            observations[view.image_id].append(ellipse)
 
     # Board-level tie points, kept only if at least two cameras image them.
     tie_points = []
@@ -241,11 +241,7 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
         seen = set()
         for view in views:
             cam = world_to_camera(xyz, view)
-            if cam[2] <= 0.0:
-                continue
-            pixel = np.array([view.px + view.f * cam[0] / cam[2],
-                              view.py + view.f * cam[1] / cam[2]])
-            if _in_frame(pixel, config):
+            if cam[2] > 0.0 and _in_frame(pinhole(cam, view.f, view.px, view.py), config):
                 seen.add(view.image_id)
         if len(seen) >= 2:
             tie_points.append(TiePoint(xyz=xyz, visible_in=frozenset(seen)))
@@ -326,16 +322,6 @@ def p_rmse(estimated, truth: Sphere) -> tuple[float, float]:
     center_pct = 100.0 * float(np.linalg.norm(sphere.center - truth.center)) / truth.radius
     radius_pct = 100.0 * abs(sphere.radius - truth.radius) / truth.radius
     return center_pct, radius_pct
-
-
-def p_rmse_combined(estimated, truth: Sphere) -> float:
-    """Single-number variant: RMS over the four parameter errors, as a
-    percentage of the true radius."""
-    sphere = estimated.sphere if isinstance(estimated, SphereModel) else estimated
-    if sphere.frame != truth.frame:
-        raise ValueError(f"frame mismatch: {sphere.frame!r} vs {truth.frame!r}")
-    delta = np.append(sphere.center - truth.center, sphere.radius - truth.radius)
-    return 100.0 * math.sqrt(float(np.mean(delta ** 2))) / truth.radius
 
 
 @dataclass

@@ -62,6 +62,27 @@ def pinhole_pixel(point_cam, f, px, py):
                      py + f * point_cam[1] / point_cam[2]])
 
 
+def center_from_single_view(e, f, px, py, radius) -> Sphere:
+    """Camera-frame sphere center from one ellipse, given the radius: the
+    reference inverse of ``project_sphere``.
+
+    The recovered center scales linearly with the supplied radius, so a
+    single view fixes the center only up to that scale factor.
+    """
+    s = math.hypot(f, e.b_e)  # sqrt(f^2 + b^2)
+    scale = f * radius / (e.b_e * s)
+    return Sphere(np.array([scale * (e.x_ce - px), scale * (e.y_ce - py), radius * s / e.b_e]),
+                  radius, frame=f"camera:{e.image_id}" if e.image_id else "camera")
+
+
+def p_rmse_combined(estimated, truth) -> float:
+    """Single-number error: RMS over the four parameter errors (center
+    x, y, z and radius), as a percentage of the true radius."""
+    sphere = estimated.sphere if isinstance(estimated, SphereModel) else estimated
+    delta = np.append(sphere.center - truth.center, sphere.radius - truth.radius)
+    return 100.0 * math.sqrt(float(np.mean(delta ** 2))) / truth.radius
+
+
 def silhouette_ellipse(center, radius, f, px, py, n=10_000):
     """Geometric parameters of a sphere's silhouette, without closed forms.
 

@@ -402,6 +402,25 @@ class TestScale:
         assert result.returncode == 2
         assert "nope" in result.stderr
 
+    def test_non_finite_anchor_exit_code(self, exported, tmp_path):
+        spheres = self.reconstruct(exported, tmp_path)
+        sphere_id = load_spheres(spheres)[0].sphere_id
+        for radius in ("nan", "inf"):
+            result = run_cli("scale", "--spheres", spheres, "--anchors", f"{sphere_id}:{radius}",
+                             "--out", str(tmp_path / "o.json"))
+            assert result.returncode == 2
+            assert "finite" in result.stderr and "scale factor" not in result.stderr
+
+    def test_repeated_anchor_exit_code(self, exported, tmp_path):
+        spheres = self.reconstruct(exported, tmp_path)
+        sphere_id = load_spheres(spheres)[0].sphere_id
+        result = run_cli("scale", "--spheres", spheres,
+                         "--anchors", f"{sphere_id}:0.2,{sphere_id}:0.5",
+                         "--out", str(tmp_path / "o.json"))
+        assert result.returncode == 2
+        assert "repeated" in result.stderr and sphere_id in result.stderr
+        assert not (tmp_path / "o.json").exists()
+
     def test_non_finite_sphere_center_exit_code(self, exported, tmp_path):
         spheres = self.reconstruct(exported, tmp_path)
         data = json.load(open(spheres))

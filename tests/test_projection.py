@@ -3,22 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import look_at_view, pinhole_pixel, silhouette_ellipse
+from oracles import center_from_single_view, look_at_view, pinhole_pixel, silhouette_ellipse
 from spherefit import (
     CameraView,
     DegenerateProjection,
     EllipseObservation,
     Sphere,
-    build_projective_matrix,
-    camera_to_world,
-    center_from_single_view,
     fold_axis_angle,
-    project_point,
     project_sphere,
     projected_sphere_center,
     radius_from_depth,
     world_to_camera,
 )
+from spherefit.projection import pinhole
 
 
 def identity_view(f=1.0, px=0.0, py=0.0):
@@ -27,8 +24,7 @@ def identity_view(f=1.0, px=0.0, py=0.0):
 
 
 def project(view, point):
-    p = build_projective_matrix(view) @ np.append(np.asarray(point, float), 1.0)
-    return p[:2] / p[2]
+    return np.array(pinhole(world_to_camera(point, view), view.f, view.px, view.py))
 
 
 class TestProjectiveMatrix:
@@ -63,8 +59,9 @@ class TestRigidTransform:
         for _ in range(50):
             view = look_at_view("cam", rng.normal(size=3) * 5 + 10, rng.normal(size=3))
             p = rng.normal(size=3) * 3
-            back = camera_to_world(world_to_camera(p, view), view)
+            back = view.rot.T @ (world_to_camera(p, view) - view.t)
             assert np.allclose(back, p, atol=1e-12)
+            assert np.allclose(world_to_camera(view.center, view), 0.0, atol=1e-12)
 
 
 class TestProjectSphere:
@@ -271,7 +268,3 @@ class TestValidation:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
             Sphere([0, 0, 5], 0.0)
-
-    def test_project_point_behind_camera(self):
-        with pytest.raises(DegenerateProjection):
-            project_point([0, 0, -1], identity_view())

@@ -11,6 +11,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
+    center_from_single_view,
+    look_at_view,
     reference_best_pair,
     reference_convergence_angle,
     reference_network_overlap,
@@ -18,14 +20,19 @@ from oracles import (  # noqa: E402
 from spherefit import (  # noqa: E402
     DEFAULT_MIN_ANGLE,
     CameraView,
+    DegenerateGeometry,
+    DegenerateProjection,
     ImageNetwork,
     NoAdmissiblePair,
     PairScore,
     Sphere,
+    SphereModel,
     TiePoint,
+    apply_scale,
     best_pair,
-    center_from_single_view,
     project_sphere,
+    project_sphere_into_view,
+    reconstruct_sphere,
     tau,
 )
 
@@ -93,3 +100,71 @@ def test_best_pair_matches_reference_scan(network, min_angle):
     assert (got.ov_i, got.ov_j) == (ov[got.i], ov[got.j])
     assert math.isclose(got.alpha_ij, alpha, rel_tol=1e-12)
     assert math.isclose(got.theta_ij, want.theta_ij, rel_tol=1e-12)
+
+
+_SCALE = st.floats(1e-6, 1e6)
+# Away from the subnormals, where a product loses relative precision.
+_COORDINATE = st.floats(-1e3, 1e3).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)
+
+
+@PROPERTY
+@given(s1=_SCALE, s2=_SCALE, center=st.tuples(*[_COORDINATE] * 3),
+       radius=st.floats(1e-3, 1e3), spread=_COORDINATE.map(abs))
+def test_apply_scale_group_law(s1, s2, center, radius, spread):
+    model = SphereModel(sphere=Sphere(center, radius), per_view_radii=[("a", radius)],
+                        radius_spread=spread, triangulation_residual=0.5)
+    twice, once = apply_scale(apply_scale(model, s1), s2), apply_scale(model, s1 * s2)
+    assert twice.scale_applied == s1 * s2 == once.scale_applied
+    assert np.allclose(twice.sphere.center, once.sphere.center, rtol=1e-12, atol=0.0)
+    for got, want in [(twice.sphere.radius, once.sphere.radius),
+                      (twice.per_view_radii[0][1], once.per_view_radii[0][1]),
+                      (twice.radius_spread, once.radius_spread)]:
+        assert math.isclose(got, want, rel_tol=1e-12)
+    assert twice.triangulation_residual == 0.5
+    points = np.array([center])
+    assert np.allclose(apply_scale(apply_scale(points, s1), s2), points * (s1 * s2),
+                       rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(radius=st.floats(1e-3, 1e3),
+       clearance=st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1e-12, 1e-12)),
+       lateral=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       f=st.floats(100.0, 1e4))
+def test_grazing_sphere_projects_or_raises(radius, clearance, lateral, f):
+    # Depth within a millionth of the radius: the silhouette formulas divide
+    # by Z^2 - R^2, so either the depth check refuses the sphere or the
+    # ellipse is finite with a_e >= b_e.
+    z = radius * (1.0 + clearance)
+    sphere = Sphere([lateral[0] * z, lateral[1] * z, z], radius, frame="camera")
+    try:
+        e = project_sphere(sphere, f, 500.0, 400.0)
+    except DegenerateProjection:
+        return
+    values = [e.x_ce, e.y_ce, e.a_e, e.b_e, e.theta]
+    assert all(map(math.isfinite, values))
+    assert e.a_e >= e.b_e > 0.0
+
+
+@PROPERTY
+@given(log_baseline=st.floats(-14.0, -2.0),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda d: math.hypot(*d) > 1e-3),
+       center=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       radius=st.floats(0.01, 0.3))
+def test_near_coincident_cameras_raise_or_stay_finite(log_baseline, direction, center,
+                                                      radius):
+    # Two cameras 10^log_baseline apart: the triangulation is ill-posed, and
+    # reconstruct_sphere must say so rather than return NaN.
+    offset = 10.0 ** log_baseline * np.array(direction) / math.hypot(*direction)
+    views = [look_at_view(name, np.array([0.0, -5.0, 1.0]) + shift, [0.0, 0.0, 0.0])
+             for name, shift in (("a", 0.0), ("b", offset))]
+    sphere = Sphere(center, radius)
+    matched = [(v, project_sphere_into_view(sphere, v)) for v in views]
+    try:
+        model = reconstruct_sphere(matched)
+    except DegenerateGeometry:
+        return
+    values = [*model.sphere.center, model.sphere.radius, model.radius_spread,
+              model.triangulation_residual, *(r for _, r in model.per_view_radii)]
+    assert all(map(math.isfinite, values))

@@ -16,13 +16,18 @@ from spherefit import (
     SphereModel,
     apply_scale,
     metric_scale,
-    project_point,
     project_sphere_into_view,
     reconstruct_sphere,
     reconstruct_tracks,
     triangulate_center,
     view_record,
+    world_to_camera,
 )
+from spherefit.projection import pinhole
+
+
+def pixel_of(point, view):
+    return np.array(pinhole(world_to_camera(point, view), view.f, view.px, view.py))
 
 
 def two_view_rig(angle_deg=40.0, distance=10.0, f=1000.0):
@@ -45,7 +50,7 @@ class TestTriangulateCenter:
     def test_two_exact_views(self):
         views = two_view_rig()
         point = np.array([0.3, -0.2, 0.5])
-        obs = [(v, project_point(point, v)) for v in views]
+        obs = [(v, pixel_of(point, v)) for v in views]
         assert np.linalg.norm(triangulate_center(obs) - point) < 1e-9
 
     def test_point_on_common_baseline_is_degenerate(self):
@@ -54,7 +59,7 @@ class TestTriangulateCenter:
         a = CameraView("a", 1000.0, 500.0, 500.0, np.eye(3), np.zeros(3))
         b = CameraView("b", 1000.0, 500.0, 500.0, np.eye(3), np.array([0.0, 0.0, 5.0]))
         point = np.array([0.0, 0.0, 5.0])
-        obs = [(a, project_point(point, a)), (b, project_point(point, b))]
+        obs = [(a, pixel_of(point, a)), (b, pixel_of(point, b))]
         with pytest.raises(DegenerateGeometry):
             triangulate_center(obs)
 
@@ -69,7 +74,7 @@ class TestTriangulateCenter:
         rng = np.random.default_rng(21)
         errors_dlt, errors_mid = [], []
         for _ in range(100):
-            pixels = [project_point(point, v) + rng.normal(0.0, 0.5, 2) for v in views]
+            pixels = [pixel_of(point, v) + rng.normal(0.0, 0.5, 2) for v in views]
             est = triangulate_center(list(zip(views, pixels)))
             rays = []
             for v, pix in zip(views, pixels):
@@ -266,6 +271,14 @@ class TestMetricScale:
             metric_scale([(1.0, 0.0)])
         with pytest.raises(InvalidAnchor):
             metric_scale([(-1.0, 1.0)])
+
+    @pytest.mark.parametrize("anchor", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (1.0, math.inf), (1.0, math.nan)])
+    def test_rejects_non_finite_radius(self, anchor):
+        with pytest.raises(InvalidAnchor, match="finite"):
+            metric_scale([anchor])
+        with pytest.raises(InvalidAnchor, match="finite"):
+            metric_scale([(2.0, 1.0), anchor])
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import p_rmse_combined
 from spherefit import (
     ConfigInfeasible,
     SceneConfig,
@@ -15,7 +16,6 @@ from spherefit import (
     generate_scene,
     monte_carlo_views,
     p_rmse,
-    p_rmse_combined,
     perturb_observations,
     reconstruct_subset,
 )
@@ -73,7 +73,7 @@ class TestGenerateScene:
 
     def test_infeasible_sphere_raises(self):
         config = SceneConfig(spheres=[["s", [4.0, 0.0, 1.0], 0.1]])
-        with pytest.raises(ConfigInfeasible):
+        with pytest.raises(ConfigInfeasible, match="sphere 's' does not clear camera 'img-"):
             generate_scene(config)
 
     def test_placements(self):
