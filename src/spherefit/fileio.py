@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -34,6 +35,9 @@ ELLIPSE_COV_COLUMNS = ["cov_aa", "cov_ab", "cov_ax", "cov_ay", "cov_bb",
 
 _COV_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
               (2, 2), (2, 3), (3, 3)]
+#: For each entry of the row-major 4x4 covariance, its covariance column.
+_COV_FILL = np.array([_COV_INDEX.index((min(i, j), max(i, j)))
+                      for i in range(4) for j in range(4)])
 
 
 class FileFormatError(ValueError):
@@ -147,42 +151,65 @@ def _cov_to_columns(cov: Optional[np.ndarray]) -> list[str]:
     return [repr(float(cov[i, j])) for i, j in _COV_INDEX]
 
 
-def _cov_from_columns(row: dict) -> Optional[np.ndarray]:
-    raw = [row.get(c, "") for c in ELLIPSE_COV_COLUMNS]
-    if all(v in ("", None) for v in raw):
-        return None
-    if any(v in ("", None) for v in raw):
+def _cov_from_columns(raw: tuple[str, ...]) -> Optional[np.ndarray]:
+    if "" in raw:
+        if raw.count("") == len(raw):
+            return None
         raise FileFormatError("partial covariance row: give all 10 columns or none")
-    cov = np.zeros((4, 4))
-    for value, (i, j) in zip(raw, _COV_INDEX):
-        cov[i, j] = cov[j, i] = float(value)
-    return cov
+    return np.array(list(map(float, raw))).take(_COV_FILL).reshape(4, 4)
+
+
+def _ellipse_columns(path: str, header: Optional[list[str]]):
+    """Getters of a row's base cells and covariance cells under ``header``.
+
+    A covariance column absent from the header reads the blank cell that
+    ``load_ellipses`` appends to every row.
+    """
+    if header is None:
+        raise FileFormatError(f"{path}: empty file (header row is mandatory)")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FileFormatError(f"{path}: repeated columns {repeated}")
+    missing = [c for c in ELLIPSE_BASE_COLUMNS if c not in header]
+    if missing:
+        raise FileFormatError(f"{path}: missing columns {missing}")
+    column = {name: i for i, name in enumerate(header)}
+    return (operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS)),
+            operator.itemgetter(*(column.get(c, len(header)) for c in ELLIPSE_COV_COLUMNS)))
 
 
 def load_ellipses(path: str) -> list[EllipseObservation]:
-    """Parse an ellipse CSV (mandatory header, optional covariance columns)."""
+    """Parse an ellipse CSV (mandatory header, optional covariance columns).
+
+    Every row has as many fields as the header; no column is repeated.
+    """
     out = {}  # (image_id, ellipse_id) -> ellipse, in file order
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise FileFormatError(f"{path}: empty file (header row is mandatory)")
-        missing = [c for c in ELLIPSE_BASE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise FileFormatError(f"{path}: missing columns {missing}")
-        for line, row in enumerate(reader, start=2):
-            key = (row["image_id"], row["ellipse_id"])
-            if key in out:
-                raise FileFormatError(
-                    f"{path}:{line}: ellipse id {key[1]!r} repeats in image {key[0]!r}")
-            try:
-                out[key] = EllipseObservation(
-                    image_id=row["image_id"], ellipse_id=row["ellipse_id"],
-                    x_ce=float(row["x_ce"]), y_ce=float(row["y_ce"]),
-                    a_e=float(row["a_e"]), b_e=float(row["b_e"]),
-                    theta=float(row["theta_rad"]),
-                    cov=_cov_from_columns(row))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FileFormatError(f"{path}:{line}: {exc}") from exc
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            base_cells, cov_cells = _ellipse_columns(path, header)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FileFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                          f"the header has {len(header)}")
+                row.append("")
+                image_id, ellipse_id, x_ce, y_ce, a_e, b_e, theta = base_cells(row)
+                if (image_id, ellipse_id) in out:
+                    raise FileFormatError(
+                        f"{path}:{reader.line_num}: ellipse id {ellipse_id!r} "
+                        f"repeats in image {image_id!r}")
+                try:
+                    out[image_id, ellipse_id] = EllipseObservation(
+                        image_id=image_id, ellipse_id=ellipse_id,
+                        x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
+                        theta=float(theta), cov=_cov_from_columns(cov_cells(row)))
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return list(out.values())
 
 

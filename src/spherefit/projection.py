@@ -32,7 +32,9 @@ All functions are pure; there is no shared mutable state.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,10 +65,20 @@ def is_psd(m: np.ndarray) -> bool:
     """Symmetric PSD test: symmetric to round-off and no eigenvalue of the
     symmetric part below -1e-9 * trace.
 
-    A matrix that fails the symmetry test, a non-finite one included, is
-    reported False without entering the eigensolver.
+    A non-finite matrix is reported False.  A matrix whose off-diagonal
+    entries are all exactly zero is its own symmetric part and its
+    eigenvalues are its diagonal, so it is tested on plain floats without the
+    eigensolver.
     """
     m = np.asarray(m, dtype=float)
+    flat = m.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        return False
+    diag = flat[::len(m) + 1]
+    del flat[::len(m) + 1]
+    if flat.count(0.0) == len(flat):
+        # Summed left to right like np.trace (sum() compensates from 3.12 on).
+        return min(diag) >= -1e-9 * functools.reduce(operator.add, diag)
     scale = 1.0 + np.abs(m).max()
     if not np.abs(m - m.T).max() <= 1e-9 * scale:
         return False
@@ -166,6 +178,8 @@ class EllipseObservation:
         if self.cov is not None:
             self.cov = _as_matrix(self.cov, (4, 4), "cov")
             if not is_psd(self.cov):
+                # is_psd rejects non-finite entries too; name them first.
+                _require_finite("ellipse", cov=self.cov)
                 raise ValueError("cov must be symmetric positive semi-definite")
 
 

@@ -12,6 +12,8 @@ per-view gate and pair scoring), kept as the references those kernels are
 checked against.  The scalar matching distances (``epipolar_distance``,
 ``reprojection_distance``, ``center_sigma`` and ``default_epipolar_tol``)
 live here for the same reason: the package computes them as arrays.
+``reference_is_psd`` is the eigensolver test that the package's diagonal
+shortcut in ``is_psd`` is checked against.
 """
 
 from __future__ import annotations
@@ -416,3 +418,13 @@ def reference_best_pair(network, min_angle=math.radians(20.0)) -> PairScore:
             f"no image pair exceeds the {math.degrees(min_angle):.1f} deg floor "
             f"(largest convergence angle found: {math.degrees(alpha_max):.2f} deg)")
     return best
+
+
+def reference_is_psd(m) -> bool:
+    """Symmetric PSD test: symmetric to round-off and no eigenvalue of the
+    symmetric part below -1e-9 * trace, always through the eigensolver."""
+    m = np.asarray(m, dtype=float)
+    scale = 1.0 + np.abs(m).max()
+    if not np.abs(m - m.T).max() <= 1e-9 * scale:
+        return False
+    return bool(np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= -1e-9 * np.trace(m))

@@ -141,6 +141,26 @@ class TestFilter:
         assert "neg.csv:2" in result.stderr and "cov" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutation", ["extra field", "short row",
+                                          "repeated column", "oversized field"])
+    def test_malformed_ellipse_file_exit_code(self, exported, tmp_path, mutation):
+        root, _, _ = exported
+        lines = open(root / "ellipses.csv").read().splitlines()
+        if mutation == "extra field":
+            lines[1] += ",999"
+        elif mutation == "short row":
+            lines[1] = lines[1].rsplit(",", 1)[0]
+        elif mutation == "repeated column":
+            lines = [lines[0] + ",x_ce"] + [line + ",7" for line in lines[1:]]
+        else:
+            lines[1] = lines[1].replace(",", "," + "1" * 200_000, 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        result = run_cli("filter", "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(bad), "--out", str(tmp_path / "o.csv"))
+        assert result.returncode == 2
+        assert "bad.csv" in result.stderr and "Traceback" not in result.stderr
+
     def test_parse_failure_exit_code(self, tmp_path):
         bad = str(tmp_path / "bad.json")
         open(bad, "w").write("{")

@@ -164,6 +164,53 @@ class TestEllipseFile:
         with pytest.raises(FileFormatError, match="covariance"):
             load_ellipses(path)
 
+    @pytest.mark.parametrize("row, fields", [("i,e,1,2,5,4,0.1,999,888", 9),
+                                             ("i,e,1,2,5,4", 6)])
+    def test_row_field_count_must_match_header(self, tmp_path, row, fields):
+        # Extra fields used to be dropped silently, and a short row failed
+        # on float(None).
+        path = str(tmp_path / "e.csv")
+        header = "image_id,ellipse_id,x_ce,y_ce,a_e,b_e,theta_rad"
+        open(path, "w").write(f"{header}\ni,ok,1,2,5,4,0.1\n{row}\n")
+        with pytest.raises(FileFormatError, match=rf"e\.csv:3: {fields} fields, the header has 7"):
+            load_ellipses(path)
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        # The later x_ce column used to win.
+        path = str(tmp_path / "e.csv")
+        header = "image_id,ellipse_id,x_ce,y_ce,a_e,b_e,theta_rad,x_ce"
+        open(path, "w").write(header + "\ni,e,1,2,5,4,0.1,7\n")
+        with pytest.raises(FileFormatError, match=r"repeated columns \['x_ce'\]"):
+            load_ellipses(path)
+
+    def test_covariance_columns_may_be_absent_from_header(self, tmp_path):
+        path = str(tmp_path / "e.csv")
+        header = "image_id,ellipse_id,x_ce,y_ce,a_e,b_e,theta_rad,cov_aa"
+        open(path, "w").write(header + "\ni,e,1,2,5,4,0.1,\ni,f,1,2,5,4,0.1,0.5\n")
+        with pytest.raises(FileFormatError, match=r"e\.csv:3: partial covariance"):
+            load_ellipses(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_covariance_named(self, tmp_path, value):
+        # A nan or inf entry used to be reported as a matrix that is not PSD.
+        path = str(tmp_path / "e.csv")
+        save_ellipses([EllipseObservation("i", "e", 1.0, 2.0, 3.0, 2.0, 0.0,
+                                          cov=np.eye(4))], path)
+        header, row = open(path).read().splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index("cov_xy")] = value
+        open(path, "w").write(header + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(FileFormatError, match=r"e\.csv:2: ellipse cov must be finite"):
+            load_ellipses(path)
+
+    def test_oversized_field_rejected(self, tmp_path):
+        # csv.Error used to escape the reader.
+        path = str(tmp_path / "e.csv")
+        header = "image_id,ellipse_id,x_ce,y_ce,a_e,b_e,theta_rad"
+        open(path, "w").write(header + "\ni,e,1,2,5,4," + "1" * 200_000 + "\n")
+        with pytest.raises(FileFormatError, match=r"e\.csv:2: field larger"):
+            load_ellipses(path)
+
     def test_axis_order_validated_per_row(self, tmp_path):
         path = str(tmp_path / "e.csv")
         header = "image_id,ellipse_id,x_ce,y_ce,a_e,b_e,theta_rad"

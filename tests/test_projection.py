@@ -224,6 +224,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="iop_cov"):
             CameraView("cam", 1000.0, 0.0, 0.0, np.eye(3), np.zeros(3), iop_cov=bad)
 
+    def test_rejects_non_finite_iop_cov(self):
+        # An inf off-diagonal against a finite mirror passed the symmetry
+        # test and reached the eigensolver, which raised LinAlgError.
+        bad = np.eye(3)
+        bad[0, 2] = math.inf
+        with pytest.raises(ValueError, match="iop_cov"):
+            CameraView("cam", 1000.0, 0.0, 0.0, np.eye(3), np.zeros(3), iop_cov=bad)
+
     @pytest.mark.parametrize("cov", [
         np.triu(np.ones((4, 4))),              # not symmetric
         np.diag([1.0, 1.0, 1.0, -1.0]),        # indefinite

@@ -1,13 +1,15 @@
-"""Property-based checks of the closed forms and of pair scoring (needs
-``hypothesis``)."""
+"""Property-based checks of the closed forms, of pair scoring, of the PSD
+test and of the ellipse file (needs ``hypothesis``)."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
@@ -15,6 +17,7 @@ from oracles import (  # noqa: E402
     look_at_view,
     reference_best_pair,
     reference_convergence_angle,
+    reference_is_psd,
     reference_network_overlap,
 )
 from spherefit import (  # noqa: E402
@@ -22,19 +25,31 @@ from spherefit import (  # noqa: E402
     CameraView,
     DegenerateGeometry,
     DegenerateProjection,
+    EllipseObservation,
     ImageNetwork,
     NoAdmissiblePair,
     PairScore,
+    SceneConfig,
     Sphere,
     SphereModel,
     TiePoint,
     apply_scale,
     best_pair,
+    generate_scene,
+    perturb_observations,
     project_sphere,
     project_sphere_into_view,
     reconstruct_sphere,
     tau,
 )
+from spherefit.cli import main  # noqa: E402
+from spherefit.fileio import (  # noqa: E402
+    FileFormatError,
+    load_ellipses,
+    save_ellipses,
+    save_network,
+)
+from spherefit.projection import is_psd  # noqa: E402
 
 # Fixed example sequence, so a tier-1 run is reproducible.
 PROPERTY = settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -168,3 +183,173 @@ def test_near_coincident_cameras_raise_or_stay_finite(log_baseline, direction, c
     values = [*model.sphere.center, model.sphere.radius, model.radius_spread,
               model.triangulation_residual, *(r for _, r in model.per_view_radii)]
     assert all(map(math.isfinite, values))
+
+
+# Zeros, subnormals, the smallest normal, non-finite values, and finite
+# values of every magnitude.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0 ** -1022,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(-1e3, 1e3),
+    st.floats())
+# LAPACK's symmetric eigensolver rescales a matrix whose largest entry lies
+# outside this range, and rounds the eigenvalues it scales back; inside it,
+# the eigenvalues of a diagonal matrix are its diagonal entries exactly.
+_UNSCALED = (2.0 ** -485, 2.0 ** 485)
+
+
+@st.composite
+def _diagonals(draw):
+    """3 or 4 diagonal entries; often one lies within a few ulps of the PSD
+    bound -1e-9 * trace."""
+    n = draw(st.sampled_from([3, 4]))
+    entries = draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        entries.append(draw(_ENTRY))
+    else:
+        # b >= -1e-9 * (rest + b) holds from b = -1e-9 * rest / (1 + 1e-9) up.
+        bound = -1e-9 * sum(entries) / (1.0 + 1e-9)
+        steps = draw(st.integers(-4, 4))
+        for _ in range(abs(steps)):
+            bound = math.nextafter(bound, math.copysign(math.inf, steps))
+        entries.append(bound)
+    return draw(st.permutations(entries))
+
+
+@PROPERTY
+@given(diagonal=_diagonals())
+# On the bound when the trace is summed left to right, as np.trace sums it,
+# and below it when the trace is rounded once, as math.fsum rounds it.
+@example(diagonal=[1.0, 1.5e-16, 1.5e-16, -9.999999990000005e-10])
+def test_is_psd_diagonal_shortcut_matches_eigensolver(diagonal):
+    m = np.diag(diagonal)
+    got, want = is_psd(m), reference_is_psd(m)
+    if got != want:
+        # Only where the reference's eigensolver rescales, and only by the
+        # rounding of the smallest eigenvalue across the bound.
+        bound = -1e-9 * np.trace(m)
+        assert not _UNSCALED[0] <= np.abs(m).max() <= _UNSCALED[1]
+        assert abs(min(diagonal) - bound) <= 4 * math.ulp(bound)
+        assert got == (min(diagonal) >= bound)
+
+
+@PROPERTY
+@given(diagonal=_diagonals(), data=st.data())
+def test_is_psd_with_one_off_diagonal_pair_matches_eigensolver(diagonal, data):
+    n = len(diagonal)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    value = data.draw(_ENTRY.filter(lambda v: v != 0.0))
+    m = np.diag(diagonal)
+    m[i, j] = value
+    m[j, i] = data.draw(st.one_of(st.just(value), _ENTRY))
+    try:
+        want = reference_is_psd(m)
+    except np.linalg.LinAlgError:
+        # An inf against a finite mirror passes the reference's symmetry
+        # test and stops its eigensolver; is_psd rejects non-finite input.
+        assert not np.isfinite(m).all()
+        want = False
+    assert is_psd(m) == want
+
+
+_ID = st.text(alphabet="abxyz019-_.", min_size=1, max_size=4)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_AXIS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _covariances(draw):
+    kind = draw(st.sampled_from(["none", "diagonal", "full"]))
+    if kind == "none":
+        return None
+    if kind == "diagonal":
+        return np.diag(draw(st.lists(st.floats(0.0, 1e6), min_size=4, max_size=4)))
+    root = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16)))
+    cov = root.reshape(4, 4) @ root.reshape(4, 4).T
+    return np.triu(cov) + np.triu(cov, 1).T  # exactly symmetric
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(_ID, _ID, _FINITE, _FINITE, _AXIS, _AXIS, _FINITE,
+                               _covariances()),
+                     max_size=6, unique_by=lambda row: row[:2]))
+def test_ellipse_file_round_trips_exactly(rows):
+    ellipses = [EllipseObservation(image_id, ellipse_id, x, y, max(p, q), min(p, q),
+                                   theta, cov=cov)
+                for image_id, ellipse_id, x, y, p, q, theta, cov in rows]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ellipses.csv")
+        save_ellipses(ellipses, path)
+        loaded = load_ellipses(path)
+    assert len(loaded) == len(ellipses)
+    for orig, back in zip(ellipses, loaded):
+        # repr tells -0.0 from 0.0.
+        assert ([orig.image_id, orig.ellipse_id]
+                + [repr(v) for v in (orig.x_ce, orig.y_ce, orig.a_e, orig.b_e, orig.theta)]
+                == [back.image_id, back.ellipse_id]
+                + [repr(v) for v in (back.x_ce, back.y_ce, back.a_e, back.b_e, back.theta)])
+        if orig.cov is None:
+            assert back.cov is None
+        else:
+            assert orig.cov.tobytes() == back.cov.tobytes()
+
+
+@pytest.fixture(scope="module")
+def ellipse_export(tmp_path_factory):
+    """Camera file path and the cells of a valid ellipse CSV, header first."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = SceneConfig(n_cameras=3, clutter_per_image=1, sigma_px=0.3, seed=2)
+    noisy = perturb_observations(generate_scene(config), config.sigma_px, config.seed)
+    cameras, ellipses = str(root / "cameras.json"), str(root / "ellipses.csv")
+    save_network(noisy.network, cameras)
+    save_ellipses([e for image_id in sorted(noisy.observations)
+                   for e in noisy.observations[image_id]], ellipses)
+    return cameras, [line.split(",") for line in open(ellipses).read().splitlines()]
+
+
+_CELL = st.sampled_from(["", " ", "nan", "-inf", "1e999", "-1", "0", "2.5", "abc",
+                         "x_ce", "cov_aa", "img-00", "ball-0", '"', "1,2"])
+
+
+@st.composite
+def _mutated_csv(draw, rows):
+    """CSV text from ``rows`` after one to four random edits."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, len(rows[r])))
+        edit = draw(st.sampled_from(["drop field", "extra field", "set field",
+                                     "repeat column", "drop row", "repeat row"]))
+        if edit == "drop field" and c < len(rows[r]):
+            del rows[r][c]
+        elif edit == "extra field":
+            rows[r].insert(c, draw(_CELL))
+        elif edit == "set field" and c < len(rows[r]):
+            rows[r][c] = draw(_CELL)
+        elif edit == "repeat column" and c < len(rows[0]):
+            for row in rows:
+                row.append(row[c] if c < len(row) else "")
+        elif edit == "drop row" and len(rows) > 1:
+            del rows[r]
+        elif edit == "repeat row":
+            rows.insert(r, list(rows[r]))
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@settings(PROPERTY, max_examples=200)
+@given(data=st.data())
+def test_mutated_ellipse_file_is_loaded_or_rejected(ellipse_export, data):
+    cameras, rows = ellipse_export
+    text = data.draw(_mutated_csv(rows))
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ellipses.csv")
+        with open(path, "w") as handle:
+            handle.write(text)
+        try:
+            load_ellipses(path)
+        except FileFormatError:
+            pass
+        code = main(["filter", "--cameras", cameras, "--ellipses", path,
+                     "--out", os.path.join(root, "kept.csv"),
+                     "--report", os.path.join(root, "report.json")])
+    assert code in (0, 2)
