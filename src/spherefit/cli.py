@@ -106,14 +106,11 @@ def cmd_filter(args) -> int:
     reports = _gate_file(args, network, ellipses)
     accepted = [e for e, report in reports if report.accepted]
     fileio.save_ellipses(accepted, args.out)
-    payload = {"ellipses": [{"image_id": e.image_id, "ellipse_id": e.ellipse_id,
-                             "tau": r.tau, "sigma_tau": r.sigma_tau, "k": r.k,
-                             "accepted": r.accepted} for e, r in reports]}
+    text = fileio.gate_report_text(reports)
     if args.report:
-        fileio.atomic_write_text(args.report,
-                                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fileio.atomic_write_text(args.report, text)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(text)
     print(f"kept {len(accepted)} of {len(ellipses)} ellipses -> {args.out}",
           file=sys.stderr)
     return EXIT_OK

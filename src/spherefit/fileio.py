@@ -11,9 +11,11 @@ floats serialized with shortest round-trip precision.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,7 +24,15 @@ import numpy as np
 
 from .gate import GateReport
 from .netselect import ImageNetwork, TiePoint
-from .projection import CameraView, EllipseObservation, Sphere
+from .projection import (
+    CameraView,
+    EllipseObservation,
+    Sphere,
+    fold_axis_angle,
+    is_psd,
+    psd_floor,
+    semi_axes_ok,
+)
 from .reconstruct import SphereModel
 
 #: Mandatory pose convention header of the camera network file.
@@ -42,6 +52,11 @@ _COV_FILL = np.array([_COV_INDEX.index((min(i, j), max(i, j)))
 
 class FileFormatError(ValueError):
     """A file does not conform to one of the documented formats."""
+
+
+#: What reading one JSON entry of the wrong shape or type raises; float() of
+#: a JSON integer beyond the float range raises OverflowError.
+_BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -103,7 +118,7 @@ def load_network(path: str) -> ImageNetwork:
                 t=np.asarray(entry["t"], dtype=float).reshape(3),
                 iop_cov=None if iop_cov is None
                 else np.asarray(iop_cov, dtype=float).reshape(3, 3)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_ENTRY as exc:
             raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
     tie_points = []
     for entry in _object_list(path, "tie_points", data.get("tie_points", [])):
@@ -111,7 +126,7 @@ def load_network(path: str) -> ImageNetwork:
             tie_points.append(TiePoint(
                 xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
                 visible_in=frozenset(str(i) for i in entry["visible_in"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_ENTRY as exc:
             raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
     try:
         return ImageNetwork(views=views, tie_points=tie_points)
@@ -151,75 +166,217 @@ def _cov_to_columns(cov: Optional[np.ndarray]) -> list[str]:
     return [repr(float(cov[i, j])) for i, j in _COV_INDEX]
 
 
+def _partial_covariance(blanks):
+    """Some but not all covariance cells of a row are blank; elementwise over
+    numpy arrays of blank-cell counts as well as scalars."""
+    return (blanks > 0) & (blanks < len(ELLIPSE_COV_COLUMNS))
+
+
 def _cov_from_columns(raw: tuple[str, ...]) -> Optional[np.ndarray]:
-    if "" in raw:
-        if raw.count("") == len(raw):
-            return None
+    blanks = raw.count("")
+    if _partial_covariance(blanks):
         raise FileFormatError("partial covariance row: give all 10 columns or none")
+    if blanks:
+        return None
     return np.array(list(map(float, raw))).take(_COV_FILL).reshape(4, 4)
 
 
-def _ellipse_columns(path: str, header: Optional[list[str]]):
-    """Getters of a row's base cells and covariance cells under ``header``.
+@dataclass(frozen=True)
+class _EllipseColumns:
+    """Getters of a row's cells under one header.  A covariance column absent
+    from the header reads the blank cell that ``load_ellipses`` appends to
+    every row."""
 
-    A covariance column absent from the header reads the blank cell that
-    ``load_ellipses`` appends to every row.
+    width: int
+    ids: operator.itemgetter   # (image_id, ellipse_id)
+    base: operator.itemgetter  # (x_ce, y_ce, a_e, b_e, theta_rad)
+    cov: operator.itemgetter   # the ELLIPSE_COV_COLUMNS cells
+
+    @classmethod
+    def of(cls, path: str, header: Optional[list[str]]) -> "_EllipseColumns":
+        if header is None:
+            raise FileFormatError(f"{path}: empty file (header row is mandatory)")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise FileFormatError(f"{path}: repeated columns {repeated}")
+        missing = [c for c in ELLIPSE_BASE_COLUMNS if c not in header]
+        if missing:
+            raise FileFormatError(f"{path}: missing columns {missing}")
+        column = {name: i for i, name in enumerate(header)}
+        return cls(len(header),
+                   operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS[:2])),
+                   operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS[2:])),
+                   operator.itemgetter(*(column.get(c, len(header))
+                                         for c in ELLIPSE_COV_COLUMNS)))
+
+    def check_row(self, path: str, line: int, row: list[str]) -> None:
+        """Check the row on its own, cell by cell and as ``EllipseObservation``
+        checks it; its first fault raises FileFormatError naming ``line``."""
+        image_id, ellipse_id = self.ids(row)
+        x_ce, y_ce, a_e, b_e, theta = self.base(row)
+        try:
+            EllipseObservation(
+                image_id=image_id, ellipse_id=ellipse_id,
+                x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
+                theta=float(theta), cov=_cov_from_columns(self.cov(row)))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{line}: {exc}") from exc
+
+
+def _read_ellipse_rows(path: str):
+    """The columns of the header, then the data rows (each with one blank
+    cell appended), their line numbers and their (image_id, ellipse_id) keys
+    up to the first row that is malformed as CSV, has the wrong field count
+    or repeats an id, and last that row's FileFormatError (None if there is
+    no such row)."""
+    rows, lines = [], []
+    columns = fault = None
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            columns = _EllipseColumns.of(path, next(reader, None))
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != columns.width:
+                    fault = FileFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                            f"the header has {columns.width}")
+                    break
+                row.append("")
+                rows.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            fault = FileFormatError(f"{path}:{reader.line_num}: {exc}")
+            fault.__cause__ = exc
+    if columns is None:  # the header itself is malformed
+        raise fault
+    keys = list(map(columns.ids, rows))
+    if len(set(keys)) < len(keys):
+        seen = set()
+        for i, (image_id, ellipse_id) in enumerate(keys):
+            if (image_id, ellipse_id) in seen:
+                break
+            seen.add((image_id, ellipse_id))
+        fault = FileFormatError(f"{path}:{lines[i]}: ellipse id {ellipse_id!r} "
+                                f"repeats in image {image_id!r}")
+        del rows[i:], lines[i:], keys[i:]
+    return columns, rows, lines, keys, fault
+
+
+#: A blank covariance cell reads as NaN in the column pass of ``load_ellipses``.
+_BLANK_AS_NAN = {"": "nan"}
+#: Covariance columns of the diagonal and of the off-diagonal entries.
+_COV_DIAGONAL = [_COV_INDEX.index((i, i)) for i in range(4)]
+_COV_OFF_DIAGONAL = [k for k in range(len(_COV_INDEX)) if k not in _COV_DIAGONAL]
+
+
+def _valid_rows(base: np.ndarray, cov: np.ndarray, block: np.ndarray,
+                blank: np.ndarray) -> np.ndarray:
+    """Which rows pass every check of ``EllipseObservation`` and of the
+    covariance cells: the column form of those checks.
+
+    ``base`` holds (x_ce, y_ce, a_e, b_e, theta) per row, ``cov`` the
+    covariance cells with blanks read as NaN, ``block`` the same cells as
+    4x4 matrices, and ``blank`` which cells are blank.
     """
-    if header is None:
-        raise FileFormatError(f"{path}: empty file (header row is mandatory)")
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise FileFormatError(f"{path}: repeated columns {repeated}")
-    missing = [c for c in ELLIPSE_BASE_COLUMNS if c not in header]
-    if missing:
-        raise FileFormatError(f"{path}: missing columns {missing}")
-    column = {name: i for i, name in enumerate(header)}
-    return (operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS)),
-            operator.itemgetter(*(column.get(c, len(header)) for c in ELLIPSE_COV_COLUMNS)))
+    blanks = blank.sum(axis=1)
+    given = blanks == 0
+    minor_ok, major_ok = semi_axes_ok(base[:, 2], base[:, 3])
+    finite_cov = np.isfinite(cov).all(axis=1)
+    diagonal = cov[:, _COV_DIAGONAL]
+    # A trace may overflow to inf, as it does in the scalar form, or be nan
+    # in a row that fails anyway; neither is worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        psd = diagonal.min(axis=1) >= psd_floor(list(diagonal.T))
+    for i in np.flatnonzero(given & finite_cov & (cov[:, _COV_OFF_DIAGONAL] != 0.0).any(axis=1)):
+        psd[i] = is_psd(block[i])
+    return (np.isfinite(base).all(axis=1) & minor_ok & major_ok
+            & ~_partial_covariance(blanks) & (~given | (finite_cov & psd)))
 
 
 def load_ellipses(path: str) -> list[EllipseObservation]:
     """Parse an ellipse CSV (mandatory header, optional covariance columns).
 
-    Every row has as many fields as the header; no column is repeated.
+    Every row has as many fields as the header; no column is repeated, and no
+    (image_id, ellipse_id) pair.  The first malformed line is reported.  The
+    rows are checked in column passes over the whole file.
     """
-    out = {}  # (image_id, ellipse_id) -> ellipse, in file order
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            base_cells, cov_cells = _ellipse_columns(path, header)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise FileFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
-                                          f"the header has {len(header)}")
-                row.append("")
-                image_id, ellipse_id, x_ce, y_ce, a_e, b_e, theta = base_cells(row)
-                if (image_id, ellipse_id) in out:
-                    raise FileFormatError(
-                        f"{path}:{reader.line_num}: ellipse id {ellipse_id!r} "
-                        f"repeats in image {image_id!r}")
-                try:
-                    out[image_id, ellipse_id] = EllipseObservation(
-                        image_id=image_id, ellipse_id=ellipse_id,
-                        x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
-                        theta=float(theta), cov=_cov_from_columns(cov_cells(row)))
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
-        except csv.Error as exc:
-            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
-    return list(out.values())
+    columns, rows, lines, keys, fault = _read_ellipse_rows(path)
+    n, n_cov = len(rows), len(ELLIPSE_COV_COLUMNS)
+    cov_cells = list(itertools.chain.from_iterable(map(columns.cov, rows)))
+    blank = np.array(list(map(operator.not_, cov_cells)), dtype=bool).reshape(n, n_cov)
+    try:
+        values = np.array(list(map(float, itertools.chain(
+            itertools.chain.from_iterable(map(columns.base, rows)),
+            map(_BLANK_AS_NAN.get, cov_cells, cov_cells)))))
+    except ValueError:  # a cell that is not a number
+        flagged = range(n)
+    else:
+        base, cov = values[:5 * n].reshape(n, 5), values[5 * n:].reshape(n, n_cov)
+        block = cov.take(_COV_FILL, axis=1).reshape(n, 4, 4)
+        flagged = np.flatnonzero(~_valid_rows(base, cov, block, blank))
+    for i in flagged:
+        # Checked on its own, the first flagged row raises and names its
+        # fault; a cell that is not a number fails some row's check.
+        columns.check_row(path, lines[i], rows[i])
+    if fault is not None:
+        raise fault
+    theta = fold_axis_angle(base[:, 4])
+    # A valid row's covariance cells are all blank or none.
+    return [EllipseObservation._trusted({
+                "image_id": image_id, "ellipse_id": ellipse_id, "x_ce": x_ce, "y_ce": y_ce,
+                "a_e": a_e, "b_e": b_e, "theta": t, "cov": None if b else m})
+            for (image_id, ellipse_id), (x_ce, y_ce, a_e, b_e), t, m, b
+            in zip(keys, base[:, :4].tolist(), theta.tolist(), block, blank[:, 0].tolist())]
+
+
+#: Characters that make ``csv`` quote a field by default.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted the way ``csv`` quotes it by default:
+    only if it holds a comma, a double quote or a line break."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def save_ellipses(ellipses: Sequence[EllipseObservation], path: str) -> None:
     lines = [",".join(ELLIPSE_BASE_COLUMNS + ELLIPSE_COV_COLUMNS)]
     for e in ellipses:
-        fields = [e.image_id, e.ellipse_id, repr(e.x_ce), repr(e.y_ce),
-                  repr(e.a_e), repr(e.b_e), repr(e.theta)]
+        fields = [_csv_field(e.image_id), _csv_field(e.ellipse_id), repr(e.x_ce),
+                  repr(e.y_ce), repr(e.a_e), repr(e.b_e), repr(e.theta)]
         lines.append(",".join(fields + _cov_to_columns(e.cov)))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------- gate report
+
+#: ``json.dumps(..., indent=2, sort_keys=True)`` of one gate report row.
+_REPORT_ROW = ('    {{\n      "accepted": {},\n      "ellipse_id": {},\n      "image_id": {},\n'
+               '      "k": {},\n      "sigma_tau": {},\n      "tau": {}\n    }}')
+#: How ``json`` spells the floats whose repr is not JSON.
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOAT.get(text, text)
+
+
+def gate_report_text(reports: Sequence[tuple[EllipseObservation, GateReport]]) -> str:
+    """The per-ellipse gate report as JSON text: ``{"ellipses": [...]}`` with
+    one object per (ellipse, report) pair, byte for byte what
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` writes."""
+    if not reports:
+        return '{\n  "ellipses": []\n}\n'
+    quote = json.encoder.encode_basestring_ascii
+    rows = ",\n".join(_REPORT_ROW.format(
+        "true" if r.accepted else "false", quote(e.ellipse_id), quote(e.image_id),
+        _json_float(r.k), _json_float(r.sigma_tau), _json_float(r.tau))
+        for e, r in reports)
+    return '{\n  "ellipses": [\n' + rows + "\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------- spheres
@@ -290,7 +447,7 @@ def load_spheres(path: str) -> list[SphereEntry]:
                 ellipses=[(str(e["image_id"]), str(e["ellipse_id"]))
                           for e in item["ellipses"]],
                 gate_records=gate_records))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_ENTRY as exc:
             raise FileFormatError(f"{path}: bad sphere entry ({exc})") from exc
     return entries
 

@@ -48,6 +48,9 @@ DEPTH_MARGIN = 1e-9
 
 _ROT_TOL = 1e-9
 
+# ``is_psd`` rescales a matrix whose largest entry exceeds this power of two.
+_PSD_RESCALE_ABOVE = 2.0 ** 1000
+
 
 def fold_axis_angle(theta: float) -> float:
     """Fold an axis orientation into [-pi/2, pi/2); axes are pi-periodic."""
@@ -72,17 +75,34 @@ def is_psd(m: np.ndarray) -> bool:
     """
     m = np.asarray(m, dtype=float)
     flat = m.ravel().tolist()
-    if not all(map(math.isfinite, flat)):
-        return False
-    diag = flat[::len(m) + 1]
-    del flat[::len(m) + 1]
+    step = len(m) + 1
+    diag = flat[::step]
+    del flat[::step]
     if flat.count(0.0) == len(flat):
-        # Summed left to right like np.trace (sum() compensates from 3.12 on).
-        return min(diag) >= -1e-9 * functools.reduce(operator.add, diag)
+        return all(map(math.isfinite, diag)) and min(diag) >= psd_floor(diag)
+    if not np.isfinite(m).all():
+        return False
     scale = 1.0 + np.abs(m).max()
+    if scale > _PSD_RESCALE_ABOVE:
+        # m - m.T, m + m.T and the trace could overflow.  Scaling the matrix
+        # and the tolerance by one power of two changes none of the
+        # comparisons below.
+        m = m * (1.0 / _PSD_RESCALE_ABOVE)
+        scale *= 1.0 / _PSD_RESCALE_ABOVE
     if not np.abs(m - m.T).max() <= 1e-9 * scale:
         return False
     return bool(np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= -1e-9 * np.trace(m))
+
+
+def psd_floor(diag):
+    """-1e-9 * trace: the least eigenvalue that ``is_psd`` accepts, from the
+    diagonal entries, which for a diagonal matrix are its eigenvalues.
+
+    Elementwise: each entry may be a float or an array holding that diagonal
+    entry of many matrices.
+    """
+    # Summed left to right like np.trace (sum() compensates from 3.12 on).
+    return -1e-9 * functools.reduce(operator.add, diag)
 
 
 def _require_finite(owner: str, **values) -> None:
@@ -128,6 +148,7 @@ class CameraView:
             raise ValueError("rot must be a proper rotation (det +1)")
         if self.iop_cov is not None:
             self.iop_cov = _as_matrix(self.iop_cov, (3, 3), "iop_cov")
+            _require_finite("camera", iop_cov=self.iop_cov)
             if not is_psd(self.iop_cov):
                 raise ValueError("iop_cov must be symmetric positive semi-definite")
 
@@ -169,9 +190,10 @@ class EllipseObservation:
         self.theta = float(self.theta)
         _require_finite("ellipse", x_ce=self.x_ce, y_ce=self.y_ce, a_e=self.a_e,
                         b_e=self.b_e, theta=self.theta)
-        if not self.b_e > 0.0:
+        minor_ok, major_ok = semi_axes_ok(self.a_e, self.b_e)
+        if not minor_ok:
             raise ValueError(f"semi-minor length must be positive, got {self.b_e}")
-        if self.a_e < self.b_e:
+        if not major_ok:
             raise ValueError(
                 f"semi-major length {self.a_e} is smaller than semi-minor {self.b_e}")
         self.theta = fold_axis_angle(self.theta)
@@ -181,6 +203,22 @@ class EllipseObservation:
                 # is_psd rejects non-finite entries too; name them first.
                 _require_finite("ellipse", cov=self.cov)
                 raise ValueError("cov must be symmetric positive semi-definite")
+
+    @classmethod
+    def _trusted(cls, fields: dict) -> "EllipseObservation":
+        """An instance holding ``fields`` (every field, by name) as given,
+        without ``__post_init__``: for a caller that has already applied its
+        checks and the theta fold, as ``fileio.load_ellipses`` does in column
+        form."""
+        self = object.__new__(cls)
+        self.__dict__ = fields
+        return self
+
+
+def semi_axes_ok(a_e, b_e):
+    """(semi-minor length positive, semi-major length no shorter) of finite
+    semi-axes; elementwise over numpy arrays as well as scalars."""
+    return b_e > 0.0, a_e >= b_e
 
 
 @dataclass

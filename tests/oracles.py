@@ -13,19 +13,24 @@ checked against.  The scalar matching distances (``epipolar_distance``,
 ``reprojection_distance``, ``center_sigma`` and ``default_epipolar_tol``)
 live here for the same reason: the package computes them as arrays.
 ``reference_is_psd`` is the eigensolver test that the package's diagonal
-shortcut in ``is_psd`` is checked against.
+shortcut in ``is_psd`` is checked against, and ``reference_load_ellipses``
+the row-by-row ellipse CSV reader that the column passes of
+``load_ellipses`` are checked against.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from spherefit import (
     CameraView,
     DegenerateGeometry,
+    EllipseObservation,
     DegenerateProjection,
     MatchCandidate,
     MatchResult,
@@ -37,6 +42,7 @@ from spherefit import (
     project_sphere_into_view,
     projected_sphere_center,
 )
+from spherefit.fileio import ELLIPSE_BASE_COLUMNS, ELLIPSE_COV_COLUMNS, FileFormatError
 from spherefit.match import DEFAULT_EPIPOLAR_TOL
 
 
@@ -434,3 +440,63 @@ def reference_is_psd(m) -> bool:
         if not np.abs(m - m.T).max() <= 1e-9 * scale:
             return False
         return bool(np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= -1e-9 * np.trace(m))
+
+
+_COV_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
+              (2, 2), (2, 3), (3, 3)]
+
+
+def _reference_cov(raw):
+    if "" in raw:
+        if raw.count("") == len(raw):
+            return None
+        raise FileFormatError("partial covariance row: give all 10 columns or none")
+    cov = np.empty((4, 4))
+    for (i, j), value in zip(_COV_INDEX, map(float, raw)):
+        cov[i, j] = cov[j, i] = value
+    return cov
+
+
+def reference_load_ellipses(path: str) -> list:
+    """The ellipse CSV read one row at a time: each row is converted and
+    built as an ``EllipseObservation``, whose own checks run on it, and the
+    first malformed line raises FileFormatError."""
+    out = {}  # (image_id, ellipse_id) -> ellipse, in file order
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FileFormatError(f"{path}: empty file (header row is mandatory)")
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if repeated:
+                raise FileFormatError(f"{path}: repeated columns {repeated}")
+            missing = [c for c in ELLIPSE_BASE_COLUMNS if c not in header]
+            if missing:
+                raise FileFormatError(f"{path}: missing columns {missing}")
+            column = {name: i for i, name in enumerate(header)}
+            base_cells = operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS))
+            cov_cells = operator.itemgetter(*(column.get(c, len(header))
+                                              for c in ELLIPSE_COV_COLUMNS))
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FileFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                          f"the header has {len(header)}")
+                row.append("")
+                image_id, ellipse_id, x_ce, y_ce, a_e, b_e, theta = base_cells(row)
+                if (image_id, ellipse_id) in out:
+                    raise FileFormatError(
+                        f"{path}:{reader.line_num}: ellipse id {ellipse_id!r} "
+                        f"repeats in image {image_id!r}")
+                try:
+                    out[image_id, ellipse_id] = EllipseObservation(
+                        image_id=image_id, ellipse_id=ellipse_id,
+                        x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
+                        theta=float(theta), cov=_reference_cov(cov_cells(row)))
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    return list(out.values())

@@ -112,19 +112,21 @@ class TestFilter:
         assert result.returncode == 2
         assert "nan.csv:2" in result.stderr and "finite" in result.stderr
 
-    @pytest.mark.parametrize("field", ["px", "rot"])
+    @pytest.mark.parametrize("field", ["px", "rot", "iop_cov"])
     def test_non_finite_camera_exit_code(self, exported, tmp_path, field):
+        # A NaN in iop_cov used to read "iop_cov must be symmetric positive
+        # semi-definite".
         root, _, _ = exported
         data = json.load(open(root / "cameras.json"))
         entry = data["views"][0]
-        entry[field] = [math.nan] * 9 if field == "rot" else math.nan
+        entry[field] = [math.nan] + [0.0] * 8 if field in ("rot", "iop_cov") else math.nan
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(data))
         result = run_cli("filter", "--cameras", str(bad),
                          "--ellipses", str(root / "ellipses.csv"),
                          "--out", str(tmp_path / "o.csv"))
         assert result.returncode == 2
-        assert "finite" in result.stderr
+        assert f"camera {field} must be finite" in result.stderr
 
     def test_negative_covariance_row_exit_code(self, exported, tmp_path):
         root, _, _ = exported

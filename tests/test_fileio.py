@@ -92,6 +92,19 @@ class TestNetworkFile:
         with pytest.raises(FileFormatError, match=key):
             load_network(path)
 
+    @pytest.mark.parametrize("key, field", [("views", "f"), ("views", "rot"), ("views", "t"),
+                                            ("tie_points", "xyz")])
+    def test_integer_beyond_float_range_rejected(self, network, tmp_path, key, field):
+        # float() of such an integer raised OverflowError, which escaped.
+        path = str(tmp_path / "net.json")
+        save_network(network, path)
+        data = json.load(open(path))
+        entry = data[key][0]
+        entry[field] = 10 ** 400 if field == "f" else [10 ** 400] * len(entry[field])
+        open(path, "w").write(json.dumps(data))
+        with pytest.raises(FileFormatError, match="bad (view|tie point) entry"):
+            load_network(path)
+
     def test_bad_json(self, tmp_path):
         path = str(tmp_path / "net.json")
         open(path, "w").write("{not json")
@@ -122,6 +135,53 @@ class TestEllipseFile:
             assert orig.theta == back.theta
         assert np.array_equal(loaded[0].cov, cov)
         assert loaded[1].cov is None
+
+    @pytest.mark.parametrize("ellipse_id",
+                             ["b,0", 'b"0', '"b0', "b\n0", "b\r0", "b\r\n0", ",", '"'])
+    def test_ids_with_separators_round_trip(self, tmp_path, ellipse_id):
+        # Written unquoted, "b,0" gave a row of 18 fields under a header of
+        # 17, and a leading quote swallowed the rest of the row.
+        cov = np.diag([0.25, 0.25, 0.04, 0.04])
+        ellipses = [EllipseObservation("img,0", ellipse_id, 1.0, 2.0, 3.0, 2.0, 0.5, cov=cov),
+                    EllipseObservation("img-1", "e1", 20.0, 30.0, 5.0, 4.0, -1.2)]
+        path = str(tmp_path / "e.csv")
+        save_ellipses(ellipses, path)
+        loaded = load_ellipses(path)
+        assert [(e.image_id, e.ellipse_id) for e in loaded] == [("img,0", ellipse_id),
+                                                                 ("img-1", "e1")]
+        assert np.array_equal(loaded[0].cov, cov) and loaded[1].cov is None
+        assert loaded[1].x_ce == 20.0
+
+    def test_plain_ids_are_written_unquoted(self, tmp_path):
+        path = str(tmp_path / "e.csv")
+        save_ellipses([EllipseObservation("img 0", "b-0.x", 1.0, 2.0, 3.0, 2.0, 0.5)], path)
+        assert open(path).read().splitlines()[1].startswith("img 0,b-0.x,1.0,2.0,")
+
+    @pytest.mark.parametrize("first, second", [
+        (("x_ce", "nan"), ("fields", None)),    # a bad value before a short row
+        (("fields", None), ("x_ce", "nan")),    # a short row before a bad value
+        (("ellipse_id", "e"), ("a_e", "0.5")),  # a repeated id before a bad value
+        (("a_e", "0.5"), ("ellipse_id", "e")),  # a bad value before a repeated id
+        (("cov_ab", "5"), ("x_ce", "abc")),     # not PSD before not a number
+        (("x_ce", "abc"), ("cov_ab", "5"))])    # not a number before not PSD
+    def test_first_malformed_line_is_reported(self, tmp_path, first, second):
+        # Rows are checked in column passes; the first bad line still wins.
+        path = str(tmp_path / "e.csv")
+        cov = np.diag([0.25, 0.25, 0.04, 0.04])
+        save_ellipses([EllipseObservation("i", f"e{k}" if k else "e", 1.0, 2.0, 3.0, 2.0, 0.0,
+                                          cov=cov) for k in range(4)], path)
+        lines = open(path).read().splitlines()
+        header = lines[0].split(",")
+        for row, (column, value) in ((2, first), (3, second)):
+            cells = lines[row].split(",")
+            if column == "fields":
+                del cells[-1]
+            else:
+                cells[header.index(column)] = value
+            lines[row] = ",".join(cells)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=r"e\.csv:3: "):
+            load_ellipses(path)
 
     def test_repeated_ids_rejected(self, tmp_path):
         ellipses = [
@@ -257,6 +317,16 @@ class TestSphereFile:
     def test_bad_entry(self, tmp_path):
         path = str(tmp_path / "s.json")
         open(path, "w").write(json.dumps({"spheres": [{"sphere_id": "x"}]}))
+        with pytest.raises(FileFormatError, match="sphere entry"):
+            load_spheres(path)
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        # float() of such an integer raised OverflowError, which escaped.
+        path = str(tmp_path / "s.json")
+        save_spheres([self.entry()], path)
+        data = json.load(open(path))
+        data["spheres"][0]["radius"] = 10 ** 400
+        open(path, "w").write(json.dumps(data))
         with pytest.raises(FileFormatError, match="sphere entry"):
             load_spheres(path)
 

@@ -15,7 +15,7 @@ from spherefit import (
     radius_from_depth,
     world_to_camera,
 )
-from spherefit.projection import pinhole
+from spherefit.projection import is_psd, pinhole
 
 
 def identity_view(f=1.0, px=0.0, py=0.0):
@@ -229,7 +229,7 @@ class TestValidation:
         # test and reached the eigensolver, which raised LinAlgError.
         bad = np.eye(3)
         bad[0, 2] = math.inf
-        with pytest.raises(ValueError, match="iop_cov"):
+        with pytest.raises(ValueError, match="camera iop_cov must be finite"):
             CameraView("cam", 1000.0, 0.0, 0.0, np.eye(3), np.zeros(3), iop_cov=bad)
 
     @pytest.mark.parametrize("cov", [
@@ -276,3 +276,14 @@ class TestValidation:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
             Sphere([0, 0, 5], 0.0)
+
+
+@pytest.mark.parametrize("m, psd", [
+    ([[1e308, 1e308], [1e308, 1e308]], True),     # m + m.T overflowed
+    ([[1.0, 1e308], [-1e308, 1.0]], False),       # m - m.T overflowed
+    ([[1e308, 1.7e308], [1.7e308, 1e308]], False),  # indefinite; the trace overflowed
+    ([[1.7e308, 0.0, 1.0], [0.0, 1.7e308, 0.0], [1.0, 0.0, 1.0]], True)])
+def test_is_psd_near_the_float_limit(m, psd):
+    # Finite matrices: the right answer, and no overflow warning (an error
+    # under the test suite's warning filter).
+    assert is_psd(np.array(m)) is psd

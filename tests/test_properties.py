@@ -1,6 +1,8 @@
 """Property-based checks of the closed forms, of pair scoring, of the PSD
-test and of the ellipse file (needs ``hypothesis``)."""
+test, of the ellipse and camera files and of the gate report (needs
+``hypothesis``)."""
 
+import json
 import math
 import os
 import tempfile
@@ -18,6 +20,7 @@ from oracles import (  # noqa: E402
     reference_best_pair,
     reference_convergence_angle,
     reference_is_psd,
+    reference_load_ellipses,
     reference_network_overlap,
 )
 from spherefit import (  # noqa: E402
@@ -26,6 +29,7 @@ from spherefit import (  # noqa: E402
     DegenerateGeometry,
     DegenerateProjection,
     EllipseObservation,
+    GateReport,
     ImageNetwork,
     NoAdmissiblePair,
     PairScore,
@@ -45,7 +49,9 @@ from spherefit import (  # noqa: E402
 from spherefit.cli import main  # noqa: E402
 from spherefit.fileio import (  # noqa: E402
     FileFormatError,
+    gate_report_text,
     load_ellipses,
+    load_network,
     save_ellipses,
     save_network,
 )
@@ -252,7 +258,8 @@ def test_is_psd_with_one_off_diagonal_pair_matches_eigensolver(diagonal, data):
     assert is_psd(m) == want
 
 
-_ID = st.text(alphabet="abxyz019-_.", min_size=1, max_size=4)
+# Commas, double quotes and line breaks must be quoted in the file.
+_ID = st.text(alphabet='abxyz019-_. ,"\r\n', min_size=1, max_size=4)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _AXIS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
@@ -307,8 +314,9 @@ def ellipse_export(tmp_path_factory):
     return cameras, [line.split(",") for line in open(ellipses).read().splitlines()]
 
 
-_CELL = st.sampled_from(["", " ", "nan", "-inf", "1e999", "-1", "0", "2.5", "abc",
-                         "x_ce", "cov_aa", "img-00", "ball-0", '"', "1,2"])
+_CELL = st.sampled_from(["", " ", "nan", "-inf", "1e999", "1e308", "-1", "0", "-0.0",
+                         "2.5", "1_0", " 3 ", "abc", "x_ce", "cov_aa", "img-00",
+                         "ball-0", '"', "1,2"])
 
 
 @st.composite
@@ -319,7 +327,8 @@ def _mutated_csv(draw, rows):
         r = draw(st.integers(0, len(rows) - 1))
         c = draw(st.integers(0, len(rows[r])))
         edit = draw(st.sampled_from(["drop field", "extra field", "set field",
-                                     "repeat column", "drop row", "repeat row"]))
+                                     "repeat column", "drop row", "repeat row",
+                                     "blank covariance"]))
         if edit == "drop field" and c < len(rows[r]):
             del rows[r][c]
         elif edit == "extra field":
@@ -333,7 +342,21 @@ def _mutated_csv(draw, rows):
             del rows[r]
         elif edit == "repeat row":
             rows.insert(r, list(rows[r]))
+        elif edit == "blank covariance" and r > 0:
+            rows[r][7:] = [""] * len(rows[r][7:])
     return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _loaded(load, path):
+    """Each row's fields as exact text and bytes, or the FileFormatError
+    message of the file."""
+    try:
+        return [(e.image_id, e.ellipse_id,
+                 *[repr(v) for v in (e.x_ce, e.y_ce, e.a_e, e.b_e, e.theta)],
+                 None if e.cov is None else (e.cov.shape, e.cov.dtype.str, e.cov.tobytes()))
+                for e in load(path)]
+    except FileFormatError as exc:
+        return str(exc)
 
 
 @settings(PROPERTY, max_examples=200)
@@ -345,11 +368,140 @@ def test_mutated_ellipse_file_is_loaded_or_rejected(ellipse_export, data):
         path = os.path.join(root, "ellipses.csv")
         with open(path, "w") as handle:
             handle.write(text)
-        try:
-            load_ellipses(path)
-        except FileFormatError:
-            pass
+        # The same rows to the bit as the row-by-row reader, or the same
+        # first malformed line and message.
+        assert _loaded(load_ellipses, path) == _loaded(reference_load_ellipses, path)
         code = main(["filter", "--cameras", cameras, "--ellipses", path,
+                     "--out", os.path.join(root, "kept.csv"),
+                     "--report", os.path.join(root, "report.json")])
+    assert code in (0, 2)
+
+
+_REPORT_ID = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\u00e9", "\u2603", "\U0001f600", "\x00\x1f\x7f"])
+_REPORT_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(_REPORT_ID, _REPORT_ID, _REPORT_FLOAT, _REPORT_FLOAT,
+                               st.floats(0.0, 10.0, exclude_min=True), st.booleans()),
+                     max_size=4))
+def test_gate_report_text_is_indented_sorted_json(rows):
+    reports = [(EllipseObservation(image_id, ellipse_id, 1.0, 2.0, 3.0, 2.0, 0.0),
+                GateReport(tau=t, sigma_tau=s, k=k, accepted=accepted))
+               for image_id, ellipse_id, t, s, k, accepted in rows]
+    payload = {"ellipses": [{"image_id": e.image_id, "ellipse_id": e.ellipse_id,
+                             "tau": r.tau, "sigma_tau": r.sigma_tau, "k": r.k,
+                             "accepted": r.accepted} for e, r in reports]}
+    assert gate_report_text(reports) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_CAMERA_ID = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+_CAMERA_FLOAT = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _camera_networks(draw):
+    """Networks of 1 to 4 views with random poses and interior orientation,
+    some with an interior-orientation covariance, and tie points."""
+    ids = draw(st.lists(_CAMERA_ID, min_size=1, max_size=4, unique=True))
+    views = []
+    for image_id in ids:
+        # A unit quaternion gives a rotation orthonormal to round-off.
+        q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+        if np.linalg.norm(q) < 0.1:
+            q = np.array([1.0, 0.0, 0.0, 0.0])
+        w, x, y, z = q / np.linalg.norm(q)
+        rot = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+        iop_cov = draw(st.none() | st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3)
+                       .map(np.diag))
+        views.append(CameraView(image_id, draw(st.floats(1e-3, 1e6)), draw(_CAMERA_FLOAT),
+                                draw(_CAMERA_FLOAT), rot,
+                                draw(st.tuples(*[_CAMERA_FLOAT] * 3)), iop_cov=iop_cov))
+    ties = []
+    if len(ids) >= 2:
+        ties = [TiePoint(np.array(draw(st.tuples(*[_CAMERA_FLOAT] * 3))),
+                         draw(st.frozensets(st.sampled_from(ids), min_size=2)))
+                for _ in range(draw(st.integers(0, 3)))]
+    return ImageNetwork(views, ties)
+
+
+def _network_fields(network):
+    return ([(v.image_id, repr((v.f, v.px, v.py)), v.rot.tobytes(), v.t.tobytes(),
+              None if v.iop_cov is None else v.iop_cov.tobytes()) for v in network.views],
+            [(tp.xyz.tobytes(), tp.visible_in) for tp in network.tie_points])
+
+
+@PROPERTY
+@given(network=_camera_networks())
+def test_camera_file_round_trips_exactly(network):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "cameras.json")
+        save_network(network, path)
+        assert _network_fields(load_network(path)) == _network_fields(network)
+
+
+# JSON values a camera file might hold where another was expected.
+_JSON_VALUE = st.sampled_from([None, True, False, 0, -1, 2.5, 1e-300, 10 ** 400, math.nan,
+                               math.inf, "", "abc", "img-00", [], {}, [0.0, 1.0],
+                               [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                               {"image_id": "img-00"}, [None], ["img-00"]])
+
+
+@st.composite
+def _mutated_json(draw, data):
+    """``data`` after one to four random edits of its JSON tree."""
+    data = json.loads(json.dumps(data))
+    for _ in range(draw(st.integers(1, 4))):
+        # Walk down from the root to a random container and edit one slot.
+        node = data
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.integers(0, 3)):
+                node = child
+                continue
+            edit = draw(st.sampled_from(["set", "delete", "repeat"]))
+            if edit == "set":  # a copy: later edits may change it in place
+                node[key] = json.loads(json.dumps(draw(_JSON_VALUE)))
+            elif edit == "delete":
+                del node[key]
+            elif isinstance(node, list):
+                node.insert(key, json.loads(json.dumps(child)))
+            break
+    return data
+
+
+@pytest.fixture(scope="module")
+def camera_export(ellipse_export):
+    """The parsed camera file of ``ellipse_export`` and its ellipse file."""
+    cameras, rows = ellipse_export
+    with open(cameras) as handle:
+        data = json.load(handle)
+    return data, "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@settings(PROPERTY, max_examples=200)
+@given(data=st.data())
+def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
+    cameras, ellipses_text = camera_export
+    mutated = data.draw(_mutated_json(cameras))
+    with tempfile.TemporaryDirectory() as root:
+        path, ellipses = os.path.join(root, "cameras.json"), os.path.join(root, "e.csv")
+        with open(path, "w") as handle:
+            json.dump(mutated, handle)
+        with open(ellipses, "w") as handle:
+            handle.write(ellipses_text)
+        try:
+            load_network(path)
+        except ValueError:  # FileFormatError among them
+            pass
+        code = main(["filter", "--cameras", path, "--ellipses", ellipses,
                      "--out", os.path.join(root, "kept.csv"),
                      "--report", os.path.join(root, "report.json")])
     assert code in (0, 2)
