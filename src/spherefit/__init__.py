@@ -34,7 +34,7 @@ from .match import (
     MatchCandidate,
     MatchResult,
     ViewRecord,
-    fundamental_from_views,
+    fundamental_matrix,
     match_ellipses,
     view_record,
 )
@@ -54,7 +54,6 @@ from .projection import (
     fold_axis_angle,
     project_sphere,
     project_sphere_into_view,
-    projected_sphere_center,
     radius_from_depth,
     world_to_camera,
 )
@@ -84,12 +83,12 @@ __all__ = [
     "GateReport", "ImageNetwork", "TiePoint", "PairScore", "MatchCandidate",
     "MatchResult", "SceneConfig", "SyntheticScene", "TrialStats",
     "world_to_camera", "project_sphere", "project_sphere_into_view",
-    "projected_sphere_center", "radius_from_depth",
+    "radius_from_depth",
     "fold_axis_angle", "triangulate_center",
     "reconstruct_sphere", "reconstruct_tracks",
     "metric_scale", "apply_scale", "tau", "tau_jacobian",
     "classify_spherical", "classify_view", "default_ellipse_cov",
-    "best_pair", "anchor_network", "fundamental_from_views",
+    "best_pair", "anchor_network", "fundamental_matrix",
     "ViewRecord", "view_record", "match_ellipses",
     "gate_views", "reconstruct_gated", "reconstruct_subset",
     "generate_scene", "perturb_observations", "p_rmse", "monte_carlo_views",

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import fileio
 from .errors import (
@@ -27,7 +30,8 @@ from .errors import (
     NoAdmissiblePair,
     UnknownAnchor,
 )
-from .match import match_ellipses, view_record
+from .gate import GateReport
+from .match import match_ellipses
 from .netselect import (
     DEFAULT_MIN_ANGLE,
     ImageNetwork,
@@ -36,7 +40,6 @@ from .netselect import (
     pair_angles,
 )
 from .pipeline import gate_views, reconstruct_gated
-from .projection import projected_sphere_center
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
@@ -85,33 +88,32 @@ def _by_view(network: ImageNetwork, ellipses) -> dict:
     return by_view
 
 
-def _gate_file(args, network: ImageNetwork, ellipses) -> list:
-    """(ellipse, report) for every ellipse of the file, in file order."""
-    gated = gate_views(network.views, _by_view(network, ellipses),
-                       args.k_sigma, args.default_sigma_px)
-    per_view = {image_id: iter(pairs) for image_id, pairs in gated.items()}
-    return [next(per_view[e.image_id]) for e in ellipses]
-
-
-def _gate_pair(args, network: ImageNetwork, ellipses, pair):
-    """The pair's two views, in the given order, and their gate output."""
-    views = [network.view(pair[0]), network.view(pair[1])]
-    return views, gate_views(views, _by_view(network, ellipses),
-                             args.k_sigma, args.default_sigma_px)
+def _gate_pair(args, network: ImageNetwork, ellipses, pair) -> list:
+    """The pair's two views, in the given order, gated."""
+    return gate_views([network.view(pair[0]), network.view(pair[1])],
+                      _by_view(network, ellipses), args.k_sigma, args.default_sigma_px)
 
 
 def cmd_filter(args) -> int:
     network = fileio.load_network(args.cameras)
     ellipses = fileio.load_ellipses(args.ellipses)
-    reports = _gate_file(args, network, ellipses)
-    accepted = [e for e, report in reports if report.accepted]
-    fileio.save_ellipses(accepted, args.out)
-    text = fileio.gate_report_text(reports)
+    gated = gate_views(network.views, _by_view(network, ellipses),
+                       args.k_sigma, args.default_sigma_px)
+    # Each record holds its view's rows sorted by id; the outputs follow the file.
+    keys = [(e.image_id, e.ellipse_id) for e in ellipses]
+    file_row = {key: i for i, key in enumerate(keys)}
+    tau, sigma_tau, accepted = np.empty(len(keys)), np.empty(len(keys)), np.empty(len(keys), bool)
+    for g in gated:
+        rows = [file_row[g.record.view.image_id, ellipse_id] for ellipse_id in g.record.ids]
+        tau[rows], sigma_tau[rows], accepted[rows] = g.tau, g.sigma_tau, g.accepted
+    kept = list(itertools.compress(ellipses, accepted.tolist()))
+    fileio.save_ellipses(kept, args.out)
+    text = fileio.gate_report_text(keys, tau, sigma_tau, args.k_sigma, accepted)
     if args.report:
         fileio.atomic_write_text(args.report, text)
     else:
         sys.stdout.write(text)
-    print(f"kept {len(accepted)} of {len(ellipses)} ellipses -> {args.out}",
+    print(f"kept {len(kept)} of {len(ellipses)} ellipses -> {args.out}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -129,11 +131,9 @@ def _select_pair(args, network: ImageNetwork, ellipses=None):
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")
-    rays = []
-    for e, report in _gate_file(args, network, ellipses):
-        if report.accepted:
-            view = network.view(e.image_id)
-            rays.append((view, projected_sphere_center(e, view.f, view.px, view.py)))
+    gated = gate_views(network.views, _by_view(network, ellipses),
+                       args.k_sigma, args.default_sigma_px)
+    rays = [(g.record.view, center) for g in gated for center in g.record.centers[g.accepted]]
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
     anchor = triangulate_center(rays)
@@ -181,9 +181,7 @@ def cmd_match(args) -> int:
     network = fileio.load_network(args.cameras)
     ellipses = fileio.load_ellipses(args.ellipses)
     pair = _resolve_pair(args, network, ellipses)
-    views, gated = _gate_pair(args, network, ellipses, pair)
-    left, right = (view_record(view, [e for e, report in gated[view.image_id] if report.accepted])
-                   for view in views)
+    left, right = (g.record.take(g.accepted) for g in _gate_pair(args, network, ellipses, pair))
     result = match_ellipses(left, right, tol=args.tol_px)
     payload = {
         "pair": {"i": left.view.image_id, "j": right.view.image_id},
@@ -220,23 +218,21 @@ def cmd_reconstruct(args) -> int:
     with _stage("select-pair"):
         pair = _resolve_pair(args, network, ellipses)
     with _stage("gate+match"):
-        views, gated = _gate_pair(args, network, ellipses, pair)
-        models = reconstruct_gated(views, gated, tol=args.tol_px)
-    report_map = {(image_id, e.ellipse_id): report
-                  for image_id, pairs in gated.items() for e, report in pairs}
+        gated = _gate_pair(args, network, ellipses, pair)
+        models = reconstruct_gated(gated, tol=args.tol_px)
     entries = []
     ordered = sorted(models, key=lambda tm: [tm[0][image_id] for image_id in pair])
     for index, (track, model) in enumerate(ordered):
         contributing = [(image_id, track[image_id]) for image_id in pair]
-        entries.append(fileio.SphereEntry(
-            sphere_id=f"s{index:03d}",
-            model=model,
-            ellipses=contributing,
-            gate_records=[fileio.GateRecord(image_id=i, ellipse_id=e,
-                                            report=report_map[(i, e)])
-                          for i, e in contributing]))
+        records = []
+        for g, (image_id, ellipse_id) in zip(gated, contributing):  # both in pair order
+            row = g.record.ids.index(ellipse_id)
+            records.append(fileio.GateRecord(image_id, ellipse_id, GateReport(
+                float(g.tau[row]), float(g.sigma_tau[row]), float(args.k_sigma),
+                bool(g.accepted[row]))))
+        entries.append(fileio.SphereEntry(f"s{index:03d}", model, contributing, records))
     fileio.save_spheres(entries, args.out)
-    accepted = sum(report.accepted for pairs in gated.values() for _, report in pairs)
+    accepted = sum(int(g.accepted.sum()) for g in gated)
     print(f"pair ({pair[0]},{pair[1]}): {len(entries)} spheres, "
           f"{accepted - 2 * len(entries)} unmatched ellipses "
           f"-> {args.out}", file=sys.stderr)

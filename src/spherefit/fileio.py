@@ -25,13 +25,14 @@ import numpy as np
 from .gate import GateReport
 from .netselect import ImageNetwork, TiePoint
 from .projection import (
+    _PSD_RESCALE_ABOVE,
     CameraView,
     EllipseObservation,
     Sphere,
+    ellipse_checks,
     fold_axis_angle,
     is_psd,
     psd_floor,
-    semi_axes_ok,
 )
 from .reconstruct import SphereModel
 
@@ -281,16 +282,17 @@ def _valid_rows(base: np.ndarray, cov: np.ndarray, block: np.ndarray,
     """
     blanks = blank.sum(axis=1)
     given = blanks == 0
-    minor_ok, major_ok = semi_axes_ok(base[:, 2], base[:, 3])
+    minor_ok, major_ok, in_range = ellipse_checks(*base[:, :4].T)
     finite_cov = np.isfinite(cov).all(axis=1)
     diagonal = cov[:, _COV_DIAGONAL]
-    # A trace may overflow to inf, as it does in the scalar form, or be nan
-    # in a row that fails anyway; neither is worth a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Rows are scaled as in is_psd, so no trace overflows.  A trace may be
+    # nan in a row that fails anyway; that is not worth a warning.
+    diagonal[np.abs(diagonal).max(axis=1) > _PSD_RESCALE_ABOVE] *= 1.0 / _PSD_RESCALE_ABOVE
+    with np.errstate(invalid="ignore"):
         psd = diagonal.min(axis=1) >= psd_floor(list(diagonal.T))
     for i in np.flatnonzero(given & finite_cov & (cov[:, _COV_OFF_DIAGONAL] != 0.0).any(axis=1)):
         psd[i] = is_psd(block[i])
-    return (np.isfinite(base).all(axis=1) & minor_ok & major_ok
+    return (np.isfinite(base).all(axis=1) & minor_ok & major_ok & in_range
             & ~_partial_covariance(blanks) & (~given | (finite_cov & psd)))
 
 
@@ -365,17 +367,22 @@ def _json_float(value: float) -> str:
     return _JSON_FLOAT.get(text, text)
 
 
-def gate_report_text(reports: Sequence[tuple[EllipseObservation, GateReport]]) -> str:
+def gate_report_text(keys: Sequence[tuple[str, str]], tau: np.ndarray, sigma_tau: np.ndarray,
+                     k: float, accepted: np.ndarray) -> str:
     """The per-ellipse gate report as JSON text: ``{"ellipses": [...]}`` with
-    one object per (ellipse, report) pair, byte for byte what
-    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` writes."""
-    if not reports:
+    one object per (image_id, ellipse_id) key and the gate's tau, sigma_tau
+    and accepted entries at the same position, all at threshold ``k``; byte
+    for byte what ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
+    writes."""
+    if not keys:
         return '{\n  "ellipses": []\n}\n'
     quote = json.encoder.encode_basestring_ascii
+    k_text = _json_float(float(k))
     rows = ",\n".join(_REPORT_ROW.format(
-        "true" if r.accepted else "false", quote(e.ellipse_id), quote(e.image_id),
-        _json_float(r.k), _json_float(r.sigma_tau), _json_float(r.tau))
-        for e, r in reports)
+        "true" if a else "false", quote(ellipse_id), quote(image_id), k_text,
+        _json_float(s), _json_float(t))
+        for (image_id, ellipse_id), t, s, a
+        in zip(keys, tau.tolist(), sigma_tau.tolist(), accepted.tolist()))
     return '{\n  "ellipses": [\n' + rows + "\n  ]\n}\n"
 
 
@@ -497,7 +504,8 @@ def load_ply(path: str) -> PlyCloud:
                 raise FileFormatError(f"{path}: only ascii PLY is supported")
             saw_format = True
         elif tokens[0] == "comment":
-            comments.append(" ".join(tokens[1:]))
+            # The text after "comment ", whitespace included, as save_ply writes it.
+            comments.append(lines[idx - 1].lstrip()[len("comment "):])
         elif tokens[0] == "element":
             if len(tokens) < 3 or not tokens[2].isdigit():
                 raise FileFormatError(f"{path}: bad element line {lines[idx - 1]!r}")

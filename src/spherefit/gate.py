@@ -14,18 +14,22 @@ which is exactly zero for noise-free sphere silhouettes.  With measurement
 noise, first-order variance propagation through the closed-form Jacobian
 turns the identity into the acceptance test |tau| <= k * sigma_tau.
 
-The gate works on a whole view at once: ``classify_view`` takes the view's
-ellipses as one (n, 4) parameter array and computes tau, its gradient and its
-variance as array expressions.  ``classify_spherical`` is its one-ellipse
-call.  Ellipse covariances are checked once, when an ``EllipseObservation``
-is built; only the raw interior-orientation covariance is checked here.
+The gate works on a whole view at once: ``classify_view`` reads the arrays
+of the view's ``match.ViewRecord`` (the (n, 4) parameters and the (n, 4, 4)
+covariance block with its has-cov mask), computes tau, its gradient and its
+variance as array expressions, and returns the tau, sigma_tau and accepted
+arrays.  ``classify_spherical`` is its one-ellipse call and returns a
+``GateReport``; the pipeline builds reports only where a sphere file is
+written.  Ellipse covariances are checked once, when an
+``EllipseObservation`` is built; only the raw interior-orientation
+covariance is checked here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -57,32 +61,34 @@ def default_ellipse_cov(sigma_px: float = DEFAULT_SIGMA_PX) -> np.ndarray:
     return np.eye(4) * float(sigma_px) ** 2
 
 
-def _tau(a, b, x, y, f, px, py):
-    dx = x - px
-    dy = y - py
-    return 1.0 - (b / a) * np.sqrt((dx * dx + dy * dy) / (f * f + b * b) + 1.0)
+def _tau(a, b, dx, dy, v):
+    """tau from the semi-axes, the center offsets dx = x_ce - px and
+    dy = y_ce - py, and v = f^2 + b_e^2."""
+    return 1.0 - (b / a) * np.sqrt((dx * dx + dy * dy) / v + 1.0)
 
 
 def tau(e: EllipseObservation, f: float, px: float, py: float) -> float:
     """Spherical-ellipse defect; zero exactly for true sphere silhouettes."""
-    return float(_tau(e.a_e, e.b_e, e.x_ce, e.y_ce, f, px, py))
+    return float(_tau(e.a_e, e.b_e, e.x_ce - px, e.y_ce - py, f * f + e.b_e * e.b_e))
 
 
 def _tau_and_gradient(a, b, x, y, f, px, py):
     """tau and its gradient wrt (a_e, b_e, x_ce, y_ce, px, py, f),
     elementwise over arrays of parameters; the gradient's 7 components form
     its last axis."""
-    t = _tau(a, b, x, y, f, px, py)
     dx = x - px
     dy = y - py
-    v = f * f + b * b
+    a2, b2 = a * a, b * b
+    v = f * f + b2
+    t = _tau(a, b, dx, dy, v)
     m = 1.0 - t  # = (b/a) * sqrt(u/v + 1) > 0
-    common = 1.0 / (a * a * m * v)
+    common = 1.0 / (a2 * m * v)
     d_a = m / a
     d_b = -m * f * f / (b * v) - b ** 3 * common
-    d_x = -b * b * dx * common
-    d_y = -b * b * dy * common
-    d_f = f * (a * a * m * m - b * b) * common
+    nb2 = -b * b
+    d_x = nb2 * dx * common
+    d_y = nb2 * dy * common
+    d_f = f * (a2 * m * m - b2) * common
     return t, np.stack([d_a, d_b, d_x, d_y, -d_x, -d_y, d_f], axis=-1)
 
 
@@ -96,51 +102,42 @@ def tau_jacobian(e: EllipseObservation, f: float, px: float, py: float) -> np.nd
     return _tau_and_gradient(e.a_e, e.b_e, e.x_ce, e.y_ce, f, px, py)[1]
 
 
-def _variances(jacobians: np.ndarray, ellipse_covs, iop_cov) -> np.ndarray:
-    """First-order variance of tau for n ellipses: J Sigma J^T per row, with
-    a block-diagonal Sigma of one 4x4 ellipse covariance per row and one
-    shared 3x3 interior-orientation covariance, None when the interior
-    orientation is exact.  The ellipse covariances were checked when they
-    were built; the interior-orientation one is checked here."""
-    ellipse_covs = np.asarray(ellipse_covs, dtype=float)
-    j_e = jacobians[:, :4]
-    var = np.einsum("ni,nij,nj->n", j_e, ellipse_covs, j_e)
-    if iop_cov is None:
-        return var
-    iop_cov = np.asarray(iop_cov, dtype=float)
-    if iop_cov.shape != (3, 3):
-        raise InvalidCovariance(f"IOP covariance must be 3x3, got {iop_cov.shape}")
-    if not is_psd(iop_cov):
-        raise InvalidCovariance("IOP covariance is not symmetric PSD")
-    j_i = jacobians[:, 4:]
-    return var + np.einsum("ni,ij,nj->n", j_i, iop_cov, j_i)
-
-
-def classify_view(ellipses: Sequence[EllipseObservation], f: float, px: float, py: float,
-                  iop_cov: Optional[np.ndarray] = None, k: float = DEFAULT_K,
-                  default_sigma: float = DEFAULT_SIGMA_PX) -> list[GateReport]:
+def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f: float,
+                  px: float, py: float, iop_cov: Optional[np.ndarray] = None,
+                  k: float = DEFAULT_K, default_sigma: float = DEFAULT_SIGMA_PX,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate all ellipses of one view at |tau| <= k*sigma in one array pass.
 
-    Returns one report per ellipse, in input order.  Each ellipse uses its
-    own covariance, else ``default_sigma`` pixels on every parameter.  The
-    variable order is (a_e, b_e, x_ce, y_ce | px, py, f), and the ellipse
-    and interior-orientation blocks are uncorrelated.  Missing ``iop_cov``
-    means exactly known interior orientation; raises InvalidCovariance
-    unless it is a symmetric PSD 3x3 matrix.
+    ``params`` (n, 4) holds (x_ce, y_ce, a_e, b_e) per ellipse and ``cov``
+    (n, 4, 4) their covariances, used where ``has_cov`` is True, else
+    ``default_sigma`` pixels on every parameter: the arrays of a
+    ``match.ViewRecord``.  Returns the tau, sigma_tau and accepted arrays,
+    one entry per row.  The variable order is (a_e, b_e, x_ce, y_ce | px,
+    py, f), and the ellipse and interior-orientation blocks are
+    uncorrelated.  Missing ``iop_cov`` means exactly known interior
+    orientation; raises InvalidCovariance unless it is a symmetric PSD 3x3
+    matrix.
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"threshold multiplier must be positive and finite, got {k}")
     fallback = default_ellipse_cov(default_sigma)
-    if not ellipses:
-        return []
-    ellipse_covs = [e.cov if e.cov is not None else fallback for e in ellipses]
-    a, b, x, y = np.array([(e.a_e, e.b_e, e.x_ce, e.y_ce) for e in ellipses]).T
+    ellipse_covs = cov if has_cov.all() else np.where(has_cov[:, None, None], cov, fallback)
+    x, y, a, b = params.T
     t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py)
-    var = _variances(jacobians, ellipse_covs, iop_cov)
+    # J Sigma J^T per row, Sigma block-diagonal: the row's ellipse covariance
+    # and the shared interior-orientation one.
+    j_e = jacobians[:, :4]
+    var = np.einsum("ni,nij,nj->n", j_e, ellipse_covs, j_e)
+    if iop_cov is not None:
+        iop_cov = np.asarray(iop_cov, dtype=float)
+        if iop_cov.shape != (3, 3):
+            raise InvalidCovariance(f"IOP covariance must be 3x3, got {iop_cov.shape}")
+        if not is_psd(iop_cov):
+            raise InvalidCovariance("IOP covariance is not symmetric PSD")
+        j_i = jacobians[:, 4:]
+        var = var + np.einsum("ni,ij,nj->n", j_i, iop_cov, j_i)
     sigma_tau = np.sqrt(np.maximum(var, 0.0))
-    accepted = np.abs(t) <= k * sigma_tau
-    return [GateReport(tau=ti, sigma_tau=si, k=float(k), accepted=ai)
-            for ti, si, ai in zip(t.tolist(), sigma_tau.tolist(), accepted.tolist())]
+    return t, sigma_tau, np.abs(t) <= k * sigma_tau
 
 
 def classify_spherical(e: EllipseObservation, f: float, px: float, py: float,
@@ -151,4 +148,9 @@ def classify_spherical(e: EllipseObservation, f: float, px: float, py: float,
     The ellipse uses its own covariance, else the conservative pixel-level
     default; missing ``iop_cov`` means exactly known interior orientation.
     """
-    return classify_view([e], f, px, py, iop_cov=iop_cov, k=k)[0]
+    cov = np.zeros((1, 4, 4)) if e.cov is None else e.cov[None]
+    t, sigma_tau, accepted = classify_view(np.array([[e.x_ce, e.y_ce, e.a_e, e.b_e]]), cov,
+                                           np.array([e.cov is not None]), f, px, py,
+                                           iop_cov=iop_cov, k=k)
+    return GateReport(tau=float(t[0]), sigma_tau=float(sigma_tau[0]), k=float(k),
+                      accepted=bool(accepted[0]))

@@ -13,12 +13,16 @@ and their limits form one (n_l, n_k) matrix, every admissible pair goes
 through the batched two-view reconstruction of ``reconstruct`` in one call,
 and all hypotheses are reprojected with the silhouette closed form at once.
 Only the greedy one-to-one step loops, over the admissible pairs.  Each
-view enters as the ``ViewRecord`` that ``view_record`` builds once.
+view enters as its ``ViewRecord``, the arrays ``view_record`` reads once
+from its ellipses, which the gate reads too; ``ViewRecord.take`` keeps the
+rows the gate accepts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -65,14 +69,71 @@ def _skew(v: np.ndarray) -> np.ndarray:
                      [-v[1], v[0], 0.0]])
 
 
-def fundamental_from_views(view_l: CameraView, view_k: CameraView) -> np.ndarray:
-    """Fundamental matrix F with x_k^T F x_l = 0 for corresponding pixels.
+class ViewRecord(NamedTuple):
+    """One view's ellipses sorted by id, in array form: the ``ids``, their
+    (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the (n, 4, 4) ``cov`` block of
+    (a_e, b_e, x_ce, y_ce) with zeros where ``has_cov`` is False, the
+    corrected ``centers`` (n, 2), the center ``sigmas`` (n,) and the view's
+    ``k_inv``, the inverse calibration matrix."""
+
+    view: CameraView
+    ids: list[str]
+    params: np.ndarray
+    cov: np.ndarray
+    has_cov: np.ndarray
+    centers: np.ndarray
+    sigmas: np.ndarray
+    k_inv: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "ViewRecord":
+        """The record of the rows where the boolean mask ``keep`` is True."""
+        return self._replace(ids=list(itertools.compress(self.ids, keep.tolist())),
+                             params=self.params[keep], cov=self.cov[keep],
+                             has_cov=self.has_cov[keep], centers=self.centers[keep],
+                             sigmas=self.sigmas[keep])
+
+
+_NO_COV = np.zeros((4, 4))
+
+
+def view_record(view: CameraView, ellipses: Sequence[EllipseObservation]) -> ViewRecord:
+    """The ``ViewRecord`` of ``ellipses`` in ``view``: the one read of the
+    objects.  Raises ValueError for a repeated ellipse id, or for an ellipse
+    tagged with another image; the center sigma is 0 for an ellipse without
+    cov."""
+    ordered = sorted(ellipses, key=operator.attrgetter("ellipse_id"))
+    ids = [e.ellipse_id for e in ordered]
+    if len(set(ids)) != len(ids):
+        ids = [e.ellipse_id for e in ellipses]
+        raise ValueError(f"image {view.image_id!r} repeats ellipse id "
+                         f"{max(ids, key=ids.count)!r}")
+    if not {e.image_id for e in ellipses} <= {"", view.image_id}:
+        e = next(e for e in ellipses if e.image_id not in ("", view.image_id))
+        raise ValueError(f"ellipse {e.ellipse_id!r} of image {e.image_id!r} "
+                         f"given for image {view.image_id!r}")
+    params = np.fromiter(itertools.chain.from_iterable(
+        [(e.x_ce, e.y_ce, e.a_e, e.b_e) for e in ordered]), float, 4 * len(ordered)).reshape(-1, 4)
+    has_cov = np.array([e.cov is not None for e in ordered], dtype=bool)
+    cov = np.concatenate([np.empty((0, 4))] + [_NO_COV if e.cov is None else e.cov
+                                               for e in ordered]).reshape(-1, 4, 4)
+    centers = np.empty((len(ordered), 2))
+    centers[:, 0], centers[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
+                                                    view.f, view.px, view.py)
+    sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
+    return ViewRecord(view, ids, params, cov, has_cov, centers, sigmas,
+                      np.linalg.inv(view.calibration_matrix))
+
+
+def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:
+    """Fundamental matrix F with x_k^T F x_l = 0 for corresponding pixels of
+    the left and the right view.
 
     Built from the relative pose (camera-l frame to camera-k frame) and both
-    calibration matrices; normalized to unit Frobenius norm.  Raises
-    DegenerateGeometry when the camera centers coincide (no epipolar
+    records' inverse calibration matrices; normalized to unit Frobenius norm.
+    Raises DegenerateGeometry when the camera centers coincide (no epipolar
     geometry exists).
     """
+    view_l, view_k = left.view, right.view
     r_rel = view_k.rot @ view_l.rot.T
     t_rel = view_k.t - r_rel @ view_l.t
     scale = max(1.0, float(np.linalg.norm(view_l.t)), float(np.linalg.norm(view_k.t)))
@@ -80,44 +141,8 @@ def fundamental_from_views(view_l: CameraView, view_k: CameraView) -> np.ndarray
         raise DegenerateGeometry(
             f"views {view_l.image_id!r} and {view_k.image_id!r} have coincident centers")
     essential = _skew(t_rel) @ r_rel
-    f_mat = (np.linalg.inv(view_k.calibration_matrix).T @ essential
-             @ np.linalg.inv(view_l.calibration_matrix))
+    f_mat = right.k_inv.T @ essential @ left.k_inv
     return f_mat / np.linalg.norm(f_mat)
-
-
-class ViewRecord(NamedTuple):
-    """One view's ellipses sorted by id, their (n, 4) parameters (x_ce, y_ce,
-    a_e, b_e), corrected centers (n, 2) and center sigmas (n,)."""
-
-    view: CameraView
-    ellipses: list[EllipseObservation]
-    params: np.ndarray
-    centers: np.ndarray
-    sigmas: np.ndarray
-
-
-def _require_unique_ids(view: CameraView, ellipses: Sequence[EllipseObservation]) -> None:
-    ids = [e.ellipse_id for e in ellipses]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"image {view.image_id!r} repeats ellipse id "
-                         f"{max(ids, key=ids.count)!r}")
-
-
-def view_record(view: CameraView, ellipses: Sequence[EllipseObservation]) -> ViewRecord:
-    """The ``ViewRecord`` of ``ellipses`` in ``view``, built once per view.
-    Raises ValueError for a repeated ellipse id, or for an ellipse tagged
-    with another image; the center sigma is 0 for an ellipse without cov."""
-    _require_unique_ids(view, ellipses)
-    for e in ellipses:
-        if e.image_id not in ("", view.image_id):
-            raise ValueError(f"ellipse {e.ellipse_id!r} of image {e.image_id!r} "
-                             f"given for image {view.image_id!r}")
-    ordered = sorted(ellipses, key=lambda e: e.ellipse_id)
-    params = np.array([(e.x_ce, e.y_ce, e.a_e, e.b_e) for e in ordered]).reshape(-1, 4)
-    centers = np.stack(corrected_center(params[:, 0], params[:, 1], params[:, 3],
-                                        view.f, view.px, view.py), axis=-1)
-    var = np.array([0.0 if e.cov is None else e.cov[2, 2] + e.cov[3, 3] for e in ordered])
-    return ViewRecord(view, ordered, params, centers, np.sqrt(np.maximum(0.5 * var, 0.0)))
 
 
 def _line_distances(lines: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -141,7 +166,7 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
     """
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"epipolar tolerance must be positive and finite, got {tol} px")
-    f_lk = fundamental_from_views(left.view, right.view)
+    f_lk = fundamental_matrix(left, right)
     hom_l = np.hstack([left.centers, np.ones((len(left.centers), 1))])
     hom_k = np.hstack([right.centers, np.ones((len(right.centers), 1))])
     epi = np.maximum(_line_distances(hom_l @ f_lk.T, right.centers),
@@ -166,8 +191,8 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
 
     # Ellipses are sorted by id, so ordering by index breaks ties by id.
     order = keep[np.lexsort((ik[keep], il[keep], total[keep]))]
-    used_l = np.zeros(len(left.ellipses), dtype=bool)
-    used_k = np.zeros(len(right.ellipses), dtype=bool)
+    used_l = np.zeros(len(left.ids), dtype=bool)
+    used_k = np.zeros(len(right.ids), dtype=bool)
     matches = []
     for row in order.tolist():
         i, j = il[row], ik[row]
@@ -175,8 +200,8 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
             continue
         used_l[i] = used_k[j] = True
         matches.append(MatchCandidate(
-            ellipse_l=left.ellipses[i].ellipse_id, ellipse_k=right.ellipses[j].ellipse_id,
+            ellipse_l=left.ids[i], ellipse_k=right.ids[j],
             epipolar_distance=float(epi[i, j]), reprojection_distance=float(total[row])))
-    unmatched_l = [e.ellipse_id for e, used in zip(left.ellipses, used_l) if not used]
-    unmatched_k = [e.ellipse_id for e, used in zip(right.ellipses, used_k) if not used]
-    return MatchResult(matches=matches, unmatched_l=unmatched_l, unmatched_k=unmatched_k)
+    return MatchResult(matches=matches,
+                       unmatched_l=list(itertools.compress(left.ids, (~used_l).tolist())),
+                       unmatched_k=list(itertools.compress(right.ids, (~used_k).tolist())))

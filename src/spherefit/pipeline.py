@@ -2,12 +2,14 @@
 
 One path serves the command line, the synthetic sweep and the library:
 
-* ``gate_views`` runs the spherical-ellipse gate on each view's ellipses,
-  with the view's interior-orientation covariance and a default pixel
-  sigma for ellipses that carry no covariance;
-* ``reconstruct_gated`` matches the accepted ellipses of every view pair,
-  merges the pairwise matches into one-ellipse-per-view tracks and recovers
-  one sphere per track;
+* ``gate_views`` reads each view's ellipses once into its ``ViewRecord``
+  and runs the spherical-ellipse gate on the record's arrays, with the
+  view's interior-orientation covariance and a default pixel sigma for
+  ellipses that carry no covariance; it returns each record with its tau,
+  sigma_tau and accepted arrays;
+* ``reconstruct_gated`` keeps the accepted rows of each record, matches
+  every view pair, merges the pairwise matches into one-ellipse-per-view
+  tracks and recovers one sphere per track;
 * ``reconstruct_subset`` chains the two.
 
 Views are processed in the order the caller gives them: pairs are matched
@@ -18,32 +20,44 @@ view order.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, GateReport, classify_view
-from .match import _require_unique_ids, match_ellipses, view_record
-from .projection import CameraView, EllipseObservation
+import numpy as np
+
+from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, classify_view
+from .match import ViewRecord, match_ellipses, view_record
+from .projection import CameraView
 from .reconstruct import SphereModel, reconstruct_tracks
+
+
+class GatedView(NamedTuple):
+    """A view's ``ViewRecord`` and the gate's tau, sigma_tau and accepted
+    arrays, one entry per record row."""
+
+    record: ViewRecord
+    tau: np.ndarray
+    sigma_tau: np.ndarray
+    accepted: np.ndarray
 
 
 def gate_views(views: Sequence[CameraView], observations: dict,
                k_sigma: float = DEFAULT_K, default_sigma: float = DEFAULT_SIGMA_PX,
-               ) -> dict[str, list[tuple[EllipseObservation, GateReport]]]:
+               ) -> list[GatedView]:
     """Gate the ellipses of each view in one array pass per view.
 
-    ``observations`` maps image ids to ellipse lists.  Returns, for every
-    view in ``views`` order, its (ellipse, report) pairs in input order.
-    Ellipses without a covariance use ``default_sigma`` pixels on every
-    parameter; each view's ``iop_cov`` enters the variance of tau.  An
-    ellipse id may appear only once per view (``ValueError``).
+    ``observations`` maps image ids to ellipse lists.  Returns one
+    ``GatedView`` per view, in ``views`` order, whose record holds the
+    view's ellipses sorted by id.  Ellipses without a covariance use
+    ``default_sigma`` pixels on every parameter; each view's ``iop_cov``
+    enters the variance of tau.  ``view_record`` raises ``ValueError`` for
+    an ellipse id that repeats in a view.
     """
-    gated = {}
+    gated = []
     for view in views:
-        observed = observations.get(view.image_id, [])
-        _require_unique_ids(view, observed)
-        reports = classify_view(observed, view.f, view.px, view.py, iop_cov=view.iop_cov,
-                                k=k_sigma, default_sigma=default_sigma)
-        gated[view.image_id] = list(zip(observed, reports))
+        record = view_record(view, observations.get(view.image_id, []))
+        gated.append(GatedView(record, *classify_view(
+            record.params, record.cov, record.has_cov, view.f, view.px, view.py,
+            iop_cov=view.iop_cov, k=k_sigma, default_sigma=default_sigma)))
     return gated
 
 
@@ -85,18 +99,17 @@ def _merge_tracks(pair_matches: list[tuple[float, str, str, str, str]]) -> list[
     return [members[find(node)] for node in sorted(members)]
 
 
-def reconstruct_gated(views: Sequence[CameraView], gated: dict,
+def reconstruct_gated(gated: Sequence[GatedView],
                       tol: Optional[float] = None) -> list[tuple[dict, SphereModel]]:
     """Match the accepted ellipses of every view pair, merge the matches
     into tracks and recover one sphere per track.
 
-    ``gated`` is the output of ``gate_views`` for ``views``; each view's
-    accepted ellipses become one ``ViewRecord`` for both steps.  Returns
-    (track, model) pairs, where a track maps image ids to ellipse ids;
-    tracks whose geometry degenerates are dropped.
+    ``gated`` is the output of ``gate_views``; the accepted rows of each
+    view's record serve both steps.  Returns (track, model) pairs, where a
+    track maps image ids to ellipse ids; tracks whose geometry degenerates
+    are dropped.
     """
-    records = [view_record(view, [e for e, report in gated[view.image_id] if report.accepted])
-               for view in views]
+    records = [g.record.take(g.accepted) for g in gated]
     pair_matches = []
     for left, right in itertools.combinations(records, 2):
         pair_matches.extend((m.reprojection_distance, left.view.image_id, right.view.image_id,
@@ -112,4 +125,4 @@ def reconstruct_subset(views: Sequence[CameraView],
     """Full pipeline on one view subset at the default gate and epipolar
     tolerance: gate, all-pairs matching, tracks, multi-view reconstruction.
     Returns (track, model) pairs."""
-    return reconstruct_gated(views, gate_views(views, observations))
+    return reconstruct_gated(gate_views(views, observations))

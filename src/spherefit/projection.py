@@ -10,16 +10,16 @@ with camera-frame center (X, Y, Z) and radius R the silhouette ellipse is
 
 Because the ellipse center is displaced outward from the true image of the
 sphere center (the eccentricity effect), the inverse map comes in two parts:
-``projected_sphere_center`` recovers the true image of the center from the
-ellipse parameters alone, and once triangulation has fixed the center's
-depth Z, ``radius_from_depth`` gives R = Z * b_e / sqrt(b_e^2 + f^2).
+``corrected_center`` recovers the true image of the center from the ellipse
+parameters alone, and once triangulation has fixed the center's depth Z,
+``radius_from_depth`` gives R = Z * b_e / sqrt(b_e^2 + f^2).
 
 Each closed form is written once, as a function that is elementwise over
 numpy arrays so that the batched kernels call it directly: ``silhouette``
 (sphere -> ellipse), ``corrected_center`` (ellipse -> image of the center),
 ``pinhole`` (camera-frame point -> pixel) and ``radius_from_depth``.  These
-leave the depth check to the caller; ``project_sphere`` and
-``projected_sphere_center`` are their checked one-object forms.
+leave the depth check to the caller; ``project_sphere`` is the checked
+one-sphere form of ``silhouette``.
 
 Conventions used throughout the package:
 
@@ -51,6 +51,12 @@ _ROT_TOL = 1e-9
 # ``is_psd`` rescales a matrix whose largest entry exceeds this power of two.
 _PSD_RESCALE_ABOVE = 2.0 ** 1000
 
+#: Largest magnitude of an ellipse's center coordinates and semi-axes, in
+#: pixels; its inverse is the least semi-minor length.  The gate multiplies
+#: and divides up to four such lengths, so values far outside would overflow
+#: its closed forms.
+PIXEL_LIMIT = 2.0 ** 200
+
 
 def fold_axis_angle(theta: float) -> float:
     """Fold an axis orientation into [-pi/2, pi/2); axes are pi-periodic."""
@@ -79,6 +85,8 @@ def is_psd(m: np.ndarray) -> bool:
     diag = flat[::step]
     del flat[::step]
     if flat.count(0.0) == len(flat):
+        if max(map(abs, diag)) > _PSD_RESCALE_ABOVE:  # as below; inf stays inf
+            diag = [d * (1.0 / _PSD_RESCALE_ABOVE) for d in diag]
         return all(map(math.isfinite, diag)) and min(diag) >= psd_floor(diag)
     if not np.isfinite(m).all():
         return False
@@ -190,12 +198,15 @@ class EllipseObservation:
         self.theta = float(self.theta)
         _require_finite("ellipse", x_ce=self.x_ce, y_ce=self.y_ce, a_e=self.a_e,
                         b_e=self.b_e, theta=self.theta)
-        minor_ok, major_ok = semi_axes_ok(self.a_e, self.b_e)
+        minor_ok, major_ok, in_range = ellipse_checks(self.x_ce, self.y_ce, self.a_e, self.b_e)
         if not minor_ok:
-            raise ValueError(f"semi-minor length must be positive, got {self.b_e}")
+            raise ValueError(f"semi-minor length must be at least 2^-200 px, got {self.b_e}")
         if not major_ok:
             raise ValueError(
                 f"semi-major length {self.a_e} is smaller than semi-minor {self.b_e}")
+        if not in_range:
+            raise ValueError(f"ellipse center and semi-axes must lie within 2^200 px, got "
+                             f"center ({self.x_ce}, {self.y_ce}), semi-major {self.a_e}")
         self.theta = fold_axis_angle(self.theta)
         if self.cov is not None:
             self.cov = _as_matrix(self.cov, (4, 4), "cov")
@@ -215,10 +226,12 @@ class EllipseObservation:
         return self
 
 
-def semi_axes_ok(a_e, b_e):
-    """(semi-minor length positive, semi-major length no shorter) of finite
-    semi-axes; elementwise over numpy arrays as well as scalars."""
-    return b_e > 0.0, a_e >= b_e
+def ellipse_checks(x_ce, y_ce, a_e, b_e):
+    """(semi-minor length at least 1 / ``PIXEL_LIMIT``, semi-major length no
+    shorter, center and semi-major length within ``PIXEL_LIMIT``) of finite
+    parameters; elementwise over numpy arrays as well as scalars."""
+    return (b_e >= 1.0 / PIXEL_LIMIT, a_e >= b_e,
+            (abs(x_ce) <= PIXEL_LIMIT) & (abs(y_ce) <= PIXEL_LIMIT) & (a_e <= PIXEL_LIMIT))
 
 
 @dataclass
@@ -295,20 +308,14 @@ def project_sphere_into_view(sphere: Sphere, view: CameraView,
                           image_id=view.image_id, ellipse_id=ellipse_id)
 
 
-def projected_sphere_center(e: EllipseObservation, f: float, px: float,
-                            py: float) -> np.ndarray:
-    """True image of the sphere center, from the ellipse parameters alone.
+def corrected_center(x_ce, y_ce, b_e, f, px, py):
+    """True image (x, y) of the sphere center, from the ellipse parameters
+    alone; elementwise over numpy arrays as well as scalars.
 
     This is NOT the ellipse center: the perspective silhouette of a sphere is
     displaced outward from the image of its center, and the displacement is a
     closed-form function of the semi-minor length and the focal length.
     """
-    return np.array(corrected_center(e.x_ce, e.y_ce, e.b_e, f, px, py))
-
-
-def corrected_center(x_ce, y_ce, b_e, f, px, py):
-    """``projected_sphere_center`` elementwise over arrays of ellipse
-    parameters: returns the corrected (x, y) pixel coordinates."""
     b2 = b_e * b_e
     f2 = f * f
     w = f2 + b2

@@ -193,7 +193,7 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
     image_ids = [r.view.image_id for r in records]
     f, px, py, rot, t = _cameras([r.view for r in records])
     params = np.concatenate([np.empty((0, 4))] + [r.params for r in records])
-    keys = [(v, e.ellipse_id) for v, r in enumerate(records) for e in r.ellipses]
+    keys = [(v, ellipse_id) for v, r in enumerate(records) for ellipse_id in r.ids]
     rows = {key: row for row, key in enumerate(keys)}  # key -> row of params
     picks = [[(v, rows[v, track[i]]) for v, i in enumerate(image_ids) if i in track]
              for track in tracks]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,9 +31,11 @@ from .errors import ConfigInfeasible, DegenerateGeometry, DegenerateProjection
 from .netselect import ImageNetwork, TiePoint, best_pair
 from .pipeline import reconstruct_subset
 from .projection import (
+    PIXEL_LIMIT,
     CameraView,
     EllipseObservation,
     Sphere,
+    ellipse_checks,
     fold_axis_angle,
     pinhole,
     project_sphere_into_view,
@@ -95,8 +98,8 @@ class SceneConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SceneConfig":
         """Config from parsed JSON; ``ValueError`` names the first key whose
-        value lacks the JSON type of its default (an integer may stand for
-        a float)."""
+        value lacks the JSON type of its default (an integer in the float
+        range may stand for a float), or a count outside [0, 100000]."""
         if not isinstance(data, dict):
             raise ValueError(f"scene config must be a JSON object, got {type(data).__name__}")
         cfg = cls()
@@ -106,6 +109,10 @@ class SceneConfig:
             if not _same_kind(value, getattr(cfg, key)):
                 raise ValueError(f"scene config key {key!r} has the wrong type: {value!r}")
             setattr(cfg, key, value)
+        for key in ("n_cameras", "n_tie_points", "clutter_per_image"):
+            if not 0 <= getattr(cfg, key) <= _MAX_COUNT:
+                raise ValueError(f"scene config key {key!r} must lie in [0, {_MAX_COUNT}], "
+                                 f"got {getattr(cfg, key)}")
         if not _is_xyz(cfg.look_at):
             raise ValueError(f"scene config key 'look_at' must be 3 numbers, got {cfg.look_at!r}")
         for entry in cfg.spheres:
@@ -119,10 +126,16 @@ class SceneConfig:
         return cfg
 
 
+#: Bound on the counts of a scene config, which scene generation loops over.
+_MAX_COUNT = 100_000
+
+
 def _same_kind(value, default) -> bool:
     """Whether ``value`` has the JSON type of ``default``; no config value
-    is boolean."""
-    kinds = {int: int, float: (int, float), str: str}.get(type(default), (list, tuple))
+    is boolean, and an integer may stand for a float in the float range."""
+    if isinstance(value, int) and isinstance(default, float):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    kinds = {int: int, float: float, str: str}.get(type(default), (list, tuple))
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
@@ -272,37 +285,43 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
 def perturb_observations(scene: SyntheticScene, sigma, seed: int) -> SyntheticScene:
     """Add zero-mean Gaussian noise to (a_e, b_e, x_ce, y_ce) of every ellipse.
 
-    ``sigma`` is a scalar or per-parameter 4-sequence in pixels.  Each noisy
-    observation carries the true diagonal covariance; the axis angle is left
-    untouched, and axes are swapped back if noise inverts their ordering.
-    With all-zero sigma the scene is returned unchanged; raises ValueError
-    unless every sigma is finite and >= 0.
+    ``sigma`` is a scalar or per-parameter 4-sequence in pixels.  Every noisy
+    observation shares one read-only array, the true diagonal covariance;
+    the axis angle is left untouched, and axes are swapped back if noise
+    inverts their ordering.  With all-zero sigma the scene is returned
+    unchanged.  Raises ValueError unless every sigma lies in [0,
+    ``PIXEL_LIMIT``], and for a noisy ellipse whose center or semi-major
+    length lands beyond ``PIXEL_LIMIT``.
     """
     sig = np.asarray(sigma, dtype=float) * np.ones(4)
-    if not np.all((sig >= 0.0) & (sig < np.inf)):
-        raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
-    if not np.any(sig > 0.0):
+    if not all(0.0 <= value <= PIXEL_LIMIT for value in sig.tolist()):
+        raise ValueError(f"noise sigma must be finite, >= 0 and at most 2^200 px, got {sigma}")
+    if not sig.any():
         return scene
-    rng = _rng(seed, 1)
     cov = np.diag(sig ** 2)
-    noisy: dict = {}
-    for image_id in sorted(scene.observations):
-        observed = scene.observations[image_id]
-        # One draw per image; row i equals the i-th per-ellipse draw.
-        noise = rng.normal(0.0, sig, size=(len(observed), 4))
-        out = []
-        for e, (da, db, dx, dy) in zip(observed, noise):
-            a = e.a_e + da
-            b = e.b_e + db
-            if b > a:
-                a, b = b, a
-            b = max(b, 1e-6)  # keep the observation valid under extreme draws
-            a = max(a, b)
-            out.append(EllipseObservation(
-                image_id=e.image_id, ellipse_id=e.ellipse_id,
-                x_ce=e.x_ce + dx, y_ce=e.y_ce + dy, a_e=a, b_e=b,
-                theta=e.theta, cov=cov.copy()))
-        noisy[image_id] = out
+    cov.flags.writeable = False
+    image_ids = sorted(scene.observations)
+    rows = [e for image_id in image_ids for e in scene.observations[image_id]]
+    # One normal 4-vector per ellipse, in sorted-image order.
+    noise = _rng(seed, 1).normal(0.0, sig, size=(len(rows), 4))
+    params = np.array([(e.a_e, e.b_e, e.x_ce, e.y_ce) for e in rows]).reshape(-1, 4) + noise
+    b, a = np.sort(params[:, :2], axis=1).T  # swapped back where noise inverts them
+    b = np.maximum(b, 1e-6)  # keep the observation valid under extreme draws
+    a = np.maximum(a, b)
+    x, y = params[:, 2], params[:, 3]
+    in_range = ellipse_checks(x, y, a, b)[2].tolist()
+    if not all(in_range):
+        e = rows[in_range.index(False)]
+        raise ValueError(f"noisy ellipse {e.ellipse_id!r} of image {e.image_id!r} "
+                         f"lies beyond 2^200 px")
+    # Valid rows: only the theta fold of EllipseObservation is left to do.
+    made = iter([EllipseObservation._trusted({
+                     "image_id": e.image_id, "ellipse_id": e.ellipse_id, "x_ce": xi, "y_ce": yi,
+                     "a_e": ai, "b_e": bi, "theta": fold_axis_angle(e.theta), "cov": cov})
+                 for e, xi, yi, ai, bi in zip(rows, x.tolist(), y.tolist(), a.tolist(),
+                                              b.tolist())])
+    noisy = {image_id: list(itertools.islice(made, len(scene.observations[image_id])))
+             for image_id in image_ids}
     return SyntheticScene(config=scene.config, views=scene.views,
                           spheres=scene.spheres, observations=noisy,
                           tie_points=scene.tie_points,

@@ -11,7 +11,9 @@ the package's array kernels (two-view matching, sphere recovery, the
 per-view gate and pair scoring), kept as the references those kernels are
 checked against.  The scalar matching distances (``epipolar_distance``,
 ``reprojection_distance``, ``center_sigma`` and ``default_epipolar_tol``)
-live here for the same reason: the package computes them as arrays.
+live here for the same reason: the package computes them as arrays, and
+so do ``projected_sphere_center`` and ``fundamental_from_views``, the
+one-ellipse center correction and the per-pair fundamental matrix.
 ``reference_is_psd`` is the eigensolver test that the package's diagonal
 shortcut in ``is_psd`` is checked against, and ``reference_load_ellipses``
 the row-by-row ellipse CSV reader that the column passes of
@@ -38,12 +40,11 @@ from spherefit import (
     PairScore,
     Sphere,
     SphereModel,
-    fundamental_from_views,
     project_sphere_into_view,
-    projected_sphere_center,
 )
 from spherefit.fileio import ELLIPSE_BASE_COLUMNS, ELLIPSE_COV_COLUMNS, FileFormatError
-from spherefit.match import DEFAULT_EPIPOLAR_TOL
+from spherefit.match import DEFAULT_EPIPOLAR_TOL, _skew
+from spherefit.projection import corrected_center
 
 
 def look_at_view(image_id, camera_center, target, f=1000.0, px=500.0, py=500.0,
@@ -250,6 +251,27 @@ def reference_reconstruct_sphere(matched):
                        per_view_radii=per_view,
                        radius_spread=max(abs(r - radius) for _, r in per_view),
                        triangulation_residual=math.sqrt(np.mean(squared)))
+
+
+def projected_sphere_center(e, f, px, py) -> np.ndarray:
+    """True image of the sphere center of one ellipse: the one-ellipse form
+    of ``projection.corrected_center``."""
+    return np.array(corrected_center(e.x_ce, e.y_ce, e.b_e, f, px, py))
+
+
+def fundamental_from_views(view_l, view_k) -> np.ndarray:
+    """Fundamental matrix of two views with x_k^T F x_l = 0, inverting both
+    calibration matrices per call; ``match.fundamental_matrix`` takes the
+    inverses from the view records and must agree to the bit."""
+    r_rel = view_k.rot @ view_l.rot.T
+    t_rel = view_k.t - r_rel @ view_l.t
+    scale = max(1.0, float(np.linalg.norm(view_l.t)), float(np.linalg.norm(view_k.t)))
+    if np.linalg.norm(t_rel) <= 1e-12 * scale:
+        raise DegenerateGeometry("coincident centers")
+    essential = _skew(t_rel) @ r_rel
+    f_mat = (np.linalg.inv(view_k.calibration_matrix).T @ essential
+             @ np.linalg.inv(view_l.calibration_matrix))
+    return f_mat / np.linalg.norm(f_mat)
 
 
 def epipolar_distance(fundamental, point_l, point_k) -> float:

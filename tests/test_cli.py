@@ -112,6 +112,23 @@ class TestFilter:
         assert result.returncode == 2
         assert "nan.csv:2" in result.stderr and "finite" in result.stderr
 
+    @pytest.mark.parametrize("column", ["x_ce", "a_e"])
+    def test_huge_ellipse_row_exit_code(self, exported, tmp_path, column):
+        # A center at 1e308 px used to exit 0 with -Infinity and NaN in the
+        # report, which strict JSON readers reject.
+        root, _, _ = exported
+        lines = open(root / "ellipses.csv").read().splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(column)] = "1e308"
+        bad = tmp_path / "huge.csv"
+        bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        result = run_cli("filter", "--cameras", str(root / "cameras.json"),
+                         "--ellipses", str(bad), "--out", str(tmp_path / "o.csv"),
+                         "--report", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert "huge.csv:2" in result.stderr and "2^200 px" in result.stderr
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("field", ["px", "rot", "iop_cov"])
     def test_non_finite_camera_exit_code(self, exported, tmp_path, field):
         # A NaN in iop_cov used to read "iop_cov must be symmetric positive

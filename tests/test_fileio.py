@@ -263,6 +263,31 @@ class TestEllipseFile:
         with pytest.raises(FileFormatError, match=r"e\.csv:2: ellipse cov must be finite"):
             load_ellipses(path)
 
+    @pytest.mark.parametrize("diagonal, valid", [(["1e308", "1e308", "-3e299"], False),
+                                                 (["1e308", "1e308", "1e-300"], True)])
+    def test_huge_diagonal_covariance(self, tmp_path, diagonal, valid):
+        # The trace of the first overflowed to inf, which accepted the row.
+        path = str(tmp_path / "e.csv")
+        save_ellipses([EllipseObservation("i", "e", 1.0, 2.0, 3.0, 2.0, 0.0,
+                                          cov=np.eye(4))], path)
+        header, row = open(path).read().splitlines()
+        cells = row.split(",")
+        for column, value in zip(["cov_aa", "cov_bb", "cov_xx"], diagonal):
+            cells[header.split(",").index(column)] = value
+        open(path, "w").write(header + "\n" + ",".join(cells) + "\n")
+        if valid:
+            assert load_ellipses(path)[0].cov[0, 0] == 1e308
+        else:
+            with pytest.raises(FileFormatError, match=r"e\.csv:2: .*positive semi-definite"):
+                load_ellipses(path)
+
+    def test_center_beyond_pixel_limit_rejected(self, tmp_path):
+        path = str(tmp_path / "e.csv")
+        header = "image_id,ellipse_id,x_ce,y_ce,a_e,b_e,theta_rad"
+        open(path, "w").write(header + "\ni,e,0,0,5,4,0\ni,f,1e308,0,5,4,0\n")
+        with pytest.raises(FileFormatError, match=r"e\.csv:3: .*2\^200 px"):
+            load_ellipses(path)
+
     def test_oversized_field_rejected(self, tmp_path):
         # csv.Error used to escape the reader.
         path = str(tmp_path / "e.csv")

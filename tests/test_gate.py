@@ -7,6 +7,7 @@ import pytest
 from oracles import central_difference, reference_gate
 from spherefit import (
     EllipseObservation,
+    GateReport,
     InvalidCovariance,
     SceneConfig,
     Sphere,
@@ -19,12 +20,28 @@ from spherefit import (
     tau,
     tau_jacobian,
 )
+from spherefit.projection import PIXEL_LIMIT
 
 F, PX, PY = 1000.0, 500.0, 500.0
 
 
 def ellipse(a, b, x, y, cov=None):
     return EllipseObservation("", "e", x, y, a, b, 0.0, cov=cov)
+
+
+def view_arrays(ellipses):
+    """The (params, cov, has_cov) arrays ``classify_view`` takes, in input
+    order, as ``view_record`` gathers them."""
+    params = np.array([(e.x_ce, e.y_ce, e.a_e, e.b_e) for e in ellipses]).reshape(-1, 4)
+    cov = np.array([np.zeros((4, 4)) if e.cov is None else e.cov for e in ellipses])
+    has_cov = np.array([e.cov is not None for e in ellipses], dtype=bool)
+    return params, cov.reshape(-1, 4, 4), has_cov
+
+
+def gate_reports(ellipses, f, px, py, k=2.0, **kwargs):
+    """``classify_view`` of ``ellipses`` as one ``GateReport`` per row."""
+    rows = zip(*classify_view(*view_arrays(ellipses), f, px, py, k=k, **kwargs))
+    return [GateReport(float(t), float(s), float(k), bool(a)) for t, s, a in rows]
 
 
 def tau_of_params(params):
@@ -208,10 +225,10 @@ class TestClassify:
                                      e.a_e, e.b_e, e.theta,
                                      cov=default_ellipse_cov(0.1))
         via_field = classify_spherical(wrapped, F, PX, PY)
-        via_default = classify_view([e], F, PX, PY, default_sigma=0.1)[0]
+        via_default = gate_reports([e], F, PX, PY, default_sigma=0.1)[0]
         assert via_field.sigma_tau == via_default.sigma_tau
         # The observation's covariance wins over the default sigma.
-        assert classify_view([wrapped], F, PX, PY, default_sigma=5.0) == [via_field]
+        assert gate_reports([wrapped], F, PX, PY, default_sigma=5.0) == [via_field]
 
     def test_view_gate_equals_per_ellipse_reference(self):
         config = SceneConfig(n_cameras=6, placement="ring", clutter_per_image=10,
@@ -226,8 +243,8 @@ class TestClassify:
                         for i, e in enumerate(noisy.observations[view.image_id])]
             covs = [e.cov if i % 2 else fallback for i, e in enumerate(observed)]
             for iop in (np.zeros((3, 3)), iop_cov):
-                reports = classify_view(observed, view.f, view.px, view.py,
-                                        iop_cov=iop, k=2.0, default_sigma=0.7)
+                reports = gate_reports(observed, view.f, view.px, view.py,
+                                       iop_cov=iop, k=2.0, default_sigma=0.7)
                 for e, cov, report in zip(observed, covs, reports):
                     t, sigma_tau, ok = reference_gate(e, view.f, view.px, view.py, cov, iop, 2.0)
                     assert report.accepted == ok
@@ -241,10 +258,12 @@ class TestClassify:
         own = EllipseObservation("", "own", e.x_ce, e.y_ce, e.a_e * 1.001, e.b_e,
                                  e.theta, cov=default_ellipse_cov(0.1))
         bare = ellipse(120.0, 100.0, 700.0, 400.0)
-        reports = classify_view([own, bare], F, PX, PY)
+        reports = gate_reports([own, bare], F, PX, PY)
         assert reports == [classify_spherical(own, F, PX, PY),
                            classify_spherical(bare, F, PX, PY)]
-        assert classify_view([], F, PX, PY) == []
+        tau_, sigma_tau, accepted = classify_view(*view_arrays([]), F, PX, PY)
+        assert tau_.shape == sigma_tau.shape == accepted.shape == (0,)
+        assert accepted.dtype == bool
 
     def test_view_gate_checks_every_covariance(self):
         # Ellipse covariances are checked when the observation is built
@@ -252,11 +271,31 @@ class TestClassify:
         # default sigma, the latter even with no ellipses.
         good = ellipse(120.0, 100.0, 700.0, 400.0)
         with pytest.raises(InvalidCovariance):
-            classify_view([good], F, PX, PY, iop_cov=-np.eye(3))
+            classify_view(*view_arrays([good]), F, PX, PY, iop_cov=-np.eye(3))
         with pytest.raises(InvalidCovariance):
-            classify_view([good], F, PX, PY, iop_cov=np.eye(2))
+            classify_view(*view_arrays([good]), F, PX, PY, iop_cov=np.eye(2))
         with pytest.raises(ValueError, match="sigma"):
-            classify_view([], F, PX, PY, default_sigma=math.nan)
+            classify_view(*view_arrays([]), F, PX, PY, default_sigma=math.nan)
+
+    def test_answers_stay_finite_up_to_the_pixel_limit(self):
+        # An ellipse centered at 1e308 px overflowed the gate (inf tau, nan
+        # sigma), and one with a semi-minor length of 1e-300 px divided by
+        # zero; such rows are now rejected, and the extreme valid ones gate
+        # without a warning, an error under the suite's filter.
+        with pytest.raises(ValueError, match=r"2\^200 px"):
+            ellipse(120.0, 100.0, 1e308, 400.0)
+        with pytest.raises(ValueError, match=r"2\^-200 px"):
+            ellipse(1e-300, 1e-300, 400.0, 400.0)
+        for a, b, x, y in [(120.0, 100.0, PIXEL_LIMIT, 400.0),
+                           (PIXEL_LIMIT, 100.0, 700.0, -PIXEL_LIMIT),
+                           (PIXEL_LIMIT, 1e-6, PIXEL_LIMIT, PIXEL_LIMIT),
+                           (PIXEL_LIMIT, PIXEL_LIMIT, -PIXEL_LIMIT, PIXEL_LIMIT),
+                           (1.0 / PIXEL_LIMIT, 1.0 / PIXEL_LIMIT, 0.0, 0.0),
+                           (1.0, 1.0 / PIXEL_LIMIT, PIXEL_LIMIT, -PIXEL_LIMIT)]:
+            e = ellipse(a, b, x, y, cov=default_ellipse_cov(0.5))
+            for iop_cov in (None, np.eye(3)):
+                report = classify_spherical(e, F, PX, PY, iop_cov=iop_cov)
+                assert math.isfinite(report.tau) and math.isfinite(report.sigma_tau)
 
     def test_rejects_nonpositive_threshold(self):
         e = ellipse(120.0, 100.0, 700.0, 400.0)

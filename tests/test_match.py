@@ -7,7 +7,9 @@ import pytest
 from oracles import (
     center_sigma,
     epipolar_distance,
+    fundamental_from_views,
     look_at_view,
+    projected_sphere_center,
     reference_match_ellipses,
     reference_reconstruct_sphere,
     reprojection_distance,
@@ -21,17 +23,24 @@ from spherefit import (
     best_pair,
     generate_scene,
     perturb_observations,
-    fundamental_from_views,
+    fundamental_matrix,
     gate_views,
     match_ellipses,
     project_sphere_into_view,
-    projected_sphere_center,
     reconstruct_sphere,
     tau,
     view_record,
     world_to_camera,
 )
 from spherefit.projection import pinhole
+
+
+def fundamental(view_l, view_k):
+    """``fundamental_matrix`` of two views with no ellipses; it equals the
+    per-pair reference to the bit."""
+    f_mat = fundamental_matrix(view_record(view_l, []), view_record(view_k, []))
+    assert f_mat.tobytes() == fundamental_from_views(view_l, view_k).tobytes()
+    return f_mat
 
 
 def translated_pair():
@@ -43,7 +52,7 @@ def translated_pair():
 class TestFundamental:
     def test_pure_translation_along_x(self):
         left, right = translated_pair()
-        f = fundamental_from_views(left, right)
+        f = fundamental(left, right)
         target = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
         target = target / np.linalg.norm(target)
         assert min(np.abs(f - target).max(), np.abs(f + target).max()) < 1e-12
@@ -53,7 +62,7 @@ class TestFundamental:
         for _ in range(100):
             a = look_at_view("a", rng.normal(size=3) * 4 + [6, 0, 0], rng.normal(size=3))
             b = look_at_view("b", rng.normal(size=3) * 4 - [6, 0, 0], rng.normal(size=3))
-            f = fundamental_from_views(a, b)
+            f = fundamental(a, b)
             s = np.linalg.svd(f, compute_uv=False)
             assert s[1] / s[0] > 1e-9
             assert s[2] / s[0] < 1e-12
@@ -64,7 +73,7 @@ class TestFundamental:
             a = look_at_view("a", [-2.0, 0.5, -8.0], [0.0, 0.0, 0.0])
             b = look_at_view("b", [3.0, -1.0, -7.0], [0.0, 0.0, 0.0])
             point = rng.uniform(-1.0, 1.0, 3)
-            f = fundamental_from_views(a, b)
+            f = fundamental(a, b)
             xa = pinhole(world_to_camera(point, a), a.f, a.px, a.py)
             xb = pinhole(world_to_camera(point, b), b.f, b.px, b.py)
             assert epipolar_distance(f, xa, xb) < 1e-9
@@ -74,7 +83,7 @@ class TestFundamental:
         rot_b = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         b = CameraView("b", 1000.0, 0.0, 0.0, rot_b, np.zeros(3))
         with pytest.raises(DegenerateGeometry):
-            fundamental_from_views(a, b)
+            fundamental(a, b)
 
 
 def nine_sphere_rig(f=3000.0):
@@ -167,13 +176,33 @@ class TestViewRecord:
         ellipses = perturb_observations(lab_scene, 0.5, 7).observations[view.image_id][::-1]
         record = view_record(view, ellipses)
         ordered = sorted(ellipses, key=lambda e: e.ellipse_id)
-        assert record.ellipses == ordered
-        for e, params, center, sigma in zip(ordered, record.params, record.centers,
-                                            record.sigmas):
+        assert record.ids == [e.ellipse_id for e in ordered]
+        for e, params, cov, center, sigma in zip(ordered, record.params, record.cov,
+                                                 record.centers, record.sigmas):
             assert params.tolist() == [e.x_ce, e.y_ce, e.a_e, e.b_e]
+            assert cov.tobytes() == e.cov.tobytes()
             assert np.allclose(center, projected_sphere_center(e, view.f, view.px, view.py),
                                rtol=0.0, atol=1e-9)
             assert sigma == center_sigma(e) > 0.0
+        assert record.has_cov.all()
+        assert record.k_inv.tobytes() == np.linalg.inv(view.calibration_matrix).tobytes()
+
+    def test_rows_without_cov_and_take(self, lab_scene):
+        view = lab_scene.views[0]
+        noisy = perturb_observations(lab_scene, 0.5, 7).observations[view.image_id]
+        ellipses = [e if i % 2 else dataclasses.replace(e, cov=None)
+                    for i, e in enumerate(noisy)]
+        record = view_record(view, ellipses)
+        by_id = {e.ellipse_id: e for e in ellipses}
+        assert record.has_cov.tolist() == [by_id[i].cov is not None for i in record.ids]
+        assert not record.cov[~record.has_cov].any()
+        assert not record.sigmas[~record.has_cov].any()
+        keep = np.arange(len(ellipses)) % 3 == 0
+        kept = record.take(keep)
+        assert kept.ids == [i for i, k in zip(record.ids, keep) if k]
+        for name in ("params", "cov", "has_cov", "centers", "sigmas"):
+            assert getattr(kept, name).tobytes() == getattr(record, name)[keep].tobytes()
+        assert kept.view is view and kept.k_inv is record.k_inv
 
     def test_repeated_ellipse_id_rejected(self):
         scene = generate_scene(SceneConfig(seed=1))
@@ -192,7 +221,7 @@ class TestViewRecord:
         with pytest.raises(ValueError, match="'img-05'.*'img-00'"):
             view_record(scene.view("img-00"), scene.observations["img-05"])
         untagged = [dataclasses.replace(e, image_id="") for e in scene.observations["img-05"]]
-        assert len(view_record(scene.view("img-05"), untagged).ellipses) == len(untagged)
+        assert len(view_record(scene.view("img-05"), untagged).ids) == len(untagged)
 
 
 class TestMatchEllipses:

@@ -28,15 +28,16 @@ def inflated(e, factor):
 
 
 class TestGateViews:
-    def test_follows_view_and_input_order(self):
+    def test_follows_view_order_and_sorts_by_id(self):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
         views = scene.views[::-1]
         observations = {v.image_id: scene.observations[v.image_id][::-1] for v in views}
         gated = gate_views(views, observations)
-        assert list(gated) == [v.image_id for v in views]
-        for view in views:
-            assert [e for e, _ in gated[view.image_id]] == observations[view.image_id]
-            assert all(report.accepted for _, report in gated[view.image_id])
+        assert [g.record.view for g in gated] == views
+        for g, view in zip(gated, views):
+            assert g.record.ids == sorted(e.ellipse_id for e in observations[view.image_id])
+            assert g.tau.shape == g.sigma_tau.shape == g.accepted.shape == (len(g.record.ids),)
+            assert g.accepted.all()
 
     def test_repeated_ellipse_id_rejected(self):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
@@ -51,10 +52,10 @@ class TestGateViews:
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
         view = scene.views[0]
         stretched = {view.image_id: [inflated(scene.observations[view.image_id][0], 1.05)]}
-        ((_, tight),) = gate_views([view], stretched)[view.image_id]
-        ((_, loose),) = gate_views([view], stretched, default_sigma=20.0)[view.image_id]
-        assert not tight.accepted
-        assert loose.accepted
+        (tight,) = gate_views([view], stretched)
+        (loose,) = gate_views([view], stretched, default_sigma=20.0)
+        assert tight.accepted.tolist() == [False]
+        assert loose.accepted.tolist() == [True]
 
 
 class TestReconstructSubset:
@@ -78,12 +79,14 @@ class TestReconstructSubset:
         assert key in members(loose)
 
 
-def reference_reconstruct_gated(views, gated):
+def reference_reconstruct_gated(views, observations, gated):
     """``reconstruct_gated`` rebuilt from the scalar references: per-pair
-    reference matching, the package's track merge, then one scalar sphere
-    recovery per track."""
-    accepted = {v.image_id: [e for e, report in gated[v.image_id] if report.accepted]
-                for v in views}
+    reference matching of the ellipses the gate accepted, the package's
+    track merge, then one scalar sphere recovery per track."""
+    kept = {(g.record.view.image_id, ellipse_id) for g in gated
+            for ellipse_id in itertools.compress(g.record.ids, g.accepted)}
+    accepted = {v.image_id: [e for e in observations[v.image_id]
+                             if (v.image_id, e.ellipse_id) in kept] for v in views}
     pair_matches = []
     for view_l, view_k in itertools.combinations(views, 2):
         result = reference_match_ellipses(view_l, accepted[view_l.image_id],
@@ -106,8 +109,8 @@ def reference_reconstruct_gated(views, gated):
 
 def assert_same_reconstruction(views, observations):
     gated = gate_views(views, observations)
-    got = reconstruct_gated(views, gated)
-    want = reference_reconstruct_gated(views, gated)
+    got = reconstruct_gated(gated)
+    want = reference_reconstruct_gated(views, observations, gated)
     assert [track for track, _ in got] == [track for track, _ in want]
     for (_, model), (_, ref) in zip(got, want):
         scale = np.abs(ref.sphere.center).max()

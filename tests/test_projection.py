@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import center_from_single_view, look_at_view, pinhole_pixel, silhouette_ellipse
+from oracles import (
+    center_from_single_view,
+    look_at_view,
+    pinhole_pixel,
+    projected_sphere_center,
+    silhouette_ellipse,
+)
 from spherefit import (
     CameraView,
     DegenerateProjection,
@@ -11,7 +17,6 @@ from spherefit import (
     Sphere,
     fold_axis_angle,
     project_sphere,
-    projected_sphere_center,
     radius_from_depth,
     world_to_camera,
 )
@@ -273,6 +278,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             Sphere([0.0, value, 5.0], 1.0)
 
+    @pytest.mark.parametrize("x, y, a, b", [(1e308, 0.0, 5.0, 4.0), (0.0, -2.0 ** 201, 5.0, 4.0),
+                                            (0.0, 0.0, 2.0 ** 201, 4.0),
+                                            (0.0, 0.0, 5.0, 2.0 ** -201)])
+    def test_rejects_ellipse_beyond_pixel_limit(self, x, y, a, b):
+        with pytest.raises(ValueError, match=r"2\^-?200 px"):
+            EllipseObservation("", "e", x, y, a, b, 0.0)
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
             Sphere([0, 0, 5], 0.0)
@@ -282,7 +294,10 @@ class TestValidation:
     ([[1e308, 1e308], [1e308, 1e308]], True),     # m + m.T overflowed
     ([[1.0, 1e308], [-1e308, 1.0]], False),       # m - m.T overflowed
     ([[1e308, 1.7e308], [1.7e308, 1e308]], False),  # indefinite; the trace overflowed
-    ([[1.7e308, 0.0, 1.0], [0.0, 1.7e308, 0.0], [1.0, 0.0, 1.0]], True)])
+    ([[1.7e308, 0.0, 1.0], [0.0, 1.7e308, 0.0], [1.0, 0.0, 1.0]], True),
+    (np.diag([1e308, 1e308, -3e299]), False),     # the diagonal's trace overflowed
+    (np.diag([1e307, 1e307, -3e298]), False),
+    (np.diag([1e308, 1e308, -1e299]), True)])
 def test_is_psd_near_the_float_limit(m, psd):
     # Finite matrices: the right answer, and no overflow warning (an error
     # under the test suite's warning filter).

@@ -2,6 +2,8 @@
 test, of the ellipse and camera files and of the gate report (needs
 ``hypothesis``)."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -29,12 +31,12 @@ from spherefit import (  # noqa: E402
     DegenerateGeometry,
     DegenerateProjection,
     EllipseObservation,
-    GateReport,
     ImageNetwork,
     NoAdmissiblePair,
     PairScore,
     SceneConfig,
     Sphere,
+    GateReport,
     SphereModel,
     TiePoint,
     apply_scale,
@@ -49,13 +51,20 @@ from spherefit import (  # noqa: E402
 from spherefit.cli import main  # noqa: E402
 from spherefit.fileio import (  # noqa: E402
     FileFormatError,
+    GateRecord,
+    PlyCloud,
+    SphereEntry,
     gate_report_text,
     load_ellipses,
     load_network,
+    load_ply,
+    load_spheres,
     save_ellipses,
     save_network,
+    save_ply,
+    save_spheres,
 )
-from spherefit.projection import is_psd  # noqa: E402
+from spherefit.projection import PIXEL_LIMIT, is_psd  # noqa: E402
 
 # Fixed example sequence, so a tier-1 run is reproducible.
 PROPERTY = settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -261,7 +270,10 @@ def test_is_psd_with_one_off_diagonal_pair_matches_eigensolver(diagonal, data):
 # Commas, double quotes and line breaks must be quoted in the file.
 _ID = st.text(alphabet='abxyz019-_. ,"\r\n', min_size=1, max_size=4)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_AXIS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Centers and semi-axes beyond PIXEL_LIMIT, and semi-axes below its
+# inverse, are not valid ellipses.
+_CENTER = st.floats(-PIXEL_LIMIT, PIXEL_LIMIT)
+_AXIS = st.floats(1.0 / PIXEL_LIMIT, PIXEL_LIMIT)
 
 
 @st.composite
@@ -277,7 +289,7 @@ def _covariances(draw):
 
 
 @PROPERTY
-@given(rows=st.lists(st.tuples(_ID, _ID, _FINITE, _FINITE, _AXIS, _AXIS, _FINITE,
+@given(rows=st.lists(st.tuples(_ID, _ID, _CENTER, _CENTER, _AXIS, _AXIS, _FINITE,
                                _covariances()),
                      max_size=6, unique_by=lambda row: row[:2]))
 def test_ellipse_file_round_trips_exactly(rows):
@@ -359,22 +371,47 @@ def _loaded(load, path):
         return str(exc)
 
 
+def _strict_json(path):
+    """The JSON in ``path``, which may not hold NaN or Infinity."""
+    def reject(constant):
+        raise AssertionError(f"{path} holds {constant}, which is not strict JSON")
+    with open(path) as handle:
+        return json.load(handle, parse_constant=reject)
+
+
+def _loaded_or_rejected(cameras, text):
+    """``text`` as an ellipse file loads to the same rows, to the bit, as the
+    row-by-row reader, or fails with the same first malformed line and
+    message; ``filter`` on it exits 2, or 0 with a strict JSON report."""
+    with tempfile.TemporaryDirectory() as root:
+        path, report = os.path.join(root, "ellipses.csv"), os.path.join(root, "report.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        assert _loaded(load_ellipses, path) == _loaded(reference_load_ellipses, path)
+        code = main(["filter", "--cameras", cameras, "--ellipses", path,
+                     "--out", os.path.join(root, "kept.csv"), "--report", report])
+        assert code in (0, 2)
+        if code == 0:
+            _strict_json(report)
+
+
 @settings(PROPERTY, max_examples=200)
 @given(data=st.data())
 def test_mutated_ellipse_file_is_loaded_or_rejected(ellipse_export, data):
     cameras, rows = ellipse_export
-    text = data.draw(_mutated_csv(rows))
-    with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "ellipses.csv")
-        with open(path, "w") as handle:
-            handle.write(text)
-        # The same rows to the bit as the row-by-row reader, or the same
-        # first malformed line and message.
-        assert _loaded(load_ellipses, path) == _loaded(reference_load_ellipses, path)
-        code = main(["filter", "--cameras", cameras, "--ellipses", path,
-                     "--out", os.path.join(root, "kept.csv"),
-                     "--report", os.path.join(root, "report.json")])
-    assert code in (0, 2)
+    _loaded_or_rejected(cameras, data.draw(_mutated_csv(rows)))
+
+
+@pytest.mark.parametrize("cell", ["1e308", "-1e308"])
+@pytest.mark.parametrize("column", ["x_ce", "y_ce", "a_e", "b_e", "theta_rad", "cov_aa",
+                                    "cov_xx", "cov_xy"])
+def test_ellipse_file_with_a_huge_cell_is_loaded_or_rejected(ellipse_export, column, cell):
+    # Explicit examples of the fuzz test above: a center cell of 1e308 used
+    # to give a report with -Infinity and NaN.
+    cameras, rows = ellipse_export
+    rows = [list(row) for row in rows]
+    rows[1][rows[0].index(column)] = cell
+    _loaded_or_rejected(cameras, "\n".join(",".join(row) for row in rows) + "\n")
 
 
 _REPORT_ID = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
@@ -384,16 +421,17 @@ _REPORT_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0
 
 @PROPERTY
 @given(rows=st.lists(st.tuples(_REPORT_ID, _REPORT_ID, _REPORT_FLOAT, _REPORT_FLOAT,
-                               st.floats(0.0, 10.0, exclude_min=True), st.booleans()),
-                     max_size=4))
-def test_gate_report_text_is_indented_sorted_json(rows):
-    reports = [(EllipseObservation(image_id, ellipse_id, 1.0, 2.0, 3.0, 2.0, 0.0),
-                GateReport(tau=t, sigma_tau=s, k=k, accepted=accepted))
-               for image_id, ellipse_id, t, s, k, accepted in rows]
-    payload = {"ellipses": [{"image_id": e.image_id, "ellipse_id": e.ellipse_id,
-                             "tau": r.tau, "sigma_tau": r.sigma_tau, "k": r.k,
-                             "accepted": r.accepted} for e, r in reports]}
-    assert gate_report_text(reports) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                               st.booleans()), max_size=4),
+       k=st.floats(0.0, 10.0, exclude_min=True))
+def test_gate_report_text_is_indented_sorted_json(rows, k):
+    keys = [(image_id, ellipse_id) for image_id, ellipse_id, _, _, _ in rows]
+    tau, sigma_tau, accepted = (np.array([row[i] for row in rows], dtype=dtype)
+                                for i, dtype in ((2, float), (3, float), (4, bool)))
+    payload = {"ellipses": [{"image_id": image_id, "ellipse_id": ellipse_id,
+                             "tau": t, "sigma_tau": s, "k": k, "accepted": a}
+                            for image_id, ellipse_id, t, s, a in rows]}
+    assert (gate_report_text(keys, tau, sigma_tau, k, accepted)
+            == json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _CAMERA_ID = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
@@ -505,3 +543,190 @@ def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
                      "--out", os.path.join(root, "kept.csv"),
                      "--report", os.path.join(root, "report.json")])
     assert code in (0, 2)
+
+
+_NAME = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sphere_entries(draw):
+    """Sphere file entries with any finite model values and any gate values."""
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        views = draw(st.lists(_NAME, min_size=1, max_size=3))
+        model = SphereModel(
+            sphere=Sphere(draw(st.tuples(_REAL, _REAL, _REAL)),
+                          draw(st.floats(0.0, exclude_min=True, allow_infinity=False))),
+            per_view_radii=[(image_id, draw(_REAL)) for image_id in views],
+            radius_spread=draw(_REAL), triangulation_residual=draw(_REAL),
+            scale_applied=draw(st.none() | _REAL))
+        ellipses = [(image_id, draw(_NAME)) for image_id in views]
+        records = [GateRecord(image_id, ellipse_id,
+                              GateReport(draw(_REPORT_FLOAT), draw(_REPORT_FLOAT), draw(_REAL),
+                                         draw(st.booleans())))
+                   for image_id, ellipse_id in ellipses]
+        entries.append(SphereEntry(draw(_NAME), model, ellipses, records))
+    return entries
+
+
+def _sphere_fields(entries):
+    """Every field of the entries, floats by repr and arrays by bytes."""
+    return [(e.sphere_id, e.model.sphere.center.tobytes(), repr(e.model.sphere.radius),
+             e.model.sphere.frame, repr(e.model.per_view_radii), repr(e.model.radius_spread),
+             repr(e.model.triangulation_residual), repr(e.model.scale_applied), e.ellipses,
+             [(g.image_id, g.ellipse_id, repr(g.report)) for g in e.gate_records])
+            for e in entries]
+
+
+@PROPERTY
+@given(entries=_sphere_entries())
+def test_sphere_file_round_trips_exactly(entries):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "spheres.json")
+        save_spheres(entries, path)
+        assert _sphere_fields(load_spheres(path)) == _sphere_fields(entries)
+
+
+# One whitespace-free PLY token; ``str.split`` splits on the excluded ones.
+_PLY_TOKEN = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                     min_size=1, max_size=5)
+_PLY_TYPE = st.sampled_from(["float", "double", "int", "uchar", "float32", "int16"])
+
+
+@st.composite
+def _ply_clouds(draw):
+    properties = draw(st.lists(st.tuples(_PLY_TYPE, _PLY_TOKEN), min_size=1, max_size=5))
+    rows = draw(st.lists(st.lists(_PLY_TOKEN, min_size=len(properties),
+                                  max_size=len(properties)), max_size=4))
+    comments = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                                   blacklist_characters="\r\n"), max_size=8),
+                             max_size=3))
+    return PlyCloud(properties=properties, rows=rows, comments=comments)
+
+
+@PROPERTY
+@given(cloud=_ply_clouds())
+def test_ply_file_round_trips_exactly(cloud):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "cloud.ply")
+        save_ply(cloud, path)
+        back = load_ply(path)
+    assert (back.properties, back.rows, back.comments) == \
+        (cloud.properties, cloud.rows, cloud.comments)
+
+
+@pytest.fixture(scope="module")
+def sphere_export(tmp_path_factory):
+    """A valid sphere file and PLY cloud, and the parsed sphere file."""
+    root = tmp_path_factory.mktemp("spheres")
+    model = SphereModel(Sphere([0.1, -0.2, 0.3], 0.05), [("img-00", 0.049), ("img-01", 0.051)],
+                        0.001, 0.4)
+    records = [GateRecord(i, "ball-0", GateReport(0.001, 0.002, 2.0, True))
+               for i in ("img-00", "img-01")]
+    spheres, cloud = str(root / "spheres.json"), str(root / "cloud.ply")
+    save_spheres([SphereEntry("s000", model, [("img-00", "ball-0"), ("img-01", "ball-0")],
+                              records)], spheres)
+    save_ply(PlyCloud([("float", "x"), ("float", "y"), ("int", "z"), ("uchar", "red")],
+                      [["0.5", "1.5", "2", "255"], ["-1e3", "0", "7", "0"]], ["made here"]),
+             cloud)
+    with open(spheres) as handle:
+        return spheres, cloud, json.load(handle)
+
+
+def _scale(spheres, cloud, root):
+    return main(["scale", "--spheres", spheres, "--anchors", "s000:0.1", "--points", cloud,
+                 "--out-points", os.path.join(root, "o.ply"),
+                 "--out", os.path.join(root, "o.json")])
+
+
+@settings(PROPERTY, max_examples=200)
+@given(data=st.data())
+def test_mutated_sphere_file_is_loaded_or_rejected(sphere_export, data):
+    _, cloud, parsed = sphere_export
+    mutated = data.draw(_mutated_json(parsed))
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "spheres.json")
+        with open(path, "w") as handle:
+            json.dump(mutated, handle)
+        try:
+            load_spheres(path)
+        except FileFormatError:
+            pass
+        assert _scale(path, cloud, root) in (0, 2)
+
+
+_PLY_EDIT_TOKEN = st.sampled_from(["", "ply", "format", "ascii", "binary_little_endian", "1.0",
+                                   "element", "vertex", "face", "property", "list", "float",
+                                   "int", "x", "y", "z", "end_header", "comment", "0", "3",
+                                   "-1", "nan", "1e308", "abc", "99999999999999999999"])
+
+
+@st.composite
+def _mutated_ply(draw, text):
+    """``text`` after one to four random edits of its lines and tokens."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        r = draw(st.integers(0, len(lines) - 1))
+        c = draw(st.integers(0, len(lines[r])))
+        edit = draw(st.sampled_from(["drop line", "repeat line", "set token", "insert token",
+                                     "drop token"]))
+        if edit == "drop line":
+            del lines[r]
+        elif edit == "repeat line":
+            lines.insert(r, list(lines[r]))
+        elif edit == "insert token":
+            lines[r].insert(c, draw(_PLY_EDIT_TOKEN))
+        elif c < len(lines[r]):
+            if edit == "set token":
+                lines[r][c] = draw(_PLY_EDIT_TOKEN)
+            else:
+                del lines[r][c]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(PROPERTY, max_examples=200)
+@given(data=st.data())
+def test_mutated_ply_file_is_loaded_or_rejected(sphere_export, data):
+    spheres, cloud, _ = sphere_export
+    with open(cloud) as handle:
+        text = data.draw(_mutated_ply(handle.read()))
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "cloud.ply")
+        with open(path, "w") as handle:
+            handle.write(text)
+        try:
+            load_ply(path)
+        except FileFormatError:
+            pass
+        assert _scale(spheres, path, root) in (0, 2)
+
+
+#: A small valid scene config, so that each example runs a short sweep.
+_CONFIG = {"n_cameras": 4, "n_tie_points": 8, "spheres": [["a", [0.0, 0.0, 0.1], 0.1],
+                                                          ["b", [0.3, 0.0, 0.08], 0.08]],
+           "clutter_per_image": 1, "sigma_px": 0.3, "seed": 3}
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data())
+def test_mutated_scene_config_is_loaded_or_rejected(data):
+    mutated = data.draw(_mutated_json(_CONFIG))
+    try:
+        SceneConfig.from_dict(mutated)
+    except ValueError:
+        pass
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "config.json")
+        with open(path, "w") as handle:
+            json.dump(mutated, handle)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--config", path, "--k", "2",
+                         "--out", os.path.join(root, "stats.csv")])
+    # 3 and 4 are the documented codes of a valid config whose scene is
+    # infeasible or whose network has no admissible pair.
+    assert code in (0, 2) or (code, stderr.getvalue().split(":")[0]) in \
+        ((3, "error"), (4, "error")), stderr.getvalue()

@@ -168,7 +168,8 @@ class TestBatchedTracks:
         on_axis = project_sphere_into_view(Sphere([0.0, 0.0, 5.0], 0.5), a, ellipse_id="p")
         seen["a"], seen["b"] = [on_axis], [dataclasses.replace(on_axis, image_id="b")]
         records = [view_record(v, seen[v.image_id]) for v in views + [away, a, b]]
-        pairs = {(r.view.image_id, e.ellipse_id): (r.view, e) for r in records for e in r.ellipses}
+        pairs = {(v.image_id, e.ellipse_id): (v, e) for v in views + [away, a, b]
+                 for e in seen[v.image_id]}
 
         def track(ellipse_id, *image_ids):
             return {image_id: ellipse_id for image_id in image_ids}

@@ -158,6 +158,20 @@ class TestPerturb:
             for e in obs:
                 assert np.array_equal(e.cov, np.eye(4) * 0.25)
 
+    def test_invalid_noisy_row_rejected(self, lab_scene):
+        # Rows are checked once, in column form, not as each is built.
+        with pytest.raises(ValueError, match="noisy ellipse .* of image .* 2\\^200 px"):
+            perturb_observations(lab_scene, 2.0 ** 200, 2)
+        with pytest.raises(ValueError, match="sigma"):  # its covariance would overflow
+            perturb_observations(lab_scene, 1e308, 2)
+
+    def test_noisy_rows_share_one_read_only_covariance(self, noisy_lab_scene):
+        covs = {id(e.cov) for obs in noisy_lab_scene.observations.values() for e in obs}
+        assert len(covs) == 1
+        e = noisy_lab_scene.observations["img-00"][0]
+        with pytest.raises(ValueError):
+            e.cov[0, 0] = 1.0
+
     def test_axis_order_preserved(self, lab_scene):
         noisy = perturb_observations(lab_scene, 3.0, 5)
         for obs in noisy.observations.values():
