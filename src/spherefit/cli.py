@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -30,8 +29,8 @@ from .errors import (
     NoAdmissiblePair,
     UnknownAnchor,
 )
-from .gate import GateReport
-from .match import match_ellipses
+from .gate import GateReport, classify_view
+from .match import ViewRecord, match_ellipses
 from .netselect import (
     DEFAULT_MIN_ANGLE,
     ImageNetwork,
@@ -39,7 +38,7 @@ from .netselect import (
     best_pair,
     pair_angles,
 )
-from .pipeline import gate_views, reconstruct_gated
+from .pipeline import GatedView, reconstruct_gated
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
@@ -76,73 +75,83 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _by_view(network: ImageNetwork, ellipses) -> dict:
-    """The file's ellipses grouped by image id, in file order."""
-    known = {v.image_id for v in network.views}
-    by_view: dict = {}
-    for e in ellipses:
-        if e.image_id not in known:
+def _view_rows(network: ImageNetwork, table) -> dict:
+    """Each view's rows of the ellipse table, in file order, by image id."""
+    rows: dict = {v.image_id: [] for v in network.views}
+    for row, (image_id, ellipse_id) in enumerate(table.keys):
+        if image_id not in rows:
             raise fileio.FileFormatError(
-                f"ellipse {e.ellipse_id!r} references unknown image {e.image_id!r}")
-        by_view.setdefault(e.image_id, []).append(e)
-    return by_view
+                f"ellipse {ellipse_id!r} references unknown image {image_id!r}")
+        rows[image_id].append(row)
+    return rows
 
 
-def _gate_pair(args, network: ImageNetwork, ellipses, pair) -> list:
-    """The pair's two views, in the given order, gated."""
-    return gate_views([network.view(pair[0]), network.view(pair[1])],
-                      _by_view(network, ellipses), args.k_sigma, args.default_sigma_px)
+def _gate(args, view, rows):
+    """The gate's tau, sigma_tau and accepted arrays over ``rows``, an
+    ``EllipseTable`` or ``ViewRecord`` of ellipses in ``view``."""
+    return classify_view(rows.params, rows.cov, rows.has_cov, view.f, view.px, view.py,
+                         iop_cov=view.iop_cov, k=args.k_sigma, default_sigma=args.default_sigma_px)
+
+
+def _gated_views(args, network: ImageNetwork, table, image_ids) -> dict:
+    """The ``GatedView`` of each of ``image_ids``, by image id: the view's
+    rows sorted by ellipse id, gated."""
+    rows = _view_rows(network, table)
+    gated = {}
+    for image_id in image_ids:
+        view = network.view(image_id)
+        by_id = sorted(rows[image_id], key=lambda row: table.keys[row][1])
+        record = ViewRecord.of(view, table.take(by_id))
+        gated[image_id] = GatedView(record, *_gate(args, view, record))
+    return gated
 
 
 def cmd_filter(args) -> int:
     network = fileio.load_network(args.cameras)
-    ellipses = fileio.load_ellipses(args.ellipses)
-    gated = gate_views(network.views, _by_view(network, ellipses),
-                       args.k_sigma, args.default_sigma_px)
-    # Each record holds its view's rows sorted by id; the outputs follow the file.
-    keys = [(e.image_id, e.ellipse_id) for e in ellipses]
-    file_row = {key: i for i, key in enumerate(keys)}
-    tau, sigma_tau, accepted = np.empty(len(keys)), np.empty(len(keys)), np.empty(len(keys), bool)
-    for g in gated:
-        rows = [file_row[g.record.view.image_id, ellipse_id] for ellipse_id in g.record.ids]
-        tau[rows], sigma_tau[rows], accepted[rows] = g.tau, g.sigma_tau, g.accepted
-    kept = list(itertools.compress(ellipses, accepted.tolist()))
-    fileio.save_ellipses(kept, args.out)
-    text = fileio.gate_report_text(keys, tau, sigma_tau, args.k_sigma, accepted)
+    table = fileio.read_ellipse_table(args.ellipses)
+    n = len(table.keys)
+    tau, sigma_tau, accepted = np.empty(n), np.empty(n), np.empty(n, bool)
+    for image_id, rows in _view_rows(network, table).items():
+        tau[rows], sigma_tau[rows], accepted[rows] = _gate(args, network.view(image_id),
+                                                           table.take(rows))
+    kept = table.take(np.flatnonzero(accepted))
+    fileio.write_ellipse_table(kept, args.out)
+    text = fileio.gate_report_text(table.keys, tau, sigma_tau, args.k_sigma, accepted)
     if args.report:
         fileio.atomic_write_text(args.report, text)
     else:
         sys.stdout.write(text)
-    print(f"kept {len(kept)} of {len(ellipses)} ellipses -> {args.out}",
+    print(f"kept {len(kept.keys)} of {len(table.keys)} ellipses -> {args.out}",
           file=sys.stderr)
     return EXIT_OK
 
 
-def _select_pair(args, network: ImageNetwork, ellipses=None):
+def _select_pair(args, network: ImageNetwork, table=None):
     """Best pair via tie points; without tie points fall back to the angle
-    subtended at one anchor triangulated from the gated ellipse centers."""
+    subtended at one anchor triangulated from the gated ellipse centers.
+    Returns the score and the views the fallback gated, by image id."""
     min_angle = math.radians(args.min_angle_deg)
     if network.tie_points:
-        return best_pair(network, min_angle=min_angle)
-    if ellipses is None:
+        return best_pair(network, min_angle=min_angle), {}
+    if table is None:
         raise fileio.FileFormatError(
             "camera file has no tie_points; select-pair needs them "
             "(reconstruct can fall back to ellipse-based pair ranking)")
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")
-    gated = gate_views(network.views, _by_view(network, ellipses),
-                       args.k_sigma, args.default_sigma_px)
-    rays = [(g.record.view, center) for g in gated for center in g.record.centers[g.accepted]]
+    gated = _gated_views(args, network, table, [v.image_id for v in network.views])
+    rays = [(g.record.view, center) for g in gated.values()
+            for center in g.record.centers[g.accepted]]
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
     anchor = triangulate_center(rays)
-    return best_pair(anchor_network(network.views, anchor), min_angle=min_angle)
+    return best_pair(anchor_network(network.views, anchor), min_angle=min_angle), gated
 
 
 def cmd_select_pair(args) -> int:
     network = fileio.load_network(args.cameras)
-    score = _select_pair(args, network)
+    score, _ = _select_pair(args, network)
     payload = {"i": score.i, "j": score.j, "alpha_deg": math.degrees(score.alpha_ij),
                "ov_i": score.ov_i, "ov_j": score.ov_j, "score": score.theta_ij}
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -152,7 +161,9 @@ def cmd_select_pair(args) -> int:
     return EXIT_OK
 
 
-def _resolve_pair(args, network: ImageNetwork, ellipses):
+def _resolve_pair(args, network: ImageNetwork, table):
+    """The (image_i, image_j) pair to match, and any views that ranking the
+    pairs gated, by image id."""
     if args.pair != "auto":
         ids = args.pair.split(",")
         if len(ids) != 2 or not all(ids):
@@ -172,16 +183,17 @@ def _resolve_pair(args, network: ImageNetwork, ellipses):
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) converges at only "
                       f"{math.degrees(alpha[0, 1]):.1f} deg, below the "
                       f"{args.min_angle_deg:.1f} deg floor; proceeding")
-        return ids[0], ids[1]
-    score = _select_pair(args, network, ellipses)
-    return score.i, score.j
+        return (ids[0], ids[1]), {}
+    score, gated = _select_pair(args, network, table)
+    return (score.i, score.j), gated
 
 
 def cmd_match(args) -> int:
     network = fileio.load_network(args.cameras)
-    ellipses = fileio.load_ellipses(args.ellipses)
-    pair = _resolve_pair(args, network, ellipses)
-    left, right = (g.record.take(g.accepted) for g in _gate_pair(args, network, ellipses, pair))
+    table = fileio.read_ellipse_table(args.ellipses)
+    pair, gated = _resolve_pair(args, network, table)
+    gated = gated or _gated_views(args, network, table, pair)
+    left, right = (gated[i].record.take(gated[i].accepted) for i in pair)
     result = match_ellipses(left, right, tol=args.tol_px)
     payload = {
         "pair": {"i": left.view.image_id, "j": right.view.image_id},
@@ -214,11 +226,12 @@ def _stage(name):
 def cmd_reconstruct(args) -> int:
     with _stage("parse"):
         network = fileio.load_network(args.cameras)
-        ellipses = fileio.load_ellipses(args.ellipses)
+        table = fileio.read_ellipse_table(args.ellipses)
     with _stage("select-pair"):
-        pair = _resolve_pair(args, network, ellipses)
+        pair, gated = _resolve_pair(args, network, table)
     with _stage("gate+match"):
-        gated = _gate_pair(args, network, ellipses, pair)
+        gated = gated or _gated_views(args, network, table, pair)
+        gated = [gated[i] for i in pair]
         models = reconstruct_gated(gated, tol=args.tol_px)
     entries = []
     ordered = sorted(models, key=lambda tm: [tm[0][image_id] for image_id in pair])

@@ -28,6 +28,7 @@ from .projection import (
     _PSD_RESCALE_ABOVE,
     CameraView,
     EllipseObservation,
+    EllipseTable,
     Sphere,
     ellipse_checks,
     fold_axis_angle,
@@ -161,12 +162,6 @@ def save_network(network: ImageNetwork, path: str) -> None:
 
 # ---------------------------------------------------------------- ellipses
 
-def _cov_to_columns(cov: Optional[np.ndarray]) -> list[str]:
-    if cov is None:
-        return [""] * len(_COV_INDEX)
-    return [repr(float(cov[i, j])) for i, j in _COV_INDEX]
-
-
 def _partial_covariance(blanks):
     """Some but not all covariance cells of a row are blank; elementwise over
     numpy arrays of blank-cell counts as well as scalars."""
@@ -185,8 +180,8 @@ def _cov_from_columns(raw: tuple[str, ...]) -> Optional[np.ndarray]:
 @dataclass(frozen=True)
 class _EllipseColumns:
     """Getters of a row's cells under one header.  A covariance column absent
-    from the header reads the blank cell that ``load_ellipses`` appends to
-    every row."""
+    from the header reads the blank cell that ``_read_ellipse_rows`` appends
+    to every row."""
 
     width: int
     ids: operator.itemgetter   # (image_id, ellipse_id)
@@ -264,7 +259,7 @@ def _read_ellipse_rows(path: str):
     return columns, rows, lines, keys, fault
 
 
-#: A blank covariance cell reads as NaN in the column pass of ``load_ellipses``.
+#: A blank covariance cell reads as NaN in the column pass of ``read_ellipse_table``.
 _BLANK_AS_NAN = {"": "nan"}
 #: Covariance columns of the diagonal and of the off-diagonal entries.
 _COV_DIAGONAL = [_COV_INDEX.index((i, i)) for i in range(4)]
@@ -296,8 +291,9 @@ def _valid_rows(base: np.ndarray, cov: np.ndarray, block: np.ndarray,
             & ~_partial_covariance(blanks) & (~given | (finite_cov & psd)))
 
 
-def load_ellipses(path: str) -> list[EllipseObservation]:
-    """Parse an ellipse CSV (mandatory header, optional covariance columns).
+def read_ellipse_table(path: str) -> EllipseTable:
+    """Parse an ellipse CSV (mandatory header, optional covariance columns)
+    into its ``EllipseTable``, rows in file order.
 
     Every row has as many fields as the header; no column is repeated, and no
     (image_id, ellipse_id) pair.  The first malformed line is reported.  The
@@ -323,13 +319,20 @@ def load_ellipses(path: str) -> list[EllipseObservation]:
         columns.check_row(path, lines[i], rows[i])
     if fault is not None:
         raise fault
-    theta = fold_axis_angle(base[:, 4])
     # A valid row's covariance cells are all blank or none.
+    block[blank[:, 0]] = 0.0
+    return EllipseTable(keys, base[:, :4], fold_axis_angle(base[:, 4]), block, ~blank[:, 0])
+
+
+def load_ellipses(path: str) -> list[EllipseObservation]:
+    """``read_ellipse_table`` as one ``EllipseObservation`` per row."""
+    table = read_ellipse_table(path)
     return [EllipseObservation._trusted({
                 "image_id": image_id, "ellipse_id": ellipse_id, "x_ce": x_ce, "y_ce": y_ce,
-                "a_e": a_e, "b_e": b_e, "theta": t, "cov": None if b else m})
-            for (image_id, ellipse_id), (x_ce, y_ce, a_e, b_e), t, m, b
-            in zip(keys, base[:, :4].tolist(), theta.tolist(), block, blank[:, 0].tolist())]
+                "a_e": a_e, "b_e": b_e, "theta": t, "cov": m if c else None})
+            for (image_id, ellipse_id), (x_ce, y_ce, a_e, b_e), t, m, c
+            in zip(table.keys, table.params.tolist(), table.theta.tolist(), table.cov,
+                   table.has_cov.tolist())]
 
 
 #: Characters that make ``csv`` quote a field by default.
@@ -344,13 +347,30 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def save_ellipses(ellipses: Sequence[EllipseObservation], path: str) -> None:
+#: Cells of the upper covariance triangle in a row-major 4x4 block, and a
+#: row's cells when it has no covariance.
+_COV_UPPER = [4 * i + j for i, j in _COV_INDEX]
+_NO_COV_CELLS = ("",) * len(_COV_INDEX)
+
+
+def write_ellipse_table(table: EllipseTable, path: str) -> None:
+    """Write ``table`` as an ellipse CSV with every covariance column, in
+    column passes; floats are written with shortest round-trip precision."""
+    n = len(table.keys)
+    values = np.hstack([table.params, table.theta[:, None],
+                        table.cov.reshape(n, 16)[:, _COV_UPPER]])
+    cells = map(repr, values.ravel().tolist())
     lines = [",".join(ELLIPSE_BASE_COLUMNS + ELLIPSE_COV_COLUMNS)]
-    for e in ellipses:
-        fields = [_csv_field(e.image_id), _csv_field(e.ellipse_id), repr(e.x_ce),
-                  repr(e.y_ce), repr(e.a_e), repr(e.b_e), repr(e.theta)]
-        lines.append(",".join(fields + _cov_to_columns(e.cov)))
+    lines.extend(",".join((_csv_field(image_id), _csv_field(ellipse_id))
+                          + (row if has_cov else row[:5] + _NO_COV_CELLS))
+                 for (image_id, ellipse_id), has_cov, row
+                 in zip(table.keys, table.has_cov.tolist(), zip(*[cells] * 15)))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def save_ellipses(ellipses: Sequence[EllipseObservation], path: str) -> None:
+    """``write_ellipse_table`` of the ``EllipseTable`` of ``ellipses``."""
+    write_ellipse_table(EllipseTable.of(ellipses), path)
 
 
 # ---------------------------------------------------------------- gate report

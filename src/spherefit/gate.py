@@ -15,14 +15,14 @@ noise, first-order variance propagation through the closed-form Jacobian
 turns the identity into the acceptance test |tau| <= k * sigma_tau.
 
 The gate works on a whole view at once: ``classify_view`` reads the arrays
-of the view's ``match.ViewRecord`` (the (n, 4) parameters and the (n, 4, 4)
-covariance block with its has-cov mask), computes tau, its gradient and its
-variance as array expressions, and returns the tau, sigma_tau and accepted
-arrays.  ``classify_spherical`` is its one-ellipse call and returns a
-``GateReport``; the pipeline builds reports only where a sphere file is
-written.  Ellipse covariances are checked once, when an
-``EllipseObservation`` is built; only the raw interior-orientation
-covariance is checked here.
+of the view's rows, an ``EllipseTable`` or a ``match.ViewRecord`` (the
+(n, 4) parameters and the (n, 4, 4) covariance block with its has-cov
+mask), computes tau, its gradient and its variance as array expressions,
+and returns the tau, sigma_tau and accepted arrays.  ``classify_spherical``
+is its one-ellipse call and returns a ``GateReport``; the pipeline builds
+reports only where a sphere file is written.  Ellipse covariances are
+checked once, when an ``EllipseObservation`` or the table of an ellipse file
+is built; only the raw interior-orientation covariance is checked here.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidCovariance
-from .projection import EllipseObservation, is_psd
+from .projection import EllipseObservation, EllipseTable, is_psd
 
 #: Conservative per-parameter detector noise assumed when an ellipse carries
 #: no covariance (pixels, applied to a_e, b_e, x_ce and y_ce alike).
@@ -61,15 +61,15 @@ def default_ellipse_cov(sigma_px: float = DEFAULT_SIGMA_PX) -> np.ndarray:
     return np.eye(4) * float(sigma_px) ** 2
 
 
-def _tau(a, b, dx, dy, v):
-    """tau from the semi-axes, the center offsets dx = x_ce - px and
-    dy = y_ce - py, and v = f^2 + b_e^2."""
-    return 1.0 - (b / a) * np.sqrt((dx * dx + dy * dy) / v + 1.0)
+def _ratio(a, b, dx, dy, v):
+    """1 - tau = (b_e/a_e) * sqrt(u/v + 1) from the semi-axes, the center
+    offsets dx = x_ce - px and dy = y_ce - py, and v = f^2 + b_e^2."""
+    return (b / a) * np.sqrt((dx * dx + dy * dy) / v + 1.0)
 
 
 def tau(e: EllipseObservation, f: float, px: float, py: float) -> float:
     """Spherical-ellipse defect; zero exactly for true sphere silhouettes."""
-    return float(_tau(e.a_e, e.b_e, e.x_ce - px, e.y_ce - py, f * f + e.b_e * e.b_e))
+    return float(1.0 - _ratio(e.a_e, e.b_e, e.x_ce - px, e.y_ce - py, f * f + e.b_e * e.b_e))
 
 
 def _tau_and_gradient(a, b, x, y, f, px, py):
@@ -80,8 +80,12 @@ def _tau_and_gradient(a, b, x, y, f, px, py):
     dy = y - py
     a2, b2 = a * a, b * b
     v = f * f + b2
-    t = _tau(a, b, dx, dy, v)
-    m = 1.0 - t  # = (b/a) * sqrt(u/v + 1) > 0
+    ratio = _ratio(a, b, dx, dy, v)
+    t = 1.0 - ratio
+    # m = 1 - tau = ratio > 0.  Above tau = 1/2, 1 - tau carries the rounding
+    # of tau, more than the ratio's own, and is 0 once the ratio falls below
+    # 1e-16; there m is the ratio itself.
+    m = np.where(t > 0.5, ratio, 1.0 - t)
     common = 1.0 / (a2 * m * v)
     d_a = m / a
     d_b = -m * f * f / (b * v) - b ** 3 * common
@@ -110,13 +114,13 @@ def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f: f
 
     ``params`` (n, 4) holds (x_ce, y_ce, a_e, b_e) per ellipse and ``cov``
     (n, 4, 4) their covariances, used where ``has_cov`` is True, else
-    ``default_sigma`` pixels on every parameter: the arrays of a
-    ``match.ViewRecord``.  Returns the tau, sigma_tau and accepted arrays,
-    one entry per row.  The variable order is (a_e, b_e, x_ce, y_ce | px,
-    py, f), and the ellipse and interior-orientation blocks are
-    uncorrelated.  Missing ``iop_cov`` means exactly known interior
-    orientation; raises InvalidCovariance unless it is a symmetric PSD 3x3
-    matrix.
+    ``default_sigma`` pixels on every parameter: the arrays of an
+    ``EllipseTable`` or a ``match.ViewRecord``.  Returns the tau, sigma_tau
+    and accepted arrays, one entry per row.  The variable order is (a_e,
+    b_e, x_ce, y_ce | px, py, f), and the ellipse and interior-orientation
+    blocks are uncorrelated.  Missing ``iop_cov`` means exactly known
+    interior orientation; raises InvalidCovariance unless it is a symmetric
+    PSD 3x3 matrix.
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"threshold multiplier must be positive and finite, got {k}")
@@ -148,9 +152,8 @@ def classify_spherical(e: EllipseObservation, f: float, px: float, py: float,
     The ellipse uses its own covariance, else the conservative pixel-level
     default; missing ``iop_cov`` means exactly known interior orientation.
     """
-    cov = np.zeros((1, 4, 4)) if e.cov is None else e.cov[None]
-    t, sigma_tau, accepted = classify_view(np.array([[e.x_ce, e.y_ce, e.a_e, e.b_e]]), cov,
-                                           np.array([e.cov is not None]), f, px, py,
+    row = EllipseTable.of([e])
+    t, sigma_tau, accepted = classify_view(row.params, row.cov, row.has_cov, f, px, py,
                                            iop_cov=iop_cov, k=k)
     return GateReport(tau=float(t[0]), sigma_tau=float(sigma_tau[0]), k=float(k),
                       accepted=bool(accepted[0]))

@@ -13,9 +13,9 @@ and their limits form one (n_l, n_k) matrix, every admissible pair goes
 through the batched two-view reconstruction of ``reconstruct`` in one call,
 and all hypotheses are reprojected with the silhouette closed form at once.
 Only the greedy one-to-one step loops, over the admissible pairs.  Each
-view enters as its ``ViewRecord``, the arrays ``view_record`` reads once
-from its ellipses, which the gate reads too; ``ViewRecord.take`` keeps the
-rows the gate accepts.
+view enters as its ``ViewRecord``: its rows of an ``EllipseTable`` sorted
+by id, which the gate reads too; ``ViewRecord.take`` keeps the rows the
+gate accepts.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .projection import (
     DEPTH_MARGIN,
     CameraView,
     EllipseObservation,
+    EllipseTable,
     corrected_center,
     silhouette,
 )
@@ -85,6 +86,20 @@ class ViewRecord(NamedTuple):
     sigmas: np.ndarray
     k_inv: np.ndarray
 
+    @classmethod
+    def of(cls, view: CameraView, table: EllipseTable) -> "ViewRecord":
+        """The record of ``table``, the rows of ellipses in ``view`` sorted by
+        ellipse id: the one constructor.  The center sigma is 0 for a row
+        without cov."""
+        ids = [ellipse_id for _, ellipse_id in table.keys]
+        params, cov = table.params, table.cov
+        centers = np.empty((len(ids), 2))
+        centers[:, 0], centers[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
+                                                        view.f, view.px, view.py)
+        sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
+        return cls(view, ids, params, cov, table.has_cov, centers, sigmas,
+                   np.linalg.inv(view.calibration_matrix))
+
     def take(self, keep: np.ndarray) -> "ViewRecord":
         """The record of the rows where the boolean mask ``keep`` is True."""
         return self._replace(ids=list(itertools.compress(self.ids, keep.tolist())),
@@ -93,35 +108,20 @@ class ViewRecord(NamedTuple):
                              sigmas=self.sigmas[keep])
 
 
-_NO_COV = np.zeros((4, 4))
-
-
 def view_record(view: CameraView, ellipses: Sequence[EllipseObservation]) -> ViewRecord:
-    """The ``ViewRecord`` of ``ellipses`` in ``view``: the one read of the
-    objects.  Raises ValueError for a repeated ellipse id, or for an ellipse
-    tagged with another image; the center sigma is 0 for an ellipse without
-    cov."""
-    ordered = sorted(ellipses, key=operator.attrgetter("ellipse_id"))
-    ids = [e.ellipse_id for e in ordered]
+    """The ``ViewRecord`` of ``ellipses`` in ``view``, gathered through their
+    ``EllipseTable``.  Raises ValueError for a repeated ellipse id, or for an
+    ellipse tagged with another image."""
+    ids = [e.ellipse_id for e in ellipses]
     if len(set(ids)) != len(ids):
-        ids = [e.ellipse_id for e in ellipses]
         raise ValueError(f"image {view.image_id!r} repeats ellipse id "
                          f"{max(ids, key=ids.count)!r}")
     if not {e.image_id for e in ellipses} <= {"", view.image_id}:
         e = next(e for e in ellipses if e.image_id not in ("", view.image_id))
         raise ValueError(f"ellipse {e.ellipse_id!r} of image {e.image_id!r} "
                          f"given for image {view.image_id!r}")
-    params = np.fromiter(itertools.chain.from_iterable(
-        [(e.x_ce, e.y_ce, e.a_e, e.b_e) for e in ordered]), float, 4 * len(ordered)).reshape(-1, 4)
-    has_cov = np.array([e.cov is not None for e in ordered], dtype=bool)
-    cov = np.concatenate([np.empty((0, 4))] + [_NO_COV if e.cov is None else e.cov
-                                               for e in ordered]).reshape(-1, 4, 4)
-    centers = np.empty((len(ordered), 2))
-    centers[:, 0], centers[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
-                                                    view.f, view.px, view.py)
-    sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
-    return ViewRecord(view, ids, params, cov, has_cov, centers, sigmas,
-                      np.linalg.inv(view.calibration_matrix))
+    return ViewRecord.of(view, EllipseTable.of(sorted(ellipses,
+                                                      key=operator.attrgetter("ellipse_id"))))
 
 
 def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:

@@ -33,10 +33,11 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -224,6 +225,39 @@ class EllipseObservation:
         self = object.__new__(cls)
         self.__dict__ = fields
         return self
+
+
+_NO_COV = np.zeros((4, 4))
+
+
+class EllipseTable(NamedTuple):
+    """Ellipses in column form, one row each: the (image_id, ellipse_id)
+    ``keys``, the (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the folded
+    ``theta`` (n,) and the (n, 4, 4) ``cov`` block of (a_e, b_e, x_ce, y_ce)
+    with zeros where ``has_cov`` is False.  ``fileio.read_ellipse_table``
+    reads one from a file; ``of`` gathers one from checked objects."""
+
+    keys: list
+    params: np.ndarray
+    theta: np.ndarray
+    cov: np.ndarray
+    has_cov: np.ndarray
+
+    @classmethod
+    def of(cls, ellipses: Sequence[EllipseObservation]) -> "EllipseTable":
+        values = np.fromiter(itertools.chain.from_iterable(
+            [(e.x_ce, e.y_ce, e.a_e, e.b_e, e.theta) for e in ellipses]), float,
+            5 * len(ellipses)).reshape(-1, 5)
+        cov = np.concatenate([np.empty((0, 4))] + [_NO_COV if e.cov is None else e.cov
+                                                   for e in ellipses]).reshape(-1, 4, 4)
+        return cls([(e.image_id, e.ellipse_id) for e in ellipses], values[:, :4], values[:, 4],
+                   cov, np.array([e.cov is not None for e in ellipses], dtype=bool))
+
+    def take(self, rows) -> "EllipseTable":
+        """The table of ``rows``, a sequence of row indices."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return EllipseTable(list(map(self.keys.__getitem__, rows.tolist())), self.params[rows],
+                            self.theta[rows], self.cov[rows], self.has_cov[rows])
 
 
 def ellipse_checks(x_ce, y_ce, a_e, b_e):

@@ -454,11 +454,16 @@ def reference_is_psd(m) -> bool:
 
     Non-finite entries go through the same arithmetic (inf - inf is nan, so
     the symmetry test fails); numpy's warnings about it are silenced here so
-    that they are not taken for warnings of the code under test.
+    that they are not taken for warnings of the code under test.  A matrix
+    whose largest entry exceeds 2^1000 is scaled by 2^-1000 first, with the
+    tolerance, which changes none of the comparisons, so that m + m.T cannot
+    overflow.
     """
     m = np.asarray(m, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         scale = 1.0 + np.abs(m).max()
+        if scale > 2.0 ** 1000:
+            m, scale = m * 2.0 ** -1000, scale * 2.0 ** -1000
         if not np.abs(m - m.T).max() <= 1e-9 * scale:
             return False
         return bool(np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= -1e-9 * np.trace(m))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,15 +10,19 @@ import numpy as np
 import pytest
 
 from spherefit import (
+    EllipseObservation,
     SceneConfig,
     best_pair,
     classify_spherical,
+    classify_view,
     generate_scene,
     match_ellipses,
     perturb_observations,
     reconstruct_sphere,
     view_record,
 )
+from spherefit import cli
+from spherefit.cli import main
 from spherefit.fileio import (
     load_ellipses,
     load_network,
@@ -395,6 +400,62 @@ class TestReconstruct:
             center, radius = expected[key]
             assert np.array_equal(entry.model.sphere.center, center)
             assert entry.model.sphere.radius == radius
+
+
+@pytest.mark.parametrize("tie_points", [True, False])
+def test_file_commands_build_no_ellipse_observation(exported, tmp_path, monkeypatch, capsys,
+                                                    tie_points):
+    # filter, match and reconstruct gate, match and reconstruct the rows of
+    # the file's ellipse table; objects are built only behind load_ellipses.
+    root, _, _ = exported
+    cameras = root / "cameras.json"
+    if not tie_points:  # the fallback pair ranking gates every view
+        data = json.load(open(cameras))
+        del data["tie_points"]
+        cameras = tmp_path / "cameras.json"
+        cameras.write_text(json.dumps(data))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an EllipseObservation was built")
+
+    monkeypatch.setattr(EllipseObservation, "__init__", refuse)
+    monkeypatch.setattr(EllipseObservation, "_trusted", refuse)
+    with pytest.raises(AssertionError):
+        load_ellipses(str(root / "ellipses.csv"))
+    common = ["--cameras", str(cameras), "--ellipses", str(root / "ellipses.csv")]
+    assert main(["filter", *common, "--out", str(tmp_path / "kept.csv"),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert main(["match", *common, "--out", str(tmp_path / "match.json")]) == 0
+    assert main(["reconstruct", *common, "--out", str(tmp_path / "spheres.json")]) == 0
+    assert json.load(open(tmp_path / "spheres.json"))["spheres"]
+
+
+@pytest.mark.parametrize("tie_points", [True, False])
+def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch, capsys,
+                                                tie_points):
+    # With tie points only the chosen pair's rows are gated.  Without them
+    # the pair ranking gates every view, and matching the chosen pair reuses
+    # those gate arrays instead of gating its views again.
+    root, _, _ = exported
+    cameras = root / "cameras.json"
+    if not tie_points:
+        data = json.load(open(cameras))
+        del data["tie_points"]
+        cameras = tmp_path / "cameras.json"
+        cameras.write_text(json.dumps(data))
+    gated = []
+    monkeypatch.setattr(cli, "classify_view",
+                        lambda params, *args, **kwargs: gated.append(len(params))
+                        or classify_view(params, *args, **kwargs))
+    assert main(["reconstruct", "--cameras", str(cameras),
+                 "--ellipses", str(root / "ellipses.csv"),
+                 "--out", str(tmp_path / "spheres.json")]) == 0
+    pair = re.search(r"pair \((.*),(.*)\):", capsys.readouterr().err).groups()
+    ellipses = load_ellipses(str(root / "ellipses.csv"))
+    if tie_points:
+        ellipses = [e for e in ellipses if e.image_id in pair]
+        assert len(gated) == 2
+    assert sum(gated) == len(ellipses)
 
 
 class TestScale:

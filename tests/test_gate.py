@@ -297,6 +297,16 @@ class TestClassify:
                 report = classify_spherical(e, F, PX, PY, iop_cov=iop_cov)
                 assert math.isfinite(report.tau) and math.isfinite(report.sigma_tau)
 
+    def test_very_elongated_ellipse_has_finite_sigma(self):
+        # b_e / a_e = 1e-17 made m = 1 - tau cancel to 0, and sigma_tau
+        # divided by it ("divide by zero", an error under the suite's filter).
+        e = EllipseObservation("", "e", 600.0, 500.0, 100.0, 1e-15, 0.0)
+        report = classify_spherical(e, F, PX, PY)
+        t, sigma_tau, _ = reference_gate(e, F, PX, PY, default_ellipse_cov(), np.zeros((3, 3)),
+                                         2.0)
+        assert report.tau == t == 1.0 and not report.accepted
+        assert math.isclose(report.sigma_tau, sigma_tau, rel_tol=1e-12)
+
     def test_rejects_nonpositive_threshold(self):
         e = ellipse(120.0, 100.0, 700.0, 400.0)
         with pytest.raises(ValueError, match="multiplier"):

@@ -59,6 +59,7 @@ from spherefit.fileio import (  # noqa: E402
     load_network,
     load_ply,
     load_spheres,
+    read_ellipse_table,
     save_ellipses,
     save_network,
     save_ply,
@@ -236,6 +237,9 @@ def _diagonals(draw):
 # On the bound when the trace is summed left to right, as np.trace sums it,
 # and below it when the trace is rounded once, as math.fsum rounds it.
 @example(diagonal=[1.0, 1.5e-16, 1.5e-16, -9.999999990000005e-10])
+# m + m.T of this diagonal overflowed in the reference, whose eigensolver
+# then raised LinAlgError.
+@example(diagonal=[0.0, 8.98846567431158e+307, -8.988465665323113e+298])
 def test_is_psd_diagonal_shortcut_matches_eigensolver(diagonal):
     m = np.diag(diagonal)
     got, want = is_psd(m), reference_is_psd(m)
@@ -300,6 +304,7 @@ def test_ellipse_file_round_trips_exactly(rows):
         path = os.path.join(root, "ellipses.csv")
         save_ellipses(ellipses, path)
         loaded = load_ellipses(path)
+        assert _table_loaded(path) == _loaded(reference_load_ellipses, path)
     assert len(loaded) == len(ellipses)
     for orig, back in zip(ellipses, loaded):
         # repr tells -0.0 from 0.0.
@@ -371,6 +376,21 @@ def _loaded(load, path):
         return str(exc)
 
 
+def _table_loaded(path):
+    """``_loaded`` of the rows of the file's ``EllipseTable``, whose cov block
+    is zero where a row has no covariance."""
+    try:
+        table = read_ellipse_table(path)
+    except FileFormatError as exc:
+        return str(exc)
+    assert not table.cov[~table.has_cov].any()
+    return [(image_id, ellipse_id, *[repr(v) for v in (*params, theta)],
+             (cov.shape, cov.dtype.str, cov.tobytes()) if has_cov else None)
+            for (image_id, ellipse_id), params, theta, cov, has_cov
+            in zip(table.keys, table.params.tolist(), table.theta.tolist(), table.cov,
+                   table.has_cov.tolist())]
+
+
 def _strict_json(path):
     """The JSON in ``path``, which may not hold NaN or Infinity."""
     def reject(constant):
@@ -381,13 +401,16 @@ def _strict_json(path):
 
 def _loaded_or_rejected(cameras, text):
     """``text`` as an ellipse file loads to the same rows, to the bit, as the
-    row-by-row reader, or fails with the same first malformed line and
-    message; ``filter`` on it exits 2, or 0 with a strict JSON report."""
+    row-by-row reader, both as a table and as objects, or fails with the same
+    first malformed line and message; ``filter`` on it exits 2, or 0 with a
+    strict JSON report."""
     with tempfile.TemporaryDirectory() as root:
         path, report = os.path.join(root, "ellipses.csv"), os.path.join(root, "report.json")
         with open(path, "w") as handle:
             handle.write(text)
-        assert _loaded(load_ellipses, path) == _loaded(reference_load_ellipses, path)
+        rows = _loaded(reference_load_ellipses, path)
+        assert _table_loaded(path) == rows
+        assert _loaded(load_ellipses, path) == rows
         code = main(["filter", "--cameras", cameras, "--ellipses", path,
                      "--out", os.path.join(root, "kept.csv"), "--report", report])
         assert code in (0, 2)
