@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -142,7 +143,7 @@ def _select_pair(args, network: ImageNetwork, table=None):
           "centers (crude fallback)")
     gated = _gated_views(args, network, table, [v.image_id for v in network.views])
     rays = [(g.record.view, center) for g in gated.values()
-            for center in g.record.centers[g.accepted]]
+            for center in g.record.hom[g.accepted, :2]]
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
     anchor = triangulate_center(rays)
@@ -341,7 +342,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="spherefit",
         description="Reconstruct sphere centers/radii from calibrated images "

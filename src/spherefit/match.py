@@ -10,12 +10,13 @@ ascending total reprojection distance.
 
 The work is array maths over both views: the symmetric epipolar distances
 and their limits form one (n_l, n_k) matrix, every admissible pair goes
-through the batched two-view reconstruction of ``reconstruct`` in one call,
-and all hypotheses are reprojected with the silhouette closed form at once.
-Only the greedy one-to-one step loops, over the admissible pairs.  Each
-view enters as its ``ViewRecord``: its rows of an ``EllipseTable`` sorted
-by id, which the gate reads too; ``ViewRecord.take`` keeps the rows the
-gate accepts.
+through the two-view solve of ``reconstruct`` in one call, from the corrected
+centers the records hold, and all hypotheses are reprojected with the
+silhouette closed form at once.  Only the greedy one-to-one step loops, over
+the admissible pairs.  The result keeps the solve, whose matched rows are the
+pipeline's two-view spheres.  Each view enters as its ``ViewRecord``: its
+rows of an ``EllipseTable`` sorted by id, which the gate reads too;
+``ViewRecord.take`` keeps the rows the gate accepts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .projection import (
     corrected_center,
     silhouette,
 )
-from .reconstruct import OK, _cameras, _recover
+from .reconstruct import OK, _Solve, _solve
 
 # Not called here: bench/spans.py wraps these names in this module.
 from .projection import project_sphere_into_view  # noqa: F401
@@ -59,9 +60,15 @@ class MatchCandidate:
 
 @dataclass
 class MatchResult:
+    """The matches of two views and their unmatched ellipse ids; ``solve``
+    is the two-view solve of every admissible pairing and ``rows[i]`` the row
+    of ``matches[i]`` in it.  Neither takes part in comparisons."""
+
     matches: list[MatchCandidate]
     unmatched_l: list[str]
     unmatched_k: list[str]
+    solve: Optional[_Solve] = field(default=None, compare=False, repr=False)
+    rows: list[int] = field(default_factory=list, compare=False, repr=False)
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -74,15 +81,16 @@ class ViewRecord(NamedTuple):
     """One view's ellipses sorted by id, in array form: the ``ids``, their
     (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the (n, 4, 4) ``cov`` block of
     (a_e, b_e, x_ce, y_ce) with zeros where ``has_cov`` is False, the
-    corrected ``centers`` (n, 2), the center ``sigmas`` (n,) and the view's
-    ``k_inv``, the inverse calibration matrix."""
+    corrected centers in homogeneous form ``hom`` (n, 3) rows (x, y, 1), the
+    center ``sigmas`` (n,) and the view's ``k_inv``, the inverse calibration
+    matrix."""
 
     view: CameraView
     ids: list[str]
     params: np.ndarray
     cov: np.ndarray
     has_cov: np.ndarray
-    centers: np.ndarray
+    hom: np.ndarray
     sigmas: np.ndarray
     k_inv: np.ndarray
 
@@ -93,18 +101,18 @@ class ViewRecord(NamedTuple):
         without cov."""
         ids = [ellipse_id for _, ellipse_id in table.keys]
         params, cov = table.params, table.cov
-        centers = np.empty((len(ids), 2))
-        centers[:, 0], centers[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
-                                                        view.f, view.px, view.py)
+        hom = np.ones((len(ids), 3))
+        hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
+                                                view.f, view.px, view.py)
         sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
-        return cls(view, ids, params, cov, table.has_cov, centers, sigmas,
+        return cls(view, ids, params, cov, table.has_cov, hom, sigmas,
                    np.linalg.inv(view.calibration_matrix))
 
     def take(self, keep: np.ndarray) -> "ViewRecord":
         """The record of the rows where the boolean mask ``keep`` is True."""
         return self._replace(ids=list(itertools.compress(self.ids, keep.tolist())),
                              params=self.params[keep], cov=self.cov[keep],
-                             has_cov=self.has_cov[keep], centers=self.centers[keep],
+                             has_cov=self.has_cov[keep], hom=self.hom[keep],
                              sigmas=self.sigmas[keep])
 
 
@@ -136,21 +144,15 @@ def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:
     view_l, view_k = left.view, right.view
     r_rel = view_k.rot @ view_l.rot.T
     t_rel = view_k.t - r_rel @ view_l.t
-    scale = max(1.0, float(np.linalg.norm(view_l.t)), float(np.linalg.norm(view_k.t)))
-    if np.linalg.norm(t_rel) <= 1e-12 * scale:
+    # Each norm is sqrt(x . x), as np.linalg.norm takes it for a whole array.
+    scale = max(1.0, math.sqrt(view_l.t.dot(view_l.t)), math.sqrt(view_k.t.dot(view_k.t)))
+    if math.sqrt(t_rel.dot(t_rel)) <= 1e-12 * scale:
         raise DegenerateGeometry(
             f"views {view_l.image_id!r} and {view_k.image_id!r} have coincident centers")
     essential = _skew(t_rel) @ r_rel
     f_mat = right.k_inv.T @ essential @ left.k_inv
-    return f_mat / np.linalg.norm(f_mat)
-
-
-def _line_distances(lines: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(n_lines, n_points) pixel distances of points from homogeneous lines."""
-    norm = np.hypot(lines[:, 0], lines[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.abs(lines @ np.vstack([points.T, np.ones(len(points))])) / norm[:, None]
-    return np.where(norm[:, None] > 0.0, dist, math.inf)
+    flat = f_mat.ravel()
+    return f_mat / math.sqrt(flat.dot(flat))
 
 
 def match_ellipses(left: ViewRecord, right: ViewRecord,
@@ -162,15 +164,19 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
     geometry degenerates are discarded.  The epipolar test is applied
     symmetrically (both images) so the result does not depend on which view
     is called l.  An explicit ``tol`` in pixels replaces the per-pair
-    max(3 px, 2 * center sigma) limit; it must be positive and finite.
+    max(3 px, 2 * center sigma) limit; it must be positive and finite.  The
+    result keeps the two-view solve of the admissible pairings and the row
+    of each match in it.
     """
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"epipolar tolerance must be positive and finite, got {tol} px")
     f_lk = fundamental_matrix(left, right)
-    hom_l = np.hstack([left.centers, np.ones((len(left.centers), 1))])
-    hom_k = np.hstack([right.centers, np.ones((len(right.centers), 1))])
-    epi = np.maximum(_line_distances(hom_l @ f_lk.T, right.centers),
-                     _line_distances(hom_k @ f_lk, left.centers).T)
+    lines_k = left.hom @ f_lk.T  # epipolar lines of the left centers in the right image
+    lines_l = right.hom @ f_lk
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero line admits no point
+        epi = np.maximum(
+            np.abs(lines_k @ right.hom.T) / np.hypot(lines_k[:, 0], lines_k[:, 1])[:, None],
+            (np.abs(lines_l @ left.hom.T) / np.hypot(lines_l[:, 0], lines_l[:, 1])[:, None]).T)
     if tol is None:
         limit = np.maximum(DEFAULT_EPIPOLAR_TOL, 2.0 * np.maximum.outer(left.sigmas, right.sigmas))
     else:
@@ -178,30 +184,33 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
     il, ik = np.nonzero(epi <= limit)
 
     obs = np.stack([left.params[il], right.params[ik]], axis=1)  # (m, 2, 4)
-    f, px, py, rot, t = _cameras((left.view, right.view))
-    rec = _recover(f, px, py, rot, t, obs[..., 0], obs[..., 1], obs[..., 3])  # x_ce, y_ce, b_e
-    cam = rec.cam
-    radius = rec.radius[:, None]
-    clears = (rec.reason == OK)[:, None] & (cam[..., 2] > radius * (1.0 + DEPTH_MARGIN))
+    hom = np.stack([left.hom[il], right.hom[ik]], axis=1)  # (m, 2, 3)
+    view_l, view_k = left.view, right.view
+    f, px, py = np.array(((view_l.f, view_k.f), (view_l.px, view_k.px), (view_l.py, view_k.py)))
+    solve = _solve(f, px, py, np.array((view_l.rot, view_k.rot)), np.array((view_l.t, view_k.t)),
+                   hom[..., 0], hom[..., 1], obs[..., 3])
+    cam = solve.cam
+    radius = solve.radius[:, None]
+    clears = (solve.reason == OK)[:, None] & (cam[..., 2] > radius * (1.0 + DEPTH_MARGIN))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pred = np.stack(silhouette(cam[..., 0], cam[..., 1], cam[..., 2], radius,
-                                   f, px, py), axis=-1)
-    total = np.sqrt(((obs - pred) ** 2).sum(axis=-1)).sum(axis=1)
+        x, y, a, b = silhouette(cam[..., 0], cam[..., 1], cam[..., 2], radius, f, px, py)
+        dist = np.sqrt((obs[..., 0] - x) ** 2 + (obs[..., 1] - y) ** 2
+                       + (obs[..., 2] - a) ** 2 + (obs[..., 3] - b) ** 2)
+    total = dist[:, 0] + dist[:, 1]
     keep = np.flatnonzero(clears.all(axis=1))
 
     # Ellipses are sorted by id, so ordering by index breaks ties by id.
     order = keep[np.lexsort((ik[keep], il[keep], total[keep]))]
-    used_l = np.zeros(len(left.ids), dtype=bool)
-    used_k = np.zeros(len(right.ids), dtype=bool)
-    matches = []
-    for row in order.tolist():
-        i, j = il[row], ik[row]
-        if used_l[i] or used_k[j]:
+    used_l, used_k, matches, rows = set(), set(), [], []
+    for row, i, j, distance in zip(order.tolist(), il[order].tolist(), ik[order].tolist(),
+                                   total[order].tolist()):
+        if i in used_l or j in used_k:
             continue
-        used_l[i] = used_k[j] = True
-        matches.append(MatchCandidate(
-            ellipse_l=left.ids[i], ellipse_k=right.ids[j],
-            epipolar_distance=float(epi[i, j]), reprojection_distance=float(total[row])))
+        used_l.add(i)
+        used_k.add(j)
+        matches.append(MatchCandidate(left.ids[i], right.ids[j], float(epi[i, j]), distance))
+        rows.append(row)
     return MatchResult(matches=matches,
-                       unmatched_l=list(itertools.compress(left.ids, (~used_l).tolist())),
-                       unmatched_k=list(itertools.compress(right.ids, (~used_k).tolist())))
+                       unmatched_l=[e for i, e in enumerate(left.ids) if i not in used_l],
+                       unmatched_k=[e for j, e in enumerate(right.ids) if j not in used_k],
+                       solve=solve, rows=rows)

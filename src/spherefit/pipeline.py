@@ -9,7 +9,8 @@ One path serves the command line, the synthetic sweep and the library:
   sigma_tau and accepted arrays;
 * ``reconstruct_gated`` keeps the accepted rows of each record, matches
   every view pair, merges the pairwise matches into one-ellipse-per-view
-  tracks and recovers one sphere per track;
+  tracks and recovers one sphere per track: a two-view track's from the
+  solve that matching made, longer ones once per track length;
 * ``reconstruct_subset`` chains the two.
 
 Views are processed in the order the caller gives them: pairs are matched
@@ -27,7 +28,7 @@ import numpy as np
 from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, classify_view
 from .match import ViewRecord, match_ellipses, view_record
 from .projection import CameraView
-from .reconstruct import SphereModel, reconstruct_tracks
+from .reconstruct import SphereModel, _models, reconstruct_tracks
 
 
 class GatedView(NamedTuple):
@@ -105,19 +106,32 @@ def reconstruct_gated(gated: Sequence[GatedView],
     into tracks and recover one sphere per track.
 
     ``gated`` is the output of ``gate_views``; the accepted rows of each
-    view's record serve both steps.  Returns (track, model) pairs, where a
-    track maps image ids to ellipse ids; tracks whose geometry degenerates
-    are dropped.
+    view's record serve both steps.  A two-view track's sphere is the solve
+    row of the match that formed it; longer tracks go through
+    ``reconstruct_tracks``.  Returns (track, model) pairs, where a track maps
+    image ids to ellipse ids; tracks whose geometry degenerates are dropped.
     """
     records = [g.record.take(g.accepted) for g in gated]
-    pair_matches = []
+    pair_matches, solves, formed = [], {}, {}
     for left, right in itertools.combinations(records, 2):
-        pair_matches.extend((m.reprojection_distance, left.view.image_id, right.view.image_id,
-                             m.ellipse_l, m.ellipse_k)
-                            for m in match_ellipses(left, right, tol=tol).matches)
+        result = match_ellipses(left, right, tol=tol)
+        ids = (left.view.image_id, right.view.image_id)
+        solves[ids] = result.solve
+        for m, row in zip(result.matches, result.rows):
+            pair_matches.append((m.reprojection_distance, *ids, m.ellipse_l, m.ellipse_k))
+            formed[frozenset(((ids[0], m.ellipse_l), (ids[1], m.ellipse_k)))] = ids, row
     tracks = [track for track in _merge_tracks(pair_matches) if len(track) >= 2]
-    models = reconstruct_tracks(records, tracks)
-    return [(track, model) for track, model in zip(tracks, models) if model is not None]
+    longer = [index for index, track in enumerate(tracks) if len(track) > 2]
+    models = dict(zip(longer, reconstruct_tracks(records, [tracks[i] for i in longer])))
+    by_pair: dict = {}  # view pair -> {index of a two-view track: its row in the pair's solve}
+    for index, track in enumerate(tracks):
+        if len(track) == 2:
+            ids, row = formed[frozenset(track.items())]
+            by_pair.setdefault(ids, {})[index] = row
+    for ids, rows in by_pair.items():
+        models.update(zip(rows, _models(solves[ids], list(rows.values()), [ids] * len(rows))))
+    return [(track, models[index]) for index, track in enumerate(tracks)
+            if models[index] is not None]
 
 
 def reconstruct_subset(views: Sequence[CameraView],

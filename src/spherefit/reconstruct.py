@@ -8,13 +8,14 @@ estimate per view from the depth and semi-minor length, and average.  With
 known real-world radii of one or more spheres the global scale of the
 reconstruction follows from a least-squares radius ratio.
 
-The recovery runs in array form: one private kernel takes m spheres seen in
-n views each as (m, n, ...) arrays and does the correction, a stacked SVD
-triangulation, the depth check, the per-view radii, the spread and the
-residual in one pass.  Rows whose geometry degenerates are flagged with a
-reason instead of raising, so a batch of two-view hypotheses in matching or
-of tracks in the sweep is never stopped by one bad row.  ``reconstruct_sphere``
-is the one-row call and raises for its row.
+The recovery runs in array form.  One private solve takes m spheres seen in
+n views each as (m, n) arrays of corrected centers and semi-minor lengths and
+does a stacked SVD triangulation, the depth check and the per-view radii; it
+serves matching, whose solved hypotheses are the pipeline's two-view spheres,
+``reconstruct_tracks`` and ``reconstruct_sphere``.  The diagnostics (radius
+spread, pixel residual) are computed only for rows that become a
+``SphereModel``.  Degenerate rows are flagged with a reason instead of
+raising; ``reconstruct_sphere``, the one-row call, raises for its row.
 """
 
 from __future__ import annotations
@@ -77,48 +78,45 @@ def _triangulate(f, px, py, rot, t, u, v):
     # Rows x_n * P_3 - P_1 and y_n * P_3 - P_2 of each view, in view order.
     rows = np.stack([xn, yn], axis=-1)[..., None] * pose[..., 2:, :] - pose[..., :2, :]
     a = rows.reshape(m, 2 * n, 4)
-    a = a / np.linalg.norm(a, axis=-1)[..., None]
+    a = a / np.sqrt((a * a).sum(axis=-1))[..., None]
     _, s, vt = np.linalg.svd(a, full_matrices=False)
     x = vt[:, -1]
     rank_deficient = s[:, 2] <= _RANK_TOL * s[:, 0]
-    at_infinity = np.abs(x[:, 3]) <= _INFINITY_TOL * np.linalg.norm(x[:, :3], axis=1)
+    at_infinity = np.abs(x[:, 3]) <= _INFINITY_TOL * np.sqrt((x[:, :3] * x[:, :3]).sum(axis=1))
     reason = np.where(rank_deficient, RANK_DEFICIENT, np.where(at_infinity, AT_INFINITY, OK))
     return x[:, :3] / x[:, 3:], reason
 
 
-class _Recovery(NamedTuple):
-    """Kernel output for m spheres in n views; rows with reason != OK are
-    not usable."""
+class _Solve(NamedTuple):
+    """Solve of m spheres in n views, with the corrected centers ``u``, ``v``
+    (m, n) and the intrinsics ``f``, ``px``, ``py`` (n or (m, n)) it was
+    given; rows with reason != OK are not usable."""
 
     center: np.ndarray    # (m, 3) world centers
     cam: np.ndarray       # (m, n, 3) the centers in each camera frame
     radii: np.ndarray     # (m, n) per-view radius estimates
     radius: np.ndarray    # (m,) mean radius
-    spread: np.ndarray    # (m,) max |R_i - R|
-    residual: np.ndarray  # (m,) RMS pixel residual of the corrected centers
     reason: np.ndarray    # (m,) OK or the degeneracy found first
+    u: np.ndarray
+    v: np.ndarray
+    f: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
 
 
-def _recover(f, px, py, rot, t, x_ce, y_ce, b_e) -> _Recovery:
-    """Recover m spheres from their ellipses in n views each.
-
-    ``x_ce``, ``y_ce`` and ``b_e`` are (m, n); the camera arrays ``f``,
-    ``px``, ``py`` (n or (m, n)), ``rot`` (..., n, 3, 3) and ``t``
-    (..., n, 3) broadcast against them.
+def _solve(f, px, py, rot, t, u, v, b_e) -> _Solve:
+    """Recover m spheres from the corrected centers ``u``, ``v`` and the
+    semi-minor lengths ``b_e`` (m, n) of their ellipses in n views each; the
+    camera arrays ``f``, ``px``, ``py`` (n or (m, n)), ``rot`` (..., n, 3, 3)
+    and ``t`` (..., n, 3) broadcast against them.
     """
-    u, v = corrected_center(x_ce, y_ce, b_e, f, px, py)
     with np.errstate(divide="ignore", invalid="ignore"):
         center, reason = _triangulate(f, px, py, rot, t, u, v)
         cam = (rot @ center[:, None, :, None])[..., 0] + t
         depth = cam[..., 2]
         reason = np.where((reason == OK) & (depth <= 0.0).any(axis=1), BEHIND_CAMERA, reason)
         radii = radius_from_depth(depth, b_e, f)
-        radius = radii.mean(axis=1)
-        spread = np.abs(radii - radius[:, None]).max(axis=1)
-        x, y = pinhole(cam, f, px, py)
-        residual = np.sqrt(np.mean((x - u) ** 2 + (y - v) ** 2, axis=1))
-    return _Recovery(center=center, cam=cam, radii=radii, radius=radius,
-                     spread=spread, residual=residual, reason=reason)
+    return _Solve(center, cam, radii, radii.mean(axis=1), reason, u, v, f, px, py)
 
 
 def _cameras(views: Sequence[CameraView]):
@@ -128,11 +126,20 @@ def _cameras(views: Sequence[CameraView]):
             np.array([v.t for v in views]).reshape(-1, 3))
 
 
-def _model(rec: _Recovery, row: int, image_ids: Sequence[str]) -> SphereModel:
-    return SphereModel(sphere=Sphere(rec.center[row].copy(), float(rec.radius[row])),
-                       per_view_radii=list(zip(image_ids, rec.radii[row].tolist())),
-                       radius_spread=float(rec.spread[row]),
-                       triangulation_residual=float(rec.residual[row]))
+def _models(solve: _Solve, rows: Sequence[int],
+            image_ids: Sequence[Sequence[str]]) -> list[SphereModel]:
+    """The ``SphereModel`` of each of ``rows`` of ``solve``, its views named
+    by the matching entry of ``image_ids``; the diagnostics (radius spread,
+    RMS pixel residual of the corrected centers) are computed for these rows."""
+    cam, radii, radius, u, v = (a[rows] for a in (solve.cam, solve.radii, solve.radius,
+                                                  solve.u, solve.v))
+    f, px, py = (a if a.ndim == 1 else a[rows] for a in (solve.f, solve.px, solve.py))
+    spread = np.abs(radii - radius[:, None]).max(axis=1)
+    x, y = pinhole(cam, f, px, py)
+    residual = np.sqrt(np.mean((x - u) ** 2 + (y - v) ** 2, axis=1))
+    return [SphereModel(Sphere(solve.center[row].copy(), float(radius[k])),
+                        list(zip(ids, radii[k].tolist())), float(spread[k]), float(residual[k]))
+            for k, (row, ids) in enumerate(zip(rows, image_ids))]
 
 
 def _raise_if_degenerate(reason: int) -> None:
@@ -173,28 +180,32 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]])
     """
     if len(matched) < 2:
         raise ValueError("sphere reconstruction needs at least two views")
-    ell = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in matched]).T[:, None]  # 3 x (1, n)
-    rec = _recover(*_cameras([v for v, _ in matched]), *ell)
-    reason = int(rec.reason[0])
+    x_ce, y_ce, b_e = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in matched]).T[:, None]
+    f, px, py, rot, t = _cameras([v for v, _ in matched])
+    solve = _solve(f, px, py, rot, t, *corrected_center(x_ce, y_ce, b_e, f, px, py), b_e)
+    reason = int(solve.reason[0])
     _raise_if_degenerate(reason)
     if reason == BEHIND_CAMERA:
-        view = matched[int(np.argmax(rec.cam[0, :, 2] <= 0.0))][0]
+        view = matched[int(np.argmax(solve.cam[0, :, 2] <= 0.0))][0]
         raise DegenerateProjection(
             f"triangulated center has nonpositive depth in view {view.image_id!r}")
-    return _model(rec, 0, [v.image_id for v, _ in matched])
+    return _models(solve, [0], [[v.image_id for v, _ in matched]])[0]
 
 
 def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
                        ) -> list[Optional[SphereModel]]:
-    """``reconstruct_sphere`` for many tracks at once, one kernel pass per
-    track length.  A track maps image ids to ellipse ids, picked by row out of
-    the views' ``match.ViewRecord``s in ``records`` order.  Returns one model
-    per track, None where the track's geometry degenerates."""
+    """``reconstruct_sphere`` for many tracks at once, one solve per track
+    length.  A track maps image ids to ellipse ids, picked by row out of the
+    views' ``match.ViewRecord``s in ``records`` order.  Returns one model per
+    track, None where the track's geometry degenerates."""
+    if not tracks:
+        return []
     image_ids = [r.view.image_id for r in records]
     f, px, py, rot, t = _cameras([r.view for r in records])
-    params = np.concatenate([np.empty((0, 4))] + [r.params for r in records])
+    b_e = np.concatenate([np.empty(0)] + [r.params[:, 3] for r in records])
+    hom = np.concatenate([np.empty((0, 3))] + [r.hom for r in records])
     keys = [(v, ellipse_id) for v, r in enumerate(records) for ellipse_id in r.ids]
-    rows = {key: row for row, key in enumerate(keys)}  # key -> row of params
+    rows = {key: row for row, key in enumerate(keys)}  # key -> row of b_e and hom
     picks = [[(v, rows[v, track[i]]) for v, i in enumerate(image_ids) if i in track]
              for track in tracks]
     models: list[Optional[SphereModel]] = [None] * len(tracks)
@@ -204,12 +215,13 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
             raise ValueError("sphere reconstruction needs at least two views")
         by_length.setdefault(len(pick), []).append(index)
     for indices in by_length.values():
-        pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in params
-        v, ell = pick[..., 0], params[pick[..., 1]]
-        rec = _recover(f[v], px[v], py[v], rot[v], t[v], ell[..., 0], ell[..., 1], ell[..., 3])
-        for row, index in enumerate(indices):
-            if rec.reason[row] == OK:
-                models[index] = _model(rec, row, [image_ids[j] for j, _ in picks[index]])
+        pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in b_e and hom
+        v, row = pick[..., 0], pick[..., 1]
+        solve = _solve(f[v], px[v], py[v], rot[v], t[v], hom[row, 0], hom[row, 1], b_e[row])
+        ok = np.flatnonzero(solve.reason == OK).tolist()
+        solved = _models(solve, ok, [[image_ids[j] for j, _ in picks[indices[k]]] for k in ok])
+        for k, model in zip(ok, solved):
+            models[indices[k]] = model
     return models
 
 

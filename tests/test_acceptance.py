@@ -10,6 +10,7 @@ The assertion still runs at the stated tolerance.
 """
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -189,6 +190,34 @@ def test_criterion_5_runtime_scaling(sweep):
     assert report(5, ok, f"per-trial pipeline time: k=8 {stats[8].mean_ms:.1f} ms "
                          f"vs k=2 {stats[2].mean_ms:.1f} ms, ratio {ratio:.1f} "
                          f"(need >= 10)")
+
+
+def test_criterion_5_cost_shape(noisy_lab_scene, monkeypatch):
+    # Criterion 5's all-pairs shape, counted instead of timed: a k-view
+    # subset solves each of its C(k, 2) view pairs once, and these solves
+    # give its two-view spheres; each track length of 3 or more adds at most
+    # one solve.  So a k=2 subset solves exactly once.
+    from spherefit.reconstruct import _solve
+
+    shapes = []
+
+    def counted(*args):
+        shapes.append(args[5].shape)  # the corrected centers u: (m, n)
+        return _solve(*args)
+
+    monkeypatch.setattr("spherefit.match._solve", counted)
+    monkeypatch.setattr("spherefit.reconstruct._solve", counted)
+    for k in (2, 4, 8):
+        shapes.clear()
+        views = noisy_lab_scene.views[::len(noisy_lab_scene.views) // k][:k]
+        models = reconstruct_subset(views, noisy_lab_scene.observations)
+        assert models
+        lengths = [n for _, n in shapes if n > 2]
+        assert len(shapes) - len(lengths) == math.comb(k, 2)
+        assert len(lengths) == len(set(lengths))
+        assert {len(track) for track, _ in models if len(track) > 2} <= set(lengths)
+        if k == 2:
+            assert len(shapes) == 1
 
 
 def test_criterion_6_scale_definition():

@@ -458,6 +458,29 @@ def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch,
     assert sum(gated) == len(ellipses)
 
 
+
+def test_main_builds_the_parser_once(exported, tmp_path, monkeypatch, capsys):
+    # Calls of main in one process share one parser; a rejected command line
+    # in between changes neither the exit codes nor the outputs of the runs.
+    root, _, _ = exported
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(original()) or built[-1])
+    command = ["match", "--cameras", str(root / "cameras.json"),
+               "--ellipses", str(root / "ellipses.csv")]
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"match{run}.json"
+        assert main([*command, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--tol-px", "0"])
+        assert exc.value.code == 2
+        assert "--tol-px" in capsys.readouterr().err
+    assert outputs[0] == outputs[1]
+    assert len(built) == 4 and all(parser is built[0] for parser in built)
+
+
 class TestScale:
     def reconstruct(self, exported, tmp_path):
         root, _, _ = exported

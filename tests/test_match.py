@@ -177,8 +177,9 @@ class TestViewRecord:
         record = view_record(view, ellipses)
         ordered = sorted(ellipses, key=lambda e: e.ellipse_id)
         assert record.ids == [e.ellipse_id for e in ordered]
+        assert record.hom[:, 2].tolist() == [1.0] * len(ordered)
         for e, params, cov, center, sigma in zip(ordered, record.params, record.cov,
-                                                 record.centers, record.sigmas):
+                                                 record.hom[:, :2], record.sigmas):
             assert params.tolist() == [e.x_ce, e.y_ce, e.a_e, e.b_e]
             assert cov.tobytes() == e.cov.tobytes()
             assert np.allclose(center, projected_sphere_center(e, view.f, view.px, view.py),
@@ -200,7 +201,7 @@ class TestViewRecord:
         keep = np.arange(len(ellipses)) % 3 == 0
         kept = record.take(keep)
         assert kept.ids == [i for i, k in zip(record.ids, keep) if k]
-        for name in ("params", "cov", "has_cov", "centers", "sigmas"):
+        for name in ("params", "cov", "has_cov", "hom", "sigmas"):
             assert getattr(kept, name).tobytes() == getattr(record, name)[keep].tobytes()
         assert kept.view is view and kept.k_inv is record.k_inv
 

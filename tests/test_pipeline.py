@@ -15,7 +15,9 @@ from spherefit import (
     generate_scene,
     perturb_observations,
     reconstruct_gated,
+    reconstruct_sphere,
     reconstruct_subset,
+    reconstruct_tracks,
 )
 from spherefit.pipeline import _merge_tracks
 
@@ -132,3 +134,50 @@ class TestReconstructGatedEqualsReference:
                              clutter_inflation=1.02, seed=4)
         noisy = perturb_observations(generate_scene(config), 0.5, 4)
         assert assert_same_reconstruction(noisy.views, noisy.observations) > 0
+
+
+def assert_two_view_spheres_reuse_the_match_solve(scene, gated):
+    """Each two-view model of ``reconstruct_gated`` equals, bit for bit, the
+    one ``reconstruct_tracks`` recovers for its track alone, and is within
+    1e-9 relative of ``reconstruct_sphere`` on the same two ellipses."""
+    views = [g.record.view for g in gated]
+    records = [g.record.take(g.accepted) for g in gated]
+    by_id = {(e.image_id, e.ellipse_id): e for v in views for e in scene.observations[v.image_id]}
+    count = 0
+    for track, model in reconstruct_gated(gated):
+        if len(track) != 2:
+            continue
+        [alone] = reconstruct_tracks(records, [track])
+        assert model.sphere.center.tobytes() == alone.sphere.center.tobytes()
+        assert [(i, r.hex()) for i, r in model.per_view_radii] == \
+            [(i, r.hex()) for i, r in alone.per_view_radii]
+        for name in ("radius_spread", "triangulation_residual"):
+            assert getattr(model, name).hex() == getattr(alone, name).hex()
+        assert model.sphere.radius.hex() == alone.sphere.radius.hex()
+        one = reconstruct_sphere([(v, by_id[v.image_id, track[v.image_id]])
+                                  for v in views if v.image_id in track])
+        scale = np.abs(one.sphere.center).max()
+        assert np.abs(model.sphere.center - one.sphere.center).max() <= 1e-9 * scale
+        assert math.isclose(model.sphere.radius, one.sphere.radius, rel_tol=1e-9)
+        count += 1
+    return count
+
+
+class TestTwoViewSpheresAreMatchSolves:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_scene_every_pair(self, seed):
+        noisy = perturb_observations(generate_scene(SceneConfig(seed=seed)), 0.5, seed)
+        gated = gate_views(noisy.views, noisy.observations)
+        assert sum(assert_two_view_spheres_reuse_the_match_solve(noisy, pair)
+                   for pair in itertools.combinations(gated, 2)) > 0
+
+    def test_cluttered_ring(self):
+        config = SceneConfig(n_cameras=12, placement="ring", clutter_per_image=10,
+                             clutter_inflation=1.02, seed=4)
+        noisy = perturb_observations(generate_scene(config), 0.5, 4)
+        gated = gate_views(noisy.views, noisy.observations)
+        assert sum(assert_two_view_spheres_reuse_the_match_solve(noisy, pair)
+                   for pair in itertools.combinations(gated, 2)) > 0
+        # Runs of three neighbouring views mix two-view and three-view tracks.
+        assert sum(assert_two_view_spheres_reuse_the_match_solve(noisy, (gated + gated)[i:i + 3])
+                   for i in range(12)) > 0
