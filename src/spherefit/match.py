@@ -11,12 +11,12 @@ ascending total reprojection distance.
 The work is array maths over both views: the symmetric epipolar distances
 and their limits form one (n_l, n_k) matrix, every admissible pair goes
 through the two-view solve of ``reconstruct`` in one call, from the corrected
-centers the records hold, and all hypotheses are reprojected with the
-silhouette closed form at once.  Only the greedy one-to-one step loops, over
-the admissible pairs.  The result keeps the solve, whose matched rows are the
-pipeline's two-view spheres.  Each view enters as its ``ViewRecord``: its
-rows of an ``EllipseTable`` sorted by id, which the gate reads too;
-``ViewRecord.take`` keeps the rows the gate accepts.
+centers and the sums of the triangulation normal matrices the records hold,
+and all hypotheses are reprojected with the silhouette closed form at once.
+Only the greedy one-to-one step loops, over the admissible pairs.  The result
+keeps the solve, whose matched rows are the pipeline's two-view spheres.  Each
+view enters as its ``ViewRecord``: its rows of an ``EllipseTable`` sorted by
+id, which the gate reads too; ``ViewRecord.take`` keeps the rows the gate accepts.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .projection import (
     corrected_center,
     silhouette,
 )
-from .reconstruct import OK, _Solve, _solve
+from .reconstruct import OK, _cameras, _normal, _Solve, _solve
 
 # Not called here: bench/spans.py wraps these names in this module.
 from .projection import project_sphere_into_view  # noqa: F401
@@ -82,8 +82,8 @@ class ViewRecord(NamedTuple):
     (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the (n, 4, 4) ``cov`` block of
     (a_e, b_e, x_ce, y_ce) with zeros where ``has_cov`` is False, the
     corrected centers in homogeneous form ``hom`` (n, 3) rows (x, y, 1), the
-    center ``sigmas`` (n,) and the view's ``k_inv``, the inverse calibration
-    matrix."""
+    center ``sigmas`` (n,), the view's inverse calibration matrix ``k_inv``
+    and the (n, 4, 4) triangulation ``normal`` matrix of each center."""
 
     view: CameraView
     ids: list[str]
@@ -93,6 +93,7 @@ class ViewRecord(NamedTuple):
     hom: np.ndarray
     sigmas: np.ndarray
     k_inv: np.ndarray
+    normal: np.ndarray
 
     @classmethod
     def of(cls, view: CameraView, table: EllipseTable) -> "ViewRecord":
@@ -106,14 +107,16 @@ class ViewRecord(NamedTuple):
                                                 view.f, view.px, view.py)
         sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
         return cls(view, ids, params, cov, table.has_cov, hom, sigmas,
-                   np.linalg.inv(view.calibration_matrix))
+                   np.linalg.inv(view.calibration_matrix),
+                   _normal(view.f, view.px, view.py, view.rot, view.t, hom[:, 0], hom[:, 1]))
 
     def take(self, keep: np.ndarray) -> "ViewRecord":
         """The record of the rows where the boolean mask ``keep`` is True."""
-        return self._replace(ids=list(itertools.compress(self.ids, keep.tolist())),
-                             params=self.params[keep], cov=self.cov[keep],
-                             has_cov=self.has_cov[keep], hom=self.hom[keep],
-                             sigmas=self.sigmas[keep])
+        if keep.all():
+            return self
+        rows = {name: getattr(self, name)[keep]
+                for name in ("params", "cov", "has_cov", "hom", "sigmas", "normal")}
+        return self._replace(ids=list(itertools.compress(self.ids, keep.tolist())), **rows)
 
 
 def view_record(view: CameraView, ellipses: Sequence[EllipseObservation]) -> ViewRecord:
@@ -185,10 +188,9 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
 
     obs = np.stack([left.params[il], right.params[ik]], axis=1)  # (m, 2, 4)
     hom = np.stack([left.hom[il], right.hom[ik]], axis=1)  # (m, 2, 3)
-    view_l, view_k = left.view, right.view
-    f, px, py = np.array(((view_l.f, view_k.f), (view_l.px, view_k.px), (view_l.py, view_k.py)))
-    solve = _solve(f, px, py, np.array((view_l.rot, view_k.rot)), np.array((view_l.t, view_k.t)),
-                   hom[..., 0], hom[..., 1], obs[..., 3])
+    f, px, py, rot, t = _cameras((left.view, right.view))
+    solve = _solve(f, px, py, rot, t, hom[..., 0], hom[..., 1], obs[..., 3],
+                   left.normal[il] + right.normal[ik])
     cam = solve.cam
     radius = solve.radius[:, None]
     clears = (solve.reason == OK)[:, None] & (cam[..., 2] > radius * (1.0 + DEPTH_MARGIN))

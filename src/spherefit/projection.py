@@ -283,6 +283,16 @@ class Sphere:
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
+    @classmethod
+    def of_rows(cls, centers: np.ndarray, radii: np.ndarray) -> list["Sphere"]:
+        """World spheres of the rows of ``centers`` (m, 3) and ``radii`` (m,)."""
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all() and (radii > 0.0).all()):
+            return [cls(c, r) for c, r in zip(centers, radii)]  # raises at the first bad row
+        spheres = [object.__new__(cls) for _ in range(len(radii))]
+        for sphere, center, radius in zip(spheres, centers, radii.tolist()):
+            sphere.__dict__.update(center=center, radius=radius, frame="world")
+        return spheres
+
 
 def world_to_camera(point, view: CameraView) -> np.ndarray:
     """Rigid transform of a world point into the camera frame."""

@@ -9,13 +9,13 @@ known real-world radii of one or more spheres the global scale of the
 reconstruction follows from a least-squares radius ratio.
 
 The recovery runs in array form.  One private solve takes m spheres seen in
-n views each as (m, n) arrays of corrected centers and semi-minor lengths and
-does a stacked SVD triangulation, the depth check and the per-view radii; it
-serves matching, whose solved hypotheses are the pipeline's two-view spheres,
-``reconstruct_tracks`` and ``reconstruct_sphere``.  The diagnostics (radius
-spread, pixel residual) are computed only for rows that become a
-``SphereModel``.  Degenerate rows are flagged with a reason instead of
-raising; ``reconstruct_sphere``, the one-row call, raises for its row.
+n views each as (m, n) arrays of corrected centers and semi-minor lengths,
+triangulates each by one batched ``eigh`` of its views' summed 4x4 normal
+matrices (an SVD where those are near degenerate), and does the depth check
+and the per-view radii; it serves matching, whose solved hypotheses are the
+pipeline's two-view spheres, ``reconstruct_tracks`` and ``reconstruct_sphere``.
+Only rows that become a ``SphereModel`` get the diagnostics (radius spread,
+pixel residual).  Degenerate rows get a reason; ``reconstruct_sphere`` raises.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .projection import (CameraView, EllipseObservation, Sphere, corrected_cente
                          radius_from_depth)
 
 _RANK_TOL = 1e-9
+_EIGH_TOL = 1e-4
 _INFINITY_TOL = 1e-12
 
 
@@ -63,25 +64,39 @@ class ScaleResult:
 OK, RANK_DEFICIENT, AT_INFINITY, BEHIND_CAMERA = range(4)
 
 
-def _triangulate(f, px, py, rot, t, u, v):
+def _dlt_rows(f, px, py, rot, t, u, v):
+    """Unit-length rows x_n * P_3 - P_1 and y_n * P_3 - P_2 of each pixel (u, v),
+    in normalized image coordinates to keep them well conditioned: (..., 2, 4)."""
+    pose = np.concatenate([rot, t[..., None]], axis=-1)
+    xy = np.concatenate([((u - px) / f)[..., None], ((v - py) / f)[..., None]], axis=-1)
+    rows = xy[..., None] * pose[..., 2:, :] - pose[..., :2, :]
+    return rows / np.sqrt((rows * rows).sum(axis=-1))[..., None]
+
+
+def _normal(f, px, py, rot, t, u, v):
+    """D^T D of each pixel's ``_dlt_rows`` D: (..., 4, 4)."""
+    rows = _dlt_rows(f, px, py, rot, t, u, v)
+    return np.swapaxes(rows, -1, -2) @ rows
+
+
+def _triangulate(f, px, py, rot, t, u, v, normal=None):
     """Linear homogeneous least-squares triangulation of m points, each seen
     at pixel (u, v) in n views; u and v are (m, n), the camera arrays
-    broadcast against them.  Returns the (m, 3) points and a reason per row.
-
-    Pixels are reduced to normalized image coordinates before stacking the
-    projection constraints, which keeps each design matrix well conditioned.
-    """
-    m, n = u.shape
-    xn = (u - px) / f
-    yn = (v - py) / f
-    pose = np.concatenate([rot, t[..., None]], axis=-1)
-    # Rows x_n * P_3 - P_1 and y_n * P_3 - P_2 of each view, in view order.
-    rows = np.stack([xn, yn], axis=-1)[..., None] * pose[..., 2:, :] - pose[..., :2, :]
-    a = rows.reshape(m, 2 * n, 4)
-    a = a / np.sqrt((a * a).sum(axis=-1))[..., None]
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    x = vt[:, -1]
-    rank_deficient = s[:, 2] <= _RANK_TOL * s[:, 0]
+    broadcast against them, ``normal`` (m, 4, 4) sums the views' ``_normal``
+    matrices (built when None).  Returns the (m, 3) points, each the
+    eigenvector of its normal matrix's smallest eigenvalue, and a reason per
+    row.  The normal matrix squares the condition number, so an SVD of the
+    rows solves rows with lambda_2 <= _EIGH_TOL * lambda_4 and judges their rank."""
+    w, vec = np.linalg.eigh(_normal(f, px, py, rot, t, u, v).sum(axis=1) if normal is None
+                            else normal)
+    x = vec[..., 0]
+    rank_deficient = np.zeros(len(x), bool)
+    ill = ~(w[:, 1] > _EIGH_TOL * w[:, 3])  # NaN eigenvalues go to the SVD too
+    if ill.any():
+        a = _dlt_rows(f, px, py, rot, t, u, v)[ill].reshape(-1, 2 * u.shape[1], 4)
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        x[ill] = vt[:, -1]
+        rank_deficient[ill] = s[:, 2] <= _RANK_TOL * s[:, 0]
     at_infinity = np.abs(x[:, 3]) <= _INFINITY_TOL * np.sqrt((x[:, :3] * x[:, :3]).sum(axis=1))
     reason = np.where(rank_deficient, RANK_DEFICIENT, np.where(at_infinity, AT_INFINITY, OK))
     return x[:, :3] / x[:, 3:], reason
@@ -104,14 +119,14 @@ class _Solve(NamedTuple):
     py: np.ndarray
 
 
-def _solve(f, px, py, rot, t, u, v, b_e) -> _Solve:
+def _solve(f, px, py, rot, t, u, v, b_e, normal=None) -> _Solve:
     """Recover m spheres from the corrected centers ``u``, ``v`` and the
     semi-minor lengths ``b_e`` (m, n) of their ellipses in n views each; the
     camera arrays ``f``, ``px``, ``py`` (n or (m, n)), ``rot`` (..., n, 3, 3)
-    and ``t`` (..., n, 3) broadcast against them.
+    and ``t`` (..., n, 3) broadcast against them; ``normal`` as in ``_triangulate``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        center, reason = _triangulate(f, px, py, rot, t, u, v)
+        center, reason = _triangulate(f, px, py, rot, t, u, v, normal)
         cam = (rot @ center[:, None, :, None])[..., 0] + t
         depth = cam[..., 2]
         reason = np.where((reason == OK) & (depth <= 0.0).any(axis=1), BEHIND_CAMERA, reason)
@@ -137,9 +152,10 @@ def _models(solve: _Solve, rows: Sequence[int],
     spread = np.abs(radii - radius[:, None]).max(axis=1)
     x, y = pinhole(cam, f, px, py)
     residual = np.sqrt(np.mean((x - u) ** 2 + (y - v) ** 2, axis=1))
-    return [SphereModel(Sphere(solve.center[row].copy(), float(radius[k])),
-                        list(zip(ids, radii[k].tolist())), float(spread[k]), float(residual[k]))
-            for k, (row, ids) in enumerate(zip(rows, image_ids))]
+    return [SphereModel(sphere, list(zip(ids, per_view)), *diagnostics)
+            for sphere, ids, per_view, *diagnostics in zip(
+                Sphere.of_rows(solve.center[rows], radius), image_ids, radii.tolist(),
+                spread.tolist(), residual.tolist())]
 
 
 def _raise_if_degenerate(reason: int) -> None:
@@ -204,8 +220,9 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
     f, px, py, rot, t = _cameras([r.view for r in records])
     b_e = np.concatenate([np.empty(0)] + [r.params[:, 3] for r in records])
     hom = np.concatenate([np.empty((0, 3))] + [r.hom for r in records])
+    normal = np.concatenate([np.empty((0, 4, 4))] + [r.normal for r in records])
     keys = [(v, ellipse_id) for v, r in enumerate(records) for ellipse_id in r.ids]
-    rows = {key: row for row, key in enumerate(keys)}  # key -> row of b_e and hom
+    rows = {key: row for row, key in enumerate(keys)}  # key -> row of b_e, hom and normal
     picks = [[(v, rows[v, track[i]]) for v, i in enumerate(image_ids) if i in track]
              for track in tracks]
     models: list[Optional[SphereModel]] = [None] * len(tracks)
@@ -215,9 +232,10 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
             raise ValueError("sphere reconstruction needs at least two views")
         by_length.setdefault(len(pick), []).append(index)
     for indices in by_length.values():
-        pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in b_e and hom
+        pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in b_e, hom, normal
         v, row = pick[..., 0], pick[..., 1]
-        solve = _solve(f[v], px[v], py[v], rot[v], t[v], hom[row, 0], hom[row, 1], b_e[row])
+        solve = _solve(f[v], px[v], py[v], rot[v], t[v], hom[row, 0], hom[row, 1], b_e[row],
+                       normal[row].sum(axis=1))
         ok = np.flatnonzero(solve.reason == OK).tolist()
         solved = _models(solve, ok, [[image_ids[j] for j, _ in picks[indices[k]]] for k in ok])
         for k, model in zip(ok, solved):

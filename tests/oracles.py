@@ -212,18 +212,21 @@ def golden_section_minimize(func, lo, hi, tol=1e-12):
     return 0.5 * (a + b)
 
 
+def reference_dlt_rows(view, pixel):
+    """The two DLT rows x_n * P_3 - P_1 and y_n * P_3 - P_2 of one pixel in
+    one view, each scaled to unit length: a (2, 4) array."""
+    xn = (pixel[0] - view.px) / view.f
+    yn = (pixel[1] - view.py) / view.f
+    pose = np.hstack([view.rot, view.t[:, None]])
+    a = np.vstack([xn * pose[2] - pose[0], yn * pose[2] - pose[1]])
+    return a / np.linalg.norm(a, axis=1)[:, None]
+
+
 def reference_triangulate(observations):
     """Scalar homogeneous DLT triangulation of one point from (view, pixel)
-    pairs, with the same row normalization and rank tests as the package."""
-    rows = []
-    for view, pixel in observations:
-        xn = (pixel[0] - view.px) / view.f
-        yn = (pixel[1] - view.py) / view.f
-        pose = np.hstack([view.rot, view.t[:, None]])
-        rows.append(xn * pose[2] - pose[0])
-        rows.append(yn * pose[2] - pose[1])
-    a = np.vstack(rows)
-    a = a / np.linalg.norm(a, axis=1)[:, None]
+    pairs by an SVD of the stacked rows, with the same row normalization and
+    rank tests as the package."""
+    a = np.vstack([reference_dlt_rows(view, pixel) for view, pixel in observations])
     _, s, vt = np.linalg.svd(a)
     if s[2] <= 1e-9 * s[0]:
         raise DegenerateGeometry("rank-deficient")

@@ -10,6 +10,7 @@ from oracles import (
     fundamental_from_views,
     look_at_view,
     projected_sphere_center,
+    reference_dlt_rows,
     reference_match_ellipses,
     reference_reconstruct_sphere,
     reprojection_distance,
@@ -187,6 +188,9 @@ class TestViewRecord:
             assert sigma == center_sigma(e) > 0.0
         assert record.has_cov.all()
         assert record.k_inv.tobytes() == np.linalg.inv(view.calibration_matrix).tobytes()
+        for center, normal in zip(record.hom[:, :2], record.normal):
+            rows = reference_dlt_rows(view, center)
+            assert np.allclose(normal, rows.T @ rows, rtol=0.0, atol=1e-15)
 
     def test_rows_without_cov_and_take(self, lab_scene):
         view = lab_scene.views[0]
@@ -201,9 +205,10 @@ class TestViewRecord:
         keep = np.arange(len(ellipses)) % 3 == 0
         kept = record.take(keep)
         assert kept.ids == [i for i, k in zip(record.ids, keep) if k]
-        for name in ("params", "cov", "has_cov", "hom", "sigmas"):
+        for name in ("params", "cov", "has_cov", "hom", "sigmas", "normal"):
             assert getattr(kept, name).tobytes() == getattr(record, name)[keep].tobytes()
         assert kept.view is view and kept.k_inv is record.k_inv
+        assert record.take(np.ones(len(ellipses), bool)) is record
 
     def test_repeated_ellipse_id_rejected(self):
         scene = generate_scene(SceneConfig(seed=1))

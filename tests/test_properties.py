@@ -24,6 +24,7 @@ from oracles import (  # noqa: E402
     reference_is_psd,
     reference_load_ellipses,
     reference_network_overlap,
+    reference_reconstruct_sphere,
 )
 from spherefit import (  # noqa: E402
     DEFAULT_MIN_ANGLE,
@@ -47,6 +48,7 @@ from spherefit import (  # noqa: E402
     project_sphere_into_view,
     reconstruct_sphere,
     tau,
+    world_to_camera,
 )
 from spherefit.cli import main  # noqa: E402
 from spherefit.fileio import (  # noqa: E402
@@ -65,7 +67,15 @@ from spherefit.fileio import (  # noqa: E402
     save_ply,
     save_spheres,
 )
-from spherefit.projection import PIXEL_LIMIT, is_psd  # noqa: E402
+from spherefit.projection import PIXEL_LIMIT, corrected_center, is_psd  # noqa: E402
+from spherefit.reconstruct import (  # noqa: E402
+    AT_INFINITY,
+    BEHIND_CAMERA,
+    OK,
+    RANK_DEFICIENT,
+    _normal,
+    _solve,
+)
 
 # Fixed example sequence, so a tier-1 run is reproducible.
 PROPERTY = settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -199,6 +209,69 @@ def test_near_coincident_cameras_raise_or_stay_finite(log_baseline, direction, c
     values = [*model.sphere.center, model.sphere.radius, model.radius_spread,
               model.triangulation_residual, *(r for _, r in model.per_view_radii)]
     assert all(map(math.isfinite, values))
+
+
+_REASONS = {OK: "ok", RANK_DEFICIENT: "rank-deficient", AT_INFINITY: "at infinity",
+            BEHIND_CAMERA: "behind"}
+
+
+def _reference_outcome(matched):
+    """The SVD reference's world center, or the degeneracy it raises."""
+    try:
+        return reference_reconstruct_sphere(matched).sphere.center
+    except DegenerateGeometry as exc:
+        return str(exc)
+    except DegenerateProjection:
+        return "behind"
+
+
+@PROPERTY
+@given(log_baseline=st.floats(-14.0, 0.0),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda d: math.hypot(*d) > 1e-3),
+       center=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       radius=st.floats(0.01, 0.3),
+       n_views=st.sampled_from([2, 3]),
+       log_clearance=st.one_of(st.none(), st.floats(-6.0, 0.0)))
+@example(log_baseline=-12.0, direction=(0.0, 0.0, -1.0), center=(0.5, 0.1875, 0.0),
+         radius=0.25, n_views=2, log_clearance=None)
+def test_solve_matches_svd_reference(log_baseline, direction, center, radius, n_views,
+                                     log_clearance):
+    # One solve of two rows: cameras 10^log_baseline apart, 5 m from the
+    # sphere (the SVD fallback below a baseline of about 10 cm, the eigh
+    # above), and a wide rig (the eigh).
+    # Each row must give the reference's reason, and an OK row its center
+    # within 1e-9 of the sphere's size.  With a clearance the sphere grazes
+    # the nearest camera: its depth there is the radius times 1 + clearance.
+    offset = 10.0 ** log_baseline * np.array(direction) / math.hypot(*direction)
+    base = np.array([0.0, -5.0, 1.0])
+    rigs = [[base, base + offset, base + offset[::-1]],
+            [base, np.array([5.0, 0.0, 1.0]), np.array([-4.0, 3.0, -1.0])]]
+    rigs = [[look_at_view(f"v{i}", c, [0.0, 0.0, 0.0]) for i, c in enumerate(rig[:n_views])]
+            for rig in rigs]
+    if log_clearance is not None:
+        depth = min(float(world_to_camera(center, v)[2]) for rig in rigs for v in rig)
+        radius = depth / (1.0 + 10.0 ** log_clearance)
+    try:
+        matched = [[(v, project_sphere_into_view(Sphere(center, radius), v)) for v in rig]
+                   for rig in rigs]
+    except DegenerateProjection:
+        return
+    views = [[v for v, _ in rig] for rig in matched]
+    f, px, py, rot, t = (np.array([[getattr(v, k) for v in rig] for rig in views])
+                         for k in ("f", "px", "py", "rot", "t"))
+    x_ce, y_ce, b_e = (np.array([[getattr(e, k) for _, e in rig] for rig in matched])
+                       for k in ("x_ce", "y_ce", "b_e"))
+    u, v = corrected_center(x_ce, y_ce, b_e, f, px, py)
+    solve = _solve(f, px, py, rot, t, u, v, b_e, _normal(f, px, py, rot, t, u, v).sum(axis=1))
+    for row, rig in enumerate(matched):
+        want = _reference_outcome(rig)
+        if isinstance(want, str):
+            assert _REASONS[int(solve.reason[row])] == want
+        else:
+            assert solve.reason[row] == OK
+            error = np.linalg.norm(solve.center[row] - want)
+            assert error <= 1e-9 * max(np.linalg.norm(want), radius)
 
 
 # Zeros, subnormals, the smallest normal, non-finite values, and finite

@@ -15,6 +15,7 @@ from spherefit import (
     Sphere,
     SphereModel,
     apply_scale,
+    match_ellipses,
     metric_scale,
     project_sphere_into_view,
     reconstruct_sphere,
@@ -24,6 +25,7 @@ from spherefit import (
     world_to_camera,
 )
 from spherefit.projection import pinhole
+from spherefit.reconstruct import _models
 
 
 def pixel_of(point, view):
@@ -193,6 +195,42 @@ class TestBatchedTracks:
             reconstruct_sphere([pairs[key] for key in behind.items()])
         with pytest.raises(DegenerateGeometry, match="rank-deficient"):
             reconstruct_sphere([pairs[key] for key in coaxial.items()])
+
+
+class TestModels:
+    """``_models`` checks a batch's centers and radii once as arrays."""
+
+    @staticmethod
+    def matched():
+        views = two_view_rig()
+        spheres = [Sphere([0.2, -0.1, 0.3], 0.6), Sphere([-0.4, 0.2, 0.0], 0.4)]
+        left, right = (view_record(v, [project_sphere_into_view(s, v, ellipse_id=f"s{i}")
+                                       for i, s in enumerate(spheres)]) for v in views)
+        result = match_ellipses(left, right)
+        assert len(result.rows) == 2
+        return result.solve, result.rows, [("cam0", "cam1")] * 2
+
+    def test_models_equal_checked_spheres(self):
+        solve, rows, ids = self.matched()
+        for row, model in zip(rows, _models(solve, rows, ids)):
+            checked = Sphere(solve.center[row], solve.radius[row])
+            assert model.sphere.center.tobytes() == checked.center.tobytes()
+            assert model.sphere.center.shape == (3,)
+            assert type(model.sphere.radius) is float
+            assert (model.sphere.radius, model.sphere.frame) == (checked.radius, checked.frame)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("center", math.nan, "sphere center must be finite"),
+        ("center", math.inf, "sphere center must be finite"),
+        ("radius", math.nan, "sphere radius must be finite"),
+        ("radius", 0.0, "radius must be positive"),
+        ("radius", -1.0, "radius must be positive")])
+    def test_a_bad_row_raises(self, field, value, message):
+        solve, rows, ids = self.matched()
+        bad = getattr(solve, field).copy()
+        bad[rows[1]] = value
+        with pytest.raises(ValueError, match=message):
+            _models(solve._replace(**{field: bad}), rows, ids)
 
 
 def on_axis_track(radii, distance=10.0, f=1000.0):

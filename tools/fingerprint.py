@@ -4,6 +4,15 @@ Run it in each checkout and compare the outputs with ``diff``:
 
     python tools/fingerprint.py > after.txt
 
+or, for a change that may move the last bits of a float, in tolerance mode:
+
+    python tools/fingerprint.py --compare before.txt after.txt
+
+which passes when the two files are the same text once every number is
+masked, and every number of ``after.txt`` lies within 1e-9 of its
+counterpart, relative to the largest magnitude of a number on its line
+(so a sphere's center and radius share one scale).
+
 It imports spherefit from the ``src`` directory next to this file and prints,
 for seeds 0-4:
 
@@ -12,18 +21,22 @@ for seeds 0-4:
   with the distances as ``float.hex``;
 * the ``TrialStats`` reprs of the sweep at k = 2, 4, 8 on the default scene;
 * every sphere of the full-scene reconstruction of both scenes;
-* the sha256 of the output files of CLI ``simulate --k 2,8``,
-  ``reconstruct --pair auto`` and ``match --pair auto`` on the default scene.
+* the output files and standard output of CLI ``simulate --k 2,8``,
+  ``reconstruct --pair auto`` and ``match --pair auto`` on the default scene,
+  parsed: a JSON document prints one line per entry of its top-level keys
+  (one sphere, one match), a CSV file one line per row.
 
 Timing is off everywhere, so a refactor that changes no result prints the same
 bytes.
 """
 
+import argparse
 import contextlib
-import hashlib
 import io
 import itertools
+import json
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -35,6 +48,14 @@ from spherefit import (SceneConfig, cli, gate_views, generate_scene,  # noqa: E4
 
 SEEDS = range(5)
 SIGMA = 0.5
+
+#: Relative tolerance of ``--compare``.
+RTOL = 1e-9
+
+#: A hex or decimal float standing alone, not a digit inside an id such as
+#: ``ball-0`` or ``img-05``.
+NUMBER = re.compile(r"(?<![\w.+-])[+-]?(?:0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]?\d+"
+                    r"|\d+(?:\.\d*)?(?:e[+-]?\d+)?)(?![\w.])")
 
 
 def _hex(values):
@@ -64,8 +85,17 @@ def spheres(label, scene):
               f"residual {_hex([model.triangulation_residual])}")
 
 
-def _sha(path):
-    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+def _parsed(text):
+    """The lines of a CLI output: one per entry of a JSON document's
+    top-level keys, else the text's own lines."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict):
+        return text.splitlines()
+    return [f"{key} {json.dumps(entry, sort_keys=True)}" for key, value in sorted(doc.items())
+            for entry in (value if isinstance(value, list) else [value])]
 
 
 def cli_outputs(seed):
@@ -82,12 +112,51 @@ def cli_outputs(seed):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main([*argv, str(out)])
-            print(f"cli seed={seed} {name} exit={code} out={_sha(out)} "
-                  f"stdout={hashlib.sha256(stdout.getvalue().encode()).hexdigest()} "
+            print(f"cli seed={seed} {name} exit={code} "
                   f"stderr={stderr.getvalue().replace(tmp, 'TMP').strip()!r}")
+            for label, text in (("out", out.read_text()),
+                                ("stdout", stdout.getvalue().replace(tmp, "TMP"))):
+                for line in _parsed(text):
+                    print(f"  {label} {line}")
 
 
-def main():
+def _numbers(line):
+    return [float.fromhex(n) if "x" in n else float(n) for n in NUMBER.findall(line)]
+
+
+def compare(before, after):
+    """Exit status of the tolerance check of fingerprint ``after`` against
+    ``before``; prints each line that fails it and a summary."""
+    lines_a = pathlib.Path(before).read_text().splitlines()
+    lines_b = pathlib.Path(after).read_text().splitlines()
+    if len(lines_a) != len(lines_b):
+        print(f"{len(lines_a)} lines against {len(lines_b)}")
+        return 1
+    failed, worst, count = 0, 0.0, 0
+    for number, (a, b) in enumerate(zip(lines_a, lines_b), 1):
+        values_a, values_b = _numbers(a), _numbers(b)
+        scale = max(map(abs, values_a + values_b), default=0.0)
+        moves = [abs(x - y) for x, y in zip(values_a, values_b)]
+        count += len(moves)
+        if moves and scale > 0.0:
+            worst = max(worst, max(moves) / scale)
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b) or any(m > RTOL * scale for m in moves):
+            failed += 1
+            print(f"line {number}:\n  - {a}\n  + {b}")
+    print(f"{len(lines_a)} lines, {count} numbers, {failed} lines differ; "
+          f"largest move {worst:.3g} of its line's scale (tolerance {RTOL:g})")
+    return int(failed > 0)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Print (or compare) a fingerprint of "
+                                                 "what spherefit computes.")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="check fingerprint AFTER against BEFORE within a relative "
+                             f"{RTOL:g} instead of printing one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     for seed in SEEDS:
         cluttered = match_sets(seed)
         scene = perturb_observations(generate_scene(SceneConfig(seed=seed)), SIGMA, seed)
@@ -96,7 +165,8 @@ def main():
         spheres(f"seed={seed} default", scene)
         spheres(f"seed={seed} cluttered", cluttered)
         cli_outputs(seed)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
