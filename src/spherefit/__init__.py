@@ -36,7 +36,6 @@ from .match import (
     ViewRecord,
     fundamental_matrix,
     match_ellipses,
-    view_record,
 )
 from .netselect import (
     DEFAULT_MIN_ANGLE,
@@ -46,7 +45,13 @@ from .netselect import (
     anchor_network,
     best_pair,
 )
-from .pipeline import gate_views, reconstruct_gated, reconstruct_subset
+from .pipeline import (
+    gate_views,
+    gather_ellipses,
+    reconstruct_gated,
+    reconstruct_subset,
+    view_records,
+)
 from .projection import (
     CameraView,
     EllipseObservation,
@@ -89,8 +94,9 @@ __all__ = [
     "metric_scale", "apply_scale", "tau", "tau_jacobian",
     "classify_spherical", "classify_view", "default_ellipse_cov",
     "best_pair", "anchor_network", "fundamental_matrix",
-    "ViewRecord", "view_record", "match_ellipses",
-    "gate_views", "reconstruct_gated", "reconstruct_subset",
+    "ViewRecord", "match_ellipses",
+    "gather_ellipses", "gate_views", "view_records", "reconstruct_gated",
+    "reconstruct_subset",
     "generate_scene", "perturb_observations", "p_rmse", "monte_carlo_views",
     "SphereFitError", "DegenerateProjection", "DegenerateGeometry",
     "EmptyInput", "InvalidAnchor", "UnknownAnchor", "InvalidCovariance",

@@ -30,8 +30,8 @@ from .errors import (
     NoAdmissiblePair,
     UnknownAnchor,
 )
-from .gate import GateReport, classify_view
-from .match import ViewRecord, match_ellipses
+from .gate import GateReport
+from .match import match_ellipses
 from .netselect import (
     DEFAULT_MIN_ANGLE,
     ImageNetwork,
@@ -39,7 +39,7 @@ from .netselect import (
     best_pair,
     pair_angles,
 )
-from .pipeline import GatedView, reconstruct_gated
+from .pipeline import _view_positions, gate_views, reconstruct_gated, view_records
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
@@ -76,45 +76,11 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _view_rows(network: ImageNetwork, table) -> dict:
-    """Each view's rows of the ellipse table, in file order, by image id."""
-    rows: dict = {v.image_id: [] for v in network.views}
-    for row, (image_id, ellipse_id) in enumerate(table.keys):
-        if image_id not in rows:
-            raise fileio.FileFormatError(
-                f"ellipse {ellipse_id!r} references unknown image {image_id!r}")
-        rows[image_id].append(row)
-    return rows
-
-
-def _gate(args, view, rows):
-    """The gate's tau, sigma_tau and accepted arrays over ``rows``, an
-    ``EllipseTable`` or ``ViewRecord`` of ellipses in ``view``."""
-    return classify_view(rows.params, rows.cov, rows.has_cov, view.f, view.px, view.py,
-                         iop_cov=view.iop_cov, k=args.k_sigma, default_sigma=args.default_sigma_px)
-
-
-def _gated_views(args, network: ImageNetwork, table, image_ids) -> dict:
-    """The ``GatedView`` of each of ``image_ids``, by image id: the view's
-    rows sorted by ellipse id, gated."""
-    rows = _view_rows(network, table)
-    gated = {}
-    for image_id in image_ids:
-        view = network.view(image_id)
-        by_id = sorted(rows[image_id], key=lambda row: table.keys[row][1])
-        record = ViewRecord.of(view, table.take(by_id))
-        gated[image_id] = GatedView(record, *_gate(args, view, record))
-    return gated
-
-
 def cmd_filter(args) -> int:
     network = fileio.load_network(args.cameras)
     table = fileio.read_ellipse_table(args.ellipses)
-    n = len(table.keys)
-    tau, sigma_tau, accepted = np.empty(n), np.empty(n), np.empty(n, bool)
-    for image_id, rows in _view_rows(network, table).items():
-        tau[rows], sigma_tau[rows], accepted[rows] = _gate(args, network.view(image_id),
-                                                           table.take(rows))
+    tau, sigma_tau, accepted = gate_views(network.views, table, args.k_sigma,
+                                          args.default_sigma_px)
     kept = table.take(np.flatnonzero(accepted))
     fileio.write_ellipse_table(kept, args.out)
     text = fileio.gate_report_text(table.keys, tau, sigma_tau, args.k_sigma, accepted)
@@ -130,10 +96,11 @@ def cmd_filter(args) -> int:
 def _select_pair(args, network: ImageNetwork, table=None):
     """Best pair via tie points; without tie points fall back to the angle
     subtended at one anchor triangulated from the gated ellipse centers.
-    Returns the score and the views the fallback gated, by image id."""
+    Returns the score and, from the fallback, the gate of every row of
+    ``table``: (table, tau, sigma_tau, accepted)."""
     min_angle = math.radians(args.min_angle_deg)
     if network.tie_points:
-        return best_pair(network, min_angle=min_angle), {}
+        return best_pair(network, min_angle=min_angle), None
     if table is None:
         raise fileio.FileFormatError(
             "camera file has no tie_points; select-pair needs them "
@@ -141,9 +108,9 @@ def _select_pair(args, network: ImageNetwork, table=None):
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")
-    gated = _gated_views(args, network, table, [v.image_id for v in network.views])
-    rays = [(g.record.view, center) for g in gated.values()
-            for center in g.record.hom[g.accepted, :2]]
+    gated = (table, *gate_views(network.views, table, args.k_sigma, args.default_sigma_px))
+    rays = [(record.view, center) for record in view_records(network.views, table, gated[3])
+            for center in record.hom[:, :2]]
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
     anchor = triangulate_center(rays)
@@ -163,8 +130,8 @@ def cmd_select_pair(args) -> int:
 
 
 def _resolve_pair(args, network: ImageNetwork, table):
-    """The (image_i, image_j) pair to match, and any views that ranking the
-    pairs gated, by image id."""
+    """The (image_i, image_j) pair to match, and the gate of every row if
+    ranking the pairs gated them (else None)."""
     if args.pair != "auto":
         ids = args.pair.split(",")
         if len(ids) != 2 or not all(ids):
@@ -184,17 +151,30 @@ def _resolve_pair(args, network: ImageNetwork, table):
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) converges at only "
                       f"{math.degrees(alpha[0, 1]):.1f} deg, below the "
                       f"{args.min_angle_deg:.1f} deg floor; proceeding")
-        return (ids[0], ids[1]), {}
+        return (ids[0], ids[1]), None
     score, gated = _select_pair(args, network, table)
     return (score.i, score.j), gated
+
+
+def _pair_records(args, network: ImageNetwork, table, pair, gated):
+    """The ``ViewRecord``s of the pair's accepted rows, in pair order, and
+    the gate of the rows it read: ``gated`` if ranking the pairs gated every
+    row, else the pair's rows gated now, as (rows, tau, sigma_tau,
+    accepted).  Every row's image must be in the network."""
+    views = [network.view(image_id) for image_id in pair]
+    if gated is None:
+        _view_positions(network.views, table.keys)
+        rows = table.take([row for row, (image_id, _) in enumerate(table.keys)
+                           if image_id in pair])
+        gated = (rows, *gate_views(views, rows, args.k_sigma, args.default_sigma_px))
+    return view_records(views, gated[0], gated[3]), gated
 
 
 def cmd_match(args) -> int:
     network = fileio.load_network(args.cameras)
     table = fileio.read_ellipse_table(args.ellipses)
     pair, gated = _resolve_pair(args, network, table)
-    gated = gated or _gated_views(args, network, table, pair)
-    left, right = (gated[i].record.take(gated[i].accepted) for i in pair)
+    (left, right), _ = _pair_records(args, network, table, pair, gated)
     result = match_ellipses(left, right, tol=args.tol_px)
     payload = {
         "pair": {"i": left.view.image_id, "j": right.view.image_id},
@@ -231,24 +211,21 @@ def cmd_reconstruct(args) -> int:
     with _stage("select-pair"):
         pair, gated = _resolve_pair(args, network, table)
     with _stage("gate+match"):
-        gated = gated or _gated_views(args, network, table, pair)
-        gated = [gated[i] for i in pair]
-        models = reconstruct_gated(gated, tol=args.tol_px)
+        records, (rows, tau, sigma_tau, accepted) = _pair_records(args, network, table,
+                                                                  pair, gated)
+        models = reconstruct_gated(records, tol=args.tol_px)
+    row_of = {key: row for row, key in enumerate(rows.keys)}
     entries = []
     ordered = sorted(models, key=lambda tm: [tm[0][image_id] for image_id in pair])
     for index, (track, model) in enumerate(ordered):
         contributing = [(image_id, track[image_id]) for image_id in pair]
-        records = []
-        for g, (image_id, ellipse_id) in zip(gated, contributing):  # both in pair order
-            row = g.record.ids.index(ellipse_id)
-            records.append(fileio.GateRecord(image_id, ellipse_id, GateReport(
-                float(g.tau[row]), float(g.sigma_tau[row]), float(args.k_sigma),
-                bool(g.accepted[row]))))
-        entries.append(fileio.SphereEntry(f"s{index:03d}", model, contributing, records))
+        reports = [fileio.GateRecord(*key, GateReport(
+            float(tau[row]), float(sigma_tau[row]), float(args.k_sigma), bool(accepted[row])))
+            for key, row in zip(contributing, map(row_of.__getitem__, contributing))]
+        entries.append(fileio.SphereEntry(f"s{index:03d}", model, contributing, reports))
     fileio.save_spheres(entries, args.out)
-    accepted = sum(int(g.accepted.sum()) for g in gated)
     print(f"pair ({pair[0]},{pair[1]}): {len(entries)} spheres, "
-          f"{accepted - 2 * len(entries)} unmatched ellipses "
+          f"{sum(len(r.ids) for r in records) - 2 * len(entries)} unmatched ellipses "
           f"-> {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -302,7 +279,7 @@ def cmd_scale(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.config:
-        with open(args.config) as handle:
+        with open(args.config, encoding="utf-8-sig") as handle:
             config = SceneConfig.from_dict(json.load(handle))
     else:
         config = SceneConfig()

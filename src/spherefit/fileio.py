@@ -3,9 +3,11 @@
 The camera file must carry an explicit ``convention`` header stating the
 world-to-camera transform direction; refusing to guess is the cheapest
 defense against the classic pose-inversion bug when importing poses from
-external reconstruction tools.  All writes are atomic (temp file + rename)
-and all payloads are deterministic: no timestamps, keys in fixed order,
-floats serialized with shortest round-trip precision.
+external reconstruction tools.  All writes are atomic (temp file + rename),
+UTF-8, and get the mode the umask gives a new file; all payloads are
+deterministic: no timestamps, keys in fixed order, floats serialized with
+shortest round-trip precision.  CSV and JSON inputs may start with a UTF-8
+byte-order mark, as spreadsheet exports do.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import operator
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -62,11 +63,13 @@ _BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write ``text`` to ``path`` via a temp file in the same directory.
+    The temp file is created with mode 0o666, as ``open`` creates a file, so
+    the umask sets the mode ``path`` ends up with."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -82,7 +85,7 @@ def _dump_json(payload) -> str:
 def _load_object(path: str, key: str) -> dict:
     """The JSON object in ``path``, which must have a ``key`` entry."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
@@ -227,7 +230,7 @@ def _read_ellipse_rows(path: str):
     no such row)."""
     rows, lines = [], []
     columns = fault = None
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             columns = _EllipseColumns.of(path, next(reader, None))

@@ -14,13 +14,13 @@ which is exactly zero for noise-free sphere silhouettes.  With measurement
 noise, first-order variance propagation through the closed-form Jacobian
 turns the identity into the acceptance test |tau| <= k * sigma_tau.
 
-The gate works on a whole view at once: ``classify_view`` reads the arrays
-of the view's rows, an ``EllipseTable`` or a ``match.ViewRecord`` (the
-(n, 4) parameters and the (n, 4, 4) covariance block with its has-cov
-mask), computes tau, its gradient and its variance as array expressions,
-and returns the tau, sigma_tau and accepted arrays.  ``classify_spherical``
-is its one-ellipse call and returns a ``GateReport``; the pipeline builds
-reports only where a sphere file is written.  Ellipse covariances are
+The gate works on many ellipses at once: ``classify_view`` reads the
+arrays of an ``EllipseTable`` (the (n, 4) parameters and the (n, 4, 4)
+covariance block with its has-cov mask) and the interior orientation of
+every row, computes tau, its gradient and its variance as array
+expressions, and returns the tau, sigma_tau and accepted arrays; the
+pipeline calls it once per ellipse table.  ``classify_spherical`` is its
+one-ellipse call and returns a ``GateReport``.  Ellipse covariances are
 checked once, when an ``EllipseObservation`` or the table of an ellipse file
 is built; only the raw interior-orientation covariance is checked here.
 """
@@ -106,21 +106,22 @@ def tau_jacobian(e: EllipseObservation, f: float, px: float, py: float) -> np.nd
     return _tau_and_gradient(e.a_e, e.b_e, e.x_ce, e.y_ce, f, px, py)[1]
 
 
-def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f: float,
-                  px: float, py: float, iop_cov: Optional[np.ndarray] = None,
+def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f, px, py,
+                  iop_cov: Optional[np.ndarray] = None,
                   k: float = DEFAULT_K, default_sigma: float = DEFAULT_SIGMA_PX,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate all ellipses of one view at |tau| <= k*sigma in one array pass.
+    """Gate ellipses at |tau| <= k*sigma in one array pass.
 
     ``params`` (n, 4) holds (x_ce, y_ce, a_e, b_e) per ellipse and ``cov``
     (n, 4, 4) their covariances, used where ``has_cov`` is True, else
     ``default_sigma`` pixels on every parameter: the arrays of an
-    ``EllipseTable`` or a ``match.ViewRecord``.  Returns the tau, sigma_tau
-    and accepted arrays, one entry per row.  The variable order is (a_e,
-    b_e, x_ce, y_ce | px, py, f), and the ellipse and interior-orientation
-    blocks are uncorrelated.  Missing ``iop_cov`` means exactly known
-    interior orientation; raises InvalidCovariance unless it is a symmetric
-    PSD 3x3 matrix.
+    ``EllipseTable``.  ``f``, ``px`` and ``py`` are scalars or one per row,
+    and ``iop_cov`` one 3x3 matrix or one per row (n, 3, 3).  Returns the
+    tau, sigma_tau and accepted arrays, one entry per row.  The variable
+    order is (a_e, b_e, x_ce, y_ce | px, py, f), and the ellipse and
+    interior-orientation blocks are uncorrelated.  Missing ``iop_cov`` means
+    exactly known interior orientation; raises InvalidCovariance unless each
+    distinct matrix of it is a symmetric PSD 3x3 matrix.
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"threshold multiplier must be positive and finite, got {k}")
@@ -129,17 +130,17 @@ def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f: f
     x, y, a, b = params.T
     t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py)
     # J Sigma J^T per row, Sigma block-diagonal: the row's ellipse covariance
-    # and the shared interior-orientation one.
+    # and its interior-orientation one.
     j_e = jacobians[:, :4]
     var = np.einsum("ni,nij,nj->n", j_e, ellipse_covs, j_e)
     if iop_cov is not None:
         iop_cov = np.asarray(iop_cov, dtype=float)
-        if iop_cov.shape != (3, 3):
-            raise InvalidCovariance(f"IOP covariance must be 3x3, got {iop_cov.shape}")
-        if not is_psd(iop_cov):
+        if iop_cov.shape not in ((3, 3), (len(t), 3, 3)):
+            raise InvalidCovariance(f"IOP covariance must be 3x3 or one per row, got {iop_cov.shape}")
+        if not all(map(is_psd, np.unique(iop_cov.reshape(-1, 9), axis=0).reshape(-1, 3, 3))):
             raise InvalidCovariance("IOP covariance is not symmetric PSD")
         j_i = jacobians[:, 4:]
-        var = var + np.einsum("ni,ij,nj->n", j_i, iop_cov, j_i)
+        var = var + np.einsum("ni,nij,nj->n", j_i, np.broadcast_to(iop_cov, (len(t), 3, 3)), j_i)
     sigma_tau = np.sqrt(np.maximum(var, 0.0))
     return t, sigma_tau, np.abs(t) <= k * sigma_tau
 

@@ -15,17 +15,16 @@ centers and the sums of the triangulation normal matrices the records hold,
 and all hypotheses are reprojected with the silhouette closed form at once.
 Only the greedy one-to-one step loops, over the admissible pairs.  The result
 keeps the solve, whose matched rows are the pipeline's two-view spheres.  Each
-view enters as its ``ViewRecord``: its rows of an ``EllipseTable`` sorted by
-id, which the gate reads too; ``ViewRecord.take`` keeps the rows the gate accepts.
+view enters as its ``ViewRecord``: the rows of an ``EllipseTable`` that the
+gate accepted in that view, sorted by id, as ``pipeline.view_records``
+builds them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import DegenerateGeometry
 from .projection import (
     DEPTH_MARGIN,
     CameraView,
-    EllipseObservation,
     EllipseTable,
     corrected_center,
     silhouette,
@@ -79,17 +77,14 @@ def _skew(v: np.ndarray) -> np.ndarray:
 
 class ViewRecord(NamedTuple):
     """One view's ellipses sorted by id, in array form: the ``ids``, their
-    (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the (n, 4, 4) ``cov`` block of
-    (a_e, b_e, x_ce, y_ce) with zeros where ``has_cov`` is False, the
-    corrected centers in homogeneous form ``hom`` (n, 3) rows (x, y, 1), the
-    center ``sigmas`` (n,), the view's inverse calibration matrix ``k_inv``
-    and the (n, 4, 4) triangulation ``normal`` matrix of each center."""
+    (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the corrected centers in
+    homogeneous form ``hom`` (n, 3) rows (x, y, 1), the center ``sigmas``
+    (n,), the view's inverse calibration matrix ``k_inv`` and the (n, 4, 4)
+    triangulation ``normal`` matrix of each center."""
 
     view: CameraView
     ids: list[str]
     params: np.ndarray
-    cov: np.ndarray
-    has_cov: np.ndarray
     hom: np.ndarray
     sigmas: np.ndarray
     k_inv: np.ndarray
@@ -106,33 +101,8 @@ class ViewRecord(NamedTuple):
         hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
                                                 view.f, view.px, view.py)
         sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
-        return cls(view, ids, params, cov, table.has_cov, hom, sigmas,
-                   np.linalg.inv(view.calibration_matrix),
+        return cls(view, ids, params, hom, sigmas, np.linalg.inv(view.calibration_matrix),
                    _normal(view.f, view.px, view.py, view.rot, view.t, hom[:, 0], hom[:, 1]))
-
-    def take(self, keep: np.ndarray) -> "ViewRecord":
-        """The record of the rows where the boolean mask ``keep`` is True."""
-        if keep.all():
-            return self
-        rows = {name: getattr(self, name)[keep]
-                for name in ("params", "cov", "has_cov", "hom", "sigmas", "normal")}
-        return self._replace(ids=list(itertools.compress(self.ids, keep.tolist())), **rows)
-
-
-def view_record(view: CameraView, ellipses: Sequence[EllipseObservation]) -> ViewRecord:
-    """The ``ViewRecord`` of ``ellipses`` in ``view``, gathered through their
-    ``EllipseTable``.  Raises ValueError for a repeated ellipse id, or for an
-    ellipse tagged with another image."""
-    ids = [e.ellipse_id for e in ellipses]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"image {view.image_id!r} repeats ellipse id "
-                         f"{max(ids, key=ids.count)!r}")
-    if not {e.image_id for e in ellipses} <= {"", view.image_id}:
-        e = next(e for e in ellipses if e.image_id not in ("", view.image_id))
-        raise ValueError(f"ellipse {e.ellipse_id!r} of image {e.image_id!r} "
-                         f"given for image {view.image_id!r}")
-    return ViewRecord.of(view, EllipseTable.of(sorted(ellipses,
-                                                      key=operator.attrgetter("ellipse_id"))))
 
 
 def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:

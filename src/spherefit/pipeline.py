@@ -1,17 +1,19 @@
 """The reconstruction pipeline: gate, all-pairs matching, tracks, spheres.
 
-One path serves the command line, the synthetic sweep and the library:
+One path serves the command line, the synthetic sweep and the library, in
+stages over one ``EllipseTable`` of rows keyed (image_id, ellipse_id):
 
-* ``gate_views`` reads each view's ellipses once into its ``ViewRecord``
-  and runs the spherical-ellipse gate on the record's arrays, with the
-  view's interior-orientation covariance and a default pixel sigma for
-  ellipses that carry no covariance; it returns each record with its tau,
-  sigma_tau and accepted arrays;
-* ``reconstruct_gated`` keeps the accepted rows of each record, matches
-  every view pair, merges the pairwise matches into one-ellipse-per-view
-  tracks and recovers one sphere per track: a two-view track's from the
-  solve that matching made, longer ones once per track length;
-* ``reconstruct_subset`` chains the two.
+* ``gather_ellipses`` builds the table of a view subset's ellipse objects;
+  the command line reads its table from the ellipse file;
+* ``gate_views`` gates every row of a table in one array pass, with the
+  interior orientation of the row's view, and returns the tau, sigma_tau
+  and accepted arrays in table order;
+* ``view_records`` builds each view's ``ViewRecord`` of its accepted rows;
+* ``reconstruct_gated`` matches every pair of records, merges the pairwise
+  matches into one-ellipse-per-view tracks and recovers one sphere per
+  track: a two-view track's from the solve that matching made, longer ones
+  once per track length;
+* ``reconstruct_subset`` chains the four.
 
 Views are processed in the order the caller gives them: pairs are matched
 as (earlier, later), and each track's ellipses enter the reconstruction in
@@ -21,45 +23,79 @@ view order.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, classify_view
-from .match import ViewRecord, match_ellipses, view_record
-from .projection import CameraView
+from .match import ViewRecord, match_ellipses
+from .projection import CameraView, EllipseTable
 from .reconstruct import SphereModel, _models, reconstruct_tracks
 
 
-class GatedView(NamedTuple):
-    """A view's ``ViewRecord`` and the gate's tau, sigma_tau and accepted
-    arrays, one entry per record row."""
-
-    record: ViewRecord
-    tau: np.ndarray
-    sigma_tau: np.ndarray
-    accepted: np.ndarray
-
-
-def gate_views(views: Sequence[CameraView], observations: dict,
-               k_sigma: float = DEFAULT_K, default_sigma: float = DEFAULT_SIGMA_PX,
-               ) -> list[GatedView]:
-    """Gate the ellipses of each view in one array pass per view.
-
-    ``observations`` maps image ids to ellipse lists.  Returns one
-    ``GatedView`` per view, in ``views`` order, whose record holds the
-    view's ellipses sorted by id.  Ellipses without a covariance use
-    ``default_sigma`` pixels on every parameter; each view's ``iop_cov``
-    enters the variance of tau.  ``view_record`` raises ``ValueError`` for
-    an ellipse id that repeats in a view.
-    """
-    gated = []
+def gather_ellipses(views: Sequence[CameraView], observations: dict) -> EllipseTable:
+    """The ``EllipseTable`` of the ellipses of ``views``, view by view in
+    ``views`` order; ``observations`` maps image ids to ellipse lists.  Rows
+    are keyed by the view's image id, so untagged ellipses (image id "")
+    take their view's.  Raises ValueError for an ellipse id that repeats in
+    a view, or for an ellipse tagged with another image."""
+    ellipses, keys = [], []
     for view in views:
-        record = view_record(view, observations.get(view.image_id, []))
-        gated.append(GatedView(record, *classify_view(
-            record.params, record.cov, record.has_cov, view.f, view.px, view.py,
-            iop_cov=view.iop_cov, k=k_sigma, default_sigma=default_sigma)))
-    return gated
+        chosen = observations.get(view.image_id, [])
+        ids = [e.ellipse_id for e in chosen]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"image {view.image_id!r} repeats ellipse id "
+                             f"{max(ids, key=ids.count)!r}")
+        foreign = next((e for e in chosen if e.image_id not in ("", view.image_id)), None)
+        if foreign is not None:
+            raise ValueError(f"ellipse {foreign.ellipse_id!r} of image {foreign.image_id!r} "
+                             f"given for image {view.image_id!r}")
+        ellipses.extend(chosen)
+        keys.extend((view.image_id, ellipse_id) for ellipse_id in ids)
+    return EllipseTable.of(ellipses)._replace(keys=keys)
+
+
+def _view_positions(views: Sequence[CameraView], keys: Sequence[tuple]) -> list[int]:
+    """The position in ``views`` of the image of each (image_id, ellipse_id)
+    key; raises ValueError naming the first key whose image is not there."""
+    position = {view.image_id: i for i, view in enumerate(views)}
+    try:
+        return [position[image_id] for image_id, _ in keys]
+    except KeyError:
+        image_id, ellipse_id = next(key for key in keys if key[0] not in position)
+        raise ValueError(f"ellipse {ellipse_id!r} references unknown image {image_id!r}") from None
+
+
+def gate_views(views: Sequence[CameraView], table: EllipseTable,
+               k_sigma: float = DEFAULT_K, default_sigma: float = DEFAULT_SIGMA_PX,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate every row of ``table`` in one array pass, with the focal length,
+    principal point and ``iop_cov`` (none: exactly known) of the view its
+    image id names, and ``default_sigma`` pixels on every parameter of a row
+    without a covariance.  Returns the tau, sigma_tau and accepted arrays in
+    table order; raises ValueError for a row whose image is not in ``views``."""
+    position = _view_positions(views, table.keys)
+    f, px, py = np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3).T[:, position]
+    iop_cov = None
+    if any(v.iop_cov is not None for v in views):
+        iop_cov = np.array([np.zeros((3, 3)) if v.iop_cov is None else v.iop_cov
+                            for v in views])[position]
+    return classify_view(table.params, table.cov, table.has_cov, f, px, py, iop_cov=iop_cov,
+                         k=k_sigma, default_sigma=default_sigma)
+
+
+def view_records(views: Sequence[CameraView], table: EllipseTable,
+                 accepted: np.ndarray) -> list[ViewRecord]:
+    """The ``ViewRecord`` of each view, in ``views`` order, holding its rows
+    of ``table`` where ``accepted`` is True, sorted by ellipse id; rows of
+    other images are left out."""
+    rows: dict = {view.image_id: [] for view in views}
+    for row in np.flatnonzero(accepted).tolist():
+        image_id, ellipse_id = table.keys[row]
+        if image_id in rows:
+            rows[image_id].append((ellipse_id, row))
+    return [ViewRecord.of(view, table.take([row for _, row in sorted(rows[view.image_id])]))
+            for view in views]
 
 
 def _merge_tracks(pair_matches: list[tuple[float, str, str, str, str]]) -> list[dict]:
@@ -100,18 +136,17 @@ def _merge_tracks(pair_matches: list[tuple[float, str, str, str, str]]) -> list[
     return [members[find(node)] for node in sorted(members)]
 
 
-def reconstruct_gated(gated: Sequence[GatedView],
+def reconstruct_gated(records: Sequence[ViewRecord],
                       tol: Optional[float] = None) -> list[tuple[dict, SphereModel]]:
-    """Match the accepted ellipses of every view pair, merge the matches
-    into tracks and recover one sphere per track.
+    """Match the records of every view pair, merge the matches into tracks
+    and recover one sphere per track.
 
-    ``gated`` is the output of ``gate_views``; the accepted rows of each
-    view's record serve both steps.  A two-view track's sphere is the solve
-    row of the match that formed it; longer tracks go through
-    ``reconstruct_tracks``.  Returns (track, model) pairs, where a track maps
-    image ids to ellipse ids; tracks whose geometry degenerates are dropped.
+    ``records`` hold the ellipses the gate accepted, as ``view_records``
+    builds them.  A two-view track's sphere is the solve row of the match
+    that formed it; longer tracks go through ``reconstruct_tracks``.
+    Returns (track, model) pairs, where a track maps image ids to ellipse
+    ids; tracks whose geometry degenerates are dropped.
     """
-    records = [g.record.take(g.accepted) for g in gated]
     pair_matches, solves, formed = [], {}, {}
     for left, right in itertools.combinations(records, 2):
         result = match_ellipses(left, right, tol=tol)
@@ -137,6 +172,9 @@ def reconstruct_gated(gated: Sequence[GatedView],
 def reconstruct_subset(views: Sequence[CameraView],
                        observations: dict) -> list[tuple[dict, SphereModel]]:
     """Full pipeline on one view subset at the default gate and epipolar
-    tolerance: gate, all-pairs matching, tracks, multi-view reconstruction.
-    Returns (track, model) pairs."""
-    return reconstruct_gated(gate_views(views, observations))
+    tolerance: gather, gate, records of the accepted ellipses, all-pairs
+    matching, tracks, multi-view reconstruction.  Returns (track, model)
+    pairs."""
+    table = gather_ellipses(views, observations)
+    _, _, accepted = gate_views(views, table)
+    return reconstruct_gated(view_records(views, table, accepted))

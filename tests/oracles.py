@@ -40,11 +40,21 @@ from spherefit import (
     PairScore,
     Sphere,
     SphereModel,
+    gather_ellipses,
     project_sphere_into_view,
+    view_records,
 )
 from spherefit.fileio import ELLIPSE_BASE_COLUMNS, ELLIPSE_COV_COLUMNS, FileFormatError
 from spherefit.match import DEFAULT_EPIPOLAR_TOL, _skew
 from spherefit.projection import corrected_center
+
+
+def record_of(view, ellipses):
+    """The ``ViewRecord`` of every one of ``ellipses`` in ``view``: the
+    pipeline's checked object gather, then its records with all rows kept."""
+    table = gather_ellipses([view], {view.image_id: ellipses})
+    [record] = view_records([view], table, np.ones(len(table.keys), bool))
+    return record
 
 
 def look_at_view(image_id, camera_center, target, f=1000.0, px=500.0, py=500.0,

@@ -1,27 +1,30 @@
+import codecs
 import dataclasses
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from oracles import record_of
 from spherefit import (
     EllipseObservation,
     SceneConfig,
     best_pair,
     classify_spherical,
     classify_view,
+    gate_views,
     generate_scene,
     match_ellipses,
     perturb_observations,
     reconstruct_sphere,
-    view_record,
 )
-from spherefit import cli
+from spherefit import cli, pipeline
 from spherefit.cli import main
 from spherefit.fileio import (
     load_ellipses,
@@ -386,8 +389,8 @@ class TestReconstruct:
             if classify_spherical(e, view.f, view.px, view.py,
                                   iop_cov=view.iop_cov, k=2.0).accepted:
                 gated[e.image_id].append(e)
-        matches = match_ellipses(view_record(view_l, gated[score.i]),
-                                 view_record(view_k, gated[score.j]))
+        matches = match_ellipses(record_of(view_l, gated[score.i]),
+                                 record_of(view_k, gated[score.j]))
         by_id = {(e.image_id, e.ellipse_id): e for e in ellipses}
         expected = {}
         for m in matches.matches:
@@ -433,9 +436,9 @@ def test_file_commands_build_no_ellipse_observation(exported, tmp_path, monkeypa
 @pytest.mark.parametrize("tie_points", [True, False])
 def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch, capsys,
                                                 tie_points):
-    # With tie points only the chosen pair's rows are gated.  Without them
-    # the pair ranking gates every view, and matching the chosen pair reuses
-    # those gate arrays instead of gating its views again.
+    # With tie points one gate call covers exactly the chosen pair's rows.
+    # Without them the pair ranking gates every row in one call, and matching
+    # the chosen pair reuses those gate arrays instead of gating again.
     root, _, _ = exported
     cameras = root / "cameras.json"
     if not tie_points:
@@ -443,20 +446,60 @@ def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch,
         del data["tie_points"]
         cameras = tmp_path / "cameras.json"
         cameras.write_text(json.dumps(data))
-    gated = []
-    monkeypatch.setattr(cli, "classify_view",
-                        lambda params, *args, **kwargs: gated.append(len(params))
+    gated, classified = [], []
+    monkeypatch.setattr(cli, "gate_views",
+                        lambda views, table, *args: gated.append(list(table.keys))
+                        or gate_views(views, table, *args))
+    monkeypatch.setattr(pipeline, "classify_view",
+                        lambda params, *args, **kwargs: classified.append(len(params))
                         or classify_view(params, *args, **kwargs))
     assert main(["reconstruct", "--cameras", str(cameras),
                  "--ellipses", str(root / "ellipses.csv"),
                  "--out", str(tmp_path / "spheres.json")]) == 0
     pair = re.search(r"pair \((.*),(.*)\):", capsys.readouterr().err).groups()
-    ellipses = load_ellipses(str(root / "ellipses.csv"))
+    keys = [(e.image_id, e.ellipse_id) for e in load_ellipses(str(root / "ellipses.csv"))]
     if tie_points:
-        ellipses = [e for e in ellipses if e.image_id in pair]
-        assert len(gated) == 2
-    assert sum(gated) == len(ellipses)
+        keys = [key for key in keys if key[0] in pair]
+    assert gated == [keys]
+    assert classified == [len(keys)]
 
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["022", "077", "002"])
+def test_written_files_get_the_mode_of_the_umask(exported, tmp_path, capsys, umask, mode):
+    # Each file gets the mode the umask gives a new file, not a temp file's 0600.
+    root, _, _ = exported
+    kept, report = tmp_path / "kept.csv", tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        assert main(["filter", "--cameras", str(root / "cameras.json"),
+                     "--ellipses", str(root / "ellipses.csv"),
+                     "--out", str(kept), "--report", str(report)]) == 0
+    finally:
+        os.umask(previous)
+    assert [stat.S_IMODE(os.stat(path).st_mode) for path in (kept, report)] == [mode, mode]
+
+
+def test_inputs_with_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark;
+    # the CSV and JSON inputs read the same with it as without.
+    config = tmp_path / "config.json"
+    config.write_bytes(codecs.BOM_UTF8 + b'{"n_cameras": 8, "clutter_per_image": 2}')
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(["simulate", "--config", str(config), "--k", "2", "--seed", "3",
+                 "--export-scene", str(plain), "--out", str(tmp_path / "sim.csv")]) == 0
+    marked.mkdir()
+    for name in ("cameras.json", "ellipses.csv"):
+        (marked / name).write_bytes(codecs.BOM_UTF8 + (plain / name).read_bytes())
+    for root in (plain, marked):
+        common = ["--cameras", str(root / "cameras.json"),
+                  "--ellipses", str(root / "ellipses.csv")]
+        assert main(["filter", *common, "--out", str(root / "kept.csv"),
+                     "--report", str(root / "report.json")]) == 0
+        assert main(["reconstruct", *common, "--out", str(root / "spheres.json")]) == 0
+    for name in ("kept.csv", "report.json", "spheres.json"):
+        assert (marked / name).read_bytes() == (plain / name).read_bytes()
+    assert json.load(open(plain / "spheres.json"))["spheres"]
 
 
 def test_main_builds_the_parser_once(exported, tmp_path, monkeypatch, capsys):

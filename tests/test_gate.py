@@ -31,7 +31,7 @@ def ellipse(a, b, x, y, cov=None):
 
 def view_arrays(ellipses):
     """The (params, cov, has_cov) arrays ``classify_view`` takes, in input
-    order, as ``view_record`` gathers them."""
+    order, as ``EllipseTable.of`` gathers them."""
     params = np.array([(e.x_ce, e.y_ce, e.a_e, e.b_e) for e in ellipses]).reshape(-1, 4)
     cov = np.array([np.zeros((4, 4)) if e.cov is None else e.cov for e in ellipses])
     has_cov = np.array([e.cov is not None for e in ellipses], dtype=bool)
@@ -276,6 +276,24 @@ class TestClassify:
             classify_view(*view_arrays([good]), F, PX, PY, iop_cov=np.eye(2))
         with pytest.raises(ValueError, match="sigma"):
             classify_view(*view_arrays([]), F, PX, PY, default_sigma=math.nan)
+
+    def test_view_gate_takes_interior_orientation_per_row(self):
+        # f, px, py and iop_cov may be given one per row; each row then gates
+        # as it does alone.  Every distinct covariance is checked, so one
+        # indefinite matrix among PSD ones raises.
+        rows = [ellipse(120.0, 100.0, 700.0, 400.0), ellipse(90.0, 80.0, 300.0, 650.0),
+                ellipse(60.0, 59.0, 510.0, 480.0)]
+        f, px, py = np.array([F, 1.2 * F, 0.9 * F]), np.array([PX, 480.0, 520.0]), np.full(3, PY)
+        iop = np.array([np.eye(3), np.zeros((3, 3)), np.diag([4.0, 1.0, 9.0])])
+        got = classify_view(*view_arrays(rows), f, px, py, iop_cov=iop)
+        want = [classify_view(*view_arrays([e]), *view, iop_cov=m)
+                for e, *view, m in zip(rows, f, px, py, iop)]
+        assert [a.tobytes() for a in got] == [np.concatenate(a).tobytes() for a in zip(*want)]
+        iop[1] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(InvalidCovariance, match="PSD"):
+            classify_view(*view_arrays(rows), f, px, py, iop_cov=iop)
+        with pytest.raises(InvalidCovariance, match="3x3"):
+            classify_view(*view_arrays(rows[:2]), f[:2], px[:2], py[:2], iop_cov=iop)
 
     def test_answers_stay_finite_up_to_the_pixel_limit(self):
         # An ellipse centered at 1e308 px overflowed the gate (inf tau, nan

@@ -12,6 +12,7 @@ from oracles import (
     projected_sphere_center,
     reference_dlt_rows,
     reference_match_ellipses,
+    record_of,
     reference_reconstruct_sphere,
     reprojection_distance,
 )
@@ -25,12 +26,13 @@ from spherefit import (
     generate_scene,
     perturb_observations,
     fundamental_matrix,
-    gate_views,
+    gather_ellipses,
     match_ellipses,
     project_sphere_into_view,
     reconstruct_sphere,
+    reconstruct_subset,
     tau,
-    view_record,
+    view_records,
     world_to_camera,
 )
 from spherefit.projection import pinhole
@@ -39,7 +41,7 @@ from spherefit.projection import pinhole
 def fundamental(view_l, view_k):
     """``fundamental_matrix`` of two views with no ellipses; it equals the
     per-pair reference to the bit."""
-    f_mat = fundamental_matrix(view_record(view_l, []), view_record(view_k, []))
+    f_mat = fundamental_matrix(record_of(view_l, []), record_of(view_k, []))
     assert f_mat.tobytes() == fundamental_from_views(view_l, view_k).tobytes()
     return f_mat
 
@@ -112,8 +114,8 @@ class TestEpipolarCandidates:
         views, spheres, obs = nine_sphere_rig()
         for e_l in obs["l"]:
             true_match = [e for e in obs["k"] if e.ellipse_id == e_l.ellipse_id]
-            result = match_ellipses(view_record(views[0], [e_l]),
-                                    view_record(views[1], true_match), tol=3.0)
+            result = match_ellipses(record_of(views[0], [e_l]),
+                                    record_of(views[1], true_match), tol=3.0)
             assert len(result.matches) == 1
             assert result.matches[0].epipolar_distance < 1e-9
 
@@ -124,8 +126,8 @@ class TestEpipolarCandidates:
         shifted = EllipseObservation(e_k.image_id, e_k.ellipse_id,
                                      e_k.x_ce, e_k.y_ce + 50.0,
                                      e_k.a_e, e_k.b_e, e_k.theta)
-        result = match_ellipses(view_record(views[0], [e_l]),
-                                view_record(views[1], [shifted]), tol=3.0)
+        result = match_ellipses(record_of(views[0], [e_l]),
+                                record_of(views[1], [shifted]), tol=3.0)
         assert result.matches == []
         assert result.unmatched_k == [shifted.ellipse_id]
 
@@ -146,8 +148,8 @@ class TestEpipolarCandidates:
                 return EllipseObservation(e.image_id, e.ellipse_id,
                                           e.x_ce + dx, e.y_ce + dy, a, b, e.theta)
 
-            result = match_ellipses(view_record(views[0], [jitter(e_l)]),
-                                    view_record(views[1], [jitter(e_k)]), tol=3.0)
+            result = match_ellipses(record_of(views[0], [jitter(e_l)]),
+                                    record_of(views[1], [jitter(e_k)]), tol=3.0)
             retained += bool(result.matches)
         assert retained / trials >= 0.99
 
@@ -175,40 +177,50 @@ class TestViewRecord:
     def test_arrays_follow_sorted_ids(self, lab_scene):
         view = lab_scene.views[0]
         ellipses = perturb_observations(lab_scene, 0.5, 7).observations[view.image_id][::-1]
-        record = view_record(view, ellipses)
+        table = gather_ellipses([view], {view.image_id: ellipses})
+        [record] = view_records([view], table, np.ones(len(ellipses), bool))
         ordered = sorted(ellipses, key=lambda e: e.ellipse_id)
         assert record.ids == [e.ellipse_id for e in ordered]
         assert record.hom[:, 2].tolist() == [1.0] * len(ordered)
-        for e, params, cov, center, sigma in zip(ordered, record.params, record.cov,
-                                                 record.hom[:, :2], record.sigmas):
+        cov_of = dict(zip(table.keys, table.cov))
+        for e, params, center, sigma in zip(ordered, record.params, record.hom[:, :2],
+                                            record.sigmas):
             assert params.tolist() == [e.x_ce, e.y_ce, e.a_e, e.b_e]
-            assert cov.tobytes() == e.cov.tobytes()
+            assert cov_of[view.image_id, e.ellipse_id].tobytes() == e.cov.tobytes()
             assert np.allclose(center, projected_sphere_center(e, view.f, view.px, view.py),
                                rtol=0.0, atol=1e-9)
             assert sigma == center_sigma(e) > 0.0
-        assert record.has_cov.all()
+        assert table.has_cov.all()
         assert record.k_inv.tobytes() == np.linalg.inv(view.calibration_matrix).tobytes()
         for center, normal in zip(record.hom[:, :2], record.normal):
             rows = reference_dlt_rows(view, center)
             assert np.allclose(normal, rows.T @ rows, rtol=0.0, atol=1e-15)
 
-    def test_rows_without_cov_and_take(self, lab_scene):
-        view = lab_scene.views[0]
+    def test_rows_without_cov_and_accepted_rows(self, lab_scene):
+        view, other = lab_scene.views[:2]
         noisy = perturb_observations(lab_scene, 0.5, 7).observations[view.image_id]
         ellipses = [e if i % 2 else dataclasses.replace(e, cov=None)
                     for i, e in enumerate(noisy)]
-        record = view_record(view, ellipses)
+        table = gather_ellipses([view, other], {view.image_id: ellipses, other.image_id:
+                                                lab_scene.observations[other.image_id]})
+        mine = np.arange(len(table.keys)) < len(ellipses)
+        [record] = view_records([view], table, mine)  # rows of other images are left out
         by_id = {e.ellipse_id: e for e in ellipses}
-        assert record.has_cov.tolist() == [by_id[i].cov is not None for i in record.ids]
-        assert not record.cov[~record.has_cov].any()
-        assert not record.sigmas[~record.has_cov].any()
-        keep = np.arange(len(ellipses)) % 3 == 0
-        kept = record.take(keep)
+        assert table.has_cov[mine].tolist() == [e.cov is not None for e in ellipses]
+        assert not table.cov[~table.has_cov].any()
+        has_cov = np.array([by_id[i].cov is not None for i in record.ids])
+        assert not record.sigmas[~has_cov].any()
+        # The gate's mask is over table rows; a record keeps its view's
+        # accepted rows.
+        accepted = np.arange(len(table.keys)) % 3 == 0
+        [kept] = view_records([view], table, accepted)
+        keep = np.array([accepted[table.keys.index((view.image_id, i))] for i in record.ids])
         assert kept.ids == [i for i, k in zip(record.ids, keep) if k]
-        for name in ("params", "cov", "has_cov", "hom", "sigmas", "normal"):
+        for name in ("params", "hom", "sigmas", "normal"):
             assert getattr(kept, name).tobytes() == getattr(record, name)[keep].tobytes()
-        assert kept.view is view and kept.k_inv is record.k_inv
-        assert record.take(np.ones(len(ellipses), bool)) is record
+        assert kept.view is view and kept.k_inv.tobytes() == record.k_inv.tobytes()
+        [every] = view_records([view], table, np.ones(len(table.keys), bool))
+        assert all(np.array_equal(a, b) for a, b in zip(every, record))
 
     def test_repeated_ellipse_id_rejected(self):
         scene = generate_scene(SceneConfig(seed=1))
@@ -216,24 +228,25 @@ class TestViewRecord:
         ellipses = scene.observations["img-00"]
         twice = ellipses + [next(e for e in ellipses if e.ellipse_id == "ball-0")]
         with pytest.raises(ValueError) as raised:
-            view_record(view, twice)
+            gather_ellipses([view], {"img-00": twice})
         assert str(raised.value) == "image 'img-00' repeats ellipse id 'ball-0'"
         with pytest.raises(ValueError) as gated:
-            gate_views([view], {"img-00": twice})
+            reconstruct_subset([view], {"img-00": twice})
         assert str(gated.value) == str(raised.value)
 
     def test_ellipses_of_another_image_rejected(self):
         scene = generate_scene(SceneConfig(seed=1))
         with pytest.raises(ValueError, match="'img-05'.*'img-00'"):
-            view_record(scene.view("img-00"), scene.observations["img-05"])
+            gather_ellipses([scene.view("img-00")], {"img-00": scene.observations["img-05"]})
         untagged = [dataclasses.replace(e, image_id="") for e in scene.observations["img-05"]]
-        assert len(view_record(scene.view("img-05"), untagged).ids) == len(untagged)
+        table = gather_ellipses([scene.view("img-05")], {"img-05": untagged})
+        assert table.keys == [("img-05", e.ellipse_id) for e in untagged]
 
 
 class TestMatchEllipses:
     def test_zero_noise_matches_all_nine(self):
         views, spheres, obs = nine_sphere_rig()
-        result = match_ellipses(view_record(views[0], obs["l"]), view_record(views[1], obs["k"]))
+        result = match_ellipses(record_of(views[0], obs["l"]), record_of(views[1], obs["k"]))
         assert len(result.matches) == 9
         assert result.unmatched_l == result.unmatched_k == []
         for m in result.matches:
@@ -244,7 +257,7 @@ class TestMatchEllipses:
     def test_rejects_invalid_tolerance(self, tol):
         views, _, obs = nine_sphere_rig()
         with pytest.raises(ValueError, match="tolerance"):
-            match_ellipses(view_record(views[0], obs["l"]), view_record(views[1], obs["k"]),
+            match_ellipses(record_of(views[0], obs["l"]), record_of(views[1], obs["k"]),
                            tol=tol)
 
     def test_true_pairs_beat_false_pairs(self):
@@ -253,8 +266,8 @@ class TestMatchEllipses:
         false_best = math.inf
         for e_l in obs["l"]:
             for e_k in obs["k"]:
-                single = match_ellipses(view_record(views[0], [e_l]),
-                                        view_record(views[1], [e_k]), tol=1e9)
+                single = match_ellipses(record_of(views[0], [e_l]),
+                                        record_of(views[1], [e_k]), tol=1e9)
                 if not single.matches:
                     continue
                 d = single.matches[0].reprojection_distance
@@ -267,15 +280,15 @@ class TestMatchEllipses:
 
     def test_single_candidate_pair(self):
         views, spheres, obs = nine_sphere_rig()
-        left = view_record(views[0], obs["l"][:1])
-        result = match_ellipses(left, view_record(views[1], obs["k"][:1]))
+        left = record_of(views[0], obs["l"][:1])
+        result = match_ellipses(left, record_of(views[1], obs["k"][:1]))
         assert len(result.matches) == 1
-        off = match_ellipses(left, view_record(views[1], obs["k"][3:4]))
+        off = match_ellipses(left, record_of(views[1], obs["k"][3:4]))
         assert off.matches == [] or off.matches[0].reprojection_distance > 1.0
 
     def test_swap_symmetry(self):
         views, spheres, obs = nine_sphere_rig()
-        left, right = view_record(views[0], obs["l"]), view_record(views[1], obs["k"])
+        left, right = record_of(views[0], obs["l"]), record_of(views[1], obs["k"])
         forward = match_ellipses(left, right)
         backward = match_ellipses(right, left)
         fwd = {frozenset((m.ellipse_l, m.ellipse_k)) for m in forward.matches}
@@ -284,7 +297,7 @@ class TestMatchEllipses:
 
     def test_winning_hypothesis_reprojects_as_silhouette(self):
         views, spheres, obs = nine_sphere_rig()
-        result = match_ellipses(view_record(views[0], obs["l"]), view_record(views[1], obs["k"]))
+        result = match_ellipses(record_of(views[0], obs["l"]), record_of(views[1], obs["k"]))
         by_id = {side: {e.ellipse_id: e for e in obs[side]} for side in obs}
         for m in result.matches:
             model = reconstruct_sphere([(views[0], by_id["l"][m.ellipse_l]),
@@ -310,8 +323,8 @@ class TestMatchEllipses:
         correct = total = 0
         for _ in range(1000):
             result = match_ellipses(
-                view_record(view_l, [jitter(e) for e in lab_scene.observations[pair.i]]),
-                view_record(view_k, [jitter(e) for e in lab_scene.observations[pair.j]]))
+                record_of(view_l, [jitter(e) for e in lab_scene.observations[pair.i]]),
+                record_of(view_k, [jitter(e) for e in lab_scene.observations[pair.j]]))
             for m in result.matches:
                 total += 1
                 correct += (m.ellipse_l == m.ellipse_k)
@@ -322,7 +335,7 @@ class TestMatchEllipses:
 def assert_same_matching(view_l, ellipses_l, view_k, ellipses_k):
     """The array matcher against the per-candidate reference loop; each
     matched pair's two-view sphere against the scalar reconstruction."""
-    got = match_ellipses(view_record(view_l, ellipses_l), view_record(view_k, ellipses_k))
+    got = match_ellipses(record_of(view_l, ellipses_l), record_of(view_k, ellipses_k))
     want = reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
     assert [(m.ellipse_l, m.ellipse_k) for m in got.matches] == \
         [(m.ellipse_l, m.ellipse_k) for m in want.matches]
@@ -373,6 +386,6 @@ class TestArrayMatchingEqualsReference:
 
     def test_empty_view(self):
         views, _, obs = nine_sphere_rig()
-        result = match_ellipses(view_record(views[0], []), view_record(views[1], obs["k"]))
+        result = match_ellipses(record_of(views[0], []), record_of(views[1], obs["k"]))
         assert result.matches == [] and result.unmatched_l == []
         assert result.unmatched_k == sorted(e.ellipse_id for e in obs["k"])

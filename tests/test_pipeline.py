@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,13 +12,16 @@ from spherefit import (
     DegenerateProjection,
     EllipseObservation,
     SceneConfig,
+    classify_view,
     gate_views,
+    gather_ellipses,
     generate_scene,
     perturb_observations,
     reconstruct_gated,
     reconstruct_sphere,
     reconstruct_subset,
     reconstruct_tracks,
+    view_records,
 )
 from spherefit.pipeline import _merge_tracks
 
@@ -29,17 +33,27 @@ def inflated(e, factor):
                               factor * e.a_e, e.b_e, e.theta)
 
 
+def gated_records(views, observations, **gate):
+    """The gathered table of ``views``, its gate arrays and the views'
+    records of the accepted rows."""
+    table = gather_ellipses(views, observations)
+    tau, sigma_tau, accepted = gate_views(views, table, **gate)
+    return table, (tau, sigma_tau, accepted), view_records(views, table, accepted)
+
+
 class TestGateViews:
     def test_follows_view_order_and_sorts_by_id(self):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
         views = scene.views[::-1]
         observations = {v.image_id: scene.observations[v.image_id][::-1] for v in views}
-        gated = gate_views(views, observations)
-        assert [g.record.view for g in gated] == views
-        for g, view in zip(gated, views):
-            assert g.record.ids == sorted(e.ellipse_id for e in observations[view.image_id])
-            assert g.tau.shape == g.sigma_tau.shape == g.accepted.shape == (len(g.record.ids),)
-            assert g.accepted.all()
+        table, gate, records = gated_records(views, observations)
+        assert table.keys == [(v.image_id, e.ellipse_id) for v in views
+                              for e in observations[v.image_id]]
+        assert [r.view for r in records] == views
+        for r, view in zip(records, views):
+            assert r.ids == sorted(e.ellipse_id for e in observations[view.image_id])
+        assert all(a.shape == (len(table.keys),) for a in gate)
+        assert gate[2].all()
 
     def test_repeated_ellipse_id_rejected(self):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
@@ -48,16 +62,53 @@ class TestGateViews:
         twin = EllipseObservation(view.image_id, first.ellipse_id, second.x_ce, second.y_ce,
                                   second.a_e, second.b_e, second.theta)
         with pytest.raises(ValueError, match=f"{view.image_id}.*{first.ellipse_id}"):
-            gate_views(scene.views, {view.image_id: [first, twin]})
+            gather_ellipses(scene.views, {view.image_id: [first, twin]})
+
+    def test_unknown_image_rejected(self):
+        scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
+        table = gather_ellipses(scene.views, scene.observations)
+        with pytest.raises(ValueError) as raised:
+            gate_views(scene.views[:1], table)
+        image_id, ellipse_id = table.keys[len(scene.observations[scene.views[0].image_id])]
+        assert str(raised.value) == (f"ellipse {ellipse_id!r} references unknown "
+                                     f"image {image_id!r}")
 
     def test_default_sigma_covers_ellipses_without_covariance(self):
         scene = generate_scene(SceneConfig(n_cameras=3, n_tie_points=8))
         view = scene.views[0]
         stretched = {view.image_id: [inflated(scene.observations[view.image_id][0], 1.05)]}
-        (tight,) = gate_views([view], stretched)
-        (loose,) = gate_views([view], stretched, default_sigma=20.0)
-        assert tight.accepted.tolist() == [False]
-        assert loose.accepted.tolist() == [True]
+        _, (_, _, tight), _ = gated_records([view], stretched)
+        _, (_, _, loose), _ = gated_records([view], stretched, default_sigma=20.0)
+        assert tight.tolist() == [False]
+        assert loose.tolist() == [True]
+
+    def test_one_pass_equals_per_view_calls(self):
+        # One call over a shuffled table of views that differ in f, px and
+        # py, some with an interior-orientation covariance and some without,
+        # gives per-view classify_view's answers to the bit.
+        config = SceneConfig(n_cameras=6, clutter_per_image=4, seed=3)
+        noisy = perturb_observations(generate_scene(config), 0.5, 3)
+        views = [CameraView(v.image_id, v.f * (1.0 + 1e-3 * i), v.px + 0.3 * i, v.py - 0.2 * i,
+                            v.rot, v.t, iop_cov=np.diag([0.5, 0.4, 3.0]) * i if i % 2 else None)
+                 for i, v in enumerate(noisy.views)]
+        observations = {image_id: [e if i % 3 else dataclasses.replace(e, cov=None)
+                                   for i, e in enumerate(ellipses)]
+                        for image_id, ellipses in noisy.observations.items()}
+        table = gather_ellipses(views, observations)
+        table = table.take(np.random.default_rng(3).permutation(len(table.keys)))
+        got = gate_views(views, table, k_sigma=2.5, default_sigma=0.7)
+        want = [np.empty(len(table.keys)), np.empty(len(table.keys)),
+                np.empty(len(table.keys), bool)]
+        for view in views:
+            rows = [row for row, (image_id, _) in enumerate(table.keys)
+                    if image_id == view.image_id]
+            part = table.take(rows)
+            for whole, piece in zip(want, classify_view(
+                    part.params, part.cov, part.has_cov, view.f, view.px, view.py,
+                    iop_cov=view.iop_cov, k=2.5, default_sigma=0.7)):
+                whole[rows] = piece
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[2].any() and not got[2].all()
 
 
 class TestReconstructSubset:
@@ -81,12 +132,11 @@ class TestReconstructSubset:
         assert key in members(loose)
 
 
-def reference_reconstruct_gated(views, observations, gated):
+def reference_reconstruct_gated(views, observations, table, accepted):
     """``reconstruct_gated`` rebuilt from the scalar references: per-pair
     reference matching of the ellipses the gate accepted, the package's
     track merge, then one scalar sphere recovery per track."""
-    kept = {(g.record.view.image_id, ellipse_id) for g in gated
-            for ellipse_id in itertools.compress(g.record.ids, g.accepted)}
+    kept = set(itertools.compress(table.keys, accepted))
     accepted = {v.image_id: [e for e in observations[v.image_id]
                              if (v.image_id, e.ellipse_id) in kept] for v in views}
     pair_matches = []
@@ -110,9 +160,9 @@ def reference_reconstruct_gated(views, observations, gated):
 
 
 def assert_same_reconstruction(views, observations):
-    gated = gate_views(views, observations)
-    got = reconstruct_gated(gated)
-    want = reference_reconstruct_gated(views, observations, gated)
+    table, (_, _, accepted), records = gated_records(views, observations)
+    got = reconstruct_gated(records)
+    want = reference_reconstruct_gated(views, observations, table, accepted)
     assert [track for track, _ in got] == [track for track, _ in want]
     for (_, model), (_, ref) in zip(got, want):
         scale = np.abs(ref.sphere.center).max()
@@ -136,15 +186,14 @@ class TestReconstructGatedEqualsReference:
         assert assert_same_reconstruction(noisy.views, noisy.observations) > 0
 
 
-def assert_two_view_spheres_reuse_the_match_solve(scene, gated):
+def assert_two_view_spheres_reuse_the_match_solve(scene, records):
     """Each two-view model of ``reconstruct_gated`` equals, bit for bit, the
     one ``reconstruct_tracks`` recovers for its track alone, and is within
     1e-9 relative of ``reconstruct_sphere`` on the same two ellipses."""
-    views = [g.record.view for g in gated]
-    records = [g.record.take(g.accepted) for g in gated]
+    views = [r.view for r in records]
     by_id = {(e.image_id, e.ellipse_id): e for v in views for e in scene.observations[v.image_id]}
     count = 0
-    for track, model in reconstruct_gated(gated):
+    for track, model in reconstruct_gated(records):
         if len(track) != 2:
             continue
         [alone] = reconstruct_tracks(records, [track])
@@ -167,17 +216,18 @@ class TestTwoViewSpheresAreMatchSolves:
     @pytest.mark.parametrize("seed", range(5))
     def test_default_scene_every_pair(self, seed):
         noisy = perturb_observations(generate_scene(SceneConfig(seed=seed)), 0.5, seed)
-        gated = gate_views(noisy.views, noisy.observations)
+        _, _, records = gated_records(noisy.views, noisy.observations)
         assert sum(assert_two_view_spheres_reuse_the_match_solve(noisy, pair)
-                   for pair in itertools.combinations(gated, 2)) > 0
+                   for pair in itertools.combinations(records, 2)) > 0
 
     def test_cluttered_ring(self):
         config = SceneConfig(n_cameras=12, placement="ring", clutter_per_image=10,
                              clutter_inflation=1.02, seed=4)
         noisy = perturb_observations(generate_scene(config), 0.5, 4)
-        gated = gate_views(noisy.views, noisy.observations)
+        _, _, records = gated_records(noisy.views, noisy.observations)
         assert sum(assert_two_view_spheres_reuse_the_match_solve(noisy, pair)
-                   for pair in itertools.combinations(gated, 2)) > 0
+                   for pair in itertools.combinations(records, 2)) > 0
         # Runs of three neighbouring views mix two-view and three-view tracks.
-        assert sum(assert_two_view_spheres_reuse_the_match_solve(noisy, (gated + gated)[i:i + 3])
+        ring = records + records
+        assert sum(assert_two_view_spheres_reuse_the_match_solve(noisy, ring[i:i + 3])
                    for i in range(12)) > 0

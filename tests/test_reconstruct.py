@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import golden_section_minimize, look_at_view, midpoint_triangulation
+from oracles import golden_section_minimize, look_at_view, midpoint_triangulation, record_of
 from spherefit import (
     CameraView,
     DegenerateGeometry,
@@ -21,7 +21,6 @@ from spherefit import (
     reconstruct_sphere,
     reconstruct_tracks,
     triangulate_center,
-    view_record,
     world_to_camera,
 )
 from spherefit.projection import pinhole
@@ -169,7 +168,7 @@ class TestBatchedTracks:
         b = CameraView("b", 1000.0, 500.0, 500.0, np.eye(3), np.array([0.0, 0.0, 5.0]))
         on_axis = project_sphere_into_view(Sphere([0.0, 0.0, 5.0], 0.5), a, ellipse_id="p")
         seen["a"], seen["b"] = [on_axis], [dataclasses.replace(on_axis, image_id="b")]
-        records = [view_record(v, seen[v.image_id]) for v in views + [away, a, b]]
+        records = [record_of(v, seen[v.image_id]) for v in views + [away, a, b]]
         pairs = {(v.image_id, e.ellipse_id): (v, e) for v in views + [away, a, b]
                  for e in seen[v.image_id]}
 
@@ -204,8 +203,8 @@ class TestModels:
     def matched():
         views = two_view_rig()
         spheres = [Sphere([0.2, -0.1, 0.3], 0.6), Sphere([-0.4, 0.2, 0.0], 0.4)]
-        left, right = (view_record(v, [project_sphere_into_view(s, v, ellipse_id=f"s{i}")
-                                       for i, s in enumerate(spheres)]) for v in views)
+        left, right = (record_of(v, [project_sphere_into_view(s, v, ellipse_id=f"s{i}")
+                                     for i, s in enumerate(spheres)]) for v in views)
         result = match_ellipses(left, right)
         assert len(result.rows) == 2
         return result.solve, result.rows, [("cam0", "cam1")] * 2

@@ -42,9 +42,9 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from spherefit import (SceneConfig, cli, gate_views, generate_scene,  # noqa: E402
-                       match_ellipses, monte_carlo_views, perturb_observations,
-                       reconstruct_subset)
+from spherefit import (SceneConfig, cli, gate_views, gather_ellipses,  # noqa: E402
+                       generate_scene, match_ellipses, monte_carlo_views,
+                       perturb_observations, reconstruct_subset, view_records)
 
 SEEDS = range(5)
 SIGMA = 0.5
@@ -65,7 +65,9 @@ def _hex(values):
 def match_sets(seed):
     config = SceneConfig(clutter_per_image=4, clutter_inflation=1.02, seed=seed)
     scene = perturb_observations(generate_scene(config), SIGMA, seed)
-    records = [g.record.take(g.accepted) for g in gate_views(scene.views, scene.observations)]
+    table = gather_ellipses(scene.views, scene.observations)
+    _, _, accepted = gate_views(scene.views, table)
+    records = view_records(scene.views, table, accepted)
     for left, right in itertools.combinations(records, 2):
         result = match_ellipses(left, right)
         print(f"match seed={seed} {left.view.image_id} {right.view.image_id}")
