@@ -260,16 +260,16 @@ def cmd_scale(args) -> int:
             raise UnknownAnchor(f"anchor {sphere_id!r} not found in {args.spheres}")
     pairs = [(anchors[sid], by_id[sid].model.sphere.radius) for sid in sorted(anchors)]
     scale = metric_scale(pairs)
+    if args.points and not args.out_points:
+        raise fileio.FileFormatError("--points requires --out-points")
+    cloud = fileio.load_ply(args.points) if args.points else None  # read before any write
     scaled = [fileio.SphereEntry(sphere_id=e.sphere_id,
                                  model=apply_scale(e.model, scale.s_r),
                                  ellipses=e.ellipses,
                                  gate_records=e.gate_records)
               for e in entries]
     fileio.save_spheres(scaled, args.out)
-    if args.points:
-        if not args.out_points:
-            raise fileio.FileFormatError("--points requires --out-points")
-        cloud = fileio.load_ply(args.points)
+    if cloud is not None:
         fileio.save_ply(fileio.scale_ply(cloud, scale.s_r), args.out_points)
     payload = {"s_r": scale.s_r, "residual_rmse": scale.residual_rmse,
                "anchors": {sid: anchors[sid] for sid in sorted(anchors)}}

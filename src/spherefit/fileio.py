@@ -507,7 +507,7 @@ class PlyCloud:
 
 
 def load_ply(path: str) -> PlyCloud:
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         lines = [line.rstrip("\n") for line in handle]
     if not lines or lines[0].strip() != "ply":
         raise FileFormatError(f"{path}: not a PLY file")

@@ -15,9 +15,10 @@ centers and the sums of the triangulation normal matrices the records hold,
 and all hypotheses are reprojected with the silhouette closed form at once.
 Only the greedy one-to-one step loops, over the admissible pairs.  The result
 keeps the solve, whose matched rows are the pipeline's two-view spheres.  Each
-view enters as its ``ViewRecord``: the rows of an ``EllipseTable`` that the
-gate accepted in that view, sorted by id, as ``pipeline.view_records``
-builds them.
+view enters as its ``ViewRecord``: the rows the gate accepted in that view,
+sorted by id, with their corrected centers, center sigmas and normal
+matrices.  ``pipeline.view_records`` builds the records of all of a trial's
+views in one pass; this module only matches them.
 """
 
 from __future__ import annotations
@@ -29,14 +30,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .projection import (
-    DEPTH_MARGIN,
-    CameraView,
-    EllipseTable,
-    corrected_center,
-    silhouette,
-)
-from .reconstruct import OK, _cameras, _normal, _Solve, _solve
+from .projection import DEPTH_MARGIN, CameraView, silhouette
+from .reconstruct import OK, _cameras, _Solve, _solve
 
 # Not called here: bench/spans.py wraps these names in this module.
 from .projection import project_sphere_into_view  # noqa: F401
@@ -89,20 +84,6 @@ class ViewRecord(NamedTuple):
     sigmas: np.ndarray
     k_inv: np.ndarray
     normal: np.ndarray
-
-    @classmethod
-    def of(cls, view: CameraView, table: EllipseTable) -> "ViewRecord":
-        """The record of ``table``, the rows of ellipses in ``view`` sorted by
-        ellipse id: the one constructor.  The center sigma is 0 for a row
-        without cov."""
-        ids = [ellipse_id for _, ellipse_id in table.keys]
-        params, cov = table.params, table.cov
-        hom = np.ones((len(ids), 3))
-        hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
-                                                view.f, view.px, view.py)
-        sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
-        return cls(view, ids, params, hom, sigmas, np.linalg.inv(view.calibration_matrix),
-                   _normal(view.f, view.px, view.py, view.rot, view.t, hom[:, 0], hom[:, 1]))
 
 
 def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:

@@ -8,7 +8,8 @@ stages over one ``EllipseTable`` of rows keyed (image_id, ellipse_id):
 * ``gate_views`` gates every row of a table in one array pass, with the
   interior orientation of the row's view, and returns the tau, sigma_tau
   and accepted arrays in table order;
-* ``view_records`` builds each view's ``ViewRecord`` of its accepted rows;
+* ``view_records`` builds each view's ``ViewRecord`` of its accepted rows,
+  every view's in one array pass;
 * ``reconstruct_gated`` matches every pair of records, merges the pairwise
   matches into one-ellipse-per-view tracks and recovers one sphere per
   track: a two-view track's from the solve that matching made, longer ones
@@ -29,8 +30,8 @@ import numpy as np
 
 from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, classify_view
 from .match import ViewRecord, match_ellipses
-from .projection import CameraView, EllipseTable
-from .reconstruct import SphereModel, _models, reconstruct_tracks
+from .projection import CameraView, EllipseTable, corrected_center
+from .reconstruct import SphereModel, _cameras, _models, _normal, reconstruct_tracks
 
 
 def gather_ellipses(views: Sequence[CameraView], observations: dict) -> EllipseTable:
@@ -88,14 +89,26 @@ def view_records(views: Sequence[CameraView], table: EllipseTable,
                  accepted: np.ndarray) -> list[ViewRecord]:
     """The ``ViewRecord`` of each view, in ``views`` order, holding its rows
     of ``table`` where ``accepted`` is True, sorted by ellipse id; rows of
-    other images are left out."""
-    rows: dict = {view.image_id: [] for view in views}
-    for row in np.flatnonzero(accepted).tolist():
-        image_id, ellipse_id = table.keys[row]
-        if image_id in rows:
-            rows[image_id].append((ellipse_id, row))
-    return [ViewRecord.of(view, table.take([row for _, row in sorted(rows[view.image_id])]))
-            for view in views]
+    other images are left out.  One array pass over the kept rows computes
+    the corrected centers, the center sigmas (0 for a row without cov) and
+    the triangulation normal matrices of every view at once."""
+    position = {view.image_id: i for i, view in enumerate(views)}
+    order = sorted((position[table.keys[row][0]], table.keys[row][1], row)
+                   for row in np.flatnonzero(accepted).tolist()
+                   if table.keys[row][0] in position)
+    kept = table.take([row for *_, row in order])
+    at = np.array([pos for pos, *_ in order], dtype=np.intp)
+    f, px, py, rot, t = (a[at] for a in _cameras(views))
+    params, cov = kept.params, kept.cov
+    hom = np.ones((len(at), 3))
+    hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3], f, px, py)
+    sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
+    normal = _normal(f, px, py, rot, t, hom[:, 0], hom[:, 1])
+    ids = [ellipse_id for _, ellipse_id, _ in order]
+    bounds = np.searchsorted(at, np.arange(len(views) + 1)).tolist()
+    return [ViewRecord(view, ids[a:b], params[a:b], hom[a:b], sigmas[a:b],
+                       np.linalg.inv(view.calibration_matrix), normal[a:b])
+            for view, a, b in zip(views, bounds, bounds[1:])]
 
 
 def _merge_tracks(pair_matches: list[tuple[float, str, str, str, str]]) -> list[dict]:

@@ -14,6 +14,8 @@ checked against.  The scalar matching distances (``epipolar_distance``,
 live here for the same reason: the package computes them as arrays, and
 so do ``projected_sphere_center`` and ``fundamental_from_views``, the
 one-ellipse center correction and the per-pair fundamental matrix.
+``reference_view_record`` builds one view's record on its own, the
+reference for ``view_records``' one pass over a trial's views.
 ``reference_is_psd`` is the eigensolver test that the package's diagonal
 shortcut in ``is_psd`` is checked against, and ``reference_load_ellipses``
 the row-by-row ellipse CSV reader that the column passes of
@@ -45,8 +47,9 @@ from spherefit import (
     view_records,
 )
 from spherefit.fileio import ELLIPSE_BASE_COLUMNS, ELLIPSE_COV_COLUMNS, FileFormatError
-from spherefit.match import DEFAULT_EPIPOLAR_TOL, _skew
+from spherefit.match import DEFAULT_EPIPOLAR_TOL, ViewRecord, _skew
 from spherefit.projection import corrected_center
+from spherefit.reconstruct import _normal
 
 
 def record_of(view, ellipses):
@@ -55,6 +58,21 @@ def record_of(view, ellipses):
     table = gather_ellipses([view], {view.image_id: ellipses})
     [record] = view_records([view], table, np.ones(len(table.keys), bool))
     return record
+
+
+def reference_view_record(view, table):
+    """The ``ViewRecord`` of ``table``, the rows of ellipses in ``view`` sorted
+    by ellipse id, built for this one view: the per-view constructor that
+    ``view_records``' one pass over a trial's views is checked against.  The
+    center sigma is 0 for a row without cov."""
+    ids = [ellipse_id for _, ellipse_id in table.keys]
+    params, cov = table.params, table.cov
+    hom = np.ones((len(ids), 3))
+    hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
+                                            view.f, view.px, view.py)
+    sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
+    return ViewRecord(view, ids, params, hom, sigmas, np.linalg.inv(view.calibration_matrix),
+                      _normal(view.f, view.px, view.py, view.rot, view.t, hom[:, 0], hom[:, 1]))
 
 
 def look_at_view(image_id, camera_center, target, f=1000.0, px=500.0, py=500.0,

@@ -497,9 +497,20 @@ def test_inputs_with_a_byte_order_mark(tmp_path, capsys):
         assert main(["filter", *common, "--out", str(root / "kept.csv"),
                      "--report", str(root / "report.json")]) == 0
         assert main(["reconstruct", *common, "--out", str(root / "spheres.json")]) == 0
-    for name in ("kept.csv", "report.json", "spheres.json"):
+    spheres = json.load(open(plain / "spheres.json"))["spheres"]
+    assert spheres
+    sphere_id = spheres[0]["sphere_id"]
+    cloud = b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n" \
+            b"property float y\nproperty float z\nend_header\n1 2 3\n"
+    (plain / "in.ply").write_bytes(cloud)
+    (marked / "in.ply").write_bytes(codecs.BOM_UTF8 + cloud)
+    for root in (plain, marked):
+        assert main(["scale", "--spheres", str(root / "spheres.json"),
+                     "--anchors", f"{sphere_id}:1.0", "--points", str(root / "in.ply"),
+                     "--out-points", str(root / "scaled.ply"),
+                     "--out", str(root / "scaled.json")]) == 0
+    for name in ("kept.csv", "report.json", "spheres.json", "scaled.json", "scaled.ply"):
         assert (marked / name).read_bytes() == (plain / name).read_bytes()
-    assert json.load(open(plain / "spheres.json"))["spheres"]
 
 
 def test_main_builds_the_parser_once(exported, tmp_path, monkeypatch, capsys):
@@ -622,17 +633,26 @@ class TestScale:
                          "--out", str(tmp_path / "o.json"))
         assert result.returncode == 2
         assert "bad.ply" in result.stderr and "Traceback" not in result.stderr
+        assert not (tmp_path / "o.json").exists()
 
     def test_bad_ply_exit_code(self, exported, tmp_path):
+        # A cloud that is not a PLY, a missing cloud, or a cloud with no
+        # --out-points fails before the scaled spheres are written.
         spheres = self.reconstruct(exported, tmp_path)
         entries = load_spheres(spheres)
         bad = str(tmp_path / "bad.ply")
         open(bad, "w").write("not a ply\n")
-        result = run_cli("scale", "--spheres", spheres,
-                         "--anchors", f"{entries[0].sphere_id}:1.0",
-                         "--points", bad, "--out-points", str(tmp_path / "o.ply"),
-                         "--out", str(tmp_path / "o.json"))
-        assert result.returncode == 2
+        out_points = ["--out-points", str(tmp_path / "o.ply")]
+        for points in (["--points", bad, *out_points],
+                       ["--points", str(tmp_path / "missing.ply"), *out_points],
+                       ["--points", bad]):
+            result = run_cli("scale", "--spheres", spheres,
+                             "--anchors", f"{entries[0].sphere_id}:1.0",
+                             *points, "--out", str(tmp_path / "o.json"))
+            assert result.returncode == 2
+            assert not (tmp_path / "o.json").exists()
+            assert not (tmp_path / "o.ply").exists()
+        assert "--out-points" in result.stderr
 
 
 class TestSimulate:

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spherefit
 from spherefit import (
     EllipseObservation,
     GateReport,
@@ -429,6 +433,21 @@ class TestPly:
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match="bad.ply"):
             load_ply(path)
+
+    def test_non_ascii_comment_round_trips_under_an_ascii_locale(self, tmp_path):
+        # save_ply writes UTF-8, so load_ply reads UTF-8 whatever the locale.
+        source = tmp_path / "in.ply"
+        source.write_bytes(PLY_TEXT.replace("generated for tests", "café").encode("utf-8"))
+        src = str(pathlib.Path(spherefit.__file__).resolve().parent.parent)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys; from spherefit.fileio import load_ply, save_ply; "
+                "save_ply(load_ply(sys.argv[1]), sys.argv[2]); load_ply(sys.argv[2])")
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(source), str(tmp_path / "out.ply")],
+            env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+        assert (tmp_path / "out.ply").read_bytes() == source.read_bytes()
 
     def test_integer_coordinates_promoted_to_double(self, tmp_path):
         path = str(tmp_path / "int.ply")

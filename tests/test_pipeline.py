@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_match_ellipses, reference_reconstruct_sphere
+from oracles import reference_match_ellipses, reference_reconstruct_sphere, reference_view_record
 from spherefit import (
     CameraView,
     DegenerateGeometry,
@@ -109,6 +109,37 @@ class TestGateViews:
                 whole[rows] = piece
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert got[2].any() and not got[2].all()
+
+
+    @pytest.mark.parametrize("empty", [0, 2, 4])
+    def test_one_pass_records_equal_per_view_records(self, empty):
+        # One pass over a shuffled table of views that differ in f, px, py
+        # and pose gives each view the record of its own accepted rows to the
+        # bit, with a view that keeps no row, rows of an image left out of
+        # the views and rows without a covariance.
+        config = SceneConfig(n_cameras=6, clutter_per_image=4, seed=4)
+        noisy = perturb_observations(generate_scene(config), 0.5, 4)
+        every = [CameraView(v.image_id, v.f * (1.0 + 1e-3 * i), v.px + 0.3 * i,
+                            v.py - 0.2 * i, v.rot, v.t) for i, v in enumerate(noisy.views)]
+        observations = {image_id: [e if i % 3 else dataclasses.replace(e, cov=None)
+                                   for i, e in enumerate(ellipses)]
+                        for image_id, ellipses in noisy.observations.items()}
+        table = gather_ellipses(every, observations)
+        table = table.take(np.random.default_rng(4).permutation(len(table.keys)))
+        _, _, accepted = gate_views(every, table)
+        views = every[1:]  # the rows of every[0] are left out
+        image_ids = [image_id for image_id, _ in table.keys]
+        accepted &= np.array([image_id != views[empty].image_id for image_id in image_ids])
+        records = view_records(views, table, accepted)
+        assert len(records) == len(views) and records[empty].ids == []
+        assert not accepted.all() and not table.has_cov.all()
+        for view, record in zip(views, records):
+            rows = sorted((ellipse_id, row) for row, (image_id, ellipse_id)
+                          in enumerate(table.keys) if accepted[row] and image_id == view.image_id)
+            want = reference_view_record(view, table.take([row for _, row in rows]))
+            assert record.view is view and record.ids == want.ids
+            for got, expected in zip(record[2:], want[2:]):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestReconstructSubset:
