@@ -1,5 +1,11 @@
 """Command-line pipeline: filter, select-pair, match, reconstruct, scale, simulate.
 
+``filter``, ``match`` and ``reconstruct`` read the camera and ellipse files
+and gate every row of the ellipse file in one ``gate_views`` call before
+anything else; ``match`` and ``reconstruct`` then build the chosen pair's
+records from those gate arrays.  The JSON that ``select-pair``, ``match``
+and ``scale`` print is the indented, key-sorted text the file writers use.
+
 Exit codes: 0 success, 2 parse/validation error, 3 geometric degeneracy,
 4 no admissible result.  Outputs are deterministic for fixed inputs, flags
 and seed; the only intentionally non-reproducible quantity (wall time in the
@@ -35,11 +41,12 @@ from .match import match_ellipses
 from .netselect import (
     DEFAULT_MIN_ANGLE,
     ImageNetwork,
+    PairScore,
     anchor_network,
     best_pair,
     pair_angles,
 )
-from .pipeline import _view_positions, gate_views, reconstruct_gated, view_records
+from .pipeline import gate_views, reconstruct_gated, view_records
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
@@ -53,7 +60,7 @@ EXIT_NO_RESULT = 4
 
 _PARSE_ERRORS = (fileio.FileFormatError, InvalidAnchor, UnknownAnchor,
                  InvalidCovariance, EmptyInput, ValueError, OSError,
-                 json.JSONDecodeError)
+                 OverflowError, json.JSONDecodeError)
 _DEGENERATE_ERRORS = (DegenerateGeometry, DegenerateProjection, ConfigInfeasible)
 _NO_RESULT_ERRORS = (NoAdmissiblePair,)
 
@@ -76,11 +83,27 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_filter(args) -> int:
+def _read_gated(args):
+    """The camera network, the ellipse table and the gate of every row of
+    it: (network, table, tau, sigma_tau, accepted).  A row whose image is
+    not in the camera file is a validation error."""
     network = fileio.load_network(args.cameras)
     table = fileio.read_ellipse_table(args.ellipses)
-    tau, sigma_tau, accepted = gate_views(network.views, table, args.k_sigma,
-                                          args.default_sigma_px)
+    return (network, table,
+            *gate_views(network.views, table, args.k_sigma, args.default_sigma_px))
+
+
+def _emit_json(payload, out=None) -> None:
+    """Print ``payload`` as indented, key-sorted JSON, and write the same
+    text to ``out`` if given."""
+    text = fileio._dump_json(payload)
+    if out:
+        fileio.atomic_write_text(out, text)
+    sys.stdout.write(text)
+
+
+def cmd_filter(args) -> int:
+    _, table, tau, sigma_tau, accepted = _read_gated(args)
     kept = table.take(np.flatnonzero(accepted))
     fileio.write_ellipse_table(kept, args.out)
     text = fileio.gate_report_text(table.keys, tau, sigma_tau, args.k_sigma, accepted)
@@ -93,14 +116,13 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _select_pair(args, network: ImageNetwork, table=None):
+def _select_pair(args, network: ImageNetwork, table=None, accepted=None) -> PairScore:
     """Best pair via tie points; without tie points fall back to the angle
-    subtended at one anchor triangulated from the gated ellipse centers.
-    Returns the score and, from the fallback, the gate of every row of
-    ``table``: (table, tau, sigma_tau, accepted)."""
+    subtended at one anchor triangulated from the centers of the rows of
+    ``table`` the gate ``accepted``."""
     min_angle = math.radians(args.min_angle_deg)
     if network.tie_points:
-        return best_pair(network, min_angle=min_angle), None
+        return best_pair(network, min_angle=min_angle)
     if table is None:
         raise fileio.FileFormatError(
             "camera file has no tie_points; select-pair needs them "
@@ -108,30 +130,23 @@ def _select_pair(args, network: ImageNetwork, table=None):
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")
-    gated = (table, *gate_views(network.views, table, args.k_sigma, args.default_sigma_px))
-    rays = [(record.view, center) for record in view_records(network.views, table, gated[3])
+    rays = [(record.view, center) for record in view_records(network.views, table, accepted)
             for center in record.hom[:, :2]]
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
     anchor = triangulate_center(rays)
-    return best_pair(anchor_network(network.views, anchor), min_angle=min_angle), gated
+    return best_pair(anchor_network(network.views, anchor), min_angle=min_angle)
 
 
 def cmd_select_pair(args) -> int:
-    network = fileio.load_network(args.cameras)
-    score, _ = _select_pair(args, network)
-    payload = {"i": score.i, "j": score.j, "alpha_deg": math.degrees(score.alpha_ij),
-               "ov_i": score.ov_i, "ov_j": score.ov_j, "score": score.theta_ij}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        fileio.atomic_write_text(args.out, text + "\n")
-    print(text)
+    score = _select_pair(args, fileio.load_network(args.cameras))
+    _emit_json({"i": score.i, "j": score.j, "alpha_deg": math.degrees(score.alpha_ij),
+                "ov_i": score.ov_i, "ov_j": score.ov_j, "score": score.theta_ij}, args.out)
     return EXIT_OK
 
 
-def _resolve_pair(args, network: ImageNetwork, table):
-    """The (image_i, image_j) pair to match, and the gate of every row if
-    ranking the pairs gated them (else None)."""
+def _resolve_pair(args, network: ImageNetwork, table, accepted) -> tuple[str, str]:
+    """The (image_i, image_j) pair to match: ``--pair``, or the best pair."""
     if args.pair != "auto":
         ids = args.pair.split(",")
         if len(ids) != 2 or not all(ids):
@@ -151,32 +166,17 @@ def _resolve_pair(args, network: ImageNetwork, table):
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) converges at only "
                       f"{math.degrees(alpha[0, 1]):.1f} deg, below the "
                       f"{args.min_angle_deg:.1f} deg floor; proceeding")
-        return (ids[0], ids[1]), None
-    score, gated = _select_pair(args, network, table)
-    return (score.i, score.j), gated
-
-
-def _pair_records(args, network: ImageNetwork, table, pair, gated):
-    """The ``ViewRecord``s of the pair's accepted rows, in pair order, and
-    the gate of the rows it read: ``gated`` if ranking the pairs gated every
-    row, else the pair's rows gated now, as (rows, tau, sigma_tau,
-    accepted).  Every row's image must be in the network."""
-    views = [network.view(image_id) for image_id in pair]
-    if gated is None:
-        _view_positions(network.views, table.keys)
-        rows = table.take([row for row, (image_id, _) in enumerate(table.keys)
-                           if image_id in pair])
-        gated = (rows, *gate_views(views, rows, args.k_sigma, args.default_sigma_px))
-    return view_records(views, gated[0], gated[3]), gated
+        return ids[0], ids[1]
+    score = _select_pair(args, network, table, accepted)
+    return score.i, score.j
 
 
 def cmd_match(args) -> int:
-    network = fileio.load_network(args.cameras)
-    table = fileio.read_ellipse_table(args.ellipses)
-    pair, gated = _resolve_pair(args, network, table)
-    (left, right), _ = _pair_records(args, network, table, pair, gated)
+    network, table, _, _, accepted = _read_gated(args)
+    pair = _resolve_pair(args, network, table, accepted)
+    left, right = view_records([network.view(image_id) for image_id in pair], table, accepted)
     result = match_ellipses(left, right, tol=args.tol_px)
-    payload = {
+    _emit_json({
         "pair": {"i": left.view.image_id, "j": right.view.image_id},
         "matches": [
             {"ellipse_l": m.ellipse_l, "ellipse_k": m.ellipse_k,
@@ -185,11 +185,7 @@ def cmd_match(args) -> int:
             for m in result.matches],
         "unmatched_l": result.unmatched_l,
         "unmatched_k": result.unmatched_k,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        fileio.atomic_write_text(args.out, text + "\n")
-    print(text)
+    }, args.out)
     return EXIT_OK
 
 
@@ -206,15 +202,13 @@ def _stage(name):
 
 def cmd_reconstruct(args) -> int:
     with _stage("parse"):
-        network = fileio.load_network(args.cameras)
-        table = fileio.read_ellipse_table(args.ellipses)
+        network, table, tau, sigma_tau, accepted = _read_gated(args)
     with _stage("select-pair"):
-        pair, gated = _resolve_pair(args, network, table)
-    with _stage("gate+match"):
-        records, (rows, tau, sigma_tau, accepted) = _pair_records(args, network, table,
-                                                                  pair, gated)
+        pair = _resolve_pair(args, network, table, accepted)
+    with _stage("match"):
+        records = view_records([network.view(image_id) for image_id in pair], table, accepted)
         models = reconstruct_gated(records, tol=args.tol_px)
-    row_of = {key: row for row, key in enumerate(rows.keys)}
+    row_of = {key: row for row, key in enumerate(table.keys)}
     entries = []
     ordered = sorted(models, key=lambda tm: [tm[0][image_id] for image_id in pair])
     for index, (track, model) in enumerate(ordered):
@@ -271,9 +265,8 @@ def cmd_scale(args) -> int:
     fileio.save_spheres(scaled, args.out)
     if cloud is not None:
         fileio.save_ply(fileio.scale_ply(cloud, scale.s_r), args.out_points)
-    payload = {"s_r": scale.s_r, "residual_rmse": scale.residual_rmse,
-               "anchors": {sid: anchors[sid] for sid in sorted(anchors)}}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json({"s_r": scale.s_r, "residual_rmse": scale.residual_rmse,
+                "anchors": {sid: anchors[sid] for sid in sorted(anchors)}})
     return EXIT_OK
 
 
@@ -301,7 +294,7 @@ def cmd_simulate(args) -> int:
                               "radius": s.radius}
                              for sid, s in noisy.spheres]}
         fileio.atomic_write_text(os.path.join(args.export_scene, "truth.json"),
-                                 json.dumps(truth, indent=2, sort_keys=True) + "\n")
+                                 fileio._dump_json(truth))
     stats = monte_carlo_views(noisy, k_values, config.seed, timing=args.timing)
     header = ["k", "p", "center_prmse_mean", "center_prmse_min", "center_prmse_max",
               "radius_prmse_mean", "radius_prmse_min", "radius_prmse_max",

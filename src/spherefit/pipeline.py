@@ -7,9 +7,12 @@ stages over one ``EllipseTable`` of rows keyed (image_id, ellipse_id):
   the command line reads its table from the ellipse file;
 * ``gate_views`` gates every row of a table in one array pass, with the
   interior orientation of the row's view, and returns the tau, sigma_tau
-  and accepted arrays in table order;
+  and accepted arrays in table order; every command line command that
+  reads ellipses gates the whole file in this one call;
 * ``view_records`` builds each view's ``ViewRecord`` of its accepted rows,
-  every view's in one array pass;
+  every view's in one array pass; rows of views not asked for are left
+  out, so the command line builds the chosen pair's records from the
+  file's gate arrays;
 * ``reconstruct_gated`` matches every pair of records, merges the pairwise
   matches into one-ellipse-per-view tracks and recovers one sphere per
   track: a two-view track's from the solve that matching made, longer ones
@@ -56,17 +59,6 @@ def gather_ellipses(views: Sequence[CameraView], observations: dict) -> EllipseT
     return EllipseTable.of(ellipses)._replace(keys=keys)
 
 
-def _view_positions(views: Sequence[CameraView], keys: Sequence[tuple]) -> list[int]:
-    """The position in ``views`` of the image of each (image_id, ellipse_id)
-    key; raises ValueError naming the first key whose image is not there."""
-    position = {view.image_id: i for i, view in enumerate(views)}
-    try:
-        return [position[image_id] for image_id, _ in keys]
-    except KeyError:
-        image_id, ellipse_id = next(key for key in keys if key[0] not in position)
-        raise ValueError(f"ellipse {ellipse_id!r} references unknown image {image_id!r}") from None
-
-
 def gate_views(views: Sequence[CameraView], table: EllipseTable,
                k_sigma: float = DEFAULT_K, default_sigma: float = DEFAULT_SIGMA_PX,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,8 +66,14 @@ def gate_views(views: Sequence[CameraView], table: EllipseTable,
     principal point and ``iop_cov`` (none: exactly known) of the view its
     image id names, and ``default_sigma`` pixels on every parameter of a row
     without a covariance.  Returns the tau, sigma_tau and accepted arrays in
-    table order; raises ValueError for a row whose image is not in ``views``."""
-    position = _view_positions(views, table.keys)
+    table order; raises ValueError naming the first row whose image is not
+    in ``views``."""
+    index = {view.image_id: i for i, view in enumerate(views)}
+    try:
+        position = [index[image_id] for image_id, _ in table.keys]
+    except KeyError:
+        image_id, ellipse_id = next(key for key in table.keys if key[0] not in index)
+        raise ValueError(f"ellipse {ellipse_id!r} references unknown image {image_id!r}") from None
     f, px, py = np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3).T[:, position]
     iop_cov = None
     if any(v.iop_cov is not None for v in views):

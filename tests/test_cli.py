@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import stat
 import subprocess
 import sys
@@ -95,17 +94,36 @@ class TestFilter:
         assert result.returncode == 0
         assert load_ellipses(out) == []
 
-    def test_unknown_image_reference(self, exported, tmp_path):
+    def test_unknown_image_reference(self, exported, tmp_path, capsys):
+        # A row of an image the camera file lacks fails the one gate call,
+        # on every pair path, before a pair is chosen or a file written; with
+        # a bad --pair too, the file's error is the one reported.
         root, _, noisy = exported
-        rogue = [e for e in noisy.observations["img-00"]][:1]
-        rogue = [type(e)("img-99", e.ellipse_id, e.x_ce, e.y_ce, e.a_e, e.b_e,
-                         e.theta, cov=e.cov) for e in rogue]
+        rogue = noisy.observations["img-00"][0]
+        rogue = type(rogue)("img-99", rogue.ellipse_id, rogue.x_ce, rogue.y_ce, rogue.a_e,
+                            rogue.b_e, rogue.theta, cov=rogue.cov)
         bad = str(tmp_path / "bad.csv")
-        save_ellipses(rogue, bad)
-        result = run_cli("filter", "--cameras", str(root / "cameras.json"),
-                         "--ellipses", bad, "--out", str(tmp_path / "o.csv"))
-        assert result.returncode == 2
-        assert "img-99" in result.stderr
+        save_ellipses([e for vid in sorted(noisy.observations)
+                       for e in noisy.observations[vid]] + [rogue], bad)
+        data = json.load(open(root / "cameras.json"))
+        del data["tie_points"]
+        untied = tmp_path / "untied.json"
+        untied.write_text(json.dumps(data))
+        out = tmp_path / "o.out"
+        runs = [("filter", root / "cameras.json", None)]
+        runs += [(command, cameras, pair) for command in ("match", "reconstruct")
+                 for cameras, pair in ((root / "cameras.json", "auto"),
+                                       (root / "cameras.json", "img-01,img-04"),
+                                       (untied, "auto"), (untied, "img-01,img-01"))]
+        for command, cameras, pair in runs:
+            argv = [command, "--cameras", str(cameras), "--ellipses", bad, "--out", str(out)]
+            assert main(argv + (["--pair", pair] if pair else [])) == 2, (command, pair)
+            err = capsys.readouterr().err
+            message = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(message) == 1 and "img-99" in message[0], (command, pair, err)
+            if command == "reconstruct":
+                assert message[0].startswith("error: [parse] "), err
+            assert not out.exists()
 
     def test_non_finite_ellipse_row_exit_code(self, exported, tmp_path):
         root, _, _ = exported
@@ -436,9 +454,9 @@ def test_file_commands_build_no_ellipse_observation(exported, tmp_path, monkeypa
 @pytest.mark.parametrize("tie_points", [True, False])
 def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch, capsys,
                                                 tie_points):
-    # With tie points one gate call covers exactly the chosen pair's rows.
-    # Without them the pair ranking gates every row in one call, and matching
-    # the chosen pair reuses those gate arrays instead of gating again.
+    # For match and reconstruct, with --pair auto and an explicit pair, one
+    # gate call covers every row of the file, in file order, and the chosen
+    # pair's records come from those gate arrays.
     root, _, _ = exported
     cameras = root / "cameras.json"
     if not tie_points:
@@ -446,6 +464,7 @@ def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch,
         del data["tie_points"]
         cameras = tmp_path / "cameras.json"
         cameras.write_text(json.dumps(data))
+    keys = [(e.image_id, e.ellipse_id) for e in load_ellipses(str(root / "ellipses.csv"))]
     gated, classified = [], []
     monkeypatch.setattr(cli, "gate_views",
                         lambda views, table, *args: gated.append(list(table.keys))
@@ -453,15 +472,16 @@ def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch,
     monkeypatch.setattr(pipeline, "classify_view",
                         lambda params, *args, **kwargs: classified.append(len(params))
                         or classify_view(params, *args, **kwargs))
-    assert main(["reconstruct", "--cameras", str(cameras),
-                 "--ellipses", str(root / "ellipses.csv"),
-                 "--out", str(tmp_path / "spheres.json")]) == 0
-    pair = re.search(r"pair \((.*),(.*)\):", capsys.readouterr().err).groups()
-    keys = [(e.image_id, e.ellipse_id) for e in load_ellipses(str(root / "ellipses.csv"))]
-    if tie_points:
-        keys = [key for key in keys if key[0] in pair]
-    assert gated == [keys]
-    assert classified == [len(keys)]
+    for command in ("match", "reconstruct"):
+        for pair in ("auto", "img-01,img-04"):
+            gated.clear()
+            classified.clear()
+            assert main([command, "--cameras", str(cameras),
+                         "--ellipses", str(root / "ellipses.csv"), "--pair", pair,
+                         "--out", str(tmp_path / "out.json")]) == 0
+            capsys.readouterr()
+            assert gated == [keys], (command, pair)
+            assert classified == [len(keys)], (command, pair)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
@@ -708,6 +728,23 @@ class TestSimulate:
                          "--out", str(out))
         assert result.returncode == 2
         assert key in result.stderr and "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"tie_point_extent": math.inf}, {"tie_point_extent": math.nan},
+        {"tie_point_extent": 1e308}, {"width": math.nan, "clutter_per_image": 1},
+        {"height": -math.inf, "clutter_per_image": 1}],
+        ids=["extent-inf", "extent-nan", "extent-1e308", "width-nan", "height-minus-inf"])
+    def test_overflowing_config_exit_code(self, tmp_path, config):
+        # json.load reads NaN and Infinity; each of these used to end in an
+        # OverflowError traceback from the scene sampler and exit code 1.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        result = run_cli("simulate", "--config", str(cfg_path), "--k", "2",
+                         "--out", str(out))
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
         assert not out.exists()
 
     def test_non_finite_config_sigma_exit_code(self, tmp_path):
