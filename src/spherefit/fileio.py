@@ -27,6 +27,7 @@ from .gate import GateReport
 from .netselect import ImageNetwork, TiePoint
 from .projection import (
     _PSD_RESCALE_ABOVE,
+    _ROT_TOL,
     CameraView,
     EllipseObservation,
     EllipseTable,
@@ -45,6 +46,7 @@ ELLIPSE_BASE_COLUMNS = ["image_id", "ellipse_id", "x_ce", "y_ce", "a_e", "b_e", 
 #: Upper triangle of the 4x4 covariance in (a_e, b_e, x_ce, y_ce) order.
 ELLIPSE_COV_COLUMNS = ["cov_aa", "cov_ab", "cov_ax", "cov_ay", "cov_bb",
                        "cov_bx", "cov_by", "cov_xx", "cov_xy", "cov_yy"]
+_NUMBERS = ELLIPSE_BASE_COLUMNS[2:] + ELLIPSE_COV_COLUMNS  # the numeric columns
 
 _COV_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
               (2, 2), (2, 3), (3, 3)]
@@ -103,38 +105,59 @@ def _object_list(path: str, key: str, value) -> list:
 
 # ---------------------------------------------------------------- cameras
 
+def _valid_views(views: list[dict]) -> np.ndarray:
+    """Which views, given as ``CameraView`` fields, pass its checks, in one stacked pass;
+    rotations are flagged from half the tolerance on, as the stacked norm sums in another order."""
+    rot = np.array([v["rot"] for v in views]).reshape(-1, 3, 3)
+    scalars = np.array([(v["f"], v["px"], v["py"], *v["t"].tolist()) for v in views]).reshape(-1, 6)
+    psd = np.array([v["iop_cov"] is None or is_psd(v["iop_cov"]) for v in views], dtype=bool)
+    with np.errstate(all="ignore"):  # a non-finite or huge rotation fails the norm test
+        return (np.isfinite(scalars).all(axis=1) & (scalars[:, 0] > 0.0) & psd
+                & (np.linalg.norm(rot.swapaxes(1, 2) @ rot - np.eye(3), axis=(1, 2)) < _ROT_TOL / 2)
+                & (np.linalg.det(rot) >= 0.0))
+
+
 def load_network(path: str) -> ImageNetwork:
     """Parse a camera network file; validates the convention header and all
     view invariants (orthonormal rotation, positive focal length, PSD
-    covariance)."""
+    covariance) in one stacked pass over the views."""
     data = _load_object(path, "views")
     if data.get("convention") != CONVENTION:
         raise FileFormatError(
             f"{path}: missing or wrong 'convention' header; expected "
             f"{CONVENTION!r} (got {data.get('convention')!r})")
-    views = []
+    views, fault = [], None
     for entry in _object_list(path, "views", data["views"]):
         try:
             iop_cov = entry.get("iop_cov")
-            views.append(CameraView(
-                image_id=str(entry["image_id"]),
-                f=float(entry["f"]), px=float(entry["px"]), py=float(entry["py"]),
-                rot=np.asarray(entry["rot"], dtype=float).reshape(3, 3),
-                t=np.asarray(entry["t"], dtype=float).reshape(3),
-                iop_cov=None if iop_cov is None
-                else np.asarray(iop_cov, dtype=float).reshape(3, 3)))
+            views.append({
+                "image_id": str(entry["image_id"]),
+                "f": float(entry["f"]), "px": float(entry["px"]), "py": float(entry["py"]),
+                "rot": np.asarray(entry["rot"], dtype=float).reshape(3, 3),
+                "t": np.asarray(entry["t"], dtype=float).reshape(3),
+                "iop_cov": None if iop_cov is None
+                else np.asarray(iop_cov, dtype=float).reshape(3, 3)})
         except _BAD_ENTRY as exc:
-            raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
+            fault = exc
+            break
+    try:  # the first bad view, built on its own, raises its own error
+        for i in np.flatnonzero(~_valid_views(views)):
+            CameraView(**views[i])
+        if fault is not None:
+            raise fault
+    except _BAD_ENTRY as exc:
+        raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
     tie_points = []
     for entry in _object_list(path, "tie_points", data.get("tie_points", [])):
         try:
             tie_points.append(TiePoint(
                 xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
-                visible_in=frozenset(str(i) for i in entry["visible_in"])))
+                visible_in=frozenset(map(str, entry["visible_in"]))))
         except _BAD_ENTRY as exc:
             raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
     try:
-        return ImageNetwork(views=views, tie_points=tie_points)
+        return ImageNetwork(views=list(map(CameraView._trusted, views)),
+                            tie_points=tie_points)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -171,7 +194,7 @@ def _partial_covariance(blanks):
     return (blanks > 0) & (blanks < len(ELLIPSE_COV_COLUMNS))
 
 
-def _cov_from_columns(raw: tuple[str, ...]) -> Optional[np.ndarray]:
+def _cov_from_columns(raw: Sequence[str]) -> Optional[np.ndarray]:
     blanks = raw.count("")
     if _partial_covariance(blanks):
         raise FileFormatError("partial covariance row: give all 10 columns or none")
@@ -187,9 +210,8 @@ class _EllipseColumns:
     to every row."""
 
     width: int
-    ids: operator.itemgetter   # (image_id, ellipse_id)
-    base: operator.itemgetter  # (x_ce, y_ce, a_e, b_e, theta_rad)
-    cov: operator.itemgetter   # the ELLIPSE_COV_COLUMNS cells
+    ids: operator.itemgetter      # (image_id, ellipse_id)
+    numbers: operator.itemgetter  # the _NUMBERS cells
 
     @classmethod
     def of(cls, path: str, header: Optional[list[str]]) -> "_EllipseColumns":
@@ -204,20 +226,18 @@ class _EllipseColumns:
         column = {name: i for i, name in enumerate(header)}
         return cls(len(header),
                    operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS[:2])),
-                   operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS[2:])),
-                   operator.itemgetter(*(column.get(c, len(header))
-                                         for c in ELLIPSE_COV_COLUMNS)))
+                   operator.itemgetter(*(column.get(c, len(header)) for c in _NUMBERS)))
 
     def check_row(self, path: str, line: int, row: list[str]) -> None:
         """Check the row on its own, cell by cell and as ``EllipseObservation``
         checks it; its first fault raises FileFormatError naming ``line``."""
         image_id, ellipse_id = self.ids(row)
-        x_ce, y_ce, a_e, b_e, theta = self.base(row)
+        x_ce, y_ce, a_e, b_e, theta, *cov = self.numbers(row)
         try:
             EllipseObservation(
                 image_id=image_id, ellipse_id=ellipse_id,
                 x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
-                theta=float(theta), cov=_cov_from_columns(self.cov(row)))
+                theta=float(theta), cov=_cov_from_columns(cov))
         except ValueError as exc:
             raise FileFormatError(f"{path}:{line}: {exc}") from exc
 
@@ -251,19 +271,15 @@ def _read_ellipse_rows(path: str):
         raise fault
     keys = list(map(columns.ids, rows))
     if len(set(keys)) < len(keys):
-        seen = set()
-        for i, (image_id, ellipse_id) in enumerate(keys):
-            if (image_id, ellipse_id) in seen:
-                break
-            seen.add((image_id, ellipse_id))
+        first = {}
+        i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
+        image_id, ellipse_id = keys[i]
         fault = FileFormatError(f"{path}:{lines[i]}: ellipse id {ellipse_id!r} "
                                 f"repeats in image {image_id!r}")
         del rows[i:], lines[i:], keys[i:]
     return columns, rows, lines, keys, fault
 
 
-#: A blank covariance cell reads as NaN in the column pass of ``read_ellipse_table``.
-_BLANK_AS_NAN = {"": "nan"}
 #: Covariance columns of the diagonal and of the off-diagonal entries.
 _COV_DIAGONAL = [_COV_INDEX.index((i, i)) for i in range(4)]
 _COV_OFF_DIAGONAL = [k for k in range(len(_COV_INDEX)) if k not in _COV_DIAGONAL]
@@ -303,19 +319,20 @@ def read_ellipse_table(path: str) -> EllipseTable:
     rows are checked in column passes over the whole file.
     """
     columns, rows, lines, keys, fault = _read_ellipse_rows(path)
-    n, n_cov = len(rows), len(ELLIPSE_COV_COLUMNS)
-    cov_cells = list(itertools.chain.from_iterable(map(columns.cov, rows)))
-    blank = np.array(list(map(operator.not_, cov_cells)), dtype=bool).reshape(n, n_cov)
+    n, width = len(rows), len(_NUMBERS)
+    cells = list(itertools.chain.from_iterable(map(columns.numbers, rows)))
+    blank = np.zeros((n, width), dtype=bool)
+    if "" in cells:
+        blank = np.array(list(map(operator.not_, cells)), dtype=bool).reshape(n, width)
+        cells = [cell or "nan" for cell in cells]  # a blank cell reads as NaN
     try:
-        values = np.array(list(map(float, itertools.chain(
-            itertools.chain.from_iterable(map(columns.base, rows)),
-            map(_BLANK_AS_NAN.get, cov_cells, cov_cells)))))
+        values = np.fromiter(map(float, cells), float, n * width).reshape(n, width)
     except ValueError:  # a cell that is not a number
         flagged = range(n)
     else:
-        base, cov = values[:5 * n].reshape(n, 5), values[5 * n:].reshape(n, n_cov)
+        base, cov = values[:, :5], values[:, 5:]
         block = cov.take(_COV_FILL, axis=1).reshape(n, 4, 4)
-        flagged = np.flatnonzero(~_valid_rows(base, cov, block, blank))
+        flagged = np.flatnonzero(~_valid_rows(base, cov, block, blank[:, 5:]))
     for i in flagged:
         # Checked on its own, the first flagged row raises and names its
         # fault; a cell that is not a number fails some row's check.
@@ -323,8 +340,8 @@ def read_ellipse_table(path: str) -> EllipseTable:
     if fault is not None:
         raise fault
     # A valid row's covariance cells are all blank or none.
-    block[blank[:, 0]] = 0.0
-    return EllipseTable(keys, base[:, :4], fold_axis_angle(base[:, 4]), block, ~blank[:, 0])
+    block[blank[:, 5]] = 0.0
+    return EllipseTable(keys, base[:, :4], fold_axis_angle(base[:, 4]), block, ~blank[:, 5])
 
 
 def load_ellipses(path: str) -> list[EllipseObservation]:
@@ -378,16 +395,20 @@ def save_ellipses(ellipses: Sequence[EllipseObservation], path: str) -> None:
 
 # ---------------------------------------------------------------- gate report
 
-#: ``json.dumps(..., indent=2, sort_keys=True)`` of one gate report row.
-_REPORT_ROW = ('    {{\n      "accepted": {},\n      "ellipse_id": {},\n      "image_id": {},\n'
-               '      "k": {},\n      "sigma_tau": {},\n      "tau": {}\n    }}')
+#: ``json.dumps(..., indent=2, sort_keys=True)`` of one gate report row, as
+#: the text before, between and after its six values.
+_REPORT_PARTS = ('    {\n      "accepted": \0,\n      "ellipse_id": \0,\n      "image_id": \0,\n'
+                 '      "k": \0,\n      "sigma_tau": \0,\n      "tau": \0\n    }').split("\0")
 #: How ``json`` spells the floats whose repr is not JSON.
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_FLOAT.get(text, text)
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` as ``json`` writes it."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _JSON_FLOAT[texts[i]]
+    return texts
 
 
 def gate_report_text(keys: Sequence[tuple[str, str]], tau: np.ndarray, sigma_tau: np.ndarray,
@@ -400,13 +421,18 @@ def gate_report_text(keys: Sequence[tuple[str, str]], tau: np.ndarray, sigma_tau
     if not keys:
         return '{\n  "ellipses": []\n}\n'
     quote = json.encoder.encode_basestring_ascii
-    k_text = _json_float(float(k))
-    rows = ",\n".join(_REPORT_ROW.format(
-        "true" if a else "false", quote(ellipse_id), quote(image_id), k_text,
-        _json_float(s), _json_float(t))
-        for (image_id, ellipse_id), t, s, a
-        in zip(keys, tau.tolist(), sigma_tau.tolist(), accepted.tolist()))
-    return '{\n  "ellipses": [\n' + rows + "\n  ]\n}\n"
+    image_ids, ellipse_ids = zip(*keys)
+    head, accepted_to_id, id_to_id, id_to_k, k_to_sigma, sigma_to_tau, tail = _REPORT_PARTS
+    [k_text] = _json_floats(np.array([k], dtype=float))
+    # One row is head, accepted, ..., tau, tail; rows are joined by ",\n".
+    cells = list(itertools.chain.from_iterable(zip(
+        map(("false", "true").__getitem__, accepted.tolist()), itertools.repeat(accepted_to_id),
+        map(quote, ellipse_ids), itertools.repeat(id_to_id), map(quote, image_ids),
+        itertools.repeat(id_to_k + k_text + k_to_sigma),
+        _json_floats(sigma_tau), itertools.repeat(sigma_to_tau), _json_floats(tau),
+        itertools.repeat(tail + ",\n" + head))))
+    cells[-1] = tail + "\n  ]\n}\n"
+    return '{\n  "ellipses": [\n' + head + "".join(cells)
 
 
 # ---------------------------------------------------------------- spheres

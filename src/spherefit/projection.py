@@ -114,6 +114,14 @@ def psd_floor(diag):
     return -1e-9 * functools.reduce(operator.add, diag)
 
 
+def _trusted(cls, fields: dict):
+    """An instance of ``cls`` holding ``fields`` (every field, by name) as
+    given, without ``__post_init__``: for a caller that has checked them."""
+    self = object.__new__(cls)
+    self.__dict__ = fields
+    return self
+
+
 def _require_finite(owner: str, **values) -> None:
     """Raise ValueError unless every float or array value is finite."""
     for name, value in values.items():
@@ -140,6 +148,7 @@ class CameraView:
     rot: np.ndarray
     t: np.ndarray
     iop_cov: Optional[np.ndarray] = None
+    _trusted = classmethod(_trusted)
 
     def __post_init__(self):
         self.f = float(self.f)
@@ -190,6 +199,7 @@ class EllipseObservation:
     b_e: float
     theta: float
     cov: Optional[np.ndarray] = None
+    _trusted = classmethod(_trusted)
 
     def __post_init__(self):
         self.x_ce = float(self.x_ce)
@@ -215,16 +225,6 @@ class EllipseObservation:
                 # is_psd rejects non-finite entries too; name them first.
                 _require_finite("ellipse", cov=self.cov)
                 raise ValueError("cov must be symmetric positive semi-definite")
-
-    @classmethod
-    def _trusted(cls, fields: dict) -> "EllipseObservation":
-        """An instance holding ``fields`` (every field, by name) as given,
-        without ``__post_init__``: for a caller that has already applied its
-        checks and the theta fold, as ``fileio.load_ellipses`` does in column
-        form."""
-        self = object.__new__(cls)
-        self.__dict__ = fields
-        return self
 
 
 _NO_COV = np.zeros((4, 4))
@@ -288,10 +288,8 @@ class Sphere:
         """World spheres of the rows of ``centers`` (m, 3) and ``radii`` (m,)."""
         if not (np.isfinite(centers).all() and np.isfinite(radii).all() and (radii > 0.0).all()):
             return [cls(c, r) for c, r in zip(centers, radii)]  # raises at the first bad row
-        spheres = [object.__new__(cls) for _ in range(len(radii))]
-        for sphere, center, radius in zip(spheres, centers, radii.tolist()):
-            sphere.__dict__.update(center=center, radius=radius, frame="world")
-        return spheres
+        return [_trusted(cls, {"center": center, "radius": radius, "frame": "world"})
+                for center, radius in zip(centers, radii.tolist())]
 
 
 def world_to_camera(point, view: CameraView) -> np.ndarray:

@@ -99,7 +99,8 @@ class SceneConfig:
     def from_dict(cls, data: dict) -> "SceneConfig":
         """Config from parsed JSON; ``ValueError`` names the first key whose
         value lacks the JSON type of its default (an integer in the float
-        range may stand for a float), or a count outside [0, 100000]."""
+        range may stand for a float), a count outside [0, 100000], a float
+        beyond ``PIXEL_LIMIT`` or not finite, or a width or height <= 0."""
         if not isinstance(data, dict):
             raise ValueError(f"scene config must be a JSON object, got {type(data).__name__}")
         cfg = cls()
@@ -113,6 +114,11 @@ class SceneConfig:
             if not 0 <= getattr(cfg, key) <= _MAX_COUNT:
                 raise ValueError(f"scene config key {key!r} must lie in [0, {_MAX_COUNT}], "
                                  f"got {getattr(cfg, key)}")
+        for key in [key for key, value in vars(cls()).items() if isinstance(value, float)]:
+            value, positive = getattr(cfg, key), key in ("width", "height")
+            if not (abs(value) <= PIXEL_LIMIT and (value > 0.0 or not positive)):
+                raise ValueError(f"scene config key {key!r} must be {'positive, ' * positive}"
+                                 f"finite and at most 2^200 in magnitude, got {value}")
         if not _is_xyz(cfg.look_at):
             raise ValueError(f"scene config key 'look_at' must be 3 numbers, got {cfg.look_at!r}")
         for entry in cfg.spheres:

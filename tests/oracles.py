@@ -17,9 +17,11 @@ one-ellipse center correction and the per-pair fundamental matrix.
 ``reference_view_record`` builds one view's record on its own, the
 reference for ``view_records``' one pass over a trial's views.
 ``reference_is_psd`` is the eigensolver test that the package's diagonal
-shortcut in ``is_psd`` is checked against, and ``reference_load_ellipses``
+shortcut in ``is_psd`` is checked against, ``reference_load_ellipses``
 the row-by-row ellipse CSV reader that the column passes of
-``load_ellipses`` are checked against.
+``load_ellipses`` are checked against, and ``reference_load_network`` the
+view-by-view camera reader that the stacked pass of ``load_network`` is
+checked against.
 """
 
 from __future__ import annotations
@@ -36,17 +38,27 @@ from spherefit import (
     DegenerateGeometry,
     EllipseObservation,
     DegenerateProjection,
+    ImageNetwork,
     MatchCandidate,
     MatchResult,
     NoAdmissiblePair,
     PairScore,
     Sphere,
     SphereModel,
+    TiePoint,
     gather_ellipses,
     project_sphere_into_view,
     view_records,
 )
-from spherefit.fileio import ELLIPSE_BASE_COLUMNS, ELLIPSE_COV_COLUMNS, FileFormatError
+from spherefit.fileio import (
+    _BAD_ENTRY,
+    CONVENTION,
+    ELLIPSE_BASE_COLUMNS,
+    ELLIPSE_COV_COLUMNS,
+    FileFormatError,
+    _load_object,
+    _object_list,
+)
 from spherefit.match import DEFAULT_EPIPOLAR_TOL, ViewRecord, _skew
 from spherefit.projection import corrected_center
 from spherefit.reconstruct import _normal
@@ -558,3 +570,39 @@ def reference_load_ellipses(path: str) -> list:
         except csv.Error as exc:
             raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return list(out.values())
+
+
+def reference_load_network(path: str) -> ImageNetwork:
+    """The camera network file read one view at a time: each entry is
+    converted and built as a ``CameraView``, whose own checks run on it, and
+    the first bad entry raises FileFormatError."""
+    data = _load_object(path, "views")
+    if data.get("convention") != CONVENTION:
+        raise FileFormatError(
+            f"{path}: missing or wrong 'convention' header; expected "
+            f"{CONVENTION!r} (got {data.get('convention')!r})")
+    views = []
+    for entry in _object_list(path, "views", data["views"]):
+        try:
+            iop_cov = entry.get("iop_cov")
+            views.append(CameraView(
+                image_id=str(entry["image_id"]),
+                f=float(entry["f"]), px=float(entry["px"]), py=float(entry["py"]),
+                rot=np.asarray(entry["rot"], dtype=float).reshape(3, 3),
+                t=np.asarray(entry["t"], dtype=float).reshape(3),
+                iop_cov=None if iop_cov is None
+                else np.asarray(iop_cov, dtype=float).reshape(3, 3)))
+        except _BAD_ENTRY as exc:
+            raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
+    tie_points = []
+    for entry in _object_list(path, "tie_points", data.get("tie_points", [])):
+        try:
+            tie_points.append(TiePoint(
+                xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
+                visible_in=frozenset(str(i) for i in entry["visible_in"])))
+        except _BAD_ENTRY as exc:
+            raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
+    try:
+        return ImageNetwork(views=views, tie_points=tie_points)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

@@ -730,14 +730,19 @@ class TestSimulate:
         assert key in result.stderr and "Traceback" not in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("config", [
-        {"tie_point_extent": math.inf}, {"tie_point_extent": math.nan},
-        {"tie_point_extent": 1e308}, {"width": math.nan, "clutter_per_image": 1},
-        {"height": -math.inf, "clutter_per_image": 1}],
-        ids=["extent-inf", "extent-nan", "extent-1e308", "width-nan", "height-minus-inf"])
-    def test_overflowing_config_exit_code(self, tmp_path, config):
+    @pytest.mark.parametrize("config, key", [
+        ({"tie_point_extent": math.inf}, "tie_point_extent"),
+        ({"tie_point_extent": math.nan}, "tie_point_extent"),
+        ({"tie_point_extent": 1e308}, "tie_point_extent"),
+        ({"width": math.nan, "clutter_per_image": 1}, "width"),
+        ({"height": -math.inf, "clutter_per_image": 1}, "height"),
+        ({"width": math.nan}, "width"), ({"width": -5}, "width")],
+        ids=["extent-inf", "extent-nan", "extent-1e308", "width-nan", "height-minus-inf",
+             "width-nan-no-clutter", "width-negative"])
+    def test_overflowing_config_exit_code(self, tmp_path, config, key):
         # json.load reads NaN and Infinity; each of these used to end in an
-        # OverflowError traceback from the scene sampler and exit code 1.
+        # OverflowError traceback from the scene sampler and exit code 1, and
+        # later in an error that did not name the key.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "s.csv"
@@ -745,6 +750,7 @@ class TestSimulate:
                          "--out", str(out))
         assert result.returncode == 2
         assert "error:" in result.stderr and "Traceback" not in result.stderr
+        assert repr(key) in result.stderr
         assert not out.exists()
 
     def test_non_finite_config_sigma_exit_code(self, tmp_path):

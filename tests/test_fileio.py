@@ -23,6 +23,7 @@ from spherefit.fileio import (
     GateRecord,
     PlyCloud,
     SphereEntry,
+    gate_report_text,
     load_ellipses,
     load_network,
     load_ply,
@@ -306,6 +307,27 @@ class TestEllipseFile:
         open(path, "w").write(header + "\ni,e,0,0,1.0,2.0,0.0\n")
         with pytest.raises(FileFormatError, match="semi-major"):
             load_ellipses(path)
+
+
+def test_gate_report_text_of_a_survey_is_indented_sorted_json():
+    # A filter-survey-sized report with every float the writer spells
+    # specially, scattered over both float columns.
+    rng = np.random.default_rng(5)
+    n = 2340
+    keys = [(f"img-{i % 60:02d}", ["ball-", "clutter \u00e9\"", "a\\b"][i % 3] + str(i))
+            for i in range(n)]
+    tau, sigma_tau = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-300, 300, size=(2, n))
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308]
+    for column in (tau, sigma_tau):
+        rows = rng.choice(n, size=10 * len(specials), replace=False)
+        column[rows] = np.repeat(specials, 10)
+    accepted = rng.random(n) < 0.3
+    payload = {"ellipses": [{"image_id": image_id, "ellipse_id": ellipse_id,
+                             "tau": t, "sigma_tau": s, "k": 2.0, "accepted": a}
+                            for (image_id, ellipse_id), t, s, a
+                            in zip(keys, tau.tolist(), sigma_tau.tolist(), accepted.tolist())]}
+    assert (gate_report_text(keys, tau, sigma_tau, 2.0, accepted)
+            == json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class TestSphereFile:

@@ -23,6 +23,7 @@ from oracles import (  # noqa: E402
     reference_convergence_angle,
     reference_is_psd,
     reference_load_ellipses,
+    reference_load_network,
     reference_network_overlap,
     reference_reconstruct_sphere,
 )
@@ -510,6 +511,54 @@ def test_ellipse_file_with_a_huge_cell_is_loaded_or_rejected(ellipse_export, col
     _loaded_or_rejected(cameras, "\n".join(",".join(row) for row in rows) + "\n")
 
 
+def _edited_ellipse_text(rows, edit):
+    """The ellipse file of ``rows`` (header first) after one named edit."""
+    rows = [list(row) for row in rows]
+    column = rows[0].index
+    if edit == "no-covariance-columns":
+        rows = [row[:7] for row in rows]
+    elif edit == "mixed-rows":
+        for row in rows[1::2]:
+            row[7:] = [""] * 10
+    elif edit == "partial-covariance":
+        rows[3][column("cov_bx")] = ""
+    elif edit == "blank-base-cell":
+        rows[2][column("y_ce")] = ""
+    elif edit == "non-numeric-after-blank-cell":
+        rows[2][column("x_ce")] = ""
+        rows[2][column("b_e")] = "abc"
+    elif edit == "non-numeric-after-blank-row":
+        rows[1][7:] = [""] * 10
+        rows[2][column("a_e")] = ""
+        rows[4][column("cov_xx")] = "abc"
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("edit, error", [
+    ("none", None), ("no-covariance-columns", None), ("mixed-rows", None),
+    ("partial-covariance", "ellipses.csv:4: partial covariance"),
+    ("blank-base-cell", "ellipses.csv:3: could not convert"),
+    ("non-numeric-after-blank-cell", "ellipses.csv:3: could not convert string to float: ''"),
+    ("non-numeric-after-blank-row", "ellipses.csv:3: could not convert string to float: ''")])
+def test_edited_ellipse_file_is_loaded_or_rejected(ellipse_export, edit, error):
+    # Explicit examples of the fuzz test above, one per branch of the column
+    # pass: every covariance cell given, none, blank cells read as NaN, and a
+    # cell that is not a number.
+    cameras, rows = ellipse_export
+    text = _edited_ellipse_text(rows, edit)
+    _loaded_or_rejected(cameras, text)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ellipses.csv")
+        with open(path, "w") as handle:
+            handle.write(text)
+        rows = _table_loaded(path)
+    if error is None:
+        assert isinstance(rows, list) and len(rows) == text.count("\n") - 1
+        assert any(row[-1] is None for row in rows) == (edit != "none")
+    else:
+        assert isinstance(rows, str) and error in rows
+
+
 _REPORT_ID = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\u00e9", "\u2603", "\U0001f600", "\x00\x1f\x7f"])
 _REPORT_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
@@ -566,6 +615,15 @@ def _network_fields(network):
     return ([(v.image_id, repr((v.f, v.px, v.py)), v.rot.tobytes(), v.t.tobytes(),
               None if v.iop_cov is None else v.iop_cov.tobytes()) for v in network.views],
             [(tp.xyz.tobytes(), tp.visible_in) for tp in network.tie_points])
+
+
+def _network_or_error(load, path):
+    """``_network_fields`` of the network that ``load`` reads from ``path``,
+    or the type and message of the ValueError it raises."""
+    try:
+        return _network_fields(load(path))
+    except ValueError as exc:  # FileFormatError among them
+        return type(exc), str(exc)
 
 
 @PROPERTY
@@ -631,14 +689,67 @@ def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
             json.dump(mutated, handle)
         with open(ellipses, "w") as handle:
             handle.write(ellipses_text)
-        try:
-            load_network(path)
-        except ValueError:  # FileFormatError among them
-            pass
+        assert (_network_or_error(load_network, path)
+                == _network_or_error(reference_load_network, path))
         code = main(["filter", "--cameras", path, "--ellipses", ellipses,
                      "--out", os.path.join(root, "kept.csv"),
                      "--report", os.path.join(root, "report.json")])
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("edit, error", [
+    ("flat-and-nested-rot", None),
+    ("iop-cov", None),
+    ("non-orthonormal-second-view", "bad view entry (rot is not orthonormal (||R^T R - I|| = "),
+    ("reflection", "bad view entry (rot must be a proper rotation (det +1))"),
+    ("zero-focal-length", "bad view entry (focal length must be positive, got 0.0)"),
+    ("nan-translation", "bad view entry (camera t must be finite)"),
+    ("non-psd-iop-cov-on-last-view", "bad view entry (iop_cov must be symmetric positive"),
+    ("missing-image-id", "bad view entry ('image_id')"),
+    ("bad-view-before-missing-field", "bad view entry (focal length must be positive"),
+    ("missing-field-before-bad-view", "bad view entry ('px')")])
+def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
+    # Explicit examples of the fuzz test above: the stacked checks must pass
+    # and reject the views that CameraView does, and the first bad view must
+    # raise its own message.
+    cameras, _ = camera_export
+    data = json.loads(json.dumps(cameras))
+    views = data["views"]
+    rot = np.reshape(views[1]["rot"], (3, 3))
+    if edit == "flat-and-nested-rot":
+        views[1]["rot"] = rot.tolist()
+    elif edit == "iop-cov":
+        views[0]["iop_cov"] = np.diag([0.1, 0.2, 0.4]).ravel().tolist()
+        views[2]["iop_cov"] = [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    elif edit == "non-orthonormal-second-view":
+        views[1]["rot"] = (rot * 1.001).ravel().tolist()
+    elif edit == "reflection":
+        views[1]["rot"] = (-rot).ravel().tolist()
+    elif edit == "zero-focal-length":
+        views[1]["f"] = 0.0
+    elif edit == "nan-translation":
+        views[1]["t"][2] = math.nan
+    elif edit == "non-psd-iop-cov-on-last-view":
+        views[0]["iop_cov"] = np.diag([0.1, 0.2, 0.4]).ravel().tolist()
+        views[-1]["iop_cov"] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    elif edit == "missing-image-id":
+        del views[1]["image_id"]
+    elif edit == "bad-view-before-missing-field":
+        views[1]["f"] = -1.0
+        del views[2]["px"]
+    elif edit == "missing-field-before-bad-view":
+        del views[1]["px"]
+        views[2]["f"] = -1.0
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "cameras.json")
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+        loaded = _network_or_error(load_network, path)
+        assert loaded == _network_or_error(reference_load_network, path)
+    if error is None:
+        assert isinstance(loaded[0], list) and len(loaded[0]) == len(views)
+    else:
+        assert loaded[0] is FileFormatError and error in loaded[1]
 
 
 _NAME = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
