@@ -26,8 +26,8 @@ import numpy as np
 from .gate import GateReport
 from .netselect import ImageNetwork, TiePoint
 from .projection import (
-    _PSD_RESCALE_ABOVE,
     _ROT_TOL,
+    PIXEL_LIMIT,
     CameraView,
     EllipseObservation,
     EllipseTable,
@@ -35,7 +35,7 @@ from .projection import (
     ellipse_checks,
     fold_axis_angle,
     is_psd,
-    psd_floor,
+    rotation_error,
 )
 from .reconstruct import SphereModel
 
@@ -106,15 +106,17 @@ def _object_list(path: str, key: str, value) -> list:
 # ---------------------------------------------------------------- cameras
 
 def _valid_views(views: list[dict]) -> np.ndarray:
-    """Which views, given as ``CameraView`` fields, pass its checks, in one stacked pass;
-    rotations are flagged from half the tolerance on, as the stacked norm sums in another order."""
+    """Which views, given as ``CameraView`` fields, pass its checks, in one stacked pass."""
     rot = np.array([v["rot"] for v in views]).reshape(-1, 3, 3)
     scalars = np.array([(v["f"], v["px"], v["py"], *v["t"].tolist()) for v in views]).reshape(-1, 6)
-    psd = np.array([v["iop_cov"] is None or is_psd(v["iop_cov"]) for v in views], dtype=bool)
-    with np.errstate(all="ignore"):  # a non-finite or huge rotation fails the norm test
-        return (np.isfinite(scalars).all(axis=1) & (scalars[:, 0] > 0.0) & psd
-                & (np.linalg.norm(rot.swapaxes(1, 2) @ rot - np.eye(3), axis=(1, 2)) < _ROT_TOL / 2)
-                & (np.linalg.det(rot) >= 0.0))
+    psd = np.ones(len(views), dtype=bool)
+    covs = [i for i, v in enumerate(views) if v["iop_cov"] is not None]
+    if covs:
+        psd[covs] = is_psd(np.array([views[i]["iop_cov"] for i in covs]))
+    with np.errstate(all="ignore"):  # a non-finite or huge rotation fails the rotation test
+        return (np.isfinite(scalars).all(axis=1) & (scalars[:, 0] > 0.0)
+                & (np.abs(scalars[:, :3]) <= PIXEL_LIMIT).all(axis=1) & psd
+                & (rotation_error(rot) < _ROT_TOL) & (np.linalg.det(rot) >= 0.0))
 
 
 def load_network(path: str) -> ImageNetwork:
@@ -280,34 +282,18 @@ def _read_ellipse_rows(path: str):
     return columns, rows, lines, keys, fault
 
 
-#: Covariance columns of the diagonal and of the off-diagonal entries.
-_COV_DIAGONAL = [_COV_INDEX.index((i, i)) for i in range(4)]
-_COV_OFF_DIAGONAL = [k for k in range(len(_COV_INDEX)) if k not in _COV_DIAGONAL]
-
-
-def _valid_rows(base: np.ndarray, cov: np.ndarray, block: np.ndarray,
-                blank: np.ndarray) -> np.ndarray:
+def _valid_rows(base: np.ndarray, block: np.ndarray, blank: np.ndarray) -> np.ndarray:
     """Which rows pass every check of ``EllipseObservation`` and of the
     covariance cells: the column form of those checks.
 
-    ``base`` holds (x_ce, y_ce, a_e, b_e, theta) per row, ``cov`` the
-    covariance cells with blanks read as NaN, ``block`` the same cells as
-    4x4 matrices, and ``blank`` which cells are blank.
+    ``base`` holds (x_ce, y_ce, a_e, b_e, theta) per row, ``block`` the
+    covariance cells as 4x4 matrices with blanks read as NaN, and ``blank``
+    which covariance cells are blank.
     """
     blanks = blank.sum(axis=1)
-    given = blanks == 0
     minor_ok, major_ok, in_range = ellipse_checks(*base[:, :4].T)
-    finite_cov = np.isfinite(cov).all(axis=1)
-    diagonal = cov[:, _COV_DIAGONAL]
-    # Rows are scaled as in is_psd, so no trace overflows.  A trace may be
-    # nan in a row that fails anyway; that is not worth a warning.
-    diagonal[np.abs(diagonal).max(axis=1) > _PSD_RESCALE_ABOVE] *= 1.0 / _PSD_RESCALE_ABOVE
-    with np.errstate(invalid="ignore"):
-        psd = diagonal.min(axis=1) >= psd_floor(list(diagonal.T))
-    for i in np.flatnonzero(given & finite_cov & (cov[:, _COV_OFF_DIAGONAL] != 0.0).any(axis=1)):
-        psd[i] = is_psd(block[i])
     return (np.isfinite(base).all(axis=1) & minor_ok & major_ok & in_range
-            & ~_partial_covariance(blanks) & (~given | (finite_cov & psd)))
+            & ~_partial_covariance(blanks) & ((blanks > 0) | is_psd(block)))
 
 
 def read_ellipse_table(path: str) -> EllipseTable:
@@ -330,9 +316,9 @@ def read_ellipse_table(path: str) -> EllipseTable:
     except ValueError:  # a cell that is not a number
         flagged = range(n)
     else:
-        base, cov = values[:, :5], values[:, 5:]
-        block = cov.take(_COV_FILL, axis=1).reshape(n, 4, 4)
-        flagged = np.flatnonzero(~_valid_rows(base, cov, block, blank[:, 5:]))
+        base = values[:, :5]
+        block = values[:, 5 + _COV_FILL].reshape(n, 4, 4)
+        flagged = np.flatnonzero(~_valid_rows(base, block, blank[:, 5:]))
     for i in flagged:
         # Checked on its own, the first flagged row raises and names its
         # fault; a cell that is not a number fails some row's check.

@@ -137,7 +137,7 @@ def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f, p
         iop_cov = np.asarray(iop_cov, dtype=float)
         if iop_cov.shape not in ((3, 3), (len(t), 3, 3)):
             raise InvalidCovariance(f"IOP covariance must be 3x3 or one per row, got {iop_cov.shape}")
-        if not all(map(is_psd, np.unique(iop_cov.reshape(-1, 9), axis=0).reshape(-1, 3, 3))):
+        if not is_psd(np.unique(iop_cov.reshape(-1, 9), axis=0).reshape(-1, 3, 3)).all():
             raise InvalidCovariance("IOP covariance is not symmetric PSD")
         j_i = jacobians[:, 4:]
         var = var + np.einsum("ni,nij,nj->n", j_i, np.broadcast_to(iop_cov, (len(t), 3, 3)), j_i)

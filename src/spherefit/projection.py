@@ -52,10 +52,10 @@ _ROT_TOL = 1e-9
 # ``is_psd`` rescales a matrix whose largest entry exceeds this power of two.
 _PSD_RESCALE_ABOVE = 2.0 ** 1000
 
-#: Largest magnitude of an ellipse's center coordinates and semi-axes, in
-#: pixels; its inverse is the least semi-minor length.  The gate multiplies
-#: and divides up to four such lengths, so values far outside would overflow
-#: its closed forms.
+#: Largest magnitude of an ellipse's center coordinates and semi-axes, and of
+#: a camera's f, px and py, in pixels; its inverse is the least semi-minor
+#: length.  The gate multiplies and divides up to four such lengths, so
+#: values far outside would overflow its closed forms.
 PIXEL_LIMIT = 2.0 ** 200
 
 
@@ -71,47 +71,57 @@ def _as_matrix(value, shape, name: str) -> np.ndarray:
     return arr
 
 
-def is_psd(m: np.ndarray) -> bool:
-    """Symmetric PSD test: symmetric to round-off and no eigenvalue of the
-    symmetric part below -1e-9 * trace.
+def is_psd(m: np.ndarray):
+    """Symmetric PSD test of a matrix, or of each matrix of a stack (..., k, k):
+    symmetric to round-off and no eigenvalue of the symmetric part below
+    -1e-9 * trace.  Returns a bool for a matrix and a bool array of shape
+    (...) for a stack.
 
     A non-finite matrix is reported False.  A matrix whose off-diagonal
     entries are all exactly zero is its own symmetric part and its
-    eigenvalues are its diagonal, so it is tested on plain floats without the
-    eigensolver.
+    eigenvalues are its diagonal, so it is tested on its diagonal alone; the
+    others go to one batched eigensolver call.
     """
     m = np.asarray(m, dtype=float)
-    flat = m.ravel().tolist()
-    step = len(m) + 1
-    diag = flat[::step]
-    del flat[::step]
-    if flat.count(0.0) == len(flat):
-        if max(map(abs, diag)) > _PSD_RESCALE_ABOVE:  # as below; inf stays inf
-            diag = [d * (1.0 / _PSD_RESCALE_ABOVE) for d in diag]
-        return all(map(math.isfinite, diag)) and min(diag) >= psd_floor(diag)
-    if not np.isfinite(m).all():
-        return False
-    scale = 1.0 + np.abs(m).max()
-    if scale > _PSD_RESCALE_ABOVE:
-        # m - m.T, m + m.T and the trace could overflow.  Scaling the matrix
-        # and the tolerance by one power of two changes none of the
-        # comparisons below.
-        m = m * (1.0 / _PSD_RESCALE_ABOVE)
-        scale *= 1.0 / _PSD_RESCALE_ABOVE
-    if not np.abs(m - m.T).max() <= 1e-9 * scale:
-        return False
-    return bool(np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= -1e-9 * np.trace(m))
+    k = m.shape[-1]
+    flat = m.reshape(-1, k * k)
+    diagonal = ~flat[:, ~np.eye(k, dtype=bool).ravel()].any(axis=1)
+    psd = np.zeros(len(flat), dtype=bool)
+    # Row i holds the entries (i, i) of the diagonal matrices.  A matrix
+    # whose largest entry exceeds 2^1000 is scaled by 2^-1000, and its
+    # tolerance with it, so that no sum below overflows; scaling by a power
+    # of two changes none of the comparisons.
+    d = flat[:, ::k + 1].T.compress(diagonal, axis=1)
+    d[:, np.abs(d).max(axis=0) > _PSD_RESCALE_ABOVE] *= 1.0 / _PSD_RESCALE_ABOVE
+    with np.errstate(invalid="ignore"):  # inf - inf in a matrix that fails anyway
+        psd[diagonal] = np.isfinite(d).all(axis=0) & (d.min(axis=0) >= -1e-9 * _trace(d))
+    full = np.flatnonzero(~diagonal)
+    full = full[np.isfinite(flat[full]).all(axis=1)]
+    if len(full):
+        s = flat[full].reshape(-1, k, k)
+        scale = 1.0 + np.abs(s).max(axis=(1, 2))
+        big = scale > _PSD_RESCALE_ABOVE
+        s[big] *= 1.0 / _PSD_RESCALE_ABOVE
+        scale[big] *= 1.0 / _PSD_RESCALE_ABOVE
+        s_t = s.swapaxes(1, 2)
+        psd[full] = ((np.abs(s - s_t).max(axis=(1, 2)) <= 1e-9 * scale)
+                     & (np.linalg.eigvalsh(0.5 * (s + s_t))[:, 0]
+                        >= -1e-9 * _trace(np.diagonal(s, axis1=1, axis2=2).T)))
+    return bool(psd[0]) if m.ndim == 2 else psd.reshape(m.shape[:-2])
 
 
-def psd_floor(diag):
-    """-1e-9 * trace: the least eigenvalue that ``is_psd`` accepts, from the
-    diagonal entries, which for a diagonal matrix are its eigenvalues.
+def _trace(diagonals: np.ndarray) -> np.ndarray:
+    """The traces of matrices whose diagonal entry (i, i) is row i of
+    ``diagonals``, summed left to right as np.trace sums one matrix's."""
+    return functools.reduce(operator.add, diagonals)
 
-    Elementwise: each entry may be a float or an array holding that diagonal
-    entry of many matrices.
-    """
-    # Summed left to right like np.trace (sum() compensates from 3.12 on).
-    return -1e-9 * functools.reduce(operator.add, diag)
+
+def rotation_error(rot: np.ndarray):
+    """||R^T R - I||, the Frobenius norm, of a rotation or of each rotation
+    of a stack (..., 3, 3); inf or nan where R^T R overflows."""
+    with np.errstate(all="ignore"):
+        d = rot.swapaxes(-1, -2) @ rot - np.eye(3)
+        return np.sqrt((d * d).sum(axis=(-2, -1)))
 
 
 def _trusted(cls, fields: dict):
@@ -159,8 +169,11 @@ class CameraView:
         _require_finite("camera", f=self.f, px=self.px, py=self.py, rot=self.rot, t=self.t)
         if not self.f > 0.0:
             raise ValueError(f"focal length must be positive, got {self.f}")
-        err = float(np.linalg.norm(self.rot.T @ self.rot - np.eye(3)))
-        if err >= _ROT_TOL:
+        for name, value in (("f", self.f), ("px", self.px), ("py", self.py)):
+            if not abs(value) <= PIXEL_LIMIT:
+                raise ValueError(f"camera {name} must lie within 2^200 px, got {value}")
+        err = rotation_error(self.rot)
+        if not err < _ROT_TOL:
             raise ValueError(f"rot is not orthonormal (||R^T R - I|| = {err:.3e})")
         if np.linalg.det(self.rot) < 0.0:
             raise ValueError("rot must be a proper rotation (det +1)")

@@ -16,8 +16,9 @@ so do ``projected_sphere_center`` and ``fundamental_from_views``, the
 one-ellipse center correction and the per-pair fundamental matrix.
 ``reference_view_record`` builds one view's record on its own, the
 reference for ``view_records``' one pass over a trial's views.
-``reference_is_psd`` is the eigensolver test that the package's diagonal
-shortcut in ``is_psd`` is checked against, ``reference_load_ellipses``
+``reference_is_psd`` is the one-matrix eigensolver test that ``is_psd``,
+its diagonal-only pass and its batched eigensolver pass over a stack, is
+checked against, ``reference_load_ellipses``
 the row-by-row ellipse CSV reader that the column passes of
 ``load_ellipses`` are checked against, and ``reference_load_network`` the
 view-by-view camera reader that the stacked pass of ``load_network`` is

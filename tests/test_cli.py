@@ -171,6 +171,33 @@ class TestFilter:
         assert result.returncode == 2
         assert f"camera {field} must be finite" in result.stderr
 
+    @pytest.mark.parametrize("field, message", [
+        ("rot", "bad view entry (rot is not orthonormal (||R^T R - I|| = inf))"),
+        ("f", "bad view entry (camera f must lie within 2^200 px, got 1e+300)"),
+        ("px", "bad view entry (camera px must lie within 2^200 px, got 1e+300)"),
+        ("py", "bad view entry (camera py must lie within 2^200 px, got -1e+300)")],
+        ids=["rot", "f", "px", "py"])
+    def test_huge_camera_exit_code(self, exported, tmp_path, capsys, field, message):
+        # A finite camera value near the float limit used to overflow the
+        # rotation check (rot) or the gate (f, px, py); under the test
+        # suite's warning filter that ended the command with exit 1.
+        root, _, _ = exported
+        data = json.load(open(root / "cameras.json"))
+        entry = data["views"][1]
+        entry[field] = ([x * 1e300 for x in entry["rot"]] if field == "rot"
+                        else -1e300 if field == "py" else 1e300)
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(data))
+        out = tmp_path / "o.out"
+        for command, pair in (("filter", None), ("match", "auto"), ("reconstruct", "auto")):
+            argv = [command, "--cameras", str(huge), "--ellipses", str(root / "ellipses.csv"),
+                    "--out", str(out)]
+            assert main(argv + (["--pair", pair] if pair else [])) == 2, command
+            err = capsys.readouterr().err
+            lines = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(lines) == 1 and message in lines[0], (command, err)
+            assert not out.exists()
+
     def test_negative_covariance_row_exit_code(self, exported, tmp_path):
         root, _, _ = exported
         lines = open(root / "ellipses.csv").read().splitlines()

@@ -20,7 +20,7 @@ from spherefit import (
     radius_from_depth,
     world_to_camera,
 )
-from spherefit.projection import is_psd, pinhole
+from spherefit.projection import PIXEL_LIMIT, is_psd, pinhole
 
 
 def identity_view(f=1.0, px=0.0, py=0.0):
@@ -272,6 +272,24 @@ class TestValidation:
         params[field] = value
         with pytest.raises(ValueError, match="finite"):
             CameraView("cam", **params)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("f", 2.0 ** 201, r"camera f must lie within 2\^200 px"),
+        ("px", -1e300, r"camera px must lie within 2\^200 px"),
+        ("py", 1e300, r"camera py must lie within 2\^200 px"),
+        ("rot", np.eye(3) * 1e300, r"\|\|R\^T R - I\|\| = inf")],
+        ids=["f", "px", "py", "rot"])
+    def test_rejects_huge_camera(self, field, value, message):
+        # Finite, but the gate's closed forms (f, px, py) or R^T R (rot)
+        # would overflow, a warning and so an error under the test suite.
+        params = dict(f=1000.0, px=0.0, py=0.0, rot=np.eye(3), t=np.zeros(3))
+        params[field] = value
+        with pytest.raises(ValueError, match=message):
+            CameraView("cam", **params)
+
+    def test_accepts_camera_at_pixel_limit(self):
+        view = CameraView("cam", PIXEL_LIMIT, -PIXEL_LIMIT, PIXEL_LIMIT, np.eye(3), np.zeros(3))
+        assert (view.f, view.px, view.py) == (PIXEL_LIMIT, -PIXEL_LIMIT, PIXEL_LIMIT)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_sphere_center(self, value):

@@ -53,6 +53,8 @@ from spherefit import (  # noqa: E402
 )
 from spherefit.cli import main  # noqa: E402
 from spherefit.fileio import (  # noqa: E402
+    ELLIPSE_BASE_COLUMNS,
+    ELLIPSE_COV_COLUMNS,
     FileFormatError,
     GateRecord,
     PlyCloud,
@@ -68,7 +70,12 @@ from spherefit.fileio import (  # noqa: E402
     save_ply,
     save_spheres,
 )
-from spherefit.projection import PIXEL_LIMIT, corrected_center, is_psd  # noqa: E402
+from spherefit.projection import (  # noqa: E402
+    PIXEL_LIMIT,
+    corrected_center,
+    is_psd,
+    rotation_error,
+)
 from spherefit.reconstruct import (  # noqa: E402
     AT_INFINITY,
     BEHIND_CAMERA,
@@ -289,10 +296,10 @@ _UNSCALED = (2.0 ** -485, 2.0 ** 485)
 
 
 @st.composite
-def _diagonals(draw):
-    """3 or 4 diagonal entries; often one lies within a few ulps of the PSD
-    bound -1e-9 * trace."""
-    n = draw(st.sampled_from([3, 4]))
+def _diagonals(draw, n=None):
+    """``n`` (else 3 or 4) diagonal entries; often one lies within a few ulps
+    of the PSD bound -1e-9 * trace."""
+    n = n or draw(st.sampled_from([3, 4]))
     entries = draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))
     if draw(st.booleans()):
         entries.append(draw(_ENTRY))
@@ -343,6 +350,101 @@ def test_is_psd_with_one_off_diagonal_pair_matches_eigensolver(diagonal, data):
         assert not np.isfinite(m).all()
         want = False
     assert is_psd(m) == want
+
+
+@st.composite
+def _psd_matrices(draw, k):
+    """One k x k matrix: diagonal, diagonal with some off-diagonal -0.0, with
+    off-diagonal pairs of any entries (NaN and +-inf among them), or a random
+    Gram matrix, shifted, made asymmetric near the tolerance or scaled
+    beyond 2^1000."""
+    kind = draw(st.sampled_from(["diagonal", "signed-zero", "entries", "gram"]))
+    if kind == "gram":
+        a = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k * k, max_size=k * k)))
+        m = a.reshape(k, k) @ a.reshape(k, k).T
+        m -= np.eye(k) * draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-3]))
+    else:
+        m = np.diag(draw(_diagonals(k)))
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.permutations(range(k)))[:2]
+            if kind == "signed-zero":
+                m[i, j] = -0.0
+            elif kind == "entries":
+                m[i, j] = value = draw(_ENTRY)
+                m[j, i] = draw(st.one_of(st.just(value), _ENTRY))
+    if np.isfinite(m).all() and draw(st.booleans()):
+        # |m - m^T| well inside, just inside, just past or well past the tolerance.
+        i, j = draw(st.permutations(range(k)))[:2]
+        factor = draw(st.sampled_from([0.5, 0.999999, 1.000001, 2.0]))
+        delta = 1e-9 * (1.0 + np.abs(m).max()) * factor
+        if abs(m[j, i]) + delta <= np.abs(m).max():
+            m[i, j] = m[j, i] + delta
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):  # an entry that overflows is an inf entry
+            m = m * draw(st.sampled_from([1.0, 2.0 ** 1010, 2.0 ** 1020, 1e-300]))
+    return m
+
+
+def _reference_or_rounding(m, got):
+    """``got`` is ``reference_is_psd(m)`` (False for a non-finite matrix),
+    or ``m`` is diagonal and ``got`` differs from it only where the
+    reference's eigensolver rescales and rounds the least eigenvalue across
+    the bound, as ``test_is_psd_diagonal_shortcut_matches_eigensolver``
+    allows."""
+    if not np.isfinite(m).all():
+        return got is False
+    if got == reference_is_psd(m):
+        return True
+    if (m[~np.eye(len(m), dtype=bool)] != 0.0).any():
+        return False
+    diagonal = np.diag(m) * (2.0 ** -1000 if np.abs(m).max() > 2.0 ** 1000 else 1.0)
+    bound = -1e-9 * np.trace(np.diag(diagonal))
+    return (not _UNSCALED[0] <= np.abs(diagonal).max() <= _UNSCALED[1]
+            and abs(diagonal.min() - bound) <= 4 * math.ulp(bound)
+            and got == (diagonal.min() >= bound))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_is_psd_of_a_stack_is_that_of_each_matrix(data):
+    k = data.draw(st.sampled_from([3, 4]))
+    stack = np.array(data.draw(st.lists(_psd_matrices(k), max_size=6))).reshape(-1, k, k)
+    got = is_psd(stack)
+    assert got.dtype == bool and got.shape == (len(stack),)
+    each = [is_psd(m) for m in stack]
+    assert got.tolist() == each
+    assert all(_reference_or_rounding(m, g) for m, g in zip(stack, each))
+    # Any leading shape: a (2, n / 2) stack of the same matrices.
+    if len(stack) % 2 == 0:
+        assert is_psd(stack.reshape(2, -1, k, k)).tolist() == got.reshape(2, -1).tolist()
+
+
+def _rotation(q):
+    """The rotation of the quaternion ``q`` normalized (the identity if its
+    norm is below 0.1): orthonormal to round-off."""
+    q = np.array(q) if np.linalg.norm(q) >= 0.1 else np.array([1.0, 0.0, 0.0, 0.0])
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+@PROPERTY
+@given(quaternions=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4), min_size=1, max_size=6),
+       data=st.data())
+def test_rotation_error_of_a_stack_is_that_of_each_rotation(quaternions, data):
+    # Near-rotations on either side of the tolerance, and overflowing ones.
+    rots = [_rotation(q) * data.draw(st.sampled_from([1.0, 1.0 + 2e-10, 1.0 + 1e-9, 1e200, 1e300]))
+            for q in quaternions]
+    stack = np.array(rots)
+    got = rotation_error(stack)
+    assert got.shape == (len(rots),)
+    assert got.tobytes() == np.array([rotation_error(rot) for rot in rots]).tobytes()
+    finite = got < 1.0
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(stack.swapaxes(1, 2) @ stack - np.eye(3), axis=(1, 2))
+    assert np.allclose(got[finite], norms[finite], rtol=1e-12, atol=0.0)
+    assert not (got[~finite] < 1e-9).any()
 
 
 # Commas, double quotes and line breaks must be quoted in the file.
@@ -559,6 +661,66 @@ def test_edited_ellipse_file_is_loaded_or_rejected(ellipse_export, edit, error):
         assert isinstance(rows, str) and error in rows
 
 
+def _full_covariance_text(cameras, n_rows=1200, seed=19):
+    """An ellipse file of ``n_rows`` valid rows over the images of the
+    ``cameras`` file.  Most rows carry a random full covariance (a Gram
+    matrix, some of rank 3, so on the PSD bound up to round-off); the rest a
+    diagonal one, some with off-diagonal -0.0."""
+    with open(cameras) as handle:
+        image_ids = [view["image_id"] for view in json.load(handle)["views"]]
+    rng = np.random.default_rng(seed)
+    upper = np.triu_indices(4)
+    lines = [",".join(ELLIPSE_BASE_COLUMNS + ELLIPSE_COV_COLUMNS)]
+    for i in range(n_rows):
+        b_e = rng.uniform(5.0, 80.0)
+        a = rng.normal(size=(4, 4 - (i % 7 == 0))) * rng.choice([1e-3, 0.3, 40.0])
+        cov = a @ a.T
+        if i % 5 == 0:
+            cov = np.diag(np.diag(cov))
+            cov[0, 3] = cov[3, 0] = -0.0
+        numbers = [rng.uniform(-500.0, 2500.0), rng.uniform(-500.0, 2500.0),
+                   b_e * rng.uniform(1.0, 1.3), b_e, rng.uniform(-1.5, 1.5), *cov[upper]]
+        lines.append(",".join([image_ids[i % len(image_ids)], f"e{i}",
+                               *map(repr, map(float, numbers))]))
+    return "\n".join(lines) + "\n"
+
+
+def test_full_covariance_file_is_read_as_row_by_row(ellipse_export):
+    # The test scenes carry diagonal covariances only; here every branch of
+    # the covariance check sees over a thousand rows.
+    cameras, _ = ellipse_export
+    text = _full_covariance_text(cameras)
+    _loaded_or_rejected(cameras, text)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ellipses.csv")
+        with open(path, "w") as handle:
+            handle.write(text)
+        table = read_ellipse_table(path)
+    assert len(table.keys) == 1200 and table.has_cov.all()
+    off_diagonal = table.cov[:, ~np.eye(4, dtype=bool)]
+    assert (off_diagonal != 0.0).any(axis=1).sum() == 960
+
+
+def test_late_non_psd_covariance_is_reported_with_its_line(ellipse_export):
+    cameras, _ = ellipse_export
+    lines = _full_covariance_text(cameras).splitlines()
+    cells = lines[1150].split(",")
+    header = lines[0].split(",")
+    # cov_ab beyond sqrt(cov_aa * cov_bb): the (a_e, b_e) block is indefinite.
+    aa, bb = float(cells[header.index("cov_aa")]), float(cells[header.index("cov_bb")])
+    cells[header.index("cov_ab")] = repr(2.0 * math.sqrt(aa * bb) + 1.0)
+    lines[1150] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    _loaded_or_rejected(cameras, text)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ellipses.csv")
+        with open(path, "w") as handle:
+            handle.write(text)
+        with pytest.raises(FileFormatError) as info:
+            read_ellipse_table(path)
+    assert str(info.value) == f"{path}:1151: cov must be symmetric positive semi-definite"
+
+
 _REPORT_ID = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\u00e9", "\u2603", "\U0001f600", "\x00\x1f\x7f"])
 _REPORT_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
@@ -590,14 +752,7 @@ def _camera_networks(draw):
     ids = draw(st.lists(_CAMERA_ID, min_size=1, max_size=4, unique=True))
     views = []
     for image_id in ids:
-        # A unit quaternion gives a rotation orthonormal to round-off.
-        q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
-        if np.linalg.norm(q) < 0.1:
-            q = np.array([1.0, 0.0, 0.0, 0.0])
-        w, x, y, z = q / np.linalg.norm(q)
-        rot = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+        rot = _rotation(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
         iop_cov = draw(st.none() | st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3)
                        .map(np.diag))
         views.append(CameraView(image_id, draw(st.floats(1e-3, 1e6)), draw(_CAMERA_FLOAT),
@@ -703,6 +858,8 @@ def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
     ("non-orthonormal-second-view", "bad view entry (rot is not orthonormal (||R^T R - I|| = "),
     ("reflection", "bad view entry (rot must be a proper rotation (det +1))"),
     ("zero-focal-length", "bad view entry (focal length must be positive, got 0.0)"),
+    ("huge-principal-point", "bad view entry (camera py must lie within 2^200 px, got -1e+300)"),
+    ("huge-rotation", "bad view entry (rot is not orthonormal (||R^T R - I|| = inf))"),
     ("nan-translation", "bad view entry (camera t must be finite)"),
     ("non-psd-iop-cov-on-last-view", "bad view entry (iop_cov must be symmetric positive"),
     ("missing-image-id", "bad view entry ('image_id')"),
@@ -727,6 +884,10 @@ def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
         views[1]["rot"] = (-rot).ravel().tolist()
     elif edit == "zero-focal-length":
         views[1]["f"] = 0.0
+    elif edit == "huge-principal-point":
+        views[1]["py"] = -1e300
+    elif edit == "huge-rotation":
+        views[1]["rot"] = (rot * 1e300).ravel().tolist()
     elif edit == "nan-translation":
         views[1]["t"][2] = math.nan
     elif edit == "non-psd-iop-cov-on-last-view":
