@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -36,7 +37,6 @@ from .errors import (
     NoAdmissiblePair,
     UnknownAnchor,
 )
-from .gate import GateReport
 from .match import match_ellipses
 from .netselect import (
     DEFAULT_MIN_ANGLE,
@@ -213,10 +213,12 @@ def cmd_reconstruct(args) -> int:
     ordered = sorted(models, key=lambda tm: [tm[0][image_id] for image_id in pair])
     for index, (track, model) in enumerate(ordered):
         contributing = [(image_id, track[image_id]) for image_id in pair]
-        reports = [fileio.GateRecord(*key, GateReport(
-            float(tau[row]), float(sigma_tau[row]), float(args.k_sigma), bool(accepted[row])))
-            for key, row in zip(contributing, map(row_of.__getitem__, contributing))]
-        entries.append(fileio.SphereEntry(f"s{index:03d}", model, contributing, reports))
+        rows = map(row_of.__getitem__, contributing)
+        gate_reports = [{"image_id": image_id, "ellipse_id": ellipse_id, "tau": float(tau[row]),
+                         "sigma_tau": float(sigma_tau[row]), "k": args.k_sigma,
+                         "accepted": bool(accepted[row])}
+                        for (image_id, ellipse_id), row in zip(contributing, rows)]
+        entries.append(fileio.SphereEntry(f"s{index:03d}", model, contributing, gate_reports))
     fileio.save_spheres(entries, args.out)
     print(f"pair ({pair[0]},{pair[1]}): {len(entries)} spheres, "
           f"{sum(len(r.ids) for r in records) - 2 * len(entries)} unmatched ellipses "
@@ -256,15 +258,13 @@ def cmd_scale(args) -> int:
     scale = metric_scale(pairs)
     if args.points and not args.out_points:
         raise fileio.FileFormatError("--points requires --out-points")
-    cloud = fileio.load_ply(args.points) if args.points else None  # read before any write
-    scaled = [fileio.SphereEntry(sphere_id=e.sphere_id,
-                                 model=apply_scale(e.model, scale.s_r),
-                                 ellipses=e.ellipses,
-                                 gate_records=e.gate_records)
-              for e in entries]
+    # Both outputs are computed before either is written.
+    scaled = [dataclasses.replace(entry, model=apply_scale(entry.model, scale.s_r))
+              for entry in entries]
+    cloud = fileio.scale_ply(fileio.load_ply(args.points), scale.s_r) if args.points else None
     fileio.save_spheres(scaled, args.out)
     if cloud is not None:
-        fileio.save_ply(fileio.scale_ply(cloud, scale.s_r), args.out_points)
+        fileio.save_ply(cloud, args.out_points)
     _emit_json({"s_r": scale.s_r, "residual_rmse": scale.residual_rmse,
                 "anchors": {sid: anchors[sid] for sid in sorted(anchors)}})
     return EXIT_OK

@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gate import GateReport
 from .netselect import ImageNetwork, TiePoint
 from .projection import (
     _ROT_TOL,
     PIXEL_LIMIT,
+    WORLD_LIMIT,
     CameraView,
     EllipseObservation,
     EllipseTable,
@@ -37,7 +37,7 @@ from .projection import (
     is_psd,
     rotation_error,
 )
-from .reconstruct import SphereModel
+from .reconstruct import SphereModel, apply_scale
 
 #: Mandatory pose convention header of the camera network file.
 CONVENTION = "x_cam = rot * x_world + t"
@@ -114,8 +114,9 @@ def _valid_views(views: list[dict]) -> np.ndarray:
     if covs:
         psd[covs] = is_psd(np.array([views[i]["iop_cov"] for i in covs]))
     with np.errstate(all="ignore"):  # a non-finite or huge rotation fails the rotation test
-        return (np.isfinite(scalars).all(axis=1) & (scalars[:, 0] > 0.0)
-                & (np.abs(scalars[:, :3]) <= PIXEL_LIMIT).all(axis=1) & psd
+        # f, px and py within PIXEL_LIMIT and t within WORLD_LIMIT; NaN fails both.
+        return ((np.abs(scalars) <= [PIXEL_LIMIT] * 3 + [WORLD_LIMIT] * 3).all(axis=1)
+                & (scalars[:, 0] > 0.0) & psd
                 & (rotation_error(rot) < _ROT_TOL) & (np.linalg.det(rot) >= 0.0))
 
 
@@ -424,22 +425,13 @@ def gate_report_text(keys: Sequence[tuple[str, str]], tau: np.ndarray, sigma_tau
 # ---------------------------------------------------------------- spheres
 
 @dataclass
-class GateRecord:
-    """Gate verdict attached to one contributing ellipse."""
-
-    image_id: str
-    ellipse_id: str
-    report: GateReport
-
-
-@dataclass
 class SphereEntry:
     """One reconstructed sphere as stored in the sphere output file."""
 
     sphere_id: str
     model: SphereModel
     ellipses: list[tuple[str, str]]  # (image_id, ellipse_id)
-    gate_records: list[GateRecord]
+    gate_reports: list[dict]  # the file's rows, typed as load_spheres types them
 
 
 def save_spheres(entries: Sequence[SphereEntry], path: str) -> None:
@@ -454,11 +446,7 @@ def save_spheres(entries: Sequence[SphereEntry], path: str) -> None:
             "radius_spread": model.radius_spread,
             "triangulation_residual_px": model.triangulation_residual,
             "ellipses": [{"image_id": i, "ellipse_id": e} for i, e in entry.ellipses],
-            "gate_reports": [
-                {"image_id": g.image_id, "ellipse_id": g.ellipse_id,
-                 "tau": g.report.tau, "sigma_tau": g.report.sigma_tau,
-                 "k": g.report.k, "accepted": g.report.accepted}
-                for g in entry.gate_records],
+            "gate_reports": entry.gate_reports,
             "scale_applied": model.scale_applied,
         })
     atomic_write_text(path, _dump_json(payload))
@@ -477,18 +465,15 @@ def load_spheres(path: str) -> list[SphereEntry]:
                 triangulation_residual=float(item["triangulation_residual_px"]),
                 scale_applied=(None if item.get("scale_applied") is None
                                else float(item["scale_applied"])))
-            gate_records = [
-                GateRecord(image_id=str(g["image_id"]), ellipse_id=str(g["ellipse_id"]),
-                           report=GateReport(tau=float(g["tau"]),
-                                             sigma_tau=float(g["sigma_tau"]),
-                                             k=float(g["k"]),
-                                             accepted=bool(g["accepted"])))
-                for g in item.get("gate_reports", [])]
+            gate_reports = [{"image_id": str(g["image_id"]), "ellipse_id": str(g["ellipse_id"]),
+                             "tau": float(g["tau"]), "sigma_tau": float(g["sigma_tau"]),
+                             "k": float(g["k"]), "accepted": bool(g["accepted"])}
+                            for g in item.get("gate_reports", [])]
             entries.append(SphereEntry(
                 sphere_id=str(item["sphere_id"]), model=model,
                 ellipses=[(str(e["image_id"]), str(e["ellipse_id"]))
                           for e in item["ellipses"]],
-                gate_records=gate_records))
+                gate_reports=gate_reports))
         except _BAD_ENTRY as exc:
             raise FileFormatError(f"{path}: bad sphere entry ({exc})") from exc
     return entries
@@ -588,19 +573,20 @@ def save_ply(cloud: PlyCloud, path: str) -> None:
 
 
 def scale_ply(cloud: PlyCloud, s_r: float) -> PlyCloud:
-    """Scaled copy: x/y/z multiplied by ``s_r``, other columns untouched.
-
-    Integer-typed coordinates cannot hold the scaled values, so their
-    header type becomes ``double``.
-    """
-    xyz = cloud.xyz_indices
-    rows = []
-    for row in cloud.rows:
-        row = list(row)
-        for i in xyz:
-            row[i] = repr(float(row[i]) * s_r)
-        rows.append(row)
+    """Scaled copy: x/y/z multiplied by ``s_r`` through ``apply_scale``, other
+    columns untouched; integer-typed coordinates become ``double``.  A scaled
+    coordinate that is not finite (a ``nan`` or ``inf`` token, or an overflow)
+    raises FileFormatError naming its vertex row and column."""
+    xyz = list(cloud.xyz_indices)
+    cells = np.array(cloud.rows, dtype=object).reshape(-1, len(cloud.properties))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        scaled = apply_scale(np.array(list(map(float, cells[:, xyz].flat))).reshape(-1, 3), s_r)
+    bad = np.argwhere(~np.isfinite(scaled))
+    if len(bad):
+        row, axis = bad[0]
+        raise FileFormatError(f"vertex row {row}: {'xyz'[axis]} scales to {scaled[row, axis]}")
+    cells[:, xyz] = np.frompyfunc(repr, 1, 1)(scaled)  # each as its shortest float text
     properties = [("double", name) if i in xyz and ptype in _PLY_INTEGER_TYPES
                   else (ptype, name)
                   for i, (ptype, name) in enumerate(cloud.properties)]
-    return PlyCloud(properties=properties, rows=rows, comments=list(cloud.comments))
+    return PlyCloud(properties=properties, rows=cells.tolist(), comments=list(cloud.comments))

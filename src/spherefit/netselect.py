@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoAdmissiblePair
-from .projection import CameraView, _require_finite
+from .projection import CameraView, _require_finite, _require_world
 
 DEFAULT_MIN_ANGLE = math.radians(20.0)
 
@@ -36,6 +36,7 @@ class TiePoint:
     def __post_init__(self):
         self.xyz = np.asarray(self.xyz, dtype=float).reshape(3)
         _require_finite("tie point", xyz=self.xyz)
+        _require_world("tie point", "xyz", self.xyz)
         self.visible_in = frozenset(self.visible_in)
 
 

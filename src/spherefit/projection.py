@@ -58,6 +58,10 @@ _PSD_RESCALE_ABOVE = 2.0 ** 1000
 #: values far outside would overflow its closed forms.
 PIXEL_LIMIT = 2.0 ** 200
 
+#: Largest magnitude of a camera's t and a tie point's xyz, in world units:
+#: pair ranking squares ray lengths, which overflow near 2^510.
+WORLD_LIMIT = 2.0 ** 300
+
 
 def fold_axis_angle(theta: float) -> float:
     """Fold an axis orientation into [-pi/2, pi/2); axes are pi-periodic."""
@@ -141,6 +145,12 @@ def _require_finite(owner: str, **values) -> None:
             raise ValueError(f"{owner} {name} must be finite")
 
 
+def _require_world(owner: str, name: str, xyz: np.ndarray) -> None:
+    """Raise ValueError unless each entry of ``xyz`` lies within ``WORLD_LIMIT``."""
+    if not max(map(abs, xyz.tolist())) <= WORLD_LIMIT:
+        raise ValueError(f"{owner} {name} must lie within 2^300 world units, got {xyz.tolist()}")
+
+
 @dataclass
 class CameraView:
     """One calibrated image: interior orientation plus world-to-camera pose.
@@ -172,6 +182,7 @@ class CameraView:
         for name, value in (("f", self.f), ("px", self.px), ("py", self.py)):
             if not abs(value) <= PIXEL_LIMIT:
                 raise ValueError(f"camera {name} must lie within 2^200 px, got {value}")
+        _require_world("camera", "t", self.t)
         err = rotation_error(self.rot)
         if not err < _ROT_TOL:
             raise ValueError(f"rot is not orthonormal (||R^T R - I|| = {err:.3e})")

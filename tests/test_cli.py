@@ -175,28 +175,55 @@ class TestFilter:
         ("rot", "bad view entry (rot is not orthonormal (||R^T R - I|| = inf))"),
         ("f", "bad view entry (camera f must lie within 2^200 px, got 1e+300)"),
         ("px", "bad view entry (camera px must lie within 2^200 px, got 1e+300)"),
-        ("py", "bad view entry (camera py must lie within 2^200 px, got -1e+300)")],
-        ids=["rot", "f", "px", "py"])
+        ("py", "bad view entry (camera py must lie within 2^200 px, got -1e+300)"),
+        ("t", "bad view entry (camera t must lie within 2^300 world units, got [1e+300, "),
+        ("xyz", "bad tie point entry (tie point xyz must lie within 2^300 world units, "
+                "got [1e+300, ")],
+        ids=["rot", "f", "px", "py", "t", "tie-point"])
     def test_huge_camera_exit_code(self, exported, tmp_path, capsys, field, message):
         # A finite camera value near the float limit used to overflow the
-        # rotation check (rot) or the gate (f, px, py); under the test
-        # suite's warning filter that ended the command with exit 1.
+        # rotation check (rot), the gate (f, px, py) or pair ranking (t, a
+        # tie point's xyz); under the test suite's warning filter that ended
+        # the command with exit 1.
         root, _, _ = exported
         data = json.load(open(root / "cameras.json"))
-        entry = data["views"][1]
-        entry[field] = ([x * 1e300 for x in entry["rot"]] if field == "rot"
-                        else -1e300 if field == "py" else 1e300)
+        entry = data["tie_points"][0] if field == "xyz" else data["views"][1]
+        if field in ("t", "xyz"):
+            entry[field][0] = 1e300
+        else:
+            entry[field] = ([x * 1e300 for x in entry["rot"]] if field == "rot"
+                            else -1e300 if field == "py" else 1e300)
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(data))
         out = tmp_path / "o.out"
-        for command, pair in (("filter", None), ("match", "auto"), ("reconstruct", "auto")):
-            argv = [command, "--cameras", str(huge), "--ellipses", str(root / "ellipses.csv"),
-                    "--out", str(out)]
+        for command, pair in (("filter", None), ("select-pair", None), ("match", "auto"),
+                              ("reconstruct", "auto"), ("reconstruct", "img-01,img-04")):
+            argv = [command, "--cameras", str(huge), "--out", str(out)]
+            if command != "select-pair":
+                argv += ["--ellipses", str(root / "ellipses.csv")]
             assert main(argv + (["--pair", pair] if pair else [])) == 2, command
             err = capsys.readouterr().err
             lines = [line for line in err.splitlines() if line.startswith("error:")]
             assert len(lines) == 1 and message in lines[0], (command, err)
             assert not out.exists()
+
+    def test_world_coordinates_at_the_limit(self, exported, tmp_path, capsys):
+        # A camera t and tie points at 2^300 in every coordinate load, and
+        # pair ranking, matching and reconstruction stay free of overflow.
+        root, _, _ = exported
+        data = json.load(open(root / "cameras.json"))
+        limit = 2.0 ** 300
+        data["views"][1]["t"] = [limit, -limit, limit]
+        data["tie_points"][0]["xyz"] = [-limit, limit, -limit]
+        data["tie_points"][1]["xyz"] = [limit, limit, limit]
+        cameras = tmp_path / "limit.json"
+        cameras.write_text(json.dumps(data))
+        for command, pair in (("filter", None), ("select-pair", None), ("match", "auto"),
+                              ("reconstruct", "auto"), ("reconstruct", "img-01,img-04")):
+            argv = [command, "--cameras", str(cameras), "--out", str(tmp_path / "o.out")]
+            if command != "select-pair":
+                argv += ["--ellipses", str(root / "ellipses.csv")]
+            assert main(argv + (["--pair", pair] if pair else [])) == 0, command
 
     def test_negative_covariance_row_exit_code(self, exported, tmp_path):
         root, _, _ = exported
@@ -511,6 +538,29 @@ def test_reconstruct_gates_each_needed_row_once(exported, tmp_path, monkeypatch,
             assert classified == [len(keys)], (command, pair)
 
 
+def test_reconstruct_gate_rows_equal_the_filter_report(tmp_path, capsys):
+    # Each gate row a sphere file holds is, by value, the filter report's row
+    # of the same ellipse under the same gate flags.
+    scene = tmp_path / "scene"
+    assert main(["simulate", "--k", "2", "--seed", "0", "--export-scene", str(scene),
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    flags = ["--cameras", str(scene / "cameras.json"), "--ellipses", str(scene / "ellipses.csv"),
+             "--k-sigma", "2.5", "--default-sigma-px", "0.7"]
+    report, spheres = tmp_path / "report.json", tmp_path / "spheres.json"
+    assert main(["filter", *flags, "--out", str(tmp_path / "kept.csv"),
+                 "--report", str(report)]) == 0
+    assert main(["reconstruct", *flags, "--out", str(spheres)]) == 0
+    filtered = {(row["image_id"], row["ellipse_id"]): row
+                for row in json.load(open(report))["ellipses"]}
+    entries = json.load(open(spheres))["spheres"]
+    assert len(entries) >= 8
+    for entry in entries:
+        assert [(row["image_id"], row["ellipse_id"]) for row in entry["gate_reports"]] == \
+            [(row["image_id"], row["ellipse_id"]) for row in entry["ellipses"]]
+        for row in entry["gate_reports"]:
+            assert row == filtered[row["image_id"], row["ellipse_id"]]
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
                          ids=["022", "077", "002"])
 def test_written_files_get_the_mode_of_the_umask(exported, tmp_path, capsys, umask, mode):
@@ -683,23 +733,36 @@ class TestScale:
         assert not (tmp_path / "o.json").exists()
 
     def test_bad_ply_exit_code(self, exported, tmp_path):
-        # A cloud that is not a PLY, a missing cloud, or a cloud with no
-        # --out-points fails before the scaled spheres are written.
+        # A cloud that is not a PLY, a missing cloud, a cloud with no
+        # --out-points, or a vertex whose scaled x, y or z is not a finite
+        # number fails before either output is written.  The last kind used
+        # to leave the scaled spheres behind (a token that is not a number)
+        # or to write nan or inf into the scaled cloud.
         spheres = self.reconstruct(exported, tmp_path)
         entries = load_spheres(spheres)
         bad = str(tmp_path / "bad.ply")
         open(bad, "w").write("not a ply\n")
         out_points = ["--out-points", str(tmp_path / "o.ply")]
-        for points in (["--points", bad, *out_points],
-                       ["--points", str(tmp_path / "missing.ply"), *out_points],
-                       ["--points", bad]):
+        cases = [(["--points", bad, *out_points], "not a PLY file"),
+                 (["--points", str(tmp_path / "missing.ply"), *out_points], "missing.ply"),
+                 (["--points", bad], "--out-points")]
+        for i, (vertex, message) in enumerate((
+                ("abc 0.25 4", "could not convert string to float: 'abc'"),
+                ("0.5 nan 4", "vertex row 1: y scales to nan"),
+                ("1 -inf 4", "vertex row 1: y scales to -inf"),
+                ("1e308 0.25 4", "vertex row 1: x scales to inf"))):
+            cloud = tmp_path / f"vertex-{i}.ply"
+            cloud.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                             f"property float y\nproperty float z\nend_header\n1 2 3\n{vertex}\n")
+            cases.append((["--points", str(cloud), *out_points], message))
+        for points, message in cases:
             result = run_cli("scale", "--spheres", spheres,
                              "--anchors", f"{entries[0].sphere_id}:1.0",
                              *points, "--out", str(tmp_path / "o.json"))
-            assert result.returncode == 2
+            assert result.returncode == 2, points
+            assert message in result.stderr
             assert not (tmp_path / "o.json").exists()
             assert not (tmp_path / "o.ply").exists()
-        assert "--out-points" in result.stderr
 
 
 class TestSimulate:

@@ -11,7 +11,6 @@ import pytest
 import spherefit
 from spherefit import (
     EllipseObservation,
-    GateReport,
     ImageNetwork,
     Sphere,
     SphereModel,
@@ -20,7 +19,6 @@ from spherefit import (
 from spherefit.fileio import (
     CONVENTION,
     FileFormatError,
-    GateRecord,
     PlyCloud,
     SphereEntry,
     gate_report_text,
@@ -338,11 +336,12 @@ class TestSphereFile:
             radius_spread=0.0001,
             triangulation_residual=0.02,
             scale_applied=None)
-        report = GateReport(tau=0.001, sigma_tau=0.002, k=2.0, accepted=True)
         return SphereEntry(sphere_id="s000", model=model,
                            ellipses=[("img-0", "ball-0"), ("img-1", "ball-0")],
-                           gate_records=[GateRecord("img-0", "ball-0", report),
-                                         GateRecord("img-1", "ball-0", report)])
+                           gate_reports=[{"image_id": image_id, "ellipse_id": "ball-0",
+                                          "tau": 0.001, "sigma_tau": 0.002, "k": 2.0,
+                                          "accepted": True}
+                                         for image_id in ("img-0", "img-1")])
 
     def test_lossless_round_trip(self, tmp_path):
         path = str(tmp_path / "s.json")
@@ -359,11 +358,36 @@ class TestSphereFile:
         assert back.model.triangulation_residual == entry.model.triangulation_residual
         assert back.model.scale_applied == entry.model.scale_applied
         assert back.ellipses == entry.ellipses
-        assert back.gate_records == entry.gate_records
+        assert back.gate_reports == entry.gate_reports
         # serialize -> parse -> serialize is byte-stable
         path2 = str(tmp_path / "s2.json")
         save_spheres(loaded, path2)
         assert open(path).read() == open(path2).read()
+
+    def test_gate_rows_are_typed_on_load(self, tmp_path):
+        # Held rows are the rows written back, so load_spheres types them.
+        path = str(tmp_path / "s.json")
+        save_spheres([self.entry()], path)
+        data = json.load(open(path))
+        data["spheres"][0]["gate_reports"][0].update(
+            image_id=7, ellipse_id=8, tau=1, sigma_tau=0, k=2, accepted=1)
+        open(path, "w").write(json.dumps(data))
+        [back] = load_spheres(path)
+        assert back.gate_reports[0] == {"image_id": "7", "ellipse_id": "8", "tau": 1.0,
+                                        "sigma_tau": 0.0, "k": 2.0, "accepted": True}
+        assert [type(value) for value in back.gate_reports[0].values()] == \
+            [str, str, float, float, float, bool]
+        save_spheres([back], path)
+        assert '"tau": 1.0' in open(path).read() and '"accepted": true' in open(path).read()
+
+    def test_bad_gate_row(self, tmp_path):
+        path = str(tmp_path / "s.json")
+        save_spheres([self.entry()], path)
+        data = json.load(open(path))
+        del data["spheres"][0]["gate_reports"][1]["tau"]
+        open(path, "w").write(json.dumps(data))
+        with pytest.raises(FileFormatError, match="sphere entry"):
+            load_spheres(path)
 
     def test_bad_entry(self, tmp_path):
         path = str(tmp_path / "s.json")

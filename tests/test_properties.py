@@ -38,7 +38,6 @@ from spherefit import (  # noqa: E402
     PairScore,
     SceneConfig,
     Sphere,
-    GateReport,
     SphereModel,
     TiePoint,
     apply_scale,
@@ -56,7 +55,6 @@ from spherefit.fileio import (  # noqa: E402
     ELLIPSE_BASE_COLUMNS,
     ELLIPSE_COV_COLUMNS,
     FileFormatError,
-    GateRecord,
     PlyCloud,
     SphereEntry,
     gate_report_text,
@@ -861,6 +859,11 @@ def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
     ("huge-principal-point", "bad view entry (camera py must lie within 2^200 px, got -1e+300)"),
     ("huge-rotation", "bad view entry (rot is not orthonormal (||R^T R - I|| = inf))"),
     ("nan-translation", "bad view entry (camera t must be finite)"),
+    ("huge-translation",
+     "bad view entry (camera t must lie within 2^300 world units, got [1e+300, 0.0, 0.0])"),
+    ("huge-tie-point",
+     "bad tie point entry (tie point xyz must lie within 2^300 world units, got [1e+300, "),
+    ("translation-at-the-world-limit", None),
     ("non-psd-iop-cov-on-last-view", "bad view entry (iop_cov must be symmetric positive"),
     ("missing-image-id", "bad view entry ('image_id')"),
     ("bad-view-before-missing-field", "bad view entry (focal length must be positive"),
@@ -890,6 +893,13 @@ def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
         views[1]["rot"] = (rot * 1e300).ravel().tolist()
     elif edit == "nan-translation":
         views[1]["t"][2] = math.nan
+    elif edit == "huge-translation":
+        views[1]["t"] = [1e300, 0.0, 0.0]
+    elif edit == "huge-tie-point":
+        data["tie_points"][0]["xyz"][0] = 1e300
+    elif edit == "translation-at-the-world-limit":
+        views[1]["t"] = [-2.0 ** 300, 2.0 ** 300, 0.0]
+        data["tie_points"][0]["xyz"] = [2.0 ** 300, 0.0, -2.0 ** 300]
     elif edit == "non-psd-iop-cov-on-last-view":
         views[0]["iop_cov"] = np.diag([0.1, 0.2, 0.4]).ravel().tolist()
         views[-1]["iop_cov"] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -930,11 +940,11 @@ def _sphere_entries(draw):
             radius_spread=draw(_REAL), triangulation_residual=draw(_REAL),
             scale_applied=draw(st.none() | _REAL))
         ellipses = [(image_id, draw(_NAME)) for image_id in views]
-        records = [GateRecord(image_id, ellipse_id,
-                              GateReport(draw(_REPORT_FLOAT), draw(_REPORT_FLOAT), draw(_REAL),
-                                         draw(st.booleans())))
-                   for image_id, ellipse_id in ellipses]
-        entries.append(SphereEntry(draw(_NAME), model, ellipses, records))
+        rows = [{"image_id": image_id, "ellipse_id": ellipse_id, "tau": draw(_REPORT_FLOAT),
+                 "sigma_tau": draw(_REPORT_FLOAT), "k": draw(_REAL),
+                 "accepted": draw(st.booleans())}
+                for image_id, ellipse_id in ellipses]
+        entries.append(SphereEntry(draw(_NAME), model, ellipses, rows))
     return entries
 
 
@@ -943,7 +953,7 @@ def _sphere_fields(entries):
     return [(e.sphere_id, e.model.sphere.center.tobytes(), repr(e.model.sphere.radius),
              e.model.sphere.frame, repr(e.model.per_view_radii), repr(e.model.radius_spread),
              repr(e.model.triangulation_residual), repr(e.model.scale_applied), e.ellipses,
-             [(g.image_id, g.ellipse_id, repr(g.report)) for g in e.gate_records])
+             [repr(sorted(row.items())) for row in e.gate_reports])
             for e in entries]
 
 
@@ -990,11 +1000,11 @@ def sphere_export(tmp_path_factory):
     root = tmp_path_factory.mktemp("spheres")
     model = SphereModel(Sphere([0.1, -0.2, 0.3], 0.05), [("img-00", 0.049), ("img-01", 0.051)],
                         0.001, 0.4)
-    records = [GateRecord(i, "ball-0", GateReport(0.001, 0.002, 2.0, True))
-               for i in ("img-00", "img-01")]
+    rows = [{"image_id": i, "ellipse_id": "ball-0", "tau": 0.001, "sigma_tau": 0.002, "k": 2.0,
+             "accepted": True} for i in ("img-00", "img-01")]
     spheres, cloud = str(root / "spheres.json"), str(root / "cloud.ply")
     save_spheres([SphereEntry("s000", model, [("img-00", "ball-0"), ("img-01", "ball-0")],
-                              records)], spheres)
+                              rows)], spheres)
     save_ply(PlyCloud([("float", "x"), ("float", "y"), ("int", "z"), ("uchar", "red")],
                       [["0.5", "1.5", "2", "255"], ["-1e3", "0", "7", "0"]], ["made here"]),
              cloud)
