@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -47,6 +48,7 @@ from .netselect import (
     pair_angles,
 )
 from .pipeline import gate_views, reconstruct_gated, view_records
+from .projection import WORLD_LIMIT
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
@@ -208,7 +210,7 @@ def cmd_reconstruct(args) -> int:
     with _stage("match"):
         records = view_records([network.view(image_id) for image_id in pair], table, accepted)
         models = reconstruct_gated(records, tol=args.tol_px)
-    row_of = {key: row for row, key in enumerate(table.keys)}
+    row_of = dict(zip(table.keys, itertools.count()))  # each key's table row
     entries = []
     ordered = sorted(models, key=lambda tm: [tm[0][image_id] for image_id in pair])
     for index, (track, model) in enumerate(ordered):
@@ -251,14 +253,22 @@ def cmd_scale(args) -> int:
     entries = fileio.load_spheres(args.spheres)
     anchors = _parse_anchors(args.anchors)
     by_id = {entry.sphere_id: entry for entry in entries}
-    for sphere_id in anchors:
+    for sphere_id, radius in anchors.items():
         if sphere_id not in by_id:
             raise UnknownAnchor(f"anchor {sphere_id!r} not found in {args.spheres}")
+        if WORLD_LIMIT < radius < math.inf:  # not finite: metric_scale names it
+            raise InvalidAnchor(f"anchor {sphere_id!r} radius {radius} lies beyond "
+                                "2^300 world units")
     pairs = [(anchors[sid], by_id[sid].model.sphere.radius) for sid in sorted(anchors)]
     scale = metric_scale(pairs)
     if args.points and not args.out_points:
         raise fileio.FileFormatError("--points requires --out-points")
     # Both outputs are computed before either is written.
+    for entry in entries:  # each scaled center and radius within WORLD_LIMIT
+        sphere = entry.model.sphere
+        if not max(map(abs, [*sphere.center.tolist(), sphere.radius])) * scale.s_r <= WORLD_LIMIT:
+            raise fileio.FileFormatError(f"sphere {entry.sphere_id!r} scales by {scale.s_r} "
+                                         "beyond 2^300 world units")
     scaled = [dataclasses.replace(entry, model=apply_scale(entry.model, scale.s_r))
               for entry in entries]
     cloud = fileio.scale_ply(fileio.load_ply(args.points), scale.s_r) if args.points else None

@@ -103,6 +103,33 @@ def _object_list(path: str, key: str, value) -> list:
     return value
 
 
+#: How ``json`` spells the floats whose repr is not JSON.
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` as ``json`` writes it."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _JSON_FLOAT[texts[i]]
+    return texts
+
+
+def _json_float(value: float) -> str:
+    """``float(value)`` as ``json`` writes it."""
+    text = repr(float(value))
+    return _JSON_FLOAT.get(text, text)
+
+
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """The JSON list of ``items``, texts laid out for two spaces past ``pad``,
+    as ``json.dumps(..., indent=2)`` writes a list at ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
 # ---------------------------------------------------------------- cameras
 
 def _valid_views(views: list[dict]) -> np.ndarray:
@@ -123,7 +150,8 @@ def _valid_views(views: list[dict]) -> np.ndarray:
 def load_network(path: str) -> ImageNetwork:
     """Parse a camera network file; validates the convention header and all
     view invariants (orthonormal rotation, positive focal length, PSD
-    covariance) in one stacked pass over the views."""
+    covariance) in one stacked pass over the views, and the tie points in
+    another."""
     data = _load_object(path, "views")
     if data.get("convention") != CONVENTION:
         raise FileFormatError(
@@ -150,14 +178,24 @@ def load_network(path: str) -> ImageNetwork:
             raise fault
     except _BAD_ENTRY as exc:
         raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
-    tie_points = []
-    for entry in _object_list(path, "tie_points", data.get("tie_points", [])):
-        try:
-            tie_points.append(TiePoint(
-                xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
-                visible_in=frozenset(map(str, entry["visible_in"]))))
-        except _BAD_ENTRY as exc:
-            raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
+    entries = _object_list(path, "tie_points", data.get("tie_points", []))
+    try:
+        try:  # every tie point in one stacked pass; NaN fails the world bound
+            xyz = np.array([entry["xyz"] for entry in entries], dtype=float)
+            xyz = xyz.reshape(len(entries), 3)  # not (-1, 3), which splits a longer xyz
+            visible = [frozenset(map(str, entry["visible_in"])) for entry in entries]
+            stacked = (np.abs(xyz) <= WORLD_LIMIT).all()
+        except _BAD_ENTRY:
+            stacked = False
+        if stacked:
+            tie_points = [TiePoint._trusted({"xyz": p, "visible_in": v})
+                          for p, v in zip(xyz, visible)]
+        else:  # each built on its own, so that the first bad one raises its own error
+            tie_points = [TiePoint(xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
+                                   visible_in=frozenset(map(str, entry["visible_in"])))
+                          for entry in entries]
+    except _BAD_ENTRY as exc:
+        raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
     try:
         return ImageNetwork(views=list(map(CameraView._trusted, views)),
                             tie_points=tie_points)
@@ -165,28 +203,38 @@ def load_network(path: str) -> ImageNetwork:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
+#: ``json.dumps(..., indent=2, sort_keys=True)`` of one view and of one tie
+#: point, as the camera file holds them, with a %s for each value.  The %s
+#: after the image id holds the iop_cov member of a view that has one.
+_VIEW = ('{\n  "f": %s,\n  "image_id": %s,%s\n  "px": %s,\n  "py": %s,\n  "rot": %s,\n'
+         '  "t": %s\n}').replace("\n", "\n    ")
+_TIE_POINT = '{\n  "visible_in": %s,\n  "xyz": %s\n}'.replace("\n", "\n    ")
+
+
 def save_network(network: ImageNetwork, path: str) -> None:
-    payload = {
-        "convention": CONVENTION,
-        "views": [
-            {
-                "image_id": v.image_id,
-                "f": v.f, "px": v.px, "py": v.py,
-                "rot": [float(x) for x in v.rot.ravel()],
-                "t": [float(x) for x in v.t],
-                **({"iop_cov": [float(x) for x in v.iop_cov.ravel()]}
-                   if v.iop_cov is not None else {}),
-            }
-            for v in network.views
-        ],
-    }
+    """Write ``network`` as a camera file, from templates: byte for byte
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of the payload
+    that ``load_network`` reads, without ``tie_points`` if there are none."""
+    quote = json.encoder.encode_basestring_ascii
+    pad = " " * 6
+    views = network.views
+    numbers = np.hstack([np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3),
+                         np.array([v.rot for v in views]).reshape(-1, 9),
+                         np.array([v.t for v in views]).reshape(-1, 3)])
+    texts = []
+    for v, row in zip(views, zip(*[iter(_json_floats(numbers.ravel()))] * 15)):
+        iop_cov = ("" if v.iop_cov is None else
+                   f'\n{pad}"iop_cov": {_json_list(_json_floats(v.iop_cov.ravel()), pad)},')
+        texts.append(_VIEW % (row[0], quote(v.image_id), iop_cov, row[1], row[2],
+                              _json_list(row[3:12], pad), _json_list(row[12:], pad)))
+    text = '{\n  "convention": ' + quote(CONVENTION) + ",\n"
     if network.tie_points:
-        payload["tie_points"] = [
-            {"xyz": [float(x) for x in tp.xyz],
-             "visible_in": sorted(tp.visible_in)}
-            for tp in network.tie_points
-        ]
-    atomic_write_text(path, _dump_json(payload))
+        xyz = _json_floats(np.array([tp.xyz for tp in network.tie_points]).ravel())
+        text += '  "tie_points": ' + _json_list(
+            [_TIE_POINT % (_json_list(list(map(quote, sorted(tp.visible_in))), pad),
+                           _json_list(xyz[3 * i:3 * i + 3], pad))
+             for i, tp in enumerate(network.tie_points)], "  ") + ",\n"
+    atomic_write_text(path, text + '  "views": ' + _json_list(texts, "  ") + "\n}\n")
 
 
 # ---------------------------------------------------------------- ellipses
@@ -382,20 +430,12 @@ def save_ellipses(ellipses: Sequence[EllipseObservation], path: str) -> None:
 
 # ---------------------------------------------------------------- gate report
 
-#: ``json.dumps(..., indent=2, sort_keys=True)`` of one gate report row, as
-#: the text before, between and after its six values.
-_REPORT_PARTS = ('    {\n      "accepted": \0,\n      "ellipse_id": \0,\n      "image_id": \0,\n'
-                 '      "k": \0,\n      "sigma_tau": \0,\n      "tau": \0\n    }').split("\0")
-#: How ``json`` spells the floats whose repr is not JSON.
-_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """Each float of ``values`` as ``json`` writes it."""
-    texts = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = _JSON_FLOAT[texts[i]]
-    return texts
+#: ``json.dumps(row, indent=2, sort_keys=True)`` of one gate row, with a %s
+#: for each of its six values.
+_GATE_ROW = ('{\n  "accepted": %s,\n  "ellipse_id": %s,\n  "image_id": %s,\n  "k": %s,\n'
+             '  "sigma_tau": %s,\n  "tau": %s\n}')
+#: A row of the gate report, as the text before, between and after its values.
+_REPORT_PARTS = ("    " + _GATE_ROW.replace("\n", "\n    ")).split("%s")
 
 
 def gate_report_text(keys: Sequence[tuple[str, str]], tau: np.ndarray, sigma_tau: np.ndarray,
@@ -434,22 +474,43 @@ class SphereEntry:
     gate_reports: list[dict]  # the file's rows, typed as load_spheres types them
 
 
+#: ``json.dumps(..., indent=2, sort_keys=True)`` of one sphere entry and of
+#: the gate rows, ellipse keys and per-view radii it holds, as the sphere
+#: file holds them, with a %s for each value.
+_SPHERE = ('{\n  "center": %s,\n  "ellipses": %s,\n  "gate_reports": %s,\n'
+           '  "per_view_radii": %s,\n  "radius": %s,\n  "radius_spread": %s,\n'
+           '  "scale_applied": %s,\n  "sphere_id": %s,\n  "triangulation_residual_px": %s\n}'
+           ).replace("\n", "\n    ")
+_SPHERE_GATE_ROW = _GATE_ROW.replace("\n", "\n        ")
+_SPHERE_ELLIPSE = '{\n  "ellipse_id": %s,\n  "image_id": %s\n}'.replace("\n", "\n        ")
+_SPHERE_RADIUS = '[\n  %s,\n  %s\n]'.replace("\n", "\n        ")
+
+
 def save_spheres(entries: Sequence[SphereEntry], path: str) -> None:
-    payload = {"spheres": []}
+    """Write ``entries`` as a sphere file, from templates: byte for byte
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of the payload
+    that ``load_spheres`` reads, with every number a float.  Each gate row
+    holds exactly its six typed fields."""
+    quote = json.encoder.encode_basestring_ascii
+    pad = " " * 6
+    texts = []
     for entry in entries:
         model = entry.model
-        payload["spheres"].append({
-            "sphere_id": entry.sphere_id,
-            "center": [float(x) for x in model.sphere.center],
-            "radius": model.sphere.radius,
-            "per_view_radii": [[i, r] for i, r in model.per_view_radii],
-            "radius_spread": model.radius_spread,
-            "triangulation_residual_px": model.triangulation_residual,
-            "ellipses": [{"image_id": i, "ellipse_id": e} for i, e in entry.ellipses],
-            "gate_reports": entry.gate_reports,
-            "scale_applied": model.scale_applied,
-        })
-    atomic_write_text(path, _dump_json(payload))
+        rows = [_SPHERE_GATE_ROW % ("true" if row["accepted"] else "false",
+                                    quote(row["ellipse_id"]), quote(row["image_id"]),
+                                    _json_float(row["k"]), _json_float(row["sigma_tau"]),
+                                    _json_float(row["tau"]))
+                for row in entry.gate_reports]
+        texts.append(_SPHERE % (
+            _json_list(_json_floats(model.sphere.center), pad),
+            _json_list([_SPHERE_ELLIPSE % (quote(e), quote(i)) for i, e in entry.ellipses], pad),
+            _json_list(rows, pad),
+            _json_list([_SPHERE_RADIUS % (quote(i), _json_float(r))
+                        for i, r in model.per_view_radii], pad),
+            _json_float(model.sphere.radius), _json_float(model.radius_spread),
+            "null" if model.scale_applied is None else _json_float(model.scale_applied),
+            quote(entry.sphere_id), _json_float(model.triangulation_residual)))
+    atomic_write_text(path, '{\n  "spheres": ' + _json_list(texts, "  ") + "\n}\n")
 
 
 def load_spheres(path: str) -> list[SphereEntry]:

@@ -14,14 +14,16 @@ the best-covered image.  Pairs must clear a minimum convergence angle
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NoAdmissiblePair
-from .projection import CameraView, _require_finite, _require_world
+from .projection import CameraView, _require_finite, _require_world, _trusted
 
 DEFAULT_MIN_ANGLE = math.radians(20.0)
 
@@ -32,6 +34,7 @@ class TiePoint:
 
     xyz: np.ndarray
     visible_in: frozenset
+    _trusted = classmethod(_trusted)
 
     def __post_init__(self):
         self.xyz = np.asarray(self.xyz, dtype=float).reshape(3)
@@ -42,24 +45,34 @@ class TiePoint:
 
 @dataclass
 class ImageNetwork:
-    """A set of calibrated views plus tie-point visibility."""
+    """A set of calibrated views plus tie-point visibility.  The image-id
+    index and the visibility table are built at construction, so the views
+    and tie points are not changed afterwards."""
 
     views: list[CameraView]
     tie_points: list[TiePoint] = field(default_factory=list)
 
     def __post_init__(self):
-        self._by_id = {v.image_id: v for v in self.views}
-        if len(self._by_id) != len(self.views):
+        self._column = {v.image_id: c for c, v in enumerate(self.views)}
+        if len(self._column) != len(self.views):
             raise ValueError("duplicate image ids in network")
-        for tp in self.tie_points:
-            missing = tp.visible_in.difference(self._by_id)
+        # Which views see which tie point, (tie points x views), by one
+        # membership test per pair run in C.  A tie point seen by fewer
+        # views than it holds ids names an unknown image.
+        n, sets = len(self.views), [tp.visible_in for tp in self.tie_points]
+        pairs = map(operator.contains, itertools.chain.from_iterable(
+            itertools.repeat(ids, n) for ids in sets), itertools.cycle(self._column))
+        self._visible = np.fromiter(pairs, bool, len(sets) * n).reshape(len(sets), n)
+        counts = np.fromiter(map(len, sets), np.intp, len(sets))
+        for tp in itertools.compress(self.tie_points,
+                                     (self._visible.sum(axis=1) < counts) | (counts < 2)):
+            missing = tp.visible_in.difference(self._column)
             if missing:
                 raise ValueError(f"tie point references unknown images {sorted(missing)}")
-            if len(tp.visible_in) < 2:
-                raise ValueError("each tie point must be visible in at least two views")
+            raise ValueError("each tie point must be visible in at least two views")
 
     def view(self, image_id: str) -> CameraView:
-        return self._by_id[image_id]
+        return self.views[self._column[image_id]]
 
 
 @dataclass
@@ -79,32 +92,44 @@ class PairScore:
 _BLOCK_ELEMENTS = 1 << 20
 
 
+def _centers(views: Sequence[CameraView]) -> np.ndarray:
+    """The ``CameraView.center`` of each view, -rot^T t, in one batched product."""
+    rot = np.array([v.rot for v in views]).reshape(-1, 3, 3)
+    return (-rot.transpose(0, 2, 1) @ np.array([v.t for v in views]).reshape(-1, 3, 1))[..., 0]
+
+
 def pair_angles(network: ImageNetwork, ids: Sequence[str]):
     """``(alpha, shared, seen)`` over the views ``ids``, in one array pass.
 
     ``alpha[a, b]`` is the mean angle (radians) subtended by the centers of
     ``ids[a]`` and ``ids[b]`` at the ``shared[a, b]`` tie points both see
     (NaN if none); a tie point at a camera center gives that view no ray.
-    ``seen[a]`` counts the tie points ``ids[a]`` sees.
+    A view is no pair with itself: ``shared[a, a]`` is 0 and ``alpha[a, a]``
+    NaN.  ``seen[a]`` counts the tie points ``ids[a]`` sees.
     """
-    centers = np.array([network.view(image_id).center for image_id in ids])
+    columns = [network._column[image_id] for image_id in ids]
+    centers = _centers([network.views[c] for c in columns])
     points = np.array([tp.xyz for tp in network.tie_points]).reshape(-1, 3)
-    visible = np.array([[i in tp.visible_in for i in ids] for tp in network.tie_points],
-                       dtype=bool).reshape(len(points), len(ids))
-    total = np.zeros((len(ids), len(ids)))
-    shared = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    visible = network._visible[:, columns]
+    # The pairs (iu, ju) of the upper triangle, taken in C order so that the
+    # sums run in tie-point order; alpha and shared mirror them.
+    iu, ju = np.triu_indices(len(ids), 1)
+    upper, total, pairs = iu * len(ids) + ju, np.zeros(len(iu)), np.zeros(len(iu), np.int64)
     step = max(1, _BLOCK_ELEMENTS // len(ids) ** 2)
     for block in (slice(t, t + step) for t in range(0, len(points), step)):
         rays = centers - points[block, None, :]
         norms = np.sqrt(np.einsum("tvk,tvk->tv", rays, rays))
         ok = visible[block] & (norms > 0.0)
-        both = ok[:, :, None] & ok[:, None, :]
-        cos = rays @ rays.transpose(0, 2, 1)
-        cos /= np.where(both, norms[:, :, None] * norms[:, None, :], 1.0)
+        both = ok.take(iu, axis=1) & ok.take(ju, axis=1)
+        cos = (rays @ rays.transpose(0, 2, 1)).reshape(len(rays), -1).take(upper, axis=1)
+        cos /= np.where(both, norms.take(iu, axis=1) * norms.take(ju, axis=1), 1.0)
         total += np.where(both, np.arccos(np.clip(cos, -1.0, 1.0)), 0.0).sum(axis=0)
-        shared += both.sum(axis=0)
+        pairs += both.sum(axis=0)
+    alpha, shared = np.full((len(ids),) * 2, np.nan), np.zeros((len(ids),) * 2, np.int64)
     with np.errstate(invalid="ignore"):
-        return total / shared, shared, visible.sum(axis=0)
+        alpha[iu, ju] = alpha[ju, iu] = total / pairs
+    shared[iu, ju] = shared[ju, iu] = pairs
+    return alpha, shared, visible.sum(axis=0)
 
 
 def best_pair(network: ImageNetwork,

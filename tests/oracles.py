@@ -15,7 +15,9 @@ live here for the same reason: the package computes them as arrays, and
 so do ``projected_sphere_center`` and ``fundamental_from_views``, the
 one-ellipse center correction and the per-pair fundamental matrix.
 ``reference_view_record`` builds one view's record on its own, the
-reference for ``view_records``' one pass over a trial's views.
+reference for ``view_records``' one pass over a trial's views, and
+``reference_pair_angles`` is pair ranking over the full views x views
+matrices, the reference for ``pair_angles``' pass over the upper triangle.
 ``reference_is_psd`` is the one-matrix eigensolver test that ``is_psd``,
 its diagonal-only pass and its batched eigensolver pass over a stack, is
 checked against, ``reference_load_ellipses``
@@ -60,6 +62,7 @@ from spherefit.fileio import (
     _load_object,
     _object_list,
 )
+from spherefit import netselect
 from spherefit.match import DEFAULT_EPIPOLAR_TOL, ViewRecord, _skew
 from spherefit.projection import corrected_center
 from spherefit.reconstruct import _normal
@@ -490,6 +493,31 @@ def reference_best_pair(network, min_angle=math.radians(20.0)) -> PairScore:
             f"no image pair exceeds the {math.degrees(min_angle):.1f} deg floor "
             f"(largest convergence angle found: {math.degrees(alpha_max):.2f} deg)")
     return best
+
+
+def reference_pair_angles(network, ids):
+    """``pair_angles`` as it computed every entry of the views x views
+    matrices: each view's center from ``CameraView.center``, visibility by
+    a membership test per tie point and view, and the angle of every
+    ordered pair, diagonal included, in blocks of ``netselect._BLOCK_ELEMENTS``."""
+    centers = np.array([network.view(image_id).center for image_id in ids])
+    points = np.array([tp.xyz for tp in network.tie_points]).reshape(-1, 3)
+    visible = np.array([[i in tp.visible_in for i in ids] for tp in network.tie_points],
+                       dtype=bool).reshape(len(points), len(ids))
+    total = np.zeros((len(ids), len(ids)))
+    shared = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    step = max(1, netselect._BLOCK_ELEMENTS // len(ids) ** 2)
+    for block in (slice(t, t + step) for t in range(0, len(points), step)):
+        rays = centers - points[block, None, :]
+        norms = np.sqrt(np.einsum("tvk,tvk->tv", rays, rays))
+        ok = visible[block] & (norms > 0.0)
+        both = ok[:, :, None] & ok[:, None, :]
+        cos = rays @ rays.transpose(0, 2, 1)
+        cos /= np.where(both, norms[:, :, None] * norms[:, None, :], 1.0)
+        total += np.where(both, np.arccos(np.clip(cos, -1.0, 1.0)), 0.0).sum(axis=0)
+        shared += both.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        return total / shared, shared, visible.sum(axis=0)
 
 
 def reference_is_psd(m) -> bool:

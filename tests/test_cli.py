@@ -707,6 +707,36 @@ class TestScale:
         assert result.returncode == 2
         assert "finite" in result.stderr
 
+    @pytest.mark.parametrize("center, anchor, message", [
+        (None, "s000:1e300", "anchor 's000' radius 1e+300 lies beyond 2^300 world units"),
+        (None, "s000:1e307", "anchor 's000' radius 1e+307 lies beyond 2^300 world units"),
+        (None, "s000:1e90", "sphere 's000' scales by "),
+        (1e300, "s000:1.0", "sphere 's001' scales by "),
+        (1e308, "s000:1.0", "sphere 's001' scales by ")],
+        ids=["anchor-1e300", "anchor-1e307", "scaled-center", "huge-center", "overflow"])
+    def test_scale_beyond_the_world_limit_exit_code(self, exported, tmp_path, capsys, center,
+                                                    anchor, message):
+        # An anchor radius beyond 2^300 world units used to scale every
+        # sphere far beyond the bound cameras and tie points keep (exit 0),
+        # or to overflow metric_scale with a bare "Numerical result out of
+        # range" (1e307); a scaled center that overflowed ended the command
+        # with an overflow warning.  Each now exits 2 before writing.
+        spheres = self.reconstruct(exported, tmp_path)
+        if center is not None:
+            data = json.load(open(spheres))
+            data["spheres"][1]["center"][0] = center
+            (tmp_path / "spheres.json").write_text(json.dumps(data))
+        cloud = tmp_path / "cloud.ply"
+        cloud.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                         "property float y\nproperty float z\nend_header\n1 2 3\n")
+        out, out_points = tmp_path / "o.json", tmp_path / "o.ply"
+        assert main(["scale", "--spheres", spheres, "--anchors", anchor, "--points", str(cloud),
+                     "--out-points", str(out_points), "--out", str(out)]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("error:")]
+        assert len(lines) == 1 and message in lines[0], lines
+        assert not out.exists() and not out_points.exists()
+
     def test_null_spheres_exit_code(self, tmp_path):
         bad = tmp_path / "null.json"
         bad.write_text(json.dumps({"spheres": None}))

@@ -10,6 +10,7 @@ from oracles import (
     reference_best_pair,
     reference_convergence_angle,
     reference_network_overlap,
+    reference_pair_angles,
 )
 from spherefit import (
     CameraView,
@@ -343,3 +344,69 @@ class TestArrayPass:
         many = best_pair(network)
         assert (many.i, many.j, many.ov_i, many.ov_j) == (one.i, one.j, one.ov_i, one.ov_j)
         assert math.isclose(many.theta_ij, one.theta_ij, rel_tol=1e-12)
+
+
+def _cluttered_network(seed):
+    """Twelve views around the origin and 60 tie points, each seen by a
+    random subset of two or more views; one lies at a camera center, and
+    some view pairs share nothing."""
+    rng = np.random.default_rng(seed)
+    views = [look_at_view(f"v{k:02d}", rng.normal(size=3) * 3.0 + [0.0, 0.0, 4.0],
+                          rng.normal(size=3) * 0.1) for k in range(12)]
+    ids = [v.image_id for v in views]
+    ties = [tie(rng.normal(size=3) * 0.5, *rng.choice(ids, rng.integers(2, 6), replace=False))
+            for _ in range(59)]
+    ties.append(tie(views[3].center, "v03", "v07", "v08"))
+    return ImageNetwork(views, ties)
+
+
+class TestUpperTriangle:
+    """pair_angles computes the upper triangle only; off the diagonal it must
+    be bit-identical to the full-matrix pass."""
+
+    @staticmethod
+    def assert_equals_full_pass(network, ids):
+        alpha, shared, seen = pair_angles(network, ids)
+        want_alpha, want_shared, want_seen = reference_pair_angles(network, ids)
+        off = ~np.eye(len(ids), dtype=bool)
+        np.testing.assert_array_equal(alpha[off], want_alpha[off], strict=True)
+        np.testing.assert_array_equal(shared[off], want_shared[off], strict=True)
+        np.testing.assert_array_equal(seen, want_seen, strict=True)
+        assert (np.diagonal(shared) == 0).all() and np.isnan(np.diagonal(alpha)).all()
+        np.testing.assert_array_equal(alpha, alpha.T)
+
+    @pytest.mark.parametrize("scene", ["arc", "ring", "hemisphere", "cluttered"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_the_full_matrix_pass(self, scene, seed):
+        network = (_cluttered_network(seed) if scene == "cluttered" else
+                   generate_scene(SceneConfig(placement=scene, seed=seed)).network)
+        ids = [v.image_id for v in network.views]
+        self.assert_equals_full_pass(network, sorted(ids))
+        # Views in another order, and a subset of them.
+        order = np.random.default_rng(seed).permutation(len(ids))
+        self.assert_equals_full_pass(network, [ids[k] for k in order])
+        self.assert_equals_full_pass(network, [ids[k] for k in order[:5]])
+
+    @pytest.mark.parametrize("elements", [1, 3 * 12 * 12, 7 * 30 * 30])
+    def test_bit_identical_in_blocks(self, monkeypatch, elements):
+        monkeypatch.setattr(netselect, "_BLOCK_ELEMENTS", elements)
+        for network in (_cluttered_network(4), generate_scene(SceneConfig(seed=4)).network):
+            ids = [v.image_id for v in network.views]
+            self.assert_equals_full_pass(network, sorted(ids))
+            self.assert_equals_full_pass(network, ids[::-2])
+
+    @pytest.mark.parametrize("scene", ["arc", "ring", "hemisphere", "cluttered"])
+    def test_centers_are_those_of_each_view(self, scene):
+        for seed in range(6):
+            network = (_cluttered_network(seed) if scene == "cluttered" else
+                       generate_scene(SceneConfig(placement=scene, seed=seed)).network)
+            got = netselect._centers(network.views)
+            assert got.tobytes() == np.array([v.center for v in network.views]).tobytes()
+        assert netselect._centers([]).shape == (0, 3)
+
+    def test_visibility_is_each_tie_points_views(self):
+        network = _cluttered_network(0)
+        ids = [v.image_id for v in network.views]
+        assert network._visible.tolist() == [[i in tp.visible_in for i in ids]
+                                             for tp in network.tie_points]
+        assert ImageNetwork(network.views)._visible.shape == (0, 12)

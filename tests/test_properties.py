@@ -52,6 +52,7 @@ from spherefit import (  # noqa: E402
 )
 from spherefit.cli import main  # noqa: E402
 from spherefit.fileio import (  # noqa: E402
+    CONVENTION,
     ELLIPSE_BASE_COLUMNS,
     ELLIPSE_COV_COLUMNS,
     FileFormatError,
@@ -867,14 +868,32 @@ def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
     ("non-psd-iop-cov-on-last-view", "bad view entry (iop_cov must be symmetric positive"),
     ("missing-image-id", "bad view entry ('image_id')"),
     ("bad-view-before-missing-field", "bad view entry (focal length must be positive"),
-    ("missing-field-before-bad-view", "bad view entry ('px')")])
+    ("missing-field-before-bad-view", "bad view entry ('px')"),
+    ("tie-point-with-2-coordinates",
+     "bad tie point entry (cannot reshape array of size 2 into shape (3,))"),
+    ("tie-point-with-6-coordinates",
+     "bad tie point entry (cannot reshape array of size 6 into shape (3,))"),
+    ("every-tie-point-with-6-coordinates",
+     "bad tie point entry (cannot reshape array of size 6 into shape (3,))"),
+    ("nested-tie-points", None),
+    ("numeric-string-tie-point", None),
+    ("nan-tie-point", "bad tie point entry (tie point xyz must be finite)"),
+    ("null-tie-point-coordinate", "bad tie point entry (tie point xyz must be finite)"),
+    ("null-tie-point", "bad tie point entry (cannot reshape array of size 1 into shape (3,))"),
+    ("string-tie-point", "bad tie point entry (could not convert string to float: 'abc')"),
+    ("missing-xyz", "bad tie point entry ('xyz')"),
+    ("visible-in-not-a-list", "bad tie point entry ('int' object is not iterable)"),
+    ("visible-in-unknown-image", "cameras.json: tie point references unknown images ['nope']"),
+    ("visible-in-one-image", "cameras.json: each tie point must be visible in at least two"),
+    ("nan-tie-point-before-missing-xyz", "bad tie point entry (tie point xyz must be finite)"),
+    ("bad-tie-point-after-bad-view", "bad view entry (focal length must be positive")])
 def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
     # Explicit examples of the fuzz test above: the stacked checks must pass
-    # and reject the views that CameraView does, and the first bad view must
-    # raise its own message.
+    # and reject the views and tie points that CameraView and TiePoint do,
+    # and the first bad entry must raise its own message.
     cameras, _ = camera_export
     data = json.loads(json.dumps(cameras))
-    views = data["views"]
+    views, ties = data["views"], data["tie_points"]
     rot = np.reshape(views[1]["rot"], (3, 3))
     if edit == "flat-and-nested-rot":
         views[1]["rot"] = rot.tolist()
@@ -911,6 +930,40 @@ def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
     elif edit == "missing-field-before-bad-view":
         del views[1]["px"]
         views[2]["f"] = -1.0
+    elif edit == "tie-point-with-2-coordinates":
+        ties[1]["xyz"] = ties[1]["xyz"][:2]
+    elif edit == "tie-point-with-6-coordinates":
+        ties[1]["xyz"] = ties[1]["xyz"] * 2
+    elif edit == "every-tie-point-with-6-coordinates":
+        for entry in ties:
+            entry["xyz"] = entry["xyz"] * 2
+    elif edit == "nested-tie-points":
+        for entry in ties:
+            entry["xyz"] = [[x] for x in entry["xyz"]]
+    elif edit == "numeric-string-tie-point":
+        ties[1]["xyz"] = [repr(x) for x in ties[1]["xyz"]]
+    elif edit == "nan-tie-point":
+        ties[1]["xyz"][2] = math.nan
+    elif edit == "null-tie-point-coordinate":
+        ties[1]["xyz"][0] = None
+    elif edit == "null-tie-point":
+        ties[1]["xyz"] = None
+    elif edit == "string-tie-point":
+        ties[1]["xyz"] = "abc"
+    elif edit == "missing-xyz":
+        del ties[1]["xyz"]
+    elif edit == "visible-in-not-a-list":
+        ties[1]["visible_in"] = 5
+    elif edit == "visible-in-unknown-image":
+        ties[1]["visible_in"] = [views[0]["image_id"], "nope"]
+    elif edit == "visible-in-one-image":
+        ties[1]["visible_in"] = [views[0]["image_id"]]
+    elif edit == "nan-tie-point-before-missing-xyz":
+        ties[1]["xyz"][0] = math.nan
+        del ties[2]["xyz"]
+    elif edit == "bad-tie-point-after-bad-view":
+        views[1]["f"] = -1.0
+        ties[0]["xyz"][0] = math.nan
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "cameras.json")
         with open(path, "w") as handle:
@@ -964,6 +1017,87 @@ def test_sphere_file_round_trips_exactly(entries):
         path = os.path.join(root, "spheres.json")
         save_spheres(entries, path)
         assert _sphere_fields(load_spheres(path)) == _sphere_fields(entries)
+
+
+# Any float a writer may meet, the ones json spells specially among them.
+_ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                            2.2e-308, 1e308, -1e308])
+
+
+def _floats(draw, n):
+    return np.array(draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)), dtype=float)
+
+
+@st.composite
+def _any_sphere_entries(draw):
+    """Sphere entries with any float in every float field, and any ids."""
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        sphere = Sphere([0.0, 0.0, 0.0], 1.0)  # then given fields no Sphere would accept
+        sphere.center, sphere.radius = _floats(draw, 3), draw(_ANY_FLOAT)
+        radii = draw(st.lists(st.tuples(_REPORT_ID, _ANY_FLOAT), max_size=3))
+        model = SphereModel(sphere, radii, draw(_ANY_FLOAT), draw(_ANY_FLOAT),
+                            draw(st.none() | _ANY_FLOAT))
+        ellipses = draw(st.lists(st.tuples(_REPORT_ID, _REPORT_ID), max_size=3))
+        rows = [{"image_id": image_id, "ellipse_id": ellipse_id, "tau": draw(_ANY_FLOAT),
+                 "sigma_tau": draw(_ANY_FLOAT), "k": draw(_ANY_FLOAT),
+                 "accepted": draw(st.booleans())}
+                for image_id, ellipse_id in draw(st.lists(st.tuples(_REPORT_ID, _REPORT_ID),
+                                                          max_size=3))]
+        entries.append(SphereEntry(draw(_REPORT_ID), model, ellipses, rows))
+    return entries
+
+
+@st.composite
+def _any_networks(draw):
+    """Networks with any float in every float field, and any ids; some views
+    have an iop_cov, and some networks no tie point."""
+    ids = draw(st.lists(_REPORT_ID, max_size=4, unique=True))
+    views = [CameraView._trusted({
+        "image_id": image_id, "f": draw(_ANY_FLOAT), "px": draw(_ANY_FLOAT),
+        "py": draw(_ANY_FLOAT), "rot": _floats(draw, 9).reshape(3, 3), "t": _floats(draw, 3),
+        "iop_cov": _floats(draw, 9).reshape(3, 3) if draw(st.booleans()) else None})
+        for image_id in ids]
+    ties = [TiePoint._trusted({"xyz": _floats(draw, 3),
+                               "visible_in": draw(st.frozensets(st.sampled_from(ids),
+                                                                min_size=2))})
+            for _ in range(draw(st.integers(0, 3) if len(ids) >= 2 else st.just(0)))]
+    return ImageNetwork(views, ties)
+
+
+def _written(save, value) -> str:
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "out.json")
+        save(value, path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
+
+
+@PROPERTY
+@given(entries=_any_sphere_entries(), network=_any_networks())
+def test_sphere_and_camera_files_are_indented_sorted_json(entries, network):
+    # The payloads the writers built before they wrote from templates.
+    spheres = {"spheres": [{
+        "sphere_id": e.sphere_id, "center": [float(x) for x in e.model.sphere.center],
+        "radius": e.model.sphere.radius,
+        "per_view_radii": [[i, r] for i, r in e.model.per_view_radii],
+        "radius_spread": e.model.radius_spread,
+        "triangulation_residual_px": e.model.triangulation_residual,
+        "ellipses": [{"image_id": i, "ellipse_id": j} for i, j in e.ellipses],
+        "gate_reports": e.gate_reports, "scale_applied": e.model.scale_applied}
+        for e in entries]}
+    cameras = {"convention": CONVENTION, "views": [{
+        "image_id": v.image_id, "f": v.f, "px": v.px, "py": v.py,
+        "rot": [float(x) for x in v.rot.ravel()], "t": [float(x) for x in v.t],
+        **({} if v.iop_cov is None else {"iop_cov": [float(x) for x in v.iop_cov.ravel()]})}
+        for v in network.views]}
+    if network.tie_points:
+        cameras["tie_points"] = [{"xyz": [float(x) for x in tp.xyz],
+                                  "visible_in": sorted(tp.visible_in)}
+                                 for tp in network.tie_points]
+    for save, value, payload in ((save_spheres, entries, spheres),
+                                 (save_network, network, cameras)):
+        assert _written(save, value) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # One whitespace-free PLY token; ``str.split`` splits on the excluded ones.
