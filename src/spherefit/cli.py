@@ -161,12 +161,12 @@ def _resolve_pair(args, network: ImageNetwork, table, accepted) -> tuple[str, st
             if image_id not in view_ids:
                 raise fileio.FileFormatError(f"--pair references unknown image {image_id!r}")
         if network.tie_points:
-            alpha, shared, _ = pair_angles(network, ids)
-            if not shared[0, 1]:
+            _, _, (alpha,), (shared,), _ = pair_angles(network, ids)
+            if not shared:
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) shares no tie points")
-            elif alpha[0, 1] <= math.radians(args.min_angle_deg):
+            elif alpha <= math.radians(args.min_angle_deg):
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) converges at only "
-                      f"{math.degrees(alpha[0, 1]):.1f} deg, below the "
+                      f"{math.degrees(alpha):.1f} deg, below the "
                       f"{args.min_angle_deg:.1f} deg floor; proceeding")
         return ids[0], ids[1]
     score = _select_pair(args, network, table, accepted)
@@ -264,9 +264,10 @@ def cmd_scale(args) -> int:
     if args.points and not args.out_points:
         raise fileio.FileFormatError("--points requires --out-points")
     # Both outputs are computed before either is written.
-    for entry in entries:  # each scaled center and radius within WORLD_LIMIT
-        sphere = entry.model.sphere
-        if not max(map(abs, [*sphere.center.tolist(), sphere.radius])) * scale.s_r <= WORLD_LIMIT:
+    for entry in entries:  # every scaled length within WORLD_LIMIT
+        m = entry.model
+        radii = [m.sphere.radius, m.radius_spread, *(radius for _, radius in m.per_view_radii)]
+        if not max(map(abs, [*m.sphere.center.tolist(), *radii])) * scale.s_r <= WORLD_LIMIT:
             raise fileio.FileFormatError(f"sphere {entry.sphere_id!r} scales by {scale.s_r} "
                                          "beyond 2^300 world units")
     scaled = [dataclasses.replace(entry, model=apply_scale(entry.model, scale.s_r))

@@ -32,6 +32,7 @@ from .projection import (
     EllipseObservation,
     EllipseTable,
     Sphere,
+    camera_arrays,
     ellipse_checks,
     fold_axis_angle,
     is_psd,
@@ -218,9 +219,8 @@ def save_network(network: ImageNetwork, path: str) -> None:
     quote = json.encoder.encode_basestring_ascii
     pad = " " * 6
     views = network.views
-    numbers = np.hstack([np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3),
-                         np.array([v.rot for v in views]).reshape(-1, 9),
-                         np.array([v.t for v in views]).reshape(-1, 3)])
+    f, px, py, rot, t = camera_arrays(views)
+    numbers = np.column_stack([f, px, py, rot.reshape(-1, 9), t])
     texts = []
     for v, row in zip(views, zip(*[iter(_json_floats(numbers.ravel()))] * 15)):
         iop_cov = ("" if v.iop_cov is None else

@@ -136,7 +136,8 @@ def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f, p
     if iop_cov is not None:
         iop_cov = np.asarray(iop_cov, dtype=float)
         if iop_cov.shape not in ((3, 3), (len(t), 3, 3)):
-            raise InvalidCovariance(f"IOP covariance must be 3x3 or one per row, got {iop_cov.shape}")
+            raise InvalidCovariance(
+                f"IOP covariance must be 3x3 or one per row, got {iop_cov.shape}")
         if not is_psd(np.unique(iop_cov.reshape(-1, 9), axis=0).reshape(-1, 3, 3)).all():
             raise InvalidCovariance("IOP covariance is not symmetric PSD")
         j_i = jacobians[:, 4:]

@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .projection import DEPTH_MARGIN, CameraView, silhouette
-from .reconstruct import OK, _cameras, _Solve, _solve
+from .projection import DEPTH_MARGIN, CameraView, camera_arrays, silhouette
+from .reconstruct import OK, _Solve, _solve
 
 # Not called here: bench/spans.py wraps these names in this module.
 from .projection import project_sphere_into_view  # noqa: F401
@@ -139,7 +139,7 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
 
     obs = np.stack([left.params[il], right.params[ik]], axis=1)  # (m, 2, 4)
     hom = np.stack([left.hom[il], right.hom[ik]], axis=1)  # (m, 2, 3)
-    f, px, py, rot, t = _cameras((left.view, right.view))
+    f, px, py, rot, t = camera_arrays((left.view, right.view))
     solve = _solve(f, px, py, rot, t, hom[..., 0], hom[..., 1], obs[..., 3],
                    left.normal[il] + right.normal[ik])
     cam = solve.cam

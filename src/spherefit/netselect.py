@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoAdmissiblePair
-from .projection import CameraView, _require_finite, _require_world, _trusted
+from .projection import CameraView, _require_finite, _require_world, _trusted, camera_arrays
 
 DEFAULT_MIN_ANGLE = math.radians(20.0)
 
@@ -94,25 +94,25 @@ _BLOCK_ELEMENTS = 1 << 20
 
 def _centers(views: Sequence[CameraView]) -> np.ndarray:
     """The ``CameraView.center`` of each view, -rot^T t, in one batched product."""
-    rot = np.array([v.rot for v in views]).reshape(-1, 3, 3)
-    return (-rot.transpose(0, 2, 1) @ np.array([v.t for v in views]).reshape(-1, 3, 1))[..., 0]
+    _, _, _, rot, t = camera_arrays(views)
+    return (-rot.transpose(0, 2, 1) @ t.reshape(-1, 3, 1))[..., 0]
 
 
 def pair_angles(network: ImageNetwork, ids: Sequence[str]):
-    """``(alpha, shared, seen)`` over the views ``ids``, in one array pass.
+    """``(iu, ju, alpha, shared, seen)`` over the views ``ids``, in one array pass.
 
-    ``alpha[a, b]`` is the mean angle (radians) subtended by the centers of
-    ``ids[a]`` and ``ids[b]`` at the ``shared[a, b]`` tie points both see
-    (NaN if none); a tie point at a camera center gives that view no ray.
-    A view is no pair with itself: ``shared[a, a]`` is 0 and ``alpha[a, a]``
-    NaN.  ``seen[a]`` counts the tie points ``ids[a]`` sees.
+    One entry per pair ``ids[iu[p]]``, ``ids[ju[p]]`` of the row-major upper
+    triangle: ``alpha[p]`` is the mean angle (radians) subtended by their
+    centers at the ``shared[p]`` tie points both see (NaN if none); a tie
+    point at a camera center gives that view no ray.  ``seen[a]`` counts the
+    tie points ``ids[a]`` sees.
     """
     columns = [network._column[image_id] for image_id in ids]
     centers = _centers([network.views[c] for c in columns])
     points = np.array([tp.xyz for tp in network.tie_points]).reshape(-1, 3)
     visible = network._visible[:, columns]
     # The pairs (iu, ju) of the upper triangle, taken in C order so that the
-    # sums run in tie-point order; alpha and shared mirror them.
+    # sums run in tie-point order.
     iu, ju = np.triu_indices(len(ids), 1)
     upper, total, pairs = iu * len(ids) + ju, np.zeros(len(iu)), np.zeros(len(iu), np.int64)
     step = max(1, _BLOCK_ELEMENTS // len(ids) ** 2)
@@ -125,11 +125,8 @@ def pair_angles(network: ImageNetwork, ids: Sequence[str]):
         cos /= np.where(both, norms.take(iu, axis=1) * norms.take(ju, axis=1), 1.0)
         total += np.where(both, np.arccos(np.clip(cos, -1.0, 1.0)), 0.0).sum(axis=0)
         pairs += both.sum(axis=0)
-    alpha, shared = np.full((len(ids),) * 2, np.nan), np.zeros((len(ids),) * 2, np.int64)
     with np.errstate(invalid="ignore"):
-        alpha[iu, ju] = alpha[ju, iu] = total / pairs
-    shared[iu, ju] = shared[ju, iu] = pairs
-    return alpha, shared, visible.sum(axis=0)
+        return iu, ju, total / pairs, pairs, visible.sum(axis=0)
 
 
 def best_pair(network: ImageNetwork,
@@ -146,15 +143,14 @@ def best_pair(network: ImageNetwork,
     if len(network.views) < 2:
         raise ValueError("need at least two views")
     ids = sorted(v.image_id for v in network.views)
-    alpha, shared, seen = pair_angles(network, ids)
+    iu, ju, alpha, shared, seen = pair_angles(network, ids)
     if seen.max() <= 0:
         raise ValueError("network has no tie points; overlap is undefined")
     ov = seen / seen.max()
     # Row-major over sorted ids: the pairs in lexicographic (i, j) order.
-    rows, cols = np.nonzero(np.triu(shared, 1))
+    rows, cols, alphas = (a[shared > 0] for a in (iu, ju, alpha))
     if rows.size == 0:
         raise NoAdmissiblePair("no image pair shares tie points")
-    alphas = alpha[rows, cols]
     alpha_max = alphas.max()
     if alpha_max <= 0.0:
         raise NoAdmissiblePair("all pairwise convergence angles are zero")

@@ -33,8 +33,8 @@ import numpy as np
 
 from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, classify_view
 from .match import ViewRecord, match_ellipses
-from .projection import CameraView, EllipseTable, corrected_center
-from .reconstruct import SphereModel, _cameras, _models, _normal, reconstruct_tracks
+from .projection import CameraView, EllipseTable, camera_arrays, corrected_center
+from .reconstruct import SphereModel, _models, _normal, reconstruct_tracks
 
 
 def gather_ellipses(views: Sequence[CameraView], observations: dict) -> EllipseTable:
@@ -96,7 +96,7 @@ def view_records(views: Sequence[CameraView], table: EllipseTable,
                    if table.keys[row][0] in position)
     kept = table.take([row for *_, row in order])
     at = np.array([pos for pos, *_ in order], dtype=np.intp)
-    f, px, py, rot, t = (a[at] for a in _cameras(views))
+    f, px, py, rot, t = (a[at] for a in camera_arrays(views))
     params, cov = kept.params, kept.cov
     hom = np.ones((len(at), 3))
     hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3], f, px, py)

@@ -207,6 +207,13 @@ class CameraView:
         return -self.rot.T @ self.t
 
 
+def camera_arrays(views: Sequence[CameraView]):
+    """Kernel camera arguments of n views: f, px, py, rot and t."""
+    iop = np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3)
+    return (iop[:, 0], iop[:, 1], iop[:, 2], np.array([v.rot for v in views]).reshape(-1, 3, 3),
+            np.array([v.t for v in views]).reshape(-1, 3))
+
+
 @dataclass
 class EllipseObservation:
     """A detected ellipse: center, semi-axes, axis angle, optional covariance.

@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometry, DegenerateProjection, EmptyInput, InvalidAnchor
-from .projection import (CameraView, EllipseObservation, Sphere, corrected_center, pinhole,
-                         radius_from_depth)
+from .projection import (CameraView, EllipseObservation, Sphere, camera_arrays,
+                         corrected_center, pinhole, radius_from_depth)
 
 _RANK_TOL = 1e-9
 _EIGH_TOL = 1e-4
@@ -134,13 +134,6 @@ def _solve(f, px, py, rot, t, u, v, b_e, normal=None) -> _Solve:
     return _Solve(center, cam, radii, radii.mean(axis=1), reason, u, v, f, px, py)
 
 
-def _cameras(views: Sequence[CameraView]):
-    """Kernel camera arguments of n views: f, px, py, rot and t."""
-    iop = np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3)
-    return (iop[:, 0], iop[:, 1], iop[:, 2], np.array([v.rot for v in views]).reshape(-1, 3, 3),
-            np.array([v.t for v in views]).reshape(-1, 3))
-
-
 def _models(solve: _Solve, rows: Sequence[int],
             image_ids: Sequence[Sequence[str]]) -> list[SphereModel]:
     """The ``SphereModel`` of each of ``rows`` of ``solve``, its views named
@@ -178,7 +171,7 @@ def triangulate_center(observations: Sequence[tuple[CameraView, np.ndarray]]) ->
         raise ValueError("triangulation needs at least two views")
     pixels = np.array([np.asarray(p, dtype=float).reshape(2) for _, p in observations])
     with np.errstate(divide="ignore", invalid="ignore"):
-        center, reason = _triangulate(*_cameras([v for v, _ in observations]),
+        center, reason = _triangulate(*camera_arrays([v for v, _ in observations]),
                                       pixels[None, :, 0], pixels[None, :, 1])
     _raise_if_degenerate(int(reason[0]))
     return center[0]
@@ -197,7 +190,7 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]])
     if len(matched) < 2:
         raise ValueError("sphere reconstruction needs at least two views")
     x_ce, y_ce, b_e = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in matched]).T[:, None]
-    f, px, py, rot, t = _cameras([v for v, _ in matched])
+    f, px, py, rot, t = camera_arrays([v for v, _ in matched])
     solve = _solve(f, px, py, rot, t, *corrected_center(x_ce, y_ce, b_e, f, px, py), b_e)
     reason = int(solve.reason[0])
     _raise_if_degenerate(reason)
@@ -217,7 +210,7 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
     if not tracks:
         return []
     image_ids = [r.view.image_id for r in records]
-    f, px, py, rot, t = _cameras([r.view for r in records])
+    f, px, py, rot, t = camera_arrays([r.view for r in records])
     b_e = np.concatenate([np.empty(0)] + [r.params[:, 3] for r in records])
     hom = np.concatenate([np.empty((0, 3))] + [r.hom for r in records])
     normal = np.concatenate([np.empty((0, 4, 4))] + [r.normal for r in records])

@@ -10,9 +10,9 @@ identity by an axis inflation factor.
 The view sweep draws p = min(50, C(n, k)) unique k-view subsets per requested
 k, runs the pipeline of ``pipeline.reconstruct_subset`` (gate -> pairwise
 matching of all view pairs in the subset, merged into one-ellipse-per-view
-tracks -> multi-view reconstruction) on each subset, and aggregates percentage parameter errors and per-trial wall time.  The
-highest-scoring pair of the full network is evaluated as a distinguished
-extra data point.
+tracks -> multi-view reconstruction) on each subset, and aggregates
+percentage parameter errors and per-trial wall time.  The highest-scoring
+pair of the full network is evaluated as a distinguished extra data point.
 """
 
 from __future__ import annotations
@@ -31,15 +31,17 @@ from .errors import ConfigInfeasible, DegenerateGeometry, DegenerateProjection
 from .netselect import ImageNetwork, TiePoint, best_pair
 from .pipeline import reconstruct_subset
 from .projection import (
+    DEPTH_MARGIN,
     PIXEL_LIMIT,
     CameraView,
     EllipseObservation,
     Sphere,
+    _require_finite,
+    camera_arrays,
     ellipse_checks,
     fold_axis_angle,
     pinhole,
-    project_sphere_into_view,
-    world_to_camera,
+    silhouette,
 )
 from .reconstruct import SphereModel
 
@@ -217,75 +219,74 @@ def _camera_centers(config: SceneConfig) -> list[np.ndarray]:
     return centers
 
 
-def _in_frame(pixel: tuple, config: SceneConfig) -> bool:
-    return 0.0 <= pixel[0] <= config.width and 0.0 <= pixel[1] <= config.height
-
-
 def generate_scene(config: SceneConfig) -> SyntheticScene:
     """Build the exact scene: poses, tie points, silhouettes, clutter.
 
     Deterministic in ``config``, whose ``seed`` drives every random draw.
     Raises ConfigInfeasible when any sphere fails the depth-clears-radius
-    requirement in any camera.
+    requirement in any camera.  Each stage is one array pass over all views.
     """
     rng = _rng(config.seed, 0)
     target = np.asarray(config.look_at, dtype=float)
+    centers = _camera_centers(config)
+    rots = [_look_at_rotation(center, target) for center in centers]
+    views = [CameraView(f"img-{i:02d}", config.f, config.px, config.py, rot, -rot @ center)
+             for i, (center, rot) in enumerate(zip(centers, rots))]
+    image_ids = [v.image_id for v in views]
+    f, px, py, rot, t = (a[:, None] for a in camera_arrays(views))
 
-    views = []
-    for i, center in enumerate(_camera_centers(config)):
-        rot = _look_at_rotation(center, target)
-        views.append(CameraView(image_id=f"img-{i:02d}", f=config.f,
-                                px=config.px, py=config.py,
-                                rot=rot, t=-rot @ center))
-
-    spheres = [(sid, Sphere(np.asarray(c, dtype=float), float(r), frame="world"))
-               for sid, c, r in config.spheres]
-
-    observations: dict = {v.image_id: [] for v in views}
-    for view in views:
-        for sid, sphere in spheres:
-            try:
-                ellipse = project_sphere_into_view(sphere, view, ellipse_id=sid)
-            except DegenerateProjection as exc:
-                raise ConfigInfeasible(
-                    f"sphere {sid!r} does not clear camera {view.image_id!r} ({exc})") from exc
-            observations[view.image_id].append(ellipse)
+    spheres = [(sid, Sphere(center, radius)) for sid, center, radius in config.spheres]
+    radii = np.array([s.radius for _, s in spheres])
+    # Each sphere center in each view.  Entries before the first, view-major,
+    # whose center is not finite or depth does not clear its radius are built
+    # (with libm's atan2, which numpy's need not match); then that one raises.
+    cam = (rot @ np.array([s.center for _, s in spheres]).reshape(-1, 3, 1))[..., 0] + t
+    bad = ~np.isfinite(cam).all(axis=2) | (cam[..., 2] <= radii * (1.0 + DEPTH_MARGIN))
+    good = np.append(bad, True).argmax()
+    x, y, z, r, fs, pxs, pys = (a.ravel()[:good] for a in (
+        *np.moveaxis(cam, 2, 0), *np.broadcast_arrays(radii, f, px, py)))
+    theta = [fold_axis_angle(math.atan2(yi, xi)) if ui > 0.0 else 0.0
+             for xi, yi, ui in zip(x.tolist(), y.tolist(), (x * x + y * y).tolist())]
+    projected = [EllipseObservation(image_id, sid, *values) for (image_id, sid), values in zip(
+        itertools.product(image_ids, [sid for sid, _ in spheres]),
+        zip(*(a.tolist() for a in silhouette(x, y, z, r, fs, pxs, pys)), theta))]
+    if good < bad.size:
+        (i, s), xyz = divmod(good, len(spheres)), cam.reshape(-1, 3)[good]
+        _require_finite("sphere", center=xyz)  # as Sphere(xyz, radius) raises
+        raise ConfigInfeasible(f"sphere {spheres[s][0]!r} does not clear camera {image_ids[i]!r} "
+                               f"(sphere depth {xyz[2]:.6g} does not clear radius {radii[s]:.6g})")
 
     # Board-level tie points, kept only if at least two cameras image them.
-    tie_points = []
-    extent = config.tie_point_extent
-    for _ in range(config.n_tie_points):
-        xyz = np.array([rng.uniform(-extent, extent),
-                        rng.uniform(-extent, extent), 0.0])
-        seen = set()
-        for view in views:
-            cam = world_to_camera(xyz, view)
-            if cam[2] > 0.0 and _in_frame(pinhole(cam, view.f, view.px, view.py), config):
-                seen.add(view.image_id)
-        if len(seen) >= 2:
-            tie_points.append(TiePoint(xyz=xyz, visible_in=frozenset(seen)))
+    extent, w, h = config.tie_point_extent, config.width, config.height
+    points = np.zeros((config.n_tie_points, 3))
+    points[:, :2] = rng.uniform(-extent, extent, size=(config.n_tie_points, 2))
+    cam = (rot @ points[:, :, None])[..., 0] + t
+    with np.errstate(divide="ignore", invalid="ignore"):  # depth 0 is not in front
+        u, v = pinhole(cam, f, px, py)
+    seen = ((cam[..., 2] > 0.0) & (0.0 <= u) & (u <= w) & (0.0 <= v) & (v <= h)).T.tolist()
+    tie_points = [TiePoint(xyz=xyz, visible_in=frozenset(itertools.compress(image_ids, column)))
+                  for xyz, column in zip(points, seen) if sum(column) >= 2]
 
     # Clutter: ellipses built to satisfy the silhouette identity, then
-    # inflated along the major axis so the gate must reject them.
-    clutter_ids = set()
-    for idx, view in enumerate(views):
-        for c in range(config.clutter_per_image):
-            cx = rng.uniform(0.2 * config.width, 0.8 * config.width)
-            cy = rng.uniform(0.2 * config.height, 0.8 * config.height)
-            b = rng.uniform(60.0, 150.0)
-            offset2 = (cx - view.px) ** 2 + (cy - view.py) ** 2
-            a_spherical = b * math.sqrt(offset2 / (view.f ** 2 + b ** 2) + 1.0)
-            a = a_spherical * config.clutter_inflation
-            theta = fold_axis_angle(rng.uniform(-math.pi / 2, math.pi / 2))
-            eid = f"clutter-{idx:02d}-{c:02d}"
-            clutter_ids.add(eid)
-            observations[view.image_id].append(EllipseObservation(
-                image_id=view.image_id, ellipse_id=eid,
-                x_ce=cx, y_ce=cy, a_e=max(a, b), b_e=min(a, b), theta=theta))
+    # inflated along the major axis so the gate must reject them.  Squares
+    # are libm's pow, as Python's ** on a float is, which is not always x * x.
+    n = config.clutter_per_image
+    cx, cy, b, angle = rng.uniform([0.2 * w, 0.2 * h, 60.0, -math.pi / 2],
+                                   [0.8 * w, 0.8 * h, 150.0, math.pi / 2],
+                                   size=(len(views), n, 4)).transpose(2, 0, 1)
+    dx2, dy2, f2, b2 = np.float_power(np.broadcast_arrays(cx - px, cy - py, f, b), 2)
+    a = b * np.sqrt((dx2 + dy2) / (f2 + b2) + 1.0) * config.clutter_inflation
+    rows = np.stack([cx, cy, np.maximum(a, b), np.minimum(a, b), fold_axis_angle(angle)], 2)
+    clutter = [[EllipseObservation(image_id, f"clutter-{idx:02d}-{c:02d}", *row)
+                for c, row in enumerate(view_rows)]
+               for idx, (image_id, view_rows) in enumerate(zip(image_ids, rows.tolist()))]
 
+    projected = iter(projected)
+    observations = {image_id: [*itertools.islice(projected, len(spheres)), *ellipses]
+                    for image_id, ellipses in zip(image_ids, clutter)}
     return SyntheticScene(config=config, views=views, spheres=spheres,
                           observations=observations, tie_points=tie_points,
-                          clutter_ids=clutter_ids)
+                          clutter_ids={e.ellipse_id for ellipses in clutter for e in ellipses})
 
 
 def perturb_observations(scene: SyntheticScene, sigma, seed: int) -> SyntheticScene:

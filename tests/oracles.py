@@ -17,7 +17,10 @@ one-ellipse center correction and the per-pair fundamental matrix.
 ``reference_view_record`` builds one view's record on its own, the
 reference for ``view_records``' one pass over a trial's views, and
 ``reference_pair_angles`` is pair ranking over the full views x views
-matrices, the reference for ``pair_angles``' pass over the upper triangle.
+matrices, the reference for ``pair_angles``' pass over the upper triangle,
+and ``reference_generate_scene`` builds a synthetic scene with one loop per
+(view, sphere), (tie point, view) and (view, clutter ellipse), the reference
+for the array passes of ``generate_scene``.
 ``reference_is_psd`` is the one-matrix eigensolver test that ``is_psd``,
 its diagonal-only pass and its batched eigensolver pass over a stack, is
 checked against, ``reference_load_ellipses``
@@ -52,6 +55,7 @@ from spherefit import (
     gather_ellipses,
     project_sphere_into_view,
     view_records,
+    world_to_camera,
 )
 from spherefit.fileio import (
     _BAD_ENTRY,
@@ -63,6 +67,9 @@ from spherefit.fileio import (
     _object_list,
 )
 from spherefit import netselect
+from spherefit.errors import ConfigInfeasible
+from spherefit.projection import fold_axis_angle, pinhole
+from spherefit.synth import SyntheticScene, _camera_centers, _look_at_rotation, _rng
 from spherefit.match import DEFAULT_EPIPOLAR_TOL, ViewRecord, _skew
 from spherefit.projection import corrected_center
 from spherefit.reconstruct import _normal
@@ -518,6 +525,61 @@ def reference_pair_angles(network, ids):
         shared += both.sum(axis=0)
     with np.errstate(invalid="ignore"):
         return total / shared, shared, visible.sum(axis=0)
+
+
+def reference_generate_scene(config) -> SyntheticScene:
+    """``generate_scene`` as it built the scene one item at a time: each
+    sphere projected into each view by ``project_sphere_into_view``, each
+    tie point tested in each view, each clutter ellipse drawn on its own."""
+    rng = _rng(config.seed, 0)
+    target = np.asarray(config.look_at, dtype=float)
+    views = []
+    for i, center in enumerate(_camera_centers(config)):
+        rot = _look_at_rotation(center, target)
+        views.append(CameraView(image_id=f"img-{i:02d}", f=config.f, px=config.px,
+                                py=config.py, rot=rot, t=-rot @ center))
+    spheres = [(sid, Sphere(np.asarray(c, dtype=float), float(r), frame="world"))
+               for sid, c, r in config.spheres]
+    observations = {v.image_id: [] for v in views}
+    for view in views:
+        for sid, sphere in spheres:
+            try:
+                ellipse = project_sphere_into_view(sphere, view, ellipse_id=sid)
+            except DegenerateProjection as exc:
+                raise ConfigInfeasible(
+                    f"sphere {sid!r} does not clear camera {view.image_id!r} ({exc})") from exc
+            observations[view.image_id].append(ellipse)
+    tie_points = []
+    extent = config.tie_point_extent
+    for _ in range(config.n_tie_points):
+        xyz = np.array([rng.uniform(-extent, extent), rng.uniform(-extent, extent), 0.0])
+        seen = set()
+        for view in views:
+            cam = world_to_camera(xyz, view)
+            if cam[2] > 0.0:
+                u, v = pinhole(cam, view.f, view.px, view.py)
+                if 0.0 <= u <= config.width and 0.0 <= v <= config.height:
+                    seen.add(view.image_id)
+        if len(seen) >= 2:
+            tie_points.append(TiePoint(xyz=xyz, visible_in=frozenset(seen)))
+    clutter_ids = set()
+    for idx, view in enumerate(views):
+        for c in range(config.clutter_per_image):
+            cx = rng.uniform(0.2 * config.width, 0.8 * config.width)
+            cy = rng.uniform(0.2 * config.height, 0.8 * config.height)
+            b = rng.uniform(60.0, 150.0)
+            offset2 = (cx - view.px) ** 2 + (cy - view.py) ** 2
+            a_spherical = b * math.sqrt(offset2 / (view.f ** 2 + b ** 2) + 1.0)
+            a = a_spherical * config.clutter_inflation
+            theta = fold_axis_angle(rng.uniform(-math.pi / 2, math.pi / 2))
+            eid = f"clutter-{idx:02d}-{c:02d}"
+            clutter_ids.add(eid)
+            observations[view.image_id].append(EllipseObservation(
+                image_id=view.image_id, ellipse_id=eid,
+                x_ce=cx, y_ce=cy, a_e=max(a, b), b_e=min(a, b), theta=theta))
+    return SyntheticScene(config=config, views=views, spheres=spheres,
+                          observations=observations, tie_points=tie_points,
+                          clutter_ids=clutter_ids)
 
 
 def reference_is_psd(m) -> bool:

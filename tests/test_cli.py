@@ -737,6 +737,29 @@ class TestScale:
         assert len(lines) == 1 and message in lines[0], lines
         assert not out.exists() and not out_points.exists()
 
+    @pytest.mark.parametrize("field", ["per_view_radii", "radius_spread"])
+    @pytest.mark.parametrize("length", [1e308, 1e300, 1.5e90])
+    def test_scaled_per_view_radius_or_spread_beyond_the_world_limit_exit_code(
+            self, exported, tmp_path, capsys, field, length):
+        # Only the centers and radii used to be bounded: a per-view radius or
+        # radius spread of 1e308, doubled by the scale, was written as
+        # Infinity (exit 0), and one of 1e300 far beyond 2^300 world units.
+        spheres = self.reconstruct(exported, tmp_path)
+        data = json.load(open(spheres))
+        if field == "per_view_radii":
+            data["spheres"][1]["per_view_radii"][0][1] = length
+        else:
+            data["spheres"][1]["radius_spread"] = length
+        (tmp_path / "spheres.json").write_text(json.dumps(data))
+        out = tmp_path / "o.json"
+        anchor = f"s000:{2.0 * data['spheres'][0]['radius']!r}"
+        assert main(["scale", "--spheres", spheres, "--anchors", anchor, "--out", str(out)]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("error:")]
+        assert len(lines) == 1 and "sphere 's001' scales by " in lines[0], lines
+        assert "beyond 2^300 world units" in lines[0]
+        assert not out.exists()
+
     def test_null_spheres_exit_code(self, tmp_path):
         bad = tmp_path / "null.json"
         bad.write_text(json.dumps({"spheres": None}))

@@ -34,32 +34,43 @@ def convergence_angle(a, b, ties, *others):
     """alpha of the pair (a, b) from the array pass over a network of the
     two views (and ``others``); NaN when they share no tie point."""
     network = ImageNetwork([a, b, *others], ties)
-    alpha, _, _ = pair_angles(network, [a.image_id, b.image_id])
-    return alpha[0, 1]
+    _, _, (alpha,), _, _ = pair_angles(network, [a.image_id, b.image_id])
+    return alpha
 
 
 def network_overlap(network):
     """Per-image overlap as best_pair normalizes it."""
     ids = sorted(v.image_id for v in network.views)
-    _, _, seen = pair_angles(network, ids)
+    *_, seen = pair_angles(network, ids)
     return dict(zip(ids, (seen / seen.max()).tolist()))
 
 
+def by_pair(network, ids):
+    """``(alpha, shared)`` of ``pair_angles`` keyed by the pair of view ids."""
+    iu, ju, alpha, shared, _ = pair_angles(network, ids)
+    return {(ids[a], ids[b]): (value, count) for a, b, value, count in zip(
+        iu.tolist(), ju.tolist(), alpha.tolist(), shared.tolist())}
+
+
 def assert_matches_reference(network, rel=1e-12):
-    """Every pair's alpha within ``rel`` of the scalar reference, the same
-    shared-point verdicts, and the same chosen pair and score."""
+    """Every pair's alpha within ``rel`` of the scalar reference and equal
+    to the full-matrix pass at (b, a), the same shared-point verdicts, and
+    the same chosen pair and score."""
     ids = sorted(v.image_id for v in network.views)
-    alpha, shared, _ = pair_angles(network, ids)
-    for a, b in itertools.combinations(range(len(ids)), 2):
+    iu, ju, alpha, shared, _ = pair_angles(network, ids)
+    full_alpha, _, _ = reference_pair_angles(network, ids)
+    pairs = list(itertools.combinations(range(len(ids)), 2))
+    assert list(zip(iu.tolist(), ju.tolist())) == pairs
+    for p, (a, b) in enumerate(pairs):
         view_a, view_b = network.view(ids[a]), network.view(ids[b])
         try:
             expected = reference_convergence_angle(view_a, view_b, network.tie_points)
         except NoSharedPoints:
-            assert shared[a, b] == 0 and math.isnan(alpha[a, b])
+            assert shared[p] == 0 and math.isnan(alpha[p])
             continue
-        assert shared[a, b] > 0
-        assert alpha[a, b] == alpha[b, a]
-        assert math.isclose(alpha[a, b], expected, rel_tol=rel), (ids[a], ids[b])
+        assert shared[p] > 0
+        assert alpha[p] == full_alpha[b, a]
+        assert math.isclose(alpha[p], expected, rel_tol=rel), (ids[a], ids[b])
     got, want = best_pair(network), reference_best_pair(network)
     assert (got.i, got.j, got.ov_i, got.ov_j) == (want.i, want.j, want.ov_i, want.ov_j)
     assert math.isclose(got.alpha_ij, want.alpha_ij, rel_tol=rel)
@@ -112,12 +123,13 @@ class TestConvergenceAngle:
         c = look_at_view("c", [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
         ties = [tie(a.center, "a", "b", "c"), tie([0.0, 0.0, 1.0], "a", "b", "c")]
         network = ImageNetwork([a, b, c], ties)
-        alpha, shared, seen = pair_angles(network, ["a", "b", "c"])
+        iu, ju, alpha, shared, seen = pair_angles(network, ["a", "b", "c"])
+        assert iu.tolist() == [0, 0, 1] and ju.tolist() == [1, 2, 2]
         # The first point gives view a no ray: pairs with a keep one point.
-        assert shared[0, 1] == shared[0, 2] == 1 and shared[1, 2] == 2
+        assert shared[0] == shared[1] == 1 and shared[2] == 2
         assert seen.tolist() == [2, 2, 2]  # visibility still counts it
-        assert math.isclose(alpha[0, 1], 2.0 * math.atan(1.0), rel_tol=1e-12)
-        assert math.isclose(alpha[0, 1], reference_convergence_angle(a, b, ties),
+        assert math.isclose(alpha[0], 2.0 * math.atan(1.0), rel_tol=1e-12)
+        assert math.isclose(alpha[0], reference_convergence_angle(a, b, ties),
                             rel_tol=1e-12)
         assert_matches_reference(network)
 
@@ -240,8 +252,8 @@ class TestBestPair:
     def test_angle_symmetry(self):
         network = self.rig([-30.0, 30.0])
         ties = network.tie_points
-        alpha, _, _ = pair_angles(network, ["v0", "v1"])
-        assert alpha[0, 1] == alpha[1, 0]
+        assert by_pair(network, ["v0", "v1"])["v0", "v1"][0] == \
+            by_pair(network, ["v1", "v0"])["v1", "v0"][0]
         ab = convergence_angle(network.view("v0"), network.view("v1"), ties)
         ba = convergence_angle(network.view("v1"), network.view("v0"), ties)
         assert abs(ab - ba) < 1e-12
@@ -309,8 +321,8 @@ class TestArrayPass:
         ties = [tie([0.1 * k, 0.0, 0.0], "a", "b") for k in range(3)]
         ties += [tie([0.0, 0.1 * k, 0.0], "c", "d") for k in range(2)]
         network = ImageNetwork(views, ties)
-        _, shared, _ = pair_angles(network, ["a", "b", "c", "d"])
-        assert shared[0, 2] == shared[0, 3] == shared[1, 2] == shared[1, 3] == 0
+        pairs = by_pair(network, ["a", "b", "c", "d"])
+        assert [pairs[p][1] for p in [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]] == [0] * 4
         got = best_pair(network)
         assert (got.i, got.j) == ("a", "b")
         assert_matches_reference(network)
@@ -323,8 +335,8 @@ class TestArrayPass:
                   ("c", [0.0, -1.0, 0.0]), ("a", [0.0, 1.0, 0.0])]]
         ties = [tie([0.0, 0.0, 0.0], "a", "b", "c", "d")]
         network = ImageNetwork(views, ties)
-        alpha, _, _ = pair_angles(network, ["a", "b", "c", "d"])
-        assert alpha[0, 2] == alpha[1, 3]  # (a, c) and (b, d) tie exactly
+        pairs = by_pair(network, ["a", "b", "c", "d"])
+        assert pairs["a", "c"][0] == pairs["b", "d"][0]  # (a, c) and (b, d) tie exactly
         for select in (best_pair, reference_best_pair):
             got = select(network)
             assert (got.i, got.j) == ("a", "c") and got.theta_ij == 2.0
@@ -338,9 +350,11 @@ class TestArrayPass:
         # 12 x 12 x 3: blocks of three tie points, the last one short.
         monkeypatch.setattr(netselect, "_BLOCK_ELEMENTS", 3 * 12 * 12)
         blocked = pair_angles(network, ids)
-        np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12)
+        np.testing.assert_array_equal(blocked[0], whole[0])
         np.testing.assert_array_equal(blocked[1], whole[1])
-        np.testing.assert_array_equal(blocked[2], whole[2])
+        np.testing.assert_allclose(blocked[2], whole[2], rtol=1e-12)
+        np.testing.assert_array_equal(blocked[3], whole[3])
+        np.testing.assert_array_equal(blocked[4], whole[4])
         many = best_pair(network)
         assert (many.i, many.j, many.ov_i, many.ov_j) == (one.i, one.j, one.ov_i, one.ov_j)
         assert math.isclose(many.theta_ij, one.theta_ij, rel_tol=1e-12)
@@ -361,19 +375,21 @@ def _cluttered_network(seed):
 
 
 class TestUpperTriangle:
-    """pair_angles computes the upper triangle only; off the diagonal it must
-    be bit-identical to the full-matrix pass."""
+    """pair_angles computes the pairs of the upper triangle only; at each it
+    must be bit-identical to the full-matrix pass, at (a, b) and (b, a)."""
 
     @staticmethod
     def assert_equals_full_pass(network, ids):
-        alpha, shared, seen = pair_angles(network, ids)
+        iu, ju, alpha, shared, seen = pair_angles(network, ids)
         want_alpha, want_shared, want_seen = reference_pair_angles(network, ids)
-        off = ~np.eye(len(ids), dtype=bool)
-        np.testing.assert_array_equal(alpha[off], want_alpha[off], strict=True)
-        np.testing.assert_array_equal(shared[off], want_shared[off], strict=True)
+        want_iu, want_ju = np.triu_indices(len(ids), 1)
+        np.testing.assert_array_equal(iu, want_iu, strict=True)
+        np.testing.assert_array_equal(ju, want_ju, strict=True)
+        np.testing.assert_array_equal(alpha, want_alpha[iu, ju], strict=True)
+        np.testing.assert_array_equal(shared, want_shared[iu, ju], strict=True)
         np.testing.assert_array_equal(seen, want_seen, strict=True)
-        assert (np.diagonal(shared) == 0).all() and np.isnan(np.diagonal(alpha)).all()
-        np.testing.assert_array_equal(alpha, alpha.T)
+        assert (iu < ju).all()  # no view is paired with itself
+        np.testing.assert_array_equal(alpha, want_alpha[ju, iu], strict=True)
 
     @pytest.mark.parametrize("scene", ["arc", "ring", "hemisphere", "cluttered"])
     @pytest.mark.parametrize("seed", range(3))

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import p_rmse_combined
+import oracles
+from oracles import p_rmse_combined, reference_generate_scene
 from spherefit import (
     ConfigInfeasible,
     SceneConfig,
@@ -19,6 +21,7 @@ from spherefit import (
     perturb_observations,
     reconstruct_subset,
 )
+from spherefit import synth
 
 
 class TestGenerateScene:
@@ -112,6 +115,110 @@ class TestGenerateScene:
     def test_from_dict_accepts_integer_floats(self):
         config = SceneConfig.from_dict({"camera_distance": 3, "look_at": [0, 0, 1]})
         assert config.camera_distance == 3 and config.look_at == (0, 0, 1)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def _scene_bits(build, config):
+    """Every value of the scene ``build(config)`` builds, floats as hex, or
+    the type and text of the error it raises."""
+    try:
+        scene = build(config)
+    except (ConfigInfeasible, ValueError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    return ([(v.image_id, _hex([v.f, v.px, v.py, *v.rot.ravel(), *v.t]), v.iop_cov)
+             for v in scene.views],
+            [(sid, _hex([*s.center, s.radius]), s.frame) for sid, s in scene.spheres],
+            [(image_id, [(e.image_id, e.ellipse_id, e.cov,
+                          _hex([e.x_ce, e.y_ce, e.a_e, e.b_e, e.theta])) for e in ellipses])
+             for image_id, ellipses in scene.observations.items()],
+            [(_hex(tp.xyz), sorted(tp.visible_in)) for tp in scene.tie_points],
+            sorted(scene.clutter_ids), scene.config is config)
+
+
+class TestArrayScene:
+    """generate_scene's array passes against the scene built one item at a
+    time: bit for bit, and the same error where the config fails."""
+
+    @pytest.mark.parametrize("placement", ["arc", "ring", "hemisphere"])
+    @pytest.mark.parametrize("clutter", [0, 3, 30])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical_to_the_item_loops(self, placement, clutter, seed):
+        config = SceneConfig(placement=placement, clutter_per_image=clutter, seed=seed)
+        assert _scene_bits(generate_scene, config) == \
+            _scene_bits(reference_generate_scene, config)
+
+    @pytest.mark.parametrize("changes", [
+        {"n_cameras": 0}, {"n_cameras": 1}, {"n_cameras": 0, "clutter_per_image": 3},
+        {"spheres": []}, {"spheres": [], "n_tie_points": 0, "clutter_per_image": 2},
+        {"n_tie_points": 0}, {"clutter_inflation": 1.02, "clutter_per_image": 5},
+        {"clutter_inflation": 0.5, "clutter_per_image": 3}, {"tie_point_extent": 5.0},
+        {"width": 100.0, "height": 50.0, "clutter_per_image": 2},
+        {"placement": "ring", "n_cameras": 2, "camera_height": 0.0},
+        {"f": 1.0, "clutter_per_image": 200}],
+        ids=["no-cameras", "one-camera", "no-cameras-clutter", "no-spheres", "clutter-only",
+             "no-tie-points", "inflation-1.02", "inflation-0.5", "wide-tie-points",
+             "small-frame", "level-ring", "short-focal-clutter"])
+    def test_edge_configs_are_bit_identical(self, changes):
+        # With f = 1 px the clutter's squares are not swamped by f^2: there,
+        # x * x in place of Python's x ** 2 (libm's pow) changes some a_e.
+        config = SceneConfig.from_dict(changes)
+        assert _scene_bits(generate_scene, config) == \
+            _scene_bits(reference_generate_scene, config)
+
+    def test_infeasible_config_text(self):
+        config = SceneConfig.from_dict({"camera_distance": 0.3, "camera_height": 0.1})
+        with pytest.raises(ConfigInfeasible) as caught:
+            generate_scene(config)
+        assert str(caught.value) == ("sphere 'ball-1' does not clear camera 'img-00' "
+                                     "(sphere depth 0.00969976 does not clear radius 0.06)")
+        assert _scene_bits(reference_generate_scene, config) == \
+            ("ConfigInfeasible", str(caught.value))
+
+    @pytest.mark.parametrize("spheres", [
+        [["tiny", [-0.35, -0.35, 0.1], 1e-65], ["ball-1", [0.0, -0.35, 0.06], 0.06]],
+        [["ball-1", [0.0, -0.35, 0.06], 0.06], ["tiny", [-0.35, -0.35, 0.1], 1e-65]],
+        [["far", [1e200, 1e200, 1e200], 1e199]],
+        [["huge", [1.7e308, -1.7e308, 1.7e308], 0.1]]],
+        ids=["tiny-first", "infeasible-first", "far", "overflow"])
+    @pytest.mark.parametrize("warn", ["error", "ignore"])
+    def test_first_failing_sphere_raises_as_before(self, spheres, warn):
+        # The first failing (view, sphere) in view-major order raises: a
+        # semi-minor length below 2^-200 px, a depth that does not clear the
+        # radius, or a center that overflows in the camera frame (which,
+        # with RuntimeWarnings ignored, is a center that is not finite).
+        config = SceneConfig(camera_distance=0.3, camera_height=0.1, spheres=spheres)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn, RuntimeWarning)
+            got = _scene_bits(generate_scene, config)
+            assert isinstance(got[0], str)
+            assert got == _scene_bits(reference_generate_scene, config)
+
+    def test_tie_point_at_depth_zero(self, monkeypatch):
+        # Camera img-00 of a level ring of four sits at (2, 0, 0) and looks
+        # along -x: the board points (2, 0.5) and (2, 0) have depth exactly 0
+        # there (the second is its center), which is not in front and must
+        # raise no division warning.
+        class FixedDraws:
+            def __init__(self, *key):
+                self.values = iter([2.0, 0.5, 2.0, 0.0, 0.1, -0.2])
+
+            def uniform(self, low, high, size=None):
+                if size is None:
+                    return next(self.values)
+                return np.array([next(self.values) for _ in range(math.prod(size))],
+                                dtype=float).reshape(size)
+
+        monkeypatch.setattr(synth, "_rng", FixedDraws)
+        monkeypatch.setattr(oracles, "_rng", FixedDraws)
+        config = SceneConfig(placement="ring", n_cameras=4, camera_height=0.0, n_tie_points=3)
+        got = _scene_bits(generate_scene, config)
+        assert got == _scene_bits(reference_generate_scene, config)
+        # The two at x = 2 are seen by img-02 alone, the last by all four.
+        assert [sorted(tp.visible_in) for tp in generate_scene(config).tie_points] == \
+            [["img-00", "img-01", "img-02", "img-03"]]
 
 
 class TestPerturb:
