@@ -257,8 +257,8 @@ def _cov_from_columns(raw: Sequence[str]) -> Optional[np.ndarray]:
 @dataclass(frozen=True)
 class _EllipseColumns:
     """Getters of a row's cells under one header.  A covariance column absent
-    from the header reads the blank cell that ``_read_ellipse_rows`` appends
-    to every row."""
+    from the header reads the blank cell that the readers append to every
+    row."""
 
     width: int
     ids: operator.itemgetter      # (image_id, ellipse_id)
@@ -278,57 +278,6 @@ class _EllipseColumns:
         return cls(len(header),
                    operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS[:2])),
                    operator.itemgetter(*(column.get(c, len(header)) for c in _NUMBERS)))
-
-    def check_row(self, path: str, line: int, row: list[str]) -> None:
-        """Check the row on its own, cell by cell and as ``EllipseObservation``
-        checks it; its first fault raises FileFormatError naming ``line``."""
-        image_id, ellipse_id = self.ids(row)
-        x_ce, y_ce, a_e, b_e, theta, *cov = self.numbers(row)
-        try:
-            EllipseObservation(
-                image_id=image_id, ellipse_id=ellipse_id,
-                x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
-                theta=float(theta), cov=_cov_from_columns(cov))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{line}: {exc}") from exc
-
-
-def _read_ellipse_rows(path: str):
-    """The columns of the header, then the data rows (each with one blank
-    cell appended), their line numbers and their (image_id, ellipse_id) keys
-    up to the first row that is malformed as CSV, has the wrong field count
-    or repeats an id, and last that row's FileFormatError (None if there is
-    no such row)."""
-    rows, lines = [], []
-    columns = fault = None
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            columns = _EllipseColumns.of(path, next(reader, None))
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != columns.width:
-                    fault = FileFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
-                                            f"the header has {columns.width}")
-                    break
-                row.append("")
-                rows.append(row)
-                lines.append(reader.line_num)
-        except csv.Error as exc:
-            fault = FileFormatError(f"{path}:{reader.line_num}: {exc}")
-            fault.__cause__ = exc
-    if columns is None:  # the header itself is malformed
-        raise fault
-    keys = list(map(columns.ids, rows))
-    if len(set(keys)) < len(keys):
-        first = {}
-        i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
-        image_id, ellipse_id = keys[i]
-        fault = FileFormatError(f"{path}:{lines[i]}: ellipse id {ellipse_id!r} "
-                                f"repeats in image {image_id!r}")
-        del rows[i:], lines[i:], keys[i:]
-    return columns, rows, lines, keys, fault
 
 
 def _valid_rows(base: np.ndarray, block: np.ndarray, blank: np.ndarray) -> np.ndarray:
@@ -350,11 +299,24 @@ def read_ellipse_table(path: str) -> EllipseTable:
     into its ``EllipseTable``, rows in file order.
 
     Every row has as many fields as the header; no column is repeated, and no
-    (image_id, ellipse_id) pair.  The first malformed line is reported.  The
-    rows are checked in column passes over the whole file.
+    (image_id, ellipse_id) pair.  The rows are checked in column passes over
+    the whole file.  A file those passes flag, a CSV error included, is read
+    again by ``load_ellipses``, which reports the first malformed line, and
+    the table is built from its rows.
     """
-    columns, rows, lines, keys, fault = _read_ellipse_rows(path)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            columns = _EllipseColumns.of(path, next(reader, None))
+            rows = list(filter(None, reader))
+        except csv.Error:
+            return EllipseTable.of(load_ellipses(path))
+    for row in rows:
+        row.append("")
+    if not set(map(len, rows)) <= {columns.width + 1}:
+        return EllipseTable.of(load_ellipses(path))
     n, width = len(rows), len(_NUMBERS)
+    keys = list(map(columns.ids, rows))
     cells = list(itertools.chain.from_iterable(map(columns.numbers, rows)))
     blank = np.zeros((n, width), dtype=bool)
     if "" in cells:
@@ -363,31 +325,45 @@ def read_ellipse_table(path: str) -> EllipseTable:
     try:
         values = np.fromiter(map(float, cells), float, n * width).reshape(n, width)
     except ValueError:  # a cell that is not a number
-        flagged = range(n)
-    else:
-        base = values[:, :5]
-        block = values[:, 5 + _COV_FILL].reshape(n, 4, 4)
-        flagged = np.flatnonzero(~_valid_rows(base, block, blank[:, 5:]))
-    for i in flagged:
-        # Checked on its own, the first flagged row raises and names its
-        # fault; a cell that is not a number fails some row's check.
-        columns.check_row(path, lines[i], rows[i])
-    if fault is not None:
-        raise fault
-    # A valid row's covariance cells are all blank or none.
-    block[blank[:, 5]] = 0.0
+        return EllipseTable.of(load_ellipses(path))
+    base = values[:, :5]
+    block = values[:, 5 + _COV_FILL].reshape(n, 4, 4)
+    if len(set(keys)) < n or not _valid_rows(base, block, blank[:, 5:]).all():
+        return EllipseTable.of(load_ellipses(path))
+    block[blank[:, 5]] = 0.0  # a valid row's covariance cells are all blank or none
     return EllipseTable(keys, base[:, :4], fold_axis_angle(base[:, 4]), block, ~blank[:, 5])
 
 
 def load_ellipses(path: str) -> list[EllipseObservation]:
-    """``read_ellipse_table`` as one ``EllipseObservation`` per row."""
-    table = read_ellipse_table(path)
-    return [EllipseObservation._trusted({
-                "image_id": image_id, "ellipse_id": ellipse_id, "x_ce": x_ce, "y_ce": y_ce,
-                "a_e": a_e, "b_e": b_e, "theta": t, "cov": m if c else None})
-            for (image_id, ellipse_id), (x_ce, y_ce, a_e, b_e), t, m, c
-            in zip(table.keys, table.params.tolist(), table.theta.tolist(), table.cov,
-                   table.has_cov.tolist())]
+    """Parse an ellipse CSV row by row, as ``read_ellipse_table`` documents
+    it, into one ``EllipseObservation`` per row, in file order.  The first
+    malformed line raises FileFormatError naming it."""
+    ellipses = {}  # (image_id, ellipse_id) -> its ellipse
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            columns = _EllipseColumns.of(path, next(reader, None))
+            for row in filter(None, reader):
+                where = f"{path}:{reader.line_num}"
+                if len(row) != columns.width:
+                    raise FileFormatError(f"{where}: {len(row)} fields, "
+                                          f"the header has {columns.width}")
+                row.append("")
+                image_id, ellipse_id = key = columns.ids(row)
+                if key in ellipses:
+                    raise FileFormatError(f"{where}: ellipse id {ellipse_id!r} "
+                                          f"repeats in image {image_id!r}")
+                x_ce, y_ce, a_e, b_e, theta, *cov = columns.numbers(row)
+                try:
+                    ellipses[key] = EllipseObservation(
+                        image_id=image_id, ellipse_id=ellipse_id,
+                        x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
+                        theta=float(theta), cov=_cov_from_columns(cov))
+                except ValueError as exc:
+                    raise FileFormatError(f"{where}: {exc}") from exc
+        except csv.Error as exc:
+            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    return list(ellipses.values())
 
 
 #: Characters that make ``csv`` quote a field by default.
@@ -636,13 +612,13 @@ def save_ply(cloud: PlyCloud, path: str) -> None:
 def scale_ply(cloud: PlyCloud, s_r: float) -> PlyCloud:
     """Scaled copy: x/y/z multiplied by ``s_r`` through ``apply_scale``, other
     columns untouched; integer-typed coordinates become ``double``.  A scaled
-    coordinate that is not finite (a ``nan`` or ``inf`` token, or an overflow)
-    raises FileFormatError naming its vertex row and column."""
+    coordinate beyond ``WORLD_LIMIT``, ``nan`` and ``inf`` included, raises
+    FileFormatError naming its vertex row and column."""
     xyz = list(cloud.xyz_indices)
     cells = np.array(cloud.rows, dtype=object).reshape(-1, len(cloud.properties))
     with np.errstate(over="ignore"):  # an overflow is reported below
         scaled = apply_scale(np.array(list(map(float, cells[:, xyz].flat))).reshape(-1, 3), s_r)
-    bad = np.argwhere(~np.isfinite(scaled))
+    bad = np.argwhere(~(np.abs(scaled) <= WORLD_LIMIT))  # NaN fails too
     if len(bad):
         row, axis = bad[0]
         raise FileFormatError(f"vertex row {row}: {'xyz'[axis]} scales to {scaled[row, axis]}")

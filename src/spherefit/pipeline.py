@@ -110,41 +110,25 @@ def view_records(views: Sequence[CameraView], table: EllipseTable,
 
 
 def _merge_tracks(pair_matches: list[tuple[float, str, str, str, str]]) -> list[dict]:
-    """Greedy union of pairwise matches into one-ellipse-per-view tracks.
+    """Greedy merge of pairwise matches into one-ellipse-per-view tracks.
 
     Each match is (reprojection distance, image_l, image_k, ellipse_l,
     ellipse_k); matches are processed in that tuple order, so by ascending
-    distance with ties broken by ids.  A union is skipped when it would put
-    two different ellipses of the same view into one track.  Returns dicts
-    mapping image_id -> ellipse_id.
+    distance with ties broken by ids.  A match joins the tracks (dicts
+    image_id -> ellipse_id) of its two ellipses, the left one taking in the
+    right, unless they share a view: they are one track already, or joining
+    would put two ellipses of one view into a track.  Returns the tracks
+    sorted by the ellipse each grew from, its first item.
     """
-    parent: dict = {}
-
-    def find(node):
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    members: dict = {}
+    track_of: dict = {}  # (image_id, ellipse_id) -> the track holding it
     for _, vid_l, vid_k, eid_l, eid_k in sorted(pair_matches):
-        node_l = (vid_l, eid_l)
-        node_k = (vid_k, eid_k)
-        for node in (node_l, node_k):
-            if node not in parent:
-                parent[node] = node
-                members[node] = {node[0]: node[1]}
-        root_l, root_k = find(node_l), find(node_k)
-        if root_l == root_k:
-            continue
-        views_l, views_k = members[root_l], members[root_k]
-        overlap = set(views_l) & set(views_k)
-        if any(views_l[v] != views_k[v] for v in overlap):
-            continue  # conflicting assignment; keep tracks separate
-        parent[root_k] = root_l
-        views_l.update(views_k)
-        del members[root_k]
-    return [members[find(node)] for node in sorted(members)]
+        track_l = track_of.setdefault((vid_l, eid_l), {vid_l: eid_l})
+        track_k = track_of.setdefault((vid_k, eid_k), {vid_k: eid_k})
+        if track_l.keys().isdisjoint(track_k):
+            track_l.update(track_k)
+            track_of.update(dict.fromkeys(track_k.items(), track_l))
+    tracks = {id(track): track for track in track_of.values()}.values()
+    return sorted(tracks, key=lambda track: next(iter(track.items())))
 
 
 def reconstruct_gated(records: Sequence[ViewRecord],

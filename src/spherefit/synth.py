@@ -33,6 +33,7 @@ from .pipeline import reconstruct_subset
 from .projection import (
     DEPTH_MARGIN,
     PIXEL_LIMIT,
+    WORLD_LIMIT,
     CameraView,
     EllipseObservation,
     Sphere,
@@ -102,7 +103,8 @@ class SceneConfig:
         """Config from parsed JSON; ``ValueError`` names the first key whose
         value lacks the JSON type of its default (an integer in the float
         range may stand for a float), a count outside [0, 100000], a float
-        beyond ``PIXEL_LIMIT`` or not finite, or a width or height <= 0."""
+        beyond ``PIXEL_LIMIT`` or not finite, a width or height <= 0, or a
+        look_at value or sphere center or radius not within ``WORLD_LIMIT``."""
         if not isinstance(data, dict):
             raise ValueError(f"scene config must be a JSON object, got {type(data).__name__}")
         cfg = cls()
@@ -123,11 +125,17 @@ class SceneConfig:
                                  f"finite and at most 2^200 in magnitude, got {value}")
         if not _is_xyz(cfg.look_at):
             raise ValueError(f"scene config key 'look_at' must be 3 numbers, got {cfg.look_at!r}")
+        if not all(abs(x) <= WORLD_LIMIT for x in cfg.look_at):  # NaN fails too
+            raise ValueError(f"scene config key 'look_at' must be finite and at most 2^300 "
+                             f"in magnitude, got {cfg.look_at!r}")
         for entry in cfg.spheres:
             if not (_same_kind(entry, []) and len(entry) == 3 and _same_kind(entry[0], "")
                     and _is_xyz(entry[1]) and _same_kind(entry[2], 0.0)):
                 raise ValueError(f"scene config key 'spheres' needs [id, [x, y, z], radius] "
                                  f"entries, got {entry!r}")
+            if not all(abs(x) <= WORLD_LIMIT for x in (*entry[1], entry[2])):
+                raise ValueError(f"scene config key 'spheres' sphere {entry[0]!r}: center and "
+                                 f"radius must be finite and at most 2^300 in magnitude")
         cfg.spheres = [(sid, tuple(center), float(radius))
                        for sid, center, radius in cfg.spheres]
         cfg.look_at = tuple(cfg.look_at)

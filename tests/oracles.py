@@ -23,11 +23,12 @@ and ``reference_generate_scene`` builds a synthetic scene with one loop per
 for the array passes of ``generate_scene``.
 ``reference_is_psd`` is the one-matrix eigensolver test that ``is_psd``,
 its diagonal-only pass and its batched eigensolver pass over a stack, is
-checked against, ``reference_load_ellipses``
-the row-by-row ellipse CSV reader that the column passes of
+checked against, ``reference_load_ellipses`` the row-by-row ellipse CSV
+reader that the column passes of ``read_ellipse_table`` and the row reader
 ``load_ellipses`` are checked against, and ``reference_load_network`` the
 view-by-view camera reader that the stacked pass of ``load_network`` is
-checked against.
+checked against.  ``reference_merge_tracks`` is the union-find track merge
+that ``_merge_tracks``' dict per track is checked against.
 """
 
 from __future__ import annotations
@@ -697,3 +698,37 @@ def reference_load_network(path: str) -> ImageNetwork:
         return ImageNetwork(views=views, tie_points=tie_points)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def reference_merge_tracks(pair_matches):
+    """Greedy union-find merge of pairwise matches into one-ellipse-per-view
+    tracks, in sorted match order: a union is skipped when it would put two
+    different ellipses of one view into a track.  Returns the tracks (dicts
+    image_id -> ellipse_id) sorted by their roots."""
+    parent: dict = {}
+
+    def find(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    members: dict = {}
+    for _, vid_l, vid_k, eid_l, eid_k in sorted(pair_matches):
+        node_l = (vid_l, eid_l)
+        node_k = (vid_k, eid_k)
+        for node in (node_l, node_k):
+            if node not in parent:
+                parent[node] = node
+                members[node] = {node[0]: node[1]}
+        root_l, root_k = find(node_l), find(node_k)
+        if root_l == root_k:
+            continue
+        views_l, views_k = members[root_l], members[root_k]
+        overlap = set(views_l) & set(views_k)
+        if any(views_l[v] != views_k[v] for v in overlap):
+            continue  # conflicting assignment; keep tracks separate
+        parent[root_k] = root_l
+        views_l.update(views_k)
+        del members[root_k]
+    return [members[find(node)] for node in sorted(members)]

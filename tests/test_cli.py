@@ -790,9 +790,12 @@ class TestScale:
         # --out-points, or a vertex whose scaled x, y or z is not a finite
         # number fails before either output is written.  The last kind used
         # to leave the scaled spheres behind (a token that is not a number)
-        # or to write nan or inf into the scaled cloud.
+        # or to write nan or inf into the scaled cloud.  A finite scaled
+        # coordinate beyond 2^300 world units fails the same way; it used to
+        # be written.
         spheres = self.reconstruct(exported, tmp_path)
         entries = load_spheres(spheres)
+        s_r = 1.0 / entries[0].model.sphere.radius  # the scale of an anchor radius of 1.0
         bad = str(tmp_path / "bad.ply")
         open(bad, "w").write("not a ply\n")
         out_points = ["--out-points", str(tmp_path / "o.ply")]
@@ -803,7 +806,9 @@ class TestScale:
                 ("abc 0.25 4", "could not convert string to float: 'abc'"),
                 ("0.5 nan 4", "vertex row 1: y scales to nan"),
                 ("1 -inf 4", "vertex row 1: y scales to -inf"),
-                ("1e308 0.25 4", "vertex row 1: x scales to inf"))):
+                ("1e308 0.25 4", "vertex row 1: x scales to inf"),
+                ("1e200 0.25 4", f"vertex row 1: x scales to {1e200 * s_r}"),
+                ("1 -2e90 4", f"vertex row 1: y scales to {-2e90 * s_r}"))):
             cloud = tmp_path / f"vertex-{i}.ply"
             cloud.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
                              f"property float y\nproperty float z\nend_header\n1 2 3\n{vertex}\n")
@@ -894,6 +899,27 @@ class TestSimulate:
         assert result.returncode == 2
         assert "error:" in result.stderr and "Traceback" not in result.stderr
         assert repr(key) in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, names", [
+        ({"spheres": [["a", [1.7e308, -1.7e308, 1.7e308], 0.1]]}, ["'spheres'", "'a'"]),
+        ({"look_at": [1e308, 0, 0]}, ["'look_at'"]),
+        ({"look_at": [math.nan, 0, 0]}, ["'look_at'"]),
+        ({"spheres": [["a", [1e100, 0, 0.5], 0.1]]}, ["'spheres'", "'a'"])],
+        ids=["center-1.7e308", "look-at-1e308", "look-at-nan", "center-1e100"])
+    def test_config_beyond_the_world_limit_exit_code(self, tmp_path, capsys, config, names):
+        # Run in-process, under the suite's RuntimeWarning filter.  These used
+        # to end in an overflow warning (exit 1), in "camera rot must be
+        # finite", which names no key (exit 2), or as an infeasible scene
+        # (exit 3).
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--k", "2", "--out", str(out)]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("error:")]
+        assert len(lines) == 1 and all(name in lines[0] for name in names), lines
+        assert "2^300" in lines[0]
         assert not out.exists()
 
     def test_non_finite_config_sigma_exit_code(self, tmp_path):

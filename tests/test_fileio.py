@@ -12,9 +12,13 @@ import spherefit
 from spherefit import (
     EllipseObservation,
     ImageNetwork,
+    SceneConfig,
     Sphere,
     SphereModel,
     TiePoint,
+    fileio,
+    generate_scene,
+    perturb_observations,
 )
 from spherefit.fileio import (
     CONVENTION,
@@ -26,6 +30,7 @@ from spherefit.fileio import (
     load_network,
     load_ply,
     load_spheres,
+    read_ellipse_table,
     save_ellipses,
     save_network,
     save_ply,
@@ -305,6 +310,28 @@ class TestEllipseFile:
         open(path, "w").write(header + "\ni,e,0,0,1.0,2.0,0.0\n")
         with pytest.raises(FileFormatError, match="semi-major"):
             load_ellipses(path)
+
+    def test_a_flagged_file_is_decided_by_the_row_reader(self, tmp_path, monkeypatch):
+        # A file the column pass flags is read again row by row, and the
+        # table is built from what that reader returns; on a valid file it
+        # equals the column pass's own table.
+        config = SceneConfig(seed=0)
+        noisy = perturb_observations(generate_scene(config), config.sigma_px, config.seed)
+        path = str(tmp_path / "ellipses.csv")
+        save_ellipses([e for image_id in sorted(noisy.observations)
+                       for e in noisy.observations[image_id]], path)
+        want = read_ellipse_table(path)
+        rows_read = []
+        monkeypatch.setattr(fileio, "_valid_rows",
+                            lambda base, block, blank: np.zeros(len(base), dtype=bool))
+        monkeypatch.setattr(fileio, "load_ellipses",
+                            lambda path: rows_read.append(path) or load_ellipses(path))
+        got = read_ellipse_table(path)
+        assert rows_read == [path]
+        assert got.keys == want.keys
+        for got_column, want_column in zip(got[1:], want[1:]):
+            assert ((got_column.shape, got_column.dtype, got_column.tobytes())
+                    == (want_column.shape, want_column.dtype, want_column.tobytes()))
 
 
 def test_gate_report_text_of_a_survey_is_indented_sorted_json():

@@ -24,6 +24,7 @@ from oracles import (  # noqa: E402
     reference_is_psd,
     reference_load_ellipses,
     reference_load_network,
+    reference_merge_tracks,
     reference_network_overlap,
     reference_reconstruct_sphere,
 )
@@ -75,6 +76,7 @@ from spherefit.projection import (  # noqa: E402
     is_psd,
     rotation_error,
 )
+from spherefit.pipeline import _merge_tracks  # noqa: E402
 from spherefit.reconstruct import (  # noqa: E402
     AT_INFINITY,
     BEHIND_CAMERA,
@@ -1242,3 +1244,24 @@ def test_mutated_scene_config_is_loaded_or_rejected(data):
     # infeasible or whose network has no admissible pair.
     assert code in (0, 2) or (code, stderr.getvalue().split(":")[0]) in \
         ((3, "error"), (4, "error")), stderr.getvalue()
+
+
+@st.composite
+def _pair_matches(draw):
+    """Pairwise matches over 2-6 views and 1-4 ellipse ids, with distances
+    from a small set so that ties are common; a view pair may come in either
+    order, and a pairing may repeat or conflict with another."""
+    views = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    ids = [f"e{i}" for i in range(draw(st.integers(1, 4)))]
+    match = st.tuples(st.sampled_from([0.5, 1.0, 1.0, 2.0]), st.sampled_from(views),
+                      st.sampled_from(views), st.sampled_from(ids), st.sampled_from(ids))
+    matches = [m for m in draw(st.lists(match, max_size=30)) if m[1] != m[2]]
+    return matches + draw(st.lists(st.sampled_from(matches), max_size=5)) if matches else []
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(matches=_pair_matches())
+def test_merge_tracks_equals_union_find(matches):
+    got, want = _merge_tracks(matches), reference_merge_tracks(matches)
+    assert got == want
+    assert [list(track.items()) for track in got] == [list(track.items()) for track in want]

@@ -107,6 +107,18 @@ class TestGenerateScene:
         ({"f": "3000"}, "'f'"),
         ({"placement": 3}, "'placement'"),
         ({"look_at": [0.0, 0.0]}, "'look_at'"),
+        # Sphere centers and radii and look_at are bounded by WORLD_LIMIT, as
+        # cameras and tie points are: these used to overflow in scene
+        # generation, fail with a message naming neither the key nor the
+        # sphere, or end as an infeasible scene.
+        ({"spheres": [["a", [1.7e308, -1.7e308, 1.7e308], 0.1]]}, "'spheres' sphere 'a'"),
+        ({"spheres": [["a", [1e100, 0.0, 0.5], 0.1]]}, "'spheres' sphere 'a'"),
+        ({"spheres": [["a", [0.0, math.nan, 0.5], 0.1]]}, "'spheres' sphere 'a'"),
+        ({"spheres": [["b", [0.0, 0.0, 0.5], 1e308]]}, "'spheres' sphere 'b'"),
+        ({"spheres": [["b", [0.0, 0.0, 0.5], math.nan]]}, "'spheres' sphere 'b'"),
+        ({"look_at": [1e308, 0.0, 0.0]}, "'look_at'"),
+        ({"look_at": [0.0, math.nan, 0.0]}, "'look_at'"),
+        ({"look_at": [0.0, 0.0, -math.inf]}, "'look_at'"),
     ])
     def test_from_dict_rejects_mistyped_values(self, data, match):
         with pytest.raises(ValueError, match=match):
