@@ -264,12 +264,12 @@ def cmd_scale(args) -> int:
     if args.points and not args.out_points:
         raise fileio.FileFormatError("--points requires --out-points")
     # Both outputs are computed before either is written.
-    for entry in entries:  # every scaled length within WORLD_LIMIT
+    for entry in entries:  # every scaled length within WORLD_LIMIT; NaN fails too
         m = entry.model
         radii = [m.sphere.radius, m.radius_spread, *(radius for _, radius in m.per_view_radii)]
-        if not max(map(abs, [*m.sphere.center.tolist(), *radii])) * scale.s_r <= WORLD_LIMIT:
+        if not all(abs(x) * scale.s_r <= WORLD_LIMIT for x in [*m.sphere.center.tolist(), *radii]):
             raise fileio.FileFormatError(f"sphere {entry.sphere_id!r} scales by {scale.s_r} "
-                                         "beyond 2^300 world units")
+                                         "to a length that is NaN or beyond 2^300 world units")
     scaled = [dataclasses.replace(entry, model=apply_scale(entry.model, scale.s_r))
               for entry in entries]
     cloud = fileio.scale_ply(fileio.load_ply(args.points), scale.s_r) if args.points else None

@@ -13,6 +13,7 @@ byte-order mark, as spreadsheet exports do.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import operator
@@ -133,73 +134,60 @@ def _json_list(items: Sequence[str], pad: str) -> str:
 
 # ---------------------------------------------------------------- cameras
 
-def _valid_views(views: list[dict]) -> np.ndarray:
-    """Which views, given as ``CameraView`` fields, pass its checks, in one stacked pass."""
-    rot = np.array([v["rot"] for v in views]).reshape(-1, 3, 3)
-    scalars = np.array([(v["f"], v["px"], v["py"], *v["t"].tolist()) for v in views]).reshape(-1, 6)
-    psd = np.ones(len(views), dtype=bool)
-    covs = [i for i, v in enumerate(views) if v["iop_cov"] is not None]
-    if covs:
-        psd[covs] = is_psd(np.array([views[i]["iop_cov"] for i in covs]))
-    with np.errstate(all="ignore"):  # a non-finite or huge rotation fails the rotation test
-        # f, px and py within PIXEL_LIMIT and t within WORLD_LIMIT; NaN fails both.
-        return ((np.abs(scalars) <= [PIXEL_LIMIT] * 3 + [WORLD_LIMIT] * 3).all(axis=1)
-                & (scalars[:, 0] > 0.0) & psd
-                & (rotation_error(rot) < _ROT_TOL) & (np.linalg.det(rot) >= 0.0))
-
-
 def load_network(path: str) -> ImageNetwork:
-    """Parse a camera network file; validates the convention header and all
-    view invariants (orthonormal rotation, positive focal length, PSD
-    covariance) in one stacked pass over the views, and the tie points in
-    another."""
+    """Parse a camera network file.  Its views and tie points are stacked and
+    checked in one pass; a file that pass flags is read again entry by entry
+    through ``CameraView`` and ``TiePoint``, so the first bad entry raises its own error."""
     data = _load_object(path, "views")
     if data.get("convention") != CONVENTION:
         raise FileFormatError(
             f"{path}: missing or wrong 'convention' header; expected "
             f"{CONVENTION!r} (got {data.get('convention')!r})")
-    views, fault = [], None
-    for entry in _object_list(path, "views", data["views"]):
+    entries = _object_list(path, "views", data["views"])
+    n = len(entries)
+    try:  # a FileFormatError is a ValueError: a bad tie point list flags the file too
+        points = _object_list(path, "tie_points", data.get("tie_points", []))
+        iop = np.array([(float(e["f"]), float(e["px"]), float(e["py"])) for e in entries])
+        iop = iop.reshape(n, 3)
+        rot = np.array([e["rot"] for e in entries], dtype=float).reshape(n, 3, 3)
+        t = np.array([e["t"] for e in entries], dtype=float).reshape(n, 3)
+        has_cov = [e.get("iop_cov") is not None for e in entries]
+        cov = np.array([e["iop_cov"] for e in itertools.compress(entries, has_cov)], dtype=float)
+        cov = cov.reshape(sum(has_cov), 3, 3)  # not (-1, 3, 3), which splits 9 covs of 4 numbers
+        xyz = np.array([p["xyz"] for p in points], dtype=float).reshape(len(points), 3)
+        with np.errstate(all="ignore"):  # NaN fails every bound, a non-finite rot its tests
+            clean = ((iop[:, 0] > 0.0).all() and (np.abs(iop) <= PIXEL_LIMIT).all()
+                     and (np.abs(t) <= WORLD_LIMIT).all() and (np.abs(xyz) <= WORLD_LIMIT).all()
+                     and (rotation_error(rot) < _ROT_TOL).all()
+                     and (np.linalg.det(rot) >= 0.0).all()
+                     and (not len(cov) or is_psd(cov).all()))
+        covs = iter(cov)
+        views = [CameraView._trusted({"image_id": str(e["image_id"]), "f": f, "px": px, "py": py,
+                                      "rot": r, "t": tv, "iop_cov": next(covs) if h else None})
+                 for e, (f, px, py), r, tv, h in zip(entries, iop.tolist(), rot, t, has_cov)]
+        tie_points = [TiePoint._trusted({"xyz": x, "visible_in": frozenset(map(str, ids))})
+                      for x, ids in zip(xyz, (p["visible_in"] for p in points))]
+    except _BAD_ENTRY:
+        clean = False
+    if not clean:  # each entry built on its own, so that the first bad one raises its own error
         try:
-            iop_cov = entry.get("iop_cov")
-            views.append({
-                "image_id": str(entry["image_id"]),
-                "f": float(entry["f"]), "px": float(entry["px"]), "py": float(entry["py"]),
-                "rot": np.asarray(entry["rot"], dtype=float).reshape(3, 3),
-                "t": np.asarray(entry["t"], dtype=float).reshape(3),
-                "iop_cov": None if iop_cov is None
-                else np.asarray(iop_cov, dtype=float).reshape(3, 3)})
+            views = [CameraView(
+                image_id=str(e["image_id"]), f=float(e["f"]), px=float(e["px"]),
+                py=float(e["py"]), rot=np.asarray(e["rot"], dtype=float).reshape(3, 3),
+                t=np.asarray(e["t"], dtype=float).reshape(3),
+                iop_cov=None if e.get("iop_cov") is None
+                else np.asarray(e["iop_cov"], dtype=float).reshape(3, 3)) for e in entries]
         except _BAD_ENTRY as exc:
-            fault = exc
-            break
-    try:  # the first bad view, built on its own, raises its own error
-        for i in np.flatnonzero(~_valid_views(views)):
-            CameraView(**views[i])
-        if fault is not None:
-            raise fault
-    except _BAD_ENTRY as exc:
-        raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
-    entries = _object_list(path, "tie_points", data.get("tie_points", []))
+            raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
+        points = _object_list(path, "tie_points", data.get("tie_points", []))
+        try:
+            tie_points = [TiePoint(xyz=np.asarray(p["xyz"], dtype=float).reshape(3),
+                                   visible_in=frozenset(map(str, p["visible_in"])))
+                          for p in points]
+        except _BAD_ENTRY as exc:
+            raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
     try:
-        try:  # every tie point in one stacked pass; NaN fails the world bound
-            xyz = np.array([entry["xyz"] for entry in entries], dtype=float)
-            xyz = xyz.reshape(len(entries), 3)  # not (-1, 3), which splits a longer xyz
-            visible = [frozenset(map(str, entry["visible_in"])) for entry in entries]
-            stacked = (np.abs(xyz) <= WORLD_LIMIT).all()
-        except _BAD_ENTRY:
-            stacked = False
-        if stacked:
-            tie_points = [TiePoint._trusted({"xyz": p, "visible_in": v})
-                          for p, v in zip(xyz, visible)]
-        else:  # each built on its own, so that the first bad one raises its own error
-            tie_points = [TiePoint(xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
-                                   visible_in=frozenset(map(str, entry["visible_in"])))
-                          for entry in entries]
-    except _BAD_ENTRY as exc:
-        raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
-    try:
-        return ImageNetwork(views=list(map(CameraView._trusted, views)),
-                            tie_points=tie_points)
+        return ImageNetwork(views=views, tie_points=tie_points)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -337,30 +325,38 @@ def read_ellipse_table(path: str) -> EllipseTable:
 def load_ellipses(path: str) -> list[EllipseObservation]:
     """Parse an ellipse CSV row by row, as ``read_ellipse_table`` documents
     it, into one ``EllipseObservation`` per row, in file order.  The first
-    malformed line raises FileFormatError naming it."""
+    malformed line raises FileFormatError naming it; a malformed row that an
+    unclosed quote ran to the end of the file names the line the quote opens."""
     ellipses = {}  # (image_id, ellipse_id) -> its ellipse
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+        ended = []  # not empty once csv has asked for a line past the last
+
+        def lines():
+            yield from handle
+            ended.append(True)
+
+        reader = csv.reader(lines())
         try:
             columns = _EllipseColumns.of(path, next(reader, None))
             for row in filter(None, reader):
-                where = f"{path}:{reader.line_num}"
-                if len(row) != columns.width:
-                    raise FileFormatError(f"{where}: {len(row)} fields, "
-                                          f"the header has {columns.width}")
-                row.append("")
-                image_id, ellipse_id = key = columns.ids(row)
-                if key in ellipses:
-                    raise FileFormatError(f"{where}: ellipse id {ellipse_id!r} "
-                                          f"repeats in image {image_id!r}")
-                x_ce, y_ce, a_e, b_e, theta, *cov = columns.numbers(row)
                 try:
+                    if len(row) != columns.width:
+                        raise ValueError(f"{len(row)} fields, the header has {columns.width}")
+                    image_id, ellipse_id = key = columns.ids(row)
+                    if key in ellipses:
+                        raise ValueError(f"ellipse id {ellipse_id!r} repeats in image {image_id!r}")
+                    x_ce, y_ce, a_e, b_e, theta, *cov = columns.numbers(row + [""])
                     ellipses[key] = EllipseObservation(
                         image_id=image_id, ellipse_id=ellipse_id,
                         x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
                         theta=float(theta), cov=_cov_from_columns(cov))
                 except ValueError as exc:
-                    raise FileFormatError(f"{where}: {exc}") from exc
+                    if ended:  # csv ends a row at the end of the file only in a quoted field,
+                        # the row's last, which holds the lines it ran over
+                        spanned = len(io.StringIO(row[-1], newline="").readlines())
+                        raise FileFormatError(f"{path}:{reader.line_num + 1 - max(spanned, 1)}: "
+                                              "quoted field is not closed") from exc
+                    raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
         except csv.Error as exc:
             raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return list(ellipses.values())

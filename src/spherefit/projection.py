@@ -146,8 +146,9 @@ def _require_finite(owner: str, **values) -> None:
 
 
 def _require_world(owner: str, name: str, xyz: np.ndarray) -> None:
-    """Raise ValueError unless each entry of ``xyz`` lies within ``WORLD_LIMIT``."""
-    if not max(map(abs, xyz.tolist())) <= WORLD_LIMIT:
+    """Raise ValueError unless each entry of ``xyz`` lies within ``WORLD_LIMIT``;
+    NaN does not."""
+    if not all(abs(x) <= WORLD_LIMIT for x in xyz.tolist()):
         raise ValueError(f"{owner} {name} must lie within 2^300 world units, got {xyz.tolist()}")
 
 

@@ -34,6 +34,7 @@ that ``_merge_tracks``' dict per track is checked against.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -622,45 +623,65 @@ def _reference_cov(raw):
 def reference_load_ellipses(path: str) -> list:
     """The ellipse CSV read one row at a time: each row is converted and
     built as an ``EllipseObservation``, whose own checks run on it, and the
-    first malformed line raises FileFormatError."""
+    first malformed line raises FileFormatError.  A malformed row that ran
+    to the end of the file inside a quoted field, its last, names the line of
+    that field's opening quote."""
     out = {}  # (image_id, ellipse_id) -> ellipse, in file order
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise FileFormatError(f"{path}: empty file (header row is mandatory)")
-            repeated = sorted({c for c in header if header.count(c) > 1})
-            if repeated:
-                raise FileFormatError(f"{path}: repeated columns {repeated}")
-            missing = [c for c in ELLIPSE_BASE_COLUMNS if c not in header]
-            if missing:
-                raise FileFormatError(f"{path}: missing columns {missing}")
-            column = {name: i for i, name in enumerate(header)}
-            base_cells = operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS))
-            cov_cells = operator.itemgetter(*(column.get(c, len(header))
-                                              for c in ELLIPSE_COV_COLUMNS))
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise FileFormatError(f"{path}:{reader.line_num}: {len(row)} fields, "
-                                          f"the header has {len(header)}")
-                row.append("")
-                image_id, ellipse_id, x_ce, y_ce, a_e, b_e, theta = base_cells(row)
-                if (image_id, ellipse_id) in out:
-                    raise FileFormatError(
-                        f"{path}:{reader.line_num}: ellipse id {ellipse_id!r} "
-                        f"repeats in image {image_id!r}")
-                try:
-                    out[image_id, ellipse_id] = EllipseObservation(
-                        image_id=image_id, ellipse_id=ellipse_id,
-                        x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
-                        theta=float(theta), cov=_reference_cov(cov_cells(row)))
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
-        except csv.Error as exc:
-            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        text = handle.read()
+    lines_read = []
+
+    def lines():
+        for line in io.StringIO(text, newline=""):
+            lines_read.append(line)
+            yield line
+        lines_read.append(None)  # csv asked for a line past the last
+
+    reader = csv.reader(lines())
+
+    def malformed(row, message):
+        if lines_read[-1] is not None:
+            return FileFormatError(f"{path}:{reader.line_num}: {message}")
+        # The field holds the file's tail after its opening quote, each
+        # doubled quote read as one.
+        field = row[-1]
+        quote = len(text) - len(field) - field.count('"') - 1
+        assert text[quote] == '"' and text[quote + 1:].replace('""', '"') == field
+        opened = len(io.StringIO(text[:quote + 1], newline="").readlines())
+        return FileFormatError(f"{path}:{opened}: quoted field is not closed")
+
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FileFormatError(f"{path}: empty file (header row is mandatory)")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise FileFormatError(f"{path}: repeated columns {repeated}")
+        missing = [c for c in ELLIPSE_BASE_COLUMNS if c not in header]
+        if missing:
+            raise FileFormatError(f"{path}: missing columns {missing}")
+        column = {name: i for i, name in enumerate(header)}
+        base_cells = operator.itemgetter(*(column[c] for c in ELLIPSE_BASE_COLUMNS))
+        cov_cells = operator.itemgetter(*(column.get(c, len(header))
+                                          for c in ELLIPSE_COV_COLUMNS))
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise malformed(row, f"{len(row)} fields, the header has {len(header)}")
+            image_id, ellipse_id, x_ce, y_ce, a_e, b_e, theta = base_cells(row)
+            if (image_id, ellipse_id) in out:
+                raise malformed(row, f"ellipse id {ellipse_id!r} "
+                                     f"repeats in image {image_id!r}")
+            try:
+                out[image_id, ellipse_id] = EllipseObservation(
+                    image_id=image_id, ellipse_id=ellipse_id,
+                    x_ce=float(x_ce), y_ce=float(y_ce), a_e=float(a_e), b_e=float(b_e),
+                    theta=float(theta), cov=_reference_cov(cov_cells(row + [""])))
+            except ValueError as exc:
+                raise malformed(row, exc) from exc
+    except csv.Error as exc:
+        raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return list(out.values())
 
 

@@ -760,6 +760,28 @@ class TestScale:
         assert "beyond 2^300 world units" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["per_view_radii", "radius_spread"])
+    def test_nan_per_view_radius_or_spread_exit_code(self, exported, tmp_path, capsys, field):
+        # The world bound took the max() of the scaled lengths, which skips a
+        # NaN after a finite value: a NaN second per-view radius or radius
+        # spread was scaled and written as NaN (exit 0).
+        spheres = self.reconstruct(exported, tmp_path)
+        data = json.load(open(spheres))
+        if field == "per_view_radii":
+            assert len(data["spheres"][1]["per_view_radii"]) >= 2
+            data["spheres"][1]["per_view_radii"][1][1] = math.nan
+        else:
+            data["spheres"][1]["radius_spread"] = math.nan
+        (tmp_path / "spheres.json").write_text(json.dumps(data))
+        out = tmp_path / "o.json"
+        anchor = f"s000:{2.0 * data['spheres'][0]['radius']!r}"
+        assert main(["scale", "--spheres", spheres, "--anchors", anchor, "--out", str(out)]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("error:")]
+        assert len(lines) == 1 and "sphere 's001' scales by " in lines[0], lines
+        assert "NaN" in lines[0]
+        assert not out.exists()
+
     def test_null_spheres_exit_code(self, tmp_path):
         bad = tmp_path / "null.json"
         bad.write_text(json.dumps({"spheres": None}))

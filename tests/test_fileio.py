@@ -311,6 +311,26 @@ class TestEllipseFile:
         with pytest.raises(FileFormatError, match="semi-major"):
             load_ellipses(path)
 
+    @pytest.mark.parametrize("row, cell, newline", [
+        (2, 0, "\n"), (1, 1, "\n"), (3, 6, "\r\n"), (3, 16, "\n"), (2, 0, "\r")],
+        ids=["image-id", "ellipse-id", "theta-crlf", "blank-cov-yy", "image-id-cr"])
+    def test_unclosed_quote_names_its_line(self, tmp_path, row, cell, newline):
+        # csv reads an unclosed quote to the end of the file as one field;
+        # the malformed row it ends used to be reported on the file's last
+        # line, for example as "1 fields, the header has 17".
+        path = str(tmp_path / "e.csv")
+        save_ellipses([EllipseObservation("i", f"e{k}", 1.0, 2.0, 3.0, 2.0, 0.0)
+                       for k in range(5)], path)
+        lines = open(path).read().splitlines()
+        cells = lines[row].split(",")
+        cells[cell] = '"' + cells[cell]
+        lines[row] = ",".join(cells)
+        open(path, "w", newline="").write(newline.join(lines) + newline)
+        for read in (load_ellipses, read_ellipse_table):
+            with pytest.raises(FileFormatError,
+                               match=rf"^.*e\.csv:{row + 1}: quoted field is not closed$"):
+                read(path)
+
     def test_a_flagged_file_is_decided_by_the_row_reader(self, tmp_path, monkeypatch):
         # A file the column pass flags is read again row by row, and the
         # table is built from what that reader returns; on a valid file it

@@ -888,7 +888,14 @@ def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
     ("visible-in-unknown-image", "cameras.json: tie point references unknown images ['nope']"),
     ("visible-in-one-image", "cameras.json: each tie point must be visible in at least two"),
     ("nan-tie-point-before-missing-xyz", "bad tie point entry (tie point xyz must be finite)"),
-    ("bad-tie-point-after-bad-view", "bad view entry (focal length must be positive")])
+    ("bad-tie-point-after-bad-view", "bad view entry (focal length must be positive"),
+    ("repeated-image-id", "cameras.json: duplicate image ids in network"),
+    ("numeric-string-focal-length", None),
+    ("rot-with-8-numbers", "bad view entry (cannot reshape array of size 8 into shape (3,3))"),
+    ("iop-cov-with-4-numbers",
+     "bad view entry (cannot reshape array of size 4 into shape (3,3))"),
+    ("nine-iop-covs-with-4-numbers",
+     "bad view entry (cannot reshape array of size 4 into shape (3,3))")])
 def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
     # Explicit examples of the fuzz test above: the stacked checks must pass
     # and reject the views and tie points that CameraView and TiePoint do,
@@ -966,6 +973,17 @@ def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
     elif edit == "bad-tie-point-after-bad-view":
         views[1]["f"] = -1.0
         ties[0]["xyz"][0] = math.nan
+    elif edit == "repeated-image-id":
+        views[2]["image_id"] = views[1]["image_id"]
+    elif edit == "numeric-string-focal-length":
+        views[1]["f"] = repr(views[1]["f"])
+    elif edit == "rot-with-8-numbers":
+        views[1]["rot"] = rot.ravel().tolist()[:8]
+    elif edit == "iop-cov-with-4-numbers":
+        views[1]["iop_cov"] = [1.0, 0.0, 0.0, 1.0]
+    elif edit == "nine-iop-covs-with-4-numbers":  # 9 x 4 numbers fill four 3x3 matrices
+        for entry in views[:9]:
+            entry["iop_cov"] = [1.0, 0.0, 0.0, 1.0]
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "cameras.json")
         with open(path, "w") as handle:
