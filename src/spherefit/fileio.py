@@ -326,7 +326,8 @@ def load_ellipses(path: str) -> list[EllipseObservation]:
     """Parse an ellipse CSV row by row, as ``read_ellipse_table`` documents
     it, into one ``EllipseObservation`` per row, in file order.  The first
     malformed line raises FileFormatError naming it; a malformed row that an
-    unclosed quote ran to the end of the file names the line the quote opens."""
+    unclosed quote ran to the end of the file, or past csv's field limit,
+    names the line the quote opens."""
     ellipses = {}  # (image_id, ellipse_id) -> its ellipse
     with open(path, newline="", encoding="utf-8-sig") as handle:
         ended = []  # not empty once csv has asked for a line past the last
@@ -336,8 +337,10 @@ def load_ellipses(path: str) -> list[EllipseObservation]:
             ended.append(True)
 
         reader = csv.reader(lines())
+        first = 1  # the next row starts on this line or after blank lines
         try:
             columns = _EllipseColumns.of(path, next(reader, None))
+            first = reader.line_num + 1
             for row in filter(None, reader):
                 try:
                     if len(row) != columns.width:
@@ -357,9 +360,25 @@ def load_ellipses(path: str) -> list[EllipseObservation]:
                         raise FileFormatError(f"{path}:{reader.line_num + 1 - max(spanned, 1)}: "
                                               "quoted field is not closed") from exc
                     raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+                first = reader.line_num + 1
         except csv.Error as exc:
+            opened = _unclosed_quote(path, first, reader.line_num)
+            if opened is not None:
+                raise FileFormatError(f"{path}:{opened}: quoted field is not closed") from exc
             raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return list(ellipses.values())
+
+
+def _unclosed_quote(path: str, first: int, last: int) -> Optional[int]:
+    """The line a row opens on, if csv stopped reading it on a later line
+    ``last`` and no double quote on ``last`` or after closes its quoted field;
+    else None.  The row is the first non-blank line from ``first`` on."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        lines = list(itertools.islice(handle, first - 1, None))
+    start = first + next((i for i, line in enumerate(lines) if line.strip("\r\n")), 0)
+    if start < last and '"' not in "".join(lines[last - first:]).replace('""', ""):
+        return start
+    return None
 
 
 #: Characters that make ``csv`` quote a field by default.

@@ -625,7 +625,8 @@ def reference_load_ellipses(path: str) -> list:
     built as an ``EllipseObservation``, whose own checks run on it, and the
     first malformed line raises FileFormatError.  A malformed row that ran
     to the end of the file inside a quoted field, its last, names the line of
-    that field's opening quote."""
+    that field's opening quote, and so does a row whose quoted field csv
+    stopped at its size limit, if read without the limit it runs to the end."""
     out = {}  # (image_id, ellipse_id) -> ellipse, in file order
     with open(path, newline="") as handle:
         text = handle.read()
@@ -681,6 +682,18 @@ def reference_load_ellipses(path: str) -> list:
             except ValueError as exc:
                 raise malformed(row, exc) from exc
     except csv.Error as exc:
+        if "field larger than field limit" in str(exc):
+            # Read without the limit, a quoted field that runs unclosed to the
+            # end of the file from this row, not a later one, names its line.
+            limit = csv.field_size_limit(len(text) + 1)
+            try:
+                reference_load_ellipses(path)
+            except FileFormatError as unlimited:
+                line, _, message = str(unlimited)[len(path) + 1:].partition(": ")
+                if message == "quoted field is not closed" and int(line) <= reader.line_num:
+                    raise unlimited from exc
+            finally:
+                csv.field_size_limit(limit)
         raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return list(out.values())
 

@@ -37,7 +37,7 @@ from spherefit.fileio import (
     save_spheres,
     scale_ply,
 )
-from oracles import look_at_view
+from oracles import look_at_view, reference_load_ellipses
 
 
 @pytest.fixture
@@ -301,8 +301,9 @@ class TestEllipseFile:
         path = str(tmp_path / "e.csv")
         header = "image_id,ellipse_id,x_ce,y_ce,a_e,b_e,theta_rad"
         open(path, "w").write(header + "\ni,e,1,2,5,4," + "1" * 200_000 + "\n")
-        with pytest.raises(FileFormatError, match=r"e\.csv:2: field larger"):
-            load_ellipses(path)
+        for read in (load_ellipses, reference_load_ellipses):
+            with pytest.raises(FileFormatError, match=r"e\.csv:2: field larger"):
+                read(path)
 
     def test_axis_order_validated_per_row(self, tmp_path):
         path = str(tmp_path / "e.csv")
@@ -329,6 +330,29 @@ class TestEllipseFile:
         for read in (load_ellipses, read_ellipse_table):
             with pytest.raises(FileFormatError,
                                match=rf"^.*e\.csv:{row + 1}: quoted field is not closed$"):
+                read(path)
+
+    @pytest.mark.parametrize("line, closed", [(3, None), (100, None), (1500, None), (3, 1500)])
+    def test_unclosed_quote_in_a_large_file_names_its_line(self, tmp_path, line, closed):
+        # In a file larger than csv's field limit, the quoted field grows past
+        # the limit before the file ends; that used to be reported as "field
+        # larger than field limit" hundreds of lines after the quote.  A quote
+        # that a later line closes still passes the limit, and says so.
+        config = SceneConfig(placement="ring", n_cameras=60, clutter_per_image=30, seed=1)
+        noisy = perturb_observations(generate_scene(config), 0.5, config.seed)
+        path = str(tmp_path / "e.csv")
+        save_ellipses([e for image_id in sorted(noisy.observations)
+                       for e in noisy.observations[image_id]], path)
+        lines = open(path).read().splitlines()
+        assert len(lines) == 2341
+        lines[line - 1] = '"' + lines[line - 1]
+        if closed:
+            lines[closed - 1] += '"'
+        open(path, "w").write("\n".join(lines) + "\n")
+        message = (rf"{line}: quoted field is not closed" if closed is None
+                   else r"\d+: field larger than field limit \(131072\)")
+        for read in (load_ellipses, read_ellipse_table, reference_load_ellipses):
+            with pytest.raises(FileFormatError, match=rf"^.*e\.csv:{message}$"):
                 read(path)
 
     def test_a_flagged_file_is_decided_by_the_row_reader(self, tmp_path, monkeypatch):
