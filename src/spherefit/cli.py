@@ -91,8 +91,16 @@ def _read_gated(args):
     not in the camera file is a validation error."""
     network = fileio.load_network(args.cameras)
     table = fileio.read_ellipse_table(args.ellipses)
-    return (network, table,
-            *gate_views(network.views, table, args.k_sigma, args.default_sigma_px))
+    try:
+        return (network, table,
+                *gate_views(network.views, table, args.k_sigma, args.default_sigma_px))
+    except ValueError as exc:
+        known = {view.image_id for view in network.views}
+        key = next((key for key in table.keys if key[0] not in known), None)
+        if key is None:
+            raise
+        line = fileio.ellipse_row_line(args.ellipses, key)
+        raise fileio.FileFormatError(f"{args.ellipses}:{line}: {exc}") from exc
 
 
 def _emit_json(payload, out=None) -> None:
@@ -272,7 +280,8 @@ def cmd_scale(args) -> int:
                                          "to a length that is NaN or beyond 2^300 world units")
     scaled = [dataclasses.replace(entry, model=apply_scale(entry.model, scale.s_r))
               for entry in entries]
-    cloud = fileio.scale_ply(fileio.load_ply(args.points), scale.s_r) if args.points else None
+    cloud = (fileio.scale_ply(fileio.load_ply(args.points), scale.s_r, args.points)
+             if args.points else None)
     fileio.save_spheres(scaled, args.out)
     if cloud is not None:
         fileio.save_ply(cloud, args.out_points)

@@ -369,6 +369,16 @@ def load_ellipses(path: str) -> list[EllipseObservation]:
     return list(ellipses.values())
 
 
+def ellipse_row_line(path: str, key: tuple[str, str]) -> int:
+    """The line of the ellipse file ``path`` that ends the row of ``key``
+    (image_id, ellipse_id), as ``load_ellipses`` names a row; it reads the
+    file again, for an error message about a row of its table."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        columns = _EllipseColumns.of(path, next(reader, None))
+        return next(reader.line_num for row in reader if row and columns.ids(row) == key)
+
+
 def _unclosed_quote(path: str, first: int, last: int) -> Optional[int]:
     """The line a row opens on, if csv stopped reading it on a later line
     ``last`` and no double quote on ``last`` or after closes its quoted field;
@@ -624,15 +634,27 @@ def save_ply(cloud: PlyCloud, path: str) -> None:
     atomic_write_text(path, "\n".join(header + body) + "\n")
 
 
-def scale_ply(cloud: PlyCloud, s_r: float) -> PlyCloud:
+def scale_ply(cloud: PlyCloud, s_r: float, path: str) -> PlyCloud:
     """Scaled copy: x/y/z multiplied by ``s_r`` through ``apply_scale``, other
-    columns untouched; integer-typed coordinates become ``double``.  A scaled
-    coordinate beyond ``WORLD_LIMIT``, ``nan`` and ``inf`` included, raises
-    FileFormatError naming its vertex row and column."""
+    columns untouched; integer-typed coordinates become ``double``.  A
+    coordinate that is not a number raises FileFormatError naming ``path``,
+    the file the cloud was read from, and the vertex row and column; so does a
+    scaled coordinate beyond ``WORLD_LIMIT``, ``nan`` and ``inf`` included,
+    without the path."""
     xyz = list(cloud.xyz_indices)
     cells = np.array(cloud.rows, dtype=object).reshape(-1, len(cloud.properties))
+    try:
+        coordinates = np.array(list(map(float, cells[:, xyz].flat))).reshape(-1, 3)
+    except ValueError:
+        for (row, axis), cell in np.ndenumerate(cells[:, xyz]):
+            try:
+                float(cell)
+            except ValueError:
+                raise FileFormatError(f"{path}: vertex row {row}: {'xyz'[axis]} is not a "
+                                      f"number: {cell!r}") from None
+        raise
     with np.errstate(over="ignore"):  # an overflow is reported below
-        scaled = apply_scale(np.array(list(map(float, cells[:, xyz].flat))).reshape(-1, 3), s_r)
+        scaled = apply_scale(coordinates, s_r)
     bad = np.argwhere(~(np.abs(scaled) <= WORLD_LIMIT))  # NaN fails too
     if len(bad):
         row, axis = bad[0]

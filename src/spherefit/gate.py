@@ -72,10 +72,10 @@ def tau(e: EllipseObservation, f: float, px: float, py: float) -> float:
     return float(1.0 - _ratio(e.a_e, e.b_e, e.x_ce - px, e.y_ce - py, f * f + e.b_e * e.b_e))
 
 
-def _tau_and_gradient(a, b, x, y, f, px, py):
+def _tau_and_gradient(a, b, x, y, f, px, py, iop=True):
     """tau and its gradient wrt (a_e, b_e, x_ce, y_ce, px, py, f),
     elementwise over arrays of parameters; the gradient's 7 components form
-    its last axis."""
+    its last axis, or its first 4 when ``iop`` is False."""
     dx = x - px
     dy = y - py
     a2, b2 = a * a, b * b
@@ -89,11 +89,11 @@ def _tau_and_gradient(a, b, x, y, f, px, py):
     common = 1.0 / (a2 * m * v)
     d_a = m / a
     d_b = -m * f * f / (b * v) - b ** 3 * common
-    nb2 = -b * b
+    nb2 = -b2  # -b * b, exactly
     d_x = nb2 * dx * common
     d_y = nb2 * dy * common
-    d_f = f * (a2 * m * m - b2) * common
-    return t, np.stack([d_a, d_b, d_x, d_y, -d_x, -d_y, d_f], axis=-1)
+    return t, (np.stack([d_a, d_b, d_x, d_y, -d_x, -d_y, f * (a2 * m * m - b2) * common], axis=-1)
+               if iop else np.array((d_a, d_b, d_x, d_y)).T)
 
 
 def tau_jacobian(e: EllipseObservation, f: float, px: float, py: float) -> np.ndarray:
@@ -125,10 +125,10 @@ def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f, p
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"threshold multiplier must be positive and finite, got {k}")
-    fallback = default_ellipse_cov(default_sigma)
-    ellipse_covs = cov if has_cov.all() else np.where(has_cov[:, None, None], cov, fallback)
-    x, y, a, b = params.T
-    t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py)
+    ellipse_covs = cov if has_cov.all() and 0.0 <= default_sigma < math.inf else np.where(
+        has_cov[:, None, None], cov, default_ellipse_cov(default_sigma))  # raises if invalid
+    x, y, a, b = params[:, 0], params[:, 1], params[:, 2], params[:, 3]
+    t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py, iop=iop_cov is not None)
     # J Sigma J^T per row, Sigma block-diagonal: the row's ellipse covariance
     # and its interior-orientation one.
     j_e = jacobians[:, :4]

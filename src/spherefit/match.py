@@ -8,17 +8,17 @@ reproject it into both images, and measure the parameter distance between
 observed and reprojected ellipses.  Matching is one-to-one, greedy by
 ascending total reprojection distance.
 
-The work is array maths over both views: the symmetric epipolar distances
-and their limits form one (n_l, n_k) matrix, every admissible pair goes
-through the two-view solve of ``reconstruct`` in one call, from the corrected
-centers and the sums of the triangulation normal matrices the records hold,
-and all hypotheses are reprojected with the silhouette closed form at once.
-Only the greedy one-to-one step loops, over the admissible pairs.  The result
-keeps the solve, whose matched rows are the pipeline's two-view spheres.  Each
-view enters as its ``ViewRecord``: the rows the gate accepted in that view,
-sorted by id, with their corrected centers, center sigmas and normal
-matrices.  ``pipeline.view_records`` builds the records of all of a trial's
-views in one pass; this module only matches them.
+The work is array maths over both views.  What is fixed per view is computed
+once, in its ``ViewRecord`` (``pipeline.view_records`` builds a trial's in one
+pass): the accepted rows sorted by id, each packing the parameters and the
+corrected center, their center sigmas and triangulation normal matrices, and
+the view's camera block, K^-1 and length of t.  Per pair the matcher computes
+F, the (n_l, n_k) matrix of symmetric epipolar distances and their limits,
+one (m, 2, 7) block of both sides' admissible rows and one (2, 17) camera
+block; the two-view solve of ``reconstruct`` and the silhouette closed form
+take every admissible pair at once, under one numpy error state.  Only the
+greedy one-to-one step loops, over the admissible pairs.  The result keeps
+the solve, whose matched rows are the pipeline's two-view spheres.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .projection import DEPTH_MARGIN, CameraView, camera_arrays, silhouette
+from .projection import DEPTH_MARGIN, CameraView, silhouette
 from .reconstruct import OK, _Solve, _solve
 
 # Not called here: bench/spans.py wraps these names in this module.
@@ -65,25 +65,28 @@ class MatchResult:
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    x, y, z = v.tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 class ViewRecord(NamedTuple):
-    """One view's ellipses sorted by id, in array form: the ``ids``, their
-    (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the corrected centers in
-    homogeneous form ``hom`` (n, 3) rows (x, y, 1), the center ``sigmas``
-    (n,), the view's inverse calibration matrix ``k_inv`` and the (n, 4, 4)
-    triangulation ``normal`` matrix of each center."""
+    """One view's ellipses sorted by id: the ``ids``, ``rows`` (n, 7) of the
+    parameters (x_ce, y_ce, a_e, b_e), read as ``params``, and the corrected
+    center (x, y, 1), read as ``hom``, the center ``sigmas`` (n,) and the
+    (n, 4, 4) triangulation ``normal`` matrices; then the view's ``camera``
+    (1, 17) of f, px, py, the pose [rot | t] by rows, 0 and 1, ``k_inv`` and
+    |t|."""
 
     view: CameraView
     ids: list[str]
-    params: np.ndarray
-    hom: np.ndarray
+    rows: np.ndarray
     sigmas: np.ndarray
-    k_inv: np.ndarray
     normal: np.ndarray
+    camera: np.ndarray
+    k_inv: np.ndarray
+    t_norm: float
+    params = property(lambda self: self.rows[:, :4])
+    hom = property(lambda self: self.rows[:, 4:])
 
 
 def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:
@@ -99,12 +102,10 @@ def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:
     r_rel = view_k.rot @ view_l.rot.T
     t_rel = view_k.t - r_rel @ view_l.t
     # Each norm is sqrt(x . x), as np.linalg.norm takes it for a whole array.
-    scale = max(1.0, math.sqrt(view_l.t.dot(view_l.t)), math.sqrt(view_k.t.dot(view_k.t)))
-    if math.sqrt(t_rel.dot(t_rel)) <= 1e-12 * scale:
+    if math.sqrt(t_rel.dot(t_rel)) <= 1e-12 * max(1.0, left.t_norm, right.t_norm):
         raise DegenerateGeometry(
             f"views {view_l.image_id!r} and {view_k.image_id!r} have coincident centers")
-    essential = _skew(t_rel) @ r_rel
-    f_mat = right.k_inv.T @ essential @ left.k_inv
+    f_mat = right.k_inv.T @ (_skew(t_rel) @ r_rel) @ left.k_inv
     flat = f_mat.ravel()
     return f_mat / math.sqrt(flat.dot(flat))
 
@@ -125,43 +126,44 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"epipolar tolerance must be positive and finite, got {tol} px")
     f_lk = fundamental_matrix(left, right)
-    lines_k = left.hom @ f_lk.T  # epipolar lines of the left centers in the right image
-    lines_l = right.hom @ f_lk
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero line admits no point
+    hom_l, hom_k = left.rows[:, 4:], right.rows[:, 4:]
+    lines_k = hom_l @ f_lk.T  # epipolar lines of the left centers in the right image
+    lines_l = hom_k @ f_lk
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero lines, degenerate hypotheses
         epi = np.maximum(
-            np.abs(lines_k @ right.hom.T) / np.hypot(lines_k[:, 0], lines_k[:, 1])[:, None],
-            (np.abs(lines_l @ left.hom.T) / np.hypot(lines_l[:, 0], lines_l[:, 1])[:, None]).T)
-    if tol is None:
-        limit = np.maximum(DEFAULT_EPIPOLAR_TOL, 2.0 * np.maximum.outer(left.sigmas, right.sigmas))
-    else:
-        limit = tol
-    il, ik = np.nonzero(epi <= limit)
-
-    obs = np.stack([left.params[il], right.params[ik]], axis=1)  # (m, 2, 4)
-    hom = np.stack([left.hom[il], right.hom[ik]], axis=1)  # (m, 2, 3)
-    f, px, py, rot, t = camera_arrays((left.view, right.view))
-    solve = _solve(f, px, py, rot, t, hom[..., 0], hom[..., 1], obs[..., 3],
-                   left.normal[il] + right.normal[ik])
-    cam = solve.cam
-    radius = solve.radius[:, None]
-    clears = (solve.reason == OK)[:, None] & (cam[..., 2] > radius * (1.0 + DEPTH_MARGIN))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x, y, a, b = silhouette(cam[..., 0], cam[..., 1], cam[..., 2], radius, f, px, py)
-        dist = np.sqrt((obs[..., 0] - x) ** 2 + (obs[..., 1] - y) ** 2
-                       + (obs[..., 2] - a) ** 2 + (obs[..., 3] - b) ** 2)
+            np.abs(lines_k @ hom_k.T) / np.hypot(lines_k[:, 0], lines_k[:, 1])[:, None],
+            (np.abs(lines_l @ hom_l.T) / np.hypot(lines_l[:, 0], lines_l[:, 1])[:, None]).T)
+        if tol is None:
+            tol = np.maximum(DEFAULT_EPIPOLAR_TOL,
+                             2.0 * np.maximum.outer(left.sigmas, right.sigmas))
+        il, ik = np.nonzero(epi <= tol)
+        pair = np.concatenate((left.rows[il], right.rows[ik]), axis=1).reshape(-1, 2, 7)
+        cameras = np.concatenate((left.camera, right.camera))
+        f, px, py = cameras[:, :3].T
+        pose = cameras[:, 3:15].reshape(2, 3, 4)
+        solve = _solve(f, px, py, pose[..., :3], pose[..., 3], pair[..., 4], pair[..., 5],
+                       pair[..., 3], left.normal[il] + right.normal[ik])
+        cam = solve.cam
+        radius = solve.radius[:, None]
+        z = cam[..., 2]
+        clears = z > radius * (1.0 + DEPTH_MARGIN)
+        x, y, a, b = silhouette(cam[..., 0], cam[..., 1], z, radius, f, px, py)
+        dist = np.sqrt((pair[..., 0] - x) ** 2 + (pair[..., 1] - y) ** 2
+                       + (pair[..., 2] - a) ** 2 + (pair[..., 3] - b) ** 2)
     total = dist[:, 0] + dist[:, 1]
-    keep = np.flatnonzero(clears.all(axis=1))
+    keep = np.flatnonzero((solve.reason == OK) & clears[:, 0] & clears[:, 1])
 
-    # Ellipses are sorted by id, so ordering by index breaks ties by id.
-    order = keep[np.lexsort((ik[keep], il[keep], total[keep]))]
+    # Rows run by (left, right) index and ids are sorted, so a stable sort breaks ties by ids.
+    order = keep[np.argsort(total[keep], kind="stable")]
+    il, ik = il[order], ik[order]
     used_l, used_k, matches, rows = set(), set(), [], []
-    for row, i, j, distance in zip(order.tolist(), il[order].tolist(), ik[order].tolist(),
-                                   total[order].tolist()):
+    for row, i, j, distance, epi_ij in zip(order.tolist(), il.tolist(), ik.tolist(),
+                                           total[order].tolist(), epi[il, ik].tolist()):
         if i in used_l or j in used_k:
             continue
         used_l.add(i)
         used_k.add(j)
-        matches.append(MatchCandidate(left.ids[i], right.ids[j], float(epi[i, j]), distance))
+        matches.append(MatchCandidate(left.ids[i], right.ids[j], epi_ij, distance))
         rows.append(row)
     return MatchResult(matches=matches,
                        unmatched_l=[e for i, e in enumerate(left.ids) if i not in used_l],

@@ -9,14 +9,16 @@ stages over one ``EllipseTable`` of rows keyed (image_id, ellipse_id):
   interior orientation of the row's view, and returns the tau, sigma_tau
   and accepted arrays in table order; every command line command that
   reads ellipses gates the whole file in this one call;
-* ``view_records`` builds each view's ``ViewRecord`` of its accepted rows,
-  every view's in one array pass; rows of views not asked for are left
-  out, so the command line builds the chosen pair's records from the
-  file's gate arrays;
-* ``reconstruct_gated`` matches every pair of records, merges the pairwise
-  matches into one-ellipse-per-view tracks and recovers one sphere per
-  track: a two-view track's from the solve that matching made, longer ones
-  once per track length;
+* ``view_records`` builds each view's ``ViewRecord``, all in one array pass:
+  once per view, what every pair it enters reads (its accepted rows with
+  their corrected centers, center sigmas and normal matrices, its camera
+  row, K^-1 and |t|); rows of views not asked for are left out, so the
+  command line builds the chosen pair's records from the file's gate arrays;
+* ``reconstruct_gated`` matches every pair of records, once per pair (F, the
+  epipolar distances and the two-view solve of the admissible pairings),
+  merges the pairwise matches into one-ellipse-per-view tracks and recovers
+  one sphere per track: a two-view track's from the solve row of the match
+  that formed it, longer ones once per track length;
 * ``reconstruct_subset`` chains the four.
 
 Views are processed in the order the caller gives them: pairs are matched
@@ -26,14 +28,16 @@ view order.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .gate import DEFAULT_K, DEFAULT_SIGMA_PX, classify_view
 from .match import ViewRecord, match_ellipses
-from .projection import CameraView, EllipseTable, camera_arrays, corrected_center
+from .projection import CameraView, EllipseTable, corrected_center
 from .reconstruct import SphereModel, _models, _normal, reconstruct_tracks
 
 
@@ -56,7 +60,7 @@ def gather_ellipses(views: Sequence[CameraView], observations: dict) -> EllipseT
                              f"given for image {view.image_id!r}")
         ellipses.extend(chosen)
         keys.extend((view.image_id, ellipse_id) for ellipse_id in ids)
-    return EllipseTable.of(ellipses)._replace(keys=keys)
+    return EllipseTable.of(ellipses, keys)
 
 
 def gate_views(views: Sequence[CameraView], table: EllipseTable,
@@ -75,10 +79,8 @@ def gate_views(views: Sequence[CameraView], table: EllipseTable,
         image_id, ellipse_id = next(key for key in table.keys if key[0] not in index)
         raise ValueError(f"ellipse {ellipse_id!r} references unknown image {image_id!r}") from None
     f, px, py = np.array([(v.f, v.px, v.py) for v in views]).reshape(-1, 3).T[:, position]
-    iop_cov = None
-    if any(v.iop_cov is not None for v in views):
-        iop_cov = np.array([np.zeros((3, 3)) if v.iop_cov is None else v.iop_cov
-                            for v in views])[position]
+    iop_cov = np.array([np.zeros((3, 3)) if v.iop_cov is None else v.iop_cov for v in views]
+                       )[position] if any(v.iop_cov is not None for v in views) else None
     return classify_view(table.params, table.cov, table.has_cov, f, px, py, iop_cov=iop_cov,
                          k=k_sigma, default_sigma=default_sigma)
 
@@ -89,46 +91,52 @@ def view_records(views: Sequence[CameraView], table: EllipseTable,
     of ``table`` where ``accepted`` is True, sorted by ellipse id; rows of
     other images are left out.  One array pass over the kept rows computes
     the corrected centers, the center sigmas (0 for a row without cov) and
-    the triangulation normal matrices of every view at once."""
+    the normal matrices of every view, and one over the views their camera
+    rows and K^-1, read off each row's f, px, py, 0 and 1."""
     position = {view.image_id: i for i, view in enumerate(views)}
-    order = sorted((position[table.keys[row][0]], table.keys[row][1], row)
-                   for row in np.flatnonzero(accepted).tolist()
-                   if table.keys[row][0] in position)
-    kept = table.take([row for *_, row in order])
-    at = np.array([pos for pos, *_ in order], dtype=np.intp)
-    f, px, py, rot, t = (a[at] for a in camera_arrays(views))
-    params, cov = kept.params, kept.cov
-    hom = np.ones((len(at), 3))
-    hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3], f, px, py)
+    order = sorted([(at, key[1], row) for row in np.flatnonzero(accepted).tolist()
+                    if (at := position.get((key := table.keys[row])[0])) is not None])
+    at, ids, picked = zip(*order) if order else ((), (), ())
+    bounds = [bisect.bisect_left(at, i) for i in range(len(views) + 1)]
+    at, picked = np.array(at, dtype=np.intp), np.array(picked, dtype=np.intp)
+    cameras = np.array([(v.f, v.px, v.py, *r0, t0, *r1, t1, *r2, t2, 0.0, 1.0) for v in views
+                        for (r0, r1, r2), (t0, t1, t2) in [(v.rot.tolist(), v.t.tolist())]]
+                       ).reshape(-1, 17)  # f, px, py, the pose [rot | t] by rows, 0 and 1
+    camera = cameras[at]
+    rows = np.concatenate((table.params[picked], np.ones((len(at), 3))), axis=1)
+    rows[:, 4], rows[:, 5] = corrected_center(rows[:, 0], rows[:, 1], rows[:, 3], *camera[:, :3].T)
+    cov = table.cov[picked]
     sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
-    normal = _normal(f, px, py, rot, t, hom[:, 0], hom[:, 1])
-    ids = [ellipse_id for _, ellipse_id, _ in order]
-    bounds = np.searchsorted(at, np.arange(len(views) + 1)).tolist()
-    return [ViewRecord(view, ids[a:b], params[a:b], hom[a:b], sigmas[a:b],
-                       np.linalg.inv(view.calibration_matrix), normal[a:b])
-            for view, a, b in zip(views, bounds, bounds[1:])]
+    normal = _normal(camera[:, 0], camera[:, 1:3], camera[:, 3:15].reshape(-1, 3, 4), rows[:, 4:6])
+    k_inv = np.linalg.inv(cameras.take((0, 15, 1, 15, 0, 2, 15, 15, 16), axis=1).reshape(-1, 3, 3))
+    return [ViewRecord(view, list(ids[a:b]), rows[a:b], sigmas[a:b], normal[a:b],
+                       cameras[i:i + 1], k_inv[i], math.sqrt(view.t.dot(view.t)))
+            for i, (view, a, b) in enumerate(zip(views, bounds, bounds[1:]))]
 
 
-def _merge_tracks(pair_matches: list[tuple[float, str, str, str, str]]) -> list[dict]:
+def _merge_tracks(pair_matches: list[tuple]) -> list[tuple[dict, Optional[int]]]:
     """Greedy merge of pairwise matches into one-ellipse-per-view tracks.
 
     Each match is (reprojection distance, image_l, image_k, ellipse_l,
-    ellipse_k); matches are processed in that tuple order, so by ascending
-    distance with ties broken by ids.  A match joins the tracks (dicts
-    image_id -> ellipse_id) of its two ellipses, the left one taking in the
-    right, unless they share a view: they are one track already, or joining
-    would put two ellipses of one view into a track.  Returns the tracks
-    sorted by the ellipse each grew from, its first item.
-    """
+    ellipse_k, row); matches are processed in that tuple order, so by
+    ascending distance with ties broken by ids.  A match joins the tracks
+    (dicts image_id -> ellipse_id) of its two ellipses, the left one taking
+    in the right, unless they share a view: they are one track already, or
+    joining would put two ellipses of one view into a track.  Returns
+    (track, row) pairs sorted by the ellipse each track grew from, its first
+    item; row is a two-view track's forming match's, None for one view."""
     track_of: dict = {}  # (image_id, ellipse_id) -> the track holding it
-    for _, vid_l, vid_k, eid_l, eid_k in sorted(pair_matches):
+    joined: dict = {}  # id of a track -> the row of the last match joined into it while alive
+    for _, vid_l, vid_k, eid_l, eid_k, row in sorted(pair_matches):
         track_l = track_of.setdefault((vid_l, eid_l), {vid_l: eid_l})
         track_k = track_of.setdefault((vid_k, eid_k), {vid_k: eid_k})
         if track_l.keys().isdisjoint(track_k):
             track_l.update(track_k)
             track_of.update(dict.fromkeys(track_k.items(), track_l))
-    tracks = {id(track): track for track in track_of.values()}.values()
-    return sorted(tracks, key=lambda track: next(iter(track.items())))
+            joined[id(track_l)] = row
+    first = {next(iter(track.items())): track for track in track_of.values()}
+    return [(track, joined[id(track)] if len(track) > 1 else None)  # one view: maybe a dead id
+            for _, track in sorted(first.items())]
 
 
 def reconstruct_gated(records: Sequence[ViewRecord],
@@ -142,25 +150,23 @@ def reconstruct_gated(records: Sequence[ViewRecord],
     Returns (track, model) pairs, where a track maps image ids to ellipse
     ids; tracks whose geometry degenerates are dropped.
     """
-    pair_matches, solves, formed = [], {}, {}
+    pair_matches, solves = [], {}
     for left, right in itertools.combinations(records, 2):
         result = match_ellipses(left, right, tol=tol)
         ids = (left.view.image_id, right.view.image_id)
         solves[ids] = result.solve
-        for m, row in zip(result.matches, result.rows):
-            pair_matches.append((m.reprojection_distance, *ids, m.ellipse_l, m.ellipse_k))
-            formed[frozenset(((ids[0], m.ellipse_l), (ids[1], m.ellipse_k)))] = ids, row
-    tracks = [track for track in _merge_tracks(pair_matches) if len(track) >= 2]
-    longer = [index for index, track in enumerate(tracks) if len(track) > 2]
-    models = dict(zip(longer, reconstruct_tracks(records, [tracks[i] for i in longer])))
+        pair_matches += [(m.reprojection_distance, *ids, m.ellipse_l, m.ellipse_k, row)
+                         for m, row in zip(result.matches, result.rows)]
+    tracks = [(track, row) for track, row in _merge_tracks(pair_matches) if len(track) >= 2]
+    longer = [index for index, (track, _) in enumerate(tracks) if len(track) > 2]
+    models = dict(zip(longer, reconstruct_tracks(records, [tracks[i][0] for i in longer])))
     by_pair: dict = {}  # view pair -> {index of a two-view track: its row in the pair's solve}
-    for index, track in enumerate(tracks):
+    for index, (track, row) in enumerate(tracks):
         if len(track) == 2:
-            ids, row = formed[frozenset(track.items())]
-            by_pair.setdefault(ids, {})[index] = row
+            by_pair.setdefault(tuple(track), {})[index] = row
     for ids, rows in by_pair.items():
         models.update(zip(rows, _models(solves[ids], list(rows.values()), [ids] * len(rows))))
-    return [(track, models[index]) for index, track in enumerate(tracks)
+    return [(track, models[index]) for index, (track, _) in enumerate(tracks)
             if models[index] is not None]
 
 

@@ -196,13 +196,6 @@ class CameraView:
                 raise ValueError("iop_cov must be symmetric positive semi-definite")
 
     @property
-    def calibration_matrix(self) -> np.ndarray:
-        """3x3 pinhole calibration matrix (unit aspect, zero skew)."""
-        return np.array([[self.f, 0.0, self.px],
-                         [0.0, self.f, self.py],
-                         [0.0, 0.0, 1.0]])
-
-    @property
     def center(self) -> np.ndarray:
         """Camera center in world coordinates."""
         return -self.rot.T @ self.t
@@ -267,7 +260,8 @@ class EllipseTable(NamedTuple):
     ``keys``, the (n, 4) ``params`` (x_ce, y_ce, a_e, b_e), the folded
     ``theta`` (n,) and the (n, 4, 4) ``cov`` block of (a_e, b_e, x_ce, y_ce)
     with zeros where ``has_cov`` is False.  ``fileio.read_ellipse_table``
-    reads one from a file; ``of`` gathers one from checked objects."""
+    reads one from a file; ``of`` gathers one from checked objects, keyed
+    by their own ids or by the ``keys`` given."""
 
     keys: list
     params: np.ndarray
@@ -276,14 +270,14 @@ class EllipseTable(NamedTuple):
     has_cov: np.ndarray
 
     @classmethod
-    def of(cls, ellipses: Sequence[EllipseObservation]) -> "EllipseTable":
+    def of(cls, ellipses: Sequence[EllipseObservation], keys=None) -> "EllipseTable":
         values = np.fromiter(itertools.chain.from_iterable(
             [(e.x_ce, e.y_ce, e.a_e, e.b_e, e.theta) for e in ellipses]), float,
             5 * len(ellipses)).reshape(-1, 5)
-        cov = np.concatenate([np.empty((0, 4))] + [_NO_COV if e.cov is None else e.cov
-                                                   for e in ellipses]).reshape(-1, 4, 4)
-        return cls([(e.image_id, e.ellipse_id) for e in ellipses], values[:, :4], values[:, 4],
-                   cov, np.array([e.cov is not None for e in ellipses], dtype=bool))
+        cov = np.array([_NO_COV if e.cov is None else e.cov for e in ellipses]).reshape(-1, 4, 4)
+        keys = [(e.image_id, e.ellipse_id) for e in ellipses] if keys is None else keys
+        return cls(keys, values[:, :4], values[:, 4], cov,
+                   np.array([e.cov is not None for e in ellipses], dtype=bool))
 
     def take(self, rows) -> "EllipseTable":
         """The table of ``rows``, a sequence of row indices."""
@@ -318,7 +312,7 @@ class Sphere:
     @classmethod
     def of_rows(cls, centers: np.ndarray, radii: np.ndarray) -> list["Sphere"]:
         """World spheres of the rows of ``centers`` (m, 3) and ``radii`` (m,)."""
-        if not (np.isfinite(centers).all() and np.isfinite(radii).all() and (radii > 0.0).all()):
+        if not (np.isfinite(centers).all() and ((0.0 < radii) & (radii < math.inf)).all()):
             return [cls(c, r) for c, r in zip(centers, radii)]  # raises at the first bad row
         return [_trusted(cls, {"center": center, "radius": radius, "frame": "world"})
                 for center, radius in zip(centers, radii.tolist())]

@@ -64,42 +64,24 @@ class ScaleResult:
 OK, RANK_DEFICIENT, AT_INFINITY, BEHIND_CAMERA = range(4)
 
 
-def _dlt_rows(f, px, py, rot, t, u, v):
-    """Unit-length rows x_n * P_3 - P_1 and y_n * P_3 - P_2 of each pixel (u, v),
-    in normalized image coordinates to keep them well conditioned: (..., 2, 4)."""
-    pose = np.concatenate([rot, t[..., None]], axis=-1)
-    xy = np.concatenate([((u - px) / f)[..., None], ((v - py) / f)[..., None]], axis=-1)
-    rows = xy[..., None] * pose[..., 2:, :] - pose[..., :2, :]
-    return rows / np.sqrt((rows * rows).sum(axis=-1))[..., None]
+def _dlt_rows(f, pp, pose, uv):
+    """Unit-length rows x_n * P_3 - P_1 and y_n * P_3 - P_2 (..., 2, 4) of each
+    pixel ``uv`` (..., 2) of a camera ``f``, ``pp`` (..., 2), P = [rot | t]
+    (..., 3, 4), in normalized image coordinates to keep them well conditioned."""
+    rows = ((uv - pp) / f[..., None])[..., None] * pose[..., 2:, :] - pose[..., :2, :]
+    return rows / np.sqrt(np.add.reduce(rows * rows, axis=-1))[..., None]
 
 
-def _normal(f, px, py, rot, t, u, v):
+def _normal(f, pp, pose, uv):
     """D^T D of each pixel's ``_dlt_rows`` D: (..., 4, 4)."""
-    rows = _dlt_rows(f, px, py, rot, t, u, v)
+    rows = _dlt_rows(f, pp, pose, uv)
     return np.swapaxes(rows, -1, -2) @ rows
 
 
-def _triangulate(f, px, py, rot, t, u, v, normal=None):
-    """Linear homogeneous least-squares triangulation of m points, each seen
-    at pixel (u, v) in n views; u and v are (m, n), the camera arrays
-    broadcast against them, ``normal`` (m, 4, 4) sums the views' ``_normal``
-    matrices (built when None).  Returns the (m, 3) points, each the
-    eigenvector of its normal matrix's smallest eigenvalue, and a reason per
-    row.  The normal matrix squares the condition number, so an SVD of the
-    rows solves rows with lambda_2 <= _EIGH_TOL * lambda_4 and judges their rank."""
-    w, vec = np.linalg.eigh(_normal(f, px, py, rot, t, u, v).sum(axis=1) if normal is None
-                            else normal)
-    x = vec[..., 0]
-    rank_deficient = np.zeros(len(x), bool)
-    ill = ~(w[:, 1] > _EIGH_TOL * w[:, 3])  # NaN eigenvalues go to the SVD too
-    if ill.any():
-        a = _dlt_rows(f, px, py, rot, t, u, v)[ill].reshape(-1, 2 * u.shape[1], 4)
-        _, s, vt = np.linalg.svd(a, full_matrices=False)
-        x[ill] = vt[:, -1]
-        rank_deficient[ill] = s[:, 2] <= _RANK_TOL * s[:, 0]
-    at_infinity = np.abs(x[:, 3]) <= _INFINITY_TOL * np.sqrt((x[:, :3] * x[:, :3]).sum(axis=1))
-    reason = np.where(rank_deficient, RANK_DEFICIENT, np.where(at_infinity, AT_INFINITY, OK))
-    return x[:, :3] / x[:, 3:], reason
+def _pose_form(f, px, py, rot, t, u, v):
+    """``_dlt_rows``' arguments from a solve's camera and pixel arrays."""
+    return (f, np.stack((px, py), axis=-1), np.concatenate((rot, t[..., None]), axis=-1),
+            np.stack((u, v), axis=-1))
 
 
 class _Solve(NamedTuple):
@@ -123,15 +105,30 @@ def _solve(f, px, py, rot, t, u, v, b_e, normal=None) -> _Solve:
     """Recover m spheres from the corrected centers ``u``, ``v`` and the
     semi-minor lengths ``b_e`` (m, n) of their ellipses in n views each; the
     camera arrays ``f``, ``px``, ``py`` (n or (m, n)), ``rot`` (..., n, 3, 3)
-    and ``t`` (..., n, 3) broadcast against them; ``normal`` as in ``_triangulate``.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        center, reason = _triangulate(f, px, py, rot, t, u, v, normal)
-        cam = (rot @ center[:, None, :, None])[..., 0] + t
-        depth = cam[..., 2]
-        reason = np.where((reason == OK) & (depth <= 0.0).any(axis=1), BEHIND_CAMERA, reason)
-        radii = radius_from_depth(depth, b_e, f)
-    return _Solve(center, cam, radii, radii.mean(axis=1), reason, u, v, f, px, py)
+    and ``t`` (..., n, 3) broadcast against them.  A center is the linear
+    least-squares triangulation: the eigenvector of the smallest eigenvalue of
+    ``normal`` (m, 4, 4), the views' ``_normal`` summed (built when None).  That
+    squares the condition number, so an SVD of the rows solves and judges the
+    rank of rows with lambda_2 <= _EIGH_TOL * lambda_4.  The caller ignores
+    divide and invalid warnings."""
+    w, vec = np.linalg.eigh(_normal(*_pose_form(f, px, py, rot, t, u, v)).sum(axis=1)
+                            if normal is None else normal)
+    x = vec[..., 0]
+    ill = ~(w[:, 1] > _EIGH_TOL * w[:, 3])  # NaN eigenvalues go to the SVD too
+    fallback = ill.any()
+    if fallback:
+        a = _dlt_rows(*_pose_form(f, px, py, rot, t, u, v))[ill].reshape(-1, 2 * u.shape[1], 4)
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        x[ill] = vt[:, -1]
+    center = x[:, :3] / x[:, 3:]
+    cam = (rot @ center[:, None, :, None])[..., 0] + t
+    depth = cam[..., 2]
+    at_infinity = np.abs(x[:, 3]) <= _INFINITY_TOL * np.sqrt((x[:, :3] * x[:, :3]).sum(axis=1))
+    reason = np.where(at_infinity, AT_INFINITY, BEHIND_CAMERA * (depth <= 0.0).any(axis=1))
+    if fallback:
+        reason[np.flatnonzero(ill)[s[:, 2] <= _RANK_TOL * s[:, 0]]] = RANK_DEFICIENT
+    radii = radius_from_depth(depth, b_e, f)
+    return _Solve(center, cam, radii, radii.sum(axis=1) / radii.shape[1], reason, u, v, f, px, py)
 
 
 def _models(solve: _Solve, rows: Sequence[int],
@@ -139,12 +136,13 @@ def _models(solve: _Solve, rows: Sequence[int],
     """The ``SphereModel`` of each of ``rows`` of ``solve``, its views named
     by the matching entry of ``image_ids``; the diagnostics (radius spread,
     RMS pixel residual of the corrected centers) are computed for these rows."""
+    rows = np.asarray(rows, dtype=np.intp)
     cam, radii, radius, u, v = (a[rows] for a in (solve.cam, solve.radii, solve.radius,
                                                   solve.u, solve.v))
     f, px, py = (a if a.ndim == 1 else a[rows] for a in (solve.f, solve.px, solve.py))
-    spread = np.abs(radii - radius[:, None]).max(axis=1)
+    spread = np.maximum.reduce(np.abs(radii - radius[:, None]), axis=1)
     x, y = pinhole(cam, f, px, py)
-    residual = np.sqrt(np.mean((x - u) ** 2 + (y - v) ** 2, axis=1))
+    residual = np.sqrt(np.add.reduce((x - u) ** 2 + (y - v) ** 2, axis=1) / u.shape[1])
     return [SphereModel(sphere, list(zip(ids, per_view)), *diagnostics)
             for sphere, ids, per_view, *diagnostics in zip(
                 Sphere.of_rows(solve.center[rows], radius), image_ids, radii.tolist(),
@@ -170,11 +168,11 @@ def triangulate_center(observations: Sequence[tuple[CameraView, np.ndarray]]) ->
     if len(observations) < 2:
         raise ValueError("triangulation needs at least two views")
     pixels = np.array([np.asarray(p, dtype=float).reshape(2) for _, p in observations])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        center, reason = _triangulate(*camera_arrays([v for v, _ in observations]),
-                                      pixels[None, :, 0], pixels[None, :, 1])
-    _raise_if_degenerate(int(reason[0]))
-    return center[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only the center counts
+        solve = _solve(*camera_arrays([v for v, _ in observations]), pixels[None, :, 0],
+                       pixels[None, :, 1], np.ones((1, len(pixels))))
+    _raise_if_degenerate(int(solve.reason[0]))
+    return solve.center[0]
 
 
 def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]]) -> SphereModel:
@@ -191,7 +189,8 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]])
         raise ValueError("sphere reconstruction needs at least two views")
     x_ce, y_ce, b_e = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in matched]).T[:, None]
     f, px, py, rot, t = camera_arrays([v for v, _ in matched])
-    solve = _solve(f, px, py, rot, t, *corrected_center(x_ce, y_ce, b_e, f, px, py), b_e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        solve = _solve(f, px, py, rot, t, *corrected_center(x_ce, y_ce, b_e, f, px, py), b_e)
     reason = int(solve.reason[0])
     _raise_if_degenerate(reason)
     if reason == BEHIND_CAMERA:
@@ -211,12 +210,10 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
         return []
     image_ids = [r.view.image_id for r in records]
     f, px, py, rot, t = camera_arrays([r.view for r in records])
-    b_e = np.concatenate([np.empty(0)] + [r.params[:, 3] for r in records])
-    hom = np.concatenate([np.empty((0, 3))] + [r.hom for r in records])
+    rows = np.concatenate([np.empty((0, 7))] + [r.rows for r in records])  # b_e and hom
     normal = np.concatenate([np.empty((0, 4, 4))] + [r.normal for r in records])
-    keys = [(v, ellipse_id) for v, r in enumerate(records) for ellipse_id in r.ids]
-    rows = {key: row for row, key in enumerate(keys)}  # key -> row of b_e, hom and normal
-    picks = [[(v, rows[v, track[i]]) for v, i in enumerate(image_ids) if i in track]
+    at = {key: row for row, key in enumerate((v, e) for v, r in enumerate(records) for e in r.ids)}
+    picks = [[(v, at[v, track[i]]) for v, i in enumerate(image_ids) if i in track]
              for track in tracks]
     models: list[Optional[SphereModel]] = [None] * len(tracks)
     by_length: dict = {}
@@ -225,10 +222,11 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
             raise ValueError("sphere reconstruction needs at least two views")
         by_length.setdefault(len(pick), []).append(index)
     for indices in by_length.values():
-        pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in b_e, hom, normal
+        pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in rows and normal
         v, row = pick[..., 0], pick[..., 1]
-        solve = _solve(f[v], px[v], py[v], rot[v], t[v], hom[row, 0], hom[row, 1], b_e[row],
-                       normal[row].sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            solve = _solve(f[v], px[v], py[v], rot[v], t[v], rows[row, 4], rows[row, 5],
+                           rows[row, 3], normal[row].sum(axis=1))
         ok = np.flatnonzero(solve.reason == OK).tolist()
         solved = _models(solve, ok, [[image_ids[j] for j, _ in picks[indices[k]]] for k in ok])
         for k, model in zip(ok, solved):

@@ -148,8 +148,9 @@ def rogue_row(lines):  # a copy of the first row, in an image the camera file la
 
 
 UNTIED = edit_json("cameras.json", lambda data: data.pop("tie_points"))
+UNKNOWN_IMAGE = "ellipses.csv:272: ellipse 'ball-0' references unknown image 'img-99'"
 row("unknown-image-filter", [edit_lines(rogue_row)], ["filter", *GATED, "--out", "o.out"],
-    "error: ellipse 'ball-0' references unknown image 'img-99'", ["o.out"],
+    "error: " + UNKNOWN_IMAGE, ["o.out"],
     test_id="TestFilter::test_unknown_image_reference")
 for command in ("match", "reconstruct"):
     for case, edits, pair in (("auto", [], "auto"), ("pair", [], "img-01,img-04"),
@@ -157,8 +158,8 @@ for command in ("match", "reconstruct"):
                               ("untied-repeated-pair", [UNTIED], "img-01,img-01")):
         row(f"unknown-image-{command}-{case}", [edit_lines(rogue_row), *edits],
             [command, *GATED, "--pair", pair, "--out", "o.out"],
-            ("error: [parse] " if command == "reconstruct" else "error: ")
-            + "ellipse 'ball-0' references unknown image 'img-99'", ["o.out"],
+            ("error: [parse] " if command == "reconstruct" else "error: ") + UNKNOWN_IMAGE,
+            ["o.out"],
             test_id="TestFilter::test_unknown_image_reference")
 
 for field, value in (("px", math.nan), ("rot", [math.nan] + [0.0] * 8),
@@ -382,7 +383,7 @@ for case, edits, points, text in (
          "error: --points requires --out-points"),
         *((f"vertex-{case}", [write("v.ply", ply("1 2 3", vertex))],
            ["v.ply", "--out-points", "o.ply"], text) for case, vertex, text in (
-            ("abc", "abc 0.25 4", "error: could not convert string to float: 'abc'"),
+            ("abc", "abc 0.25 4", "error: v.ply: vertex row 1: x is not a number: 'abc'"),
             ("nan", "0.5 nan 4", "error: vertex row 1: y scales to nan"),
             ("minus-inf", "1 -inf 4", "error: vertex row 1: y scales to -inf"),
             ("1e308", "1e308 0.25 4", "error: vertex row 1: x scales to inf"),

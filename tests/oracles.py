@@ -15,7 +15,8 @@ live here for the same reason: the package computes them as arrays, and
 so do ``projected_sphere_center`` and ``fundamental_from_views``, the
 one-ellipse center correction and the per-pair fundamental matrix.
 ``reference_view_record`` builds one view's record on its own, the
-reference for ``view_records``' one pass over a trial's views, and
+reference for ``view_records``' one pass over a trial's views (its K^-1
+from ``calibration_matrix``, a view's K written out), and
 ``reference_pair_angles`` is pair ranking over the full views x views
 matrices, the reference for ``pair_angles``' pass over the upper triangle,
 and ``reference_generate_scene`` builds a synthetic scene with one loop per
@@ -77,6 +78,11 @@ from spherefit.projection import corrected_center
 from spherefit.reconstruct import _normal
 
 
+def calibration_matrix(view):
+    """The 3x3 pinhole calibration matrix K of ``view`` (unit aspect, zero skew)."""
+    return np.array([[view.f, 0.0, view.px], [0.0, view.f, view.py], [0.0, 0.0, 1.0]])
+
+
 def record_of(view, ellipses):
     """The ``ViewRecord`` of every one of ``ellipses`` in ``view``: the
     pipeline's checked object gather, then its records with all rows kept."""
@@ -92,12 +98,18 @@ def reference_view_record(view, table):
     center sigma is 0 for a row without cov."""
     ids = [ellipse_id for _, ellipse_id in table.keys]
     params, cov = table.params, table.cov
-    hom = np.ones((len(ids), 3))
-    hom[:, 0], hom[:, 1] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
-                                            view.f, view.px, view.py)
+    rows = np.ones((len(ids), 7))
+    rows[:, :4] = params
+    rows[:, 4], rows[:, 5] = corrected_center(params[:, 0], params[:, 1], params[:, 3],
+                                              view.f, view.px, view.py)
     sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
-    return ViewRecord(view, ids, params, hom, sigmas, np.linalg.inv(view.calibration_matrix),
-                      _normal(view.f, view.px, view.py, view.rot, view.t, hom[:, 0], hom[:, 1]))
+    pose = np.column_stack([view.rot, view.t])
+    camera = np.concatenate([[view.f, view.px, view.py], pose.ravel(), [0.0, 1.0]])[None]
+    return ViewRecord(view, ids, rows, sigmas,
+                      _normal(np.full(len(ids), view.f), np.array([view.px, view.py]), pose,
+                              rows[:, 4:6]),
+                      camera, np.linalg.inv(calibration_matrix(view)),
+                      float(np.linalg.norm(view.t)))
 
 
 def look_at_view(image_id, camera_center, target, f=1000.0, px=500.0, py=500.0,
@@ -325,8 +337,8 @@ def fundamental_from_views(view_l, view_k) -> np.ndarray:
     if np.linalg.norm(t_rel) <= 1e-12 * scale:
         raise DegenerateGeometry("coincident centers")
     essential = _skew(t_rel) @ r_rel
-    f_mat = (np.linalg.inv(view_k.calibration_matrix).T @ essential
-             @ np.linalg.inv(view_l.calibration_matrix))
+    f_mat = (np.linalg.inv(calibration_matrix(view_k)).T @ essential
+             @ np.linalg.inv(calibration_matrix(view_l)))
     return f_mat / np.linalg.norm(f_mat)
 
 

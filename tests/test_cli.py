@@ -147,6 +147,24 @@ class TestFilter:
                 argv += ["--ellipses", str(root / "ellipses.csv")]
             assert main(argv + (["--pair", pair] if pair else [])) == 0, command
 
+    def test_unknown_image_names_the_file_and_line_of_its_row(self, exported, tmp_path,
+                                                               capsys):
+        # A row of an image the camera file lacks is named by the ellipse
+        # file and the line its row ends on, as the reader names a bad row:
+        # here a quoted id spreads the row over lines 3 and 4.
+        root, _, _ = exported
+        lines = (root / "ellipses.csv").read_text().splitlines()
+        rogue = ",".join(["img-99", '"two\nlines"', *lines[1].split(",")[2:]])
+        path = tmp_path / "rogue.csv"
+        path.write_text("\n".join([lines[0], lines[1], rogue, *lines[2:]]) + "\n")
+        want = f"{path}:4: ellipse 'two\\nlines' references unknown image 'img-99'"
+        for command, *rest in (("filter",), ("reconstruct", "--pair", "auto")):
+            assert main([command, "--cameras", str(root / "cameras.json"), "--ellipses",
+                         str(path), "--out", str(tmp_path / "o.out"), *rest]) == 2
+            assert want in capsys.readouterr().err
+            assert not (tmp_path / "o.out").exists()
+
+
 class TestSelectPair:
     def test_two_view_network(self, tmp_path):
         scene = generate_scene(SceneConfig(n_cameras=2, arc_span_deg=40.0,

@@ -505,7 +505,7 @@ class TestPly:
         open(path, "w").write(PLY_TEXT)
         cloud = load_ply(path)
         assert [name for _, name in cloud.properties] == ["x", "y", "z", "red"]
-        scaled = scale_ply(cloud, 2.0)
+        scaled = scale_ply(cloud, 2.0, "c.ply")
         out = str(tmp_path / "out.ply")
         save_ply(scaled, out)
         back = load_ply(out)
@@ -517,7 +517,7 @@ class TestPly:
         path = str(tmp_path / "in.ply")
         open(path, "w").write(PLY_TEXT)
         cloud = load_ply(path)
-        back = scale_ply(scale_ply(cloud, 3.0), 1.0 / 3.0)
+        back = scale_ply(scale_ply(cloud, 3.0, "c.ply"), 1.0 / 3.0, "c.ply")
         for row, orig in zip(back.rows, cloud.rows):
             for i in range(3):
                 assert math.isclose(float(row[i]), float(orig[i]), abs_tol=1e-12)
@@ -573,7 +573,7 @@ class TestPly:
                               "property int label\nproperty uchar red\nend_header\n"
                               "1 2 3.5 7 255\n-4 0 1 8 0\n")
         out = str(tmp_path / "out.ply")
-        save_ply(scale_ply(load_ply(path), 1.5), out)
+        save_ply(scale_ply(load_ply(path), 1.5, path), out)
         back = load_ply(out)
         assert back.properties == [("double", "x"), ("double", "y"), ("float", "z"),
                                    ("int", "label"), ("uchar", "red")]
@@ -583,7 +583,14 @@ class TestPly:
         cloud = PlyCloud(properties=[("float", "x"), ("float", "y")],
                          rows=[["1", "2"]], comments=[])
         with pytest.raises(FileFormatError, match="x/y/z"):
-            scale_ply(cloud, 2.0)
+            scale_ply(cloud, 2.0, "c.ply")
+
+    def test_coordinate_that_is_not_a_number_names_file_row_and_column(self):
+        cloud = PlyCloud(properties=[("float", "x"), ("float", "y"), ("float", "z")],
+                         rows=[["1", "2", "3"], ["4", "1e2x", "6"]], comments=[])
+        with pytest.raises(FileFormatError) as raised:
+            scale_ply(cloud, 2.0, "cloud.ply")
+        assert str(raised.value) == "cloud.ply: vertex row 1: y is not a number: '1e2x'"
 
 
 class TestAtomicity:

@@ -20,6 +20,7 @@ from spherefit import (
     tau,
     tau_jacobian,
 )
+from spherefit.gate import _tau_and_gradient
 from spherefit.projection import PIXEL_LIMIT
 
 F, PX, PY = 1000.0, 500.0, 500.0
@@ -294,6 +295,32 @@ class TestClassify:
             classify_view(*view_arrays(rows), f, px, py, iop_cov=iop)
         with pytest.raises(InvalidCovariance, match="3x3"):
             classify_view(*view_arrays(rows[:2]), f[:2], px[:2], py[:2], iop_cov=iop)
+
+    @pytest.mark.parametrize("covs", ["every", "none", "some"])
+    def test_exact_interior_orientation_equals_the_seven_column_path(self, covs):
+        # Without iop_cov the gate needs only the ellipse block of the
+        # gradient; it gives the bits of the full 7-component gradient's
+        # first four columns, with the fallback covariance where a row has
+        # none, on rows that take f, px and py per row or as scalars.
+        config = SceneConfig(n_cameras=4, clutter_per_image=5, clutter_inflation=1.02, seed=3)
+        noisy = perturb_observations(generate_scene(config), 0.5, 3)
+        ellipses = [e if covs == "every" or (covs == "some" and i % 2)
+                    else dataclasses.replace(e, cov=None) for view in noisy.views
+                    for i, e in enumerate(noisy.observations[view.image_id])]
+        params, cov, has_cov = view_arrays(ellipses)
+        n = len(ellipses)
+        assert has_cov.sum() == {"every": n, "none": 0, "some": n // 2}[covs]
+        per_row = np.array([(v.f, v.px, v.py) for v in noisy.views
+                            for _ in noisy.observations[v.image_id]]).T
+        x, y, a, b = params.T
+        for f, px, py in (per_row, (F, PX, PY)):
+            got = classify_view(params, cov, has_cov, f, px, py, default_sigma=0.7)
+            t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py)
+            j_e = jacobians[:, :4]
+            covs_used = np.where(has_cov[:, None, None], cov, default_ellipse_cov(0.7))
+            sigma_tau = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", j_e, covs_used, j_e), 0.0))
+            want = (t, sigma_tau, np.abs(t) <= 2.0 * sigma_tau)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_answers_stay_finite_up_to_the_pixel_limit(self):
         # An ellipse centered at 1e308 px overflowed the gate (inf tau, nan

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    calibration_matrix,
     center_sigma,
     epipolar_distance,
     fundamental_from_views,
@@ -35,7 +36,9 @@ from spherefit import (
     view_records,
     world_to_camera,
 )
-from spherefit.projection import pinhole
+from spherefit.projection import camera_arrays, pinhole
+from spherefit.reconstruct import (_EIGH_TOL, AT_INFINITY, BEHIND_CAMERA, OK, RANK_DEFICIENT,
+                                   _Solve, _solve)
 
 
 def fundamental(view_l, view_k):
@@ -191,7 +194,7 @@ class TestViewRecord:
                                rtol=0.0, atol=1e-9)
             assert sigma == center_sigma(e) > 0.0
         assert table.has_cov.all()
-        assert record.k_inv.tobytes() == np.linalg.inv(view.calibration_matrix).tobytes()
+        assert record.k_inv.tobytes() == np.linalg.inv(calibration_matrix(view)).tobytes()
         for center, normal in zip(record.hom[:, :2], record.normal):
             rows = reference_dlt_rows(view, center)
             assert np.allclose(normal, rows.T @ rows, rtol=0.0, atol=1e-15)
@@ -389,3 +392,78 @@ class TestArrayMatchingEqualsReference:
         result = match_ellipses(record_of(views[0], []), record_of(views[1], obs["k"]))
         assert result.matches == [] and result.unmatched_l == []
         assert result.unmatched_k == sorted(e.ellipse_id for e in obs["k"])
+
+
+class TestDegenerateHypotheses:
+    """Hand-built records whose hypotheses take the SVD fallback or
+    degenerate.  With every pairing admissible, the matcher equals the
+    per-candidate reference by ``tobytes``, and its solve equals, array by
+    array, the solve of all pairings called directly with the views' camera
+    arrays."""
+
+    SPHERES = [Sphere([x, y, 5.0], 0.1) for x, y in ((-0.5, 0.2), (0.0, 0.0), (0.4, -0.3))]
+
+    @staticmethod
+    def translated(baseline):
+        left = CameraView("l", 1000.0, 500.0, 500.0, np.eye(3), np.zeros(3))
+        right = CameraView("k", 1000.0, 500.0, 500.0, np.eye(3),
+                           np.array([-baseline, 0.0, 0.0]))
+        return left, right
+
+    def silhouettes(self, view):
+        return [project_sphere_into_view(s, view, ellipse_id=f"s{i}")
+                for i, s in enumerate(self.SPHERES)]
+
+    @staticmethod
+    def matched(left, ellipses_l, right, ellipses_k, exact=True):
+        record_l, record_k = record_of(left, ellipses_l), record_of(right, ellipses_k)
+        got = match_ellipses(record_l, record_k, tol=1e9)
+        want = reference_match_ellipses(left, ellipses_l, right, ellipses_k, tol=1e9)
+        assert [(m.ellipse_l, m.ellipse_k) for m in got.matches] == \
+            [(m.ellipse_l, m.ellipse_k) for m in want.matches]
+        assert (got.unmatched_l, got.unmatched_k) == (want.unmatched_l, want.unmatched_k)
+        if exact:
+            distances = [np.array([(m.epipolar_distance, m.reprojection_distance)
+                                   for m in result.matches]).tobytes() for result in (got, want)]
+            assert distances[0] == distances[1]
+        il, ik = np.divmod(np.arange(len(ellipses_l) * len(ellipses_k)), len(ellipses_k))
+        hom = np.stack([record_l.hom[il], record_k.hom[ik]], axis=1)
+        b_e = np.stack([record_l.params[il, 3], record_k.params[ik, 3]], axis=1)
+        normal = record_l.normal[il] + record_k.normal[ik]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direct = _solve(*camera_arrays([left, right]), hom[..., 0], hom[..., 1], b_e, normal)
+        for name in _Solve._fields:
+            assert getattr(got.solve, name).tobytes() == getattr(direct, name).tobytes(), name
+        w = np.linalg.eigh(normal)[0]
+        return got, ~(w[:, 1] > _EIGH_TOL * w[:, 3])
+
+    @pytest.mark.parametrize("baseline", [1e-3, 1e-6])
+    def test_near_coincident_baseline_takes_the_svd(self, baseline):
+        left, right = self.translated(baseline)
+        got, ill = self.matched(left, self.silhouettes(left), right, self.silhouettes(right))
+        assert ill.any()
+        assert set(got.solve.reason[ill].tolist()) == {OK}
+        assert BEHIND_CAMERA in got.solve.reason
+        assert sorted((m.ellipse_l, m.ellipse_k) for m in got.matches) == \
+            [(f"s{i}", f"s{i}") for i in range(3)]
+
+    def test_rank_deficient_rows_are_dropped(self):
+        left, right = self.translated(1e-10)
+        got, ill = self.matched(left, self.silhouettes(left), right, self.silhouettes(right),
+                                exact=False)
+        reason = got.solve.reason
+        assert (reason[ill] == RANK_DEFICIENT).any()
+        assert all(reason[row] == OK for row in got.rows)
+
+    def test_parallel_rays_meet_at_infinity(self):
+        left, right = self.translated(1.0)
+        e = EllipseObservation("", "p", 600.0, 500.0, 30.0, 29.0, 0.0)
+        got, _ = self.matched(left, [e], right, [e])
+        assert got.solve.reason.tolist() == [AT_INFINITY] and got.matches == []
+
+    def test_rays_crossing_behind_the_cameras(self):
+        left, right = self.translated(1.0)
+        e_l = EllipseObservation("", "p", 400.0, 500.0, 30.0, 29.0, 0.0)
+        e_k = EllipseObservation("", "p", 500.0, 500.0, 30.0, 29.0, 0.0)
+        got, _ = self.matched(left, [e_l], right, [e_k])
+        assert got.solve.reason.tolist() == [BEHIND_CAMERA] and got.matches == []

@@ -139,6 +139,7 @@ class TestGateViews:
             want = reference_view_record(view, table.take([row for _, row in rows]))
             assert record.view is view and record.ids == want.ids
             for got, expected in zip(record[2:], want[2:]):
+                got, expected = np.asarray(got), np.asarray(expected)
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
@@ -175,10 +176,10 @@ def reference_reconstruct_gated(views, observations, table, accepted):
         result = reference_match_ellipses(view_l, accepted[view_l.image_id],
                                           view_k, accepted[view_k.image_id])
         pair_matches.extend((m.reprojection_distance, view_l.image_id, view_k.image_id,
-                             m.ellipse_l, m.ellipse_k) for m in result.matches)
+                             m.ellipse_l, m.ellipse_k, row) for row, m in enumerate(result.matches))
     by_id = {(v.image_id, e.ellipse_id): (v, e) for v in views for e in accepted[v.image_id]}
     out = []
-    for track in _merge_tracks(pair_matches):
+    for track, _ in _merge_tracks(pair_matches):
         if len(track) < 2:
             continue
         try:

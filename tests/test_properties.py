@@ -83,6 +83,7 @@ from spherefit.reconstruct import (  # noqa: E402
     OK,
     RANK_DEFICIENT,
     _normal,
+    _pose_form,
     _solve,
 )
 
@@ -272,7 +273,9 @@ def test_solve_matches_svd_reference(log_baseline, direction, center, radius, n_
     x_ce, y_ce, b_e = (np.array([[getattr(e, k) for _, e in rig] for rig in matched])
                        for k in ("x_ce", "y_ce", "b_e"))
     u, v = corrected_center(x_ce, y_ce, b_e, f, px, py)
-    solve = _solve(f, px, py, rot, t, u, v, b_e, _normal(f, px, py, rot, t, u, v).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the caller's, as _solve documents
+        solve = _solve(f, px, py, rot, t, u, v, b_e,
+                       _normal(*_pose_form(f, px, py, rot, t, u, v)).sum(axis=1))
     for row, rig in enumerate(matched):
         want = _reference_outcome(rig)
         if isinstance(want, str):
@@ -1280,6 +1283,16 @@ def _pair_matches(draw):
 @settings(PROPERTY, max_examples=1000)
 @given(matches=_pair_matches())
 def test_merge_tracks_equals_union_find(matches):
-    got, want = _merge_tracks(matches), reference_merge_tracks(matches)
-    assert got == want
-    assert [list(track.items()) for track in got] == [list(track.items()) for track in want]
+    # Each match ends in its index, as a match ends in its solve row in
+    # reconstruct_gated, so that a two-view track names the match that formed it.
+    got = _merge_tracks([(*match, index) for index, match in enumerate(matches)])
+    want = reference_merge_tracks(matches)
+    tracks = [track for track, _ in got]
+    assert tracks == want
+    assert [list(track.items()) for track in tracks] == [list(track.items()) for track in want]
+    for track, index in got:
+        if len(track) == 2:
+            _, vid_l, vid_k, eid_l, eid_k = matches[index]
+            assert list(track.items()) == [(vid_l, eid_l), (vid_k, eid_k)]
+        elif len(track) == 1:
+            assert index is None
