@@ -81,6 +81,16 @@ def _nonnegative(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -140,7 +150,8 @@ def _select_pair(args, network: ImageNetwork, table=None, accepted=None) -> Pair
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")
-    rays = [(record.view, center) for record in view_records(network.views, table, accepted)
+    records = view_records(network.views, table, accepted)
+    rays = [(view, center) for view, record in zip(network.views, records)
             for center in record.hom[:, :2]]
     if len(rays) < 2:
         raise DegenerateGeometry("not enough gated ellipses to anchor pair ranking")
@@ -187,7 +198,7 @@ def cmd_match(args) -> int:
     left, right = view_records([network.view(image_id) for image_id in pair], table, accepted)
     result = match_ellipses(left, right, tol=args.tol_px)
     _emit_json({
-        "pair": {"i": left.view.image_id, "j": right.view.image_id},
+        "pair": {"i": left.image_id, "j": right.image_id},
         "matches": [
             {"ellipse_l": m.ellipse_l, "ellipse_k": m.ellipse_k,
              "epipolar_distance_px": m.epipolar_distance,
@@ -271,6 +282,8 @@ def cmd_scale(args) -> int:
     scale = metric_scale(pairs)
     if args.points and not args.out_points:
         raise fileio.FileFormatError("--points requires --out-points")
+    if args.out_points and not args.points:
+        raise fileio.FileFormatError("--out-points requires --points")
     # Both outputs are computed before either is written.
     for entry in entries:  # every scaled length within WORLD_LIMIT; NaN fails too
         m = entry.model
@@ -303,7 +316,8 @@ def cmd_simulate(args) -> int:
     k_values = [int(v) for v in args.k.split(",") if v.strip()]
     scene = generate_scene(config)
     noisy = perturb_observations(scene, config.sigma_px, config.seed)
-    if args.export_scene:
+    stats = monte_carlo_views(noisy, k_values, config.seed, timing=args.timing)
+    if args.export_scene:  # after the sweep, so that a failed run writes nothing
         os.makedirs(args.export_scene, exist_ok=True)
         fileio.save_network(noisy.network, os.path.join(args.export_scene, "cameras.json"))
         observations = [e for vid in sorted(noisy.observations)
@@ -315,7 +329,6 @@ def cmd_simulate(args) -> int:
                              for sid, s in noisy.spheres]}
         fileio.atomic_write_text(os.path.join(args.export_scene, "truth.json"),
                                  fileio._dump_json(truth))
-    stats = monte_carlo_views(noisy, k_values, config.seed, timing=args.timing)
     header = ["k", "p", "center_prmse_mean", "center_prmse_min", "center_prmse_max",
               "radius_prmse_mean", "radius_prmse_min", "radius_prmse_max",
               "mean_ms", "failures"]
@@ -389,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scene config JSON (defaults: tabletop scene)")
     p.add_argument("--k", default="2,4,8,16,30")
     p.add_argument("--sigma", type=_nonnegative, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--timing", action="store_true",
                    help="measure wall time (makes the output non-reproducible)")
     p.add_argument("--export-scene",

@@ -33,7 +33,6 @@ from .projection import (
     EllipseObservation,
     EllipseTable,
     Sphere,
-    camera_arrays,
     ellipse_checks,
     fold_axis_angle,
     is_psd,
@@ -192,37 +191,18 @@ def load_network(path: str) -> ImageNetwork:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-#: ``json.dumps(..., indent=2, sort_keys=True)`` of one view and of one tie
-#: point, as the camera file holds them, with a %s for each value.  The %s
-#: after the image id holds the iop_cov member of a view that has one.
-_VIEW = ('{\n  "f": %s,\n  "image_id": %s,%s\n  "px": %s,\n  "py": %s,\n  "rot": %s,\n'
-         '  "t": %s\n}').replace("\n", "\n    ")
-_TIE_POINT = '{\n  "visible_in": %s,\n  "xyz": %s\n}'.replace("\n", "\n    ")
-
-
 def save_network(network: ImageNetwork, path: str) -> None:
-    """Write ``network`` as a camera file, from templates: byte for byte
-    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of the payload
-    that ``load_network`` reads, without ``tie_points`` if there are none."""
-    quote = json.encoder.encode_basestring_ascii
-    pad = " " * 6
-    views = network.views
-    f, px, py, rot, t = camera_arrays(views)
-    numbers = np.column_stack([f, px, py, rot.reshape(-1, 9), t])
-    texts = []
-    for v, row in zip(views, zip(*[iter(_json_floats(numbers.ravel()))] * 15)):
-        iop_cov = ("" if v.iop_cov is None else
-                   f'\n{pad}"iop_cov": {_json_list(_json_floats(v.iop_cov.ravel()), pad)},')
-        texts.append(_VIEW % (row[0], quote(v.image_id), iop_cov, row[1], row[2],
-                              _json_list(row[3:12], pad), _json_list(row[12:], pad)))
-    text = '{\n  "convention": ' + quote(CONVENTION) + ",\n"
+    """Write ``network`` as a camera file: the payload that ``load_network``
+    reads, without ``tie_points`` if there are none."""
+    payload = {"convention": CONVENTION, "views": [
+        {"image_id": v.image_id, "f": v.f, "px": v.px, "py": v.py,
+         "rot": v.rot.ravel().tolist(), "t": v.t.tolist(),
+         **({} if v.iop_cov is None else {"iop_cov": v.iop_cov.ravel().tolist()})}
+        for v in network.views]}
     if network.tie_points:
-        xyz = _json_floats(np.array([tp.xyz for tp in network.tie_points]).ravel())
-        text += '  "tie_points": ' + _json_list(
-            [_TIE_POINT % (_json_list(list(map(quote, sorted(tp.visible_in))), pad),
-                           _json_list(xyz[3 * i:3 * i + 3], pad))
-             for i, tp in enumerate(network.tie_points)], "  ") + ",\n"
-    atomic_write_text(path, text + '  "views": ' + _json_list(texts, "  ") + "\n}\n")
+        payload["tie_points"] = [{"xyz": tp.xyz.tolist(), "visible_in": sorted(tp.visible_in)}
+                                 for tp in network.tie_points]
+    atomic_write_text(path, _dump_json(payload))
 
 
 # ---------------------------------------------------------------- ellipses

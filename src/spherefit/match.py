@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .projection import DEPTH_MARGIN, CameraView, silhouette
+from .projection import DEPTH_MARGIN, silhouette
 from .reconstruct import OK, _Solve, _solve
 
 # Not called here: bench/spans.py wraps these names in this module.
@@ -70,14 +70,15 @@ def _skew(v: np.ndarray) -> np.ndarray:
 
 
 class ViewRecord(NamedTuple):
-    """One view's ellipses sorted by id: the ``ids``, ``rows`` (n, 7) of the
-    parameters (x_ce, y_ce, a_e, b_e), read as ``params``, and the corrected
-    center (x, y, 1), read as ``hom``, the center ``sigmas`` (n,) and the
-    (n, 4, 4) triangulation ``normal`` matrices; then the view's ``camera``
-    (1, 17) of f, px, py, the pose [rot | t] by rows, 0 and 1, ``k_inv`` and
-    |t|."""
+    """One view's ellipses sorted by id: the view's ``image_id``, the ``ids``,
+    ``rows`` (n, 7) of the parameters (x_ce, y_ce, a_e, b_e), read as
+    ``params``, and the corrected center (x, y, 1), read as ``hom``, the
+    center ``sigmas`` (n,) and the (n, 4, 4) triangulation ``normal``
+    matrices; then the view's ``camera`` (1, 17) of f, px, py, the pose
+    [rot | t] by rows, 0 and 1, ``k_inv`` and |t|.  The camera row is the
+    only form of the view's camera that matching and triangulation read."""
 
-    view: CameraView
+    image_id: str
     ids: list[str]
     rows: np.ndarray
     sigmas: np.ndarray
@@ -93,18 +94,18 @@ def fundamental_matrix(left: ViewRecord, right: ViewRecord) -> np.ndarray:
     """Fundamental matrix F with x_k^T F x_l = 0 for corresponding pixels of
     the left and the right view.
 
-    Built from the relative pose (camera-l frame to camera-k frame) and both
-    records' inverse calibration matrices; normalized to unit Frobenius norm.
-    Raises DegenerateGeometry when the camera centers coincide (no epipolar
-    geometry exists).
+    Built from the relative pose (camera-l frame to camera-k frame), read off
+    both records' camera rows, and their inverse calibration matrices;
+    normalized to unit Frobenius norm.  Raises DegenerateGeometry when the
+    camera centers coincide (no epipolar geometry exists).
     """
-    view_l, view_k = left.view, right.view
-    r_rel = view_k.rot @ view_l.rot.T
-    t_rel = view_k.t - r_rel @ view_l.t
+    pose_l, pose_k = left.camera[0, 3:15].reshape(3, 4), right.camera[0, 3:15].reshape(3, 4)
+    r_rel = pose_k[:, :3] @ pose_l[:, :3].T
+    t_rel = pose_k[:, 3] - r_rel @ pose_l[:, 3]
     # Each norm is sqrt(x . x), as np.linalg.norm takes it for a whole array.
     if math.sqrt(t_rel.dot(t_rel)) <= 1e-12 * max(1.0, left.t_norm, right.t_norm):
         raise DegenerateGeometry(
-            f"views {view_l.image_id!r} and {view_k.image_id!r} have coincident centers")
+            f"views {left.image_id!r} and {right.image_id!r} have coincident centers")
     f_mat = right.k_inv.T @ (_skew(t_rel) @ r_rel) @ left.k_inv
     flat = f_mat.ravel()
     return f_mat / math.sqrt(flat.dot(flat))
@@ -140,8 +141,7 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
         pair = np.concatenate((left.rows[il], right.rows[ik]), axis=1).reshape(-1, 2, 7)
         cameras = np.concatenate((left.camera, right.camera))
         f, px, py = cameras[:, :3].T
-        pose = cameras[:, 3:15].reshape(2, 3, 4)
-        solve = _solve(f, px, py, pose[..., :3], pose[..., 3], pair[..., 4], pair[..., 5],
+        solve = _solve(f, px, py, cameras[:, 3:15].reshape(2, 3, 4), pair[..., 4], pair[..., 5],
                        pair[..., 3], left.normal[il] + right.normal[ik])
         cam = solve.cam
         radius = solve.radius[:, None]

@@ -109,7 +109,7 @@ def view_records(views: Sequence[CameraView], table: EllipseTable,
     sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
     normal = _normal(camera[:, 0], camera[:, 1:3], camera[:, 3:15].reshape(-1, 3, 4), rows[:, 4:6])
     k_inv = np.linalg.inv(cameras.take((0, 15, 1, 15, 0, 2, 15, 15, 16), axis=1).reshape(-1, 3, 3))
-    return [ViewRecord(view, list(ids[a:b]), rows[a:b], sigmas[a:b], normal[a:b],
+    return [ViewRecord(view.image_id, list(ids[a:b]), rows[a:b], sigmas[a:b], normal[a:b],
                        cameras[i:i + 1], k_inv[i], math.sqrt(view.t.dot(view.t)))
             for i, (view, a, b) in enumerate(zip(views, bounds, bounds[1:]))]
 
@@ -153,7 +153,7 @@ def reconstruct_gated(records: Sequence[ViewRecord],
     pair_matches, solves = [], {}
     for left, right in itertools.combinations(records, 2):
         result = match_ellipses(left, right, tol=tol)
-        ids = (left.view.image_id, right.view.image_id)
+        ids = (left.image_id, right.image_id)
         solves[ids] = result.solve
         pair_matches += [(m.reprojection_distance, *ids, m.ellipse_l, m.ellipse_k, row)
                          for m, row in zip(result.matches, result.rows)]

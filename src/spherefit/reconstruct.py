@@ -78,12 +78,6 @@ def _normal(f, pp, pose, uv):
     return np.swapaxes(rows, -1, -2) @ rows
 
 
-def _pose_form(f, px, py, rot, t, u, v):
-    """``_dlt_rows``' arguments from a solve's camera and pixel arrays."""
-    return (f, np.stack((px, py), axis=-1), np.concatenate((rot, t[..., None]), axis=-1),
-            np.stack((u, v), axis=-1))
-
-
 class _Solve(NamedTuple):
     """Solve of m spheres in n views, with the corrected centers ``u``, ``v``
     (m, n) and the intrinsics ``f``, ``px``, ``py`` (n or (m, n)) it was
@@ -101,27 +95,28 @@ class _Solve(NamedTuple):
     py: np.ndarray
 
 
-def _solve(f, px, py, rot, t, u, v, b_e, normal=None) -> _Solve:
+def _solve(f, px, py, pose, u, v, b_e, normal=None) -> _Solve:
     """Recover m spheres from the corrected centers ``u``, ``v`` and the
     semi-minor lengths ``b_e`` (m, n) of their ellipses in n views each; the
-    camera arrays ``f``, ``px``, ``py`` (n or (m, n)), ``rot`` (..., n, 3, 3)
-    and ``t`` (..., n, 3) broadcast against them.  A center is the linear
+    camera arrays ``f``, ``px``, ``py`` (n or (m, n)) and ``pose`` [rot | t]
+    (..., n, 3, 4) broadcast against them.  A center is the linear
     least-squares triangulation: the eigenvector of the smallest eigenvalue of
     ``normal`` (m, 4, 4), the views' ``_normal`` summed (built when None).  That
     squares the condition number, so an SVD of the rows solves and judges the
     rank of rows with lambda_2 <= _EIGH_TOL * lambda_4.  The caller ignores
     divide and invalid warnings."""
-    w, vec = np.linalg.eigh(_normal(*_pose_form(f, px, py, rot, t, u, v)).sum(axis=1)
-                            if normal is None else normal)
+    if normal is None:
+        normal = _normal(f, np.stack((px, py), -1), pose, np.stack((u, v), -1)).sum(axis=1)
+    w, vec = np.linalg.eigh(normal)
     x = vec[..., 0]
     ill = ~(w[:, 1] > _EIGH_TOL * w[:, 3])  # NaN eigenvalues go to the SVD too
     fallback = ill.any()
     if fallback:
-        a = _dlt_rows(*_pose_form(f, px, py, rot, t, u, v))[ill].reshape(-1, 2 * u.shape[1], 4)
-        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        a = _dlt_rows(f, np.stack((px, py), -1), pose, np.stack((u, v), -1))[ill]
+        _, s, vt = np.linalg.svd(a.reshape(-1, 2 * u.shape[1], 4), full_matrices=False)
         x[ill] = vt[:, -1]
     center = x[:, :3] / x[:, 3:]
-    cam = (rot @ center[:, None, :, None])[..., 0] + t
+    cam = (pose[..., :3] @ center[:, None, :, None])[..., 0] + pose[..., 3]
     depth = cam[..., 2]
     at_infinity = np.abs(x[:, 3]) <= _INFINITY_TOL * np.sqrt((x[:, :3] * x[:, :3]).sum(axis=1))
     reason = np.where(at_infinity, AT_INFINITY, BEHIND_CAMERA * (depth <= 0.0).any(axis=1))
@@ -168,9 +163,10 @@ def triangulate_center(observations: Sequence[tuple[CameraView, np.ndarray]]) ->
     if len(observations) < 2:
         raise ValueError("triangulation needs at least two views")
     pixels = np.array([np.asarray(p, dtype=float).reshape(2) for _, p in observations])
+    f, px, py, rot, t = camera_arrays([v for v, _ in observations])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only the center counts
-        solve = _solve(*camera_arrays([v for v, _ in observations]), pixels[None, :, 0],
-                       pixels[None, :, 1], np.ones((1, len(pixels))))
+        solve = _solve(f, px, py, np.concatenate((rot, t[:, :, None]), axis=2),
+                       pixels[None, :, 0], pixels[None, :, 1], np.ones((1, len(pixels))))
     _raise_if_degenerate(int(solve.reason[0]))
     return solve.center[0]
 
@@ -190,7 +186,8 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]])
     x_ce, y_ce, b_e = np.array([(e.x_ce, e.y_ce, e.b_e) for _, e in matched]).T[:, None]
     f, px, py, rot, t = camera_arrays([v for v, _ in matched])
     with np.errstate(divide="ignore", invalid="ignore"):
-        solve = _solve(f, px, py, rot, t, *corrected_center(x_ce, y_ce, b_e, f, px, py), b_e)
+        solve = _solve(f, px, py, np.concatenate((rot, t[:, :, None]), axis=2),
+                       *corrected_center(x_ce, y_ce, b_e, f, px, py), b_e)
     reason = int(solve.reason[0])
     _raise_if_degenerate(reason)
     if reason == BEHIND_CAMERA:
@@ -203,13 +200,15 @@ def reconstruct_sphere(matched: Sequence[tuple[CameraView, EllipseObservation]])
 def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
                        ) -> list[Optional[SphereModel]]:
     """``reconstruct_sphere`` for many tracks at once, one solve per track
-    length.  A track maps image ids to ellipse ids, picked by row out of the
-    views' ``match.ViewRecord``s in ``records`` order.  Returns one model per
-    track, None where the track's geometry degenerates."""
+    length.  A track maps image ids to ellipse ids, picked by row and camera
+    row out of the views' ``match.ViewRecord``s in ``records`` order.  Returns
+    one model per track, None where the track's geometry degenerates."""
     if not tracks:
         return []
-    image_ids = [r.view.image_id for r in records]
-    f, px, py, rot, t = camera_arrays([r.view for r in records])
+    image_ids = [r.image_id for r in records]
+    cameras = np.concatenate([r.camera for r in records])
+    f, px, py = cameras[:, :3].T
+    pose = cameras[:, 3:15].reshape(-1, 3, 4)
     rows = np.concatenate([np.empty((0, 7))] + [r.rows for r in records])  # b_e and hom
     normal = np.concatenate([np.empty((0, 4, 4))] + [r.normal for r in records])
     at = {key: row for row, key in enumerate((v, e) for v, r in enumerate(records) for e in r.ids)}
@@ -225,7 +224,7 @@ def reconstruct_tracks(records: Sequence, tracks: Sequence[dict],
         pick = np.array([picks[i] for i in indices])  # (m, n, 2): view, row in rows and normal
         v, row = pick[..., 0], pick[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            solve = _solve(f[v], px[v], py[v], rot[v], t[v], rows[row, 4], rows[row, 5],
+            solve = _solve(f[v], px[v], py[v], pose[v], rows[row, 4], rows[row, 5],
                            rows[row, 3], normal[row].sum(axis=1))
         ok = np.flatnonzero(solve.reason == OK).tolist()
         solved = _models(solve, ok, [[image_ids[j] for j, _ in picks[indices[k]]] for k in ok])

@@ -102,9 +102,10 @@ class SceneConfig:
     def from_dict(cls, data: dict) -> "SceneConfig":
         """Config from parsed JSON; ``ValueError`` names the first key whose
         value lacks the JSON type of its default (an integer in the float
-        range may stand for a float), a count outside [0, 100000], a float
-        beyond ``PIXEL_LIMIT`` or not finite, a width or height <= 0, or a
-        look_at value or sphere center or radius not within ``WORLD_LIMIT``."""
+        range may stand for a float), a count outside [0, 100000], a negative
+        seed, a float beyond ``PIXEL_LIMIT`` or not finite, a width or height
+        <= 0, or a look_at value or sphere center or radius not within
+        ``WORLD_LIMIT``."""
         if not isinstance(data, dict):
             raise ValueError(f"scene config must be a JSON object, got {type(data).__name__}")
         cfg = cls()
@@ -118,6 +119,8 @@ class SceneConfig:
             if not 0 <= getattr(cfg, key) <= _MAX_COUNT:
                 raise ValueError(f"scene config key {key!r} must lie in [0, {_MAX_COUNT}], "
                                  f"got {getattr(cfg, key)}")
+        if cfg.seed < 0:
+            raise ValueError(f"scene config key 'seed' must be an integer >= 0, got {cfg.seed}")
         for key in [key for key, value in vars(cls()).items() if isinstance(value, float)]:
             value, positive = getattr(cfg, key), key in ("width", "height")
             if not (abs(value) <= PIXEL_LIMIT and (value > 0.0 or not positive)):

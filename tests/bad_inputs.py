@@ -298,10 +298,16 @@ for case, pair in (("unknown", "img-00,img-77"), ("repeated", "img-03,img-03")):
         {"unknown": "error: [select-pair] --pair references unknown image 'img-77'",
          "repeated": "error: [select-pair] --pair names image 'img-03' twice"}[case], ["o.json"],
         test_id=f"TestReconstruct::test_{case}_pair_member")
+row("match-pair-one-image", [], ["match", *GATED, "--pair", "img-00", "--out", "o.json"],
+    "error: --pair must be 'auto' or 'image_i,image_j', got 'img-00'", ["o.json"],
+    test_id="TestReconstruct::test_malformed_pair_exit_code")
 for value in ("nan", "inf", "-1"):
     row(f"simulate--sigma-{value}", [], [*SIMULATE, "--sigma", value, "--out", "s.csv"],
         flag_text("--sigma", value), ["s.csv"],
         test_id=f"TestSimulate::test_invalid_sigma_exit_code[{value}]")
+row("simulate--seed--1", [], [*SIMULATE, "--seed", "-1", "--out", "s.csv"],
+    "error: argument --seed: must be an integer >= 0, got '-1'", ["s.csv"],
+    test_id="TestSimulate::test_negative_seed_exit_code[flag]")
 
 # --- the sphere file and the anchors -----------------------------------------
 
@@ -316,6 +322,12 @@ for value in ("nan", "inf"):
 row("scale-anchor-repeated", [], [*SCALE, "--anchors", "s000:0.2,s000:0.5", "--out", "o.json"],
     "error: anchor 's000' is repeated", ["o.json"],
     test_id="TestScale::test_repeated_anchor_exit_code")
+for case, anchors, text in (
+        ("no-colon", "s000", "error: anchor 's000' is not of the form sphere_id:radius"),
+        ("radius-abc", "s000:abc", "error: anchor radius 'abc' is not a number"),
+        ("empty", "", "error: no anchors given")):
+    row(f"scale-anchors-{case}", [], [*SCALE, "--anchors", anchors, "--out", "o.json"], text,
+        ["o.json"], test_id=f"TestScale::test_malformed_anchors_exit_code[{case}]")
 row("scale-center-nan", [put("spheres.json", "spheres", 0, "center", 1, value=math.nan)],
     [*SCALE, "--anchors", "s000:1.0", "--out", "o.json"],
     "error: spheres.json: bad sphere entry (sphere center must be finite)", ["o.json"],
@@ -326,6 +338,10 @@ row("scale-spheres-null", [write("spheres.json", json.dumps({"spheres": None}))]
     test_id="TestScale::test_null_spheres_exit_code")
 
 CLOUD = write("cloud.ply", ply("1 2 3"))
+row("scale-out-points-without-points", [], [*SCALE, "--anchors", "s000:1.0", "--out-points",
+                                            "o.ply", "--out", "o.json"],
+    "error: --out-points requires --points", ["o.json", "o.ply"],
+    test_id="TestScale::test_out_points_without_points_exit_code")
 SCALED = ["--points", "cloud.ply", "--out-points", "o.ply", "--out", "o.json"]
 for case, edits, anchor, text in (
         ("anchor-1e300", [], "s000:1e300",
@@ -395,6 +411,10 @@ for case, edits, points, text in (
 
 # --- simulate --config ------------------------------------------------------
 
+def config_file(data):  # an edit that writes ``data`` as the scene config
+    return write("cfg.json", json.dumps(data))
+
+
 KEY = "error: scene config key "
 FLOAT = "must be finite and at most 2^200 in magnitude"
 SIDE = "must be positive, finite and at most 2^200 in magnitude"
@@ -432,10 +452,25 @@ for name, test, config, text in (
          KEY + f"'spheres' sphere 'a': center and radius {WORLD}"),
         ("config-sigma-nan", "non_finite_config_sigma_exit_code",
          {"n_cameras": 4, "n_tie_points": 12, "sigma_px": math.nan},
-         KEY + f"'sigma_px' {FLOAT}, got nan")):
-    row(name, [write("cfg.json", json.dumps(config))],
+         KEY + f"'sigma_px' {FLOAT}, got nan"),
+        ("config-seed--1", "negative_seed_exit_code[config]", {"seed": -1},
+         KEY + "'seed' must be an integer >= 0, got -1")):
+    row(name, [config_file(config)],
         [*SIMULATE, "--config", "cfg.json", "--out", "s.csv"], text, ["s.csv"],
         test_id=f"TestSimulate::test_{test}")
+
+
+row("config-sphere-at-a-camera", [config_file({"spheres": [["s", [0, 0, 5], 0.1]]})],
+    [*SIMULATE, "--config", "cfg.json", "--out", "s.csv"],
+    "error: sphere 's' does not clear camera 'img-00' (sphere depth 0 does not clear radius 0.1)",
+    ["s.csv"], code=3, test_id="TestSimulate::test_infeasible_config_exit_code")
+# The sweep runs, then no pair clears the floor: nothing is written, the export included.
+row("simulate-low-angle-export", [config_file({"arc_span_deg": 10, "n_cameras": 4})],
+    [*SIMULATE, "--config", "cfg.json", "--export-scene", "scene", "--out", "s.csv"],
+    re.compile(r"error: no image pair exceeds the 20\.0 deg floor "
+               r"\(largest convergence angle found: \d+\.\d\d deg\)"),
+    ["s.csv", *(f"scene/{name}" for name in ("cameras.json", "ellipses.csv", "truth.json"))],
+    code=4, test_id="TestSimulate::test_failed_sweep_writes_no_export")
 
 
 # --- the runner --------------------------------------------------------------

@@ -105,7 +105,7 @@ def reference_view_record(view, table):
     sigmas = np.sqrt(np.maximum(0.5 * (cov[:, 2, 2] + cov[:, 3, 3]), 0.0))
     pose = np.column_stack([view.rot, view.t])
     camera = np.concatenate([[view.f, view.px, view.py], pose.ravel(), [0.0, 1.0]])[None]
-    return ViewRecord(view, ids, rows, sigmas,
+    return ViewRecord(view.image_id, ids, rows, sigmas,
                       _normal(np.full(len(ids), view.f), np.array([view.px, view.py]), pose,
                               rows[:, 4:6]),
                       camera, np.linalg.inv(calibration_matrix(view)),

@@ -202,7 +202,7 @@ def test_criterion_5_cost_shape(noisy_lab_scene, monkeypatch):
     shapes = []
 
     def counted(*args):
-        shapes.append(args[5].shape)  # the corrected centers u: (m, n)
+        shapes.append(args[4].shape)  # the corrected centers u: (m, n)
         return _solve(*args)
 
     monkeypatch.setattr("spherefit.match._solve", counted)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -227,6 +228,46 @@ class TestReconstruct:
                          "--pair", "img-00,img-01", "--out", out)
         assert result.returncode == 0
         assert "below" in result.stderr and "proceeding" in result.stderr
+
+    @pytest.mark.parametrize("pair, unseen, warning", [
+        ("img-01,img-04", "img-04", r"explicit pair \(img-01,img-04\) shares no tie points"),
+        ("img-00,img-01", None, r"explicit pair \(img-00,img-01\) converges at only \d+\.\d "
+                                r"deg, below the 20\.0 deg floor; proceeding")],
+        ids=["no shared tie point", "below the floor"])
+    def test_explicit_pair_warns_once_and_matches(self, cli_export, tmp_path, capsys, pair,
+                                                  unseen, warning):
+        # An explicit pair that shares no tie point (none is seen in
+        # ``unseen``), or converges below the angle floor, is matched after
+        # one warning line.
+        data = json.load(open(cli_export / "cameras.json"))
+        for point in data["tie_points"]:
+            point["visible_in"] = [i for i in point["visible_in"] if i != unseen]
+        data["tie_points"] = [p for p in data["tie_points"] if len(p["visible_in"]) >= 2]
+        (tmp_path / "cameras.json").write_text(json.dumps(data))
+        out = tmp_path / "match.json"
+        assert main(["match", "--cameras", str(tmp_path / "cameras.json"),
+                     "--ellipses", str(cli_export / "ellipses.csv"),
+                     "--pair", pair, "--out", str(out)]) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch("warning: " + warning, line)
+        assert json.load(open(out))["matches"]
+
+    def test_untied_pair_ranking_needs_two_gated_ellipses(self, cli_export, tmp_path, capsys):
+        # Without tie points, pair ranking triangulates an anchor from the
+        # gated ellipse centers; an ellipse file with no row has none.
+        data = json.load(open(cli_export / "cameras.json"))
+        del data["tie_points"]
+        (tmp_path / "cameras.json").write_text(json.dumps(data))
+        header = (cli_export / "ellipses.csv").read_text().splitlines()[0]
+        (tmp_path / "ellipses.csv").write_text(header + "\n")
+        for command, stage in (("match", ""), ("reconstruct", "[select-pair] ")):
+            assert main([command, "--cameras", str(tmp_path / "cameras.json"),
+                         "--ellipses", str(tmp_path / "ellipses.csv"),
+                         "--out", str(tmp_path / "o.json")]) == 3
+            warning, error = capsys.readouterr().err.splitlines()
+            assert warning.startswith("warning: camera file has no tie_points")
+            assert error == f"error: {stage}not enough gated ellipses to anchor pair ranking"
+            assert not (tmp_path / "o.json").exists()
 
     def test_stage_equivalence_with_library(self, exported, tmp_path):
         root, scene, noisy = exported

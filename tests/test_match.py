@@ -221,7 +221,7 @@ class TestViewRecord:
         assert kept.ids == [i for i, k in zip(record.ids, keep) if k]
         for name in ("params", "hom", "sigmas", "normal"):
             assert getattr(kept, name).tobytes() == getattr(record, name)[keep].tobytes()
-        assert kept.view is view and kept.k_inv.tobytes() == record.k_inv.tobytes()
+        assert kept.image_id == view.image_id and kept.k_inv.tobytes() == record.k_inv.tobytes()
         [every] = view_records([view], table, np.ones(len(table.keys), bool))
         assert all(np.array_equal(a, b) for a, b in zip(every, record))
 
@@ -430,8 +430,10 @@ class TestDegenerateHypotheses:
         hom = np.stack([record_l.hom[il], record_k.hom[ik]], axis=1)
         b_e = np.stack([record_l.params[il, 3], record_k.params[ik, 3]], axis=1)
         normal = record_l.normal[il] + record_k.normal[ik]
+        f, px, py, rot, t = camera_arrays([left, right])
         with np.errstate(divide="ignore", invalid="ignore"):
-            direct = _solve(*camera_arrays([left, right]), hom[..., 0], hom[..., 1], b_e, normal)
+            direct = _solve(f, px, py, np.concatenate((rot, t[:, :, None]), axis=2),
+                            hom[..., 0], hom[..., 1], b_e, normal)
         for name in _Solve._fields:
             assert getattr(got.solve, name).tobytes() == getattr(direct, name).tobytes(), name
         w = np.linalg.eigh(normal)[0]

@@ -83,7 +83,6 @@ from spherefit.reconstruct import (  # noqa: E402
     OK,
     RANK_DEFICIENT,
     _normal,
-    _pose_form,
     _solve,
 )
 
@@ -273,9 +272,10 @@ def test_solve_matches_svd_reference(log_baseline, direction, center, radius, n_
     x_ce, y_ce, b_e = (np.array([[getattr(e, k) for _, e in rig] for rig in matched])
                        for k in ("x_ce", "y_ce", "b_e"))
     u, v = corrected_center(x_ce, y_ce, b_e, f, px, py)
+    pose = np.concatenate((rot, t[..., None]), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # the caller's, as _solve documents
-        solve = _solve(f, px, py, rot, t, u, v, b_e,
-                       _normal(*_pose_form(f, px, py, rot, t, u, v)).sum(axis=1))
+        solve = _solve(f, px, py, pose, u, v, b_e, _normal(
+            f, np.stack((px, py), axis=-1), pose, np.stack((u, v), axis=-1)).sum(axis=1))
     for row, rig in enumerate(matched):
         want = _reference_outcome(rig)
         if isinstance(want, str):

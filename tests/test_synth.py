@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ import oracles
 from oracles import p_rmse_combined, reference_generate_scene
 from spherefit import (
     ConfigInfeasible,
+    DegenerateGeometry,
     SceneConfig,
     Sphere,
     SphereModel,
@@ -386,6 +388,21 @@ class TestMonteCarlo:
             monte_carlo_views(small_scene, [1], seed=0)
         with pytest.raises(ValueError):
             monte_carlo_views(small_scene, [9], seed=0)
+
+    def test_degenerate_trial_is_counted_and_left_out(self):
+        # A 5-camera arc over 360 deg puts img-00 and img-04 at one center:
+        # that pair of the 10 raises DegenerateGeometry, counts as the one
+        # failed trial, and the statistics are those of the other 9.
+        scene = generate_scene(SceneConfig(n_cameras=5, arc_span_deg=360.0))
+        ids = [v.image_id for v in scene.views]
+        subsets = list(itertools.combinations(ids, 2))
+        with pytest.raises(DegenerateGeometry):
+            reconstruct_subset([scene.view(i) for i in ("img-00", "img-04")], scene.observations)
+        stats, _ = monte_carlo_views(scene, [2], 0, timing=False)
+        others = [s for s in subsets if s != ("img-00", "img-04")]
+        assert len(others) == 9
+        assert stats == dataclasses.replace(
+            synth._run_trials(scene, others, 2, 10, "random", False), failures=1)
 
     def test_best_pair_beats_random_pairs_in_aggregate(self):
         # Aggregated over independent scenes, the scored pair should be at

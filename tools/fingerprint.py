@@ -24,7 +24,10 @@ for seeds 0-4:
 * the output files and standard output of CLI ``simulate --k 2,8``,
   ``reconstruct --pair auto`` and ``match --pair auto`` on the default scene,
   parsed: a JSON document prints one line per entry of its top-level keys
-  (one sphere, one match), a CSV file one line per row.
+  (one sphere, one match), a CSV file one line per row;
+* the files ``simulate --export-scene`` writes (``cameras.json``,
+  ``ellipses.csv`` and ``truth.json``) as raw lines, so that a change to a
+  writer's bytes, layout included, shows.
 
 Timing is off everywhere, so a refactor that changes no result prints the same
 bytes.
@@ -49,6 +52,9 @@ from spherefit import (SceneConfig, cli, gate_views, gather_ellipses,  # noqa: E
 SEEDS = range(5)
 SIGMA = 0.5
 
+#: The files ``simulate --export-scene`` writes, printed as raw lines.
+EXPORTED = ("cameras.json", "ellipses.csv", "truth.json")
+
 #: Relative tolerance of ``--compare``.
 RTOL = 1e-9
 
@@ -68,9 +74,9 @@ def match_sets(seed):
     table = gather_ellipses(scene.views, scene.observations)
     _, _, accepted = gate_views(scene.views, table)
     records = view_records(scene.views, table, accepted)
-    for left, right in itertools.combinations(records, 2):
+    for (view_l, left), (view_k, right) in itertools.combinations(zip(scene.views, records), 2):
         result = match_ellipses(left, right)
-        print(f"match seed={seed} {left.view.image_id} {right.view.image_id}")
+        print(f"match seed={seed} {view_l.image_id} {view_k.image_id}")
         for m in result.matches:
             print(f"  {m.ellipse_l} {m.ellipse_k} {_hex([m.epipolar_distance])} "
                   f"{_hex([m.reprojection_distance])}")
@@ -120,6 +126,10 @@ def cli_outputs(seed):
                                 ("stdout", stdout.getvalue().replace(tmp, "TMP"))):
                 for line in _parsed(text):
                     print(f"  {label} {line}")
+            if name == "simulate":
+                for exported in EXPORTED:
+                    for line in (scene / exported).read_text().splitlines():
+                        print(f"  {exported} {line}")
 
 
 def _numbers(line):
