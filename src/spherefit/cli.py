@@ -91,6 +91,19 @@ def _seed(text: str) -> int:
     return value
 
 
+def _subset_sizes(text: str) -> list[int]:
+    """``--k``: a comma-separated list of subset sizes, each at least 2;
+    empty items are skipped, but the list may not be empty."""
+    try:
+        sizes = [int(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of integers >= 2, got {text!r}")
+    return sizes
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -313,10 +326,12 @@ def cmd_simulate(args) -> int:
         config.seed = args.seed
     if args.sigma is not None:
         config.sigma_px = args.sigma
-    k_values = [int(v) for v in args.k.split(",") if v.strip()]
+    if max(args.k) > config.n_cameras:
+        raise ValueError(f"--k subset size {max(args.k)} exceeds the scene's "
+                         f"{config.n_cameras} cameras")
     scene = generate_scene(config)
     noisy = perturb_observations(scene, config.sigma_px, config.seed)
-    stats = monte_carlo_views(noisy, k_values, config.seed, timing=args.timing)
+    stats = monte_carlo_views(noisy, args.k, config.seed, timing=args.timing)
     if args.export_scene:  # after the sweep, so that a failed run writes nothing
         os.makedirs(args.export_scene, exist_ok=True)
         fileio.save_network(noisy.network, os.path.join(args.export_scene, "cameras.json"))
@@ -400,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthetic accuracy/runtime sweep")
     p.add_argument("--config", help="scene config JSON (defaults: tabletop scene)")
-    p.add_argument("--k", default="2,4,8,16,30")
+    p.add_argument("--k", type=_subset_sizes, default="2,4,8,16,30")
     p.add_argument("--sigma", type=_nonnegative, default=None)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--timing", action="store_true",

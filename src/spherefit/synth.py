@@ -13,12 +13,17 @@ matching of all view pairs in the subset, merged into one-ellipse-per-view
 tracks -> multi-view reconstruction) on each subset, and aggregates
 percentage parameter errors and per-trial wall time.  The highest-scoring
 pair of the full network is evaluated as a distinguished extra data point.
+Every trial is listed before the first runs; the trials then run in forked
+worker processes, one per CPU of the process's affinity set, largest chunks
+first, and their statistics equal those of a serial sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -412,18 +417,19 @@ def _draw_subsets(ids: Sequence[str], k: int, p: int,
     return subsets
 
 
-def _run_trials(scene: SyntheticScene, subsets, k: int, p: int, selection: str,
-                timing: bool) -> TrialStats:
+def _trial_rows(scene: SyntheticScene, timing: bool, subsets) -> list:
+    """One row per subset, in order: the trial's mean center and radius
+    P-RMSE and the seconds ``reconstruct_subset`` took (0 unless ``timing``),
+    or None for a failed trial."""
     truth = dict(scene.spheres)
-    centers, radii, times = [], [], []
-    failures = 0
+    rows = []
     for subset in subsets:
         views = [scene.view(vid) for vid in subset]
         start = time.perf_counter() if timing else 0.0
         try:
             models = reconstruct_subset(views, scene.observations)
         except (DegenerateGeometry, DegenerateProjection):
-            failures += 1
+            rows.append(None)
             continue
         elapsed = time.perf_counter() - start if timing else 0.0
         assoc = _associate(models, truth)
@@ -431,23 +437,99 @@ def _run_trials(scene: SyntheticScene, subsets, k: int, p: int, selection: str,
             # The gate is allowed to drop ~5% of true silhouettes per view, so
             # a subset may reconstruct fewer spheres than exist; only a trial
             # that produces nothing (or degenerates) counts as failed.
-            failures += 1
+            rows.append(None)
             continue
         errors = [p_rmse(model, truth[sid]) for sid, model in sorted(assoc.items())]
-        centers.append(float(np.mean([c for c, _ in errors])))
-        radii.append(float(np.mean([r for _, r in errors])))
-        times.append(elapsed)
-    if centers:
+        rows.append((float(np.mean([c for c, _ in errors])),
+                     float(np.mean([r for _, r in errors])), elapsed))
+    return rows
+
+
+def _trial_stats(k: int, selection: str, rows, timing: bool) -> TrialStats:
+    """Aggregate of one block's ``_trial_rows``, one per subset; failed
+    trials are counted and left out of the statistics."""
+    done = [row for row in rows if row is not None]
+    if done:
+        centers, radii, times = ([row[i] for row in done] for i in range(3))
         stats = (float(np.mean(centers)), float(np.min(centers)), float(np.max(centers)),
                  float(np.mean(radii)), float(np.min(radii)), float(np.max(radii)))
         mean_ms = 1000.0 * float(np.mean(times)) if timing else 0.0
     else:
         stats = (math.nan,) * 6
         mean_ms = math.nan if timing else 0.0
-    return TrialStats(k=k, p=p, center_mean=stats[0], center_min=stats[1],
+    return TrialStats(k=k, p=len(rows), center_mean=stats[0], center_min=stats[1],
                       center_max=stats[2], radius_mean=stats[3],
                       radius_min=stats[4], radius_max=stats[5],
-                      mean_ms=mean_ms, failures=failures, selection=selection)
+                      mean_ms=mean_ms, failures=len(rows) - len(done), selection=selection)
+
+
+def _workers() -> int:
+    """Worker processes of a sweep: one per CPU in this process's affinity
+    set, which OS tools such as ``taskset`` limit; 1 where the OS keeps no
+    affinity set."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+#: (scene, timing) of the sweep a forked worker serves, set once in each
+#: worker by ``_start_worker``; never set in the process that runs the sweep.
+_worker_sweep: tuple = ()
+
+
+def _start_worker(scene: SyntheticScene, timing: bool) -> None:
+    global _worker_sweep
+    _worker_sweep = (scene, timing)
+
+
+def _worker_rows(subsets) -> list:
+    return _trial_rows(*_worker_sweep, subsets)
+
+
+def _map_chunks(scene: SyntheticScene, timing: bool, chunks: list) -> list:
+    """``_trial_rows`` of each chunk of subsets, in order.
+
+    With more than one CPU, forked workers share the chunks, each taking the
+    next one when it is free; the scene reaches them by the fork, not by
+    pickling.  The pool forks every worker in its constructor, before its
+    helper threads start, and every worker is ended and joined before this
+    returns or raises.  An error that a trial raises reaches the caller
+    with its type and message.  With one CPU, or no ``fork`` start method,
+    the chunks run here, in order.
+    """
+    workers = min(_workers(), len(chunks))
+    if workers > 1:
+        import multiprocessing  # here only, so that importing the CLI stays lean
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(
+                workers, initializer=_start_worker, initargs=(scene, timing))
+            try:
+                return pool.map(_worker_rows, chunks, chunksize=1)
+            finally:
+                pool.terminate()
+                pool.join()
+    return list(map(functools.partial(_trial_rows, scene, timing), chunks))
+
+
+def _sweep_rows(scene: SyntheticScene, timing: bool, blocks: list) -> list:
+    """The ``_trial_rows`` of each block of (k, subsets), in subset order.
+
+    Each block is cut into one chunk per worker (at most one per subset), of
+    sizes that differ by at most one, and the chunks run largest first by
+    their estimated cost, k^2 times their trial count: the all-pairs
+    matching of a trial grows like k^2.
+    """
+    workers = _workers()
+    chunks = []  # (block index, k, subsets), in block and subset order
+    for index, (k, subsets) in enumerate(blocks):
+        parts = min(workers, len(subsets))
+        chunks += [(index, k, subsets[i * len(subsets) // parts:(i + 1) * len(subsets) // parts])
+                   for i in range(parts)]
+    order = sorted(range(len(chunks)), key=lambda c: -chunks[c][1] ** 2 * len(chunks[c][2]))
+    done = dict(zip(order, _map_chunks(scene, timing, [chunks[c][2] for c in order])))
+    rows = [[] for _ in blocks]
+    for c, (index, _, _) in enumerate(chunks):
+        rows[index] += done[c]
+    return rows
 
 
 def monte_carlo_views(scene: SyntheticScene, k_values: Sequence[int], seed: int,
@@ -458,17 +540,23 @@ def monte_carlo_views(scene: SyntheticScene, k_values: Sequence[int], seed: int,
     derived from (seed, k); failed trials (degeneracy, or fewer tracks than
     ground-truth spheres) are counted and excluded from the statistics.  The
     highest-scoring pair of the full network is appended as a distinguished
-    single-trial entry.
+    single-trial entry.  Every k is checked, every subset drawn and the pair
+    chosen before the first trial runs.  The trials run in forked worker
+    processes, one per CPU this process may use (``_map_chunks``); each runs
+    ``reconstruct_subset`` whole in one process, and with ``timing`` its wall
+    time is measured there.  The statistics equal those of running the
+    trials one after another.
     """
     ids = [v.image_id for v in scene.views]
     n = len(ids)
-    results = []
-    for k in sorted(set(int(k) for k in k_values)):
+    k_values = sorted(set(int(k) for k in k_values))
+    for k in k_values:
         if k < 2 or k > n:
             raise ValueError(f"subset size {k} outside [2, {n}]")
-        p = min(50, math.comb(n, k))
-        subsets = _draw_subsets(ids, k, p, _rng(seed, 2, k))
-        results.append(_run_trials(scene, subsets, k, p, "random", timing))
+    blocks = [(k, "random", _draw_subsets(ids, k, min(50, math.comb(n, k)), _rng(seed, 2, k)))
+              for k in k_values]
     pair = best_pair(scene.network)
-    results.append(_run_trials(scene, [(pair.i, pair.j)], 2, 1, "best_pair", timing))
-    return results
+    blocks.append((2, "best_pair", [(pair.i, pair.j)]))
+    rows = _sweep_rows(scene, timing, [(k, subsets) for k, _, subsets in blocks])
+    return [_trial_stats(k, selection, block_rows, timing)
+            for (k, selection, _), block_rows in zip(blocks, rows)]

@@ -308,6 +308,13 @@ for value in ("nan", "inf", "-1"):
 row("simulate--seed--1", [], [*SIMULATE, "--seed", "-1", "--out", "s.csv"],
     "error: argument --seed: must be an integer >= 0, got '-1'", ["s.csv"],
     test_id="TestSimulate::test_negative_seed_exit_code[flag]")
+for case, value in (("abc", "abc"), ("2-x", "2,x"), ("1", "1"), ("empty", "")):
+    row(f"simulate--k-{case}", [], ["simulate", "--k", value, "--out", "s.csv"],
+        f"error: argument --k: must be a comma-separated list of integers >= 2, got {value!r}",
+        ["s.csv"], test_id=f"TestSimulate::test_invalid_k_exit_code[{case}]")
+row("simulate--k-above-the-cameras", [], ["simulate", "--k", "2,31", "--out", "s.csv"],
+    "error: --k subset size 31 exceeds the scene's 30 cameras", ["s.csv"],
+    test_id="TestSimulate::test_invalid_k_exit_code[above-the-cameras]")
 
 # --- the sphere file and the anchors -----------------------------------------
 
@@ -464,7 +471,8 @@ row("config-sphere-at-a-camera", [config_file({"spheres": [["s", [0, 0, 5], 0.1]
     [*SIMULATE, "--config", "cfg.json", "--out", "s.csv"],
     "error: sphere 's' does not clear camera 'img-00' (sphere depth 0 does not clear radius 0.1)",
     ["s.csv"], code=3, test_id="TestSimulate::test_infeasible_config_exit_code")
-# The sweep runs, then no pair clears the floor: nothing is written, the export included.
+# No pair clears the floor, so the sweep fails before its first trial and
+# nothing is written, the export included.
 row("simulate-low-angle-export", [config_file({"arc_span_deg": 10, "n_cameras": 4})],
     [*SIMULATE, "--config", "cfg.json", "--export-scene", "scene", "--out", "s.csv"],
     re.compile(r"error: no image pair exceeds the 20\.0 deg floor "

@@ -2,6 +2,11 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +17,7 @@ from oracles import p_rmse_combined, reference_generate_scene
 from spherefit import (
     ConfigInfeasible,
     DegenerateGeometry,
+    EmptyInput,
     SceneConfig,
     Sphere,
     SphereModel,
@@ -24,6 +30,7 @@ from spherefit import (
     reconstruct_subset,
 )
 from spherefit import synth
+from spherefit.cli import main
 
 
 class TestGenerateScene:
@@ -401,8 +408,24 @@ class TestMonteCarlo:
         stats, _ = monte_carlo_views(scene, [2], 0, timing=False)
         others = [s for s in subsets if s != ("img-00", "img-04")]
         assert len(others) == 9
+        rows = synth._trial_rows(scene, False, others)
         assert stats == dataclasses.replace(
-            synth._run_trials(scene, others, 2, 10, "random", False), failures=1)
+            synth._trial_stats(2, "random", rows, False), p=10, failures=1)
+
+    def test_fails_before_the_first_trial(self, small_scene, tmp_path, monkeypatch):
+        # A bad k, and a network with no admissible pair, fail while the
+        # sweep's jobs are listed, before any trial runs.
+        calls = []
+        monkeypatch.setattr(synth, "_workers", lambda: 1)
+        monkeypatch.setattr(synth, "reconstruct_subset", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"subset size 99 outside \[2, 8\]"):
+            monte_carlo_views(small_scene, [2, 99], 0)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"arc_span_deg": 10, "n_cameras": 4}))
+        assert main(["simulate", "--k", "2", "--config", str(config),
+                     "--out", str(tmp_path / "s.csv")]) == 4
+        assert calls == []
+
 
     def test_best_pair_beats_random_pairs_in_aggregate(self):
         # Aggregated over independent scenes, the scored pair should be at
@@ -428,3 +451,58 @@ class TestMonteCarlo:
                 i, j = rng.choice(len(ids), size=2, replace=False)
                 random_vals.append(combined_error(scene, noisy, (ids[i], ids[j])))
         assert float(np.mean(best_vals)) <= float(np.mean(random_vals))
+
+
+class TestParallelSweep:
+    """The sweep's trials run in forked workers, one per CPU of the
+    process's affinity set; ``synth._workers`` patched to 1 runs them in
+    this process, patched to 2 in two workers whatever the CPU count."""
+
+    def sweep(self, monkeypatch, workers, *args):
+        monkeypatch.setattr(synth, "_workers", lambda: workers)
+        return monte_carlo_views(*args, timing=False)
+
+    def test_one_worker_per_cpu_of_the_affinity_set(self):
+        assert synth._workers() == len(os.sched_getaffinity(0))
+
+    def test_parallel_equals_serial(self, noisy_lab_scene, monkeypatch):
+        serial = self.sweep(monkeypatch, 1, noisy_lab_scene, [2, 4, 8, 16, 30], 0)
+        assert self.sweep(monkeypatch, 2, noisy_lab_scene, [2, 4, 8, 16, 30], 0) == serial
+        assert multiprocessing.active_children() == []
+
+    def test_parallel_equals_serial_with_a_failed_trial(self, monkeypatch):
+        scene = generate_scene(SceneConfig(n_cameras=5, arc_span_deg=360.0))
+        serial = self.sweep(monkeypatch, 1, scene, [2, 3, 4, 5], 0)
+        assert [s.failures for s in serial] == [1, 3, 3, 1, 0]  # subsets with img-00 and img-04
+        assert self.sweep(monkeypatch, 2, scene, [2, 3, 4, 5], 0) == serial
+
+    def test_chunks_run_largest_first_and_rows_return_in_order(self, small_scene,
+                                                              monkeypatch):
+        ran = []  # each chunk's subsets, in the order they were handed out
+        monkeypatch.setattr(synth, "_workers", lambda: 3)
+        monkeypatch.setattr(synth, "_map_chunks",
+                            lambda scene, timing, chunks: ran.extend(chunks) or chunks)
+        blocks = [(2, [("a", i) for i in range(7)]), (4, [("b", 0), ("b", 1)]), (3, [("c", 0)])]
+        assert synth._sweep_rows(small_scene, False, blocks) == [subsets for _, subsets in blocks]
+        # Costs k^2 x trials: the k=4 block in halves of 16 each, the k=2
+        # block in thirds of 2, 2 and 3 trials (8, 8 and 12), and k=3 9.
+        assert ran == [[("b", 0)], [("b", 1)], [("a", 4), ("a", 5), ("a", 6)], [("c", 0)],
+                       [("a", 0), ("a", 1)], [("a", 2), ("a", 3)]]
+
+    def test_a_worker_error_reaches_the_caller(self, small_scene, monkeypatch):
+        def fail(views, observations):
+            raise EmptyInput(f"raised in process {os.getpid()}")
+
+        monkeypatch.setattr(synth, "reconstruct_subset", fail)
+        with pytest.raises(EmptyInput, match=r"raised in process \d+") as raised:
+            self.sweep(monkeypatch, 2, small_scene, [2, 8], 0)
+        assert str(raised.value) != f"raised in process {os.getpid()}"
+        assert multiprocessing.active_children() == []
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        src = str(pathlib.Path(synth.__file__).resolve().parent.parent)
+        code = ("import sys, spherefit.cli; print([name for name in ('multiprocessing', "
+                "'concurrent.futures') if name in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout == "[]\n", result.stderr
