@@ -160,6 +160,9 @@ def _select_pair(args, network: ImageNetwork, table=None, accepted=None) -> Pair
         raise fileio.FileFormatError(
             "camera file has no tie_points; select-pair needs them "
             "(reconstruct can fall back to ellipse-based pair ranking)")
+    if len(network.views) < 2:
+        raise fileio.FileFormatError(
+            f"camera file has {len(network.views)} of the 2 views a pair needs")
     _warn("camera file has no tie_points; ranking pairs by the angle "
           "subtended at an anchor triangulated from all corrected ellipse "
           "centers (crude fallback)")

@@ -68,17 +68,23 @@ _BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
     The temp file is created with mode 0o666, as ``open`` creates a file, so
-    the umask sets the mode ``path`` ends up with."""
+    the umask sets the mode ``path`` ends up with.  An ``OSError`` that
+    names the temp file names ``path`` in its place."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _dump_json(payload) -> str:
@@ -574,6 +580,8 @@ def load_ply(path: str) -> PlyCloud:
             if tokens[1] != "vertex":
                 raise FileFormatError(
                     f"{path}: unsupported element {tokens[1]!r} (vertex clouds only)")
+            if n_vertices is not None:
+                raise FileFormatError(f"{path}: element 'vertex' is declared twice")
             n_vertices = int(tokens[2])
             in_vertex_element = True
         elif tokens[0] == "property":
@@ -583,6 +591,8 @@ def load_ply(path: str) -> PlyCloud:
                 raise FileFormatError(f"{path}: bad property line {lines[idx - 1]!r}")
             if tokens[1] == "list":
                 raise FileFormatError(f"{path}: list properties are not supported")
+            if tokens[2] in [name for _, name in properties]:
+                raise FileFormatError(f"{path}: property {tokens[2]!r} is declared twice")
             properties.append((tokens[1], tokens[2]))
         elif tokens[0] == "end_header":
             break

@@ -14,13 +14,12 @@ tracks -> multi-view reconstruction) on each subset, and aggregates
 percentage parameter errors and per-trial wall time.  The highest-scoring
 pair of the full network is evaluated as a distinguished extra data point.
 Every trial is listed before the first runs; the trials then run in forked
-worker processes, one per CPU of the process's affinity set, largest chunks
-first, and their statistics equal those of a serial sweep.
+worker processes sent only the scene, one per CPU of the process's affinity
+set, whole k blocks largest first, and their statistics equal a serial sweep's.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -417,21 +416,20 @@ def _draw_subsets(ids: Sequence[str], k: int, p: int,
     return subsets
 
 
-def _trial_rows(scene: SyntheticScene, timing: bool, subsets) -> list:
+def _trial_rows(scene: SyntheticScene, subsets) -> list:
     """One row per subset, in order: the trial's mean center and radius
-    P-RMSE and the seconds ``reconstruct_subset`` took (0 unless ``timing``),
-    or None for a failed trial."""
+    P-RMSE and the seconds ``reconstruct_subset`` took, or None if it failed."""
     truth = dict(scene.spheres)
     rows = []
     for subset in subsets:
         views = [scene.view(vid) for vid in subset]
-        start = time.perf_counter() if timing else 0.0
+        start = time.perf_counter()
         try:
             models = reconstruct_subset(views, scene.observations)
         except (DegenerateGeometry, DegenerateProjection):
             rows.append(None)
             continue
-        elapsed = time.perf_counter() - start if timing else 0.0
+        elapsed = time.perf_counter() - start
         assoc = _associate(models, truth)
         if not assoc:
             # The gate is allowed to drop ~5% of true silhouettes per view, so
@@ -470,66 +468,44 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-#: (scene, timing) of the sweep a forked worker serves, set once in each
-#: worker by ``_start_worker``; never set in the process that runs the sweep.
-_worker_sweep: tuple = ()
+#: The scene of the sweep a forked worker serves, set once in each worker by
+#: ``_start_worker``; never set in the process that runs the sweep.
+_worker_scene = None
 
 
-def _start_worker(scene: SyntheticScene, timing: bool) -> None:
-    global _worker_sweep
-    _worker_sweep = (scene, timing)
+def _start_worker(scene: SyntheticScene) -> None:
+    global _worker_scene
+    _worker_scene = scene
 
 
 def _worker_rows(subsets) -> list:
-    return _trial_rows(*_worker_sweep, subsets)
+    return _trial_rows(_worker_scene, subsets)
 
 
-def _map_chunks(scene: SyntheticScene, timing: bool, chunks: list) -> list:
+def _map_chunks(scene: SyntheticScene, chunks: list, workers: int) -> list:
     """``_trial_rows`` of each chunk of subsets, in order.
 
-    With more than one CPU, forked workers share the chunks, each taking the
-    next one when it is free; the scene reaches them by the fork, not by
+    With more than one worker, forked workers share the chunks, each taking
+    the next one when it is free; the scene reaches them by the fork, not by
     pickling.  The pool forks every worker in its constructor, before its
     helper threads start, and every worker is ended and joined before this
     returns or raises.  An error that a trial raises reaches the caller
-    with its type and message.  With one CPU, or no ``fork`` start method,
-    the chunks run here, in order.
+    with its type and message.  With one worker, or no ``fork`` start
+    method, the chunks run here, in order.
     """
-    workers = min(_workers(), len(chunks))
+    workers = min(workers, len(chunks))
     if workers > 1:
         import multiprocessing  # here only, so that importing the CLI stays lean
 
         if "fork" in multiprocessing.get_all_start_methods():
             pool = multiprocessing.get_context("fork").Pool(
-                workers, initializer=_start_worker, initargs=(scene, timing))
+                workers, initializer=_start_worker, initargs=(scene,))
             try:
                 return pool.map(_worker_rows, chunks, chunksize=1)
             finally:
                 pool.terminate()
                 pool.join()
-    return list(map(functools.partial(_trial_rows, scene, timing), chunks))
-
-
-def _sweep_rows(scene: SyntheticScene, timing: bool, blocks: list) -> list:
-    """The ``_trial_rows`` of each block of (k, subsets), in subset order.
-
-    Each block is cut into one chunk per worker (at most one per subset), of
-    sizes that differ by at most one, and the chunks run largest first by
-    their estimated cost, k^2 times their trial count: the all-pairs
-    matching of a trial grows like k^2.
-    """
-    workers = _workers()
-    chunks = []  # (block index, k, subsets), in block and subset order
-    for index, (k, subsets) in enumerate(blocks):
-        parts = min(workers, len(subsets))
-        chunks += [(index, k, subsets[i * len(subsets) // parts:(i + 1) * len(subsets) // parts])
-                   for i in range(parts)]
-    order = sorted(range(len(chunks)), key=lambda c: -chunks[c][1] ** 2 * len(chunks[c][2]))
-    done = dict(zip(order, _map_chunks(scene, timing, [chunks[c][2] for c in order])))
-    rows = [[] for _ in blocks]
-    for c, (index, _, _) in enumerate(chunks):
-        rows[index] += done[c]
-    return rows
+    return [_trial_rows(scene, chunk) for chunk in chunks]
 
 
 def monte_carlo_views(scene: SyntheticScene, k_values: Sequence[int], seed: int,
@@ -541,11 +517,12 @@ def monte_carlo_views(scene: SyntheticScene, k_values: Sequence[int], seed: int,
     ground-truth spheres) are counted and excluded from the statistics.  The
     highest-scoring pair of the full network is appended as a distinguished
     single-trial entry.  Every k is checked, every subset drawn and the pair
-    chosen before the first trial runs.  The trials run in forked worker
-    processes, one per CPU this process may use (``_map_chunks``); each runs
-    ``reconstruct_subset`` whole in one process, and with ``timing`` its wall
-    time is measured there.  The statistics equal those of running the
-    trials one after another.
+    chosen before the first trial runs.  The blocks of trials, one per k and
+    the pair, run largest first by k^2 times their trial count (all-pairs
+    matching grows like k^2), each cut into one contiguous chunk per worker
+    of ``_map_chunks``: one forked process per CPU this process may use,
+    sent only the scene.  Each trial is timed where it runs; ``mean_ms`` is
+    0 unless ``timing``.  The statistics equal those of a serial sweep.
     """
     ids = [v.image_id for v in scene.views]
     n = len(ids)
@@ -557,6 +534,14 @@ def monte_carlo_views(scene: SyntheticScene, k_values: Sequence[int], seed: int,
               for k in k_values]
     pair = best_pair(scene.network)
     blocks.append((2, "best_pair", [(pair.i, pair.j)]))
-    rows = _sweep_rows(scene, timing, [(k, subsets) for k, _, subsets in blocks])
-    return [_trial_stats(k, selection, block_rows, timing)
-            for (k, selection, _), block_rows in zip(blocks, rows)]
+    order = sorted(range(len(blocks)), key=lambda b: -blocks[b][0] ** 2 * len(blocks[b][2]))
+    workers = _workers()
+    chunks = []  # each block in contiguous chunks whose sizes differ by at most one
+    for subsets in (blocks[b][2] for b in order):
+        parts = min(workers, len(subsets))
+        chunks += [subsets[i * len(subsets) // parts:(i + 1) * len(subsets) // parts]
+                   for i in range(parts)]
+    rows = itertools.chain.from_iterable(_map_chunks(scene, chunks, workers))
+    runs = {b: list(itertools.islice(rows, len(blocks[b][2]))) for b in order}
+    return [_trial_stats(k, selection, runs[b], timing)
+            for b, (k, selection, _) in enumerate(blocks)]

@@ -162,6 +162,21 @@ for command in ("match", "reconstruct"):
             ["o.out"],
             test_id="TestFilter::test_unknown_image_reference")
 
+
+def one_view(data):  # the first view alone, without tie points
+    data["views"] = data["views"][:1]
+    data.pop("tie_points")
+
+
+ONE_VIEW = [edit_json("cameras.json", one_view), edit_lines(
+    lambda lines: [lines[0], *(line for line in lines[1:] if line.startswith("img-00,"))])]
+for command in ("match", "reconstruct"):
+    row(f"one-view-untied-{command}", ONE_VIEW,
+        [command, *GATED, "--pair", "auto", "--out", "o.out"],
+        ("error: [select-pair] " if command == "reconstruct" else "error: ")
+        + "camera file has 1 of the 2 views a pair needs", ["o.out"],
+        test_id=f"TestReconstruct::test_one_view_without_tie_points_exit_code[{command}]")
+
 for field, value in (("px", math.nan), ("rot", [math.nan] + [0.0] * 8),
                      ("iop_cov", [math.nan] + [0.0] * 8)):
     row(f"camera-{field}-nan", [put("cameras.json", "views", 0, field, value=value)],
@@ -316,6 +331,11 @@ row("simulate--k-above-the-cameras", [], ["simulate", "--k", "2,31", "--out", "s
     "error: --k subset size 31 exceeds the scene's 30 cameras", ["s.csv"],
     test_id="TestSimulate::test_invalid_k_exit_code[above-the-cameras]")
 
+# The temp file that the output is written through is not named.
+row("filter-out-directory", [lambda directory: (directory / "D").mkdir()],
+    ["filter", *GATED, "--out", "D"], "error: [Errno 21] Is a directory: 'D'",
+    test_id="TestFilter::test_directory_at_out_exit_code")
+
 # --- the sphere file and the anchors -----------------------------------------
 
 row("scale-anchor-unknown", [], [*SCALE, "--anchors", "nope:1.0", "--out", "o.json"],
@@ -389,6 +409,24 @@ for case, line in (("element vertex", 2), ("property float", 5)):
         [*SCALE, "--anchors", "s000:1.0", "--points", "bad.ply", "--out-points", "o.ply",
          "--out", "o.json"], f"error: bad.ply: bad {case.split()[0]} line {case!r}",
         ["o.json", "o.ply"],
+        test_id=f"TestScale::test_malformed_ply_header_exit_code[{case}]")
+
+
+HEADER = ply("1 2 3").splitlines()  # ply, format, element, x, y, z, end_header, a vertex
+for case, lines, text in (
+        # Both elements' properties would merge into one.
+        ("element vertex twice",
+         [*HEADER[:6], "element vertex 1", "property float w", HEADER[6], "1 2 3 4"],
+         "element 'vertex' is declared twice"),
+        # Only the first x column would be scaled.
+        ("property x twice", [*HEADER[:6], "property float x", HEADER[6], "1 2 3 4"],
+         "property 'x' is declared twice"),
+        ("list property", [*HEADER[:6], "property list uchar int i", *HEADER[6:]],
+         "list properties are not supported"),
+        ("no end_header", HEADER[:6], "missing end_header")):
+    row(f"ply-header-{case.replace(' ', '-')}", [write("bad.ply", "\n".join(lines) + "\n")],
+        [*SCALE, "--anchors", "s000:1.0", "--points", "bad.ply", "--out-points", "o.ply",
+         "--out", "o.json"], f"error: bad.ply: {text}", ["o.json", "o.ply"],
         test_id=f"TestScale::test_malformed_ply_header_exit_code[{case}]")
 
 

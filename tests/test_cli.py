@@ -511,6 +511,18 @@ class TestSimulate:
                       "--out", str(tmp_path / "s.json"))
         assert rec.returncode == 0
 
+    def test_sigma_flag_equals_the_config_key(self, tmp_path):
+        scene = {"n_cameras": 6, "n_tie_points": 12}
+        out = {}
+        for name, config, flags in (("flag", scene, ["--sigma", "0.3"]),
+                                    ("config", {**scene, "sigma_px": 0.3}, []),
+                                    ("default", scene, [])):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            assert main(["simulate", "--k", "2", "--config", str(tmp_path / f"{name}.json"),
+                         *flags, "--out", str(tmp_path / f"{name}.csv")]) == 0
+            out[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert out["flag"] == out["config"] != out["default"]
+
     def test_intermediate_files_round_trip(self, tmp_path):
         result = run_cli("simulate", "--k", "2", "--seed", "3", "--sigma", "0.2",
                          "--out", str(tmp_path / "s.csv"),

@@ -551,6 +551,12 @@ class TestPly:
         with pytest.raises(FileFormatError, match="bad.ply"):
             load_ply(path)
 
+    def test_accepts_a_blank_header_line(self, tmp_path):
+        plain, blank = tmp_path / "plain.ply", tmp_path / "blank.ply"
+        plain.write_text(PLY_TEXT)
+        blank.write_text(PLY_TEXT.replace("format ascii 1.0\n", "format ascii 1.0\n\n"))
+        assert load_ply(str(blank)) == load_ply(str(plain))
+
     def test_non_ascii_comment_round_trips_under_an_ascii_locale(self, tmp_path):
         # save_ply writes UTF-8, so load_ply reads UTF-8 whatever the locale.
         source = tmp_path / "in.ply"
@@ -600,3 +606,19 @@ class TestAtomicity:
         save_network(network, path)  # overwrite
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == []
+
+    def test_a_failed_write_keeps_the_old_file_and_removes_the_temp_file(self, tmp_path):
+        # UTF-8 cannot encode a lone surrogate: the write fails after the
+        # temp file is made.
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            fileio.atomic_write_text(str(path), "x\ud800")
+        assert path.read_text() == "old\n"
+        assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+    def test_an_os_error_names_the_path_not_the_temp_file(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.txt")
+        with pytest.raises(FileNotFoundError) as raised:
+            fileio.atomic_write_text(path, "x")
+        assert str(raised.value) == f"[Errno 2] No such file or directory: {path!r}"

@@ -210,6 +210,10 @@ class TestBestPair:
         with pytest.raises(NoAdmissiblePair, match="10.00 deg"):
             best_pair(network)
 
+    def test_rejects_a_single_view(self):
+        with pytest.raises(ValueError, match="need at least two views"):
+            best_pair(ImageNetwork([look_at_view("v0", [0.0, 0.0, -5.0], [0.0, 0.0, 0.0])], []))
+
     @pytest.mark.parametrize("min_angle", [math.nan, -0.1, math.inf])
     def test_rejects_invalid_floor(self, min_angle):
         with pytest.raises(ValueError, match="angle"):

@@ -1131,7 +1131,9 @@ _PLY_TYPE = st.sampled_from(["float", "double", "int", "uchar", "float32", "int1
 
 @st.composite
 def _ply_clouds(draw):
-    properties = draw(st.lists(st.tuples(_PLY_TYPE, _PLY_TOKEN), min_size=1, max_size=5))
+    # Unique names: load_ply rejects a property name declared twice.
+    properties = draw(st.lists(st.tuples(_PLY_TYPE, _PLY_TOKEN), min_size=1, max_size=5,
+                               unique_by=lambda prop: prop[1]))
     rows = draw(st.lists(st.lists(_PLY_TOKEN, min_size=len(properties),
                                   max_size=len(properties)), max_size=4))
     comments = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",),

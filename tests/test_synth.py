@@ -34,6 +34,14 @@ from spherefit.cli import main
 
 
 class TestGenerateScene:
+    def test_camera_looking_straight_down(self):
+        # Distance 0 puts every camera above the target, its axis along -z.
+        scene = generate_scene(SceneConfig(n_cameras=2, camera_distance=0.0))
+        for view in scene.views:
+            assert np.allclose(view.rot @ view.rot.T, np.eye(3), atol=1e-12)
+            assert np.isclose(np.linalg.det(view.rot), 1.0)
+            assert np.allclose(view.rot[2], [0.0, 0.0, -1.0])
+
     def test_on_axis_sphere_projects_to_circles(self):
         config = SceneConfig(n_cameras=2, arc_span_deg=60.0,
                              spheres=[["s", [0.0, 0.0, 0.0], 0.1]],
@@ -408,9 +416,29 @@ class TestMonteCarlo:
         stats, _ = monte_carlo_views(scene, [2], 0, timing=False)
         others = [s for s in subsets if s != ("img-00", "img-04")]
         assert len(others) == 9
-        rows = synth._trial_rows(scene, False, others)
+        rows = synth._trial_rows(scene, others)
         assert stats == dataclasses.replace(
             synth._trial_stats(2, "random", rows, False), p=10, failures=1)
+
+    def test_a_trial_without_associated_spheres_fails(self):
+        scene = generate_scene(SceneConfig(n_cameras=5, spheres=[]))
+        for stats in monte_carlo_views(scene, [2, 3], 0, timing=False):
+            assert stats.failures == stats.p > 0
+            assert all(math.isnan(getattr(stats, name)) for name in (
+                "center_mean", "center_min", "center_max", "radius_mean", "radius_min",
+                "radius_max"))
+            assert stats.mean_ms == 0.0
+
+    def test_a_track_named_by_clutter_is_not_associated(self):
+        config = SceneConfig(clutter_per_image=3, clutter_inflation=1.02, seed=3)
+        scene = perturb_observations(generate_scene(config), 0.5, 3)
+        models = reconstruct_subset([scene.view(i) for i in ("img-19", "img-23")],
+                                    scene.observations)
+        clutter = [model for track, model in models if track["img-19"] in scene.clutter_ids]
+        assert len(clutter) == 1 and len(models) == 10
+        assoc = synth._associate(models, dict(scene.spheres))
+        assert sorted(assoc) == [sid for sid, _ in scene.spheres]
+        assert all(model is not clutter[0] for model in assoc.values())
 
     def test_fails_before_the_first_trial(self, small_scene, tmp_path, monkeypatch):
         # A bad k, and a network with no admissible pair, fail while the
@@ -456,7 +484,8 @@ class TestMonteCarlo:
 class TestParallelSweep:
     """The sweep's trials run in forked workers, one per CPU of the
     process's affinity set; ``synth._workers`` patched to 1 runs them in
-    this process, patched to 2 in two workers whatever the CPU count."""
+    this process, patched to 2 or 3 in that many workers whatever the CPU
+    count."""
 
     def sweep(self, monkeypatch, workers, *args):
         monkeypatch.setattr(synth, "_workers", lambda: workers)
@@ -467,27 +496,46 @@ class TestParallelSweep:
 
     def test_parallel_equals_serial(self, noisy_lab_scene, monkeypatch):
         serial = self.sweep(monkeypatch, 1, noisy_lab_scene, [2, 4, 8, 16, 30], 0)
-        assert self.sweep(monkeypatch, 2, noisy_lab_scene, [2, 4, 8, 16, 30], 0) == serial
+        for workers in (2, 3):
+            assert self.sweep(monkeypatch, workers, noisy_lab_scene, [2, 4, 8, 16, 30],
+                              0) == serial
         assert multiprocessing.active_children() == []
 
     def test_parallel_equals_serial_with_a_failed_trial(self, monkeypatch):
         scene = generate_scene(SceneConfig(n_cameras=5, arc_span_deg=360.0))
         serial = self.sweep(monkeypatch, 1, scene, [2, 3, 4, 5], 0)
         assert [s.failures for s in serial] == [1, 3, 3, 1, 0]  # subsets with img-00 and img-04
-        assert self.sweep(monkeypatch, 2, scene, [2, 3, 4, 5], 0) == serial
+        for workers in (2, 3):
+            assert self.sweep(monkeypatch, workers, scene, [2, 3, 4, 5], 0) == serial
 
-    def test_chunks_run_largest_first_and_rows_return_in_order(self, small_scene,
-                                                              monkeypatch):
+    def test_chunks_run_largest_first_and_rows_return_in_order(self, lab_scene, monkeypatch):
         ran = []  # each chunk's subsets, in the order they were handed out
-        monkeypatch.setattr(synth, "_workers", lambda: 3)
+        monkeypatch.setattr(synth, "_workers", lambda: 2)
         monkeypatch.setattr(synth, "_map_chunks",
-                            lambda scene, timing, chunks: ran.extend(chunks) or chunks)
-        blocks = [(2, [("a", i) for i in range(7)]), (4, [("b", 0), ("b", 1)]), (3, [("c", 0)])]
-        assert synth._sweep_rows(small_scene, False, blocks) == [subsets for _, subsets in blocks]
-        # Costs k^2 x trials: the k=4 block in halves of 16 each, the k=2
-        # block in thirds of 2, 2 and 3 trials (8, 8 and 12), and k=3 9.
-        assert ran == [[("b", 0)], [("b", 1)], [("a", 4), ("a", 5), ("a", 6)], [("c", 0)],
-                       [("a", 0), ("a", 1)], [("a", 2), ("a", 3)]]
+                            lambda scene, chunks, workers: ran.extend(chunks) or chunks)
+        monkeypatch.setattr(synth, "_trial_stats",
+                            lambda k, selection, rows, timing: (k, selection, rows))
+        ids = [v.image_id for v in lab_scene.views]
+        pair = best_pair(lab_scene.network)
+        # Costs k^2 x trials: with 50 trials a k block costs 50 k^2 and k=30,
+        # one trial, 900; each block runs in two contiguous halves, the pair
+        # (cost 4) last.
+        for k_values, order, sizes in (
+                ([2, 4, 8, 16, 30], [16, 8, 30, 4, 2],
+                 [(16, 25), (16, 25), (8, 25), (8, 25), (30, 1), (4, 25), (4, 25), (2, 25),
+                  (2, 25)]),
+                ([2, 8], [8, 2], [(8, 25), (8, 25), (2, 25), (2, 25)]),
+                ([2, 4, 8], [8, 4, 2], [(8, 25), (8, 25), (4, 25), (4, 25), (2, 25), (2, 25)])):
+            ran.clear()
+            blocks = monte_carlo_views(lab_scene, k_values, 0, timing=False)
+            drawn = {k: synth._draw_subsets(ids, k, min(50, math.comb(30, k)),
+                                            synth._rng(0, 2, k)) for k in k_values}
+            # Each block's rows come back in subset order, and the blocks in k order.
+            assert blocks == [(k, "random", drawn[k]) for k in k_values] + [
+                (2, "best_pair", [(pair.i, pair.j)])]
+            assert [(len(chunk[0]), len(chunk)) for chunk in ran] == [*sizes, (2, 1)]
+            assert list(itertools.chain(*ran)) == [*itertools.chain(*map(drawn.get, order)),
+                                                   (pair.i, pair.j)]
 
     def test_a_worker_error_reaches_the_caller(self, small_scene, monkeypatch):
         def fail(views, observations):
