@@ -31,7 +31,6 @@ from .gate import (
     tau_jacobian,
 )
 from .match import (
-    MatchCandidate,
     MatchResult,
     ViewRecord,
     fundamental_matrix,
@@ -85,7 +84,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CameraView", "EllipseObservation", "Sphere", "SphereModel", "ScaleResult",
-    "GateReport", "ImageNetwork", "TiePoint", "PairScore", "MatchCandidate",
+    "GateReport", "ImageNetwork", "TiePoint", "PairScore",
     "MatchResult", "SceneConfig", "SyntheticScene", "TrialStats",
     "world_to_camera", "project_sphere", "project_sphere_into_view",
     "radius_from_depth",

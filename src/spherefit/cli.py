@@ -48,7 +48,7 @@ from .netselect import (
     pair_angles,
 )
 from .pipeline import gate_views, reconstruct_gated, view_records
-from .projection import WORLD_LIMIT
+from .projection import WORLD_LIMIT, EllipseTable
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
@@ -138,11 +138,10 @@ def _emit_json(payload, out=None) -> None:
 def cmd_filter(args) -> int:
     _, table, tau, sigma_tau, accepted = _read_gated(args)
     kept = table.take(np.flatnonzero(accepted))
-    fileio.write_ellipse_table(kept, args.out)
     text = fileio.gate_report_text(table.keys, tau, sigma_tau, args.k_sigma, accepted)
-    if args.report:
-        fileio.atomic_write_text(args.report, text)
-    else:
+    reports = [(args.report, text)] if args.report else []
+    fileio.atomic_write_texts([(args.out, fileio.ellipse_table_text(kept)), *reports])
+    if not args.report:
         sys.stdout.write(text)
     print(f"kept {len(kept.keys)} of {len(table.keys)} ellipses -> {args.out}",
           file=sys.stderr)
@@ -213,15 +212,15 @@ def cmd_match(args) -> int:
     pair = _resolve_pair(args, network, table, accepted)
     left, right = view_records([network.view(image_id) for image_id in pair], table, accepted)
     result = match_ellipses(left, right, tol=args.tol_px)
+    used_l, used_k = {i for i, _ in result.matches}, {j for _, j in result.matches}
     _emit_json({
         "pair": {"i": left.image_id, "j": right.image_id},
-        "matches": [
-            {"ellipse_l": m.ellipse_l, "ellipse_k": m.ellipse_k,
-             "epipolar_distance_px": m.epipolar_distance,
-             "reprojection_distance_px": m.reprojection_distance}
-            for m in result.matches],
-        "unmatched_l": result.unmatched_l,
-        "unmatched_k": result.unmatched_k,
+        "matches": [{"ellipse_l": left.ids[i], "ellipse_k": right.ids[j],
+                     "epipolar_distance_px": epi, "reprojection_distance_px": distance}
+                    for (i, j), epi, distance
+                    in zip(result.matches, result.epipolar, result.reprojection)],
+        "unmatched_l": [e for i, e in enumerate(left.ids) if i not in used_l],
+        "unmatched_k": [e for j, e in enumerate(right.ids) if j not in used_k],
     }, args.out)
     return EXIT_OK
 
@@ -309,11 +308,11 @@ def cmd_scale(args) -> int:
                                          "to a length that is NaN or beyond 2^300 world units")
     scaled = [dataclasses.replace(entry, model=apply_scale(entry.model, scale.s_r))
               for entry in entries]
-    cloud = (fileio.scale_ply(fileio.load_ply(args.points), scale.s_r, args.points)
-             if args.points else None)
-    fileio.save_spheres(scaled, args.out)
-    if cloud is not None:
-        fileio.save_ply(cloud, args.out_points)
+    outputs = [(args.out, fileio.spheres_text(scaled))]
+    if args.points:
+        cloud = fileio.scale_ply(fileio.load_ply(args.points), scale.s_r, args.points)
+        outputs.append((args.out_points, fileio.ply_text(cloud)))
+    fileio.atomic_write_texts(outputs)
     _emit_json({"s_r": scale.s_r, "residual_rmse": scale.residual_rmse,
                 "anchors": {sid: anchors[sid] for sid in sorted(anchors)}})
     return EXIT_OK
@@ -335,18 +334,18 @@ def cmd_simulate(args) -> int:
     scene = generate_scene(config)
     noisy = perturb_observations(scene, config.sigma_px, config.seed)
     stats = monte_carlo_views(noisy, args.k, config.seed, timing=args.timing)
-    if args.export_scene:  # after the sweep, so that a failed run writes nothing
-        os.makedirs(args.export_scene, exist_ok=True)
-        fileio.save_network(noisy.network, os.path.join(args.export_scene, "cameras.json"))
+    exported = []
+    if args.export_scene:
         observations = [e for vid in sorted(noisy.observations)
                         for e in noisy.observations[vid]]
-        fileio.save_ellipses(observations, os.path.join(args.export_scene, "ellipses.csv"))
         truth = {"spheres": [{"sphere_id": sid,
                               "center": [float(x) for x in s.center],
                               "radius": s.radius}
                              for sid, s in noisy.spheres]}
-        fileio.atomic_write_text(os.path.join(args.export_scene, "truth.json"),
-                                 fileio._dump_json(truth))
+        exported = [(os.path.join(args.export_scene, name), text) for name, text in (
+            ("cameras.json", fileio.network_text(noisy.network)),
+            ("ellipses.csv", fileio.ellipse_table_text(EllipseTable.of(observations))),
+            ("truth.json", fileio._dump_json(truth)))]
     header = ["k", "p", "center_prmse_mean", "center_prmse_min", "center_prmse_max",
               "radius_prmse_mean", "radius_prmse_min", "radius_prmse_max",
               "mean_ms", "failures"]
@@ -358,7 +357,19 @@ def cmd_simulate(args) -> int:
                                repr(s.radius_mean), repr(s.radius_min),
                                repr(s.radius_max), repr(s.mean_ms),
                                str(s.failures)]))
-    fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    made = []  # the export directory and each missing parent, innermost first
+    head = args.export_scene and os.path.normpath(args.export_scene)
+    while head and not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    if made:
+        os.makedirs(made[0])
+    try:  # after the sweep, so that a failed run writes nothing
+        fileio.atomic_write_texts([*exported, (args.out, "\n".join(lines) + "\n")])
+    except BaseException:
+        for directory in made:
+            os.rmdir(directory)
+        raise
     print(f"wrote {len(stats)} rows -> {args.out}", file=sys.stderr)
     return EXIT_OK
 

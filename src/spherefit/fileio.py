@@ -4,14 +4,15 @@ The camera file must carry an explicit ``convention`` header stating the
 world-to-camera transform direction; refusing to guess is the cheapest
 defense against the classic pose-inversion bug when importing poses from
 external reconstruction tools.  All writes are atomic (temp file + rename),
-UTF-8, and get the mode the umask gives a new file; all payloads are
-deterministic: no timestamps, keys in fixed order, floats serialized with
-shortest round-trip precision.  CSV and JSON inputs may start with a UTF-8
-byte-order mark, as spreadsheet exports do.
+UTF-8, and get the mode the umask gives a new file; a command's outputs are
+written all or none.  All payloads are deterministic: no timestamps, keys in
+fixed order, floats serialized with shortest round-trip precision.  CSV and
+JSON inputs may start with a UTF-8 byte-order mark, as spreadsheet exports do.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -19,6 +20,7 @@ import json
 import operator
 import os
 import re
+import shutil
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,26 +67,80 @@ class FileFormatError(ValueError):
 _BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory.
-    The temp file is created with mode 0o666, as ``open`` creates a file, so
-    the umask sets the mode ``path`` ends up with.  An ``OSError`` that
-    names the temp file names ``path`` in its place."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+def _temp_name(path: str) -> str:
+    return os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+
+
+def _write_temp(tmp: str, text: str) -> None:
+    """Write ``text`` to the new file ``tmp``, created with mode 0o666, as
+    ``open`` creates a file, so that the umask sets its mode."""
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+@contextlib.contextmanager
+def _naming_targets(targets: dict):
+    """An ``OSError`` that names a temp file of ``targets`` (temp file ->
+    target) names its target in its place."""
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        yield
+    except OSError as exc:
+        if exc.filename not in targets:
+            raise
+        raise OSError(exc.errno, exc.strerror, targets[exc.filename]) from exc
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file in the same directory, so
+    that the umask sets the mode ``path`` ends up with.  An ``OSError`` that
+    names the temp file names ``path`` in its place."""
+    tmp = _temp_name(path)
+    with _naming_targets({tmp: path}):
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_temp(tmp, text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
-        if exc.filename != tmp:
+
+
+def atomic_write_texts(outputs: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text) of ``outputs`` as ``atomic_write_text`` does,
+    all or none: every text is written to its temp file first, and the temp
+    files are renamed into place only once all are written.  If a rename
+    fails, each target renamed before it is put back as it was: absent, or
+    its old bytes, kept meanwhile by a hard link (a copy where the file
+    system has none).  No temp file is left either way.  A path given twice
+    gets its last text."""
+    texts = dict(outputs)
+    temps = {_temp_name(path): path for path in texts}
+    olds, done = {}, []  # a temp link to each target's old file; the targets renamed
+    with _naming_targets(temps):
+        try:
+            for tmp, path in temps.items():
+                _write_temp(tmp, texts[path])
+            for tmp, path in temps.items():
+                if os.path.isfile(path):
+                    olds[path] = _temp_name(path)
+                    try:
+                        os.link(path, olds[path])
+                    except OSError:
+                        shutil.copyfile(path, olds[path])
+                os.replace(tmp, path)
+                done.append(path)
+        except BaseException:
+            for path in reversed(done):
+                if path in olds:
+                    os.replace(olds.pop(path), path)
+                else:
+                    os.unlink(path)
             raise
-        raise OSError(exc.errno, exc.strerror, path) from exc
+        finally:
+            for tmp in [*temps, *olds.values()]:
+                if os.path.lexists(tmp):
+                    os.unlink(tmp)
 
 
 def _dump_json(payload) -> str:
@@ -197,8 +253,8 @@ def load_network(path: str) -> ImageNetwork:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_network(network: ImageNetwork, path: str) -> None:
-    """Write ``network`` as a camera file: the payload that ``load_network``
+def network_text(network: ImageNetwork) -> str:
+    """The camera file of ``network``: the payload that ``load_network``
     reads, without ``tie_points`` if there are none."""
     payload = {"convention": CONVENTION, "views": [
         {"image_id": v.image_id, "f": v.f, "px": v.px, "py": v.py,
@@ -208,7 +264,11 @@ def save_network(network: ImageNetwork, path: str) -> None:
     if network.tie_points:
         payload["tie_points"] = [{"xyz": tp.xyz.tolist(), "visible_in": sorted(tp.visible_in)}
                                  for tp in network.tie_points]
-    atomic_write_text(path, _dump_json(payload))
+    return _dump_json(payload)
+
+
+def save_network(network: ImageNetwork, path: str) -> None:
+    atomic_write_text(path, network_text(network))
 
 
 # ---------------------------------------------------------------- ellipses
@@ -395,8 +455,8 @@ _COV_UPPER = [4 * i + j for i, j in _COV_INDEX]
 _NO_COV_CELLS = ("",) * len(_COV_INDEX)
 
 
-def write_ellipse_table(table: EllipseTable, path: str) -> None:
-    """Write ``table`` as an ellipse CSV with every covariance column, in
+def ellipse_table_text(table: EllipseTable) -> str:
+    """The ellipse CSV of ``table`` with every covariance column, built in
     column passes; floats are written with shortest round-trip precision."""
     n = len(table.keys)
     values = np.hstack([table.params, table.theta[:, None],
@@ -407,12 +467,12 @@ def write_ellipse_table(table: EllipseTable, path: str) -> None:
                           + (row if has_cov else row[:5] + _NO_COV_CELLS))
                  for (image_id, ellipse_id), has_cov, row
                  in zip(table.keys, table.has_cov.tolist(), zip(*[cells] * 15)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def save_ellipses(ellipses: Sequence[EllipseObservation], path: str) -> None:
-    """``write_ellipse_table`` of the ``EllipseTable`` of ``ellipses``."""
-    write_ellipse_table(EllipseTable.of(ellipses), path)
+    """Write the ``ellipse_table_text`` of the ``EllipseTable`` of ``ellipses``."""
+    atomic_write_text(path, ellipse_table_text(EllipseTable.of(ellipses)))
 
 
 # ---------------------------------------------------------------- gate report
@@ -473,8 +533,8 @@ _SPHERE_ELLIPSE = '{\n  "ellipse_id": %s,\n  "image_id": %s\n}'.replace("\n", "\
 _SPHERE_RADIUS = '[\n  %s,\n  %s\n]'.replace("\n", "\n        ")
 
 
-def save_spheres(entries: Sequence[SphereEntry], path: str) -> None:
-    """Write ``entries`` as a sphere file, from templates: byte for byte
+def spheres_text(entries: Sequence[SphereEntry]) -> str:
+    """The sphere file of ``entries``, from templates: byte for byte
     ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of the payload
     that ``load_spheres`` reads, with every number a float.  Each gate row
     holds exactly its six typed fields."""
@@ -497,7 +557,11 @@ def save_spheres(entries: Sequence[SphereEntry], path: str) -> None:
             _json_float(model.sphere.radius), _json_float(model.radius_spread),
             "null" if model.scale_applied is None else _json_float(model.scale_applied),
             quote(entry.sphere_id), _json_float(model.triangulation_residual)))
-    atomic_write_text(path, '{\n  "spheres": ' + _json_list(texts, "  ") + "\n}\n")
+    return '{\n  "spheres": ' + _json_list(texts, "  ") + "\n}\n"
+
+
+def save_spheres(entries: Sequence[SphereEntry], path: str) -> None:
+    atomic_write_text(path, spheres_text(entries))
 
 
 def load_spheres(path: str) -> list[SphereEntry]:
@@ -572,7 +636,7 @@ def load_ply(path: str) -> PlyCloud:
                 raise FileFormatError(f"{path}: only ascii PLY is supported")
             saw_format = True
         elif tokens[0] == "comment":
-            # The text after "comment ", whitespace included, as save_ply writes it.
+            # The text after "comment ", whitespace included, as ply_text writes it.
             comments.append(lines[idx - 1].lstrip()[len("comment "):])
         elif tokens[0] == "element":
             if len(tokens) < 3 or not tokens[2].isdigit():
@@ -614,14 +678,14 @@ def load_ply(path: str) -> PlyCloud:
     return PlyCloud(properties=properties, rows=body, comments=comments)
 
 
-def save_ply(cloud: PlyCloud, path: str) -> None:
+def ply_text(cloud: PlyCloud) -> str:
     header = ["ply", "format ascii 1.0"]
     header += [f"comment {c}" for c in cloud.comments]
     header.append(f"element vertex {len(cloud.rows)}")
     header += [f"property {ptype} {name}" for ptype, name in cloud.properties]
     header.append("end_header")
     body = [" ".join(row) for row in cloud.rows]
-    atomic_write_text(path, "\n".join(header + body) + "\n")
+    return "\n".join(header + body) + "\n"
 
 
 def scale_ply(cloud: PlyCloud, s_r: float, path: str) -> PlyCloud:

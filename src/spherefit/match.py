@@ -24,7 +24,6 @@ the solve, whose matched rows are the pipeline's two-view spheres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,27 +40,17 @@ from .reconstruct import reconstruct_sphere  # noqa: F401
 DEFAULT_EPIPOLAR_TOL = 3.0
 
 
-@dataclass
-class MatchCandidate:
-    """One accepted ellipse pairing and the distances that ranked it."""
+class MatchResult(NamedTuple):
+    """The matches of two views: ``matches`` holds the (left record row,
+    right record row) pairs in ascending total reprojection distance, and
+    ``epipolar``, ``reprojection`` (px) and ``rows``, parallel to it, each
+    match's distances and its row in ``solve``, the pair's two-view solve."""
 
-    ellipse_l: str
-    ellipse_k: str
-    epipolar_distance: float
-    reprojection_distance: float
-
-
-@dataclass
-class MatchResult:
-    """The matches of two views and their unmatched ellipse ids; ``solve``
-    is the two-view solve of every admissible pairing and ``rows[i]`` the row
-    of ``matches[i]`` in it.  Neither takes part in comparisons."""
-
-    matches: list[MatchCandidate]
-    unmatched_l: list[str]
-    unmatched_k: list[str]
-    solve: Optional[_Solve] = field(default=None, compare=False, repr=False)
-    rows: list[int] = field(default_factory=list, compare=False, repr=False)
+    matches: list[tuple[int, int]]
+    epipolar: list[float]
+    reprojection: list[float]
+    rows: list[int]
+    solve: Optional[_Solve]
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -121,8 +110,7 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
     symmetrically (both images) so the result does not depend on which view
     is called l.  An explicit ``tol`` in pixels replaces the per-pair
     max(3 px, 2 * center sigma) limit; it must be positive and finite.  The
-    result keeps the two-view solve of the admissible pairings and the row
-    of each match in it.
+    matches are record rows; ``record.ids`` names them.
     """
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"epipolar tolerance must be positive and finite, got {tol} px")
@@ -155,17 +143,13 @@ def match_ellipses(left: ViewRecord, right: ViewRecord,
 
     # Rows run by (left, right) index and ids are sorted, so a stable sort breaks ties by ids.
     order = keep[np.argsort(total[keep], kind="stable")]
-    il, ik = il[order], ik[order]
-    used_l, used_k, matches, rows = set(), set(), [], []
-    for row, i, j, distance, epi_ij in zip(order.tolist(), il.tolist(), ik.tolist(),
-                                           total[order].tolist(), epi[il, ik].tolist()):
-        if i in used_l or j in used_k:
-            continue
-        used_l.add(i)
-        used_k.add(j)
-        matches.append(MatchCandidate(left.ids[i], right.ids[j], epi_ij, distance))
-        rows.append(row)
-    return MatchResult(matches=matches,
-                       unmatched_l=[e for i, e in enumerate(left.ids) if i not in used_l],
-                       unmatched_k=[e for j, e in enumerate(right.ids) if j not in used_k],
-                       solve=solve, rows=rows)
+    used_l, used_k, kept = set(), set(), []
+    for n, (i, j) in enumerate(zip(il[order].tolist(), ik[order].tolist())):
+        if i not in used_l and j not in used_k:
+            used_l.add(i)
+            used_k.add(j)
+            kept.append(n)
+    rows = order[kept]
+    il, ik = il[rows], ik[rows]
+    return MatchResult(list(zip(il.tolist(), ik.tolist())), epi[il, ik].tolist(),
+                       total[rows].tolist(), rows.tolist(), solve)

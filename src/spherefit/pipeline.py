@@ -155,8 +155,8 @@ def reconstruct_gated(records: Sequence[ViewRecord],
         result = match_ellipses(left, right, tol=tol)
         ids = (left.image_id, right.image_id)
         solves[ids] = result.solve
-        pair_matches += [(m.reprojection_distance, *ids, m.ellipse_l, m.ellipse_k, row)
-                         for m, row in zip(result.matches, result.rows)]
+        pair_matches += [(distance, *ids, left.ids[i], right.ids[j], row) for (i, j), distance, row
+                         in zip(result.matches, result.reprojection, result.rows)]
     tracks = [(track, row) for track, row in _merge_tracks(pair_matches) if len(track) >= 2]
     longer = [index for index, (track, _) in enumerate(tracks) if len(track) > 2]
     models = dict(zip(longer, reconstruct_tracks(records, [tracks[i][0] for i in longer])))

@@ -7,7 +7,8 @@ the copy's directory, and expects an exit code, a standard error that is one
 ``error:`` line (after argparse's usage text, for a rejected flag) whose
 message equals the row's text, and none of the row's outputs left behind.
 pytest runs each row in-process as the ``tests/test_cli.py`` test its
-``test_id`` names; ``python tests/bad_inputs.py BASE WORK COMMAND...`` runs
+``test_id`` names, or as ``test_row[<name>]`` if it names none; ``python
+tests/bad_inputs.py BASE WORK COMMAND...`` runs
 every row through COMMAND (say ``spherefit``) in WORK/<row name>, prints
 every failing row and exits 1 if there is one.
 """
@@ -24,7 +25,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 BASE_FILES = ("cameras.json", "ellipses.csv", "spheres.json")
 
@@ -36,7 +37,7 @@ Text = Union[str, re.Pattern, Callable[[Path], str]]
 @dataclass(frozen=True)
 class Row:
     name: str
-    test_id: str          # the test of tests/test_cli.py that runs the row
+    test_id: Optional[str]  # the older test of tests/test_cli.py that runs the row
     edits: tuple          # each called with the row's directory, in order
     argv: list            # the subcommand and its flags
     code: int             # the expected exit code
@@ -137,7 +138,7 @@ COMMANDS = [("filter", ["filter", *GATED], None),
 ROWS: list[Row] = []
 
 
-def row(name, edits, argv, text, absent=(), code=2, *, test_id):
+def row(name, edits, argv, text, absent=(), code=2, *, test_id=None):
     ROWS.append(Row(name, test_id, tuple(edits), list(argv), code, text, tuple(absent)))
 
 
@@ -326,15 +327,26 @@ row("simulate--seed--1", [], [*SIMULATE, "--seed", "-1", "--out", "s.csv"],
 for case, value in (("abc", "abc"), ("2-x", "2,x"), ("1", "1"), ("empty", "")):
     row(f"simulate--k-{case}", [], ["simulate", "--k", value, "--out", "s.csv"],
         f"error: argument --k: must be a comma-separated list of integers >= 2, got {value!r}",
-        ["s.csv"], test_id=f"TestSimulate::test_invalid_k_exit_code[{case}]")
+        ["s.csv"])
 row("simulate--k-above-the-cameras", [], ["simulate", "--k", "2,31", "--out", "s.csv"],
-    "error: --k subset size 31 exceeds the scene's 30 cameras", ["s.csv"],
-    test_id="TestSimulate::test_invalid_k_exit_code[above-the-cameras]")
+    "error: --k subset size 31 exceeds the scene's 30 cameras", ["s.csv"])
+
+
+def make_d(directory: Path) -> None:  # an edit that makes the directory D
+    directory.joinpath("D").mkdir()
+
 
 # The temp file that the output is written through is not named.
-row("filter-out-directory", [lambda directory: (directory / "D").mkdir()],
-    ["filter", *GATED, "--out", "D"], "error: [Errno 21] Is a directory: 'D'",
+IS_A_DIRECTORY = "error: [Errno 21] Is a directory: 'D'"
+row("filter-out-directory", [make_d], ["filter", *GATED, "--out", "D"], IS_A_DIRECTORY,
     test_id="TestFilter::test_directory_at_out_exit_code")
+# A command with more than one output writes all or none: the last one
+# fails, and every earlier one is taken back.
+row("filter-report-directory", [make_d],
+    ["filter", *GATED, "--out", "o.csv", "--report", "D"], IS_A_DIRECTORY, ["o.csv"])
+row("simulate-out-directory", [make_d],
+    [*SIMULATE, "--export-scene", "new/scene", "--out", "D"], IS_A_DIRECTORY,
+    [*(f"new/scene/{name}" for name in ("cameras.json", "ellipses.csv", "truth.json")), "new"])
 
 # --- the sphere file and the anchors -----------------------------------------
 
@@ -383,6 +395,9 @@ for case, edits, anchor, text in (
     row(f"scale-{case}", [CLOUD, *edits], [*SCALE, "--anchors", anchor, *SCALED], text,
         ["o.json", "o.ply"],
         test_id=f"TestScale::test_scale_beyond_the_world_limit_exit_code[{case}]")
+row("scale-out-points-directory", [CLOUD, make_d],
+    [*SCALE, "--anchors", "s000:1.0", "--points", "cloud.ply", "--out-points", "D",
+     "--out", "o.json"], IS_A_DIRECTORY, ["o.json"])
 
 
 BOUNDED = "scaled_per_view_radius_or_spread_beyond_the_world_limit_exit_code"

@@ -48,7 +48,6 @@ from spherefit import (
     EllipseObservation,
     DegenerateProjection,
     ImageNetwork,
-    MatchCandidate,
     MatchResult,
     NoAdmissiblePair,
     PairScore,
@@ -385,38 +384,38 @@ def reprojection_distance(observed, predicted) -> float:
 def reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k, tol=None):
     """The per-candidate matching loop: symmetric epipolar test, then one
     two-view hypothesis and two reprojections per admissible pair, then the
-    greedy one-to-one pick by (reprojection distance, ids)."""
+    greedy one-to-one pick by (reprojection distance, ids).  Returns the
+    ``MatchResult`` of the rows of both sides' ellipses sorted by id, without
+    a solve; a match's row counts the epipolar-admissible pairings before it
+    in (left, right) order, as the rows of ``match_ellipses``' solve run."""
     f_lk = fundamental_from_views(view_l, view_k)
-    candidates = []
-    for e_l in sorted(ellipses_l, key=lambda e: e.ellipse_id):
+    candidates, admissible = [], itertools.count()
+    sorted_k = sorted(ellipses_k, key=lambda e: e.ellipse_id)
+    for i, e_l in enumerate(sorted(ellipses_l, key=lambda e: e.ellipse_id)):
         c_l = projected_sphere_center(e_l, view_l.f, view_l.px, view_l.py)
-        for e_k in sorted(ellipses_k, key=lambda e: e.ellipse_id):
+        for j, e_k in enumerate(sorted_k):
             c_k = projected_sphere_center(e_k, view_k.f, view_k.px, view_k.py)
             epi = max(epipolar_distance(f_lk, c_l, c_k), epipolar_distance(f_lk.T, c_k, c_l))
             if epi > (tol if tol is not None else default_epipolar_tol(e_l, e_k)):
                 continue
+            row = next(admissible)
             try:
                 model = reference_reconstruct_sphere([(view_l, e_l), (view_k, e_k)])
                 pred_l = project_sphere_into_view(model.sphere, view_l)
                 pred_k = project_sphere_into_view(model.sphere, view_k)
             except (DegenerateGeometry, DegenerateProjection):
                 continue
-            candidates.append(MatchCandidate(
-                ellipse_l=e_l.ellipse_id, ellipse_k=e_k.ellipse_id, epipolar_distance=epi,
-                reprojection_distance=(reprojection_distance(e_l, pred_l)
-                                       + reprojection_distance(e_k, pred_k))))
-    candidates.sort(key=lambda c: (c.reprojection_distance, c.ellipse_l, c.ellipse_k))
-    used_l, used_k, matches = set(), set(), []
-    for cand in candidates:
-        if cand.ellipse_l in used_l or cand.ellipse_k in used_k:
+            candidates.append((reprojection_distance(e_l, pred_l)
+                               + reprojection_distance(e_k, pred_k), i, j, epi, row))
+    used_l, used_k, result = set(), set(), MatchResult([], [], [], [], None)
+    for distance, i, j, epi, row in sorted(candidates):
+        if i in used_l or j in used_k:
             continue
-        matches.append(cand)
-        used_l.add(cand.ellipse_l)
-        used_k.add(cand.ellipse_k)
-    return MatchResult(
-        matches=matches,
-        unmatched_l=sorted(e.ellipse_id for e in ellipses_l if e.ellipse_id not in used_l),
-        unmatched_k=sorted(e.ellipse_id for e in ellipses_k if e.ellipse_id not in used_k))
+        used_l.add(i)
+        used_k.add(j)
+        for column, value in zip(result, ((i, j), epi, distance, row)):
+            column.append(value)
+    return result
 
 
 def reference_gate(e, f, px, py, ellipse_cov, iop_cov, k):

@@ -33,6 +33,7 @@ from spherefit.fileio import (
     load_network,
     load_ply,
     load_spheres,
+    read_ellipse_table,
     save_ellipses,
     save_network,
 )
@@ -289,20 +290,48 @@ class TestReconstruct:
             if classify_spherical(e, view.f, view.px, view.py,
                                   iop_cov=view.iop_cov, k=2.0).accepted:
                 gated[e.image_id].append(e)
-        matches = match_ellipses(record_of(view_l, gated[score.i]),
-                                 record_of(view_k, gated[score.j]))
+        left, right = record_of(view_l, gated[score.i]), record_of(view_k, gated[score.j])
         by_id = {(e.image_id, e.ellipse_id): e for e in ellipses}
         expected = {}
-        for m in matches.matches:
-            model = reconstruct_sphere([(view_l, by_id[(score.i, m.ellipse_l)]),
-                                        (view_k, by_id[(score.j, m.ellipse_k)])])
-            expected[(m.ellipse_l, m.ellipse_k)] = (model.sphere.center, model.sphere.radius)
+        for i, j in match_ellipses(left, right).matches:
+            ids = left.ids[i], right.ids[j]
+            model = reconstruct_sphere([(view_l, by_id[(score.i, ids[0])]),
+                                        (view_k, by_id[(score.j, ids[1])])])
+            expected[ids] = (model.sphere.center, model.sphere.radius)
         assert len(entries) == len(expected)
         for entry in entries:
             key = (entry.ellipses[0][1], entry.ellipses[1][1])
             center, radius = expected[key]
             assert np.array_equal(entry.model.sphere.center, center)
             assert entry.model.sphere.radius == radius
+
+
+class TestMatch:
+    def test_unmatched_lists_are_the_gated_ids_left_unmatched(self, tmp_path, capsys):
+        # Clutter inflated by only 2% passes the gate, so both views of the
+        # pair keep gated ellipses, clutter and spheres, that find no partner.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"clutter_per_image": 4, "clutter_inflation": 1.02,
+                                      "seed": 4}))
+        files = [str(tmp_path / name) for name in ("cameras.json", "ellipses.csv")]
+        assert main(["simulate", "--k", "2", "--config", str(config), "--export-scene",
+                     str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 0
+        out = tmp_path / "match.json"
+        assert main(["match", "--cameras", files[0], "--ellipses", files[1], "--pair", "auto",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        result = json.loads(out.read_text())
+        network, table = load_network(files[0]), read_ellipse_table(files[1])
+        _, _, accepted = gate_views(network.views, table)
+        for side, image_id in (("l", result["pair"]["i"]), ("k", result["pair"]["j"])):
+            matched = {m[f"ellipse_{side}"] for m in result["matches"]}
+            gated = sorted(ellipse_id for (image, ellipse_id), kept in zip(table.keys, accepted)
+                           if kept and image == image_id)
+            assert result[f"unmatched_{side}"] == [e for e in gated if e not in matched]
+        assert (result["unmatched_l"], result["unmatched_k"]) == (
+            ["clutter-00-00"], ["ball-4", "ball-5", "clutter-29-03"])
+        assert ('"unmatched_k": [\n    "ball-4",\n    "ball-5",\n    "clutter-29-03"\n  ],\n'
+                '  "unmatched_l": [\n    "clutter-00-00"\n  ]\n}\n') in out.read_text()
 
 
 @pytest.mark.parametrize("tie_points", [True, False])
@@ -534,12 +563,21 @@ class TestSimulate:
         assert len(truth["spheres"]) == 9
 
 
+@pytest.mark.parametrize("row", [row for row in ROWS if row.test_id is None],
+                         ids=lambda row: row.name)
+def test_row(check_rows, row):
+    # A row of tests/bad_inputs.py, run in-process through cli.main.
+    assert check_rows([row]) == {}
+
+
 def _add_row_tests():
-    """The exit-code tests of this module are the rows of tests/bad_inputs.py,
-    each run in-process through cli.main as the test, and the case, that its
-    ``test_id`` names."""
+    """The older exit-code tests of this module are the rows of
+    tests/bad_inputs.py that name a ``test_id``, each run in-process through
+    cli.main as the test, and the case, that it names."""
     cases = collections.defaultdict(dict)
     for row in ROWS:
+        if row.test_id is None:
+            continue
         test, _, case = row.test_id.partition("[")
         cases[test].setdefault(case.rstrip("]"), []).append(row)
     for test, rows in cases.items():

@@ -25,15 +25,16 @@ from spherefit.fileio import (
     FileFormatError,
     PlyCloud,
     SphereEntry,
+    atomic_write_text,
     gate_report_text,
     load_ellipses,
     load_network,
     load_ply,
     load_spheres,
+    ply_text,
     read_ellipse_table,
     save_ellipses,
     save_network,
-    save_ply,
     save_spheres,
     scale_ply,
 )
@@ -507,7 +508,7 @@ class TestPly:
         assert [name for _, name in cloud.properties] == ["x", "y", "z", "red"]
         scaled = scale_ply(cloud, 2.0, "c.ply")
         out = str(tmp_path / "out.ply")
-        save_ply(scaled, out)
+        atomic_write_text(out, ply_text(scaled))
         back = load_ply(out)
         assert back.rows[0][:3] == ["2.0", "4.0", "6.0"]
         assert [r[3] for r in back.rows] == ["255", "128", "0"]  # passthrough
@@ -558,14 +559,15 @@ class TestPly:
         assert load_ply(str(blank)) == load_ply(str(plain))
 
     def test_non_ascii_comment_round_trips_under_an_ascii_locale(self, tmp_path):
-        # save_ply writes UTF-8, so load_ply reads UTF-8 whatever the locale.
+        # The PLY text is written as UTF-8, and load_ply reads UTF-8 whatever the locale.
         source = tmp_path / "in.ply"
         source.write_bytes(PLY_TEXT.replace("generated for tests", "café").encode("utf-8"))
         src = str(pathlib.Path(spherefit.__file__).resolve().parent.parent)
         env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = ("import sys; from spherefit.fileio import load_ply, save_ply; "
-                "save_ply(load_ply(sys.argv[1]), sys.argv[2]); load_ply(sys.argv[2])")
+        code = ("import sys; from spherefit.fileio import atomic_write_text, load_ply, ply_text; "
+                "atomic_write_text(sys.argv[2], ply_text(load_ply(sys.argv[1]))); "
+                "load_ply(sys.argv[2])")
         result = subprocess.run(
             [sys.executable, "-c", code, str(source), str(tmp_path / "out.ply")],
             env=env, capture_output=True)
@@ -579,7 +581,7 @@ class TestPly:
                               "property int label\nproperty uchar red\nend_header\n"
                               "1 2 3.5 7 255\n-4 0 1 8 0\n")
         out = str(tmp_path / "out.ply")
-        save_ply(scale_ply(load_ply(path), 1.5, path), out)
+        atomic_write_text(out, ply_text(scale_ply(load_ply(path), 1.5, path)))
         back = load_ply(out)
         assert back.properties == [("double", "x"), ("double", "y"), ("float", "z"),
                                    ("int", "label"), ("uchar", "red")]
@@ -622,3 +624,51 @@ class TestAtomicity:
         with pytest.raises(FileNotFoundError) as raised:
             fileio.atomic_write_text(path, "x")
         assert str(raised.value) == f"[Errno 2] No such file or directory: {path!r}"
+
+    @pytest.mark.parametrize("first_old", ["old first\n", None], ids=["old-bytes", "absent"])
+    def test_a_failed_rename_puts_back_the_targets_renamed_before_it(self, tmp_path, monkeypatch,
+                                                                     first_old):
+        # The second rename fails over a target that holds old bytes; the
+        # first target, renamed already, gets its old bytes back, or is
+        # absent again if it was absent.
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        if first_old is not None:
+            first.write_text(first_old)
+        second.write_text("old second\n")
+        replace = os.replace
+
+        def failing_replace(source, target):
+            if target == str(second):
+                raise PermissionError(13, "Permission denied", source)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(PermissionError) as raised:
+            fileio.atomic_write_texts([(str(first), "new first\n"), (str(second), "new\n")])
+        assert str(raised.value) == f"[Errno 13] Permission denied: {str(second)!r}"
+        assert (first.read_text() if first.exists() else None) == first_old
+        assert second.read_text() == "old second\n"
+        left = ["first.txt", "second.txt"] if first_old is not None else ["second.txt"]
+        assert sorted(os.listdir(tmp_path)) == left
+
+    def test_all_outputs_are_written_and_no_temp_file_is_left(self, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text("old first\n")
+        fileio.atomic_write_texts([(str(first), "new first\n"), (str(second), "new second\n")])
+        assert (first.read_text(), second.read_text()) == ("new first\n", "new second\n")
+        assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]
+
+    def test_a_path_given_twice_gets_its_last_text(self, tmp_path):
+        # As two writes in turn would leave it: filter --out X --report X.
+        path = tmp_path / "out.txt"
+        fileio.atomic_write_texts([(str(path), "first\n"), (str(path), "last\n")])
+        assert path.read_text() == "last\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_a_failed_write_renames_nothing(self, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text("old first\n")
+        with pytest.raises(UnicodeEncodeError):
+            fileio.atomic_write_texts([(str(first), "new first\n"), (str(second), "x\ud800")])
+        assert first.read_text() == "old first\n"
+        assert os.listdir(tmp_path) == ["first.txt"]

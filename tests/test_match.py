@@ -120,7 +120,7 @@ class TestEpipolarCandidates:
             result = match_ellipses(record_of(views[0], [e_l]),
                                     record_of(views[1], true_match), tol=3.0)
             assert len(result.matches) == 1
-            assert result.matches[0].epipolar_distance < 1e-9
+            assert result.epipolar[0] < 1e-9
 
     def test_displaced_candidate_is_removed(self):
         views, spheres, obs = nine_sphere_rig()
@@ -132,7 +132,6 @@ class TestEpipolarCandidates:
         result = match_ellipses(record_of(views[0], [e_l]),
                                 record_of(views[1], [shifted]), tol=3.0)
         assert result.matches == []
-        assert result.unmatched_k == [shifted.ellipse_id]
 
     def test_noisy_retention_rate(self):
         views, spheres, obs = nine_sphere_rig()
@@ -249,12 +248,12 @@ class TestViewRecord:
 class TestMatchEllipses:
     def test_zero_noise_matches_all_nine(self):
         views, spheres, obs = nine_sphere_rig()
-        result = match_ellipses(record_of(views[0], obs["l"]), record_of(views[1], obs["k"]))
+        left, right = record_of(views[0], obs["l"]), record_of(views[1], obs["k"])
+        result = match_ellipses(left, right)
         assert len(result.matches) == 9
-        assert result.unmatched_l == result.unmatched_k == []
-        for m in result.matches:
-            assert m.ellipse_l == m.ellipse_k
-            assert m.reprojection_distance < 1e-6
+        for (i, j), distance in zip(result.matches, result.reprojection):
+            assert left.ids[i] == right.ids[j]
+            assert distance < 1e-6
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_rejects_invalid_tolerance(self, tol):
@@ -273,7 +272,7 @@ class TestMatchEllipses:
                                         record_of(views[1], [e_k]), tol=1e9)
                 if not single.matches:
                     continue
-                d = single.matches[0].reprojection_distance
+                d = single.reprojection[0]
                 if e_l.ellipse_id == e_k.ellipse_id:
                     true_dist[e_l.ellipse_id] = d
                 else:
@@ -287,24 +286,23 @@ class TestMatchEllipses:
         result = match_ellipses(left, record_of(views[1], obs["k"][:1]))
         assert len(result.matches) == 1
         off = match_ellipses(left, record_of(views[1], obs["k"][3:4]))
-        assert off.matches == [] or off.matches[0].reprojection_distance > 1.0
+        assert off.matches == [] or off.reprojection[0] > 1.0
 
     def test_swap_symmetry(self):
         views, spheres, obs = nine_sphere_rig()
         left, right = record_of(views[0], obs["l"]), record_of(views[1], obs["k"])
         forward = match_ellipses(left, right)
         backward = match_ellipses(right, left)
-        fwd = {frozenset((m.ellipse_l, m.ellipse_k)) for m in forward.matches}
-        bwd = {frozenset((m.ellipse_l, m.ellipse_k)) for m in backward.matches}
-        assert fwd == bwd
+        assert set(forward.matches) == {(i, j) for j, i in backward.matches}
 
     def test_winning_hypothesis_reprojects_as_silhouette(self):
         views, spheres, obs = nine_sphere_rig()
-        result = match_ellipses(record_of(views[0], obs["l"]), record_of(views[1], obs["k"]))
+        left, right = record_of(views[0], obs["l"]), record_of(views[1], obs["k"])
+        result = match_ellipses(left, right)
         by_id = {side: {e.ellipse_id: e for e in obs[side]} for side in obs}
-        for m in result.matches:
-            model = reconstruct_sphere([(views[0], by_id["l"][m.ellipse_l]),
-                                        (views[1], by_id["k"][m.ellipse_k])])
+        for i, j in result.matches:
+            model = reconstruct_sphere([(views[0], by_id["l"][left.ids[i]]),
+                                        (views[1], by_id["k"][right.ids[j]])])
             for v in views:
                 pred = project_sphere_into_view(model.sphere, v)
                 assert abs(tau(pred, v.f, v.px, v.py)) < 1e-9
@@ -325,12 +323,11 @@ class TestMatchEllipses:
 
         correct = total = 0
         for _ in range(1000):
-            result = match_ellipses(
-                record_of(view_l, [jitter(e) for e in lab_scene.observations[pair.i]]),
-                record_of(view_k, [jitter(e) for e in lab_scene.observations[pair.j]]))
-            for m in result.matches:
+            left = record_of(view_l, [jitter(e) for e in lab_scene.observations[pair.i]])
+            right = record_of(view_k, [jitter(e) for e in lab_scene.observations[pair.j]])
+            for i, j in match_ellipses(left, right).matches:
                 total += 1
-                correct += (m.ellipse_l == m.ellipse_k)
+                correct += (left.ids[i] == right.ids[j])
         assert total > 0
         assert correct / total >= 0.95
 
@@ -338,18 +335,16 @@ class TestMatchEllipses:
 def assert_same_matching(view_l, ellipses_l, view_k, ellipses_k):
     """The array matcher against the per-candidate reference loop; each
     matched pair's two-view sphere against the scalar reconstruction."""
-    got = match_ellipses(record_of(view_l, ellipses_l), record_of(view_k, ellipses_k))
+    left, right = record_of(view_l, ellipses_l), record_of(view_k, ellipses_k)
+    got = match_ellipses(left, right)
     want = reference_match_ellipses(view_l, ellipses_l, view_k, ellipses_k)
-    assert [(m.ellipse_l, m.ellipse_k) for m in got.matches] == \
-        [(m.ellipse_l, m.ellipse_k) for m in want.matches]
-    assert got.unmatched_l == want.unmatched_l
-    assert got.unmatched_k == want.unmatched_k
+    assert (got.matches, got.rows) == (want.matches, want.rows)
     by_id_l = {e.ellipse_id: e for e in ellipses_l}
     by_id_k = {e.ellipse_id: e for e in ellipses_k}
-    for g, w in zip(got.matches, want.matches):
-        assert abs(g.epipolar_distance - w.epipolar_distance) <= 1e-6
-        assert abs(g.reprojection_distance - w.reprojection_distance) <= 1e-6
-        matched = [(view_l, by_id_l[g.ellipse_l]), (view_k, by_id_k[g.ellipse_k])]
+    for (i, j), epi, distance, epi_want, distance_want in zip(*got[:3], *want[1:3]):
+        assert abs(epi - epi_want) <= 1e-6
+        assert abs(distance - distance_want) <= 1e-6
+        matched = [(view_l, by_id_l[left.ids[i]]), (view_k, by_id_k[right.ids[j]])]
         model, ref = reconstruct_sphere(matched), reference_reconstruct_sphere(matched)
         scale = np.abs(ref.sphere.center).max()
         assert np.abs(model.sphere.center - ref.sphere.center).max() <= 1e-9 * scale
@@ -390,8 +385,7 @@ class TestArrayMatchingEqualsReference:
     def test_empty_view(self):
         views, _, obs = nine_sphere_rig()
         result = match_ellipses(record_of(views[0], []), record_of(views[1], obs["k"]))
-        assert result.matches == [] and result.unmatched_l == []
-        assert result.unmatched_k == sorted(e.ellipse_id for e in obs["k"])
+        assert result.matches == []
 
 
 class TestDegenerateHypotheses:
@@ -419,13 +413,9 @@ class TestDegenerateHypotheses:
         record_l, record_k = record_of(left, ellipses_l), record_of(right, ellipses_k)
         got = match_ellipses(record_l, record_k, tol=1e9)
         want = reference_match_ellipses(left, ellipses_l, right, ellipses_k, tol=1e9)
-        assert [(m.ellipse_l, m.ellipse_k) for m in got.matches] == \
-            [(m.ellipse_l, m.ellipse_k) for m in want.matches]
-        assert (got.unmatched_l, got.unmatched_k) == (want.unmatched_l, want.unmatched_k)
+        assert (got.matches, got.rows) == (want.matches, want.rows)
         if exact:
-            distances = [np.array([(m.epipolar_distance, m.reprojection_distance)
-                                   for m in result.matches]).tobytes() for result in (got, want)]
-            assert distances[0] == distances[1]
+            assert np.array(got[1:3]).tobytes() == np.array(want[1:3]).tobytes()
         il, ik = np.divmod(np.arange(len(ellipses_l) * len(ellipses_k)), len(ellipses_k))
         hom = np.stack([record_l.hom[il], record_k.hom[ik]], axis=1)
         b_e = np.stack([record_l.params[il, 3], record_k.params[ik, 3]], axis=1)
@@ -446,8 +436,7 @@ class TestDegenerateHypotheses:
         assert ill.any()
         assert set(got.solve.reason[ill].tolist()) == {OK}
         assert BEHIND_CAMERA in got.solve.reason
-        assert sorted((m.ellipse_l, m.ellipse_k) for m in got.matches) == \
-            [(f"s{i}", f"s{i}") for i in range(3)]
+        assert sorted(got.matches) == [(i, i) for i in range(3)]  # row i holds s<i>
 
     def test_rank_deficient_rows_are_dropped(self):
         left, right = self.translated(1e-10)

@@ -175,8 +175,11 @@ def reference_reconstruct_gated(views, observations, table, accepted):
     for view_l, view_k in itertools.combinations(views, 2):
         result = reference_match_ellipses(view_l, accepted[view_l.image_id],
                                           view_k, accepted[view_k.image_id])
-        pair_matches.extend((m.reprojection_distance, view_l.image_id, view_k.image_id,
-                             m.ellipse_l, m.ellipse_k, row) for row, m in enumerate(result.matches))
+        ids_l, ids_k = (sorted(e.ellipse_id for e in accepted[view.image_id])
+                        for view in (view_l, view_k))
+        pair_matches.extend((distance, view_l.image_id, view_k.image_id, ids_l[i], ids_k[j], row)
+                            for (i, j), distance, row
+                            in zip(result.matches, result.reprojection, result.rows))
     by_id = {(v.image_id, e.ellipse_id): (v, e) for v in views for e in accepted[v.image_id]}
     out = []
     for track, _ in _merge_tracks(pair_matches):

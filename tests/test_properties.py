@@ -59,15 +59,16 @@ from spherefit.fileio import (  # noqa: E402
     FileFormatError,
     PlyCloud,
     SphereEntry,
+    atomic_write_text,
     gate_report_text,
     load_ellipses,
     load_network,
     load_ply,
     load_spheres,
+    ply_text,
     read_ellipse_table,
     save_ellipses,
     save_network,
-    save_ply,
     save_spheres,
 )
 from spherefit.projection import (  # noqa: E402
@@ -1147,7 +1148,7 @@ def _ply_clouds(draw):
 def test_ply_file_round_trips_exactly(cloud):
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "cloud.ply")
-        save_ply(cloud, path)
+        atomic_write_text(path, ply_text(cloud))
         back = load_ply(path)
     assert (back.properties, back.rows, back.comments) == \
         (cloud.properties, cloud.rows, cloud.comments)
@@ -1164,9 +1165,9 @@ def sphere_export(tmp_path_factory):
     spheres, cloud = str(root / "spheres.json"), str(root / "cloud.ply")
     save_spheres([SphereEntry("s000", model, [("img-00", "ball-0"), ("img-01", "ball-0")],
                               rows)], spheres)
-    save_ply(PlyCloud([("float", "x"), ("float", "y"), ("int", "z"), ("uchar", "red")],
-                      [["0.5", "1.5", "2", "255"], ["-1e3", "0", "7", "0"]], ["made here"]),
-             cloud)
+    atomic_write_text(cloud, ply_text(PlyCloud(
+        [("float", "x"), ("float", "y"), ("int", "z"), ("uchar", "red")],
+        [["0.5", "1.5", "2", "255"], ["-1e3", "0", "7", "0"]], ["made here"])))
     with open(spheres) as handle:
         return spheres, cloud, json.load(handle)
 

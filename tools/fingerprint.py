@@ -77,10 +77,11 @@ def match_sets(seed):
     for (view_l, left), (view_k, right) in itertools.combinations(zip(scene.views, records), 2):
         result = match_ellipses(left, right)
         print(f"match seed={seed} {view_l.image_id} {view_k.image_id}")
-        for m in result.matches:
-            print(f"  {m.ellipse_l} {m.ellipse_k} {_hex([m.epipolar_distance])} "
-                  f"{_hex([m.reprojection_distance])}")
-        print(f"  unmatched {result.unmatched_l} {result.unmatched_k}")
+        for (i, j), epi, distance in zip(result.matches, result.epipolar, result.reprojection):
+            print(f"  {left.ids[i]} {right.ids[j]} {_hex([epi])} {_hex([distance])}")
+        used_l, used_k = {i for i, _ in result.matches}, {j for _, j in result.matches}
+        print(f"  unmatched {[e for i, e in enumerate(left.ids) if i not in used_l]} "
+              f"{[e for j, e in enumerate(right.ids) if j not in used_k]}")
     return scene
 
 
