@@ -286,10 +286,14 @@ def _parse_anchors(spec: str) -> dict:
 def cmd_scale(args) -> int:
     entries = fileio.load_spheres(args.spheres)
     anchors = _parse_anchors(args.anchors)
-    by_id = {entry.sphere_id: entry for entry in entries}
+    ids = [entry.sphere_id for entry in entries]
+    by_id = dict(zip(ids, entries))
     for sphere_id, radius in anchors.items():
         if sphere_id not in by_id:
             raise UnknownAnchor(f"anchor {sphere_id!r} not found in {args.spheres}")
+        if ids.count(sphere_id) > 1:  # which sphere it anchors is ambiguous
+            raise fileio.FileFormatError(f"anchor {sphere_id!r} names {ids.count(sphere_id)} "
+                                         f"spheres in {args.spheres}")
         if WORLD_LIMIT < radius < math.inf:  # not finite: metric_scale names it
             raise InvalidAnchor(f"anchor {sphere_id!r} radius {radius} lies beyond "
                                 "2^300 world units")

@@ -12,7 +12,6 @@ JSON inputs may start with a UTF-8 byte-order mark, as spreadsheet exports do.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
@@ -21,7 +20,7 @@ import operator
 import os
 import re
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,76 +70,54 @@ def _temp_name(path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
 
 
-def _write_temp(tmp: str, text: str) -> None:
-    """Write ``text`` to the new file ``tmp``, created with mode 0o666, as
-    ``open`` creates a file, so that the umask sets its mode."""
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
-@contextlib.contextmanager
-def _naming_targets(targets: dict):
-    """An ``OSError`` that names a temp file of ``targets`` (temp file ->
-    target) names its target in its place."""
-    try:
-        yield
-    except OSError as exc:
-        if exc.filename not in targets:
-            raise
-        raise OSError(exc.errno, exc.strerror, targets[exc.filename]) from exc
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory, so
-    that the umask sets the mode ``path`` ends up with.  An ``OSError`` that
-    names the temp file names ``path`` in its place."""
-    tmp = _temp_name(path)
-    with _naming_targets({tmp: path}):
-        try:
-            _write_temp(tmp, text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
 def atomic_write_texts(outputs: Sequence[tuple[str, str]]) -> None:
-    """Write each (path, text) of ``outputs`` as ``atomic_write_text`` does,
-    all or none: every text is written to its temp file first, and the temp
-    files are renamed into place only once all are written.  If a rename
-    fails, each target renamed before it is put back as it was: absent, or
-    its old bytes, kept meanwhile by a hard link (a copy where the file
-    system has none).  No temp file is left either way.  A path given twice
-    gets its last text."""
+    """Write each (path, text) of ``outputs`` via a temp file in the path's
+    directory, so that the umask sets its mode, all or none: the temp files
+    are renamed into place only once all are written.  If a rename fails,
+    each target renamed before it is put back as it was: absent, or its old
+    bytes, kept meanwhile by a hard link (a copy where the file system has
+    none; the last target needs neither).  No temp file is left either way,
+    and an ``OSError`` names the target, not its temp file.  A path given
+    twice gets its last text."""
     texts = dict(outputs)
     temps = {_temp_name(path): path for path in texts}
     olds, done = {}, []  # a temp link to each target's old file; the targets renamed
-    with _naming_targets(temps):
-        try:
-            for tmp, path in temps.items():
-                _write_temp(tmp, texts[path])
-            for tmp, path in temps.items():
-                if os.path.isfile(path):
-                    olds[path] = _temp_name(path)
-                    try:
-                        os.link(path, olds[path])
-                    except OSError:
-                        shutil.copyfile(path, olds[path])
-                os.replace(tmp, path)
-                done.append(path)
-        except BaseException:
-            for path in reversed(done):
-                if path in olds:
-                    os.replace(olds.pop(path), path)
-                else:
-                    os.unlink(path)
-            raise
-        finally:
-            for tmp in [*temps, *olds.values()]:
-                if os.path.lexists(tmp):
-                    os.unlink(tmp)
+    try:
+        for tmp, path in temps.items():
+            # Mode 0o666, as ``open`` creates a file, so that the umask sets the mode.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(texts[path])
+        for n, (tmp, path) in enumerate(temps.items(), 1):
+            if n < len(temps) and os.path.isfile(path):
+                olds[path] = _temp_name(path)
+                try:
+                    os.link(path, olds[path])
+                except OSError:
+                    shutil.copyfile(path, olds[path])
+            os.replace(tmp, path)
+            done.append(path)
+    except BaseException as exc:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        for path in reversed(done):
+            if path in olds:
+                os.replace(olds.pop(path), path)
+            else:
+                os.unlink(path)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            raise OSError(exc.errno, exc.strerror, temps[exc.filename]) from exc
+        raise
+    finally:
+        for old in olds.values():
+            if os.path.exists(old):
+                os.unlink(old)
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as the one output of ``atomic_write_texts``."""
+    atomic_write_texts([(path, text)])
 
 
 def _dump_json(payload) -> str:
@@ -605,6 +582,7 @@ class PlyCloud:
     properties: list[tuple[str, str]]  # (type, name), header order
     rows: list[list[str]]              # raw tokens, one list per vertex
     comments: list[str]
+    obj_info: list[str] = field(default_factory=list)  # written after the comments
 
     @property
     def xyz_indices(self) -> tuple[int, int, int]:
@@ -620,7 +598,7 @@ def load_ply(path: str) -> PlyCloud:
         lines = [line.rstrip("\n") for line in handle]
     if not lines or lines[0].strip() != "ply":
         raise FileFormatError(f"{path}: not a PLY file")
-    comments = []
+    texts = {"comment": [], "obj_info": []}  # each line's text after its keyword
     properties: list[tuple[str, str]] = []
     n_vertices = None
     idx = 1
@@ -635,9 +613,10 @@ def load_ply(path: str) -> PlyCloud:
             if tokens[1:2] != ["ascii"]:
                 raise FileFormatError(f"{path}: only ascii PLY is supported")
             saw_format = True
-        elif tokens[0] == "comment":
-            # The text after "comment ", whitespace included, as ply_text writes it.
-            comments.append(lines[idx - 1].lstrip()[len("comment "):])
+        elif tokens[0] in texts:
+            # The text after "comment " or "obj_info ", whitespace included,
+            # as ply_text writes it.
+            texts[tokens[0]].append(lines[idx - 1].lstrip()[len(tokens[0]) + 1:])
         elif tokens[0] == "element":
             if len(tokens) < 3 or not tokens[2].isdigit():
                 raise FileFormatError(f"{path}: bad element line {lines[idx - 1]!r}")
@@ -675,12 +654,14 @@ def load_ply(path: str) -> PlyCloud:
             raise FileFormatError(
                 f"{path}: vertex row {line_no} has {len(row)} values, "
                 f"expected {len(properties)}")
-    return PlyCloud(properties=properties, rows=body, comments=comments)
+    return PlyCloud(properties=properties, rows=body, comments=texts["comment"],
+                    obj_info=texts["obj_info"])
 
 
 def ply_text(cloud: PlyCloud) -> str:
     header = ["ply", "format ascii 1.0"]
     header += [f"comment {c}" for c in cloud.comments]
+    header += [f"obj_info {c}" for c in cloud.obj_info]
     header.append(f"element vertex {len(cloud.rows)}")
     header += [f"property {ptype} {name}" for ptype, name in cloud.properties]
     header.append("end_header")
@@ -717,4 +698,5 @@ def scale_ply(cloud: PlyCloud, s_r: float, path: str) -> PlyCloud:
     properties = [("double", name) if i in xyz and ptype in _PLY_INTEGER_TYPES
                   else (ptype, name)
                   for i, (ptype, name) in enumerate(cloud.properties)]
-    return PlyCloud(properties=properties, rows=cells.tolist(), comments=list(cloud.comments))
+    return PlyCloud(properties=properties, rows=cells.tolist(), comments=list(cloud.comments),
+                    obj_info=list(cloud.obj_info))

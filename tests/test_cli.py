@@ -1,5 +1,4 @@
 import codecs
-import collections
 import dataclasses
 import json
 import math
@@ -517,6 +516,23 @@ class TestScale:
         assert [r[3] for r in cloud.rows] == ["7", "9"]
         assert math.isclose(float(cloud.rows[0][0]), 2.5, rel_tol=1e-12)
 
+    def test_points_with_obj_info_lines(self, cli_export, tmp_path):
+        # The header of a cloud that CloudCompare writes; its lines come back
+        # in the scaled cloud, the comments first.
+        (tmp_path / "in.ply").write_text(
+            "ply\nformat ascii 1.0\ncomment made by hand\nobj_info Generated by CloudCompare!\n"
+            "comment again\nelement vertex 1\nproperty float x\nproperty float y\n"
+            "property float z\nend_header\n1 2 3\n")
+        radius = load_spheres(str(cli_export / "spheres.json"))[0].model.sphere.radius
+        assert main(["scale", "--spheres", str(cli_export / "spheres.json"),
+                     "--anchors", f"s000:{2 * radius}", "--points", str(tmp_path / "in.ply"),
+                     "--out-points", str(tmp_path / "out.ply"),
+                     "--out", str(tmp_path / "out.json")]) == 0
+        header, _, vertex = (tmp_path / "out.ply").read_text().partition("end_header\n")
+        assert header.splitlines()[2:5] == ["comment made by hand", "comment again",
+                                            "obj_info Generated by CloudCompare!"]
+        assert np.allclose([float(x) for x in vertex.split()], [2, 4, 6], rtol=1e-12, atol=0)
+
 
 class TestSimulate:
     def test_sweep_csv_and_export(self, tmp_path):
@@ -563,36 +579,10 @@ class TestSimulate:
         assert len(truth["spheres"]) == 9
 
 
-@pytest.mark.parametrize("row", [row for row in ROWS if row.test_id is None],
-                         ids=lambda row: row.name)
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
 def test_row(check_rows, row):
     # A row of tests/bad_inputs.py, run in-process through cli.main.
     assert check_rows([row]) == {}
-
-
-def _add_row_tests():
-    """The older exit-code tests of this module are the rows of
-    tests/bad_inputs.py that name a ``test_id``, each run in-process through
-    cli.main as the test, and the case, that it names."""
-    cases = collections.defaultdict(dict)
-    for row in ROWS:
-        if row.test_id is None:
-            continue
-        test, _, case = row.test_id.partition("[")
-        cases[test].setdefault(case.rstrip("]"), []).append(row)
-    for test, rows in cases.items():
-        if list(rows) == [""]:
-            def run(self, check_rows, rows=rows[""]):
-                assert check_rows(rows) == {}
-        else:
-            @pytest.mark.parametrize("rows", list(rows.values()), ids=list(rows))
-            def run(self, check_rows, rows):
-                assert check_rows(rows) == {}
-        class_name, run.__name__ = test.split("::")
-        setattr(globals()[class_name], run.__name__, run)
-
-
-_add_row_tests()
 
 
 def test_row_names_are_unique():

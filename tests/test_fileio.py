@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -514,6 +515,25 @@ class TestPly:
         assert [r[3] for r in back.rows] == ["255", "128", "0"]  # passthrough
         assert back.comments == ["generated for tests"]
 
+    def test_obj_info_lines_round_trip_after_the_comments(self, tmp_path):
+        # As CloudCompare writes them; ply_text puts them after the comments,
+        # each kind in file order.
+        lines = PLY_TEXT.splitlines()
+        lines[3:3] = ["obj_info Generated by CloudCompare!", "comment second",
+                      "obj_info  two  spaces"]
+        path = tmp_path / "in.ply"
+        path.write_text("\n".join(lines) + "\n")
+        cloud = load_ply(str(path))
+        assert cloud.comments == ["generated for tests", "second"]
+        assert cloud.obj_info == ["Generated by CloudCompare!", " two  spaces"]
+        text = ply_text(cloud)
+        assert text.splitlines()[2:6] == ["comment generated for tests", "comment second",
+                                          "obj_info Generated by CloudCompare!",
+                                          "obj_info  two  spaces"]
+        (tmp_path / "out.ply").write_text(text)
+        assert load_ply(str(tmp_path / "out.ply")) == cloud
+        assert scale_ply(cloud, 2.0, "c.ply").obj_info == cloud.obj_info
+
     def test_scale_then_inverse_restores_values(self, tmp_path):
         path = str(tmp_path / "in.ply")
         open(path, "w").write(PLY_TEXT)
@@ -625,31 +645,50 @@ class TestAtomicity:
             fileio.atomic_write_text(path, "x")
         assert str(raised.value) == f"[Errno 2] No such file or directory: {path!r}"
 
-    @pytest.mark.parametrize("first_old", ["old first\n", None], ids=["old-bytes", "absent"])
+    @pytest.mark.parametrize("n, failing", [(2, 2), (3, 2), (3, 3)],
+                             ids=["2-of-2", "2-of-3", "3-of-3"])
+    @pytest.mark.parametrize("first_old", ["old 1\n", None], ids=["old-bytes", "absent"])
     def test_a_failed_rename_puts_back_the_targets_renamed_before_it(self, tmp_path, monkeypatch,
-                                                                     first_old):
-        # The second rename fails over a target that holds old bytes; the
-        # first target, renamed already, gets its old bytes back, or is
-        # absent again if it was absent.
-        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
-        if first_old is not None:
-            first.write_text(first_old)
-        second.write_text("old second\n")
+                                                                     first_old, n, failing):
+        # Rename ``failing`` of ``n`` fails over a target that holds old
+        # bytes; each target renamed before it gets its old bytes back, or is
+        # absent again if it was absent, and each one after it is untouched.
+        paths = [tmp_path / f"{i}.txt" for i in range(1, n + 1)]
+        olds = [first_old, *(f"old {i}\n" for i in range(2, n + 1))]
+        for path, old in zip(paths, olds):
+            if old is not None:
+                path.write_text(old)
+        target = str(paths[failing - 1])
         replace = os.replace
 
-        def failing_replace(source, target):
-            if target == str(second):
+        def failing_replace(source, destination):
+            if destination == target:
                 raise PermissionError(13, "Permission denied", source)
-            replace(source, target)
+            replace(source, destination)
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(PermissionError) as raised:
-            fileio.atomic_write_texts([(str(first), "new first\n"), (str(second), "new\n")])
-        assert str(raised.value) == f"[Errno 13] Permission denied: {str(second)!r}"
-        assert (first.read_text() if first.exists() else None) == first_old
-        assert second.read_text() == "old second\n"
-        left = ["first.txt", "second.txt"] if first_old is not None else ["second.txt"]
-        assert sorted(os.listdir(tmp_path)) == left
+            fileio.atomic_write_texts([(str(path), "new\n") for path in paths])
+        assert str(raised.value) == f"[Errno 13] Permission denied: {target!r}"
+        assert [path.read_text() if path.exists() else None for path in paths] == olds
+        assert sorted(os.listdir(tmp_path)) == [path.name for path, old in zip(paths, olds)
+                                                if old is not None]
+
+    @pytest.mark.parametrize("write", [
+        fileio.atomic_write_text, lambda path, text: fileio.atomic_write_texts([(path, text)])],
+        ids=["atomic_write_text", "atomic_write_texts"])
+    def test_a_one_output_write_over_a_file_makes_no_backup(self, tmp_path, monkeypatch, write):
+        # Nothing is renamed after the last target, so its old bytes are
+        # never put back, and a write of one output keeps no link or copy.
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        calls = []
+        monkeypatch.setattr(os, "link", lambda *args: calls.append(("link", args)))
+        monkeypatch.setattr(shutil, "copyfile", lambda *args: calls.append(("copyfile", args)))
+        write(str(path), "new\n")
+        assert calls == []
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_all_outputs_are_written_and_no_temp_file_is_left(self, tmp_path):
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"

@@ -1137,10 +1137,11 @@ def _ply_clouds(draw):
                                unique_by=lambda prop: prop[1]))
     rows = draw(st.lists(st.lists(_PLY_TOKEN, min_size=len(properties),
                                   max_size=len(properties)), max_size=4))
-    comments = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
-                                                   blacklist_characters="\r\n"), max_size=8),
-                             max_size=3))
-    return PlyCloud(properties=properties, rows=rows, comments=comments)
+    texts = st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                           blacklist_characters="\r\n"), max_size=8),
+                     max_size=3)
+    return PlyCloud(properties=properties, rows=rows, comments=draw(texts),
+                    obj_info=draw(texts))
 
 
 @PROPERTY
@@ -1150,8 +1151,7 @@ def test_ply_file_round_trips_exactly(cloud):
         path = os.path.join(root, "cloud.ply")
         atomic_write_text(path, ply_text(cloud))
         back = load_ply(path)
-    assert (back.properties, back.rows, back.comments) == \
-        (cloud.properties, cloud.rows, cloud.comments)
+    assert back == cloud
 
 
 @pytest.fixture(scope="module")
