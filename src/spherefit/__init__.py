@@ -40,7 +40,6 @@ from .netselect import (
     DEFAULT_MIN_ANGLE,
     ImageNetwork,
     PairScore,
-    TiePoint,
     anchor_network,
     best_pair,
 )
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CameraView", "EllipseObservation", "Sphere", "SphereModel", "ScaleResult",
-    "GateReport", "ImageNetwork", "TiePoint", "PairScore",
+    "GateReport", "ImageNetwork", "PairScore",
     "MatchResult", "SceneConfig", "SyntheticScene", "TrialStats",
     "world_to_camera", "project_sphere", "project_sphere_into_view",
     "radius_from_depth",

@@ -153,7 +153,7 @@ def _select_pair(args, network: ImageNetwork, table=None, accepted=None) -> Pair
     subtended at one anchor triangulated from the centers of the rows of
     ``table`` the gate ``accepted``."""
     min_angle = math.radians(args.min_angle_deg)
-    if network.tie_points:
+    if len(network.xyz):
         return best_pair(network, min_angle=min_angle)
     if table is None:
         raise fileio.FileFormatError(
@@ -194,7 +194,7 @@ def _resolve_pair(args, network: ImageNetwork, table, accepted) -> tuple[str, st
         for image_id in ids:
             if image_id not in view_ids:
                 raise fileio.FileFormatError(f"--pair references unknown image {image_id!r}")
-        if network.tie_points:
+        if len(network.xyz):
             _, _, (alpha,), (shared,), _ = pair_angles(network, ids)
             if not shared:
                 _warn(f"explicit pair ({ids[0]},{ids[1]}) shares no tie points")

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .netselect import ImageNetwork, TiePoint
+from .netselect import ImageNetwork
 from .projection import (
     _ROT_TOL,
     PIXEL_LIMIT,
@@ -34,6 +34,8 @@ from .projection import (
     EllipseObservation,
     EllipseTable,
     Sphere,
+    _require_finite,
+    _require_world,
     ellipse_checks,
     fold_axis_angle,
     is_psd,
@@ -172,10 +174,21 @@ def _json_list(items: Sequence[str], pad: str) -> str:
 
 # ---------------------------------------------------------------- cameras
 
+def _image_ids(value) -> list[str]:
+    """A tie point's ``visible_in``: a list of image ids, each a string or a
+    number, read as ``str`` as a view's ``image_id`` is."""
+    ids = list(value)  # a value that is no container raises as it always did
+    if not isinstance(value, list) or not all(
+            isinstance(i, (str, int, float)) and not isinstance(i, bool) for i in ids):
+        raise ValueError(
+            f"tie point visible_in must be a list of image ids, got {json.dumps(value)}")
+    return list(map(str, ids))
+
+
 def load_network(path: str) -> ImageNetwork:
     """Parse a camera network file.  Its views and tie points are stacked and
-    checked in one pass; a file that pass flags is read again entry by entry
-    through ``CameraView`` and ``TiePoint``, so the first bad entry raises its own error."""
+    checked in one pass; a file that pass flags is read again entry by entry,
+    each view through ``CameraView``, so the first bad entry raises its own error."""
     data = _load_object(path, "views")
     if data.get("convention") != CONVENTION:
         raise FileFormatError(
@@ -193,54 +206,62 @@ def load_network(path: str) -> ImageNetwork:
         cov = np.array([e["iop_cov"] for e in itertools.compress(entries, has_cov)], dtype=float)
         cov = cov.reshape(sum(has_cov), 3, 3)  # not (-1, 3, 3), which splits 9 covs of 4 numbers
         xyz = np.array([p["xyz"] for p in points], dtype=float).reshape(len(points), 3)
+        visible_in = [p["visible_in"] for p in points]
         with np.errstate(all="ignore"):  # NaN fails every bound, a non-finite rot its tests
             clean = ((iop[:, 0] > 0.0).all() and (np.abs(iop) <= PIXEL_LIMIT).all()
-                     and (np.abs(t) <= WORLD_LIMIT).all() and (np.abs(xyz) <= WORLD_LIMIT).all()
+                     and (np.abs(t) <= WORLD_LIMIT).all()
                      and (rotation_error(rot) < _ROT_TOL).all()
                      and (np.linalg.det(rot) >= 0.0).all()
-                     and (not len(cov) or is_psd(cov).all()))
-        covs = iter(cov)
-        views = [CameraView._trusted({"image_id": str(e["image_id"]), "f": f, "px": px, "py": py,
-                                      "rot": r, "t": tv, "iop_cov": next(covs) if h else None})
-                 for e, (f, px, py), r, tv, h in zip(entries, iop.tolist(), rot, t, has_cov)]
-        tie_points = [TiePoint._trusted({"xyz": x, "visible_in": frozenset(map(str, ids))})
-                      for x, ids in zip(xyz, (p["visible_in"] for p in points))]
+                     and (not len(cov) or is_psd(cov).all())
+                     and all(type(ids) is list for ids in visible_in))
+        if clean:
+            covs = iter(cov)
+            views = [CameraView._trusted({
+                "image_id": str(e["image_id"]), "f": f, "px": px, "py": py, "rot": r, "t": tv,
+                "iop_cov": next(covs) if h else None})
+                for e, (f, px, py), r, tv, h in zip(entries, iop.tolist(), rot, t, has_cov)]
+            # ImageNetwork checks the tie points.  An id that is not a known
+            # image's string (a number, say) makes it raise, and the file is
+            # read again below, each id as str.
+            return ImageNetwork(views, xyz, visible_in)
     except _BAD_ENTRY:
-        clean = False
-    if not clean:  # each entry built on its own, so that the first bad one raises its own error
-        try:
-            views = [CameraView(
-                image_id=str(e["image_id"]), f=float(e["f"]), px=float(e["px"]),
-                py=float(e["py"]), rot=np.asarray(e["rot"], dtype=float).reshape(3, 3),
-                t=np.asarray(e["t"], dtype=float).reshape(3),
-                iop_cov=None if e.get("iop_cov") is None
-                else np.asarray(e["iop_cov"], dtype=float).reshape(3, 3)) for e in entries]
-        except _BAD_ENTRY as exc:
-            raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
-        points = _object_list(path, "tie_points", data.get("tie_points", []))
-        try:
-            tie_points = [TiePoint(xyz=np.asarray(p["xyz"], dtype=float).reshape(3),
-                                   visible_in=frozenset(map(str, p["visible_in"])))
-                          for p in points]
-        except _BAD_ENTRY as exc:
-            raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
+        pass
+    # Each entry built on its own, so that the first bad one raises its own error.
     try:
-        return ImageNetwork(views=views, tie_points=tie_points)
+        views = [CameraView(
+            image_id=str(e["image_id"]), f=float(e["f"]), px=float(e["px"]),
+            py=float(e["py"]), rot=np.asarray(e["rot"], dtype=float).reshape(3, 3),
+            t=np.asarray(e["t"], dtype=float).reshape(3),
+            iop_cov=None if e.get("iop_cov") is None
+            else np.asarray(e["iop_cov"], dtype=float).reshape(3, 3)) for e in entries]
+    except _BAD_ENTRY as exc:
+        raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
+    points, xyz, visible_in = _object_list(path, "tie_points", data.get("tie_points", [])), [], []
+    try:
+        for p in points:
+            xyz.append(np.asarray(p["xyz"], dtype=float).reshape(3))
+            visible_in.append(_image_ids(p["visible_in"]))
+            _require_finite("tie point", xyz=xyz[-1])
+            _require_world("tie point", "xyz", xyz[-1])
+    except _BAD_ENTRY as exc:
+        raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
+    try:
+        return ImageNetwork(views, np.reshape(xyz, (-1, 3)), visible_in)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def network_text(network: ImageNetwork) -> str:
     """The camera file of ``network``: the payload that ``load_network``
-    reads, without ``tie_points`` if there are none."""
+    reads, each tie point's ids sorted, without ``tie_points`` if there are none."""
     payload = {"convention": CONVENTION, "views": [
         {"image_id": v.image_id, "f": v.f, "px": v.px, "py": v.py,
          "rot": v.rot.ravel().tolist(), "t": v.t.tolist(),
          **({} if v.iop_cov is None else {"iop_cov": v.iop_cov.ravel().tolist()})}
         for v in network.views]}
-    if network.tie_points:
-        payload["tie_points"] = [{"xyz": tp.xyz.tolist(), "visible_in": sorted(tp.visible_in)}
-                                 for tp in network.tie_points]
+    if len(network.xyz):
+        payload["tie_points"] = [{"xyz": xyz, "visible_in": sorted(set(ids))}
+                                 for xyz, ids in zip(network.xyz.tolist(), network.visible_in)]
     return _dump_json(payload)
 
 

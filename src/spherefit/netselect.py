@@ -16,60 +16,57 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NoAdmissiblePair
-from .projection import CameraView, _require_finite, _require_world, _trusted, camera_arrays
+from .projection import (WORLD_LIMIT, CameraView, _require_finite, _require_world,
+                         camera_arrays)
 
 DEFAULT_MIN_ANGLE = math.radians(20.0)
 
 
 @dataclass
-class TiePoint:
-    """A world point with the set of image ids that observe it."""
-
-    xyz: np.ndarray
-    visible_in: frozenset
-    _trusted = classmethod(_trusted)
-
-    def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=float).reshape(3)
-        _require_finite("tie point", xyz=self.xyz)
-        _require_world("tie point", "xyz", self.xyz)
-        self.visible_in = frozenset(self.visible_in)
-
-
-@dataclass
 class ImageNetwork:
-    """A set of calibrated views plus tie-point visibility.  The image-id
-    index and the visibility table are built at construction, so the views
-    and tie points are not changed afterwards."""
+    """A set of calibrated views plus tie points: ``xyz`` (t, 3) world
+    points, and ``visible_in``, for each tie point the ids of the images
+    that observe it.  The image-id index and the visibility table are built
+    at construction, so none of these is changed afterwards."""
 
     views: list[CameraView]
-    tie_points: list[TiePoint] = field(default_factory=list)
+    xyz: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    visible_in: Sequence[Sequence[str]] = ()
 
     def __post_init__(self):
         self._column = {v.image_id: c for c, v in enumerate(self.views)}
         if len(self._column) != len(self.views):
             raise ValueError("duplicate image ids in network")
+        self.xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
+        n, t = len(self.views), len(self.xyz)
+        if len(self.visible_in) != t:
+            raise ValueError(f"{t} tie points but {len(self.visible_in)} visible_in lists")
         # Which views see which tie point, (tie points x views), by one
-        # membership test per pair run in C.  A tie point seen by fewer
-        # views than it holds ids names an unknown image.
-        n, sets = len(self.views), [tp.visible_in for tp in self.tie_points]
-        pairs = map(operator.contains, itertools.chain.from_iterable(
-            itertools.repeat(ids, n) for ids in sets), itertools.cycle(self._column))
-        self._visible = np.fromiter(pairs, bool, len(sets) * n).reshape(len(sets), n)
-        counts = np.fromiter(map(len, sets), np.intp, len(sets))
-        for tp in itertools.compress(self.tie_points,
-                                     (self._visible.sum(axis=1) < counts) | (counts < 2)):
-            missing = tp.visible_in.difference(self._column)
+        # scatter of the listed ids' columns; an unknown id marks column n.
+        counts = np.fromiter(map(len, self.visible_in), np.intp, t)
+        columns = np.fromiter(map(self._column.get, itertools.chain.from_iterable(
+            self.visible_in), itertools.repeat(n)), np.intp, counts.sum())
+        table = np.zeros((t, n + 1), bool)
+        table[np.repeat(np.arange(t), counts), columns] = True
+        self._visible = table[:, :n]
+        with np.errstate(invalid="ignore"):  # NaN fails the bound
+            bad = (table[:, n] | (self._visible.sum(axis=1) < 2)
+                   | ~(np.abs(self.xyz) <= WORLD_LIMIT).all(axis=1))
+        if bad.any():  # the first bad tie point raises its own error
+            k = int(bad.argmax())
+            missing = set(self.visible_in[k]).difference(self._column)
             if missing:
                 raise ValueError(f"tie point references unknown images {sorted(missing)}")
-            raise ValueError("each tie point must be visible in at least two views")
+            if self._visible[k].sum() < 2:
+                raise ValueError("each tie point must be visible in at least two views")
+            _require_finite("tie point", xyz=self.xyz[k])
+            _require_world("tie point", "xyz", self.xyz[k])
 
     def view(self, image_id: str) -> CameraView:
         return self.views[self._column[image_id]]
@@ -109,23 +106,26 @@ def pair_angles(network: ImageNetwork, ids: Sequence[str]):
     """
     columns = [network._column[image_id] for image_id in ids]
     centers = _centers([network.views[c] for c in columns])
-    points = np.array([tp.xyz for tp in network.tie_points]).reshape(-1, 3)
-    visible = network._visible[:, columns]
+    points, visible = network.xyz, network._visible[:, columns]
     # The pairs (iu, ju) of the upper triangle, taken in C order so that the
     # sums run in tie-point order.
     iu, ju = np.triu_indices(len(ids), 1)
     upper, total, pairs = iu * len(ids) + ju, np.zeros(len(iu)), np.zeros(len(iu), np.int64)
     step = max(1, _BLOCK_ELEMENTS // len(ids) ** 2)
-    for block in (slice(t, t + step) for t in range(0, len(points), step)):
-        rays = centers - points[block, None, :]
-        norms = np.sqrt(np.einsum("tvk,tvk->tv", rays, rays))
-        ok = visible[block] & (norms > 0.0)
-        both = ok.take(iu, axis=1) & ok.take(ju, axis=1)
-        cos = (rays @ rays.transpose(0, 2, 1)).reshape(len(rays), -1).take(upper, axis=1)
-        cos /= np.where(both, norms.take(iu, axis=1) * norms.take(ju, axis=1), 1.0)
-        total += np.where(both, np.arccos(np.clip(cos, -1.0, 1.0)), 0.0).sum(axis=0)
-        pairs += both.sum(axis=0)
-    with np.errstate(invalid="ignore"):
+    # A pair not both seeing a point may divide by a zero norm; its angle is
+    # zeroed after the arccos.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for block in (slice(t, t + step) for t in range(0, len(points), step)):
+            rays = centers - points[block, None, :]
+            norms = np.sqrt(np.einsum("tvk,tvk->tv", rays, rays))
+            ok = visible[block] & (norms > 0.0)
+            both = ok.take(iu, axis=1) & ok.take(ju, axis=1)
+            cos = (rays @ rays.transpose(0, 2, 1)).reshape(len(rays), -1).take(upper, axis=1)
+            cos /= norms.take(iu, axis=1) * norms.take(ju, axis=1)
+            angle = np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)
+            angle[~both] = 0.0
+            total += angle.sum(axis=0)
+            pairs += both.sum(axis=0)
         return iu, ju, total / pairs, pairs, visible.sum(axis=0)
 
 
@@ -172,6 +172,5 @@ def anchor_network(views: Sequence[CameraView], anchor_xyz) -> ImageNetwork:
     Fallback for pose sets without tie points: pair scores then rank purely
     by the angle subtended at the anchor, with uniform overlap.
     """
-    anchor = TiePoint(xyz=np.asarray(anchor_xyz, dtype=float),
-                      visible_in=frozenset(v.image_id for v in views))
-    return ImageNetwork(views=list(views), tie_points=[anchor])
+    return ImageNetwork(views=list(views), xyz=anchor_xyz,
+                        visible_in=[[v.image_id for v in views]])

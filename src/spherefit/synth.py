@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigInfeasible, DegenerateGeometry, DegenerateProjection
-from .netselect import ImageNetwork, TiePoint, best_pair
+from .netselect import ImageNetwork, best_pair
 from .pipeline import reconstruct_subset
 from .projection import (
     DEPTH_MARGIN,
@@ -168,13 +168,16 @@ def _is_xyz(value) -> bool:
 
 @dataclass
 class SyntheticScene:
-    """A generated scene: views, ground truth, observations, tie points."""
+    """A generated scene: views, ground truth, observations, and tie points,
+    ``tie_xyz`` (t, 3) and ``visible_in``, for each the ids of the views
+    that see it."""
 
     config: SceneConfig
     views: list[CameraView]
     spheres: list[tuple[str, Sphere]]
     observations: dict  # image_id -> list[EllipseObservation], clutter included
-    tie_points: list[TiePoint]
+    tie_xyz: np.ndarray
+    visible_in: list[list[str]]
     clutter_ids: set = field(default_factory=set)
 
     def __post_init__(self):
@@ -182,7 +185,7 @@ class SyntheticScene:
 
     @property
     def network(self) -> ImageNetwork:
-        return ImageNetwork(views=list(self.views), tie_points=list(self.tie_points))
+        return ImageNetwork(list(self.views), self.tie_xyz, self.visible_in)
 
     def view(self, image_id: str) -> CameraView:
         return self._by_id[image_id]
@@ -278,9 +281,9 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     cam = (rot @ points[:, :, None])[..., 0] + t
     with np.errstate(divide="ignore", invalid="ignore"):  # depth 0 is not in front
         u, v = pinhole(cam, f, px, py)
-    seen = ((cam[..., 2] > 0.0) & (0.0 <= u) & (u <= w) & (0.0 <= v) & (v <= h)).T.tolist()
-    tie_points = [TiePoint(xyz=xyz, visible_in=frozenset(itertools.compress(image_ids, column)))
-                  for xyz, column in zip(points, seen) if sum(column) >= 2]
+    seen = ((cam[..., 2] > 0.0) & (0.0 <= u) & (u <= w) & (0.0 <= v) & (v <= h)).T
+    kept = seen.sum(axis=1) >= 2
+    visible_in = [list(itertools.compress(image_ids, row)) for row in seen[kept].tolist()]
 
     # Clutter: ellipses built to satisfy the silhouette identity, then
     # inflated along the major axis so the gate must reject them.  Squares
@@ -300,7 +303,7 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     observations = {image_id: [*itertools.islice(projected, len(spheres)), *ellipses]
                     for image_id, ellipses in zip(image_ids, clutter)}
     return SyntheticScene(config=config, views=views, spheres=spheres,
-                          observations=observations, tie_points=tie_points,
+                          observations=observations, tie_xyz=points[kept], visible_in=visible_in,
                           clutter_ids={e.ellipse_id for ellipses in clutter for e in ellipses})
 
 
@@ -346,7 +349,7 @@ def perturb_observations(scene: SyntheticScene, sigma, seed: int) -> SyntheticSc
              for image_id in image_ids}
     return SyntheticScene(config=scene.config, views=scene.views,
                           spheres=scene.spheres, observations=noisy,
-                          tie_points=scene.tie_points,
+                          tie_xyz=scene.tie_xyz, visible_in=scene.visible_in,
                           clutter_ids=set(scene.clutter_ids))
 
 

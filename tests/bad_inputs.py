@@ -219,6 +219,14 @@ row("select-pair-low-angle", [edit_json("cameras.json", first_views)],
 row("tie-point-nan", [put("cameras.json", "tie_points", 0, "xyz", 0, value=math.nan)],
     ["select-pair", "--cameras", "cameras.json", "--out", "o.json"],
     "error: cameras.json: bad tie point entry (tie point xyz must be finite)", ["o.json"])
+for case, value, shown in (("object", {"img-00": 1, "img-01": 1}, '{"img-00": 1, "img-01": 1}'),
+                           ("string", "img-00", '"img-00"'),
+                           ("null-entry", ["img-00", None, "img-01"], '["img-00", null, "img-01"]')):
+    row(f"tie-point-visible-in-{case}",
+        [put("cameras.json", "tie_points", 0, "visible_in", value=value)],
+        ["select-pair", "--cameras", "cameras.json", "--out", "o.json"],
+        "error: cameras.json: bad tie point entry (tie point visible_in must be a list of "
+        f"image ids, got {shown})", ["o.json"])
 for key in ("views", "tie_points"):
     row(f"camera-{key}-null", [put("cameras.json", key, value=None)],
         ["select-pair", "--cameras", "cameras.json", "--out", "o.json"],

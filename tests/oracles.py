@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import operator
 
@@ -53,7 +54,6 @@ from spherefit import (
     PairScore,
     Sphere,
     SphereModel,
-    TiePoint,
     gather_ellipses,
     project_sphere_into_view,
     view_records,
@@ -442,18 +442,26 @@ class NoSharedPoints(Exception):
     """Two views share no usable tie point, so no convergence angle exists."""
 
 
-def reference_convergence_angle(view_i, view_j, tie_points) -> float:
+def tie_network(views, ties=()) -> ImageNetwork:
+    """The ``ImageNetwork`` of ``views`` whose tie points are ``ties``, each
+    an (xyz, image ids) pair, as the tests write them one at a time."""
+    ties = list(ties)
+    return ImageNetwork(list(views), np.reshape([xyz for xyz, _ in ties], (-1, 3)),
+                        [list(ids) for _, ids in ties])
+
+
+def reference_convergence_angle(view_i, view_j, ties) -> float:
     """Mean angle (radians) subtended at shared tie points by the two
-    centers, one tie point at a time; a tie point at either center is
-    skipped."""
+    centers, one tie point at a time, over the (xyz, image ids) pairs
+    ``ties``; a tie point at either center is skipped."""
     ci = view_i.center
     cj = view_j.center
     angles = []
-    for tp in tie_points:
-        if view_i.image_id not in tp.visible_in or view_j.image_id not in tp.visible_in:
+    for xyz, ids in ties:
+        if view_i.image_id not in ids or view_j.image_id not in ids:
             continue
-        ri = ci - tp.xyz
-        rj = cj - tp.xyz
+        ri = ci - xyz
+        rj = cj - xyz
         ni = np.linalg.norm(ri)
         nj = np.linalg.norm(rj)
         if ni <= 0.0 or nj <= 0.0:
@@ -469,8 +477,8 @@ def reference_convergence_angle(view_i, view_j, tie_points) -> float:
 def reference_network_overlap(network) -> dict:
     """Tie-point count per image, normalized so the best-covered image is 1."""
     counts = {v.image_id: 0 for v in network.views}
-    for tp in network.tie_points:
-        for image_id in tp.visible_in:
+    for ids in network.visible_in:
+        for image_id in set(ids):
             counts[image_id] += 1
     top = max(counts.values(), default=0)
     if top <= 0:
@@ -491,7 +499,7 @@ def reference_best_pair(network, min_angle=math.radians(20.0)) -> PairScore:
     for i, j in itertools.combinations(ids, 2):
         try:
             alphas[(i, j)] = reference_convergence_angle(
-                network.view(i), network.view(j), network.tie_points)
+                network.view(i), network.view(j), zip(network.xyz, network.visible_in))
         except NoSharedPoints:
             continue
     if not alphas:
@@ -521,8 +529,8 @@ def reference_pair_angles(network, ids):
     a membership test per tie point and view, and the angle of every
     ordered pair, diagonal included, in blocks of ``netselect._BLOCK_ELEMENTS``."""
     centers = np.array([network.view(image_id).center for image_id in ids])
-    points = np.array([tp.xyz for tp in network.tie_points]).reshape(-1, 3)
-    visible = np.array([[i in tp.visible_in for i in ids] for tp in network.tie_points],
+    points = np.array(network.xyz).reshape(-1, 3)
+    visible = np.array([[i in tie for i in ids] for tie in network.visible_in],
                        dtype=bool).reshape(len(points), len(ids))
     total = np.zeros((len(ids), len(ids)))
     shared = np.zeros((len(ids), len(ids)), dtype=np.int64)
@@ -562,19 +570,20 @@ def reference_generate_scene(config) -> SyntheticScene:
                 raise ConfigInfeasible(
                     f"sphere {sid!r} does not clear camera {view.image_id!r} ({exc})") from exc
             observations[view.image_id].append(ellipse)
-    tie_points = []
+    tie_xyz, visible_in = [], []
     extent = config.tie_point_extent
     for _ in range(config.n_tie_points):
         xyz = np.array([rng.uniform(-extent, extent), rng.uniform(-extent, extent), 0.0])
-        seen = set()
+        seen = []
         for view in views:
             cam = world_to_camera(xyz, view)
             if cam[2] > 0.0:
                 u, v = pinhole(cam, view.f, view.px, view.py)
                 if 0.0 <= u <= config.width and 0.0 <= v <= config.height:
-                    seen.add(view.image_id)
+                    seen.append(view.image_id)
         if len(seen) >= 2:
-            tie_points.append(TiePoint(xyz=xyz, visible_in=frozenset(seen)))
+            tie_xyz.append(xyz)
+            visible_in.append(seen)
     clutter_ids = set()
     for idx, view in enumerate(views):
         for c in range(config.clutter_per_image):
@@ -591,7 +600,8 @@ def reference_generate_scene(config) -> SyntheticScene:
                 image_id=view.image_id, ellipse_id=eid,
                 x_ce=cx, y_ce=cy, a_e=max(a, b), b_e=min(a, b), theta=theta))
     return SyntheticScene(config=config, views=views, spheres=spheres,
-                          observations=observations, tie_points=tie_points,
+                          observations=observations,
+                          tie_xyz=np.reshape(tie_xyz, (-1, 3)), visible_in=visible_in,
                           clutter_ids=clutter_ids)
 
 
@@ -731,16 +741,27 @@ def reference_load_network(path: str) -> ImageNetwork:
                 else np.asarray(iop_cov, dtype=float).reshape(3, 3)))
         except _BAD_ENTRY as exc:
             raise FileFormatError(f"{path}: bad view entry ({exc})") from exc
-    tie_points = []
+    xyz, visible_in = [], []
     for entry in _object_list(path, "tie_points", data.get("tie_points", [])):
         try:
-            tie_points.append(TiePoint(
-                xyz=np.asarray(entry["xyz"], dtype=float).reshape(3),
-                visible_in=frozenset(str(i) for i in entry["visible_in"])))
+            point = np.asarray(entry["xyz"], dtype=float).reshape(3)
+            ids = entry["visible_in"]
+            iter(ids)  # a value that is no container raises as it always did
+            if not isinstance(ids, list) or any(type(i) not in (str, int, float) for i in ids):
+                raise ValueError(
+                    f"tie point visible_in must be a list of image ids, got {json.dumps(ids)}")
+            listed = [str(i) for i in ids]
+            if not all(math.isfinite(x) for x in point):
+                raise ValueError("tie point xyz must be finite")
+            if not all(abs(x) <= 2.0 ** 300 for x in point):
+                raise ValueError(f"tie point xyz must lie within 2^300 world units, "
+                                 f"got {point.tolist()}")
         except _BAD_ENTRY as exc:
             raise FileFormatError(f"{path}: bad tie point entry ({exc})") from exc
+        xyz.append(point)
+        visible_in.append(listed)
     try:
-        return ImageNetwork(views=views, tie_points=tie_points)
+        return ImageNetwork(views, np.reshape(xyz, (-1, 3)), visible_in)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -90,30 +90,7 @@ def check_rows(cli_export, tmp_path, monkeypatch, capsys):
     return check_all
 
 
-ROW = {row.name: row for row in ROWS}
-ROWS_UNDER_OLDER_IDS = set()
-
-
-def rows_by_case(cases):
-    """Parametrize one of the older exit-code tests of this module over its
-    cases, each a list of rows of tests/bad_inputs.py by name. These tests
-    keep their ids; test_row runs every row that none of them runs, so each
-    row runs once."""
-    for names in cases.values():
-        ROWS_UNDER_OLDER_IDS.update(names)
-    return pytest.mark.parametrize(
-        "rows", [[ROW[name] for name in names] for names in cases.values()], ids=list(cases))
-
-
 class TestFilter:
-    @rows_by_case({"extra field": ["ellipse-extra-field"],
-                   "short row": ["ellipse-short-row"],
-                   "repeated column": ["ellipse-repeated-column"],
-                   "oversized field": ["ellipse-oversized-field"],
-                   "unclosed quote in a large file": ["ellipse-unclosed-quote-in-a-large-file"]})
-    def test_malformed_ellipse_file_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
     def test_keeps_true_silhouettes_and_drops_clutter(self, exported):
         root, scene, noisy = exported
         out = str(root / "gated.csv")
@@ -209,11 +186,6 @@ class TestSelectPair:
         assert math.isclose(payload["score"], score.theta_ij, rel_tol=1e-12)
 
 class TestReconstruct:
-    @rows_by_case({f"{tol}-{command}": [f"{command}--tol-px-{tol}"]
-                   for command in ("match", "reconstruct") for tol in ("nan", "0", "-1")})
-    def test_invalid_tol_px_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
     def test_recovers_all_spheres(self, exported, tmp_path):
         root, scene, _ = exported
         out = str(tmp_path / "spheres.json")
@@ -515,12 +487,6 @@ def test_main_builds_the_parser_once(exported, tmp_path, monkeypatch, capsys):
 
 
 class TestScale:
-    @rows_by_case({case: ["ply-header-" + case.replace(" ", "-")]
-                   for case in ("element vertex", "property float", "element vertex twice",
-                                "property x twice", "list property", "no end_header")})
-    def test_malformed_ply_header_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
     def test_two_anchor_scale_and_points(self, cli_export, tmp_path):
         spheres = str(cli_export / "spheres.json")
         entries = load_spheres(spheres)
@@ -569,23 +535,6 @@ class TestScale:
 
 
 class TestSimulate:
-    @rows_by_case({"config0-spheres": ["config-spheres-null"],
-                   "config1-object": ["config-not-an-object"],
-                   "config2-n_cameras": ["config-n_cameras-null"]})
-    def test_mistyped_config_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
-    @rows_by_case({case: ["config-" + case]
-                   for case in ("extent-inf", "extent-nan", "extent-1e308", "width-nan",
-                                "height-minus-inf", "width-nan-no-clutter", "width-negative")})
-    def test_overflowing_config_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
-    @rows_by_case({case: ["config-" + case]
-                   for case in ("center-1.7e308", "look-at-1e308", "look-at-nan", "center-1e100")})
-    def test_config_beyond_the_world_limit_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
     def test_sweep_csv_and_export(self, tmp_path):
         config = {"n_cameras": 6, "sigma_px": 0.4, "seed": 11, "n_tie_points": 12}
         cfg_path = str(tmp_path / "cfg.json")
@@ -630,8 +579,7 @@ class TestSimulate:
         assert len(truth["spheres"]) == 9
 
 
-@pytest.mark.parametrize("row", [row for row in ROWS if row.name not in ROWS_UNDER_OLDER_IDS],
-                         ids=lambda row: row.name)
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
 def test_row(check_rows, row):
     # A row of tests/bad_inputs.py, run in-process through cli.main.
     assert check_rows([row]) == {}

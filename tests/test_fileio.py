@@ -12,11 +12,9 @@ import pytest
 import spherefit
 from spherefit import (
     EllipseObservation,
-    ImageNetwork,
     SceneConfig,
     Sphere,
     SphereModel,
-    TiePoint,
     fileio,
     generate_scene,
     perturb_observations,
@@ -32,6 +30,7 @@ from spherefit.fileio import (
     load_network,
     load_ply,
     load_spheres,
+    network_text,
     ply_text,
     read_ellipse_table,
     save_ellipses,
@@ -39,7 +38,7 @@ from spherefit.fileio import (
     save_spheres,
     scale_ply,
 )
-from oracles import look_at_view, reference_load_ellipses
+from oracles import look_at_view, reference_load_ellipses, tie_network
 
 
 @pytest.fixture
@@ -47,8 +46,7 @@ def network():
     views = [look_at_view("a", [-1.0, 0.0, -5.0], [0, 0, 0],
                           iop_cov=np.diag([0.1, 0.1, 0.4])),
              look_at_view("b", [1.0, 0.0, -5.0], [0, 0, 0])]
-    ties = [TiePoint(np.array([0.1, 0.2, 0.0]), frozenset(["a", "b"]))]
-    return ImageNetwork(views, ties)
+    return tie_network(views, [(np.array([0.1, 0.2, 0.0]), frozenset(["a", "b"]))])
 
 
 class TestNetworkFile:
@@ -65,8 +63,16 @@ class TestNetworkFile:
                 assert back.iop_cov is None
             else:
                 assert np.array_equal(orig.iop_cov, back.iop_cov)
-        assert len(loaded.tie_points) == 1
-        assert loaded.tie_points[0].visible_in == frozenset(["a", "b"])
+        assert len(loaded.xyz) == len(loaded.visible_in) == 1
+        assert frozenset(loaded.visible_in[0]) == frozenset(["a", "b"])
+
+    def test_tie_point_ids_are_written_sorted_once(self, network, tmp_path):
+        network = tie_network(network.views, [([0.1, 0.2, 0.0], ["b", "a", "b"])])
+        assert json.loads(network_text(network))["tie_points"] == [
+            {"xyz": [0.1, 0.2, 0.0], "visible_in": ["a", "b"]}]
+        path = str(tmp_path / "net.json")
+        save_network(network, path)
+        assert load_network(path).visible_in == [["a", "b"]]
 
     def test_convention_header_is_mandatory(self, network, tmp_path):
         path = str(tmp_path / "net.json")

@@ -11,13 +11,13 @@ from oracles import (
     reference_convergence_angle,
     reference_network_overlap,
     reference_pair_angles,
+    tie_network,
 )
 from spherefit import (
     CameraView,
     ImageNetwork,
     NoAdmissiblePair,
     SceneConfig,
-    TiePoint,
     anchor_network,
     best_pair,
     generate_scene,
@@ -27,13 +27,18 @@ from spherefit.netselect import pair_angles
 
 
 def tie(xyz, *ids):
-    return TiePoint(xyz=np.asarray(xyz, dtype=float), visible_in=frozenset(ids))
+    return np.asarray(xyz, dtype=float), frozenset(ids)
+
+
+def ties_of(network):
+    """The tie points of ``network`` as (xyz, image ids) pairs."""
+    return list(zip(network.xyz, network.visible_in))
 
 
 def convergence_angle(a, b, ties, *others):
     """alpha of the pair (a, b) from the array pass over a network of the
     two views (and ``others``); NaN when they share no tie point."""
-    network = ImageNetwork([a, b, *others], ties)
+    network = tie_network([a, b, *others], ties)
     _, _, (alpha,), _, _ = pair_angles(network, [a.image_id, b.image_id])
     return alpha
 
@@ -64,7 +69,7 @@ def assert_matches_reference(network, rel=1e-12):
     for p, (a, b) in enumerate(pairs):
         view_a, view_b = network.view(ids[a]), network.view(ids[b])
         try:
-            expected = reference_convergence_angle(view_a, view_b, network.tie_points)
+            expected = reference_convergence_angle(view_a, view_b, ties_of(network))
         except NoSharedPoints:
             assert shared[p] == 0 and math.isnan(alpha[p])
             continue
@@ -122,7 +127,7 @@ class TestConvergenceAngle:
         b = look_at_view("b", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         c = look_at_view("c", [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
         ties = [tie(a.center, "a", "b", "c"), tie([0.0, 0.0, 1.0], "a", "b", "c")]
-        network = ImageNetwork([a, b, c], ties)
+        network = tie_network([a, b, c], ties)
         iu, ju, alpha, shared, seen = pair_angles(network, ["a", "b", "c"])
         assert iu.tolist() == [0, 0, 1] and ju.tolist() == [1, 2, 2]
         # The first point gives view a no ray: pairs with a keep one point.
@@ -136,8 +141,8 @@ class TestConvergenceAngle:
     def test_only_point_at_a_camera_center_leaves_no_pair(self):
         a = look_at_view("a", [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         b = look_at_view("b", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        network = ImageNetwork([a, b], [tie(b.center, "a", "b")])
-        assert math.isnan(convergence_angle(a, b, network.tie_points))
+        network = tie_network([a, b], [tie(b.center, "a", "b")])
+        assert math.isnan(convergence_angle(a, b, ties_of(network)))
         for select in (best_pair, reference_best_pair):
             with pytest.raises(NoAdmissiblePair, match="no image pair shares tie points"):
                 select(network)
@@ -146,8 +151,51 @@ class TestConvergenceAngle:
 class TestTiePoint:
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_rejects_non_finite_xyz(self, value):
+        views = [look_at_view(i, [x, 0.0, -5.0], [0.0, 0.0, 0.0])
+                 for i, x in (("a", -1.0), ("b", 1.0))]
         with pytest.raises(ValueError, match="finite"):
-            tie([0.0, 0.0, value], "a", "b")
+            tie_network(views, [tie([0.0, 0.0, value], "a", "b")])
+
+
+class TestImageNetwork:
+    """The constructor's one scatter and its column checks."""
+
+    @staticmethod
+    def views():
+        return [look_at_view(i, [float(k), 0.0, -5.0], [0.0, 0.0, 0.0])
+                for k, i in enumerate("abcd")]
+
+    def test_visibility_is_the_listed_ids(self):
+        rng = np.random.default_rng(5)
+        ids = list("abcd")
+        # Lists in any order, some with an id repeated.
+        lists = [list(rng.choice(ids, rng.integers(2, 7))) for _ in range(50)]
+        lists = [row if len(set(row)) >= 2 else [*row, *"ab"] for row in lists]
+        network = ImageNetwork(self.views(), rng.normal(size=(50, 3)), lists)
+        assert network._visible.tolist() == [[i in row for i in ids] for row in lists]
+        assert network.visible_in is lists
+
+    @pytest.mark.parametrize("rows, message", [
+        ([([0, 0, 0], "ab"), ([0, 0, 0], "a"), ([0, 0, 0], "ax")], "at least two views"),
+        ([([0, 0, 0], "ab"), ([0, 0, math.nan], "ab"), ([0, 0, 0], "ax")],
+         "tie point xyz must be finite"),
+        ([([0, 0, 0], "ax"), ([0, 0, math.nan], "ab")], r"unknown images \['x'\]"),
+        ([([0, 0, math.inf], "a")], "at least two views"),
+        ([([0, 0, 0], "aa")], "at least two views"),
+        ([([0, 2.0 ** 301, 0], "abc")],
+         r"tie point xyz must lie within 2\^300 world units, got \[0.0, 4.07")])
+    def test_the_first_bad_tie_point_raises_its_error(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            tie_network(self.views(), [tie(xyz, *ids) for xyz, ids in rows])
+
+    def test_one_id_list_per_point(self):
+        with pytest.raises(ValueError, match="2 tie points but 1 visible_in lists"):
+            ImageNetwork(self.views(), np.zeros((2, 3)), [["a", "b"]])
+
+    def test_points_at_the_world_limit_are_kept(self):
+        xyz = np.array([[2.0 ** 300, -2.0 ** 300, 0.0]])
+        network = ImageNetwork(self.views(), xyz, [["a", "d"]])
+        assert network.xyz.tobytes() == xyz.tobytes()
 
 
 class TestNetworkOverlap:
@@ -155,7 +203,7 @@ class TestNetworkOverlap:
         views = [look_at_view(i, [float(k), 0.0, -3.0], [0, 0, 0])
                  for k, i in enumerate("abc")]
         ties = [tie([0.1 * j, 0.0, 0.0], "a", "b", "c") for j in range(4)]
-        network = ImageNetwork(views, ties)
+        network = tie_network(views, ties)
         assert network_overlap(network) == reference_network_overlap(network)
         assert network_overlap(network) == {"a": 1.0, "b": 1.0, "c": 1.0}
 
@@ -163,7 +211,7 @@ class TestNetworkOverlap:
         views = [look_at_view(i, [float(k), 0.0, -3.0], [0, 0, 0])
                  for k, i in enumerate("abc")]
         ties = [tie([0.0, 0.0, 0.0], "a", "b")]
-        network = ImageNetwork(views, ties)
+        network = tie_network(views, ties)
         ov = network_overlap(network)
         assert ov == reference_network_overlap(network)
         assert ov["c"] == 0.0 and ov["a"] == 1.0
@@ -176,7 +224,7 @@ class TestNetworkOverlap:
         ties += [tie([j * 0.01, 0.1, 0.0], "a", "c") for j in range(2)]
         ties += [tie([j * 0.01, 0.2, 0.0], "a", "b", "c") for j in range(3)]
         # counts: a=10, b=8, c=5
-        network = ImageNetwork(views, ties)
+        network = tie_network(views, ties)
         assert network_overlap(network) == reference_network_overlap(network)
         assert network_overlap(network) == {"a": 1.0, "b": 0.8, "c": 0.5}
 
@@ -196,7 +244,7 @@ class TestBestPair:
             center = distance * np.array([math.sin(phi), 0.0, -math.cos(phi)])
             views.append(look_at_view(f"v{i}", center, [0.0, 0.0, 0.0]))
         ties = [tie([0.0, 0.0, 0.0], *[v.image_id for v in views])]
-        return ImageNetwork(views, ties)
+        return tie_network(views, ties)
 
     def test_single_admissible_pair_scores_two(self):
         network = self.rig([-20.0, 20.0])
@@ -228,7 +276,7 @@ class TestBestPair:
         alphas = {}
         for i, j in itertools.combinations(sorted(v.image_id for v in network.views), 2):
             alphas[(i, j)] = reference_convergence_angle(network.view(i), network.view(j),
-                                                         network.tie_points)
+                                                         ties_of(network))
         amax = max(alphas.values())
         for pair, alpha in alphas.items():
             if alpha > math.radians(20.0):
@@ -245,8 +293,8 @@ class TestBestPair:
             center = v.center * 7.5
             scaled_views.append(CameraView(v.image_id, v.f, v.px, v.py,
                                            v.rot, -v.rot @ center))
-        scaled_ties = [TiePoint(tp.xyz * 7.5, tp.visible_in) for tp in base.tie_points]
-        scaled = ImageNetwork(scaled_views, scaled_ties)
+        scaled_ties = [(xyz * 7.5, ids) for xyz, ids in ties_of(base)]
+        scaled = tie_network(scaled_views, scaled_ties)
         a = best_pair(base)
         b = best_pair(scaled)
         assert (a.i, a.j) == (b.i, b.j)
@@ -255,7 +303,7 @@ class TestBestPair:
 
     def test_angle_symmetry(self):
         network = self.rig([-30.0, 30.0])
-        ties = network.tie_points
+        ties = ties_of(network)
         assert by_pair(network, ["v0", "v1"])["v0", "v1"][0] == \
             by_pair(network, ["v1", "v0"])["v1", "v0"][0]
         ab = convergence_angle(network.view("v0"), network.view("v1"), ties)
@@ -274,7 +322,7 @@ class TestBestPair:
         for i, j in itertools.combinations(sorted(v.image_id for v in network.views), 2):
             try:
                 alphas[(i, j)] = reference_convergence_angle(network.view(i), network.view(j),
-                                                             network.tie_points)
+                                                             ties_of(network))
             except NoSharedPoints:
                 continue
         amax = max(alphas.values())
@@ -294,9 +342,9 @@ class TestBestPair:
     def test_validation(self):
         views = self.rig([-30.0, 30.0]).views
         with pytest.raises(ValueError, match="unknown images"):
-            ImageNetwork(views, [tie([0, 0, 0], "v0", "nope")])
+            tie_network(views, [tie([0, 0, 0], "v0", "nope")])
         with pytest.raises(ValueError, match="two views"):
-            ImageNetwork(views, [tie([0, 0, 0], "v0")])
+            tie_network(views, [tie([0, 0, 0], "v0")])
         with pytest.raises(ValueError, match="duplicate"):
             ImageNetwork(views + [views[0]], [])
         network = ImageNetwork(views, [])
@@ -324,7 +372,7 @@ class TestArrayPass:
         # a-b converge widely but share nothing with c or d.
         ties = [tie([0.1 * k, 0.0, 0.0], "a", "b") for k in range(3)]
         ties += [tie([0.0, 0.1 * k, 0.0], "c", "d") for k in range(2)]
-        network = ImageNetwork(views, ties)
+        network = tie_network(views, ties)
         pairs = by_pair(network, ["a", "b", "c", "d"])
         assert [pairs[p][1] for p in [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]] == [0] * 4
         got = best_pair(network)
@@ -338,7 +386,7 @@ class TestArrayPass:
                  [("d", [1.0, 0.0, 0.0]), ("b", [-1.0, 0.0, 0.0]),
                   ("c", [0.0, -1.0, 0.0]), ("a", [0.0, 1.0, 0.0])]]
         ties = [tie([0.0, 0.0, 0.0], "a", "b", "c", "d")]
-        network = ImageNetwork(views, ties)
+        network = tie_network(views, ties)
         pairs = by_pair(network, ["a", "b", "c", "d"])
         assert pairs["a", "c"][0] == pairs["b", "d"][0]  # (a, c) and (b, d) tie exactly
         for select in (best_pair, reference_best_pair):
@@ -375,7 +423,7 @@ def _cluttered_network(seed):
     ties = [tie(rng.normal(size=3) * 0.5, *rng.choice(ids, rng.integers(2, 6), replace=False))
             for _ in range(59)]
     ties.append(tie(views[3].center, "v03", "v07", "v08"))
-    return ImageNetwork(views, ties)
+    return tie_network(views, ties)
 
 
 class TestUpperTriangle:
@@ -427,6 +475,6 @@ class TestUpperTriangle:
     def test_visibility_is_each_tie_points_views(self):
         network = _cluttered_network(0)
         ids = [v.image_id for v in network.views]
-        assert network._visible.tolist() == [[i in tp.visible_in for i in ids]
-                                             for tp in network.tie_points]
+        assert network._visible.tolist() == [[i in tie_ids for i in ids]
+                                             for tie_ids in network.visible_in]
         assert ImageNetwork(network.views)._visible.shape == (0, 12)

@@ -27,6 +27,7 @@ from oracles import (  # noqa: E402
     reference_merge_tracks,
     reference_network_overlap,
     reference_reconstruct_sphere,
+    tie_network,
 )
 from spherefit import (  # noqa: E402
     DEFAULT_MIN_ANGLE,
@@ -34,13 +35,11 @@ from spherefit import (  # noqa: E402
     DegenerateGeometry,
     DegenerateProjection,
     EllipseObservation,
-    ImageNetwork,
     NoAdmissiblePair,
     PairScore,
     SceneConfig,
     Sphere,
     SphereModel,
-    TiePoint,
     apply_scale,
     best_pair,
     generate_scene,
@@ -121,10 +120,9 @@ def _networks(draw):
     ids = [f"v{k}" for k in range(draw(st.integers(2, 6)))]
     views = [CameraView(i, 1000.0, 500.0, 500.0, np.eye(3), -np.array(draw(_POINT)))
              for i in ids]
-    ties = [TiePoint(np.array(draw(_POINT)),
-                     draw(st.frozensets(st.sampled_from(ids), min_size=2)))
+    ties = [(np.array(draw(_POINT)), draw(st.frozensets(st.sampled_from(ids), min_size=2)))
             for _ in range(draw(st.integers(1, 12)))]
-    return ImageNetwork(views, ties)
+    return tie_network(views, ties)
 
 
 def _outcome(select, network, min_angle):
@@ -147,7 +145,7 @@ def test_best_pair_matches_reference_scan(network, min_angle):
     # that rounding decides: its score must equal the best one to 1e-12.
     ov = reference_network_overlap(network)
     alpha = reference_convergence_angle(network.view(got.i), network.view(got.j),
-                                        network.tie_points)
+                                        zip(network.xyz, network.visible_in))
     assert (got.ov_i, got.ov_j) == (ov[got.i], ov[got.j])
     assert math.isclose(got.alpha_ij, alpha, rel_tol=1e-12)
     assert math.isclose(got.theta_ij, want.theta_ij, rel_tol=1e-12)
@@ -765,16 +763,16 @@ def _camera_networks(draw):
                                 draw(st.tuples(*[_CAMERA_FLOAT] * 3)), iop_cov=iop_cov))
     ties = []
     if len(ids) >= 2:
-        ties = [TiePoint(np.array(draw(st.tuples(*[_CAMERA_FLOAT] * 3))),
-                         draw(st.frozensets(st.sampled_from(ids), min_size=2)))
+        ties = [(np.array(draw(st.tuples(*[_CAMERA_FLOAT] * 3))),
+                 draw(st.frozensets(st.sampled_from(ids), min_size=2)))
                 for _ in range(draw(st.integers(0, 3)))]
-    return ImageNetwork(views, ties)
+    return tie_network(views, ties)
 
 
 def _network_fields(network):
     return ([(v.image_id, repr((v.f, v.px, v.py)), v.rot.tobytes(), v.t.tobytes(),
               None if v.iop_cov is None else v.iop_cov.tobytes()) for v in network.views],
-            [(tp.xyz.tobytes(), tp.visible_in) for tp in network.tie_points])
+            [(xyz.tobytes(), frozenset(ids)) for xyz, ids in zip(network.xyz, network.visible_in)])
 
 
 def _network_or_error(load, path):
@@ -889,6 +887,16 @@ def test_mutated_camera_file_is_loaded_or_rejected(camera_export, data):
     ("string-tie-point", "bad tie point entry (could not convert string to float: 'abc')"),
     ("missing-xyz", "bad tie point entry ('xyz')"),
     ("visible-in-not-a-list", "bad tie point entry ('int' object is not iterable)"),
+    ("visible-in-an-object", "bad tie point entry (tie point visible_in must be a list of image "
+                             'ids, got {"img-00": 1, "img-01": 1})'),
+    ("visible-in-a-string", "bad tie point entry (tie point visible_in must be a list of image "
+                            'ids, got "img-00")'),
+    ("visible-in-a-null-id", "bad tie point entry (tie point visible_in must be a list of image "
+                             'ids, got ["img-00", null])'),
+    ("visible-in-a-nested-list", "bad tie point entry (tie point visible_in must be a list of "
+                                 'image ids, got [["img-00"], "img-01"])'),
+    ("numeric-image-ids", None),
+    ("visible-in-a-repeated-id", "cameras.json: each tie point must be visible in at least two"),
     ("visible-in-unknown-image", "cameras.json: tie point references unknown images ['nope']"),
     ("visible-in-one-image", "cameras.json: each tie point must be visible in at least two"),
     ("nan-tie-point-before-missing-xyz", "bad tie point entry (tie point xyz must be finite)"),
@@ -971,6 +979,21 @@ def test_edited_camera_file_is_loaded_or_rejected(camera_export, edit, error):
         ties[1]["visible_in"] = [views[0]["image_id"], "nope"]
     elif edit == "visible-in-one-image":
         ties[1]["visible_in"] = [views[0]["image_id"]]
+    elif edit == "visible-in-an-object":
+        ties[1]["visible_in"] = {"img-00": 1, "img-01": 1}
+    elif edit == "visible-in-a-string":
+        ties[1]["visible_in"] = "img-00"
+    elif edit == "visible-in-a-null-id":
+        ties[1]["visible_in"] = ["img-00", None]
+    elif edit == "visible-in-a-nested-list":
+        ties[1]["visible_in"] = [["img-00"], "img-01"]
+    elif edit == "numeric-image-ids":  # read as str, as a view's image_id is
+        views[0]["image_id"], views[1]["image_id"] = 7, 2.5
+        for entry in ties:
+            entry["visible_in"] = [{"img-00": 7, "img-01": 2.5}.get(i, i)
+                                   for i in entry["visible_in"]]
+    elif edit == "visible-in-a-repeated-id":
+        ties[1]["visible_in"] = [views[0]["image_id"]] * 2
     elif edit == "nan-tie-point-before-missing-xyz":
         ties[1]["xyz"][0] = math.nan
         del ties[2]["xyz"]
@@ -1082,11 +1105,11 @@ def _any_networks(draw):
         "py": draw(_ANY_FLOAT), "rot": _floats(draw, 9).reshape(3, 3), "t": _floats(draw, 3),
         "iop_cov": _floats(draw, 9).reshape(3, 3) if draw(st.booleans()) else None})
         for image_id in ids]
-    ties = [TiePoint._trusted({"xyz": _floats(draw, 3),
-                               "visible_in": draw(st.frozensets(st.sampled_from(ids),
-                                                                min_size=2))})
+    ties = [(np.zeros(3), draw(st.frozensets(st.sampled_from(ids), min_size=2)))
             for _ in range(draw(st.integers(0, 3) if len(ids) >= 2 else st.just(0)))]
-    return ImageNetwork(views, ties)
+    network = tie_network(views, ties)
+    network.xyz = np.array([_floats(draw, 3) for _ in ties]).reshape(-1, 3)  # then any floats
+    return network
 
 
 def _written(save, value) -> str:
@@ -1115,10 +1138,9 @@ def test_sphere_and_camera_files_are_indented_sorted_json(entries, network):
         "rot": [float(x) for x in v.rot.ravel()], "t": [float(x) for x in v.t],
         **({} if v.iop_cov is None else {"iop_cov": [float(x) for x in v.iop_cov.ravel()]})}
         for v in network.views]}
-    if network.tie_points:
-        cameras["tie_points"] = [{"xyz": [float(x) for x in tp.xyz],
-                                  "visible_in": sorted(tp.visible_in)}
-                                 for tp in network.tie_points]
+    if len(network.xyz):
+        cameras["tie_points"] = [{"xyz": [float(x) for x in xyz], "visible_in": sorted(ids)}
+                                 for xyz, ids in zip(network.xyz, network.visible_in)]
     for save, value, payload in ((save_spheres, entries, spheres),
                                  (save_network, network, cameras)):
         assert _written(save, value) == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -67,9 +67,10 @@ class TestGenerateScene:
             for ea, eb in zip(a.observations[vid], b.observations[vid]):
                 assert (ea.x_ce, ea.y_ce, ea.a_e, ea.b_e, ea.theta) == \
                        (eb.x_ce, eb.y_ce, eb.a_e, eb.b_e, eb.theta)
-        for ta, tb in zip(a.tie_points, b.tie_points):
-            assert np.array_equal(ta.xyz, tb.xyz)
-            assert ta.visible_in == tb.visible_in
+        for (xyz_a, ids_a), (xyz_b, ids_b) in zip(zip(a.tie_xyz, a.visible_in),
+                                                  zip(b.tie_xyz, b.visible_in)):
+            assert np.array_equal(xyz_a, xyz_b)
+            assert ids_a == ids_b
 
     def test_default_scene_observations_pass_gate(self, lab_scene):
         count = 0
@@ -163,7 +164,7 @@ def _scene_bits(build, config):
             [(image_id, [(e.image_id, e.ellipse_id, e.cov,
                           _hex([e.x_ce, e.y_ce, e.a_e, e.b_e, e.theta])) for e in ellipses])
              for image_id, ellipses in scene.observations.items()],
-            [(_hex(tp.xyz), sorted(tp.visible_in)) for tp in scene.tie_points],
+            [(_hex(xyz), sorted(ids)) for xyz, ids in zip(scene.tie_xyz, scene.visible_in)],
             sorted(scene.clutter_ids), scene.config is config)
 
 
@@ -246,7 +247,7 @@ class TestArrayScene:
         got = _scene_bits(generate_scene, config)
         assert got == _scene_bits(reference_generate_scene, config)
         # The two at x = 2 are seen by img-02 alone, the last by all four.
-        assert [sorted(tp.visible_in) for tp in generate_scene(config).tie_points] == \
+        assert [sorted(ids) for ids in generate_scene(config).visible_in] == \
             [["img-00", "img-01", "img-02", "img-03"]]
 
 

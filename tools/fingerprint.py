@@ -27,7 +27,12 @@ for seeds 0-4:
   (one sphere, one match), a CSV file one line per row;
 * the files ``simulate --export-scene`` writes (``cameras.json``,
   ``ellipses.csv`` and ``truth.json``) as raw lines, so that a change to a
-  writer's bytes, layout included, shows.
+  writer's bytes, layout included, shows;
+* the pair that ``select-pair`` picks (``best_pair`` of the ``load_network``
+  of a camera file written by ``save_network``), with ``alpha_ij``, ``ov_i``,
+  ``ov_j`` and the score as ``float.hex``, on the default arc, the ``ring``
+  and ``hemisphere`` scenes, and a sparse copy of the arc whose tie points
+  each keep 2-5 of their views, drawn from a fixed stream.
 
 Timing is off everywhere, so a refactor that changes no result prints the same
 bytes.
@@ -43,17 +48,25 @@ import re
 import sys
 import tempfile
 
+import numpy as np
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from spherefit import (SceneConfig, cli, gate_views, gather_ellipses,  # noqa: E402
-                       generate_scene, match_ellipses, monte_carlo_views,
-                       perturb_observations, reconstruct_subset, view_records)
+from spherefit import (NoAdmissiblePair, SceneConfig, best_pair, cli,  # noqa: E402
+                       gate_views, gather_ellipses, generate_scene, match_ellipses,
+                       monte_carlo_views, perturb_observations, reconstruct_subset,
+                       view_records)
+from spherefit.fileio import load_network, save_network  # noqa: E402
 
 SEEDS = range(5)
 SIGMA = 0.5
 
 #: The files ``simulate --export-scene`` writes, printed as raw lines.
 EXPORTED = ("cameras.json", "ellipses.csv", "truth.json")
+
+#: The scenes whose camera files ``select-pair`` ranks: (label, SceneConfig keys).
+NETWORKS = (("arc", {}), ("ring", {"placement": "ring"}),
+            ("hemisphere", {"placement": "hemisphere"}))
 
 #: Relative tolerance of ``--compare``.
 RTOL = 1e-9
@@ -133,6 +146,37 @@ def cli_outputs(seed):
                         print(f"  {exported} {line}")
 
 
+def _sparse(data, seed):
+    """Keep each tie point of the parsed camera file ``data`` to 2-5 of its
+    views, drawn from a stream fixed by ``seed``."""
+    rng = np.random.default_rng(seed)
+    for point in data["tie_points"]:
+        ids = point["visible_in"]
+        keep = rng.choice(len(ids), min(len(ids), int(rng.integers(2, 6))), replace=False)
+        point["visible_in"] = [ids[k] for k in sorted(keep.tolist())]
+
+
+def pair_picks(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for label, keys in NETWORKS:
+            paths.append((label, pathlib.Path(tmp, label + ".json")))
+            save_network(generate_scene(SceneConfig(seed=seed, **keys)).network,
+                         str(paths[-1][1]))
+        data = json.loads(paths[0][1].read_text())
+        _sparse(data, seed)
+        paths.append(("sparse-arc", pathlib.Path(tmp, "sparse-arc.json")))
+        paths[-1][1].write_text(json.dumps(data))
+        for label, path in paths:
+            try:
+                score = best_pair(load_network(str(path)))
+            except NoAdmissiblePair as exc:
+                print(f"pair seed={seed} {label} {exc}")
+                continue
+            print(f"pair seed={seed} {label} {score.i} {score.j} "
+                  f"{_hex([score.alpha_ij, score.ov_i, score.ov_j, score.theta_ij])}")
+
+
 def _numbers(line):
     return [float.fromhex(n) if "x" in n else float(n) for n in NUMBER.findall(line)]
 
@@ -178,6 +222,7 @@ def main(argv=None):
         spheres(f"seed={seed} default", scene)
         spheres(f"seed={seed} cluttered", cluttered)
         cli_outputs(seed)
+        pair_picks(seed)
     return 0
 
 
