@@ -48,7 +48,7 @@ from .netselect import (
     pair_angles,
 )
 from .pipeline import gate_views, reconstruct_gated, view_records
-from .projection import WORLD_LIMIT, EllipseTable
+from .projection import PIXEL_LIMIT, WORLD_LIMIT, EllipseTable
 from .reconstruct import apply_scale, metric_scale, triangulate_center
 from .synth import SceneConfig, generate_scene, monte_carlo_views, perturb_observations
 
@@ -79,6 +79,12 @@ def _nonnegative(text: str) -> float:
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _pixel_sigma(text: str) -> float:  # whose square, the gate's variance, stays finite
+    if _nonnegative(text) > PIXEL_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most 2^200 px, got {text!r}")
+    return float(text)
 
 
 def _seed(text: str) -> int:
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     gated.add_argument("--cameras", required=True)
     gated.add_argument("--ellipses", required=True)
     gated.add_argument("--k-sigma", type=_positive, default=2.0)
-    gated.add_argument("--default-sigma-px", type=_nonnegative, default=0.5)
+    gated.add_argument("--default-sigma-px", type=_pixel_sigma, default=0.5)
     paired = argparse.ArgumentParser(add_help=False, parents=[gated])
     paired.add_argument("--pair", default="auto",
                         help="'auto' (scored selection) or 'image_i,image_j'")

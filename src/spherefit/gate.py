@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidCovariance
-from .projection import EllipseObservation, EllipseTable, is_psd
+from .projection import PIXEL_LIMIT, EllipseObservation, EllipseTable, is_psd
 
 #: Conservative per-parameter detector noise assumed when an ellipse carries
 #: no covariance (pixels, applied to a_e, b_e, x_ce and y_ce alike).
@@ -55,9 +55,9 @@ class GateReport:
 
 
 def default_ellipse_cov(sigma_px: float = DEFAULT_SIGMA_PX) -> np.ndarray:
-    """Diagonal 4x4 covariance of (a_e, b_e, x_ce, y_ce) at a common sigma."""
-    if not 0.0 <= sigma_px < math.inf:
-        raise ValueError(f"pixel sigma must be finite and >= 0, got {sigma_px}")
+    """Diagonal 4x4 covariance of (a_e, b_e, x_ce, y_ce) at a sigma in [0, ``PIXEL_LIMIT``]."""
+    if not 0.0 <= sigma_px <= PIXEL_LIMIT:
+        raise ValueError(f"pixel sigma must be finite, >= 0 and at most 2^200 px, got {sigma_px}")
     return np.eye(4) * float(sigma_px) ** 2
 
 
@@ -125,7 +125,7 @@ def classify_view(params: np.ndarray, cov: np.ndarray, has_cov: np.ndarray, f, p
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"threshold multiplier must be positive and finite, got {k}")
-    ellipse_covs = cov if has_cov.all() and 0.0 <= default_sigma < math.inf else np.where(
+    ellipse_covs = cov if has_cov.all() and 0.0 <= default_sigma <= PIXEL_LIMIT else np.where(
         has_cov[:, None, None], cov, default_ellipse_cov(default_sigma))  # raises if invalid
     x, y, a, b = params[:, 0], params[:, 1], params[:, 2], params[:, 3]
     t, jacobians = _tau_and_gradient(a, b, x, y, f, px, py, iop=iop_cov is not None)

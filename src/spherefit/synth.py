@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -168,27 +168,20 @@ def _is_xyz(value) -> bool:
 
 @dataclass
 class SyntheticScene:
-    """A generated scene: views, ground truth, observations, and tie points,
-    ``tie_xyz`` (t, 3) and ``visible_in``, for each the ids of the views
-    that see it."""
+    """A generated scene: its camera network, ground truth and observations."""
 
     config: SceneConfig
-    views: list[CameraView]
+    network: ImageNetwork
     spheres: list[tuple[str, Sphere]]
     observations: dict  # image_id -> list[EllipseObservation], clutter included
-    tie_xyz: np.ndarray
-    visible_in: list[list[str]]
     clutter_ids: set = field(default_factory=set)
 
-    def __post_init__(self):
-        self._by_id = {v.image_id: v for v in self.views}
-
     @property
-    def network(self) -> ImageNetwork:
-        return ImageNetwork(list(self.views), self.tie_xyz, self.visible_in)
+    def views(self) -> list[CameraView]:
+        return self.network.views
 
     def view(self, image_id: str) -> CameraView:
-        return self._by_id[image_id]
+        return self.network.view(image_id)
 
 
 def _look_at_rotation(camera_center: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -209,32 +202,26 @@ def _look_at_rotation(camera_center: np.ndarray, target: np.ndarray) -> np.ndarr
 
 
 def _camera_centers(config: SceneConfig) -> list[np.ndarray]:
-    n = config.n_cameras
-    d = config.camera_distance
-    h = config.camera_height
-    centers = []
+    n, d = config.n_cameras, config.camera_distance
     if config.placement == "ring":
-        for i in range(n):
-            phi = 2.0 * math.pi * i / n
-            centers.append(np.array([d * math.cos(phi), d * math.sin(phi), h]))
+        phis = [2.0 * math.pi * i / n for i in range(n)]
     elif config.placement == "arc":
         span = math.radians(config.arc_span_deg)
-        for i in range(n):
-            phi = -span / 2.0 + span * (i / max(n - 1, 1))
-            centers.append(np.array([d * math.cos(phi), d * math.sin(phi), h]))
+        phis = [-span / 2.0 + span * (i / max(n - 1, 1)) for i in range(n)]
     elif config.placement == "hemisphere":
         # Deterministic spiral over elevations 20..70 degrees.
+        centers = []
         for i in range(n):
-            frac = i / max(n - 1, 1)
-            elev = math.radians(20.0 + 50.0 * frac)
+            elev = math.radians(20.0 + 50.0 * (i / max(n - 1, 1)))
             phi = 2.0 * math.pi * 1.618 * i
-            radius = config.camera_distance
-            centers.append(np.array([radius * math.cos(elev) * math.cos(phi),
-                                     radius * math.cos(elev) * math.sin(phi),
-                                     radius * math.sin(elev)]))
+            centers.append(np.array([d * math.cos(elev) * math.cos(phi),
+                                     d * math.cos(elev) * math.sin(phi),
+                                     d * math.sin(elev)]))
+        return centers
     else:
         raise ValueError(f"unknown placement {config.placement!r}")
-    return centers
+    return [np.array([d * math.cos(phi), d * math.sin(phi), config.camera_height])
+            for phi in phis]
 
 
 def generate_scene(config: SceneConfig) -> SyntheticScene:
@@ -302,8 +289,8 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     projected = iter(projected)
     observations = {image_id: [*itertools.islice(projected, len(spheres)), *ellipses]
                     for image_id, ellipses in zip(image_ids, clutter)}
-    return SyntheticScene(config=config, views=views, spheres=spheres,
-                          observations=observations, tie_xyz=points[kept], visible_in=visible_in,
+    return SyntheticScene(config=config, network=ImageNetwork(views, points[kept], visible_in),
+                          spheres=spheres, observations=observations,
                           clutter_ids={e.ellipse_id for ellipses in clutter for e in ellipses})
 
 
@@ -313,10 +300,10 @@ def perturb_observations(scene: SyntheticScene, sigma, seed: int) -> SyntheticSc
     ``sigma`` is a scalar or per-parameter 4-sequence in pixels.  Every noisy
     observation shares one read-only array, the true diagonal covariance;
     the axis angle is left untouched, and axes are swapped back if noise
-    inverts their ordering.  With all-zero sigma the scene is returned
-    unchanged.  Raises ValueError unless every sigma lies in [0,
-    ``PIXEL_LIMIT``], and for a noisy ellipse whose center or semi-major
-    length lands beyond ``PIXEL_LIMIT``.
+    inverts their ordering.  All but the observations is shared with
+    ``scene``, which all-zero sigma returns as it is.  Raises ValueError
+    unless every sigma lies in [0, ``PIXEL_LIMIT``], and for a noisy ellipse
+    whose center or semi-major length lands beyond ``PIXEL_LIMIT``.
     """
     sig = np.asarray(sigma, dtype=float) * np.ones(4)
     if not all(0.0 <= value <= PIXEL_LIMIT for value in sig.tolist()):
@@ -347,10 +334,7 @@ def perturb_observations(scene: SyntheticScene, sigma, seed: int) -> SyntheticSc
                                               b.tolist())])
     noisy = {image_id: list(itertools.islice(made, len(scene.observations[image_id])))
              for image_id in image_ids}
-    return SyntheticScene(config=scene.config, views=scene.views,
-                          spheres=scene.spheres, observations=noisy,
-                          tie_xyz=scene.tie_xyz, visible_in=scene.visible_in,
-                          clutter_ids=set(scene.clutter_ids))
+    return replace(scene, observations=noisy)
 
 
 def p_rmse(estimated, truth: Sphere) -> tuple[float, float]:

@@ -289,6 +289,13 @@ for flag, value in (("--default-sigma-px", "-0.5"), ("--default-sigma-px", "nan"
                     ("--k-sigma", "inf"), ("--k-sigma", "-1")):
     row(f"filter{flag}-{value}", [], ["filter", *GATED, flag, value, "--out", "o.csv"],
         flag_text(flag, value), ["o.csv"])
+# Above 2^200 px the square of a default sigma overflows; the flag is
+# rejected whether or not a row would use it.
+NO_COV = edit_lines(lambda lines: [",".join(line.split(",")[:7]) for line in lines])
+for command, edits, case in (("filter", [], ""), ("reconstruct", [NO_COV], "-no-cov")):
+    row(f"{command}--default-sigma-px-1e200{case}", edits,
+        [command, *GATED, "--default-sigma-px", "1e200", "--out", "o.out"],
+        "error: argument --default-sigma-px: must be at most 2^200 px, got '1e200'", ["o.out"])
 for value in ("nan", "-5"):
     row(f"select-pair--min-angle-deg-{value}", [],
         ["select-pair", "--cameras", "cameras.json", "--min-angle-deg", value, "--out", "o.json"],

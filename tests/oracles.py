@@ -599,10 +599,9 @@ def reference_generate_scene(config) -> SyntheticScene:
             observations[view.image_id].append(EllipseObservation(
                 image_id=view.image_id, ellipse_id=eid,
                 x_ce=cx, y_ce=cy, a_e=max(a, b), b_e=min(a, b), theta=theta))
-    return SyntheticScene(config=config, views=views, spheres=spheres,
-                          observations=observations,
-                          tie_xyz=np.reshape(tie_xyz, (-1, 3)), visible_in=visible_in,
-                          clutter_ids=clutter_ids)
+    network = ImageNetwork(views, np.reshape(tie_xyz, (-1, 3)), visible_in)
+    return SyntheticScene(config=config, network=network, spheres=spheres,
+                          observations=observations, clutter_ids=clutter_ids)
 
 
 def reference_is_psd(m) -> bool:

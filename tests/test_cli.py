@@ -4,14 +4,16 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from bad_inputs import ROWS, check, write
+from bad_inputs import NO_COV, ROWS, check, write
 from oracles import record_of
 from spherefit import (
     EllipseObservation,
@@ -90,21 +92,6 @@ def check_rows(cli_export, tmp_path, monkeypatch, capsys):
     return check_all
 
 
-ROW = {row.name: row for row in ROWS}
-ROWS_UNDER_OLDER_IDS = set()
-
-
-def rows_by_case(cases):
-    """Parametrize one of the older exit-code tests of this module over its
-    cases, each a list of rows of tests/bad_inputs.py by name. These tests
-    keep their ids; test_row runs every row that none of them runs, so each
-    row runs once."""
-    for names in cases.values():
-        ROWS_UNDER_OLDER_IDS.update(names)
-    return pytest.mark.parametrize(
-        "rows", [[ROW[name] for name in names] for names in cases.values()], ids=list(cases))
-
-
 class TestFilter:
     def test_keeps_true_silhouettes_and_drops_clutter(self, exported):
         root, scene, noisy = exported
@@ -162,6 +149,20 @@ class TestFilter:
             if command != "select-pair":
                 argv += ["--ellipses", str(root / "ellipses.csv")]
             assert main(argv + (["--pair", pair] if pair else [])) == 0, command
+
+    def test_default_sigma_at_the_pixel_limit(self, exported, tmp_path, capsys):
+        # At 2^200 px the gate's variances stay finite, so a file without
+        # covariance columns gates with no RuntimeWarning, every row passing.
+        root, _, _ = exported
+        shutil.copy(root / "ellipses.csv", tmp_path)
+        NO_COV(tmp_path)
+        out = tmp_path / "kept.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["filter", "--cameras", str(root / "cameras.json"), "--ellipses",
+                         str(tmp_path / "ellipses.csv"), "--default-sigma-px",
+                         repr(2.0 ** 200), "--out", str(out)]) == 0
+        assert len(load_ellipses(str(out))) == len(load_ellipses(str(root / "ellipses.csv")))
 
     def test_unknown_image_names_the_file_and_line_of_its_row(self, exported, tmp_path,
                                                                capsys):
@@ -550,17 +551,6 @@ class TestScale:
 
 
 class TestSimulate:
-    @rows_by_case({case: ["config-" + case]
-                   for case in ("extent-inf", "extent-nan", "extent-1e308", "width-nan",
-                                "height-minus-inf", "width-nan-no-clutter", "width-negative")})
-    def test_overflowing_config_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
-    @rows_by_case({case: ["config-" + case]
-                   for case in ("center-1.7e308", "look-at-1e308", "look-at-nan", "center-1e100")})
-    def test_config_beyond_the_world_limit_exit_code(self, check_rows, rows):
-        assert check_rows(rows) == {}
-
     def test_sweep_csv_and_export(self, tmp_path):
         config = {"n_cameras": 6, "sigma_px": 0.4, "seed": 11, "n_tie_points": 12}
         cfg_path = str(tmp_path / "cfg.json")
@@ -605,8 +595,7 @@ class TestSimulate:
         assert len(truth["spheres"]) == 9
 
 
-@pytest.mark.parametrize("row", [row for row in ROWS if row.name not in ROWS_UNDER_OLDER_IDS],
-                         ids=lambda row: row.name)
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
 def test_row(check_rows, row):
     # A row of tests/bad_inputs.py, run in-process through cli.main.
     assert check_rows([row]) == {}

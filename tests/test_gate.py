@@ -177,7 +177,7 @@ class TestClassify:
             assert report.accepted
             assert abs(report.tau) < 1e-12
 
-    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf, 2.0 * PIXEL_LIMIT])
     def test_default_cov_rejects_invalid_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             default_ellipse_cov(sigma)

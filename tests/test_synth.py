@@ -59,6 +59,21 @@ class TestGenerateScene:
         with pytest.raises(KeyError):
             scene.view("img-04")
 
+    # The scene holds the one network generate_scene builds; its views and
+    # its noisy copies read that network.
+    def test_network_is_built_once(self):
+        scene = generate_scene(SceneConfig(n_cameras=4, n_tie_points=8))
+        assert scene.network is scene.network
+
+    def test_noisy_scene_shares_the_network(self):
+        scene = generate_scene(SceneConfig(n_cameras=4, n_tie_points=8))
+        assert perturb_observations(scene, 0.5, 0).network is scene.network
+
+    def test_views_are_the_networks(self):
+        scene = generate_scene(SceneConfig(n_cameras=4, n_tie_points=8))
+        assert scene.views is scene.network.views
+        assert all(scene.view(i) is scene.network.view(i) for i in ("img-00", "img-03"))
+
     def test_determinism(self):
         a = generate_scene(SceneConfig(clutter_per_image=3))
         b = generate_scene(SceneConfig(clutter_per_image=3))
@@ -67,8 +82,8 @@ class TestGenerateScene:
             for ea, eb in zip(a.observations[vid], b.observations[vid]):
                 assert (ea.x_ce, ea.y_ce, ea.a_e, ea.b_e, ea.theta) == \
                        (eb.x_ce, eb.y_ce, eb.a_e, eb.b_e, eb.theta)
-        for (xyz_a, ids_a), (xyz_b, ids_b) in zip(zip(a.tie_xyz, a.visible_in),
-                                                  zip(b.tie_xyz, b.visible_in)):
+        for (xyz_a, ids_a), (xyz_b, ids_b) in zip(zip(a.network.xyz, a.network.visible_in),
+                                                  zip(b.network.xyz, b.network.visible_in)):
             assert np.array_equal(xyz_a, xyz_b)
             assert ids_a == ids_b
 
@@ -164,7 +179,8 @@ def _scene_bits(build, config):
             [(image_id, [(e.image_id, e.ellipse_id, e.cov,
                           _hex([e.x_ce, e.y_ce, e.a_e, e.b_e, e.theta])) for e in ellipses])
              for image_id, ellipses in scene.observations.items()],
-            [(_hex(xyz), sorted(ids)) for xyz, ids in zip(scene.tie_xyz, scene.visible_in)],
+            [(_hex(xyz), sorted(ids))
+             for xyz, ids in zip(scene.network.xyz, scene.network.visible_in)],
             sorted(scene.clutter_ids), scene.config is config)
 
 
@@ -247,7 +263,7 @@ class TestArrayScene:
         got = _scene_bits(generate_scene, config)
         assert got == _scene_bits(reference_generate_scene, config)
         # The two at x = 2 are seen by img-02 alone, the last by all four.
-        assert [sorted(ids) for ids in generate_scene(config).visible_in] == \
+        assert [sorted(ids) for ids in generate_scene(config).network.visible_in] == \
             [["img-00", "img-01", "img-02", "img-03"]]
 
 
